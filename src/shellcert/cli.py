@@ -4,8 +4,11 @@ Subcommands: analyze, decide, verify, generate, export. Exit codes:
 0 success / certificate verified / certificate found, 1 decided negative
 or certificate unverified, 2 invalid input or usage, 3 certificate does
 not belong to the drawing, 4 required capability missing (e.g. rendering
-a drawing without geometry). Outputs carry no timestamps, so identical
-inputs and flags produce identical bytes.
+a drawing without geometry). analyze, decide and verify reject a drawing
+that loads but is not good with 2, as does every other ShellcertError
+without a code of its own; no error exits 1, which means "negative".
+Outputs carry no timestamps, so identical inputs and flags produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .documents import (certificate_from_document, certificate_to_document,
                         load_drawing)
 from .drawing import trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
-                     EmbeddingError, GenerationError)
+                     ShellcertError)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
 from .kedges import cumulative_bound_check, harary_hill_bound, k_edge_profile, max_k
@@ -35,22 +38,21 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_CAPABILITY = 4
 
+NOT_GOOD = "drawing failed goodness validation"
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, EmbeddingError, GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CertificateMismatchError as exc:
         print(f"certificate mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except OSError as exc:
+    except (ShellcertError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -172,7 +174,7 @@ def cmd_analyze(args) -> int:
     }
     if not report.ok:
         _emit(payload, args.output)
-        print("drawing failed goodness validation", file=sys.stderr)
+        print(NOT_GOOD, file=sys.stderr)
         return EXIT_INVALID
 
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
@@ -197,6 +199,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_decide(args) -> int:
     drawing = load_drawing(_read_json(args.input))
+    if not validate_goodness(drawing).ok:
+        print(NOT_GOOD, file=sys.stderr)
+        return EXIT_INVALID
     k = args.k if args.k is not None else max_k(drawing.n) - 1
     if not 0 <= k <= drawing.n - 2:
         raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {k}")
@@ -219,6 +224,9 @@ def cmd_decide(args) -> int:
 
 def cmd_verify(args) -> int:
     drawing = load_drawing(_read_json(args.input))
+    if not validate_goodness(drawing).ok:
+        print(NOT_GOOD, file=sys.stderr)
+        return EXIT_INVALID
     cert, digest = certificate_from_document(_read_json(args.certificate))
     if digest is not None and digest != _sha256(args.input):
         raise CertificateMismatchError(

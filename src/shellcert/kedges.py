@@ -6,16 +6,28 @@ curve is simple and splits the sphere in two. The triangle's orientation is
 + iff F lies in the part to the left of the traversal u -> v -> w -> u.
 The k-value of uv is min(i, n-2-i) where i counts the + witnesses.
 
-Side classification is purely combinatorial: a breadth-first sweep over
-face adjacencies that flips sides exactly when stepping across a curve
-segment. The sweep is independent of F, so each triangle is classified
-once per drawing and cached; F only selects which class counts as "left".
+Side classification is purely combinatorial and rests on one parity
+labelling per drawing. A breadth-first sweep over face adjacencies, from
+face 0, gives every face f a bitmask P[f] with one bit per edge; stepping
+across a segment of edge e toggles bit e. Two faces lie on the same side
+of a closed curve iff their labels differ on the curve's edges in an even
+number of bits. The labels depend on the sweep only up to vertex stars
+(the set of edges at one vertex), and a triangle's three edges meet every
+star in an even number of edges, so the parity of P[F] on a triangle is
+well defined. Face F is left of a -> b -> c iff that parity equals the
+parity of a face known to lie left of the traversal: the face left of the
+first segment of the edge ab (the triangle's first corner seed). The
+seeds at the other two corners must agree, which every good drawing
+satisfies. A profile then costs O(n^2) operations on ints: the witnesses
+of an edge are the bits of one XOR of two rows of P[F], counted by
+int.bit_count.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .drawing import (Drawing, FaceMap, FaceSet, child_drawing, edge_key,
@@ -49,54 +61,101 @@ def _chain_segments(drawing: Drawing, e) -> tuple:
     return tuple(seg_key(a, b) for a, b in zip(ch, ch[1:]))
 
 
-def _triangle_left_faces(drawing: Drawing, faces: FaceSet, a: int, b: int, c: int):
-    """Faces left of the traversal a -> b -> c -> a, for a < b < c. Cached."""
-    key = ("tri", a, b, c)
-    left = drawing._cache.get(key)
-    if left is not None:
-        return left
+@dataclass(frozen=True, eq=False)
+class _Labelling:
+    """Parity labelling of a drawing; vertices are numbered by position.
 
-    curve_segs = set()
-    for e in ((a, b), (b, c), (a, c)):
-        curve_segs.update(_chain_segments(drawing, e))
+    face_bits[f] holds, at bits i*n + j and j*n + i, the parity of the
+    segments of the edge {v_i, v_j} crossed on a dual path from face 0 to
+    face f, so row i of a label (bits i*n .. i*n + n-1) is the witness
+    mask of the edges at v_i. edges maps each edge (v_i, v_j), i < j, to
+    (i, j, rel, mask): rel holds at bit w the parity on the triangle
+    {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and mask
+    selects the n - 2 witnesses.
+    """
 
-    # The outgoing boundary dart at each corner has the left region on its
-    # left; all three must land in the same class (consistency check).
-    seeds = (
-        (a, drawing.chains[(a, b)][1]),
-        (b, drawing.chains[(b, c)][1]),
-        (c, drawing.chains[(a, c)][-2]),
-    )
+    index: dict
+    face_bits: list
+    edges: dict
 
-    side = {}
-    start = faces.dart_face[seeds[0]]
-    side[start] = 0
-    queue = [start]
-    while queue:
-        f = queue.pop()
-        sf = side[f]
-        for dart in faces.faces[f]:
-            s = seg_key(*dart)
-            f1, f2 = faces.segment_sides[s]
-            g = f2 if f1 == f else f1
-            ns = sf ^ (s in curve_segs)
-            known = side.get(g)
-            if known is None:
-                side[g] = ns
-                queue.append(g)
-            elif known != ns:
-                raise EmbeddingError(
-                    f"inconsistent sides for triangle {(a, b, c)}: corrupted embedding")
-    if len(side) != len(faces.faces):
+
+def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
+    verts = drawing.vertices
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    toggle = {(u, v): (1 << (index[u] * n + index[v])) | (1 << (index[v] * n + index[u]))
+              for u, v in drawing.chains}
+    seg_toggle = {s: toggle[e] for s, e in drawing.segment_edge.items()}
+
+    bits = [None] * len(faces.faces)
+    bits[0] = 0
+    order = [0]
+    for f in order:
+        pf = bits[f]
+        for a, b in faces.faces[f]:
+            g = faces.dart_face[(b, a)]
+            if bits[g] is None:
+                bits[g] = pf ^ seg_toggle[seg_key(a, b)]
+                order.append(g)
+    if len(order) != len(bits):
         raise EmbeddingError("face adjacency is disconnected")
-    for dart in seeds[1:]:
-        if side[faces.dart_face[dart]] != 0:
-            raise EmbeddingError(
-                f"orientation seeds disagree for triangle {(a, b, c)}")
 
-    left = frozenset(f for f, s in side.items() if s == 0)
-    drawing._cache[key] = left
-    return left
+    full = (1 << n) - 1
+
+    def parity_row(f, i, j):
+        # bit w: parity of the label of face f on the triangle {i, j, w}
+        pf = bits[f]
+        row = ((pf >> (i * n)) ^ (pf >> (j * n))) & full
+        return row ^ full if (pf >> (i * n + j)) & 1 else row
+
+    # The outgoing boundary dart at each corner of a -> b -> c -> a has the
+    # left region on its left: at a along ab (first), at b along bc
+    # (first), and at c back along ac (last).
+    first = {}
+    last = {}
+    for (u, v), ch in drawing.chains.items():
+        i, j = index[u], index[v]
+        first[i, j] = parity_row(faces.dart_face[(u, ch[1])], i, j)
+        last[i, j] = parity_row(faces.dart_face[(v, ch[-2])], i, j)
+    for a, b, c in combinations(range(n), 3):
+        const = (first[a, b] >> c) & 1
+        if (first[b, c] >> a) & 1 != const or (last[a, c] >> b) & 1 != const:
+            raise EmbeddingError(
+                f"orientation seeds disagree for triangle {(verts[a], verts[b], verts[c])}")
+
+    # With the seeds in agreement, the constant of {i, j, w} is bit w of
+    # first[i, j] when w lies outside i..j and bit w of last[i, j] when it
+    # lies between; there the traversal i -> j -> w runs against the sorted
+    # order, so the constant is complemented.
+    edges = {}
+    for e in drawing.edges():
+        i, j = index[e[0]], index[e[1]]
+        mask = full ^ (1 << i) ^ (1 << j)
+        between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
+        rel = (first[i, j] & mask & ~between) | (~last[i, j] & between)
+        edges[e] = (i, j, rel, mask)
+    return _Labelling(index, bits, edges)
+
+
+def _labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
+    lab = drawing._cache.get("labelling")
+    if lab is None:
+        lab = _build_labelling(drawing, faces)
+        drawing._cache["labelling"] = lab
+    return lab
+
+
+def _face_label(lab: _Labelling, ref_face: int) -> int:
+    if not 0 <= ref_face < len(lab.face_bits):
+        raise ValueError(f"face {ref_face} does not exist")
+    return lab.face_bits[ref_face]
+
+
+def _vertex_index(lab: _Labelling, x: int) -> int:
+    i = lab.index.get(x)
+    if i is None:
+        raise ValueError(f"{x} is not a vertex of the drawing")
+    return i
 
 
 def triangle_orientation(drawing: Drawing, faces: FaceSet, ref_face: int,
@@ -106,29 +165,30 @@ def triangle_orientation(drawing: Drawing, faces: FaceSet, ref_face: int,
     Reversing the edge direction flips the sign.
     """
     u, v = edge
-    for x in (u, v, witness):
-        if x not in drawing.vertex_set:
-            raise ValueError(f"{x} is not a vertex of the drawing")
-    if len({u, v, witness}) != 3:
+    lab = _labelling(drawing, faces)
+    i, j, w = (_vertex_index(lab, x) for x in (u, v, witness))
+    if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
-    a, b, c = sorted((u, v, witness))
-    left = _triangle_left_faces(drawing, faces, a, b, c)
-    forward = (u, v, witness) in ((a, b, c), (b, c, a), (c, a, b))
-    if (ref_face in left) == forward:
-        return Orientation.PLUS
-    return Orientation.MINUS
+    n = drawing.n
+    pf = _face_label(lab, ref_face)
+    rel = lab.edges[edge_key(u, v)][2]
+    # x is 0 iff F lies left of the smaller endpoint -> the larger -> witness
+    x = ((pf >> (i * n + j)) ^ (pf >> (i * n + w)) ^ (pf >> (j * n + w)) ^ (rel >> w)) & 1
+    return Orientation.PLUS if x == (i > j) else Orientation.MINUS
 
 
 def k_value(drawing: Drawing, faces: FaceSet, ref_face: int, edge) -> int:
     """k-value of the edge with respect to the reference face."""
-    u, v = edge_key(*edge)
-    plus = 0
-    for w in drawing.vertices:
-        if w in (u, v):
-            continue
-        if triangle_orientation(drawing, faces, ref_face, (u, v), w) is Orientation.PLUS:
-            plus += 1
-    return min(plus, drawing.n - 2 - plus)
+    lab = _labelling(drawing, faces)
+    u, v = edge
+    if _vertex_index(lab, u) == _vertex_index(lab, v):
+        raise ValueError("an edge needs two distinct vertices")
+    i, j, rel, mask = lab.edges[edge_key(u, v)]
+    n = drawing.n
+    pf = _face_label(lab, ref_face)
+    # bit w set: F lies right of v_i -> v_j -> v_w, a - witness
+    minus = (((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask).bit_count()
+    return min(minus, n - 2 - minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +211,17 @@ def k_edge_profile(drawing: Drawing, faces: FaceSet, ref_face: int) -> KEdgeProf
     prof = drawing._cache.get(key)
     if prof is not None:
         return prof
-    kmax = max_k(drawing.n)
+    lab = _labelling(drawing, faces)
+    pf = _face_label(lab, ref_face)
+    n = drawing.n
+    full = (1 << n) - 1
+    rows = [(pf >> (i * n)) & full for i in range(n)]
+    kmax = max_k(n)
     k_values = {}
     counts = [0] * (kmax + 1)
-    for e in drawing.edges():
-        k = k_value(drawing, faces, ref_face, e)
+    for e, (i, j, rel, mask) in lab.edges.items():
+        minus = ((rows[i] ^ rows[j] ^ rel) & mask).bit_count()
+        k = min(minus, n - 2 - minus)
         k_values[e] = k
         counts[k] += 1
     cumulated = tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))

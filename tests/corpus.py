@@ -1,10 +1,11 @@
 """Shared, cached test fixtures: reference drawings reused across modules."""
 
+import json
 from functools import lru_cache
 
 from shellcert.drawing import trace_faces, vertices_on_face
 from shellcert.generators import (convex_drawing, cylindrical_drawing,
-                                  random_rectilinear)
+                                  random_rectilinear, rectilinear_document)
 from shellcert.planarize import outer_face
 
 
@@ -40,3 +41,25 @@ def faces_with_vertices(drawing, minimum=2):
     faces = trace_faces(drawing)
     return [f for f in faces.face_ids()
             if len(vertices_on_face(drawing, faces, f)) >= minimum]
+
+
+@lru_cache(maxsize=None)
+def _rectilinear_document_text(n, seed):
+    return json.dumps(rectilinear_document(n, seed))
+
+
+def rerouted_document(n, seed, edge, points):
+    """The seeded rectilinear document with one edge's straight line
+    replaced by a polyline through the given points (which may make the
+    drawing degenerate or not good)."""
+    doc = json.loads(_rectilinear_document_text(n, seed))
+    for e in doc["edges"]:
+        if (e["u"], e["v"]) == tuple(edge):
+            e["polyline"] = [e["polyline"][0], *map(list, points), e["polyline"][-1]]
+    return doc
+
+
+def not_good_k7_document():
+    """Rectilinear K7 (seed 1) with the edge 1-5 detouring through two
+    interior points: the document loads, but the drawing is not good."""
+    return rerouted_document(7, 1, (1, 5), ((-54248, -78883), (8571, -20835)))

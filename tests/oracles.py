@@ -2,16 +2,18 @@
 
 Everything here recomputes expected values by a different route than the
 library code under test: exact geometric predicates (winding numbers,
-ccw counting) instead of combinatorial side sweeps, closed-form integer
-formulas, and plain exhaustive enumeration of the shellability definitions
-instead of the backtracking deciders. The drawing primitives (deletion,
-face maps, face tracing) are shared infrastructure; the logic on top is
-written from scratch.
+ccw counting) instead of combinatorial side sweeps, one flood fill per
+triangle instead of the library's single parity labelling, closed-form
+integer formulas, and plain exhaustive enumeration of the shellability
+definitions instead of the backtracking deciders. The drawing primitives
+(deletion, face maps, face tracing) are shared infrastructure; the logic
+on top is written from scratch.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
-from shellcert.drawing import child_drawing, edge_key, trace_faces, vertices_on_face
+from shellcert.drawing import (child_drawing, edge_key, seg_key, trace_faces,
+                               vertices_on_face)
 from shellcert.geometry import ccw_sign, polygon_area2, winding_number
 from shellcert.kedges import Orientation
 
@@ -61,6 +63,51 @@ def far_point(drawing):
     ys = [p[1] for p in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
     return (max(xs) + span + 7, max(ys) + 2 * span + 13)
+
+
+def flood_fill_left_faces(drawing, faces, a, b, c) -> frozenset:
+    """Faces left of the traversal a -> b -> c -> a, for a < b < c: one
+    sweep over face adjacencies from the face left of the first segment of
+    ab, flipping sides exactly when stepping across the triangle curve."""
+    curve = set()
+    for e in ((a, b), (b, c), (a, c)):
+        ch = drawing.chains[e]
+        curve.update(seg_key(x, y) for x, y in zip(ch, ch[1:]))
+    start = faces.dart_face[(a, drawing.chains[(a, b)][1])]
+    side = {start: 0}
+    queue = [start]
+    while queue:
+        f = queue.pop()
+        for x, y in faces.faces[f]:
+            g = faces.dart_face[(y, x)]
+            flipped = side[f] ^ (seg_key(x, y) in curve)
+            if g not in side:
+                side[g] = flipped
+                queue.append(g)
+            assert side[g] == flipped, f"inconsistent sides for {(a, b, c)}"
+    assert len(side) == len(faces.faces), "face adjacency is disconnected"
+    return frozenset(f for f, s in side.items() if s == 0)
+
+
+def flood_fill_triangles(drawing, faces) -> dict:
+    """flood_fill_left_faces for every sorted vertex triple."""
+    return {t: flood_fill_left_faces(drawing, faces, *t)
+            for t in combinations(drawing.vertices, 3)}
+
+
+def flood_fill_k_values(drawing, ref_face, left_faces) -> dict:
+    """k-values for the reference face from flood_fill_triangles' sets."""
+    k_values = {}
+    for u, v in drawing.edges():
+        plus = 0
+        for w in drawing.vertices:
+            if w in (u, v):
+                continue
+            a, b, c = sorted((u, v, w))
+            forward = (u, v, w) in ((a, b, c), (b, c, a), (c, a, b))
+            plus += (ref_face in left_faces[a, b, c]) == forward
+        k_values[(u, v)] = min(plus, drawing.n - 2 - plus)
+    return k_values
 
 
 def ccw_k_value(drawing, u, v) -> int:

@@ -1,10 +1,24 @@
 """Command-line interface: pipelines and the exit-code contract."""
 
 import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import not_good_k7_document, rerouted_document
+from shellcert import cli, kedges
 from shellcert.cli import main
+from shellcert.documents import certificate_to_document, load_drawing
+from shellcert.drawing import validate_goodness
+from shellcert.errors import ShellcertError, StructureError
+from shellcert.generators import random_rectilinear
+from shellcert.shellability import decide_seq_shellable
+
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4}
 
 
 @pytest.fixture
@@ -88,6 +102,26 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["analyze", "--input", str(bad)]) == 2
+
+    def test_auto_builds_one_labelling(self, tmp_path, monkeypatch):
+        # however many faces are analyzed, the triangles are classified once
+        calls = []
+        build = kedges._build_labelling
+
+        def counting(drawing, faces):
+            calls.append(drawing)
+            return build(drawing, faces)
+
+        monkeypatch.setattr(kedges, "_build_labelling", counting)
+        drawing = tmp_path / "k9.json"
+        main(["generate", "--family", "convex", "--n", "9",
+              "--output", str(drawing)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "auto",
+                     "--output", str(out)]) == 0
+        report = read(out)
+        assert len(report["profiles"]) == report["faces"]["count"] == 155
+        assert len(calls) == 1
 
 
 class TestDecideVerify:
@@ -182,3 +216,90 @@ class TestExport:
             drawing_to_document(load_drawing(read(k6)), "combinatorial")))
         assert main(["export", "--input", str(comb_doc),
                      "--output", str(tmp_path / "x.svg")]) == 4
+
+
+class TestNotGood:
+    @pytest.fixture
+    def not_good(self, tmp_path):
+        path = tmp_path / "not_good.json"
+        path.write_text(json.dumps(not_good_k7_document()))
+        return path
+
+    def test_fixture_loads_but_is_not_good(self, not_good):
+        assert not validate_goodness(load_drawing(read(not_good))).ok
+
+    @pytest.mark.parametrize("mode", ["seq", "bishell"])
+    def test_decide_exit_2(self, not_good, mode, capsys):
+        assert main(["decide", "--input", str(not_good), "--mode", mode]) == 2
+        assert "goodness" in capsys.readouterr().err
+
+    def test_verify_exit_2(self, not_good, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        main(["generate", "--family", "rectilinear", "--n", "7", "--seed", "1",
+              "--output", str(good)])
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(good), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        doc = read(cert)
+        del doc["drawing_sha256"]
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(not_good),
+                     "--certificate", str(cert)]) == 2
+        assert "goodness" in capsys.readouterr().err
+
+    def test_any_library_error_exit_2(self, k6, monkeypatch):
+        def broken(*args):
+            raise StructureError("segment (1, 2) appears in two chains")
+
+        monkeypatch.setattr(cli, "decide_seq_shellable", broken)
+        assert main(["decide", "--input", str(k6), "--mode", "seq"]) == 2
+
+
+@lru_cache(maxsize=None)
+def _certificate_text(n, seed):
+    """A seq certificate of the unmodified drawing, with no digest."""
+    drawing = random_rectilinear(n, seed)
+    cert = decide_seq_shellable(drawing, kedges.max_k(n) - 1, None)
+    return json.dumps(certificate_to_document(cert))
+
+
+@st.composite
+def rerouted_documents(draw):
+    n = draw(st.integers(6, 8))
+    seed = draw(st.integers(1, 3))
+    u = draw(st.integers(0, n - 2))
+    v = draw(st.integers(u + 1, n - 1))
+    # two interior points near the centre: most such detours cross some
+    # edge twice, and about half of the documents still load
+    coord = st.integers(-30_000, 30_000)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2,
+                           unique=True))
+    return n, seed, rerouted_document(n, seed, (u, v), points)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rerouted_documents())
+def test_rerouted_edge_gets_documented_exit(case):
+    n, seed, doc = case
+    try:
+        good = validate_goodness(load_drawing(doc)).ok
+    except ShellcertError:
+        good = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        drawing, cert = tmp / "drawing.json", tmp / "cert.json"
+        drawing.write_text(json.dumps(doc))
+        cert.write_text(_certificate_text(n, seed))
+        codes = {
+            "analyze": main(["analyze", "--input", str(drawing), "--face", "0",
+                             "--output", str(tmp / "report.json")]),
+            "decide": main(["decide", "--input", str(drawing), "--mode", "seq",
+                            "--output", str(tmp / "found.json")]),
+            "verify": main(["verify", "--input", str(drawing),
+                            "--certificate", str(cert)]),
+            "export": main(["export", "--input", str(drawing), "--labels", "0",
+                            "--output", str(tmp / "drawing.svg")]),
+        }
+    assert set(codes.values()) <= DOCUMENTED_EXITS
+    if not good:
+        assert codes["analyze"] == codes["decide"] == codes["verify"] == 2

@@ -4,11 +4,15 @@ from math import comb
 
 import pytest
 
-from corpus import convex, cylindrical, rectilinear, sample_faces
-from oracles import (ccw_k_value, far_point, harary_hill_closed_form,
+from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
+                    sample_faces)
+from oracles import (ccw_k_value, far_point, flood_fill_k_values,
+                     flood_fill_triangles, harary_hill_closed_form,
                      winding_orientation)
+from shellcert.documents import load_drawing
 from shellcert.drawing import (child_drawing, edge_key, trace_faces,
                                vertices_on_face)
+from shellcert.errors import EmbeddingError
 from shellcert.kedges import (cumulative_bound_check, edge_side_partition,
                               harary_hill_bound, invariant_edges,
                               k_edge_profile, k_value, max_k, recursion_check,
@@ -88,12 +92,22 @@ class TestTriangleOrientation:
             triangle_orientation(d, fs, 0, (0, 1), 1)
         with pytest.raises(ValueError):
             triangle_orientation(d, fs, 0, (0, 9), 2)
+        for face in (-1, fs.face_count()):
+            with pytest.raises(ValueError):
+                triangle_orientation(d, fs, face, (0, 1), 2)
+            with pytest.raises(ValueError):
+                k_edge_profile(d, fs, face)
+
+    def test_not_good_drawing_seeds_disagree(self):
+        d = load_drawing(not_good_k7_document())
+        fs = trace_faces(d)
+        with pytest.raises(EmbeddingError, match="orientation seeds disagree"):
+            k_edge_profile(d, fs, 0)
 
 
 class TestKValue:
     def test_triangle_edges_are_0_edges(self):
         from test_drawing import triangle_doc
-        from shellcert.documents import load_drawing
         d = load_drawing(triangle_doc())
         fs = trace_faces(d)
         for f in fs.face_ids():
@@ -122,10 +136,30 @@ class TestKValue:
                 assert k_value(d, fs, face, (u, v)) == ccw_k_value(d, u, v)
 
 
+FLOOD_FILL_CORPUS = {
+    "convex9": (convex, 9),
+    "cylindrical10": (cylindrical, 10),
+    "rectilinear9s1": (rectilinear, 9, 1),
+    "rectilinear9s2": (rectilinear, 9, 2),
+    "rectilinear9s3": (rectilinear, 9, 3),
+}
+
+
+class TestAgainstFloodFill:
+    @pytest.mark.parametrize("name", FLOOD_FILL_CORPUS)
+    def test_every_face(self, name):
+        factory, *args = FLOOD_FILL_CORPUS[name]
+        d = factory(*args)
+        fs = trace_faces(d)
+        left_faces = flood_fill_triangles(d, fs)
+        for f in fs.face_ids():
+            assert (k_edge_profile(d, fs, f).k_values
+                    == flood_fill_k_values(d, f, left_faces))
+
+
 class TestProfiles:
     def test_triangle_profile(self):
         from test_drawing import triangle_doc
-        from shellcert.documents import load_drawing
         d = load_drawing(triangle_doc())
         fs = trace_faces(d)
         for f in fs.face_ids():
