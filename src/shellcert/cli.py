@@ -4,9 +4,10 @@ Subcommands: analyze, decide, verify, generate, export. Exit codes:
 0 success / certificate verified / certificate found, 1 decided negative
 or certificate unverified, 2 invalid input or usage, 3 certificate does
 not belong to the drawing, 4 required capability missing (e.g. rendering
-a drawing without geometry). analyze, decide and verify reject a drawing
-that loads but is not good with 2, as does every other ShellcertError
-without a code of its own; no error exits 1, which means "negative".
+a drawing without geometry). analyze, decide, verify and export --labels
+reject a drawing that loads but is not good with 2, as does every other
+ShellcertError without a code of its own; no error exits 1, which means
+"negative". Plain export draws any drawing that loads, good or not.
 Outputs carry no timestamps, so identical inputs and flags produce
 identical bytes.
 """
@@ -257,6 +258,10 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     drawing = load_drawing(_read_json(args.input))
+    # k-value labels are defined only for good drawings
+    if args.labels is not None and not validate_goodness(drawing).ok:
+        print(NOT_GOOD, file=sys.stderr)
+        return EXIT_INVALID
     faces = trace_faces(drawing)
     face_highlight = None
     if args.face is not None:

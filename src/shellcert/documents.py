@@ -78,9 +78,10 @@ def _load_geometric(document, n) -> Drawing:
         positions[vid] = (x, y)
 
     edges = document.get("edges")
-    want = {(u, v) for u in range(n) for v in range(u + 1, n)}
-    _require(isinstance(edges, list) and len(edges) == len(want),
+    # the count comes first: the set of all pairs is quadratic in n
+    _require(isinstance(edges, list) and len(edges) == n * (n - 1) // 2,
              '"edges" must list every vertex pair exactly once')
+    want = {(u, v) for u in range(n) for v in range(u + 1, n)}
     polylines = {}
     for item in edges:
         _require(isinstance(item, dict) and set(item) == {"u", "v", "polyline"},

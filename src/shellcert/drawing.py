@@ -75,8 +75,10 @@ class Drawing:
         if self.n < 3:
             raise StructureError("a drawing needs at least 3 vertices")
         verts = self.vertices
-        want = {(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]}
-        if set(self.chains) != want:
+        # the count comes first: the set of all pairs is quadratic in n
+        if (len(self.chains) != self.n * (self.n - 1) // 2
+                or set(self.chains) != {(u, v) for i, u in enumerate(verts)
+                                        for v in verts[i + 1:]}):
             raise StructureError("chains must cover every vertex pair exactly once")
         if self.vertex_set & set(self.crossings):
             raise StructureError("crossing ids overlap vertex ids")
@@ -312,9 +314,9 @@ def delete_vertex(drawing: Drawing, faces: FaceSet, v: int):
     """Remove a real vertex: drop its edge chains and their crossings,
     smooth crossings that lose their partner edge, and track face merging.
 
-    Returns (child, child_faces, face_map). The union-find over deleted
-    segments defines the merge: both old faces flanking a deleted segment
-    land in the same child face.
+    Returns (child, child_faces, face_map). The child carries no geometry.
+    The union-find over deleted segments defines the merge: both old faces
+    flanking a deleted segment land in the same child face.
     """
     if v not in drawing.vertex_set:
         raise ValueError(f"{v} is not a vertex of the drawing")
@@ -348,12 +350,8 @@ def delete_vertex(drawing: Drawing, faces: FaceSet, v: int):
         new_rot[x] = tuple(out)
 
     live_cross = {c: p for c, p in drawing.crossings.items() if c not in dead_nodes}
-    geometry = None
-    if drawing.geometry is not None:
-        geometry = _delete_geometry(drawing, live_chains, dead_nodes)
-
     child = Drawing([u for u in drawing.vertices if u != v],
-                    live_cross, new_rot, live_chains, geometry)
+                    live_cross, new_rot, live_chains)
     child_faces = trace_faces(child)
 
     # Union-find over parent faces across every deleted segment.
@@ -397,33 +395,6 @@ def _next_live(chain, x, y, dead):
     while chain[j] in dead:
         j += step
     return chain[j]
-
-
-def _delete_geometry(drawing, live_chains, dead_nodes):
-    geo = drawing.geometry
-    points = {x: p for x, p in geo.points.items() if x not in dead_nodes}
-    polylines = {e: geo.polylines[e] for e in live_chains}
-    seg_paths = {}
-    for e, new_ch in live_chains.items():
-        old_ch = drawing.chains[e]
-        # Concatenate the parent pieces covering each merged segment.
-        runs = []
-        run_start = 0
-        for i in range(1, len(old_ch)):
-            if old_ch[i] not in dead_nodes:
-                runs.append((run_start, i))
-                run_start = i
-        assert len(runs) == len(new_ch) - 1
-        for (i0, i1), (a, b) in zip(runs, zip(new_ch, new_ch[1:])):
-            path = []
-            for j in range(i0, i1):
-                piece = geo.segment_path(old_ch[j], old_ch[j + 1])
-                if path:
-                    path.extend(piece[1:])
-                else:
-                    path.extend(piece)
-            seg_paths[(a, b)] = tuple(path)
-    return Geometry(points, polylines, seg_paths)
 
 
 def child_drawing(drawing: Drawing, v: int):

@@ -11,23 +11,34 @@ deletion sequences a_0..a_s and b_0..b_s with index-wise disjointness
 
 Deciders run complete depth-first searches over faces (ascending id) and
 candidate vertices (ascending id), so the emitted certificate is
-deterministic. Face identity across deletions is tracked exclusively
-through face maps, never by boundary similarity. Searches memoize failures
-on the frozen set of removed vertices where that is sound (the single-chain
-searches); the interleaved bishellability search keeps plain backtracking
-because its disjointness constraint depends on positions, not sets.
+deterministic.
 
-Drawings with three vertices cannot be shrunk further, but every vertex of
-such a drawing (and of the conceptual one- and two-vertex subdrawings) is
-incident to every face, so the searches switch to a trivial "free" regime
-there instead of deleting.
+No subdrawing is ever built. Deleting a set S of vertices removes every
+edge at a vertex of S, so the face containing F afterwards is the union of
+the root drawing's faces reachable from F across segments of those edges:
+its region, region(F, S). A vertex w outside S bounds that face iff one of
+its corner faces (the faces at w between consecutive edges of its rotation)
+lies in the region, since a corner of w in the subdrawing is the union of
+the root corners it covers. The rule needs no special case for tails of
+three or fewer vertices, where every vertex left bounds every face.
+region(F, S + {u}) grows from region(F, S) by a flood that first crosses
+u's segments and then segments of any edge at S + {u}.
+
+The region depends only on F and the set S, never on the order of the
+deletions, so grown regions are memoized on (region, S + {u}) for the
+length of one decide or verify call, and the single-chain searches memoize
+failures on the set of removed vertices. The interleaved bishellability
+search keeps plain backtracking because its disjointness constraint
+depends on positions, not sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, child_drawing, trace_faces, vertices_on_face
+from .drawing import Drawing, trace_faces
+# perfbench/layertrace.py wraps these two names in this module by name
+from .drawing import child_drawing, vertices_on_face  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError
 
 
@@ -73,37 +84,86 @@ class VerificationResult:
         return self.ok
 
 
-# -- deletion-chain states -------------------------------------------------
+# -- region queries ----------------------------------------------------------
 #
-# A state is ("d", drawing, faces, face) while at least four vertices are
-# left, or ("free", available) afterwards, where every remaining vertex is
-# incident to every face.
+# A search state is (region, deleted). deleted is the set of vertices
+# deleted so far; region is an int bitmask over the root drawing's faces:
+# the faces that merge into the face containing the reference face once
+# those vertices are gone.
 
-def _initial_state(drawing, faces, face):
-    return ("d", drawing, faces, face)
+def _region_tables(drawing):
+    """Per vertex: its corner faces as a bitmask, the faces flanking a
+    segment of one of its edges as a bitmask, and for each such face the
+    faces across those segments. Cached on the drawing."""
+    tables = drawing._cache.get("regions")
+    if tables is None:
+        faces = trace_faces(drawing)
+        corners = {w: 0 for w in drawing.vertices}
+        for w in drawing.vertices:
+            for y in drawing.rotations[w]:
+                corners[w] |= 1 << faces.dart_face[(w, y)]
+        adjacency = {w: {} for w in drawing.vertices}
+        for seg, (f1, f2) in faces.segment_sides.items():
+            for x in drawing.segment_edge[seg]:
+                adj = adjacency[x]
+                adj[f1] = adj.get(f1, 0) | 1 << f2
+                adj[f2] = adj.get(f2, 0) | 1 << f1
+        touch = {w: sum(1 << f for f in adj) for w, adj in adjacency.items()}
+        tables = drawing._cache["regions"] = (corners, touch, adjacency)
+    return tables
 
 
-def _state_candidates(state):
-    if state[0] == "free":
-        return sorted(state[1])
-    _, drawing, faces, face = state
-    return sorted(vertices_on_face(drawing, faces, face))
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _state_vertices(state):
-    if state[0] == "free":
-        return state[1]
-    return state[1].vertex_set
+class _Regions:
+    """Region queries on one root drawing, memoized for one search or
+    verification only, so the memo never outlives the call."""
 
+    def __init__(self, drawing):
+        self.vertices = drawing.vertices
+        self.corners, self.touch, self.adjacency = _region_tables(drawing)
+        self.memo = {}
 
-def _state_advance(state, v):
-    if state[0] == "free":
-        return ("free", state[1] - {v})
-    _, drawing, faces, face = state
-    if drawing.n == 3:
-        return ("free", drawing.vertex_set - {v})
-    child, child_faces, face_map = child_drawing(drawing, v)
-    return ("d", child, child_faces, face_map[face])
+    @staticmethod
+    def start(face):
+        """The state before any deletion."""
+        return 1 << face, frozenset()
+
+    def candidates(self, state):
+        """Vertices left that bound the region, ascending."""
+        region, deleted = state
+        corners = self.corners
+        return [w for w in self.vertices if w not in deleted and corners[w] & region]
+
+    def advance(self, state, u):
+        """The state after deleting u as well: flood the region across u's
+        segments, then across segments of any deleted vertex's edges."""
+        region, deleted = state
+        removed = deleted | {u}
+        key = (region, removed)
+        grown = self.memo.get(key)
+        if grown is None:
+            fresh = self._across(region, (u,)) & ~region
+            while fresh:
+                region |= fresh
+                fresh = self._across(fresh, removed) & ~region
+            grown = self.memo[key] = region
+        return grown, removed
+
+    def _across(self, mask, vertices):
+        """Faces one step from ``mask`` across a segment of an edge at one
+        of ``vertices``."""
+        out = 0
+        for x in vertices:
+            adj = self.adjacency[x]
+            for f in _bits(mask & self.touch[x]):
+                out |= adj[f]
+        return out
 
 
 # -- simple sequences ------------------------------------------------------
@@ -125,46 +185,31 @@ def find_simple_sequence(drawing: Drawing, faces, ref_face: int, v: int,
     pool = drawing.vertex_set - excluded - {v}
     if length > len(pool):
         return None
-    seq = _simple_search(_initial_state(drawing, faces, ref_face),
+    regions = _Regions(drawing)
+    seq = _simple_search(regions, regions.start(ref_face),
                          v, length, excluded, frozenset(), {})
     if seq is None:
         return None
     return SimpleSequence(v, seq)
 
 
-def _simple_search(state, owner, length, excluded, used, memo):
+def _simple_search(regions, state, owner, length, excluded, used, memo):
     remaining = length - len(used)
     if remaining == 0:
         return ()
     if used in memo:
         return None
-    for u in _state_candidates(state):
-        if u == owner or u in excluded or u in used:
+    for u in regions.candidates(state):
+        if u == owner or u in excluded:
             continue
         if remaining == 1:
             return (u,)
-        rest = _simple_search(_state_advance(state, u), owner, length,
+        rest = _simple_search(regions, regions.advance(state, u), owner, length,
                               excluded, used | {u}, memo)
         if rest is not None:
             return (u,) + rest
     memo[used] = None
     return None
-
-
-def _simple_in_state(state, owner, length, excluded=frozenset()):
-    """Simple-sequence search from an arbitrary chain state."""
-    if state[0] == "free":
-        pool = sorted(state[1] - {owner} - excluded)
-        if length > len(pool):
-            return None
-        return tuple(pool[:length])
-    _, drawing, faces, face = state
-    if owner not in vertices_on_face(drawing, faces, face):
-        return None
-    pool = drawing.vertex_set - excluded - {owner}
-    if length > len(pool):
-        return None
-    return _simple_search(state, owner, length, excluded, frozenset(), {})
 
 
 # -- seq-shellability ------------------------------------------------------
@@ -179,9 +224,9 @@ def decide_seq_shellable(drawing: Drawing, k: int,
     if not 0 <= k <= drawing.n - 2:
         raise ValueError(f"k must lie in 0..{drawing.n - 2}")
     faces = trace_faces(drawing)
-    face_ids = _face_selection(faces, face_filter)
-    for face in face_ids:
-        found = _seq_search(_initial_state(drawing, faces, face), k, frozenset(), {})
+    regions = _Regions(drawing)
+    for face in _face_selection(faces, face_filter):
+        found = _seq_search(regions, regions.start(face), k, {})
         if found is not None:
             cert = SeqShellCertificate(face,
                                        tuple(a for a, _ in found),
@@ -194,19 +239,20 @@ def decide_seq_shellable(drawing: Drawing, k: int,
     return None
 
 
-def _seq_search(state, k, removed, memo):
-    if removed in memo:
+def _seq_search(regions, state, k, memo):
+    deleted = state[1]
+    if deleted in memo:
         return None
-    for a in _state_candidates(state):
-        seq = _simple_in_state(state, a, k + 1)
+    for a in regions.candidates(state):
+        seq = _simple_search(regions, state, a, k + 1, frozenset(), frozenset(), {})
         if seq is None:
             continue
         if k == 0:
             return ((a, seq),)
-        rest = _seq_search(_state_advance(state, a), k - 1, removed | {a}, memo)
+        rest = _seq_search(regions, regions.advance(state, a), k - 1, memo)
         if rest is not None:
             return ((a, seq),) + rest
-    memo[removed] = None
+    memo[deleted] = None
     return None
 
 
@@ -223,9 +269,10 @@ def decide_bishellable(drawing: Drawing, s: int,
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"s must lie in 0..{drawing.n - 2}")
     faces = trace_faces(drawing)
+    regions = _Regions(drawing)
     for face in _face_selection(faces, face_filter):
-        start = _initial_state(drawing, faces, face)
-        found = _bishell_search(start, start, s, (), ())
+        start = regions.start(face)
+        found = _bishell_search(regions, start, start, s, (), ())
         if found is not None:
             cert = BishellCertificate(face, found[0], found[1])
             result = verify_bishell_certificate(drawing, cert)
@@ -236,27 +283,27 @@ def decide_bishellable(drawing: Drawing, s: int,
     return None
 
 
-def _bishell_search(a_state, b_state, s, a_seq, b_seq):
+def _bishell_search(regions, a_state, b_state, s, a_seq, b_seq):
     if len(a_seq) == s + 1 and len(b_seq) == s + 1:
         return (a_seq, b_seq)
     if len(a_seq) <= len(b_seq):
         i = len(a_seq)
         forbidden = set(b_seq[: s - i + 1])
-        for a in _state_candidates(a_state):
+        for a in regions.candidates(a_state):
             if a in forbidden:
                 continue
-            next_state = _state_advance(a_state, a) if i < s else a_state
-            found = _bishell_search(next_state, b_state, s, a_seq + (a,), b_seq)
+            next_state = regions.advance(a_state, a) if i < s else a_state
+            found = _bishell_search(regions, next_state, b_state, s, a_seq + (a,), b_seq)
             if found is not None:
                 return found
     else:
         j = len(b_seq)
         forbidden = set(a_seq[: s - j + 1])
-        for b in _state_candidates(b_state):
+        for b in regions.candidates(b_state):
             if b in forbidden:
                 continue
-            next_state = _state_advance(b_state, b) if j < s else b_state
-            found = _bishell_search(a_state, next_state, s, a_seq, b_seq + (b,))
+            next_state = regions.advance(b_state, b) if j < s else b_state
+            found = _bishell_search(regions, a_state, next_state, s, a_seq, b_seq + (b,))
             if found is not None:
                 return found
     return None
@@ -290,25 +337,27 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     k = cert.k
     if len(set(cert.vertices)) != len(cert.vertices):
         violations.append("vertex sequence repeats a vertex")
-    state = _initial_state(drawing, faces, cert.face)
+    regions = _Regions(drawing)
+    state = regions.start(cert.face)
     for i, (a, seq) in enumerate(zip(cert.vertices, cert.sequences)):
         where = (f"a_{i} = {a}")
-        if a not in _state_vertices(state):
+        if a in state[1]:
             violations.append(f"{where} was already deleted")
             break
-        if a not in _state_candidates(state):
+        if a not in regions.candidates(state):
             violations.append(
                 f"{where} is not incident to the face containing the reference face")
-        violations.extend(_check_simple(state, a, seq, set(cert.vertices[: i + 1]),
+        violations.extend(_check_simple(regions, state, a, seq,
+                                        set(cert.vertices[: i + 1]),
                                         k - i + 1, f"S_{i}"))
         if i < k:
-            state = _state_advance(state, a)
+            state = regions.advance(state, a)
     return VerificationResult(not violations, tuple(violations))
 
 
-def _check_simple(state, owner, seq, banned, want_len, label):
+def _check_simple(regions, state, owner, seq, banned, want_len, label):
     """Conditions for ``seq`` to be a simple sequence of ``owner`` avoiding
-    ``banned``, checked in the drawing/face of ``state``."""
+    ``banned``, checked from the region of ``state``."""
     violations = []
     if len(seq) != want_len:
         violations.append(f"{label} must have length {want_len}, has {len(seq)}")
@@ -320,15 +369,15 @@ def _check_simple(state, owner, seq, banned, want_len, label):
     if hits:
         violations.append(f"{label} contains excluded vertices {hits}")
     for j, u in enumerate(seq):
-        if u not in _state_vertices(state):
+        if u in state[1]:
             violations.append(f"{label}[{j}] = {u} is not present in the subdrawing")
             break
-        if u not in _state_candidates(state):
+        if u not in regions.candidates(state):
             violations.append(
                 f"{label}[{j}] = {u} is not incident to the face containing "
                 f"the reference face")
         if j < len(seq) - 1:
-            state = _state_advance(state, u)
+            state = regions.advance(state, u)
     return violations
 
 
@@ -342,20 +391,21 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
 
     violations = []
     s = cert.s
+    regions = _Regions(drawing)
     for name, seq in (("a", cert.a_sequence), ("b", cert.b_sequence)):
         if len(set(seq)) != len(seq):
             violations.append(f"{name}-sequence repeats a vertex")
-        state = _initial_state(drawing, faces, cert.face)
+        state = regions.start(cert.face)
         for i, x in enumerate(seq):
-            if x not in _state_vertices(state):
+            if x in state[1]:
                 violations.append(f"{name}_{i} = {x} was already deleted")
                 break
-            if x not in _state_candidates(state):
+            if x not in regions.candidates(state):
                 violations.append(
                     f"{name}_{i} = {x} is not incident to the face containing "
                     f"the reference face")
             if i < s:
-                state = _state_advance(state, x)
+                state = regions.advance(state, x)
     for i, a in enumerate(cert.a_sequence):
         for j, b in enumerate(cert.b_sequence):
             if i + j <= s and a == b:

@@ -247,6 +247,18 @@ class TestNotGood:
                      "--certificate", str(cert)]) == 2
         assert "goodness" in capsys.readouterr().err
 
+    def test_export_labels_exit_2(self, not_good, tmp_path, capsys):
+        out = tmp_path / "labels.svg"
+        assert main(["export", "--input", str(not_good), "--output", str(out),
+                     "--labels", "0"]) == 2
+        assert "goodness" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plain_export_draws_it(self, not_good, tmp_path):
+        out = tmp_path / "plain.svg"
+        assert main(["export", "--input", str(not_good), "--output", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+
     def test_any_library_error_exit_2(self, k6, monkeypatch):
         def broken(*args):
             raise StructureError("segment (1, 2) appears in two chains")

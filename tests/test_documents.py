@@ -1,5 +1,7 @@
 """Interchange document parsing: strictness and round-trips."""
 
+import tracemalloc
+
 import pytest
 
 from corpus import convex
@@ -136,6 +138,34 @@ class TestCombinatorialMode:
         del doc["chains"]["0-1"]
         with pytest.raises(DocumentError):
             load_drawing(doc)
+
+
+class TestSizeChecks:
+    """A document that lists too few edges or chains is rejected before
+    the loader builds the quadratic set of all vertex pairs."""
+
+    N = 1500
+
+    def peak_while_rejected(self, doc, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DocumentError, match=match):
+                load_drawing(doc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_geometric_without_edges(self):
+        doc = {"format": "shellcert-drawing", "version": 1, "mode": "geometric",
+               "n": self.N, "edges": [],
+               "vertices": [{"id": i, "x": i, "y": i * i} for i in range(self.N)]}
+        assert self.peak_while_rejected(doc, "every vertex pair") < 2 * 2 ** 20
+
+    def test_combinatorial_without_chains(self):
+        doc = {"format": "shellcert-drawing", "version": 1, "mode": "combinatorial",
+               "n": self.N, "rotation_order": "ccw", "rotations": {}, "chains": {},
+               "nodes": [{"id": i, "kind": "vertex"} for i in range(self.N)]}
+        assert self.peak_while_rejected(doc, "every vertex pair") < 2 * 2 ** 20
 
 
 class TestDrawingExport:

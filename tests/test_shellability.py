@@ -1,12 +1,16 @@
-"""Simple sequences, deciders, verifiers, and the certificate transform."""
+"""Region queries, simple sequences, deciders, verifiers, and the
+certificate transform."""
 
+import random
 from math import comb
 
 import pytest
 
 from corpus import convex, cylindrical, rectilinear, sample_faces
-from oracles import naive_bishellable, naive_seq_shellable
-from shellcert.drawing import child_drawing, trace_faces, vertices_on_face
+from oracles import naive_bishellable, naive_seq_shellable, surviving_face_vertices
+from shellcert import drawing as drawing_module
+from shellcert import shellability
+from shellcert.drawing import Drawing, child_drawing, trace_faces, vertices_on_face
 from shellcert.errors import CertificateMismatchError
 from shellcert.kedges import invariant_edges
 from shellcert.planarize import outer_face
@@ -15,6 +19,49 @@ from shellcert.shellability import (BishellCertificate, SeqShellCertificate,
                                     decide_seq_shellable, find_simple_sequence,
                                     verify_bishell_certificate,
                                     verify_seq_certificate)
+
+
+class TestRegions:
+    def test_incidence_agrees_with_child_drawings(self):
+        # every deletion length 0..n occurs, so tails of three or fewer
+        # vertices (and the empty drawing) are covered on every drawing
+        rng = random.Random(20181)
+        drawings = [family(n) for n in (7, 8, 9) for family in (convex, cylindrical)]
+        drawings += [rectilinear(n, n - 6) for n in (7, 8, 9)]
+        for d in drawings:
+            fs = trace_faces(d)
+            regions = shellability._Regions(d)
+            for case in range(30):
+                face = rng.randrange(fs.face_count())
+                deletions = rng.sample(d.vertices, case % (d.n + 1))
+                state = regions.start(face)
+                for v in deletions:
+                    state = regions.advance(state, v)
+                assert (regions.candidates(state)
+                        == sorted(surviving_face_vertices(d, face, deletions))), \
+                    (d.n, face, deletions)
+
+    def test_searches_and_verifiers_build_no_drawing(self, monkeypatch):
+        drawings = (convex(10), cylindrical(10))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a subdrawing was built")
+
+        monkeypatch.setattr(drawing_module, "delete_vertex", forbidden)
+        for module in (drawing_module, shellability):
+            monkeypatch.setattr(module, "child_drawing", forbidden)
+        monkeypatch.setattr(Drawing, "__init__", forbidden)
+        for d in drawings:
+            k = d.n // 2 - 2
+            cert = decide_seq_shellable(d, k)
+            bcert = decide_bishellable(d, k)
+            assert verify_seq_certificate(d, cert)
+            assert verify_bishell_certificate(d, bcert)
+            assert verify_seq_certificate(d, bishell_to_seq(bcert))
+            owner = cert.vertices[0]
+            assert find_simple_sequence(d, trace_faces(d), cert.face, owner,
+                                        k + 1).vertices == cert.sequences[0]
+        assert decide_bishellable(cylindrical(10), 4) is None
 
 
 class TestFindSimpleSequence:
@@ -136,6 +183,21 @@ class TestDeciders:
                         == naive_seq_shellable(d, k))
                 assert ((decide_bishellable(d, k) is not None)
                         == naive_bishellable(d, k))
+
+    def test_negative_bishell_agrees_with_naive_oracle(self):
+        # a drawing-level negative answer: cylindrical K10 is not
+        # 4-bishellable for any face
+        d = cylindrical(10)
+        fs = trace_faces(d)
+        assert decide_bishellable(d, 4) is None
+        for face in fs.face_ids():
+            assert decide_bishellable(d, 4, face_filter=face) is None
+        # the brute force takes ~0.2 s a face; check the ten faces with the
+        # most incident vertices
+        busiest = sorted(fs.face_ids(),
+                         key=lambda f: (-len(vertices_on_face(d, fs, f)), f))[:10]
+        for face in busiest:
+            assert not naive_bishellable(d, 4, face=face), face
 
     def test_convex_k4_base_cases(self):
         d = convex(4)
