@@ -91,7 +91,12 @@ def _general_position(points) -> bool:
 # -- convex ------------------------------------------------------------
 
 def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
-    """n vertices in convex position on an integer-rounded circle.
+    """n vertices in convex position on an integer-rounded circle."""
+    return _convex(n, scale)[0]
+
+
+def _convex(n, scale):
+    """(document, loaded drawing) of the convex family.
 
     The spacing is deliberately irregular: points in strictly increasing
     angular order are convex regardless of spacing, and a regular polygon
@@ -109,31 +114,34 @@ def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
             continue
         doc = _document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
         try:
-            load_drawing(doc)
+            return doc, load_drawing(doc)
         except DocumentError as exc:
             last_error = exc  # e.g. concurrent diagonals; rotate and retry
-            continue
-        return doc
     raise GenerationError(
         f"scale {scale} too small for {n} points in convex general position: {last_error}")
 
 
 def convex_drawing(n: int, scale: int = DEFAULT_SCALE) -> Drawing:
-    return _load_checked(convex_document(n, scale), expect_crossings=math.comb(n, 4))
+    return _checked(_convex(n, scale)[1], expect_crossings=math.comb(n, 4))
 
 
 # -- cylindrical -------------------------------------------------------
 
 def cylindrical_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
     """Planar projection of the two-rim construction with H(n) crossings."""
+    return _cylindrical(n, scale)[0]
+
+
+def _cylindrical(n, scale):
+    """(document, checked drawing) of the cylindrical family."""
     if n < 3:
         raise ValueError("n must be at least 3")
     last_error = None
     for phases in _PHASES:
         try:
             doc = _cylindrical_attempt(n, scale, *phases)
-            _load_checked(doc, expect_crossings=harary_hill_bound(n))
-            return doc
+            return doc, _checked(load_drawing(doc),
+                                 expect_crossings=harary_hill_bound(n))
         except (DocumentError, GenerationError) as exc:
             last_error = exc
     raise GenerationError(f"cylindrical construction failed for n={n}: {last_error}")
@@ -233,14 +241,18 @@ def _route_spirals(polylines, positions, theta, psi, top, bottom, r_in, r_out):
 
 
 def cylindrical_drawing(n: int, scale: int = DEFAULT_SCALE) -> Drawing:
-    return _load_checked(cylindrical_document(n, scale),
-                         expect_crossings=harary_hill_bound(n))
+    return _cylindrical(n, scale)[1]
 
 
 # -- random rectilinear --------------------------------------------------
 
 def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
     """Seeded random integer points in general position, straight edges."""
+    return _rectilinear(n, seed, scale)[0]
+
+
+def _rectilinear(n, seed, scale):
+    """(document, loaded drawing) of the rectilinear family."""
     if n < 3:
         raise ValueError("n must be at least 3")
     rng = random.Random(f"rectilinear:{n}:{seed}:{scale}")
@@ -251,10 +263,9 @@ def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
         positions = dict(enumerate(points))
         doc = _document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
         try:
-            load_drawing(doc)
+            return doc, load_drawing(doc)
         except DocumentError:
             continue  # e.g. three segments concurrent; resample
-        return doc
     raise GenerationError(
         f"could not sample {n} points in general position at scale {scale}")
 
@@ -277,13 +288,12 @@ def _sample_points(rng, n, scale):
 
 
 def random_rectilinear(n: int, seed: int, scale: int = DEFAULT_SCALE) -> Drawing:
-    return _load_checked(rectilinear_document(n, seed, scale))
+    return _checked(_rectilinear(n, seed, scale)[1])
 
 
 # -- shared validation ---------------------------------------------------
 
-def _load_checked(document, expect_crossings=None) -> Drawing:
-    drawing = load_drawing(document)
+def _checked(drawing, expect_crossings=None) -> Drawing:
     report = validate_goodness(drawing)
     if not report.ok:
         raise GenerationError(f"generated drawing is not good: {report.violations}")

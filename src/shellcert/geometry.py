@@ -50,13 +50,18 @@ def segment_intersection(p: Point, q: Point, r: Point, s: Point):
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     rp = sub(r, p)
     if denom != 0:
-        t = Fraction(rp[0] * d2[1] - rp[1] * d2[0], denom)
-        u = Fraction(rp[0] * d1[1] - rp[1] * d1[0], denom)
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            x = p[0] + t * d1[0]
-            y = p[1] + t * d1[1]
-            return ("point", (x, y), t, u)
-        return None
+        # t = tn / denom and u = un / denom; with denom made positive, the
+        # range tests run on the integer numerators, so Fractions are only
+        # built for an actual contact.
+        tn = rp[0] * d2[1] - rp[1] * d2[0]
+        un = rp[0] * d1[1] - rp[1] * d1[0]
+        if denom < 0:
+            denom, tn, un = -denom, -tn, -un
+        if not (0 <= tn <= denom and 0 <= un <= denom):
+            return None
+        x = Fraction(p[0] * denom + tn * d1[0], denom)
+        y = Fraction(p[1] * denom + tn * d1[1], denom)
+        return ("point", (x, y), Fraction(tn, denom), Fraction(un, denom))
     # Parallel segments.
     if cross(p, q, r) != 0:
         return None

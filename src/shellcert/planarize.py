@@ -9,6 +9,15 @@ and self-intersecting edges all raise DocumentError naming the culprits.
 Crossings of *distinct interiors* are allowed even when they violate
 goodness (adjacent edges crossing, an edge pair crossing twice): those
 load fine and are reported by validate_goodness.
+
+Candidate pairs of polyline pieces come from a spatial hash whose cell is
+sized to the pieces (see _GRID), and only pairs whose bounding boxes meet
+are tested. A pair that shares an endpoint and is not collinear meets at
+that endpoint only, so one integer cross product classifies it without an
+intersection: a polyline joint or the common vertex of two adjacent edges
+is fine, anything else is a touch or a self-intersection. Collinear pairs
+go through segment_intersection, which finds overlaps. Vertices lying on
+a foreign edge are found through the same hash.
 """
 
 from __future__ import annotations
@@ -20,7 +29,10 @@ from .errors import CapabilityError, DocumentError
 from .geometry import (angle_less, cross, on_segment, segment_intersection,
                        sort_by_angle, sub)
 
-# Cells per bounding-box axis for the segment spatial hash.
+# The spatial hash's cell side is the median piece extent (max(|dx|, |dy|)),
+# so at least half of the pieces cover at most 2 x 2 cells each; but it is
+# never below the drawing's span over _GRID, so a long straight edge covers
+# about _GRID x _GRID cells at most.
 _GRID = 64
 
 
@@ -42,14 +54,6 @@ def planarize(n, positions, polylines) -> Drawing:
             subsegments.append((e, i, p, q))
 
     crossings = _find_crossings(subsegments, positions)
-
-    # Reject vertices lying anywhere on a foreign edge (bends included).
-    for e, _, p, q in subsegments:
-        for v, pos in positions.items():
-            if v in e:
-                continue
-            if on_segment(pos, p, q):
-                raise DocumentError(f"edge {e} passes through vertex {v}")
 
     # Group crossing records by exact point; three concurrent curves are out.
     by_point = {}
@@ -78,8 +82,8 @@ def planarize(n, positions, polylines) -> Drawing:
             per_edge[e].append((rec["pos"][e], node))
 
     chains = {}
-    for e in polylines:
-        hits = sorted(per_edge[e])
+    for e, hits in per_edge.items():
+        hits.sort()
         chains[e] = (e[0],) + tuple(node for _, node in hits) + (e[1],)
 
     # The planarized graph must be simple. Two chains sharing a segment can
@@ -109,58 +113,93 @@ def planarize(n, positions, polylines) -> Drawing:
 
 
 def _find_crossings(subsegments, positions):
-    """All proper interior crossings; rejects every degenerate contact."""
+    """All proper interior crossings; rejects every degenerate contact,
+    vertices on foreign edges included (after every crossing check)."""
+    lo_x, lo_y, hi_x, hi_y = [], [], [], []
+    for _, _, (px, py), (qx, qy) in subsegments:
+        lo_x.append(min(px, qx))
+        lo_y.append(min(py, qy))
+        hi_x.append(max(px, qx))
+        hi_y.append(max(py, qy))
+    boxes = list(zip(lo_x, lo_y, hi_x, hi_y))
+    span = max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y))
+    extents = sorted(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes)
+    cell = max(span // _GRID, extents[len(extents) // 2])
+
+    # Every piece in the cells its box covers, ascending within a cell.
     cells = {}
-    span = 1
-    xs = [c for _, _, p, q in subsegments for c in (p[0], q[0])]
-    ys = [c for _, _, p, q in subsegments for c in (p[1], q[1])]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    cell = max(1, span // _GRID)
+    covers = []
+    for idx, (x0, y0, x1, y1) in enumerate(boxes):
+        keys = [(cx, cy) for cx in range(x0 // cell, x1 // cell + 1)
+                for cy in range(y0 // cell, y1 // cell + 1)]
+        covers.append(keys)
+        for key in keys:
+            bucket = cells.get(key)
+            if bucket is None:
+                cells[key] = [idx]
+            else:
+                bucket.append(idx)
 
-    def cover(p, q):
-        x0, x1 = sorted((p[0], q[0]))
-        y0, y1 = sorted((p[1], q[1]))
-        for cx in range(x0 // cell, x1 // cell + 1):
-            for cy in range(y0 // cell, y1 // cell + 1):
-                yield (cx, cy)
-
-    candidates = set()
-    for idx, (_, _, p, q) in enumerate(subsegments):
-        for key in cover(p, q):
-            for other in cells.setdefault(key, []):
-                candidates.add((other, idx))
-            cells[key].append(idx)
-
+    # Pairs whose boxes meet share a cell. They are tested in ascending
+    # (ia, ib) order, so the first degenerate pair is always the same.
     crossings = []
-    for ia, ib in sorted(candidates):
+    for ia, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+        near = set()
+        for key in covers[ia]:
+            near.update(cells[key])
+        pairs = sorted(ib for ib in near if ib > ia
+                       and ax0 <= hi_x[ib] and lo_x[ib] <= ax1
+                       and ay0 <= hi_y[ib] and lo_y[ib] <= ay1)
         e1, i1, p, q = subsegments[ia]
-        e2, i2, r, s = subsegments[ib]
-        if max(p[0], q[0]) < min(r[0], s[0]) or max(r[0], s[0]) < min(p[0], q[0]):
-            continue
-        if max(p[1], q[1]) < min(r[1], s[1]) or max(r[1], s[1]) < min(p[1], q[1]):
-            continue
-        inter = segment_intersection(p, q, r, s)
-        if inter is None:
-            continue
-        if inter[0] == "overlap":
-            raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
-        _, x, t, u = inter
-        if e1 == e2:
-            if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
-                continue  # consecutive polyline pieces share their joint
-            raise DocumentError(f"edge {e1} intersects itself at {x}")
-        if x in (p, q) or x in (r, s):
-            shared = set(e1) & set(e2)
-            if any(positions[v] == x for v in shared):
-                continue  # adjacent edges meeting at their common vertex
-            raise DocumentError(
-                f"edges {e1} and {e2} touch at {x} (tangential or bend contact)")
-        crossings.append({
-            "edges": tuple(sorted((e1, e2))),
-            "point": x,
-            "pos": {e1: (i1, t), e2: (i2, u)},
-        })
+        for ib in pairs:
+            e2, i2, r, s = subsegments[ib]
+            x = p if p == r or p == s else q if q == r or q == s else None
+            if x is None or cross(p, q, s if x == r else r) == 0:
+                inter = segment_intersection(p, q, r, s)
+                if inter is None:
+                    continue
+                if inter[0] == "overlap":
+                    raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
+                _, x, t, u = inter
+            # else the pieces share the end x and are not collinear, so x is
+            # their only common point: a contact, classified below, never a
+            # crossing.
+            if e1 == e2:
+                if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
+                    continue  # consecutive polyline pieces share their joint
+                raise DocumentError(f"edge {e1} intersects itself at {_exact(x)}")
+            if x in (p, q) or x in (r, s):
+                shared = set(e1) & set(e2)
+                if any(positions[v] == x for v in shared):
+                    continue  # adjacent edges meeting at their common vertex
+                raise DocumentError(
+                    f"edges {e1} and {e2} touch at {_exact(x)} (tangential or bend contact)")
+            crossings.append({
+                "edges": tuple(sorted((e1, e2))),
+                "point": x,
+                "pos": {e1: (i1, t), e2: (i2, u)},
+            })
+
+    # A vertex lying on a piece lies in a cell that the piece covers.
+    # Among offenders, the first piece and then the first vertex is named.
+    # With all edges of K_n present, the loop above already met each such
+    # vertex as a touch with one of its own edges; this check still guards
+    # calls on a subset of the edges.
+    offenders = []
+    for rank, (v, pos) in enumerate(positions.items()):
+        for idx in cells.get((pos[0] // cell, pos[1] // cell), ()):
+            e, _, p, q = subsegments[idx]
+            if v not in e and on_segment(pos, p, q):
+                offenders.append((idx, rank, v))
+    if offenders:
+        idx, _, v = min(offenders)
+        raise DocumentError(f"edge {subsegments[idx][0]} passes through vertex {v}")
     return crossings
+
+
+def _exact(point):
+    """A contact point as it appears in messages: Fraction coordinates."""
+    return (Fraction(point[0]), Fraction(point[1]))
 
 
 def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):
@@ -170,7 +209,7 @@ def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):
 
     seg_paths = {}
     for e, pts in polylines.items():
-        hits = sorted(per_edge[e])
+        hits = per_edge[e]  # sorted along the edge
         chain = chains[e]
         path = [pts[0]]
         hit_idx = 0

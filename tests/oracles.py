@@ -10,6 +10,7 @@ definitions instead of the backtracking deciders. The drawing primitives
 on top is written from scratch.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from shellcert.drawing import (child_drawing, edge_key, seg_key, trace_faces,
@@ -117,6 +118,124 @@ def ccw_k_value(drawing, u, v) -> int:
     left = sum(1 for w in drawing.vertices
                if w not in (u, v) and ccw_sign(pos[u], pos[v], pos[w]) > 0)
     return min(left, drawing.n - 2 - left)
+
+
+# -- brute-force planarization ------------------------------------------------
+
+def fraction_intersection(p, q, r, s):
+    """Common points of the closed segments pq and rs, all in Fractions:
+    None, ("point", X), or ("overlap", {A, B}) with the overlap's ends."""
+    p, q, r, s = ((Fraction(a[0]), Fraction(a[1])) for a in (p, q, r, s))
+    d1 = (q[0] - p[0], q[1] - p[1])
+    d2 = (s[0] - r[0], s[1] - r[1])
+    rp = (r[0] - p[0], r[1] - p[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom != 0:
+        t = (rp[0] * d2[1] - rp[1] * d2[0]) / denom
+        u = (rp[0] * d1[1] - rp[1] * d1[0]) / denom
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return ("point", (p[0] + t * d1[0], p[1] + t * d1[1]))
+        return None
+    if rp[0] * d1[1] - rp[1] * d1[0] != 0:
+        return None  # parallel lines
+    # one line: intersect the two intervals along an axis the line is not
+    # constant on, which orders its points
+    axis = 0 if d1[0] != 0 else 1
+    lo = max(min(p, q, key=lambda a: a[axis]), min(r, s, key=lambda a: a[axis]),
+             key=lambda a: a[axis])
+    hi = min(max(p, q, key=lambda a: a[axis]), max(r, s, key=lambda a: a[axis]),
+             key=lambda a: a[axis])
+    if lo[axis] > hi[axis]:
+        return None
+    if lo == hi:
+        return ("point", lo)
+    return ("overlap", {lo, hi})
+
+
+def _fraction_on_segment(x, a, b):
+    if (b[0] - a[0]) * (x[1] - a[1]) != (b[1] - a[1]) * (x[0] - a[0]):
+        return False
+    return (min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
+
+
+def reference_planarization(positions, polylines):
+    """What planarize must decide, by brute force: every pair of pieces,
+    Fraction-only intersections and a scan of every vertex against every
+    piece, with planarize's checks in planarize's order.
+
+    positions: vertex -> point, in document order; polylines: edge ->
+    points, in document order. Returns ("error", message) for the first
+    degeneracy, else ("ok", sorted [(edge pair, crossing point)]).
+    """
+    def at(x):
+        return (Fraction(x[0]), Fraction(x[1]))
+
+    if len(set(positions.values())) != len(positions):
+        return ("error", "two vertices share a position")
+    pieces = []
+    for e in sorted(polylines):
+        pts = polylines[e]
+        for i in range(len(pts) - 1):
+            if pts[i] == pts[i + 1]:
+                return ("error", f"edge {e} repeats consecutive polyline points")
+            pieces.append((e, i, pts[i], pts[i + 1]))
+
+    crossings = []  # (edge pair, point, {edge: piece index}), in pair order
+    for (e1, i1, p, q), (e2, i2, r, s) in combinations(pieces, 2):
+        hit = fraction_intersection(p, q, r, s)
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            return ("error", f"edges {e1} and {e2} overlap along a segment")
+        x = hit[1]
+        ends1, ends2 = {at(p), at(q)}, {at(r), at(s)}
+        if e1 == e2:
+            if abs(i1 - i2) == 1 and x in ends1 and x in ends2:
+                continue
+            return ("error", f"edge {e1} intersects itself at {x}")
+        if x in ends1 or x in ends2:
+            if any(at(positions[v]) == x for v in set(e1) & set(e2)):
+                continue
+            return ("error", f"edges {e1} and {e2} touch at {x} "
+                             f"(tangential or bend contact)")
+        crossings.append((tuple(sorted((e1, e2))), x, {e1: i1, e2: i2}))
+
+    for e, _, p, q in pieces:
+        for v, pos in positions.items():
+            if v not in e and _fraction_on_segment(at(pos), at(p), at(q)):
+                return ("error", f"edge {e} passes through vertex {v}")
+
+    at_point = {}
+    for edges, x, _ in crossings:
+        at_point.setdefault(x, []).append(edges)
+    for x, pairs in at_point.items():
+        if len(pairs) > 1:
+            involved = sorted({e for pair in pairs for e in pair})
+            return ("error", f"three curves concurrent at {x}: edges {involved}")
+
+    # Chains: each edge's crossings in order along its polyline. The order
+    # within a piece is the distance from the piece's start.
+    def along(e, x, i):
+        start = at(polylines[e][i])
+        return (i, abs(x[0] - start[0]) + abs(x[1] - start[1]))
+
+    seen = {}
+    for e in polylines:
+        hits = sorted((along(e, x, where[e]), k)
+                      for k, (edges, x, where) in enumerate(crossings) if e in edges)
+        chain = [("v", e[0])] + [("x", k) for _, k in hits] + [("v", e[1])]
+        for a, b in zip(chain, chain[1:]):
+            key = frozenset((a, b))
+            if key in seen:
+                return ("error",
+                        f"edges {seen[key]} and {e} run side by side between "
+                        f"the same two nodes; this contact pattern (adjacent "
+                        f"edges crossing, or a pair crossing twice "
+                        f"consecutively) has no simple planarization and is "
+                        f"not representable")
+            seen[key] = e
+    return ("ok", sorted((edges, x) for edges, x, _ in crossings))
 
 
 # -- exhaustive shellability oracles ----------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from corpus import not_good_k7_document, rerouted_document
 from shellcert import cli, kedges
 from shellcert.cli import main
-from shellcert.documents import certificate_to_document, load_drawing
+from shellcert.documents import (certificate_to_document, drawing_to_document,
+                                 load_drawing)
 from shellcert.drawing import validate_goodness
 from shellcert.errors import ShellcertError, StructureError
 from shellcert.generators import random_rectilinear
@@ -286,13 +287,17 @@ def rerouted_documents(draw):
     coord = st.integers(-30_000, 30_000)
     points = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2,
                            unique=True))
-    return n, seed, rerouted_document(n, seed, (u, v), points)
+    return rerouted_document(n, seed, (u, v), points), n, seed
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(rerouted_documents())
-def test_rerouted_edge_gets_documented_exit(case):
-    n, seed, doc = case
+@lru_cache(maxsize=None)
+def _combinatorial_text(n, seed):
+    return json.dumps(drawing_to_document(random_rectilinear(n, seed), "combinatorial"))
+
+
+def _assert_documented_exits(doc, n, seed):
+    """Run analyze, decide, verify and export --labels on the document:
+    each exits 0-4, and all four exit 2 if it does not load or is not good."""
     try:
         good = validate_goodness(load_drawing(doc)).ok
     except ShellcertError:
@@ -314,4 +319,43 @@ def test_rerouted_edge_gets_documented_exit(case):
         }
     assert set(codes.values()) <= DOCUMENTED_EXITS
     if not good:
-        assert codes["analyze"] == codes["decide"] == codes["verify"] == 2
+        assert set(codes.values()) == {2}, codes
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rerouted_documents())
+def test_rerouted_edge_gets_documented_exit(case):
+    _assert_documented_exits(*case)
+
+
+@st.composite
+def mutated_combinatorial_documents(draw):
+    """A rectilinear K6-K8 as a combinatorial document with one mutation:
+    two neighbours swapped in one rotation, one chain reversed, or one
+    crossing node dropped (from the nodes, the rotations and its chains)."""
+    n = draw(st.integers(6, 8))
+    seed = draw(st.integers(1, 3))
+    doc = json.loads(_combinatorial_text(n, seed))
+    kind = draw(st.sampled_from(("swap", "reverse", "drop")))
+    if kind == "swap":
+        rot = doc["rotations"][draw(st.sampled_from(sorted(doc["rotations"])))]
+        i, j = draw(st.lists(st.integers(0, len(rot) - 1), min_size=2, max_size=2,
+                             unique=True))
+        rot[i], rot[j] = rot[j], rot[i]
+    elif kind == "reverse":
+        doc["chains"][draw(st.sampled_from(sorted(doc["chains"])))].reverse()
+    else:
+        node = draw(st.sampled_from([x["id"] for x in doc["nodes"]
+                                     if x["kind"] == "crossing"]))
+        doc["nodes"] = [x for x in doc["nodes"] if x["id"] != node]
+        del doc["rotations"][str(node)]
+        for chain in doc["chains"].values():
+            if node in chain:
+                chain.remove(node)
+    return doc, n, seed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mutated_combinatorial_documents())
+def test_mutated_combinatorial_document_gets_documented_exit(case):
+    _assert_documented_exits(*case)

@@ -8,7 +8,7 @@ from shellcert.drawing import (delete_vertex, edge_key, face_containing,
                                seg_key, trace_faces, validate_goodness,
                                vertices_on_face)
 from shellcert.errors import DocumentError
-from shellcert.planarize import locate_face, outer_face
+from shellcert.planarize import locate_face, outer_face, planarize
 
 
 def geometric_doc(n, verts, edges):
@@ -283,17 +283,43 @@ class TestLoaderRejections:
         with pytest.raises(DocumentError, match="concurrent"):
             load_drawing(geometric_doc(6, pts, edges))
 
+    # In a document of K_n, a vertex on a foreign edge is always met first
+    # as a touch by one of the vertex's own edges; only planarize on a
+    # subset of the edges isolates the vertex check.
     def test_vertex_on_foreign_edge(self):
-        doc = geometric_doc(3, [(0, 0), (4, 0), (2, 0 + 4)], {
-            (0, 1): [(0, 0), (4, 0)],
-            (0, 2): [(0, 0), (2, 4)],
-            (1, 2): [(4, 0), (2, 4)],
+        positions = {0: (0, 0), 1: (4, 0), 2: (2, 0)}
+        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 2"):
+            planarize(3, positions, {(0, 1): [(0, 0), (4, 0)]})
+
+    def test_vertex_on_foreign_bend_point(self):
+        positions = {0: (0, 0), 1: (100, 0), 2: (50, 50)}
+        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 2"):
+            planarize(3, positions, {(0, 1): [(0, 0), (50, 50), (100, 0)]})
+
+    def test_vertex_check_names_the_first_vertex_in_position_order(self):
+        positions = {0: (0, 0), 1: (8, 0), 3: (6, 0), 2: (2, 0)}
+        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 3"):
+            planarize(4, positions, {(0, 1): [(0, 0), (8, 0)]})
+
+    def test_vertex_on_foreign_bend_point_is_a_touch_in_a_document(self):
+        doc = geometric_doc(3, [(0, 0), (100, 0), (50, 50)], {
+            (0, 1): [(0, 0), (50, 50), (100, 0)],
+            (0, 2): [(0, 0), (0, 100), (50, 50)],
+            (1, 2): [(100, 0), (100, 100), (50, 50)],
         })
-        doc["vertices"][2] = {"id": 2, "x": 2, "y": 0}  # sits on edge {0,1}
-        doc["edges"][1]["polyline"] = [[0, 0], [2, 0]]
-        doc["edges"][2]["polyline"] = [[4, 0], [2, 0]]
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError,
+                           match=r"edges \(0, 1\) and \(0, 2\) touch at \(Fraction\(50, 1\)"):
             load_drawing(doc)
+
+    def test_bend_contact(self):
+        # the bend of edge {0, 1} lies on the diagonal {1, 3}
+        with pytest.raises(DocumentError, match=r"edges \(0, 1\) and \(1, 3\) touch at"):
+            load_drawing(square_doc([(0, 0), (60, 40), (100, 0)]))
+
+    def test_polyline_doubling_back_at_a_joint(self):
+        with pytest.raises(DocumentError,
+                           match=r"edges \(0, 1\) and \(0, 1\) overlap along a segment"):
+            load_drawing(square_doc([(0, 0), (60, 0), (40, 0), (100, 0)]))
 
     def test_overlapping_edges(self):
         doc = geometric_doc(3, [(0, 0), (4, 0), (0, 4)], {

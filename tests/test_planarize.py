@@ -1,0 +1,124 @@
+"""The exact planarizer against a brute-force reference.
+
+Small drawings on a 5 x 5 lattice make every kind of degenerate contact
+common: shared endpoints, collinear polyline joints, bends
+touching other edges, vertices on edges, overlaps and three curves through
+one point. The loader must reject exactly the documents the reference
+rejects, with the same message, and find the same crossings otherwise.
+"""
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from oracles import fraction_intersection, reference_planarization
+from shellcert.documents import load_drawing
+from shellcert.errors import DocumentError, ShellcertError
+from shellcert.geometry import segment_intersection
+from shellcert.planarize import planarize
+
+# the lattice has spacing 4, so a hub (below) fits between lattice points
+point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda p: (4 * p[0], 4 * p[1]))
+
+
+@st.composite
+def small_drawings(draw, partial=False):
+    """(n, positions, polylines): up to two bends per edge; with partial,
+    a nonempty subset of the edges, so a vertex can lie on a foreign edge
+    without any edge of its own touching that edge."""
+    n = draw(st.integers(3, 5))
+    positions = dict(enumerate(draw(st.lists(point, min_size=n, max_size=n,
+                                             unique=True))))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if partial:
+        pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    else:
+        pairs = draw(st.permutations(pairs))
+    # A hub off the lattice sends the first three edges straight through
+    # it, in three directions, so that three curves are concurrent there.
+    hub = draw(st.one_of(st.none(), st.tuples(st.sampled_from((6, 10)),
+                                              st.sampled_from((6, 10)))))
+    ways = draw(st.permutations([(1, 0), (0, 1), (1, 1), (1, -1)]))
+    polylines = {}
+    for k, (u, v) in enumerate(pairs):
+        if hub is not None and k < 3:
+            (hx, hy), (dx, dy) = hub, ways[k]
+            bends = [(hx - dx, hy - dy), (hx + dx, hy + dy)]
+        else:
+            bends = draw(st.one_of(st.just([]), st.lists(point, min_size=1, max_size=2)))
+        polylines[(u, v)] = [positions[u], *bends, positions[v]]
+    return n, positions, polylines
+
+
+def document(n, positions, polylines):
+    return {"format": "shellcert-drawing", "version": 1, "mode": "geometric",
+            "n": n,
+            "vertices": [{"id": v, "x": x, "y": y} for v, (x, y) in positions.items()],
+            "edges": [{"u": u, "v": v, "polyline": [list(p) for p in pts]}
+                      for (u, v), pts in polylines.items()]}
+
+
+def _kind(expected):
+    if expected[0] == "ok":
+        return "ok"
+    words = expected[1].split()
+    return next(w for w in ("share", "repeats", "overlap", "itself", "touch",
+                            "through", "concurrent", "side") if w in words)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_drawings())
+def test_load_drawing_matches_reference(case):
+    n, positions, polylines = case
+    expected = reference_planarization(positions, polylines)
+    event(_kind(expected))
+    try:
+        drawing = load_drawing(document(n, positions, polylines))
+    except DocumentError as exc:
+        assert expected == ("error", str(exc))
+        return
+    assert expected[0] == "ok"
+    found = sorted((tuple(sorted(edges)), drawing.geometry.points[c])
+                   for c, edges in drawing.crossings.items())
+    assert found == expected[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_drawings(partial=True))
+def test_planarize_rejections_match_reference(case):
+    n, positions, polylines = case
+    expected = reference_planarization(positions, polylines)
+    event(_kind(expected))
+    try:
+        planarize(n, positions, polylines)
+    except DocumentError as exc:
+        assert expected == ("error", str(exc))
+        return
+    except ShellcertError:
+        pass  # no degeneracy, but a partial edge set is no drawing of K_n
+    assert expected[0] == "ok"
+
+
+segment = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                    ).filter(lambda s: s[0] != s[1])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(segment, segment)
+def test_segment_intersection_matches_fraction_reference(first, second):
+    (p, q), (r, s) = first, second
+    # reversing either segment flips the sign of the denominator
+    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
+        got = segment_intersection(a, b, c, d)
+        want = fraction_intersection(a, b, c, d)
+        if want is None:
+            assert got is None
+        elif want[0] == "overlap":
+            assert got[0] == "overlap" and {got[1], got[2]} == want[1]
+        else:
+            kind, x, t, u = got
+            assert kind == "point" and x == want[1]
+            assert 0 <= t <= 1 and 0 <= u <= 1
+            assert x == (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            assert x == (c[0] + u * (d[0] - c[0]), c[1] + u * (d[1] - c[1]))
