@@ -39,7 +39,7 @@ print(f"cumulated counts: {profile.cumulated}")
 v = min(vertices_on_face(drawing, faces, face))
 child, child_faces, face_map = child_drawing(drawing, v)
 child_profile = k_edge_profile(child, child_faces, face_map[face])
-report = invariant_edges(drawing, child, face_map, face, v)
+report = invariant_edges(drawing, faces, face, v)
 
 print(f"\ndeleting vertex {v}: the child drawing has "
       f"{child.crossing_count()} crossings and {child_faces.face_count()} faces")

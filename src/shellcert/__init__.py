@@ -16,8 +16,8 @@ from .documents import (certificate_from_document, certificate_to_document,
                         drawing_to_document, dump_document, load_drawing,
                         load_drawing_path)
 from .drawing import (Drawing, FaceMap, FaceSet, Geometry, ValidationReport,
-                      child_drawing, delete_vertex, edge_key, face_containing,
-                      seg_key, trace_faces, validate_goodness, vertices_on_face)
+                      child_drawing, delete_vertex, edge_key, seg_key,
+                      trace_faces, validate_goodness, vertices_on_face)
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      EmbeddingError, GenerationError, ShellcertError,
                      StructureError)
@@ -48,7 +48,7 @@ __all__ = [
     "convex_drawing", "cumulative_bound_check", "cylindrical_document",
     "cylindrical_drawing", "decide_bishellable", "decide_seq_shellable",
     "delete_vertex", "drawing_to_document", "dump_document", "edge_key",
-    "edge_side_partition", "face_containing", "find_simple_sequence",
+    "edge_side_partition", "find_simple_sequence",
     "harary_hill_bound", "invariant_edges", "k_edge_profile", "k_value",
     "load_drawing", "load_drawing_path", "locate_face", "max_k",
     "outer_face", "planarize", "random_rectilinear", "recursion_check",

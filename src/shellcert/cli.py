@@ -183,8 +183,10 @@ def cmd_analyze(args) -> int:
     payload["faces"]["analyzed"] = selected
     for face in selected:
         prof = k_edge_profile(drawing, faces, face)
-        # drawings on up to 4 vertices have no bound levels to check
-        rows = () if kmax < 0 else cumulative_bound_check(drawing, faces, face, kmax)
+        # a drawing on 3 vertices has no bound levels: by default its
+        # table is empty, and an explicit --kmax is out of range
+        rows = (() if args.kmax is None and kmax < 0
+                else cumulative_bound_check(drawing, faces, face, kmax))
         payload["profiles"].append({
             "face": face,
             "face_vertices": sorted(vertices_on_face(drawing, faces, face)),

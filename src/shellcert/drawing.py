@@ -57,12 +57,6 @@ class Drawing:
     def edges(self):
         return sorted(self.chains)
 
-    def is_vertex(self, x) -> bool:
-        return x in self.vertex_set
-
-    def nodes(self):
-        return sorted(self.rotations)
-
     def segment_count(self) -> int:
         return len(self.segment_edge)
 
@@ -303,11 +297,6 @@ class FaceMap:
 
     def __getitem__(self, face: int) -> int:
         return self.mapping[face]
-
-
-def face_containing(face_map: FaceMap, face: int) -> int:
-    """Face of the child drawing whose region contains the given parent face."""
-    return face_map.mapping[face]
 
 
 def delete_vertex(drawing: Drawing, faces: FaceSet, v: int):

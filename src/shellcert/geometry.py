@@ -21,15 +21,6 @@ def cross(o: Point, a: Point, b: Point):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def ccw_sign(o: Point, a: Point, b: Point) -> int:
-    c = cross(o, a, b)
-    return (c > 0) - (c < 0)
-
-
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    return cross(a, b, c) == 0
-
-
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies on the closed segment ab."""
     if cross(a, b, p) != 0:
@@ -133,36 +124,3 @@ class _slope_key:
     def __eq__(self, other):
         a, b = self.v, other.v
         return a[0] * b[1] - a[1] * b[0] == 0
-
-
-def polygon_area2(points) -> Fraction:
-    """Twice the signed area of a closed polygonal curve (cyclic points)."""
-    total = 0
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        total += a[0] * b[1] - a[1] * b[0]
-    return total
-
-
-def winding_number(pt: Point, points) -> int:
-    """Winding number of the closed polygonal curve around pt.
-
-    ``points`` is cyclic (last joins back to first). pt must not lie on
-    the curve.
-    """
-    wn = 0
-    y = pt[1]
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        if a == b:
-            continue
-        if a[1] <= y:
-            if b[1] > y and cross(a, b, pt) > 0:
-                wn += 1
-        elif b[1] <= y and cross(a, b, pt) < 0:
-            wn -= 1
-    return wn

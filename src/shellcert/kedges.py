@@ -21,6 +21,15 @@ seeds at the other two corners must agree, which every good drawing
 satisfies. A profile then costs O(n^2) operations on ints: the witnesses
 of an edge are the bits of one XOR of two rows of P[F], counted by
 int.bit_count.
+
+Deleting a vertex v is clearing one witness bit. Every triangle curve
+through an edge that survives the deletion survives with it, and the face
+of the subdrawing that contains F is a union of faces on one side of that
+curve. So the k-value of a surviving edge in the subdrawing is
+min(m', n-3-m'), where m' counts its - witnesses other than v, and it is
+the parent's k-value or one less. Invariant edges, the deletion recursion
+and the sides of an edge closed through F are all read off the parent's
+labelling; no subdrawing is built.
 """
 
 from __future__ import annotations
@@ -30,8 +39,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .drawing import (Drawing, FaceMap, FaceSet, child_drawing, edge_key,
-                      seg_key, trace_faces)
+from .drawing import (Drawing, FaceSet, edge_key, seg_key, trace_faces,
+                      vertices_on_face)
+# perfbench/layertrace.py wraps this name in this module by name
+from .drawing import child_drawing  # noqa: F401
 from .errors import EmbeddingError
 
 
@@ -54,11 +65,6 @@ def harary_hill_bound(n: int) -> int:
 def max_k(n: int) -> int:
     """Largest possible k-value in a drawing on n vertices."""
     return n // 2 - 1
-
-
-def _chain_segments(drawing: Drawing, e) -> tuple:
-    ch = drawing.chains[e]
-    return tuple(seg_key(a, b) for a, b in zip(ch, ch[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +192,43 @@ def k_value(drawing: Drawing, faces: FaceSet, ref_face: int, edge) -> int:
     i, j, rel, mask = lab.edges[edge_key(u, v)]
     n = drawing.n
     pf = _face_label(lab, ref_face)
-    # bit w set: F lies right of v_i -> v_j -> v_w, a - witness
+    # bit w set: F lies right of v_i -> v_j -> v_w, up to complement
     minus = (((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask).bit_count()
     return min(minus, n - 2 - minus)
+
+
+def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> dict:
+    """k-values of the edges for the face labelled pf, in edge order.
+
+    With deleted set to the index of a vertex v, the k-values in the
+    subdrawing without v, for its face that contains the labelled face:
+    the edges at v are gone, and v is no longer a witness of the others.
+    """
+    full = (1 << n) - 1
+    rows = [(pf >> (i * n)) & full for i in range(n)]
+    keep, top = full, n - 2
+    if deleted is not None:
+        keep, top = full ^ (1 << deleted), n - 3
+    k_values = {}
+    for e, (i, j, rel, mask) in lab.edges.items():
+        if deleted in (i, j):
+            continue
+        # bit w set: F lies right of v_i -> v_j -> v_w, a - witness, up to
+        # complementing every witness (the label's own bit of the edge,
+        # which the min below does not need)
+        minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
+        k_values[e] = min(minus, top - minus)
+    return k_values
+
+
+def _cumulated(k_values, levels: int):
+    """Level counts of the k-values and their cumulated counts, in which
+    level i contributes k + 1 - i times to the value at every k >= i."""
+    counts = [0] * levels
+    for k in k_values:
+        counts[k] += 1
+    return tuple(counts), tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))
+                                for k in range(levels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,22 +252,9 @@ def k_edge_profile(drawing: Drawing, faces: FaceSet, ref_face: int) -> KEdgeProf
     if prof is not None:
         return prof
     lab = _labelling(drawing, faces)
-    pf = _face_label(lab, ref_face)
-    n = drawing.n
-    full = (1 << n) - 1
-    rows = [(pf >> (i * n)) & full for i in range(n)]
-    kmax = max_k(n)
-    k_values = {}
-    counts = [0] * (kmax + 1)
-    for e, (i, j, rel, mask) in lab.edges.items():
-        minus = ((rows[i] ^ rows[j] ^ rel) & mask).bit_count()
-        k = min(minus, n - 2 - minus)
-        k_values[e] = k
-        counts[k] += 1
-    cumulated = tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))
-                      for k in range(kmax + 1))
-    prof = KEdgeProfile(ref_face, k_values, tuple(counts), cumulated,
-                        drawing.crossing_count())
+    k_values = _k_values(lab, _face_label(lab, ref_face), drawing.n)
+    counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
+    prof = KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
     drawing._cache[key] = prof
     return prof
 
@@ -240,14 +267,9 @@ def vertex_k_profile(drawing: Drawing, faces: FaceSet, ref_face: int, v: int) ->
     """
     if v not in drawing.vertex_set:
         raise ValueError(f"{v} is not a vertex of the drawing")
-    prof = k_edge_profile(drawing, faces, ref_face)
-    kmax = max_k(drawing.n)
-    counts = [0] * (kmax + 1)
-    for u in drawing.vertices:
-        if u != v:
-            counts[prof.k_values[edge_key(u, v)]] += 1
-    return tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))
-                 for k in range(kmax + 1))
+    k_values = k_edge_profile(drawing, faces, ref_face).k_values
+    return _cumulated((k_values[edge_key(u, v)] for u in drawing.vertices if u != v),
+                      max_k(drawing.n) + 1)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,33 +291,25 @@ class InvariantReport:
         return frozenset(e for e, keep in self.flags.items() if keep)
 
 
-def invariant_edges(parent: Drawing, child: Drawing, face_map: FaceMap,
-                    ref_face: int, v: int) -> InvariantReport:
-    """Classify every surviving edge as invariant or not under deleting v.
+def invariant_edges(drawing: Drawing, faces: FaceSet, ref_face: int,
+                    v: int) -> InvariantReport:
+    """Classify every edge that survives deleting v as invariant or not.
 
-    Also checks the drop-by-at-most-one law: a k-edge becomes a k- or
-    (k-1)-edge in the subdrawing, never anything else.
+    The k-values after the deletion are those of the subdrawing without v,
+    for its face that contains the reference face. They are read from the
+    drawing's own labelling by dropping v as a witness, so each is the
+    k-value before the deletion or one less.
     """
-    parent_faces = trace_faces(parent)
-    child_faces = trace_faces(child)
-    child_face = face_map[ref_face]
-    prof_p = k_edge_profile(parent, parent_faces, ref_face)
-    prof_c = k_edge_profile(child, child_faces, child_face)
-    flags = {}
-    parent_k = {}
-    child_k = {}
-    for e in child.edges():
-        kp = prof_p.k_values[e]
-        kc = prof_c.k_values[e]
-        if kc not in (kp, kp - 1):
-            raise EmbeddingError(
-                f"edge {e} jumped from k={kp} to k={kc} under deletion")
-        parent_k[e] = kp
-        child_k[e] = kc
-        flags[e] = kc == kp
-    kmax = max_k(parent.n)
+    lab = _labelling(drawing, faces)
+    x = _vertex_index(lab, v)
+    if drawing.n <= 3:
+        raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    before = k_edge_profile(drawing, faces, ref_face).k_values
+    child_k = _k_values(lab, _face_label(lab, ref_face), drawing.n, x)
+    parent_k = {e: before[e] for e in child_k}
+    flags = {e: child_k[e] == parent_k[e] for e in child_k}
     cumulated = tuple(sum(1 for e, keep in flags.items() if keep and parent_k[e] <= k)
-                      for k in range(kmax + 1))
+                      for k in range(max_k(drawing.n) + 1))
     return InvariantReport(v, flags, parent_k, child_k, cumulated)
 
 
@@ -311,15 +325,13 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     if not 0 <= k <= n // 2 - 2:
         raise ValueError(f"k must lie in 0..{n // 2 - 2}")
     faces = trace_faces(parent)
-    child, _, face_map = child_drawing(parent, v)
+    report = invariant_edges(parent, faces, ref_face, v)
     lhs = k_edge_profile(parent, faces, ref_face).cumulated[k]
     child_term = 0
     if k >= 1:
-        child_prof = k_edge_profile(child, trace_faces(child), face_map[ref_face])
-        child_term = child_prof.cumulated[k - 1]
+        child_term = _cumulated(report.child_k.values(), max_k(n - 1) + 1)[1][k - 1]
     at_v = vertex_k_profile(parent, faces, ref_face, v)[k]
-    inv = invariant_edges(parent, child, face_map, ref_face, v).cumulated[k]
-    return lhs - (child_term + at_v + inv)
+    return lhs - (child_term + at_v + report.cumulated[k])
 
 
 @dataclass(frozen=True)
@@ -351,72 +363,26 @@ def cumulative_bound_check(drawing: Drawing, faces: FaceSet, ref_face: int,
 def edge_side_partition(drawing: Drawing, faces: FaceSet, ref_face: int,
                         u: int, v: int) -> frozenset:
     """Vertices on one fixed side of the closed curve made of the edge uv
-    and a chord through the reference face joining its endpoints.
+    and a chord through the reference face joining its endpoints: the
+    vertices w other than u and v for which F lies right of u -> v -> w.
 
     Requires u and v on the reference face. For a j-edge the returned set
     has size exactly j or n-2-j.
     """
-    e = edge_key(u, v)
-    boundary = faces.faces[ref_face]
-    pos = {}
-    for i, dart in enumerate(boundary):
-        pos.setdefault(dart, i)
-    first_at = {}
-    for i, (tail, _) in enumerate(boundary):
-        first_at.setdefault(tail, i)
-    if u not in first_at or v not in first_at:
+    lab = _labelling(drawing, faces)
+    i, j = _vertex_index(lab, u), _vertex_index(lab, v)
+    if i == j:
+        raise ValueError("an edge needs two distinct vertices")
+    pf = _face_label(lab, ref_face)
+    on_face = vertices_on_face(drawing, faces, ref_face)
+    if u not in on_face or v not in on_face:
         raise ValueError("both endpoints must lie on the reference face")
-    iu, iv = first_at[u], first_at[v]
-
-    m = len(boundary)
-
-    def half(i):
-        # Darts from u's first visit up to v's first visit form half 1.
-        return 1 if (i - iu) % m < (iv - iu) % m else 2
-
-    curve_segs = set(_chain_segments(drawing, e))
-
-    def node_for(face, dart):
-        if face != ref_face:
-            return face
-        return ("split", half(pos[dart]))
-
-    side = {("split", 1): 0}
-    queue = [("split", 1)]
-    adjacency = {}
-    for s, (f_ab, f_ba) in faces.segment_sides.items():
-        a, b = s
-        n1 = node_for(f_ab, (a, b))
-        n2 = node_for(f_ba, (b, a))
-        flip = s in curve_segs
-        adjacency.setdefault(n1, []).append((n2, flip))
-        adjacency.setdefault(n2, []).append((n1, flip))
-    # The chord through the face: crossing it flips sides too.
-    adjacency.setdefault(("split", 1), []).append((("split", 2), True))
-    adjacency.setdefault(("split", 2), []).append((("split", 1), True))
-
-    while queue:
-        x = queue.pop()
-        for y, flip in adjacency[x]:
-            ns = side[x] ^ flip
-            known = side.get(y)
-            if known is None:
-                side[y] = ns
-                queue.append(y)
-            elif known != ns:
-                raise EmbeddingError("inconsistent sides for split classification")
-
-    out = set()
-    for w in drawing.vertices:
-        if w in (u, v):
-            continue
-        sides_seen = set()
-        for x in drawing.rotations[w]:
-            dart = (w, x)
-            f = faces.dart_face[dart]
-            sides_seen.add(side[node_for(f, dart)])
-        if len(sides_seen) != 1:
-            raise EmbeddingError(f"vertex {w} touches both sides of the curve")
-        if sides_seen.pop() == 0:
-            out.add(w)
-    return frozenset(out)
+    n = drawing.n
+    rel, mask = lab.edges[edge_key(u, v)][2:]
+    # bit w set: F lies right of u -> v -> v_w. The row XOR leaves out the
+    # label's own bit of uv, which complements every witness, as does
+    # reversing the edge.
+    right = ((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask
+    if (pf >> (i * n + j)) & 1 != (i > j):
+        right ^= mask
+    return frozenset(w for x, w in enumerate(drawing.vertices) if right >> x & 1)

@@ -65,7 +65,7 @@ def planarize(n, positions, polylines) -> Drawing:
             involved.update(rec["edges"])
         if len(recs) > 1:
             raise DocumentError(
-                f"three curves concurrent at {pt}: edges {sorted(involved)}")
+                f"three curves concurrent at {_exact(pt)}: edges {sorted(involved)}")
 
     ordered = sorted(crossings, key=lambda r: (r["edges"], r["pos"][r["edges"][0]]))
     node_of = {}
@@ -197,9 +197,10 @@ def _find_crossings(subsegments, positions):
     return crossings
 
 
-def _exact(point):
-    """A contact point as it appears in messages: Fraction coordinates."""
-    return (Fraction(point[0]), Fraction(point[1]))
+def _exact(point) -> str:
+    """A contact point as it appears in messages: exact coordinates written
+    as integers or reduced fractions, e.g. (120/7, 30)."""
+    return f"({Fraction(point[0])}, {Fraction(point[1])})"
 
 
 def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):

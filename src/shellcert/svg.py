@@ -28,7 +28,10 @@ _STYLE = {
 
 def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = None,
                certificate=None, label_face: int | None = None) -> str:
-    """Render the drawing; raises CapabilityError without geometry."""
+    """Render the drawing; raises CapabilityError without geometry and
+    ValueError for a size below one pixel."""
+    if size < 1:
+        raise ValueError(f"size must be a positive number of pixels, got {size}")
     if drawing.geometry is None:
         raise CapabilityError(
             "rendering needs geometry; combinatorial inputs carry none "

@@ -44,7 +44,7 @@ def faces_with_vertices(drawing, minimum=2):
 
 
 @lru_cache(maxsize=None)
-def _rectilinear_document_text(n, seed):
+def rectilinear_document_text(n, seed):
     return json.dumps(rectilinear_document(n, seed))
 
 
@@ -52,7 +52,7 @@ def rerouted_document(n, seed, edge, points):
     """The seeded rectilinear document with one edge's straight line
     replaced by a polyline through the given points (which may make the
     drawing degenerate or not good)."""
-    doc = json.loads(_rectilinear_document_text(n, seed))
+    doc = json.loads(rectilinear_document_text(n, seed))
     for e in doc["edges"]:
         if (e["u"], e["v"]) == tuple(edge):
             e["polyline"] = [e["polyline"][0], *map(list, points), e["polyline"][-1]]

@@ -3,8 +3,12 @@
 Everything here recomputes expected values by a different route than the
 library code under test: exact geometric predicates (winding numbers,
 ccw counting) instead of combinatorial side sweeps, one flood fill per
-triangle instead of the library's single parity labelling, closed-form
-integer formulas, and plain exhaustive enumeration of the shellability
+triangle instead of the library's single parity labelling, subdrawings
+built by vertex deletion and profiled afresh instead of dropping one
+witness bit from the labelling, a sweep over the dual graph with the
+reference face split by a chord instead of reading edge sides off the
+labelling, brute-force Fraction-only planarization, closed-form integer
+formulas, and plain exhaustive enumeration of the shellability
 definitions instead of the backtracking deciders. The drawing primitives
 (deletion, face maps, face tracing) are shared infrastructure; the logic
 on top is written from scratch.
@@ -15,8 +19,8 @@ from itertools import combinations, permutations
 
 from shellcert.drawing import (child_drawing, edge_key, seg_key, trace_faces,
                                vertices_on_face)
-from shellcert.geometry import ccw_sign, polygon_area2, winding_number
-from shellcert.kedges import Orientation
+from shellcert.geometry import cross
+from shellcert.kedges import Orientation, k_edge_profile
 
 
 def harary_hill_closed_form(n: int) -> int:
@@ -26,6 +30,48 @@ def harary_hill_closed_form(n: int) -> int:
         return m * (m - 1) ** 2 * (m - 2) // 4
     return (m * (m - 1) // 2) ** 2
 
+
+# -- exact plane predicates ---------------------------------------------------
+
+def ccw_sign(o, a, b) -> int:
+    c = cross(o, a, b)
+    return (c > 0) - (c < 0)
+
+
+def polygon_area2(points):
+    """Twice the signed area of a closed polygonal curve (cyclic points)."""
+    total = 0
+    n = len(points)
+    for i in range(n):
+        a = points[i]
+        b = points[(i + 1) % n]
+        total += a[0] * b[1] - a[1] * b[0]
+    return total
+
+
+def winding_number(pt, points) -> int:
+    """Winding number of the closed polygonal curve around pt.
+
+    ``points`` is cyclic (last joins back to first). pt must not lie on
+    the curve.
+    """
+    wn = 0
+    y = pt[1]
+    n = len(points)
+    for i in range(n):
+        a = points[i]
+        b = points[(i + 1) % n]
+        if a == b:
+            continue
+        if a[1] <= y:
+            if b[1] > y and cross(a, b, pt) > 0:
+                wn += 1
+        elif b[1] <= y and cross(a, b, pt) < 0:
+            wn -= 1
+    return wn
+
+
+# -- orientation and k-values ---------------------------------------------------
 
 def triangle_polygon(drawing, u, v, w):
     """Closed polyline of the curve u -> v -> w -> u from the edge geometry."""
@@ -120,6 +166,81 @@ def ccw_k_value(drawing, u, v) -> int:
     return min(left, drawing.n - 2 - left)
 
 
+# -- deletion through subdrawings ---------------------------------------------
+
+def child_drawing_report(drawing, faces, face, v):
+    """What invariant_edges must report, by building the subdrawing without
+    v and profiling its face that contains `face`: (flags, parent_k,
+    child_k, cumulated), with parent_k and child_k over the child's edges.
+    Also asserts the drop-by-at-most-one law on this route."""
+    child, child_faces, face_map = child_drawing(drawing, v)
+    before = k_edge_profile(drawing, faces, face).k_values
+    after = k_edge_profile(child, child_faces, face_map[face]).k_values
+    parent_k = {e: before[e] for e in child.edges()}
+    child_k = {e: after[e] for e in child.edges()}
+    for e in child_k:
+        assert child_k[e] in (parent_k[e], parent_k[e] - 1), (e, v)
+    flags = {e: child_k[e] == parent_k[e] for e in child_k}
+    cumulated = tuple(sum(1 for e in flags if flags[e] and parent_k[e] <= k)
+                      for k in range(drawing.n // 2))
+    return flags, parent_k, child_k, cumulated
+
+
+def split_face_side_partition(drawing, faces, ref_face, u, v):
+    """Vertices on the side of the curve (edge uv closed by a chord through
+    the reference face) that holds the part of the face from u's first
+    boundary visit to v's: one sweep over face adjacencies in which the
+    reference face is split in two by the chord, flipping sides across the
+    chord and across segments of uv."""
+    boundary = faces.faces[ref_face]
+    pos = {}
+    for i, dart in enumerate(boundary):
+        pos.setdefault(dart, i)
+    first_at = {}
+    for i, (tail, _) in enumerate(boundary):
+        first_at.setdefault(tail, i)
+    if u not in first_at or v not in first_at:
+        raise ValueError("both endpoints must lie on the reference face")
+    iu, iv, m = first_at[u], first_at[v], len(boundary)
+
+    def node_for(face, dart):
+        if face != ref_face:
+            return face
+        # darts from u's first visit up to v's first visit form half 1
+        return ("split", 1 if (pos[dart] - iu) % m < (iv - iu) % m else 2)
+
+    ch = drawing.chains[edge_key(u, v)]
+    curve = {seg_key(a, b) for a, b in zip(ch, ch[1:])}
+    adjacency = {}
+    for s, (f_ab, f_ba) in faces.segment_sides.items():
+        n1, n2 = node_for(f_ab, s), node_for(f_ba, (s[1], s[0]))
+        adjacency.setdefault(n1, []).append((n2, s in curve))
+        adjacency.setdefault(n2, []).append((n1, s in curve))
+    adjacency.setdefault(("split", 1), []).append((("split", 2), True))
+    adjacency.setdefault(("split", 2), []).append((("split", 1), True))
+
+    side = {("split", 1): 0}
+    queue = [("split", 1)]
+    while queue:
+        x = queue.pop()
+        for y, flip in adjacency[x]:
+            if y not in side:
+                side[y] = side[x] ^ flip
+                queue.append(y)
+            assert side[y] == side[x] ^ flip, "inconsistent sides"
+
+    out = set()
+    for w in drawing.vertices:
+        if w in (u, v):
+            continue
+        seen = {side[node_for(faces.dart_face[(w, x)], (w, x))]
+                for x in drawing.rotations[w]}
+        assert len(seen) == 1, f"vertex {w} touches both sides of the curve"
+        if seen == {0}:
+            out.add(w)
+    return frozenset(out)
+
+
 # -- brute-force planarization ------------------------------------------------
 
 def fraction_intersection(p, q, r, s):
@@ -159,6 +280,10 @@ def _fraction_on_segment(x, a, b):
             and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
 
 
+def _point(x):
+    return f"({x[0]}, {x[1]})"
+
+
 def reference_planarization(positions, polylines):
     """What planarize must decide, by brute force: every pair of pieces,
     Fraction-only intersections and a scan of every vertex against every
@@ -193,11 +318,11 @@ def reference_planarization(positions, polylines):
         if e1 == e2:
             if abs(i1 - i2) == 1 and x in ends1 and x in ends2:
                 continue
-            return ("error", f"edge {e1} intersects itself at {x}")
+            return ("error", f"edge {e1} intersects itself at {_point(x)}")
         if x in ends1 or x in ends2:
             if any(at(positions[v]) == x for v in set(e1) & set(e2)):
                 continue
-            return ("error", f"edges {e1} and {e2} touch at {x} "
+            return ("error", f"edges {e1} and {e2} touch at {_point(x)} "
                              f"(tangential or bend contact)")
         crossings.append((tuple(sorted((e1, e2))), x, {e1: i1, e2: i2}))
 
@@ -212,7 +337,8 @@ def reference_planarization(positions, polylines):
     for x, pairs in at_point.items():
         if len(pairs) > 1:
             involved = sorted({e for pair in pairs for e in pair})
-            return ("error", f"three curves concurrent at {x}: edges {involved}")
+            return ("error", f"three curves concurrent at {_point(x)}: "
+                             f"edges {involved}")
 
     # Chains: each edge's crossings in order along its polyline. The order
     # within a piece is the distance from the piece's start.

@@ -14,8 +14,7 @@ from corpus import convex, cylindrical, rectilinear, sample_faces
 from oracles import (ccw_k_value, far_point, harary_hill_closed_form,
                      naive_bishellable, naive_seq_shellable,
                      winding_orientation)
-from shellcert.drawing import (child_drawing, trace_faces,
-                               validate_goodness, vertices_on_face)
+from shellcert.drawing import trace_faces, validate_goodness, vertices_on_face
 from shellcert.generators import cylindrical_drawing
 from shellcert.kedges import (cumulative_bound_check, harary_hill_bound,
                               invariant_edges, k_edge_profile, k_value,
@@ -127,8 +126,7 @@ def test_criterion_5_invariant_edge_bounds(sweep_corpus):
         for face in sample_faces(d):
             verts = sorted(vertices_on_face(d, fs, face))
             for v in verts:
-                child, _, face_map = child_drawing(d, v)
-                report = invariant_edges(d, child, face_map, face, v)
+                report = invariant_edges(d, fs, face, v)
                 for w in verts:
                     if w == v:
                         continue

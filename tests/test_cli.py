@@ -1,5 +1,7 @@
 """Command-line interface: pipelines and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import tempfile
 from functools import lru_cache
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import not_good_k7_document, rerouted_document
+from corpus import not_good_k7_document, rectilinear_document_text, rerouted_document
 from shellcert import cli, kedges
 from shellcert.cli import main
 from shellcert.documents import (certificate_to_document, drawing_to_document,
@@ -98,6 +100,27 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
         assert main(["analyze", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("kmax", ["-3", "-1", "2", "9"])
+    def test_explicit_kmax_is_range_checked(self, tmp_path, kmax, capsys):
+        # convex K7 has bound levels 0..1; only the default may skip the table
+        drawing = tmp_path / "k7.json"
+        main(["generate", "--family", "convex", "--n", "7", "--output", str(drawing)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "0",
+                     "--kmax", kmax, "--output", str(out)]) == 2
+        assert "kmax must lie in 0..1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_kmax_table_is_empty_for_k3(self, tmp_path):
+        drawing = tmp_path / "k3.json"
+        main(["generate", "--family", "convex", "--n", "3", "--output", str(drawing)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "0",
+                     "--output", str(out)]) == 0
+        assert read(out)["profiles"][0]["bounds"] == []
+        assert main(["analyze", "--input", str(drawing), "--face", "0",
+                     "--kmax", "0", "--output", str(out)]) == 2
 
     def test_unparseable_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -209,6 +232,16 @@ class TestExport:
         assert main(["export", "--input", str(k6), "--output", str(out),
                      "--certificate", str(cert)]) == 0
         assert "<rect" in out.read_text()
+
+    @pytest.mark.parametrize("size", ["-5", "0"])
+    def test_size_below_one_pixel_exit_2(self, tmp_path, size, capsys):
+        drawing = tmp_path / "k7.json"
+        main(["generate", "--family", "convex", "--n", "7", "--output", str(drawing)])
+        out = tmp_path / "k7.svg"
+        assert main(["export", "--input", str(drawing), "--output", str(out),
+                     "--size", size]) == 2
+        assert "size must be a positive number of pixels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_geometry_exit_4(self, k6, tmp_path):
         from shellcert.documents import drawing_to_document, load_drawing
@@ -359,3 +392,53 @@ def mutated_combinatorial_documents(draw):
 @given(mutated_combinatorial_documents())
 def test_mutated_combinatorial_document_gets_documented_exit(case):
     _assert_documented_exits(*case)
+
+
+def _selector():
+    """A face selector: an id (out of range when large or negative),
+    "auto", or a point, which may lie on the drawing."""
+    coord = st.integers(-120_000, 120_000)
+    return st.one_of(st.just("auto"), st.integers(-2, 400).map(str),
+                     st.tuples(coord, coord).map(lambda p: f"at:{p[0]},{p[1]}"))
+
+
+@st.composite
+def flag_cases(draw):
+    """A rectilinear K5-K8 document and one analyze, decide or export run
+    with drawn --kmax, --k, --size and --face/--labels values."""
+    n = draw(st.integers(5, 8))
+    seed = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(("analyze", "decide", "export")))
+    if command == "analyze":
+        flags = ["--face", draw(_selector())]
+        kmax = draw(st.none() | st.integers(-3, 5))
+        if kmax is not None:
+            flags += ["--kmax", str(kmax)]
+    elif command == "decide":
+        flags = ["--mode", draw(st.sampled_from(("seq", "bishell"))),
+                 "--face", draw(_selector())]
+        k = draw(st.none() | st.integers(-2, 8))
+        if k is not None:
+            flags += ["--k", str(k)]
+    else:
+        flags = ["--size", str(draw(st.integers(-3, 64)))]
+        for name in ("--face", "--labels"):
+            if draw(st.booleans()):
+                flags += [name, draw(_selector())]
+    return n, seed, command, flags
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flag_cases())
+def test_drawn_flags_get_documented_exit(case):
+    n, seed, command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        drawing = tmp / "drawing.json"
+        drawing.write_text(rectilinear_document_text(n, seed))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--input", str(drawing),
+                         "--output", str(tmp / "out"), *flags])
+    assert code in DOCUMENTED_EXITS, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

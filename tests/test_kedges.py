@@ -6,12 +6,14 @@ import pytest
 
 from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
                     sample_faces)
-from oracles import (ccw_k_value, far_point, flood_fill_k_values,
-                     flood_fill_triangles, harary_hill_closed_form,
+from oracles import (ccw_k_value, child_drawing_report, far_point,
+                     flood_fill_k_values, flood_fill_triangles,
+                     harary_hill_closed_form, split_face_side_partition,
                      winding_orientation)
+from shellcert import drawing as drawing_module
+from shellcert import kedges
 from shellcert.documents import load_drawing
-from shellcert.drawing import (child_drawing, edge_key, trace_faces,
-                               vertices_on_face)
+from shellcert.drawing import Drawing, edge_key, trace_faces, vertices_on_face
 from shellcert.errors import EmbeddingError
 from shellcert.kedges import (cumulative_bound_check, edge_side_partition,
                               harary_hill_bound, invariant_edges,
@@ -253,15 +255,38 @@ def _edge_of_dart(d, v, nbr):
     return d.segment_edge[seg_key(v, nbr)]
 
 
+# every vertex is deleted on the sampled faces of each drawing
+DELETION_CORPUS = {
+    **{f"convex{n}": (convex, n) for n in range(5, 9)},
+    **{f"cylindrical{n}": (cylindrical, n) for n in range(6, 10)},
+    **{f"rectilinear7s{seed}": (rectilinear, 7, seed) for seed in (1, 2, 3)},
+}
+
+
 class TestInvariantEdges:
+    @pytest.mark.parametrize("name", DELETION_CORPUS)
+    def test_matches_child_drawing_oracle(self, name):
+        factory, *args = DELETION_CORPUS[name]
+        d = factory(*args)
+        fs = trace_faces(d)
+        for f in sample_faces(d):
+            for v in d.vertices:
+                report = invariant_edges(d, fs, f, v)
+                assert report.deleted_vertex == v
+                assert ((report.flags, report.parent_k, report.child_k,
+                         report.cumulated)
+                        == child_drawing_report(d, fs, f, v)), (f, v)
+
     def test_drop_by_at_most_one_and_flags(self):
         d = rectilinear(7, 23)
         fs = trace_faces(d)
         for f in sample_faces(d):
             for v in d.vertices:
-                child, _, face_map = child_drawing(d, v)
-                report = invariant_edges(d, child, face_map, f, v)
-                for e in child.edges():
+                report = invariant_edges(d, fs, f, v)
+                # the law on the independent route, then on the report
+                flags, _, _, _ = child_drawing_report(d, fs, f, v)
+                assert report.flags == flags
+                for e in report.flags:
                     assert report.child_k[e] in (report.parent_k[e],
                                                  report.parent_k[e] - 1)
                     assert report.flags[e] == (report.child_k[e] == report.parent_k[e])
@@ -277,13 +302,25 @@ class TestInvariantEdges:
             for f in sample_faces(d):
                 verts = sorted(vertices_on_face(d, fs, f))
                 for v in verts:
-                    child, _, face_map = child_drawing(d, v)
-                    report = invariant_edges(d, child, face_map, f, v)
+                    report = invariant_edges(d, fs, f, v)
                     for w in verts:
                         if w == v:
                             continue
                         at_w = sum(1 for e in report.invariant_edges if w in e)
                         assert at_w >= n // 2 - 1
+
+    def test_rejects_bad_arguments(self):
+        d = convex(6)
+        fs = trace_faces(d)
+        for face, v in ((0, 9), (-1, 0), (fs.face_count(), 0)):
+            with pytest.raises(ValueError):
+                invariant_edges(d, fs, face, v)
+            with pytest.raises(ValueError):
+                recursion_check(d, face, v, 0)
+        from test_drawing import triangle_doc
+        t = load_drawing(triangle_doc())
+        with pytest.raises(ValueError):
+            invariant_edges(t, trace_faces(t), 0, 0)
 
 
 class TestRecursion:
@@ -300,6 +337,36 @@ class TestRecursion:
         d = convex(6)
         with pytest.raises(ValueError):
             recursion_check(d, 0, 0, 2)
+
+
+class TestDeletionFree:
+    def test_deletion_queries_build_no_drawing(self, monkeypatch):
+        drawings = (convex(10), cylindrical(10))
+        for d in drawings:
+            trace_faces(d)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a subdrawing was built")
+
+        monkeypatch.setattr(drawing_module, "delete_vertex", forbidden)
+        for module in (drawing_module, kedges):
+            monkeypatch.setattr(module, "child_drawing", forbidden)
+        monkeypatch.setattr(Drawing, "__init__", forbidden)
+        for d in drawings:
+            fs = trace_faces(d)
+            face = outer_face(d)
+            verts = sorted(vertices_on_face(d, fs, face))
+            for v in d.vertices:
+                assert invariant_edges(d, fs, face, v).deleted_vertex == v
+                for k in range(d.n // 2 - 1):
+                    assert recursion_check(d, face, v, k) == 0
+            k_values = k_edge_profile(d, fs, face).k_values
+            for u in verts:
+                for v in verts:
+                    if u != v:
+                        j = k_values[edge_key(u, v)]
+                        side = edge_side_partition(d, fs, face, u, v)
+                        assert len(side) in (j, d.n - 2 - j)
 
 
 class TestBoundCheck:
@@ -340,6 +407,19 @@ class TestEdgeSidePartition:
                         side = edge_side_partition(d, fs, f, u, v)
                         assert len(side) in {j, n - 2 - j}
 
+    @pytest.mark.parametrize("name", DELETION_CORPUS)
+    def test_matches_split_face_oracle(self, name):
+        factory, *args = DELETION_CORPUS[name]
+        d = factory(*args)
+        fs = trace_faces(d)
+        for f in fs.face_ids():
+            verts = sorted(vertices_on_face(d, fs, f))
+            for u in verts:
+                for v in verts:
+                    if u != v:
+                        assert (edge_side_partition(d, fs, f, u, v)
+                                == split_face_side_partition(d, fs, f, u, v)), (f, u, v)
+
     def test_requires_face_incidence(self):
         d = convex(5)
         fs = trace_faces(d)
@@ -347,3 +427,7 @@ class TestEdgeSidePartition:
                      if not vertices_on_face(d, fs, f))
         with pytest.raises(ValueError):
             edge_side_partition(d, fs, inner, 0, 1)
+        outer = outer_face(d)
+        for u, v in ((0, 0), (0, 9)):
+            with pytest.raises(ValueError):
+                edge_side_partition(d, fs, outer, u, v)

@@ -113,8 +113,7 @@ class TestFindSimpleSequence:
                         seq = find_simple_sequence(d, fs, f, v, k + 1)
                         if seq is None:
                             continue
-                        child, _, face_map = child_drawing(d, v)
-                        report = invariant_edges(d, child, face_map, f, v)
+                        report = invariant_edges(d, fs, f, v)
                         assert report.cumulated[k] >= comb(k + 2, 2)
 
 
