@@ -15,8 +15,15 @@ from shellcert import (
 )
 from shellcert.planarize import outer_face
 
-out = pathlib.Path(__file__).parent / "out"
+here = pathlib.Path(__file__).parent
+out = here / "out"
 out.mkdir(exist_ok=True)
+
+
+def shown(path):
+    """The path as printed: relative to demos/, the same in every checkout."""
+    return path.relative_to(here).as_posix()
+
 
 drawings = {
     "convex_k8": convex_drawing(8),
@@ -26,21 +33,21 @@ drawings = {
 for name, drawing in drawings.items():
     path = out / f"{name}.svg"
     path.write_text(render_svg(drawing))
-    print(f"wrote {path} ({drawing.crossing_count()} crossings)")
+    print(f"wrote {shown(path)} ({drawing.crossing_count()} crossings)")
 
 # k-value labels relative to the unbounded face
 drawing = cylindrical_drawing(6)
 face = outer_face(drawing)
 (out / "cylindrical_k6_labeled.svg").write_text(
     render_svg(drawing, label_face=face, face_highlight=face))
-print(f"wrote {out / 'cylindrical_k6_labeled.svg'} (k-values for face {face})")
+print(f"wrote {shown(out / 'cylindrical_k6_labeled.svg')} (k-values for face {face})")
 
 # certificate overlay on a convex drawing
 drawing = convex_drawing(10)
 cert = decide_seq_shellable(drawing, 3)
 (out / "convex_k10_certificate.svg").write_text(
     render_svg(drawing, certificate=cert))
-print(f"wrote {out / 'convex_k10_certificate.svg'} "
+print(f"wrote {shown(out / 'convex_k10_certificate.svg')} "
       f"(vertices {cert.vertices} highlighted)")
 
 faces = trace_faces(drawing)

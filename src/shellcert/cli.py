@@ -259,6 +259,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    # an SVG highlights and labels one face; "auto" means every face
+    for flag, selector in (("--face", args.face), ("--labels", args.labels)):
+        if selector == "auto":
+            raise ValueError(f"export {flag} takes one face (an id or at:x,y), not auto")
     drawing = load_drawing(_read_json(args.input))
     # k-value labels are defined only for good drawings
     if args.labels is not None and not validate_goodness(drawing).ok:

@@ -94,12 +94,9 @@ def _load_geometric(document, n) -> Drawing:
         poly = item["polyline"]
         _require(isinstance(poly, list) and len(poly) >= 2,
                  f"edge {e}: polyline needs at least 2 points")
-        pts = []
-        for pt in poly:
-            _require(isinstance(pt, list) and len(pt) == 2
-                     and _is_int(pt[0]) and _is_int(pt[1]),
-                     f"edge {e}: polyline points must be integer pairs")
-            pts.append((pt[0], pt[1]))
+        pts = [(pt[0], pt[1]) for pt in poly if isinstance(pt, list) and len(pt) == 2
+               and _is_int(pt[0]) and _is_int(pt[1])]
+        _require(len(pts) == len(poly), f"edge {e}: polyline points must be integer pairs")
         first, last = (pts[0], pts[-1]) if (u, v) == e else (pts[-1], pts[0])
         _require(first == positions[e[0]] and last == positions[e[1]],
                  f"edge {e}: polyline must start and end at its vertices")

@@ -1,8 +1,10 @@
 """Exact rational plane geometry.
 
 All predicates take points with integer or Fraction coordinates and decide
-exactly; floating point never enters any decision. Intersection points of
-integer segments are returned as Fractions.
+exactly; floating point never enters any decision. The planarizer decides
+most pairs of pieces on integers itself and calls segment_intersection for
+collinear pairs only; point location (planarize.locate_face) uses the
+predicates on Fraction points.
 """
 
 from __future__ import annotations
@@ -90,37 +92,3 @@ def angle_less(a: Point, b: Point) -> bool:
     if ha != hb:
         return ha < hb
     return a[0] * b[1] - a[1] * b[0] > 0
-
-
-def sort_by_angle(items, key):
-    """Sort items by the counterclockwise angle of key(item).
-
-    Raises ValueError if two items share a direction (degenerate input).
-    """
-    def cmp_key(item):
-        v = key(item)
-        return (direction_half(v), _slope_key(v))
-
-    out = sorted(items, key=cmp_key)
-    for first, second in zip(out, out[1:]):
-        va, vb = key(first), key(second)
-        if direction_half(va) == direction_half(vb) and va[0] * vb[1] - va[1] * vb[0] == 0:
-            raise ValueError("two directions coincide")
-    return out
-
-
-class _slope_key:
-    """Orders directions within one half-plane by exact cross product."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        a, b = self.v, other.v
-        return a[0] * b[1] - a[1] * b[0] > 0
-
-    def __eq__(self, other):
-        a, b = self.v, other.v
-        return a[0] * b[1] - a[1] * b[0] == 0

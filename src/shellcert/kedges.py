@@ -349,6 +349,8 @@ def cumulative_bound_check(drawing: Drawing, faces: FaceSet, ref_face: int,
     If every row passes up to k = n//2 - 2, the drawing has at least H(n)
     crossings.
     """
+    if max_k(drawing.n) == 0:
+        raise ValueError(f"a drawing on {drawing.n} vertices has no bound levels")
     if not 0 <= kmax <= max_k(drawing.n) - 1:
         raise ValueError(f"kmax must lie in 0..{max_k(drawing.n) - 1}")
     prof = k_edge_profile(drawing, faces, ref_face)

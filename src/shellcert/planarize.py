@@ -1,33 +1,38 @@
 """Exact planarization of straight-line / polyline drawings.
 
-Input coordinates are integers; crossing points are computed as exact
-Fractions, so the resulting combinatorial structure is bit-exact. The
-loader rejects degenerate geometry instead of repairing it: overlapping
-segments, touches at polyline bends or vertices, three concurrent curves,
-and self-intersecting edges all raise DocumentError naming the culprits.
-
+Input coordinates are integers and every decision is made on integers,
+so the combinatorial structure is bit-exact. The loader rejects
+degenerate geometry instead of repairing it: overlapping segments,
+touches at polyline bends or vertices, three concurrent curves, and
+self-intersecting edges all raise DocumentError naming the culprits.
 Crossings of *distinct interiors* are allowed even when they violate
 goodness (adjacent edges crossing, an edge pair crossing twice): those
 load fine and are reported by validate_goodness.
 
 Candidate pairs of polyline pieces come from a spatial hash whose cell is
-sized to the pieces (see _GRID), and only pairs whose bounding boxes meet
-are tested. A pair that shares an endpoint and is not collinear meets at
-that endpoint only, so one integer cross product classifies it without an
-intersection: a polyline joint or the common vertex of two adjacent edges
-is fine, anything else is a touch or a self-intersection. Collinear pairs
-go through segment_intersection, which finds overlaps. Vertices lying on
-a foreign edge are found through the same hash.
+sized to the pieces (see _GRID); only pairs whose bounding boxes meet are
+tested. A pair that is not parallel is decided by its integer parameter
+numerators: it crosses inside both pieces, or meets at an end of one of
+them (a polyline joint, the common vertex of two adjacent edges, or a
+degenerate contact). Collinear pairs go through segment_intersection,
+which finds overlaps. Crossing points, positions along edges and dart
+directions are keyed by integers made exact by _shifts; Fractions are
+built only for Geometry.points, for messages and for collinear pairs.
+
+Vertices lying on a foreign edge are found through the same hash. With
+every edge of K_n present, each such vertex is first met as a touch with
+one of its own edges, so that check is the guard for direct planarize
+calls on a subset of the edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .drawing import Drawing, Geometry, trace_faces
 from .errors import CapabilityError, DocumentError
-from .geometry import (angle_less, cross, on_segment, segment_intersection,
-                       sort_by_angle, sub)
+from .geometry import angle_less, cross, on_segment, segment_intersection, sub
 
 # The spatial hash's cell side is the median piece extent (max(|dx|, |dy|)),
 # so at least half of the pieces cover at most 2 x 2 cells each; but it is
@@ -53,33 +58,28 @@ def planarize(n, positions, polylines) -> Drawing:
                 raise DocumentError(f"edge {e} repeats consecutive polyline points")
             subsegments.append((e, i, p, q))
 
-    crossings = _find_crossings(subsegments, positions)
+    crossings, span = _find_crossings(subsegments, positions)
 
-    # Group crossing records by exact point; three concurrent curves are out.
-    by_point = {}
-    for rec in crossings:
-        by_point.setdefault(rec["point"], []).append(rec)
-    for pt, recs in by_point.items():
-        involved = set()
-        for rec in recs:
-            involved.update(rec["edges"])
-        if len(recs) > 1:
-            raise DocumentError(
-                f"three curves concurrent at {_exact(pt)}: edges {sorted(involved)}")
+    # Three concurrent curves share a point key; the first such point in
+    # test order is named.
+    if len({rec[4] for rec in crossings}) != len(crossings):
+        by_point = {}
+        for rec in crossings:
+            by_point.setdefault(rec[4], []).append(rec)
+        for (x, y, d), recs in by_point.items():
+            if len(recs) > 1:
+                involved = sorted({e for rec in recs for e in rec[:2]})
+                raise DocumentError(f"three curves concurrent at {_exact(x, y, d)}: "
+                                    f"edges {involved}")
 
-    ordered = sorted(crossings, key=lambda r: (r["edges"], r["pos"][r["edges"][0]]))
-    node_of = {}
-    cross_nodes = {}
-    for i, rec in enumerate(ordered):
-        node = n + i
-        node_of[id(rec)] = node
-        cross_nodes[node] = rec
-
+    # A record is (e1, e2, position on e1, position on e2, point) with
+    # e1 < e2, and no two records share (e1, e2, position on e1), so this
+    # sorts by edge pair and then along the first edge.
+    crossings.sort()
     per_edge = {e: [] for e in polylines}
-    for rec in ordered:
-        node = node_of[id(rec)]
-        for e in rec["edges"]:
-            per_edge[e].append((rec["pos"][e], node))
+    for node, (e1, e2, pos1, pos2, _) in enumerate(crossings, n):
+        per_edge[e1].append((pos1, node))
+        per_edge[e2].append((pos2, node))
 
     chains = {}
     for e, hits in per_edge.items():
@@ -103,18 +103,34 @@ def planarize(n, positions, polylines) -> Drawing:
                     f"planarization and is not representable")
             seen_segments[s] = e
 
-    geometry = _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge)
-    rotations = _build_rotations(positions, polylines, chains, cross_nodes, geometry)
-
-    drawing = Drawing(range(n), {c: frozenset(rec["edges"]) for c, rec in cross_nodes.items()},
-                      rotations, chains, geometry)
+    geometry = _build_geometry(n, positions, polylines, chains, crossings, per_edge)
+    rotations = _build_rotations(positions, range(n, n + len(crossings)), polylines,
+                                 chains, per_edge, _shifts(span)[1])
+    pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
+    drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler + connectivity check on the fresh embedding
     return drawing
 
 
+def _shifts(span):
+    """Fixed-point precisions (K, K') for crossing parameters and dart
+    pseudo-angles of a drawing whose coordinates span at most `span`.
+
+    A crossing parameter is t = tn/den with 0 < tn < den <= |d1 x d2|
+    <= 2 span^2, so two distinct parameters on one piece differ by at
+    least 1/(2 span^2)^2. With 2^K >= (2 span^2)^2 the floors
+    (tn << K) // den of distinct parameters are therefore distinct and in
+    order, and equal parameters give equal keys. A pseudo-angle is
+    x/(|x| + |y|) with a denominator of at most 2 span, and the same
+    argument with 2^K' >= (2 span)^2 makes its floor key exact.
+    """
+    return 2 * (2 * span * span).bit_length(), 2 * (2 * span).bit_length()
+
+
 def _find_crossings(subsegments, positions):
-    """All proper interior crossings; rejects every degenerate contact,
-    vertices on foreign edges included (after every crossing check)."""
+    """All proper interior crossings and the drawing's span; rejects every
+    degenerate contact, vertices on foreign edges included (after every
+    crossing check)."""
     lo_x, lo_y, hi_x, hi_y = [], [], [], []
     for _, _, (px, py), (qx, qy) in subsegments:
         lo_x.append(min(px, qx))
@@ -125,6 +141,7 @@ def _find_crossings(subsegments, positions):
     span = max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y))
     extents = sorted(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes)
     cell = max(span // _GRID, extents[len(extents) // 2])
+    shift = _shifts(span)[0]
 
     # Every piece in the cells its box covers, ascending within a cell.
     cells = {}
@@ -151,40 +168,52 @@ def _find_crossings(subsegments, positions):
                        and ax0 <= hi_x[ib] and lo_x[ib] <= ax1
                        and ay0 <= hi_y[ib] and lo_y[ib] <= ay1)
         e1, i1, p, q = subsegments[ia]
+        px, py = p
+        d1x, d1y = q[0] - px, q[1] - py
         for ib in pairs:
             e2, i2, r, s = subsegments[ib]
-            x = p if p == r or p == s else q if q == r or q == s else None
-            if x is None or cross(p, q, s if x == r else r) == 0:
+            d2x, d2y = s[0] - r[0], s[1] - r[1]
+            den = d1x * d2y - d1y * d2x
+            if den:
+                # p + (tn/den) d1 = r + (un/den) d2, with den made positive
+                rx, ry = r[0] - px, r[1] - py
+                tn = rx * d2y - ry * d2x
+                un = rx * d1y - ry * d1x
+                if den < 0:
+                    den, tn, un = -den, -tn, -un
+                if not (0 <= tn <= den and 0 <= un <= den):
+                    continue
+                if 0 < tn < den and 0 < un < den:
+                    x, y = px * den + tn * d1x, py * den + tn * d1y
+                    if e1 == e2:
+                        raise DocumentError(f"edge {e1} intersects itself at {_exact(x, y, den)}")
+                    g = gcd(x, y, den)
+                    # subsegments are sorted by edge, so e1 < e2 here
+                    crossings.append((e1, e2, (i1, (tn << shift) // den),
+                                      (i2, (un << shift) // den), (x // g, y // g, den // g)))
+                    continue
+                # the only common point is an end of one piece
+                x = p if tn == 0 else q if tn == den else r if un == 0 else s
+            elif cross(p, q, r):
+                continue  # parallel, on distinct lines
+            else:
                 inter = segment_intersection(p, q, r, s)
                 if inter is None:
                     continue
                 if inter[0] == "overlap":
                     raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
-                _, x, t, u = inter
-            # else the pieces share the end x and are not collinear, so x is
-            # their only common point: a contact, classified below, never a
-            # crossing.
+                x = inter[1]  # an end of both pieces
             if e1 == e2:
                 if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
                     continue  # consecutive polyline pieces share their joint
-                raise DocumentError(f"edge {e1} intersects itself at {_exact(x)}")
-            if x in (p, q) or x in (r, s):
-                shared = set(e1) & set(e2)
-                if any(positions[v] == x for v in shared):
-                    continue  # adjacent edges meeting at their common vertex
-                raise DocumentError(
-                    f"edges {e1} and {e2} touch at {_exact(x)} (tangential or bend contact)")
-            crossings.append({
-                "edges": tuple(sorted((e1, e2))),
-                "point": x,
-                "pos": {e1: (i1, t), e2: (i2, u)},
-            })
+                raise DocumentError(f"edge {e1} intersects itself at {_exact(*x)}")
+            if any(positions[v] == x for v in set(e1) & set(e2)):
+                continue  # adjacent edges meeting at their common vertex
+            raise DocumentError(
+                f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
 
     # A vertex lying on a piece lies in a cell that the piece covers.
     # Among offenders, the first piece and then the first vertex is named.
-    # With all edges of K_n present, the loop above already met each such
-    # vertex as a touch with one of its own edges; this check still guards
-    # calls on a subset of the edges.
     offenders = []
     for rank, (v, pos) in enumerate(positions.items()):
         for idx in cells.get((pos[0] // cell, pos[1] // cell), ()):
@@ -194,19 +223,19 @@ def _find_crossings(subsegments, positions):
     if offenders:
         idx, _, v = min(offenders)
         raise DocumentError(f"edge {subsegments[idx][0]} passes through vertex {v}")
-    return crossings
+    return crossings, span
 
 
-def _exact(point) -> str:
-    """A contact point as it appears in messages: exact coordinates written
-    as integers or reduced fractions, e.g. (120/7, 30)."""
-    return f"({Fraction(point[0])}, {Fraction(point[1])})"
+def _exact(x, y, d=1) -> str:
+    """The point (x/d, y/d) as it appears in messages: exact coordinates
+    written as integers or reduced fractions, e.g. (120/7, 30)."""
+    return f"({Fraction(x, d)}, {Fraction(y, d)})"
 
 
-def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):
+def _build_geometry(n, positions, polylines, chains, crossings, per_edge):
     points = {v: positions[v] for v in range(n)}
-    for node, rec in cross_nodes.items():
-        points[node] = rec["point"]
+    for node, (_, _, _, _, (x, y, d)) in enumerate(crossings, n):
+        points[node] = (Fraction(x, d), Fraction(y, d))
 
     seg_paths = {}
     for e, pts in polylines.items():
@@ -217,8 +246,7 @@ def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):
         chain_idx = 0
         for i, (p, q) in enumerate(zip(pts, pts[1:])):
             while hit_idx < len(hits) and hits[hit_idx][0][0] == i:
-                node = hits[hit_idx][1]
-                x = cross_nodes[node]["point"]
+                x = points[hits[hit_idx][1]]
                 if path[-1] != x:
                     path.append(x)
                 seg_paths[(chain[chain_idx], chain[chain_idx + 1])] = tuple(path)
@@ -231,44 +259,41 @@ def _build_geometry(n, positions, polylines, chains, cross_nodes, per_edge):
     return Geometry(points, {e: tuple(pts) for e, pts in polylines.items()}, seg_paths)
 
 
-def _build_rotations(positions, polylines, chains, cross_nodes, geometry):
-    rotations = {}
-    for v in positions:
-        darts = []
-        for e, chain in chains.items():
-            if v not in (e[0], e[1]):
-                continue
-            pts = polylines[e]
-            if e[0] == v:
-                direction = sub(pts[1], pts[0])
-                target = chain[1]
-            else:
-                direction = sub(pts[-2], pts[-1])
-                target = chain[-2]
-            darts.append((direction, target))
-        rotations[v] = _angular_order(darts, f"vertex {v}")
-
-    for node, rec in cross_nodes.items():
-        darts = []
-        for e in rec["edges"]:
-            chain = chains[e]
-            i = chain.index(node)
-            seg_idx, _ = rec["pos"][e]
-            pts = polylines[e]
-            forward = sub(pts[seg_idx + 1], pts[seg_idx])
-            backward = (-forward[0], -forward[1])
-            darts.append((forward, chain[i + 1]))
-            darts.append((backward, chain[i - 1]))
-        rotations[node] = _angular_order(darts, f"crossing {node}")
-    return rotations
+def _build_rotations(positions, crossing_nodes, polylines, chains, per_edge, shift):
+    """Counterclockwise rotations: at a vertex, the first piece of each of its
+    edges; at a crossing, the two pieces named by its positions."""
+    darts = {x: [] for x in (*positions, *crossing_nodes)}
+    for e, chain in chains.items():
+        pts = polylines[e]
+        darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
+        darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
+        for j, ((i, _), node) in enumerate(per_edge[e], 1):
+            fx, fy = sub(pts[i + 1], pts[i])
+            darts[node] += (((fx, fy), chain[j + 1]), ((-fx, -fy), chain[j - 1]))
+    return {x: _angular_order(around, shift,
+                              f"vertex {x}" if x in positions else f"crossing {x}")
+            for x, around in darts.items()}
 
 
-def _angular_order(darts, where):
-    try:
-        ordered = sort_by_angle(darts, key=lambda d: d[0])
-    except ValueError:
-        raise DocumentError(f"two curves leave {where} in the same direction") from None
-    return tuple(target for _, target in ordered)
+def _angle_key(direction, shift):
+    """Integer key of a nonzero direction, increasing counterclockwise from
+    the +x axis: the half-plane ([0, pi) or [pi, 2 pi)), then the
+    fixed-point pseudo-angle -+x/(|x| + |y|), which is monotone within a
+    half-plane. Exact when 2^shift >= (2 max(|x|, |y|))^2 (see _shifts)."""
+    x, y = direction
+    if y > 0 or (y == 0 and x > 0):
+        return (0, (-x << shift) // (abs(x) + abs(y)))
+    return (1, (x << shift) // (abs(x) + abs(y)))
+
+
+def _angular_order(darts, shift, where):
+    """Targets of (direction, target) darts in counterclockwise order;
+    raises DocumentError if two darts share a direction."""
+    keyed = sorted((_angle_key(d, shift), target) for d, target in darts)
+    for (a, _), (b, _) in zip(keyed, keyed[1:]):
+        if a == b:
+            raise DocumentError(f"two curves leave {where} in the same direction")
+    return tuple(target for _, target in keyed)
 
 
 # -- point location ---------------------------------------------------------

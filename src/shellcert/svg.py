@@ -37,10 +37,11 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
             "rendering needs geometry; combinatorial inputs carry none "
             "(generate or load a geometric document instead)")
     geo = drawing.geometry
-    pts = [p for path in geo.segment_paths.values() for p in path]
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    # Crossings lie on pieces between integer polyline points and float()
+    # is monotone, so the polyline points alone give the frame.
+    xs = [p[0] for path in geo.polylines.values() for p in path]
+    ys = [p[1] for path in geo.polylines.values() for p in path]
+    x0, x1, y0, y1 = float(min(xs)), float(max(xs)), float(min(ys)), float(max(ys))
     span = max(x1 - x0, y1 - y0, 1.0)
     margin = 0.06 * span
 

@@ -7,7 +7,8 @@ triangle instead of the library's single parity labelling, subdrawings
 built by vertex deletion and profiled afresh instead of dropping one
 witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
-labelling, brute-force Fraction-only planarization, closed-form integer
+labelling, brute-force Fraction-only planarization with directions
+sorted by comparison instead of integer keys, closed-form integer
 formulas, and plain exhaustive enumeration of the shellability
 definitions instead of the backtracking deciders. The drawing primitives
 (deletion, face maps, face tracing) are shared infrastructure; the logic
@@ -17,9 +18,9 @@ on top is written from scratch.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from shellcert.drawing import (child_drawing, edge_key, seg_key, trace_faces,
+from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
                                vertices_on_face)
-from shellcert.geometry import cross
+from shellcert.geometry import cross, direction_half
 from shellcert.kedges import Orientation, k_edge_profile
 
 
@@ -241,6 +242,44 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
     return frozenset(out)
 
 
+# -- angular order by comparison ---------------------------------------------
+
+def sort_by_angle(items, key):
+    """Sort items by the counterclockwise angle of key(item), comparing
+    directions by half-plane and then by exact cross product; the
+    reference for the planarizer's integer pseudo-angle keys.
+
+    Raises ValueError if two items share a direction (degenerate input).
+    """
+    def cmp_key(item):
+        v = key(item)
+        return (direction_half(v), _slope_key(v))
+
+    out = sorted(items, key=cmp_key)
+    for first, second in zip(out, out[1:]):
+        va, vb = key(first), key(second)
+        if direction_half(va) == direction_half(vb) and va[0] * vb[1] - va[1] * vb[0] == 0:
+            raise ValueError("two directions coincide")
+    return out
+
+
+class _slope_key:
+    """Orders directions within one half-plane by exact cross product."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        a, b = self.v, other.v
+        return a[0] * b[1] - a[1] * b[0] > 0
+
+    def __eq__(self, other):
+        a, b = self.v, other.v
+        return a[0] * b[1] - a[1] * b[0] == 0
+
+
 # -- brute-force planarization ------------------------------------------------
 
 def fraction_intersection(p, q, r, s):
@@ -293,6 +332,55 @@ def reference_planarization(positions, polylines):
     points, in document order. Returns ("error", message) for the first
     degeneracy, else ("ok", sorted [(edge pair, crossing point)]).
     """
+    outcome = _reference(positions, polylines)
+    if outcome[0] == "error":
+        return outcome
+    return ("ok", sorted((edges, x) for edges, x, _ in outcome[1]))
+
+
+def reference_drawing(n, positions, polylines):
+    """The drawing planarize must build, from the brute-force crossings:
+    crossing nodes numbered from n by edge pair and then by position along
+    the first edge, chains in Fraction distance order, and rotations
+    sorted by comparing directions (sort_by_angle).
+
+    Returns ("error", message) as reference_planarization does, else
+    ("ok", Drawing without geometry, {crossing node: Fraction point}).
+    """
+    outcome = _reference(positions, polylines)
+    if outcome[0] == "error":
+        return outcome
+    _, crossings, along = outcome
+    order = sorted(range(len(crossings)), key=lambda k: (
+        crossings[k][0], along(crossings[k][0][0], k)))
+    node = {k: n + rank for rank, k in enumerate(order)}
+    chains = {}
+    for e in polylines:
+        hits = sorted((along(e, k), node[k])
+                      for k, (edges, _, _) in enumerate(crossings) if e in edges)
+        chains[e] = (e[0], *(x for _, x in hits), e[1])
+
+    darts = {v: [] for v in positions}
+    darts.update((node[k], []) for k in range(len(crossings)))
+    for e, chain in chains.items():
+        pts = polylines[e]
+        darts[e[0]].append((pts[1][0] - pts[0][0], pts[1][1] - pts[0][1], chain[1]))
+        darts[e[1]].append((pts[-2][0] - pts[-1][0], pts[-2][1] - pts[-1][1], chain[-2]))
+        for j in range(1, len(chain) - 1):
+            i = crossings[order[chain[j] - n]][2][e]
+            dx, dy = pts[i + 1][0] - pts[i][0], pts[i + 1][1] - pts[i][1]
+            darts[chain[j]] += [(dx, dy, chain[j + 1]), (-dx, -dy, chain[j - 1])]
+    rotations = {x: [t for _, _, t in sort_by_angle(around, key=lambda d: d[:2])]
+                 for x, around in darts.items()}
+    drawing = Drawing(range(n), {node[k]: edges for k, (edges, _, _) in enumerate(crossings)},
+                      rotations, chains)
+    return ("ok", drawing, {node[k]: x for k, (_, x, _) in enumerate(crossings)})
+
+
+def _reference(positions, polylines):
+    """("error", message), or ("ok", crossings, along): crossings as
+    [(edge pair, point, {edge: piece index})] in pair order, and
+    along(e, k) ordering the crossings of edge e along its polyline."""
     def at(x):
         return (Fraction(x[0]), Fraction(x[1]))
 
@@ -342,14 +430,15 @@ def reference_planarization(positions, polylines):
 
     # Chains: each edge's crossings in order along its polyline. The order
     # within a piece is the distance from the piece's start.
-    def along(e, x, i):
-        start = at(polylines[e][i])
-        return (i, abs(x[0] - start[0]) + abs(x[1] - start[1]))
+    def along(e, k):
+        _, x, where = crossings[k]
+        start = at(polylines[e][where[e]])
+        return (where[e], abs(x[0] - start[0]) + abs(x[1] - start[1]))
 
     seen = {}
     for e in polylines:
-        hits = sorted((along(e, x, where[e]), k)
-                      for k, (edges, x, where) in enumerate(crossings) if e in edges)
+        hits = sorted((along(e, k), k)
+                      for k, (edges, _, _) in enumerate(crossings) if e in edges)
         chain = [("v", e[0])] + [("x", k) for _, k in hits] + [("v", e[1])]
         for a, b in zip(chain, chain[1:]):
             key = frozenset((a, b))
@@ -361,7 +450,7 @@ def reference_planarization(positions, polylines):
                         f"consecutively) has no simple planarization and is "
                         f"not representable")
             seen[key] = e
-    return ("ok", sorted((edges, x) for edges, x, _ in crossings))
+    return ("ok", crossings, along)
 
 
 # -- exhaustive shellability oracles ----------------------------------------

@@ -122,6 +122,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(drawing), "--face", "0",
                      "--kmax", "0", "--output", str(out)]) == 2
 
+    def test_explicit_kmax_on_k3_names_the_empty_range(self, tmp_path, capsys):
+        drawing = tmp_path / "k3.json"
+        main(["generate", "--family", "convex", "--n", "3", "--output", str(drawing)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "0",
+                     "--kmax", "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "a drawing on 3 vertices has no bound levels" in err
+        assert "0..-1" not in err
+        assert not out.exists()
+
     def test_unparseable_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -241,6 +252,15 @@ class TestExport:
         assert main(["export", "--input", str(drawing), "--output", str(out),
                      "--size", size]) == 2
         assert "size must be a positive number of pixels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--face", "--labels"])
+    def test_auto_selector_exit_2(self, k6, tmp_path, flag, capsys):
+        # an SVG shows one face; "auto" (every face) used to fall back to face 0
+        out = tmp_path / "k6.svg"
+        assert main(["export", "--input", str(k6), "--output", str(out),
+                     flag, "auto"]) == 2
+        assert f"export {flag} takes one face" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_geometry_exit_4(self, k6, tmp_path):

@@ -1,4 +1,5 @@
-"""The narrative demos run to completion; demo 01's recursion balances."""
+"""The demos run to completion; demo 01's recursion balances, and demo 04
+prints the same paths in every checkout."""
 
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_profiles_and_recursion", "02_shellability_certificates",
-         "03_crossing_bounds")
+         "03_crossing_bounds", "04_gallery")
 
 
 def run_demo(name):
@@ -32,3 +33,11 @@ def test_recursion_demo_residuals_are_zero():
     proc = run_demo("01_profiles_and_recursion")
     residuals = re.findall(r"\(residual (-?\d+)\)", proc.stdout)
     assert residuals and set(residuals) == {"0"}, proc.stdout
+
+
+def test_gallery_prints_paths_relative_to_the_demos():
+    # demo 04 writes its SVGs into the git-ignored demos/out/
+    proc = run_demo("04_gallery")
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert "wrote out/convex_k8.svg" in proc.stdout
+    assert str(ROOT) not in proc.stdout

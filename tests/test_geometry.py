@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ccw_sign, polygon_area2, winding_number
-from shellcert.geometry import (angle_less, on_segment, segment_intersection,
-                                sort_by_angle)
+from oracles import ccw_sign, polygon_area2, sort_by_angle, winding_number
+from shellcert.geometry import angle_less, on_segment, segment_intersection
 
 
 def test_ccw_sign():

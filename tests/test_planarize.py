@@ -5,16 +5,22 @@ common: shared endpoints, collinear polyline joints, bends
 touching other edges, vertices on edges, overlaps and three curves through
 one point. The loader must reject exactly the documents the reference
 rejects, with the same message, and find the same crossings otherwise.
+
+Straight-line drawings with coordinates up to 10^12 stress the integer
+keys instead: crossings a tiny fraction of an edge apart and near-parallel
+darts at one node must still be ordered exactly.
 """
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_intersection, reference_planarization
+from oracles import (fraction_intersection, reference_drawing, reference_planarization,
+                     sort_by_angle)
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError
 from shellcert.geometry import segment_intersection
-from shellcert.planarize import planarize
+from shellcert.planarize import _angular_order, _shifts, planarize
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -122,3 +128,81 @@ def test_segment_intersection_matches_fraction_reference(first, second):
             assert 0 <= t <= 1 and 0 <= u <= 1
             assert x == (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
             assert x == (c[0] + u * (d[0] - c[0]), c[1] + u * (d[1] - c[1]))
+
+
+# Far points and a small cluster near the origin: edges between them cross
+# within about 10^-11 of each other along a far edge, and the edges from a
+# cluster point to two far points are nearly parallel.
+coordinate = st.one_of(st.integers(-10**12, 10**12), st.integers(-10, 10))
+
+
+@st.composite
+def wide_drawings(draw):
+    n = draw(st.integers(4, 6))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n,
+                           unique=True))
+    positions = dict(enumerate(points))
+    polylines = {(u, v): [points[u], points[v]] for u in range(n) for v in range(u + 1, n)}
+    return n, positions, polylines
+
+
+def assert_matches_reference_drawing(n, positions, polylines):
+    expected = reference_drawing(n, positions, polylines)
+    try:
+        drawing = load_drawing(document(n, positions, polylines))
+    except DocumentError as exc:
+        assert expected == ("error", str(exc))
+        return None
+    assert expected[0] == "ok"
+    _, reference, points = expected
+    assert drawing.canonical_form() == reference.canonical_form()
+    assert {c: drawing.geometry.points[c] for c in drawing.crossings} == points
+    return drawing
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_drawings())
+def test_wide_straight_drawings_match_reference(case):
+    drawing = assert_matches_reference_drawing(*case)
+    event("loads" if drawing is not None else "rejected")
+
+
+def test_crossings_closer_than_2_to_the_minus_60():
+    # Edge 0-1 is 2^62 long; 2-4 crosses it at a - 1/2 and 2-3 at a + 1/2,
+    # so the two parameters differ by 2^-62. The pair (2, 3) sorts before
+    # (2, 4), so only the position keys put 2-4's crossing first.
+    a, length = 2**61, 2**62
+    positions = {0: (0, 0), 1: (length, 0), 2: (a, 1), 3: (a + 1, -1), 4: (a - 1, -1)}
+    polylines = {(u, v): [positions[u], positions[v]] for u in range(5) for v in range(u + 1, 5)}
+    drawing = assert_matches_reference_drawing(5, positions, polylines)
+    first, second = drawing.chains[(0, 1)][1:-1]
+    assert drawing.crossings[first] == {(0, 1), (2, 4)}
+    assert drawing.crossings[second] == {(0, 1), (2, 3)}
+    gap = (drawing.geometry.points[second][0] - drawing.geometry.points[first][0]) / length
+    assert 0 < gap < 2**-60
+
+
+def _quarter_turns(direction):
+    x, y = direction
+    return [(x, y), (-y, x), (-x, -y), (y, -x)]
+
+
+NEAR_PARALLEL = [d for base in ((10**12, 1), (10**12 + 1, 1), (10**12, 2), (1, 10**12),
+                                (10**12, 10**12 - 1), (10**12, 10**12), (1, 0))
+                 for d in _quarter_turns(base)]
+
+
+@pytest.mark.parametrize("turn", range(4))
+def test_angle_keys_match_comparison_sort(turn):
+    darts = [(d, target) for target, d in enumerate(NEAR_PARALLEL[turn:] + NEAR_PARALLEL[:turn])]
+    shift = _shifts(10**12 + 1)[1]
+    want = [target for _, target in sort_by_angle(darts, key=lambda d: d[0])]
+    assert list(_angular_order(darts, shift, "vertex 0")) == want
+
+
+@pytest.mark.parametrize("turn", range(4))
+def test_coincident_directions_raise(turn):
+    same = _quarter_turns((10**12, 1))[turn], _quarter_turns((2 * 10**12, 2))[turn]
+    darts = [(same[0], 1), ((-3, 7), 2), (same[1], 3)]
+    with pytest.raises(DocumentError, match="two curves leave vertex 0 in the same direction"):
+        _angular_order(darts, _shifts(2 * 10**12)[1], "vertex 0")
