@@ -10,11 +10,9 @@ from scratch, shipped as JSON, and audited without re-running any search.
 Run:  python demos/02_shellability_certificates.py
 """
 
-import json
-
 from shellcert import (
     SeqShellCertificate, bishell_to_seq, certificate_to_document, convex_drawing,
-    decide_bishellable, decide_seq_shellable, random_rectilinear,
+    decide_bishellable, decide_seq_shellable, dumps_document, random_rectilinear,
     verify_bishell_certificate, verify_seq_certificate,
 )
 
@@ -49,7 +47,7 @@ for line in result.violations:
 
 # Certificates serialize to small JSON documents.
 print("\nserialized certificate:")
-print(json.dumps(certificate_to_document(cert), indent=1, sort_keys=True))
+print(dumps_document(certificate_to_document(cert)), end="")
 
 # Random straight-line drawings are shellable too; their certificates vary.
 print("\ncertificates for a few seeded rectilinear drawings on 7 vertices:")

@@ -13,8 +13,8 @@ as exact-integer geometric documents.
 __version__ = "0.1.0"
 
 from .documents import (certificate_from_document, certificate_to_document,
-                        drawing_to_document, dump_document, load_drawing,
-                        load_drawing_path)
+                        drawing_to_document, dump_document, dumps_document,
+                        load_drawing)
 from .drawing import (Drawing, FaceMap, FaceSet, Geometry, ValidationReport,
                       child_drawing, delete_vertex, edge_key, seg_key,
                       trace_faces, validate_goodness, vertices_on_face)
@@ -47,10 +47,10 @@ __all__ = [
     "certificate_to_document", "child_drawing", "convex_document",
     "convex_drawing", "cumulative_bound_check", "cylindrical_document",
     "cylindrical_drawing", "decide_bishellable", "decide_seq_shellable",
-    "delete_vertex", "drawing_to_document", "dump_document", "edge_key",
-    "edge_side_partition", "find_simple_sequence",
+    "delete_vertex", "drawing_to_document", "dump_document", "dumps_document",
+    "edge_key", "edge_side_partition", "find_simple_sequence",
     "harary_hill_bound", "invariant_edges", "k_edge_profile", "k_value",
-    "load_drawing", "load_drawing_path", "locate_face", "max_k",
+    "load_drawing", "locate_face", "max_k",
     "outer_face", "planarize", "random_rectilinear", "recursion_check",
     "rectilinear_document", "render_svg", "seg_key", "trace_faces",
     "triangle_orientation", "validate_goodness", "verify_bishell_certificate",

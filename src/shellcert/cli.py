@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .documents import (certificate_from_document, certificate_to_document,
-                        load_drawing)
+                        dump_document, dumps_document, load_drawing)
 from .drawing import trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError)
@@ -127,12 +127,10 @@ def _sha256(path) -> str:
 
 
 def _emit(payload, path) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_document(payload))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump_document(payload, path)
 
 
 def _parse_face(selector, drawing, faces):
@@ -181,6 +179,8 @@ def cmd_analyze(args) -> int:
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
     selected = _parse_face(args.face, drawing, faces)
     payload["faces"]["analyzed"] = selected
+    # the writer sorts every key, so the names need no order of their own
+    names = {e: f"{e[0]}-{e[1]}" for e in drawing.chains}
     for face in selected:
         prof = k_edge_profile(drawing, faces, face)
         # a drawing on 3 vertices has no bound levels: by default its
@@ -190,7 +190,7 @@ def cmd_analyze(args) -> int:
         payload["profiles"].append({
             "face": face,
             "face_vertices": sorted(vertices_on_face(drawing, faces, face)),
-            "k_values": {f"{u}-{v}": k for (u, v), k in sorted(prof.k_values.items())},
+            "k_values": {names[e]: k for e, k in prof.k_values.items()},
             "counts": list(prof.counts),
             "cumulated": list(prof.cumulated),
             "bounds": [{"k": r.k, "cumulated": r.cumulated,

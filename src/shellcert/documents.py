@@ -49,15 +49,6 @@ def load_drawing(document) -> Drawing:
     return _load_combinatorial(document, n)
 
 
-def load_drawing_path(path) -> Drawing:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"not valid JSON: {exc}") from None
-    return load_drawing(document)
-
-
 def _load_geometric(document, n) -> Drawing:
     allowed = {"format", "version", "mode", "n", "vertices", "edges"}
     extra = set(document) - allowed
@@ -223,10 +214,45 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
     return head
 
 
+# -- writing -----------------------------------------------------------------
+
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def dumps_document(document) -> str:
+    """The JSON text of a document, report or certificate, ending in "\n".
+
+    The top-level object, and every list or object directly inside it,
+    get one element or entry per line, indented by one space per level;
+    anything deeper is a compact dump with sorted keys. So an analyze
+    profile, or a drawing's edge, node, rotation or chain, sits on a line
+    of its own. The text is deterministic, and every element comes from
+    json's C encoder: passing ``indent`` would switch to its pure-Python
+    encoder, which costs several times as much on large reports.
+    """
+    return _layout(document, 0) + "\n"
+
+
+def _layout(value, depth: int) -> str:
+    if depth == 2 or not value or not isinstance(value, (dict, list, tuple)):
+        return _compact(value)
+    pad = " " * (depth + 1)
+    if isinstance(value, dict):
+        # _compact({key: None}) is '<key>:null}' after the brace, with the
+        # key converted to a string exactly as the encoder converts it
+        lines = [f"{pad}{_compact({key: None})[1:-6]}:{_layout(item, depth + 1)}"
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    else:
+        lines = [pad + _layout(item, depth + 1) for item in value]
+        brackets = "[]"
+    return f"{brackets[0]}\n" + ",\n".join(lines) + f"\n{' ' * depth}{brackets[1]}"
+
+
 def dump_document(document, path) -> None:
+    """Write dumps_document(document) to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_document(document))
 
 
 # -- certificates ------------------------------------------------------------

@@ -75,6 +75,13 @@ def _all_pairs(ids):
     return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
 
 
+def _check_size(n, scale):
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale!r}")
+
+
 def _general_position(points) -> bool:
     pts = list(points)
     for i in range(len(pts)):
@@ -102,8 +109,7 @@ def _convex(n, scale):
     angular order are convex regardless of spacing, and a regular polygon
     would put three main diagonals through the center for even n.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_size(n, scale)
     last_error = None
     for attempt in range(32):
         phase = 0.5 + attempt * 0.0371
@@ -117,8 +123,9 @@ def _convex(n, scale):
             return doc, load_drawing(doc)
         except DocumentError as exc:
             last_error = exc  # e.g. concurrent diagonals; rotate and retry
+    detail = "" if last_error is None else f": {last_error}"
     raise GenerationError(
-        f"scale {scale} too small for {n} points in convex general position: {last_error}")
+        f"scale {scale} too small for {n} points in convex general position{detail}")
 
 
 def convex_drawing(n: int, scale: int = DEFAULT_SCALE) -> Drawing:
@@ -134,8 +141,7 @@ def cylindrical_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 
 def _cylindrical(n, scale):
     """(document, checked drawing) of the cylindrical family."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_size(n, scale)
     last_error = None
     for phases in _PHASES:
         try:
@@ -253,8 +259,7 @@ def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
 
 def _rectilinear(n, seed, scale):
     """(document, loaded drawing) of the rectilinear family."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_size(n, scale)
     rng = random.Random(f"rectilinear:{n}:{seed}:{scale}")
     for _ in range(64):
         points = _sample_points(rng, n, scale)

@@ -63,3 +63,12 @@ def not_good_k7_document():
     """Rectilinear K7 (seed 1) with the edge 1-5 detouring through two
     interior points: the document loads, but the drawing is not good."""
     return rerouted_document(7, 1, (1, 5), ((-54248, -78883), (8571, -20835)))
+
+
+def top_level_lines(text, key):
+    """The element lines of the top-level list or object under key."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f' "{key}":'))
+    closing = " " + {"[": "]", "{": "}"}[lines[start][-1]]
+    end = next(i for i in range(start, len(lines)) if lines[i].rstrip(",") == closing)
+    return [line.rstrip(",") for line in lines[start + 1:end]]

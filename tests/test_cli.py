@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import not_good_k7_document, rectilinear_document_text, rerouted_document
+from corpus import (not_good_k7_document, rectilinear_document_text,
+                    rerouted_document, top_level_lines)
 from shellcert import cli, kedges
 from shellcert.cli import main
 from shellcert.documents import (certificate_to_document, drawing_to_document,
@@ -52,6 +53,16 @@ class TestGenerate:
             main(["generate", "--family", "convex", "--n", "6",
                   "--output", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    @pytest.mark.parametrize("family", ["convex", "cylindrical", "rectilinear"])
+    def test_non_positive_scale_exit_2(self, tmp_path, family, scale, capsys):
+        out = tmp_path / "doc.json"
+        assert main(["generate", "--family", family, "--n", "5",
+                     "--scale", scale, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scale must be a positive integer, got {scale}\n")
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -270,6 +281,80 @@ class TestExport:
             drawing_to_document(load_drawing(read(k6)), "combinatorial")))
         assert main(["export", "--input", str(comb_doc),
                      "--output", str(tmp_path / "x.svg")]) == 4
+
+
+def emitted(monkeypatch):
+    """The payloads cli._emit is handed, in order."""
+    payloads = []
+    emit = cli._emit
+
+    def recording(payload, path):
+        payloads.append(payload)
+        emit(payload, path)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    return payloads
+
+
+class TestWriter:
+    """Reports and certificates: the same JSON value as the payload, with
+    one line per profile, and the same bytes on every run."""
+
+    def test_analyze_report_parses_to_payload(self, k6, tmp_path, monkeypatch):
+        payloads = emitted(monkeypatch)
+        path = tmp_path / "zeichnung-ü-図.json"
+        path.write_bytes(k6.read_bytes())
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 0
+        report = read(out)
+        assert report == payloads[0]
+        assert report["input"]["path"] == str(path)
+        assert report["goodness"]["violations"] == []
+
+    def test_not_good_report_parses_to_payload(self, tmp_path, monkeypatch):
+        payloads = emitted(monkeypatch)
+        path = tmp_path / "not_good.json"
+        path.write_text(json.dumps(not_good_k7_document()))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(path), "--output", str(out)]) == 2
+        report = read(out)
+        assert report == payloads[0]
+        assert report["profiles"] == [] and report["deciders"] is None
+
+    @pytest.mark.parametrize("mode", ["seq", "bishell"])
+    def test_certificate_parses_to_payload(self, k6, tmp_path, monkeypatch, mode):
+        payloads = emitted(monkeypatch)
+        out = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", mode, "--k", "1",
+                     "--output", str(out)]) == 0
+        assert read(out) == payloads[0]
+        assert read(out)["kind"] == {"seq": "seq-shell", "bishell": "bishell"}[mode]
+
+    def test_stdout_and_file_bytes_agree(self, k6, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", "seq"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["decide", "--input", str(k6), "--mode", "seq",
+                     "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == printed
+
+    def test_certificate_bytes_deterministic(self, k6, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert main(["decide", "--input", str(k6), "--mode", "bishell",
+                         "--output", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_one_line_per_profile(self, k6, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(k6), "--face", "auto",
+                     "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert len(report["profiles"]) == report["faces"]["count"] > 1
+        lines = top_level_lines(text, "profiles")
+        assert [json.loads(line) for line in lines] == report["profiles"]
+        assert text.endswith("}\n") and "\n\n" not in text
 
 
 class TestNotGood:

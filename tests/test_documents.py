@@ -1,13 +1,17 @@
 """Interchange document parsing: strictness and round-trips."""
 
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import convex
+from corpus import convex, top_level_lines
 from shellcert.documents import (certificate_from_document,
                                  certificate_to_document, drawing_to_document,
-                                 load_drawing)
+                                 dump_document, dumps_document, load_drawing)
+from shellcert.generators import cylindrical_document
 from shellcert.errors import DocumentError
 from shellcert.shellability import BishellCertificate, SeqShellCertificate
 from test_drawing import convex_k4_doc, triangle_doc
@@ -205,3 +209,89 @@ class TestCertificateDocuments:
         doc["kind"] = "mono"
         with pytest.raises(DocumentError, match="kind"):
             certificate_from_document(doc)
+
+
+def ordered(text):
+    """A JSON text as nested lists, object entries in the order written."""
+    return json.loads(text, object_pairs_hook=list)
+
+
+class TestWriter:
+    """dumps_document: one value, one layout, the same bytes every time."""
+
+    def documents(self):
+        geometric = cylindrical_document(6)
+        combinatorial = drawing_to_document(load_drawing(geometric), "combinatorial")
+        return geometric, combinatorial
+
+    def test_documents_parse_back_with_keys_in_sorted_order(self):
+        for doc in self.documents():
+            text = dumps_document(doc)
+            assert json.loads(text) == doc
+            assert ordered(text) == ordered(json.dumps(doc, sort_keys=True))
+            assert text.endswith("}\n")
+
+    def test_certificates_parse_back(self):
+        for cert in (SeqShellCertificate(3, (0, 1), ((1, 2), (2,))),
+                     BishellCertificate(0, (0, 2), (1, 3))):
+            doc = certificate_to_document(cert, drawing_sha256="ab" * 32)
+            text = dumps_document(doc)
+            assert json.loads(text) == doc
+            assert certificate_from_document(json.loads(text)) == (cert, "ab" * 32)
+
+    def test_written_document_loads_to_the_same_drawing(self, tmp_path):
+        for doc in self.documents():
+            path = tmp_path / f"{doc['mode']}.json"
+            dump_document(doc, path)
+            with open(path, "r", encoding="utf-8") as fh:
+                back = load_drawing(json.load(fh))
+            assert back.canonical_form() == load_drawing(doc).canonical_form()
+            assert path.read_text(encoding="utf-8") == dumps_document(doc)
+
+    def test_one_line_per_edge_node_rotation_and_chain(self):
+        geometric, combinatorial = self.documents()
+        for doc, key in ((geometric, "edges"), (geometric, "vertices"),
+                         (combinatorial, "nodes")):
+            lines = top_level_lines(dumps_document(doc), key)
+            assert [json.loads(line) for line in lines] == doc[key]
+        for key in ("rotations", "chains"):
+            lines = top_level_lines(dumps_document(combinatorial), key)
+            assert dict(json.loads("{" + line + "}").popitem() for line in lines) \
+                == combinatorial[key]
+
+    def test_empty_containers_non_ascii_and_non_string_keys(self):
+        value = {"path": "zeichnungen/ü/図.json", "empty": [], "none": {},
+                 "nested": {"a": [], "b": {}, "c": [[], {}, "é"]},
+                 "rows": [[], {}, (1, 2)], "by_id": {2: {3: [4]}, 1: 0.5}}
+        for doc in (value, {2: {3: [4]}, 1: [None, True]}):
+            text = dumps_document(doc)
+            assert ordered(text) == ordered(json.dumps(doc, sort_keys=True))
+            assert text.isascii()
+        assert '"empty":[]' in dumps_document(value)
+        assert '"none":{}' in dumps_document(value)
+
+    def test_insertion_order_does_not_matter(self):
+        doc = self.documents()[1]
+        shuffled = {key: doc[key] for key in reversed(list(doc))}
+        shuffled["chains"] = dict(reversed(list(doc["chains"].items())))
+        assert dumps_document(shuffled) == dumps_document(doc)
+
+    def test_scalars_and_empty_documents(self):
+        for value in ({}, [], None, 3, "x"):
+            assert dumps_document(value) == json.dumps(value) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_writer_matches_the_sorted_encoder(value):
+    text = dumps_document(value)
+    assert ordered(text) == ordered(json.dumps(value, sort_keys=True))
+    assert text.endswith("\n") and text.isascii()

@@ -29,9 +29,29 @@ class TestConvex:
         with pytest.raises(GenerationError):
             convex_drawing(12, scale=3)
 
+    def test_too_small_scale_message_names_no_missing_cause(self):
+        with pytest.raises(GenerationError) as info:
+            convex_drawing(12, scale=3)
+        assert str(info.value) == (
+            "scale 3 too small for 12 points in convex general position")
+
     def test_minimum_n(self):
         with pytest.raises(ValueError):
             convex_document(2)
+
+
+@pytest.mark.parametrize("scale", [0, -3, True, 2.5])
+@pytest.mark.parametrize("make", [convex_document, cylindrical_document,
+                                  lambda n, scale: rectilinear_document(n, 0, scale),
+                                  convex_drawing, cylindrical_drawing,
+                                  lambda n, scale: random_rectilinear(n, 0, scale)],
+                         ids=["convex_document", "cylindrical_document",
+                              "rectilinear_document", "convex_drawing",
+                              "cylindrical_drawing", "random_rectilinear"])
+def test_scale_must_be_a_positive_integer(make, scale):
+    with pytest.raises(ValueError) as info:
+        make(5, scale=scale)
+    assert str(info.value) == f"scale must be a positive integer, got {scale!r}"
 
 
 class TestCylindrical:
