@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .drawing import Drawing, edge_key, trace_faces
-from .errors import DocumentError
+from .errors import DocumentError, StructureError
 from .planarize import planarize
 
 FORMAT_NAME = "shellcert-drawing"
@@ -24,6 +24,8 @@ FORMAT_VERSION = 1
 
 
 def _is_int(x) -> bool:
+    # bool is a subclass of int, but True is not a node id or a coordinate;
+    # hot loops below test type(x) is int inline
     return type(x) is int
 
 
@@ -34,147 +36,182 @@ def _require(cond, msg):
 
 def load_drawing(document) -> Drawing:
     """Build a Drawing from a parsed interchange document (a dict)."""
-    _require(isinstance(document, dict), "document must be an object")
-    _require(document.get("format") == FORMAT_NAME,
-             f'header must declare "format": "{FORMAT_NAME}"')
-    _require(document.get("version") == FORMAT_VERSION,
-             f"unsupported version {document.get('version')!r}")
+    if not isinstance(document, dict):
+        raise DocumentError("document must be an object")
+    if document.get("format") != FORMAT_NAME:
+        raise DocumentError(f'header must declare "format": "{FORMAT_NAME}"')
+    if document.get("version") != FORMAT_VERSION:
+        raise DocumentError(f"unsupported version {document.get('version')!r}")
     mode = document.get("mode")
-    _require(mode in ("geometric", "combinatorial"),
-             f"unknown mode {mode!r}")
+    if mode not in ("geometric", "combinatorial"):
+        raise DocumentError(f"unknown mode {mode!r}")
     n = document.get("n")
-    _require(_is_int(n) and n >= 3, '"n" must be an integer >= 3')
+    if not (_is_int(n) and n >= 3):
+        raise DocumentError('"n" must be an integer >= 3')
     if mode == "geometric":
         return _load_geometric(document, n)
     return _load_combinatorial(document, n)
 
 
+# The loaders below format a message only when they raise it: on a large
+# document, formatting every message up front (reprs of whole polylines
+# and node lists included) cost more than the parse itself.
+
 def _load_geometric(document, n) -> Drawing:
-    allowed = {"format", "version", "mode", "n", "vertices", "edges"}
-    extra = set(document) - allowed
-    _require(not extra, f"unknown keys {sorted(extra)} in geometric document")
+    extra = document.keys() - {"format", "version", "mode", "n", "vertices", "edges"}
+    if extra:
+        raise DocumentError(f"unknown keys {sorted(extra)} in geometric document")
 
     vertices = document.get("vertices")
-    _require(isinstance(vertices, list) and len(vertices) == n,
-             '"vertices" must list each of the n vertices once')
+    if not (isinstance(vertices, list) and len(vertices) == n):
+        raise DocumentError('"vertices" must list each of the n vertices once')
     positions = {}
     for item in vertices:
-        _require(isinstance(item, dict) and set(item) == {"id", "x", "y"},
-                 "each vertex needs exactly id, x, y")
+        if not (isinstance(item, dict) and item.keys() == {"id", "x", "y"}):
+            raise DocumentError("each vertex needs exactly id, x, y")
         vid, x, y = item["id"], item["x"], item["y"]
-        _require(_is_int(vid) and _is_int(x) and _is_int(y),
-                 f"vertex {item!r}: id and coordinates must be integers")
-        _require(0 <= vid < n, f"vertex id {vid} out of range")
-        _require(vid not in positions, f"vertex id {vid} repeated")
+        if not (_is_int(vid) and _is_int(x) and _is_int(y)):
+            raise DocumentError(f"vertex {item!r}: id and coordinates must be integers")
+        if not 0 <= vid < n:
+            raise DocumentError(f"vertex id {vid} out of range")
+        if vid in positions:
+            raise DocumentError(f"vertex id {vid} repeated")
         positions[vid] = (x, y)
 
     edges = document.get("edges")
     # the count comes first: the set of all pairs is quadratic in n
-    _require(isinstance(edges, list) and len(edges) == n * (n - 1) // 2,
-             '"edges" must list every vertex pair exactly once')
-    want = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    if not (isinstance(edges, list) and len(edges) == n * (n - 1) // 2):
+        raise DocumentError('"edges" must list every vertex pair exactly once')
     polylines = {}
     for item in edges:
-        _require(isinstance(item, dict) and set(item) == {"u", "v", "polyline"},
-                 "each edge needs exactly u, v, polyline")
+        if not (isinstance(item, dict) and item.keys() == {"u", "v", "polyline"}):
+            raise DocumentError("each edge needs exactly u, v, polyline")
         u, v = item["u"], item["v"]
-        _require(_is_int(u) and _is_int(v) and edge_key(u, v) in want,
-                 f"edge {item!r}: endpoints must be distinct vertex ids")
-        e = edge_key(u, v)
-        _require(e not in polylines, f"edge {e} repeated")
+        if not (_is_int(u) and _is_int(v) and u != v and 0 <= u < n and 0 <= v < n):
+            raise DocumentError(f"edge {item!r}: endpoints must be distinct vertex ids")
+        e = (u, v) if u < v else (v, u)
+        if e in polylines:
+            raise DocumentError(f"edge {e} repeated")
         poly = item["polyline"]
-        _require(isinstance(poly, list) and len(poly) >= 2,
-                 f"edge {e}: polyline needs at least 2 points")
+        if not (isinstance(poly, list) and len(poly) >= 2):
+            raise DocumentError(f"edge {e}: polyline needs at least 2 points")
         pts = [(pt[0], pt[1]) for pt in poly if isinstance(pt, list) and len(pt) == 2
-               and _is_int(pt[0]) and _is_int(pt[1])]
-        _require(len(pts) == len(poly), f"edge {e}: polyline points must be integer pairs")
-        first, last = (pts[0], pts[-1]) if (u, v) == e else (pts[-1], pts[0])
-        _require(first == positions[e[0]] and last == positions[e[1]],
-                 f"edge {e}: polyline must start and end at its vertices")
-        polylines[e] = pts if (u, v) == e else list(reversed(pts))
+               and type(pt[0]) is int and type(pt[1]) is int]
+        if len(pts) != len(poly):
+            raise DocumentError(f"edge {e}: polyline points must be integer pairs")
+        if u > v:
+            pts.reverse()
+        if pts[0] != positions[e[0]] or pts[-1] != positions[e[1]]:
+            raise DocumentError(f"edge {e}: polyline must start and end at its vertices")
+        polylines[e] = pts
     return planarize(n, positions, polylines)
 
 
 def _load_combinatorial(document, n) -> Drawing:
-    allowed = {"format", "version", "mode", "n", "rotation_order",
-               "nodes", "rotations", "chains"}
-    extra = set(document) - allowed
-    _require(not extra, f"unknown keys {sorted(extra)} in combinatorial document")
-    _require(document.get("rotation_order") == "ccw",
-             'combinatorial documents must declare "rotation_order": "ccw"')
+    extra = document.keys() - {"format", "version", "mode", "n", "rotation_order",
+                               "nodes", "rotations", "chains"}
+    if extra:
+        raise DocumentError(f"unknown keys {sorted(extra)} in combinatorial document")
+    if document.get("rotation_order") != "ccw":
+        raise DocumentError('combinatorial documents must declare "rotation_order": "ccw"')
 
     nodes = document.get("nodes")
-    _require(isinstance(nodes, list), '"nodes" must be a list')
+    if not isinstance(nodes, list):
+        raise DocumentError('"nodes" must be a list')
     vertex_ids = set()
     crossings = {}
     for item in nodes:
-        _require(isinstance(item, dict) and item.get("kind") in ("vertex", "crossing"),
-                 'each node needs "kind": "vertex" or "crossing"')
+        if not (isinstance(item, dict) and item.get("kind") in ("vertex", "crossing")):
+            raise DocumentError('each node needs "kind": "vertex" or "crossing"')
         nid = item.get("id")
-        _require(_is_int(nid) and nid >= 0, f"node id {nid!r} must be a nonnegative integer")
-        _require(nid not in vertex_ids and nid not in crossings, f"node id {nid} repeated")
+        if not (type(nid) is int and nid >= 0):
+            raise DocumentError(f"node id {nid!r} must be a nonnegative integer")
+        if nid in vertex_ids or nid in crossings:
+            raise DocumentError(f"node id {nid} repeated")
+        # item holds "kind" and "id", so its length tells whether it has more
         if item["kind"] == "vertex":
-            _require(set(item) == {"id", "kind"}, f"vertex node {nid}: unknown keys")
+            if len(item) != 2:
+                raise DocumentError(f"vertex node {nid}: unknown keys")
             vertex_ids.add(nid)
-        else:
-            _require(set(item) == {"id", "kind", "edges"},
-                     f"crossing node {nid} needs exactly id, kind, edges")
-            pair = item["edges"]
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     f"crossing {nid}: edges must list the two crossing edges")
-            edges = []
-            for uv in pair:
-                _require(isinstance(uv, list) and len(uv) == 2
-                         and _is_int(uv[0]) and _is_int(uv[1]) and uv[0] != uv[1],
-                         f"crossing {nid}: bad edge {uv!r}")
-                edges.append(edge_key(uv[0], uv[1]))
-            _require(edges[0] != edges[1], f"crossing {nid}: edges must differ")
-            crossings[nid] = frozenset(edges)
-    _require(vertex_ids == set(range(n)), "vertex nodes must be exactly 0..n-1")
+            continue
+        if len(item) != 3 or "edges" not in item:
+            raise DocumentError(f"crossing node {nid} needs exactly id, kind, edges")
+        pair = item["edges"]
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise DocumentError(f"crossing {nid}: edges must list the two crossing edges")
+        for uv in pair:
+            if not (isinstance(uv, list) and len(uv) == 2
+                    and type(uv[0]) is int and type(uv[1]) is int and uv[0] != uv[1]):
+                raise DocumentError(f"crossing {nid}: bad edge {uv!r}")
+        (a, b), (c, d) = pair
+        e, f = (a, b) if a < b else (b, a), (c, d) if c < d else (d, c)
+        if e == f:
+            raise DocumentError(f"crossing {nid}: edges must differ")
+        crossings[nid] = (e, f)
+    if vertex_ids != set(range(n)):
+        raise DocumentError("vertex nodes must be exactly 0..n-1")
 
     raw_rot = document.get("rotations")
-    _require(isinstance(raw_rot, dict), '"rotations" must map node ids to dart lists')
+    if not isinstance(raw_rot, dict):
+        raise DocumentError('"rotations" must map node ids to dart lists')
     rotations = {}
     for key, lst in raw_rot.items():
+        # a canonical key names one node id, so no two keys name the same
         nid = _parse_int_key(key, "rotation")
-        _require(isinstance(lst, list) and all(_is_int(x) for x in lst),
-                 f"rotation at {nid} must be a list of node ids")
-        _require(nid not in rotations, f"rotation at {nid} repeated")
-        rotations[nid] = tuple(lst)
+        if not (isinstance(lst, list) and _all_ints(lst)):
+            raise DocumentError(f"rotation at {nid} must be a list of node ids")
+        rotations[nid] = lst
 
     raw_chains = document.get("chains")
-    _require(isinstance(raw_chains, dict), '"chains" must map "u-v" to node sequences')
+    if not isinstance(raw_chains, dict):
+        raise DocumentError('"chains" must map "u-v" to node sequences')
     chains = {}
     for key, lst in raw_chains.items():
         e = _parse_edge_key(key)
-        _require(e not in chains, f"chain {key} repeated")
-        _require(isinstance(lst, list) and all(_is_int(x) for x in lst),
-                 f"chain {key} must be a list of node ids")
-        chains[e] = tuple(lst)
+        if e in chains:
+            raise DocumentError(f"chain {key} repeated")
+        if not (isinstance(lst, list) and _all_ints(lst)):
+            raise DocumentError(f"chain {key} must be a list of node ids")
+        chains[e] = lst
 
     try:
         drawing = Drawing(range(n), crossings, rotations, chains)
-    except Exception as exc:
+    except StructureError as exc:
         raise DocumentError(str(exc)) from None
     trace_faces(drawing)  # raises EmbeddingError on a non-sphere rotation system
     return drawing
 
 
+def _all_ints(items) -> bool:
+    """Whether every item is an int; a bool is not (see _is_int)."""
+    return _INT_TYPE.issuperset(map(type, items))
+
+
+_INT_TYPE = frozenset([int])
+
+
 def _parse_int_key(key, what) -> int:
+    """The node id a key names; only the canonical decimal form, as
+    str(nid), is accepted."""
     try:
-        return int(key)
+        nid = int(key)
     except (TypeError, ValueError):
-        raise DocumentError(f"{what} key {key!r} is not a node id") from None
+        nid = None
+    if nid is None or str(nid) != key:
+        raise DocumentError(f"{what} key {key!r} is not a node id")
+    return nid
 
 
 def _parse_edge_key(key):
-    parts = str(key).split("-")
+    """The edge a chain key "u-v" names, u and v in canonical decimal
+    form; "v-u" names the same edge."""
+    parts = key.split("-") if isinstance(key, str) else ()
     if len(parts) == 2:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             u = v = None
-        if u is not None and u != v:
+        if u is not None and u != v and f"{u}-{v}" == key:
             return edge_key(u, v)
     raise DocumentError(f'chain key {key!r} must look like "u-v"')
 

@@ -15,6 +15,7 @@ Everything here is immutable after construction; derived structures
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import EmbeddingError, StructureError
 
@@ -45,7 +46,8 @@ class Drawing:
         self.vertex_set = frozenset(self.vertices)
         self.crossings = {c: frozenset(map(tuple, pair)) for c, pair in crossings.items()}
         self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
-        self.chains = {edge_key(*e): tuple(ch) for e, ch in chains.items()}
+        self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
+                       for (u, v), ch in chains.items()}
         self.geometry = geometry
         self._cache = {}
         self.segment_edge = self._validate()
@@ -57,74 +59,86 @@ class Drawing:
     def edges(self):
         return sorted(self.chains)
 
-    def segment_count(self) -> int:
-        return len(self.segment_edge)
-
     def crossing_count(self) -> int:
         return len(self.crossings)
 
     # -- construction-time consistency ----------------------------------
 
     def _validate(self):
-        if self.n < 3:
+        """Check the structure and return the segment -> edge map.
+
+        Checks run in a fixed order, so a drawing with several faults is
+        always rejected with the same message. Once every chain has passed,
+        each crossing has exactly four distinct neighbours (its two edges
+        pass through it once each, and no segment lies on two chains) and
+        each vertex exactly n - 1 (one per incident edge). A rotation of
+        that length whose entries are distinct neighbours is therefore the
+        node's whole neighbourhood, so no adjacency set is built.
+        """
+        n = self.n
+        if n < 3:
             raise StructureError("a drawing needs at least 3 vertices")
         verts = self.vertices
+        chains, crossings, rotations = self.chains, self.crossings, self.rotations
         # the count comes first: the set of all pairs is quadratic in n
-        if (len(self.chains) != self.n * (self.n - 1) // 2
-                or set(self.chains) != {(u, v) for i, u in enumerate(verts)
-                                        for v in verts[i + 1:]}):
+        if (len(chains) != n * (n - 1) // 2
+                or chains.keys() != {(u, v) for i, u in enumerate(verts)
+                                     for v in verts[i + 1:]}):
             raise StructureError("chains must cover every vertex pair exactly once")
-        if self.vertex_set & set(self.crossings):
+        if not self.vertex_set.isdisjoint(crossings):
             raise StructureError("crossing ids overlap vertex ids")
 
         seg_edge = {}
-        uses = {c: [] for c in self.crossings}
-        for e, ch in self.chains.items():
+        uses = dict.fromkeys(crossings, 0)
+        for e, ch in chains.items():
+            if len(ch) < 2:
+                raise StructureError(f"chain of {e} needs at least 2 nodes")
             if ch[0] != e[0] or ch[-1] != e[1]:
                 raise StructureError(f"chain of {e} must run from {e[0]} to {e[1]}")
             if len(set(ch)) != len(ch):
                 raise StructureError(f"chain of {e} revisits a node")
             for c in ch[1:-1]:
-                pair = self.crossings.get(c)
+                pair = crossings.get(c)
                 if pair is None:
                     raise StructureError(f"chain of {e} passes through unknown node {c}")
                 if e not in pair:
                     raise StructureError(f"crossing {c} does not involve edge {e}")
-                uses[c].append(e)
-            for a, b in zip(ch, ch[1:]):
-                s = seg_key(a, b)
-                if s in seg_edge:
-                    raise StructureError(f"segment {s} appears in two chains")
-                seg_edge[s] = e
+                uses[c] += 1
+            segments = [(a, b) if a < b else (b, a) for a, b in zip(ch, ch[1:])]
+            if not seg_edge.keys().isdisjoint(segments):
+                s = next(s for s in segments if s in seg_edge)
+                raise StructureError(f"segment {s} appears in two chains")
+            seg_edge.update(zip(segments, repeat(e)))
 
-        for c, pair in self.crossings.items():
+        for c, pair in crossings.items():
             if len(pair) != 2:
                 raise StructureError(f"crossing {c} must join exactly two edges")
-            if sorted(uses[c]) != sorted(pair):
+            # a chain passes a crossing at most once and only on its edges
+            if uses[c] != 2:
                 raise StructureError(f"crossing {c} must lie on exactly its two edges")
 
-        adjacency = {x: set() for x in list(self.vertices) + list(self.crossings)}
-        for a, b in seg_edge:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        if set(self.rotations) != set(adjacency):
+        if rotations.keys() != self.vertex_set | crossings.keys():
             raise StructureError("rotations must list every node exactly once")
-        for x, rot in self.rotations.items():
-            if len(rot) != len(set(rot)) or set(rot) != adjacency[x]:
-                raise StructureError(f"rotation at {x} does not match incident segments")
-            if x in self.crossings:
-                if len(rot) != 4:
-                    raise StructureError(f"crossing {x} must have degree 4")
-                e0 = seg_edge[seg_key(x, rot[0])]
-                e1 = seg_edge[seg_key(x, rot[1])]
-                e2 = seg_edge[seg_key(x, rot[2])]
-                e3 = seg_edge[seg_key(x, rot[3])]
-                if not (e0 == e2 and e1 == e3 and e0 != e1):
-                    raise StructureError(
-                        f"crossing {x}: the two segments of each edge must be "
-                        f"opposite in the rotation")
-            elif len(rot) != self.n - 1:
-                raise StructureError(f"vertex {x} must have degree n-1")
+        for x, rot in rotations.items():
+            if x in crossings:
+                if len(rot) == 4:
+                    a, b, c, d = rot
+                    ea = seg_edge.get((x, a) if x < a else (a, x))
+                    eb = seg_edge.get((x, b) if x < b else (b, x))
+                    ec = seg_edge.get((x, c) if x < c else (c, x))
+                    ed = seg_edge.get((x, d) if x < d else (d, x))
+                    # four distinct neighbours, the two of each edge opposite
+                    if (ea == ec and eb == ed and ea != eb and ea is not None
+                            and eb is not None and a != c and b != d):
+                        continue
+                    if None not in (ea, eb, ec, ed) and len(set(rot)) == 4:
+                        raise StructureError(
+                            f"crossing {x}: the two segments of each edge must be "
+                            f"opposite in the rotation")
+            elif (len(rot) == n - 1 and len(set(rot)) == n - 1
+                  and all(((x, y) if x < y else (y, x)) in seg_edge for y in rot)):
+                continue
+            raise StructureError(f"rotation at {x} does not match incident segments")
         return seg_edge
 
     # -- canonical comparable form ---------------------------------------
@@ -186,8 +200,10 @@ class FaceSet:
 def trace_faces(drawing: Drawing) -> FaceSet:
     """Trace all faces of the drawing; cached per drawing.
 
-    Raises EmbeddingError if the rotation system is disconnected or fails
-    Euler's formula (i.e. it does not describe a sphere embedding).
+    Raises EmbeddingError if the rotation system fails Euler's formula
+    (i.e. it does not describe a sphere embedding). The plane graph is
+    connected by construction: every node lies on a chain, and a chain
+    joins every pair of vertices.
     """
     fs = drawing._cache.get("faces")
     if fs is None:
@@ -197,45 +213,40 @@ def trace_faces(drawing: Drawing) -> FaceSet:
 
 
 def _trace(drawing: Drawing) -> FaceSet:
-    # Next boundary dart of the face LEFT of (a, b): reverse to (b, a), then
-    # step backward in the ccw rotation at b. (Stepping forward would trace
-    # the right-hand faces instead.)
+    # nxt maps a dart (a, b) to the next boundary dart of the face LEFT of
+    # it: reverse to (b, a), then step backward in the ccw rotation at b.
+    # (Stepping forward would trace the right-hand faces instead.) A walk
+    # pops the darts it passes.
     rot = drawing.rotations
-    pred = {}
-    for node, nbrs in rot.items():
-        for i, a in enumerate(nbrs):
-            pred[(node, a)] = nbrs[i - 1]
+    nxt = {}
+    for b, nbrs in rot.items():
+        p = nbrs[-1]
+        for a in nbrs:
+            nxt[(a, b)] = (b, p)
+            p = a
 
+    # Faces are numbered in the order of their first dart, taking darts
+    # (node, nbr) by node and then in rotation order.
     faces = []
     dart_face = {}
+    pop = nxt.pop
     for node in sorted(rot):
         for nbr in rot[node]:
-            if (node, nbr) in dart_face:
+            first = (node, nbr)
+            if first in dart_face:
                 continue
-            walk = []
-            cur = (node, nbr)
-            while cur not in dart_face:
-                dart_face[cur] = len(faces)
-                walk.append(cur)
-                a, b = cur
-                cur = (b, pred[(b, a)])
+            walk = [first]
+            dart = pop(first)
+            while dart != first:
+                walk.append(dart)
+                dart = pop(dart)
+            dart_face.update(zip(walk, repeat(len(faces))))
             faces.append(tuple(walk))
 
-    segment_sides = {}
-    for a, b in drawing.segment_edge:
-        segment_sides[(a, b)] = (dart_face[(a, b)], dart_face[(b, a)])
+    segment_sides = {s: (dart_face[s], dart_face[(s[1], s[0])])
+                     for s in drawing.segment_edge}
 
-    # Connectivity + Euler check: F - E + V = 2 on the sphere.
-    seen = {next(iter(rot))}
-    stack = [next(iter(rot))]
-    while stack:
-        x = stack.pop()
-        for y in rot[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(rot):
-        raise EmbeddingError("drawing is not connected")
+    # Euler's formula: F - E + V = 2 on the sphere.
     euler = len(faces) - len(drawing.segment_edge) + len(rot)
     if euler != 2:
         raise EmbeddingError(

@@ -50,10 +50,6 @@ class Orientation(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
-    @property
-    def flipped(self) -> "Orientation":
-        return Orientation.MINUS if self is Orientation.PLUS else Orientation.PLUS
-
 
 def harary_hill_bound(n: int) -> int:
     """The conjectured crossing number H(n) of the complete graph."""
@@ -209,15 +205,16 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
     keep, top = full, n - 2
     if deleted is not None:
         keep, top = full ^ (1 << deleted), n - 3
+    half = top // 2
     k_values = {}
     for e, (i, j, rel, mask) in lab.edges.items():
         if deleted in (i, j):
             continue
         # bit w set: F lies right of v_i -> v_j -> v_w, a - witness, up to
         # complementing every witness (the label's own bit of the edge,
-        # which the min below does not need)
+        # which taking the smaller side below does not need)
         minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
-        k_values[e] = min(minus, top - minus)
+        k_values[e] = minus if minus <= half else top - minus
     return k_values
 
 

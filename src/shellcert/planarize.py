@@ -108,7 +108,7 @@ def planarize(n, positions, polylines) -> Drawing:
                                  chains, per_edge, _shifts(span)[1])
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
-    trace_faces(drawing)  # Euler + connectivity check on the fresh embedding
+    trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
 
 

@@ -9,8 +9,10 @@ witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
 labelling, brute-force Fraction-only planarization with directions
 sorted by comparison instead of integer keys, closed-form integer
-formulas, and plain exhaustive enumeration of the shellability
-definitions instead of the backtracking deciders. The drawing primitives
+formulas, plain exhaustive enumeration of the shellability
+definitions instead of the backtracking deciders, and the combinatorial
+loader that built every set and traced faces by a predecessor map
+instead of the counting loader and the successor map. The drawing primitives
 (deletion, face maps, face tracing) are shared infrastructure; the logic
 on top is written from scratch.
 """
@@ -18,8 +20,9 @@ on top is written from scratch.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
-                               vertices_on_face)
+from shellcert.drawing import (Drawing, FaceSet, child_drawing, edge_key, seg_key,
+                               trace_faces, vertices_on_face)
+from shellcert.errors import DocumentError, EmbeddingError, StructureError
 from shellcert.geometry import cross, direction_half
 from shellcert.kedges import Orientation, k_edge_profile
 
@@ -102,6 +105,11 @@ def winding_orientation(drawing, point, u, v, w) -> Orientation:
         return Orientation.MINUS
     assert wn == 0, f"winding {wn} on a simple curve"
     return Orientation.PLUS if polygon_area2(poly) < 0 else Orientation.MINUS
+
+
+def flipped(orientation: Orientation) -> Orientation:
+    """The opposite orientation."""
+    return Orientation.MINUS if orientation is Orientation.PLUS else Orientation.PLUS
 
 
 def far_point(drawing):
@@ -515,3 +523,239 @@ def naive_bishellable(drawing, s, face=None) -> bool:
                        for i in range(s + 1) for j in range(s + 1) if i + j <= s):
                     return True
     return False
+
+
+# -- the combinatorial load path before it counted --------------------------
+#
+# The loader, Drawing's structural check and face tracing as they stood
+# before the loader formatted messages only on failure, the check counted
+# instead of building adjacency sets, and tracing walked a successor map.
+# Kept verbatim as the reference for rejection messages, faces and face ids.
+
+def _reference_require(cond, msg):
+    if not cond:
+        raise DocumentError(msg)
+
+
+def reference_load_combinatorial(document):
+    """Load a combinatorial document with a valid header the old way.
+
+    Returns (drawing, faces); the drawing has the attributes and the
+    canonical_form of a Drawing, and faces is a FaceSet.
+    """
+    _require = _reference_require
+    _is_int = _reference_is_int
+    n = document["n"]
+    allowed = {"format", "version", "mode", "n", "rotation_order",
+               "nodes", "rotations", "chains"}
+    extra = set(document) - allowed
+    _require(not extra, f"unknown keys {sorted(extra)} in combinatorial document")
+    _require(document.get("rotation_order") == "ccw",
+             'combinatorial documents must declare "rotation_order": "ccw"')
+
+    nodes = document.get("nodes")
+    _require(isinstance(nodes, list), '"nodes" must be a list')
+    vertex_ids = set()
+    crossings = {}
+    for item in nodes:
+        _require(isinstance(item, dict) and item.get("kind") in ("vertex", "crossing"),
+                 'each node needs "kind": "vertex" or "crossing"')
+        nid = item.get("id")
+        _require(_is_int(nid) and nid >= 0, f"node id {nid!r} must be a nonnegative integer")
+        _require(nid not in vertex_ids and nid not in crossings, f"node id {nid} repeated")
+        if item["kind"] == "vertex":
+            _require(set(item) == {"id", "kind"}, f"vertex node {nid}: unknown keys")
+            vertex_ids.add(nid)
+        else:
+            _require(set(item) == {"id", "kind", "edges"},
+                     f"crossing node {nid} needs exactly id, kind, edges")
+            pair = item["edges"]
+            _require(isinstance(pair, list) and len(pair) == 2,
+                     f"crossing {nid}: edges must list the two crossing edges")
+            edges = []
+            for uv in pair:
+                _require(isinstance(uv, list) and len(uv) == 2
+                         and _is_int(uv[0]) and _is_int(uv[1]) and uv[0] != uv[1],
+                         f"crossing {nid}: bad edge {uv!r}")
+                edges.append(edge_key(uv[0], uv[1]))
+            _require(edges[0] != edges[1], f"crossing {nid}: edges must differ")
+            crossings[nid] = frozenset(edges)
+    _require(vertex_ids == set(range(n)), "vertex nodes must be exactly 0..n-1")
+
+    raw_rot = document.get("rotations")
+    _require(isinstance(raw_rot, dict), '"rotations" must map node ids to dart lists')
+    rotations = {}
+    for key, lst in raw_rot.items():
+        nid = _reference_parse_int_key(key, "rotation")
+        _require(isinstance(lst, list) and all(_is_int(x) for x in lst),
+                 f"rotation at {nid} must be a list of node ids")
+        _require(nid not in rotations, f"rotation at {nid} repeated")
+        rotations[nid] = tuple(lst)
+
+    raw_chains = document.get("chains")
+    _require(isinstance(raw_chains, dict), '"chains" must map "u-v" to node sequences')
+    chains = {}
+    for key, lst in raw_chains.items():
+        e = _reference_parse_edge_key(key)
+        _require(e not in chains, f"chain {key} repeated")
+        _require(isinstance(lst, list) and all(_is_int(x) for x in lst),
+                 f"chain {key} must be a list of node ids")
+        chains[e] = tuple(lst)
+
+    try:
+        drawing = ReferenceDrawing(range(n), crossings, rotations, chains)
+    except Exception as exc:
+        raise DocumentError(str(exc)) from None
+    return drawing, reference_trace(drawing)
+
+
+def _reference_is_int(x) -> bool:
+    return type(x) is int
+
+
+def _reference_parse_int_key(key, what) -> int:
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise DocumentError(f"{what} key {key!r} is not a node id") from None
+
+
+def _reference_parse_edge_key(key):
+    parts = str(key).split("-")
+    if len(parts) == 2:
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            u = v = None
+        if u is not None and u != v:
+            return edge_key(u, v)
+    raise DocumentError(f'chain key {key!r} must look like "u-v"')
+
+
+class ReferenceDrawing:
+    """Drawing's constructor and structural check, building every set."""
+
+    canonical_form = Drawing.canonical_form
+
+    def __init__(self, vertices, crossings, rotations, chains):
+        self.vertices = tuple(sorted(vertices))
+        self.vertex_set = frozenset(self.vertices)
+        self.crossings = {c: frozenset(map(tuple, pair)) for c, pair in crossings.items()}
+        self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
+        self.chains = {edge_key(*e): tuple(ch) for e, ch in chains.items()}
+        self.segment_edge = self._validate()
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def _validate(self):
+        if self.n < 3:
+            raise StructureError("a drawing needs at least 3 vertices")
+        verts = self.vertices
+        # the count comes first: the set of all pairs is quadratic in n
+        if (len(self.chains) != self.n * (self.n - 1) // 2
+                or set(self.chains) != {(u, v) for i, u in enumerate(verts)
+                                        for v in verts[i + 1:]}):
+            raise StructureError("chains must cover every vertex pair exactly once")
+        if self.vertex_set & set(self.crossings):
+            raise StructureError("crossing ids overlap vertex ids")
+
+        seg_edge = {}
+        uses = {c: [] for c in self.crossings}
+        for e, ch in self.chains.items():
+            if ch[0] != e[0] or ch[-1] != e[1]:
+                raise StructureError(f"chain of {e} must run from {e[0]} to {e[1]}")
+            if len(set(ch)) != len(ch):
+                raise StructureError(f"chain of {e} revisits a node")
+            for c in ch[1:-1]:
+                pair = self.crossings.get(c)
+                if pair is None:
+                    raise StructureError(f"chain of {e} passes through unknown node {c}")
+                if e not in pair:
+                    raise StructureError(f"crossing {c} does not involve edge {e}")
+                uses[c].append(e)
+            for a, b in zip(ch, ch[1:]):
+                s = seg_key(a, b)
+                if s in seg_edge:
+                    raise StructureError(f"segment {s} appears in two chains")
+                seg_edge[s] = e
+
+        for c, pair in self.crossings.items():
+            if len(pair) != 2:
+                raise StructureError(f"crossing {c} must join exactly two edges")
+            if sorted(uses[c]) != sorted(pair):
+                raise StructureError(f"crossing {c} must lie on exactly its two edges")
+
+        adjacency = {x: set() for x in list(self.vertices) + list(self.crossings)}
+        for a, b in seg_edge:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        if set(self.rotations) != set(adjacency):
+            raise StructureError("rotations must list every node exactly once")
+        for x, rot in self.rotations.items():
+            if len(rot) != len(set(rot)) or set(rot) != adjacency[x]:
+                raise StructureError(f"rotation at {x} does not match incident segments")
+            if x in self.crossings:
+                if len(rot) != 4:
+                    raise StructureError(f"crossing {x} must have degree 4")
+                e0 = seg_edge[seg_key(x, rot[0])]
+                e1 = seg_edge[seg_key(x, rot[1])]
+                e2 = seg_edge[seg_key(x, rot[2])]
+                e3 = seg_edge[seg_key(x, rot[3])]
+                if not (e0 == e2 and e1 == e3 and e0 != e1):
+                    raise StructureError(
+                        f"crossing {x}: the two segments of each edge must be "
+                        f"opposite in the rotation")
+            elif len(rot) != self.n - 1:
+                raise StructureError(f"vertex {x} must have degree n-1")
+        return seg_edge
+
+
+def reference_trace(drawing) -> FaceSet:
+    """Faces by a predecessor map, with connectivity and Euler checks."""
+    # Next boundary dart of the face LEFT of (a, b): reverse to (b, a), then
+    # step backward in the ccw rotation at b. (Stepping forward would trace
+    # the right-hand faces instead.)
+    rot = drawing.rotations
+    pred = {}
+    for node, nbrs in rot.items():
+        for i, a in enumerate(nbrs):
+            pred[(node, a)] = nbrs[i - 1]
+
+    faces = []
+    dart_face = {}
+    for node in sorted(rot):
+        for nbr in rot[node]:
+            if (node, nbr) in dart_face:
+                continue
+            walk = []
+            cur = (node, nbr)
+            while cur not in dart_face:
+                dart_face[cur] = len(faces)
+                walk.append(cur)
+                a, b = cur
+                cur = (b, pred[(b, a)])
+            faces.append(tuple(walk))
+
+    segment_sides = {}
+    for a, b in drawing.segment_edge:
+        segment_sides[(a, b)] = (dart_face[(a, b)], dart_face[(b, a)])
+
+    # Connectivity + Euler check: F - E + V = 2 on the sphere.
+    seen = {next(iter(rot))}
+    stack = [next(iter(rot))]
+    while stack:
+        x = stack.pop()
+        for y in rot[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(rot):
+        raise EmbeddingError("drawing is not connected")
+    euler = len(faces) - len(drawing.segment_edge) + len(rot)
+    if euler != 2:
+        raise EmbeddingError(
+            f"rotation system is not a sphere embedding (F-E+V = {euler})")
+
+    return FaceSet(tuple(faces), dart_face, segment_sides)

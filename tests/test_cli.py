@@ -435,12 +435,14 @@ def _combinatorial_text(n, seed):
 
 def _assert_documented_exits(doc, n, seed):
     """Run analyze, decide, verify and export --labels on the document:
-    each exits 0-4, and all four exit 2 if it does not load or is not good."""
+    each exits 0-4 without a traceback, and all four exit 2 if it does not
+    load or is not good."""
     try:
         good = validate_goodness(load_drawing(doc)).ok
     except ShellcertError:
         good = False
-    with tempfile.TemporaryDirectory() as tmp:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         tmp = Path(tmp)
         drawing, cert = tmp / "drawing.json", tmp / "cert.json"
         drawing.write_text(json.dumps(doc))
@@ -456,6 +458,7 @@ def _assert_documented_exits(doc, n, seed):
                             "--output", str(tmp / "drawing.svg")]),
         }
     assert set(codes.values()) <= DOCUMENTED_EXITS
+    assert "Traceback" not in err.getvalue()
     if not good:
         assert set(codes.values()) == {2}, codes
 
@@ -469,13 +472,24 @@ def test_rerouted_edge_gets_documented_exit(case):
 @st.composite
 def mutated_combinatorial_documents(draw):
     """A rectilinear K6-K8 as a combinatorial document with one mutation:
-    two neighbours swapped in one rotation, one chain reversed, or one
-    crossing node dropped (from the nodes, the rotations and its chains)."""
+    two neighbours swapped in one rotation, one chain reversed or emptied,
+    one rotation emptied, one crossing node dropped (from the nodes, the
+    rotations and its chains), or an orphan crossing node added that no
+    chain passes through."""
     n = draw(st.integers(6, 8))
     seed = draw(st.integers(1, 3))
     doc = json.loads(_combinatorial_text(n, seed))
-    kind = draw(st.sampled_from(("swap", "reverse", "drop")))
-    if kind == "swap":
+    kind = draw(st.sampled_from(("swap", "reverse", "drop", "empty-chain",
+                                 "empty-rotation", "orphan")))
+    if kind == "empty-chain":
+        doc["chains"][draw(st.sampled_from(sorted(doc["chains"])))] = []
+    elif kind == "empty-rotation":
+        doc["rotations"][draw(st.sampled_from(sorted(doc["rotations"])))] = []
+    elif kind == "orphan":
+        node = max(x["id"] for x in doc["nodes"]) + 1
+        doc["nodes"].append({"id": node, "kind": "crossing", "edges": [[0, 1], [2, 3]]})
+        doc["rotations"][str(node)] = []
+    elif kind == "swap":
         rot = doc["rotations"][draw(st.sampled_from(sorted(doc["rotations"])))]
         i, j = draw(st.lists(st.integers(0, len(rot) - 1), min_size=2, max_size=2,
                              unique=True))

@@ -55,7 +55,7 @@ class TestGeometricLoad:
     def test_convex_k4_planarization(self):
         d = load_drawing(convex_k4_doc())
         assert d.crossing_count() == 1
-        assert d.segment_count() == 8
+        assert len(d.segment_edge) == 8
         fs = trace_faces(d)
         assert fs.face_count() == 5  # = segments - nodes + 2 = 8 - 5 + 2
         crossing = next(iter(d.crossings))
@@ -66,12 +66,12 @@ class TestGeometricLoad:
         for d in (convex(5), convex(7), cylindrical(6), cylindrical(9),
                   rectilinear(6, 11)):
             fs = trace_faces(d)
-            assert fs.face_count() - d.segment_count() + len(d.rotations) == 2
+            assert fs.face_count() - len(d.segment_edge) + len(d.rotations) == 2
 
     def test_convex_k5_face_count(self):
         # 10 edges with 5 crossings planarize to 20 segments and 10 nodes
         d = convex(5)
-        assert d.segment_count() == 20
+        assert len(d.segment_edge) == 20
         assert trace_faces(d).face_count() == 12
 
     def test_crossing_rotation_alternates(self):

@@ -1,0 +1,401 @@
+"""Every rejection message of the drawing loaders and of Drawing's
+structural check, pinned word for word: one fault per document, one
+test per message. Mutated combinatorial documents load to the same
+drawing and faces, or fail with the same message, as in the reference
+loader of tests/oracles.py."""
+
+import json
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import convex, cylindrical, rectilinear
+from oracles import reference_load_combinatorial
+from shellcert.documents import drawing_to_document, load_drawing
+from shellcert.drawing import Drawing, trace_faces
+from shellcert.errors import DocumentError, EmbeddingError, ShellcertError, StructureError
+from test_drawing import convex_k4_doc, triangle_doc
+
+
+def k4():
+    """Convex K_4 as a combinatorial document: crossing 4 joins the
+    diagonals (0, 2) and (1, 3), and chains run 0-1, 0-2, 0-3, 1-2, 1-3, 2-3.
+
+    rotations: 0 [1, 4, 3], 1 [2, 4, 0], 2 [3, 4, 1], 3 [2, 0, 4],
+    4 [2, 3, 0, 1]; chains 0-2 [0, 4, 2] and 1-3 [1, 4, 3].
+    """
+    return drawing_to_document(load_drawing(convex_k4_doc()), "combinatorial")
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+def _segment_in_two_chains(doc):
+    doc["nodes"][4]["edges"] = [[0, 1], [0, 2]]
+    doc["chains"]["0-1"] = [0, 4, 1]
+    doc["chains"]["1-3"] = [1, 3]
+
+
+def _chain_key_twice(doc):
+    doc["chains"]["1-0"] = [0, 1]
+
+
+def _drop_vertex_node(doc):
+    doc["nodes"] = doc["nodes"][:3] + doc["nodes"][4:]
+
+
+COMBINATORIAL = [
+    # (test id, mutation, message)
+    ("unknown-key", _set(["extra"], 1),
+     "unknown keys ['extra'] in combinatorial document"),
+    ("rotation-order", _set(["rotation_order"], "cw"),
+     'combinatorial documents must declare "rotation_order": "ccw"'),
+    ("nodes-not-list", _set(["nodes"], {}), '"nodes" must be a list'),
+    ("node-kind", _set(["nodes", 0, "kind"], "bend"),
+     'each node needs "kind": "vertex" or "crossing"'),
+    ("node-not-object", _set(["nodes", 0], [0, "vertex"]),
+     'each node needs "kind": "vertex" or "crossing"'),
+    ("node-id-negative", _set(["nodes", 0, "id"], -1),
+     "node id -1 must be a nonnegative integer"),
+    ("node-id-string", _set(["nodes", 0, "id"], "0"),
+     "node id '0' must be a nonnegative integer"),
+    ("node-id-missing", _drop(["nodes", 0, "id"]),
+     "node id None must be a nonnegative integer"),
+    ("node-id-repeated", _set(["nodes", 1, "id"], 0), "node id 0 repeated"),
+    ("vertex-node-keys", _set(["nodes", 0, "x"], 1), "vertex node 0: unknown keys"),
+    ("crossing-node-keys", _set(["nodes", 4, "x"], 1),
+     "crossing node 4 needs exactly id, kind, edges"),
+    ("crossing-node-no-edges", _drop(["nodes", 4, "edges"]),
+     "crossing node 4 needs exactly id, kind, edges"),
+    ("crossing-edge-count", _set(["nodes", 4, "edges"], [[0, 2]]),
+     "crossing 4: edges must list the two crossing edges"),
+    ("crossing-edges-not-list", _set(["nodes", 4, "edges"], "0-2,1-3"),
+     "crossing 4: edges must list the two crossing edges"),
+    ("crossing-loop-edge", _set(["nodes", 4, "edges"], [[0, 2], [1, 1]]),
+     "crossing 4: bad edge [1, 1]"),
+    ("crossing-edge-not-pair", _set(["nodes", 4, "edges"], [[0, 2, 3], [1, 3]]),
+     "crossing 4: bad edge [0, 2, 3]"),
+    ("crossing-edge-bool", _set(["nodes", 4, "edges"], [[0, 2], [True, 3]]),
+     "crossing 4: bad edge [True, 3]"),
+    ("crossing-same-edge", _set(["nodes", 4, "edges"], [[0, 2], [2, 0]]),
+     "crossing 4: edges must differ"),
+    ("vertex-nodes", _drop_vertex_node, "vertex nodes must be exactly 0..n-1"),
+    ("rotations-not-object", _set(["rotations"], []),
+     '"rotations" must map node ids to dart lists'),
+    ("rotation-key", _set(["rotations", "x"], [1]), "rotation key 'x' is not a node id"),
+    ("rotation-entries", _set(["rotations", "0"], [1, "4", 3]),
+     "rotation at 0 must be a list of node ids"),
+    ("rotation-not-list", _set(["rotations", "0"], 1),
+     "rotation at 0 must be a list of node ids"),
+    ("chains-not-object", _set(["chains"], []),
+     '"chains" must map "u-v" to node sequences'),
+    ("chain-key", _set(["chains", "0_1"], [0, 1]),
+     "chain key '0_1' must look like \"u-v\""),
+    ("chain-key-loop", _set(["chains", "1-1"], [1, 1]),
+     "chain key '1-1' must look like \"u-v\""),
+    ("chain-key-repeated", _chain_key_twice, "chain 1-0 repeated"),
+    ("chain-entries", _set(["chains", "0-1"], [0, 1.0]),
+     "chain 0-1 must be a list of node ids"),
+    # Drawing's structural check, reached through the loader
+    ("chain-missing", _drop(["chains", "0-1"]),
+     "chains must cover every vertex pair exactly once"),
+    ("chain-ends", _set(["chains", "0-1"], [1, 0]), "chain of (0, 1) must run from 0 to 1"),
+    ("chain-revisits", _set(["chains", "0-2"], [0, 4, 0, 2]),
+     "chain of (0, 2) revisits a node"),
+    ("chain-unknown-node", _set(["chains", "0-1"], [0, 7, 1]),
+     "chain of (0, 1) passes through unknown node 7"),
+    ("chain-through-vertex", _set(["chains", "0-1"], [0, 3, 1]),
+     "chain of (0, 1) passes through unknown node 3"),
+    ("crossing-not-on-edge", _set(["chains", "0-1"], [0, 4, 1]),
+     "crossing 4 does not involve edge (0, 1)"),
+    ("segment-twice", _segment_in_two_chains, "segment (0, 4) appears in two chains"),
+    ("crossing-unused", _set(["chains", "1-3"], [1, 3]),
+     "crossing 4 must lie on exactly its two edges"),
+    ("rotation-missing", _drop(["rotations", "4"]),
+     "rotations must list every node exactly once"),
+    ("rotation-extra", _set(["rotations", "5"], [0]),
+     "rotations must list every node exactly once"),
+    ("rotation-wrong-neighbour", _set(["rotations", "0"], [1, 4, 2]),
+     "rotation at 0 does not match incident segments"),
+    ("rotation-repeats", _set(["rotations", "0"], [1, 4, 4]),
+     "rotation at 0 does not match incident segments"),
+    ("rotation-short", _set(["rotations", "0"], [1, 4]),
+     "rotation at 0 does not match incident segments"),
+    ("rotation-long", _set(["rotations", "0"], [1, 4, 3, 2]),
+     "rotation at 0 does not match incident segments"),
+    ("crossing-rotation-short", _set(["rotations", "4"], [2, 3, 0]),
+     "rotation at 4 does not match incident segments"),
+    ("crossing-rotation-repeats", _set(["rotations", "4"], [2, 3, 2, 1]),
+     "rotation at 4 does not match incident segments"),
+    ("crossing-rotation-order", _set(["rotations", "4"], [3, 2, 0, 1]),
+     "crossing 4: the two segments of each edge must be opposite in the rotation"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", [case[1:] for case in COMBINATORIAL],
+                         ids=[case[0] for case in COMBINATORIAL])
+def test_combinatorial_rejection(mutate, message):
+    doc = k4()
+    mutate(doc)
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == message
+
+
+def test_combinatorial_rejection_of_a_non_sphere_rotation_system():
+    doc = k4()
+    doc["rotations"]["0"].reverse()
+    with pytest.raises(EmbeddingError) as info:
+        load_drawing(doc)
+    assert str(info.value) == "rotation system is not a sphere embedding (F-E+V = 0)"
+
+
+def _edge(index, **fields):
+    def mutate(doc):
+        doc["edges"][index].update(fields)
+    return mutate
+
+
+def _vertex(index, **fields):
+    def mutate(doc):
+        doc["vertices"][index].update(fields)
+    return mutate
+
+
+def _edge_twice(doc):
+    doc["edges"][2] = dict(doc["edges"][1])
+
+
+GEOMETRIC = [
+    ("unknown-key", _set(["extra"], 1), "unknown keys ['extra'] in geometric document"),
+    ("vertices-short", _set(["vertices"], [{"id": 0, "x": 0, "y": 0}]),
+     '"vertices" must list each of the n vertices once'),
+    ("vertex-keys", _vertex(0, z=0), "each vertex needs exactly id, x, y"),
+    ("vertex-not-object", _set(["vertices", 0], [0, 0, 0]),
+     "each vertex needs exactly id, x, y"),
+    ("vertex-float", _vertex(0, x=0.5),
+     "vertex {'id': 0, 'x': 0.5, 'y': 0}: id and coordinates must be integers"),
+    ("vertex-id-bool", _vertex(1, id=True),
+     "vertex {'id': True, 'x': 4, 'y': 0}: id and coordinates must be integers"),
+    ("vertex-id-range", _vertex(2, id=3), "vertex id 3 out of range"),
+    ("vertex-id-repeated", _vertex(1, id=0), "vertex id 0 repeated"),
+    ("edges-short", _set(["edges"], []), '"edges" must list every vertex pair exactly once'),
+    ("edge-keys", _edge(0, w=1), "each edge needs exactly u, v, polyline"),
+    ("edge-not-object", _set(["edges", 0], [0, 1]), "each edge needs exactly u, v, polyline"),
+    ("edge-loop", _edge(0, v=0),
+     "edge {'u': 0, 'v': 0, 'polyline': [[0, 0], [4, 0]]}: "
+     "endpoints must be distinct vertex ids"),
+    ("edge-out-of-range", _edge(0, v=3),
+     "edge {'u': 0, 'v': 3, 'polyline': [[0, 0], [4, 0]]}: "
+     "endpoints must be distinct vertex ids"),
+    ("edge-repeated", _edge_twice, "edge (0, 2) repeated"),
+    ("polyline-one-point", _edge(0, polyline=[[0, 0]]),
+     "edge (0, 1): polyline needs at least 2 points"),
+    ("polyline-not-list", _edge(0, polyline="0,0 4,0"),
+     "edge (0, 1): polyline needs at least 2 points"),
+    ("polyline-point", _edge(0, polyline=[[0, 0], [4, 0.5]]),
+     "edge (0, 1): polyline points must be integer pairs"),
+    ("polyline-triple", _edge(0, polyline=[[0, 0, 0], [4, 0]]),
+     "edge (0, 1): polyline points must be integer pairs"),
+    ("polyline-ends", _edge(0, polyline=[[0, 0], [5, 0]]),
+     "edge (0, 1): polyline must start and end at its vertices"),
+    ("polyline-reversed-ends", _edge(0, u=1, v=0),
+     "edge (0, 1): polyline must start and end at its vertices"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", [case[1:] for case in GEOMETRIC],
+                         ids=[case[0] for case in GEOMETRIC])
+def test_geometric_rejection(mutate, message):
+    doc = triangle_doc()
+    mutate(doc)
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == message
+
+
+K4_CHAINS = {(0, 1): (0, 1), (0, 2): (0, 4, 2), (0, 3): (0, 3),
+             (1, 2): (1, 2), (1, 3): (1, 4, 3), (2, 3): (2, 3)}
+K4_ROTATIONS = {0: (1, 4, 3), 1: (2, 4, 0), 2: (3, 4, 1), 3: (2, 0, 4), 4: (2, 3, 0, 1)}
+
+DIRECT = [
+    # (test id, vertices, crossings, rotations, chains, message): faults
+    # that a document cannot express
+    ("two-vertices", (0, 1), {}, {0: (1,), 1: (0,)}, {(0, 1): (0, 1)},
+     "a drawing needs at least 3 vertices"),
+    ("crossing-id-is-vertex", range(3), {2: {(0, 1), (1, 2)}},
+     {0: (1, 2), 1: (2, 0), 2: (0, 1)}, {(0, 1): (0, 1), (0, 2): (0, 2), (1, 2): (1, 2)},
+     "crossing ids overlap vertex ids"),
+    ("crossing-of-one-edge", range(4), {4: {(0, 2)}}, K4_ROTATIONS,
+     {**K4_CHAINS, (1, 3): (1, 3)}, "crossing 4 must join exactly two edges"),
+    ("crossing-of-three-edges", range(4), {4: {(0, 2), (1, 3), (0, 1)}}, K4_ROTATIONS,
+     K4_CHAINS, "crossing 4 must join exactly two edges"),
+]
+
+
+@pytest.mark.parametrize("vertices, crossings, rotations, chains, message",
+                         [case[1:] for case in DIRECT], ids=[case[0] for case in DIRECT])
+def test_direct_drawing_rejection(vertices, crossings, rotations, chains, message):
+    with pytest.raises(StructureError) as info:
+        Drawing(vertices, crossings, rotations, chains)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("chain", [[], [0], [1]])
+def test_chain_with_fewer_than_two_nodes(chain):
+    doc = k4()
+    doc["chains"]["0-1"] = chain
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == "chain of (0, 1) needs at least 2 nodes"
+
+
+def _renamed(mapping, old, new):
+    return {new if key == old else key: value for key, value in mapping.items()}
+
+
+@pytest.mark.parametrize("key", [" 0", "0 ", "+0", "0_0", "00", "-0", "٠", 0])
+def test_rotation_key_must_be_canonical(key):
+    doc = k4()
+    doc["rotations"] = _renamed(doc["rotations"], "0", key)
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == f"rotation key {key!r} is not a node id"
+
+
+@pytest.mark.parametrize("key", [" 0-1", "0-1 ", "0 -1", "+0-1", "0-01", "0_0-1", "0--1",
+                                 "0-1-2", "1-٠"])
+def test_chain_key_must_be_canonical(key):
+    doc = k4()
+    doc["chains"] = _renamed(doc["chains"], "0-1", key)
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == f'chain key {key!r} must look like "u-v"'
+
+
+def test_reversed_chain_key_is_canonical():
+    doc = k4()
+    doc["chains"] = _renamed(doc["chains"], "0-1", "1-0")
+    assert load_drawing(doc).chains[(0, 1)] == (0, 1)
+
+
+@lru_cache(maxsize=None)
+def _base_text(family, n, seed):
+    drawing = {"convex": lambda: convex(n), "cylindrical": lambda: cylindrical(n),
+               "rectilinear": lambda: rectilinear(n, seed)}[family]()
+    return json.dumps(drawing_to_document(drawing, "combinatorial"))
+
+
+MUTATIONS = ("swap", "shift", "reverse-rotation", "set-entry", "drop-entry", "add-entry",
+             "reverse-chain", "set-interior", "add-interior", "drop-interior",
+             "drop-crossing", "crossing-edges", "drop-rotation", "add-rotation",
+             "drop-chain", "reorder")
+
+
+def _mutate(draw, doc):
+    """One mutation of a combinatorial document. Chains keep at least two
+    nodes and keys stay canonical: the loader rejects those faults with
+    messages of its own (see the tests above)."""
+    rotations, chains = doc["rotations"], doc["chains"]
+    crossing_ids = [x["id"] for x in doc["nodes"] if x["kind"] == "crossing"]
+    node_id = st.integers(0, doc["n"] + len(crossing_ids) + 1)
+    kind = draw(st.sampled_from(MUTATIONS))
+    rot = rotations[draw(st.sampled_from(sorted(rotations)))] if rotations else None
+    key = draw(st.sampled_from(sorted(chains))) if chains else None
+    chain = chains[key] if chains else None
+    if kind in ("swap", "set-entry", "drop-entry") and rot:
+        i = draw(st.integers(0, len(rot) - 1))
+        if kind == "swap":
+            j = draw(st.integers(0, len(rot) - 1))
+            rot[i], rot[j] = rot[j], rot[i]
+        elif kind == "set-entry":
+            rot[i] = draw(st.sampled_from(rot) | node_id)
+        else:
+            del rot[i]
+    elif kind == "shift" and rot:
+        rot[:] = rot[1:] + rot[:1]
+    elif kind == "reverse-rotation" and rot:
+        rot.reverse()
+    elif kind == "add-entry" and rot is not None:
+        rot.insert(draw(st.integers(0, len(rot))), draw(node_id))
+    elif kind == "reverse-chain" and chain:
+        chain.reverse()
+    elif kind == "set-interior" and chain and len(chain) > 2:
+        chain[draw(st.integers(1, len(chain) - 2))] = draw(node_id)
+    elif kind == "add-interior" and chain:
+        chain.insert(draw(st.integers(1, len(chain) - 1)), draw(node_id))
+    elif kind == "drop-interior" and chain and len(chain) > 2:
+        del chain[draw(st.integers(1, len(chain) - 2))]
+    elif kind == "drop-crossing" and crossing_ids:
+        node = draw(st.sampled_from(crossing_ids))
+        doc["nodes"] = [x for x in doc["nodes"] if x["id"] != node]
+        rotations.pop(str(node), None)
+        for chain in chains.values():
+            if node in chain and len(chain) > 2:
+                chain.remove(node)
+    elif kind == "crossing-edges" and crossing_ids:
+        node_id = draw(st.sampled_from(crossing_ids))
+        node = next(x for x in doc["nodes"] if x["id"] == node_id)
+        u, v = draw(st.lists(st.integers(0, doc["n"] - 1), min_size=2, max_size=2,
+                             unique=True))
+        node["edges"][draw(st.integers(0, 1))] = [u, v]
+    elif kind == "drop-rotation" and rotations:
+        del rotations[draw(st.sampled_from(sorted(rotations)))]
+    elif kind == "add-rotation":
+        rotations[str(draw(node_id))] = draw(st.lists(node_id, max_size=4))
+    elif kind == "drop-chain" and chains:
+        del chains[key]
+    elif kind == "reorder":
+        name = draw(st.sampled_from(("rotations", "chains")))
+        items = list(doc[name].items())
+        doc[name] = dict(draw(st.permutations(items)))
+
+
+@st.composite
+def mutated_documents(draw):
+    family = draw(st.sampled_from(("convex", "cylindrical", "rectilinear")))
+    n = draw(st.integers(4, 7))
+    seed = draw(st.integers(1, 3)) if family == "rectilinear" else 0
+    doc = json.loads(_base_text(family, n, seed))
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    return doc
+
+
+def _outcome(load, doc):
+    try:
+        drawing, faces = load(doc)
+    except ShellcertError as exc:
+        return type(exc), str(exc)
+    return (drawing.canonical_form(), faces.faces, list(faces.dart_face.items()),
+            list(faces.segment_sides.items()))
+
+
+def _load(doc):
+    drawing = load_drawing(doc)
+    return drawing, trace_faces(drawing)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_documents_load_as_in_the_reference(doc):
+    text = json.dumps(doc)
+    assert _outcome(_load, json.loads(text)) \
+        == _outcome(reference_load_combinatorial, json.loads(text))
