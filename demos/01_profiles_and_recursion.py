@@ -26,9 +26,9 @@ print(f"an optimal drawing of the complete graph on {n} vertices")
 print(f"  crossings: {drawing.crossing_count()}")
 print(f"  faces:     {faces.face_count()}")
 print(f"  reference face {face} touches vertices "
-      f"{sorted(vertices_on_face(drawing, faces, face))}")
+      f"{sorted(vertices_on_face(drawing, face))}")
 
-profile = k_edge_profile(drawing, faces, face)
+profile = k_edge_profile(drawing, face)
 print("\nper-edge k-values with respect to that face:")
 for edge, k in sorted(profile.k_values.items()):
     print(f"  edge {edge}: {k}")
@@ -36,10 +36,10 @@ print(f"counts per level: {profile.counts}")
 print(f"cumulated counts: {profile.cumulated}")
 
 # Delete a vertex sitting on the reference face and compare.
-v = min(vertices_on_face(drawing, faces, face))
+v = min(vertices_on_face(drawing, face))
 child, child_faces, face_map = child_drawing(drawing, v)
-child_profile = k_edge_profile(child, child_faces, face_map[face])
-report = invariant_edges(drawing, faces, face, v)
+child_profile = k_edge_profile(child, face_map[face])
+report = invariant_edges(drawing, face, v)
 
 print(f"\ndeleting vertex {v}: the child drawing has "
       f"{child.crossing_count()} crossings and {child_faces.face_count()} faces")
@@ -50,7 +50,7 @@ print("\nthe recursion that ties the two profiles together, per level k:")
 print("  cumulated(parent) = cumulated(child, k-1) + at-deleted-vertex + invariant")
 for k in range(n // 2 - 1):
     child_term = child_profile.cumulated[k - 1] if k >= 1 else 0
-    at_v = vertex_k_profile(drawing, faces, face, v)[k]
+    at_v = vertex_k_profile(drawing, face, v)[k]
     inv = report.cumulated[k]
     total = child_term + at_v + inv
     print(f"  k={k}: {profile.cumulated[k]:3d} = {child_term:3d} + {at_v:3d} + {inv:3d}"

@@ -11,7 +11,7 @@ Run:  python demos/03_crossing_bounds.py
 
 from shellcert import (
     cumulative_bound_check, cylindrical_drawing, decide_seq_shellable,
-    harary_hill_bound, random_rectilinear, trace_faces,
+    harary_hill_bound, random_rectilinear,
 )
 
 print("the conjectured crossing number H(n) and the cylindrical family:")
@@ -25,8 +25,7 @@ drawing = cylindrical_drawing(10)
 k_top = drawing.n // 2 - 2
 cert = decide_seq_shellable(drawing, k_top)
 print(f"  seq-shellable at k = {k_top} for face {cert.face}")
-faces = trace_faces(drawing)
-rows = cumulative_bound_check(drawing, faces, cert.face, k_top)
+rows = cumulative_bound_check(drawing, cert.face, k_top)
 print(f"  {'k':>3} {'cumulated':>10} {'threshold':>10} {'holds':>6}")
 for row in rows:
     print(f"  {row.k:>3} {row.cumulated:>10} {row.threshold:>10} {str(row.ok):>6}")
@@ -36,8 +35,7 @@ print("\nthe same chain on seeded random straight-line drawings of K_7:")
 for seed in range(5):
     d = random_rectilinear(7, seed)
     c = decide_seq_shellable(d, 1)
-    fs = trace_faces(d)
-    ok = all(r.ok for r in cumulative_bound_check(d, fs, c.face, 1))
+    ok = all(r.ok for r in cumulative_bound_check(d, c.face, 1))
     print(f"  seed {seed}: crossings {d.crossing_count():>2}, "
           f"bounds hold: {ok}, cr >= H(7) = {harary_hill_bound(7)}: "
           f"{d.crossing_count() >= harary_hill_bound(7)}")

@@ -133,8 +133,9 @@ def _emit(payload, path) -> None:
         dump_document(payload, path)
 
 
-def _parse_face(selector, drawing, faces):
+def _parse_face(selector, drawing):
     """Face selector: an id, "auto" for all faces, or "at:x,y" (geometric)."""
+    faces = trace_faces(drawing)
     if selector == "auto":
         return list(faces.face_ids())
     if selector.startswith("at:"):
@@ -156,7 +157,6 @@ def _parse_face(selector, drawing, faces):
 def cmd_analyze(args) -> int:
     drawing = load_drawing(_read_json(args.input))
     report = validate_goodness(drawing)
-    faces = trace_faces(drawing)
     payload = {
         "input": {"path": args.input, "sha256": _sha256(args.input)},
         "n": drawing.n,
@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
             "violations": [{"condition": c, "edges": [list(e) for e in pair]}
                            for c, pair in report.violations],
         },
-        "faces": {"count": faces.face_count()},
+        "faces": {"count": trace_faces(drawing).face_count()},
         "crossings": drawing.crossing_count(),
         "harary_hill": harary_hill_bound(drawing.n),
         "profiles": [],
@@ -177,19 +177,19 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID
 
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
-    selected = _parse_face(args.face, drawing, faces)
+    selected = _parse_face(args.face, drawing)
     payload["faces"]["analyzed"] = selected
     # the writer sorts every key, so the names need no order of their own
     names = {e: f"{e[0]}-{e[1]}" for e in drawing.chains}
     for face in selected:
-        prof = k_edge_profile(drawing, faces, face)
+        prof = k_edge_profile(drawing, face)
         # a drawing on 3 vertices has no bound levels: by default its
         # table is empty, and an explicit --kmax is out of range
         rows = (() if args.kmax is None and kmax < 0
-                else cumulative_bound_check(drawing, faces, face, kmax))
+                else cumulative_bound_check(drawing, face, kmax))
         payload["profiles"].append({
             "face": face,
-            "face_vertices": sorted(vertices_on_face(drawing, faces, face)),
+            "face_vertices": sorted(vertices_on_face(drawing, face)),
             "k_values": {names[e]: k for e, k in prof.k_values.items()},
             "counts": list(prof.counts),
             "cumulated": list(prof.cumulated),
@@ -208,8 +208,7 @@ def cmd_decide(args) -> int:
     k = args.k if args.k is not None else max_k(drawing.n) - 1
     if not 0 <= k <= drawing.n - 2:
         raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {k}")
-    faces = trace_faces(drawing)
-    selected = _parse_face(args.face, drawing, faces)
+    selected = _parse_face(args.face, drawing)
     face_filter = None if args.face == "auto" else selected[0]
 
     if args.mode == "seq":
@@ -268,13 +267,12 @@ def cmd_export(args) -> int:
     if args.labels is not None and not validate_goodness(drawing).ok:
         print(NOT_GOOD, file=sys.stderr)
         return EXIT_INVALID
-    faces = trace_faces(drawing)
     face_highlight = None
     if args.face is not None:
-        face_highlight = _parse_face(args.face, drawing, faces)[0]
+        face_highlight = _parse_face(args.face, drawing)[0]
     label_face = None
     if args.labels is not None:
-        label_face = _parse_face(args.labels, drawing, faces)[0]
+        label_face = _parse_face(args.labels, drawing)[0]
     certificate = None
     if args.certificate is not None:
         certificate, _ = certificate_from_document(_read_json(args.certificate))

@@ -222,8 +222,6 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
     exported combinatorially after relabeling by the caller)."""
     if drawing.vertices != tuple(range(drawing.n)):
         raise ValueError("only drawings with vertex ids 0..n-1 can be exported")
-    head = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-            "mode": mode, "n": drawing.n}
     if mode == "geometric":
         if drawing.geometry is None:
             raise ValueError("drawing carries no geometry")
@@ -231,15 +229,11 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
         for e, pts in sorted(geo.polylines.items()):
             if not all(_is_int(x) and _is_int(y) for x, y in pts):
                 raise ValueError(f"edge {e}: polyline is not integer-valued")
-        head["vertices"] = [{"id": v, "x": geo.points[v][0], "y": geo.points[v][1]}
-                            for v in drawing.vertices]
-        head["edges"] = [{"u": e[0], "v": e[1],
-                          "polyline": [[x, y] for x, y in geo.polylines[e]]}
-                         for e in drawing.edges()]
-        return head
+        return geometric_document(drawing.n, geo.points, geo.polylines)
     if mode != "combinatorial":
         raise ValueError(f"unknown mode {mode!r}")
-    head["rotation_order"] = "ccw"
+    head = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+            "mode": mode, "n": drawing.n, "rotation_order": "ccw"}
     nodes = [{"id": v, "kind": "vertex"} for v in drawing.vertices]
     for c in sorted(drawing.crossings):
         pair = sorted(drawing.crossings[c])
@@ -249,6 +243,17 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
     head["rotations"] = {str(x): list(rot) for x, rot in sorted(drawing.rotations.items())}
     head["chains"] = {f"{e[0]}-{e[1]}": list(ch) for e, ch in sorted(drawing.chains.items())}
     return head
+
+
+def geometric_document(n: int, points, polylines) -> dict:
+    """The geometric document of vertices 0..n-1 at ``points`` (a map that
+    may hold further nodes) joined along ``polylines``, keyed (u, v), u < v."""
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+            "mode": "geometric", "n": n,
+            "vertices": [{"id": v, "x": points[v][0], "y": points[v][1]}
+                         for v in range(n)],
+            "edges": [{"u": u, "v": v, "polyline": [[x, y] for x, y in polylines[(u, v)]]}
+                      for u, v in sorted(polylines)]}
 
 
 # -- writing -----------------------------------------------------------------

@@ -255,13 +255,16 @@ def _trace(drawing: Drawing) -> FaceSet:
     return FaceSet(tuple(faces), dart_face, segment_sides)
 
 
-def vertices_on_face(drawing: Drawing, faces: FaceSet, face: int) -> frozenset:
+def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     """Real vertices appearing on the boundary walk of the face.
 
     May be empty: nothing guarantees that every face of a good drawing
     touches a real vertex.
     """
-    return frozenset(a for a, _ in faces.faces[face] if a in drawing.vertex_set)
+    faces = trace_faces(drawing).faces
+    if not 0 <= face < len(faces):
+        raise ValueError(f"face {face} does not exist")
+    return frozenset(a for a, _ in faces[face] if a in drawing.vertex_set)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +313,7 @@ class FaceMap:
         return self.mapping[face]
 
 
-def delete_vertex(drawing: Drawing, faces: FaceSet, v: int):
+def delete_vertex(drawing: Drawing, v: int):
     """Remove a real vertex: drop its edge chains and their crossings,
     smooth crossings that lose their partner edge, and track face merging.
 
@@ -322,6 +325,7 @@ def delete_vertex(drawing: Drawing, faces: FaceSet, v: int):
         raise ValueError(f"{v} is not a vertex of the drawing")
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    faces = trace_faces(drawing)
 
     dead_edges = {edge_key(v, u) for u in drawing.vertices if u != v}
     dead_nodes = {v}
@@ -398,10 +402,10 @@ def _next_live(chain, x, y, dead):
 
 
 def child_drawing(drawing: Drawing, v: int):
-    """delete_vertex against the canonical FaceSet, cached per drawing."""
+    """delete_vertex, cached per drawing."""
     key = ("child", v)
     res = drawing._cache.get(key)
     if res is None:
-        res = delete_vertex(drawing, trace_faces(drawing), v)
+        res = delete_vertex(drawing, v)
         drawing._cache[key] = res
     return res

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 
-from .documents import load_drawing
+from .documents import geometric_document, load_drawing
 from .drawing import Drawing, validate_goodness
 from .errors import DocumentError, GenerationError
 from .kedges import harary_hill_bound
@@ -50,20 +50,6 @@ def _dedupe(points) -> list:
         if p != out[-1]:
             out.append(p)
     return out
-
-
-def _document(n, positions, polylines) -> dict:
-    return {
-        "format": "shellcert-drawing",
-        "version": 1,
-        "mode": "geometric",
-        "n": n,
-        "vertices": [{"id": v, "x": positions[v][0], "y": positions[v][1]}
-                     for v in range(n)],
-        "edges": [{"u": u, "v": v,
-                   "polyline": [[x, y] for x, y in polylines[(u, v)]]}
-                  for (u, v) in sorted(polylines)],
-    }
 
 
 def _straight_edges(positions, pairs) -> dict:
@@ -118,7 +104,7 @@ def _convex(n, scale):
                      for i in range(n)}
         if len(set(positions.values())) != n or not _general_position(positions.values()):
             continue
-        doc = _document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
+        doc = geometric_document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
         try:
             return doc, load_drawing(doc)
         except DocumentError as exc:
@@ -179,7 +165,7 @@ def _cylindrical_attempt(n, scale, top_phase, bottom_phase) -> dict:
         polylines[(u, v)] = [positions[u], positions[v]]
     _route_outer_edges(polylines, positions, psi, bottom, r_out, scale)
     _route_spirals(polylines, positions, theta, psi, top, bottom, r_in, r_out)
-    return _document(n, positions, polylines)
+    return geometric_document(n, positions, polylines)
 
 
 def _route_outer_edges(polylines, positions, psi, bottom, r_out, scale):
@@ -266,7 +252,7 @@ def _rectilinear(n, seed, scale):
         if points is None:
             continue
         positions = dict(enumerate(points))
-        doc = _document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
+        doc = geometric_document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
         try:
             return doc, load_drawing(doc)
         except DocumentError:

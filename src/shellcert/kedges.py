@@ -139,10 +139,10 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     return _Labelling(index, bits, edges)
 
 
-def _labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
+def _labelling(drawing: Drawing) -> _Labelling:
     lab = drawing._cache.get("labelling")
     if lab is None:
-        lab = _build_labelling(drawing, faces)
+        lab = _build_labelling(drawing, trace_faces(drawing))
         drawing._cache["labelling"] = lab
     return lab
 
@@ -160,37 +160,39 @@ def _vertex_index(lab: _Labelling, x: int) -> int:
     return i
 
 
-def triangle_orientation(drawing: Drawing, faces: FaceSet, ref_face: int,
-                         edge, witness: int) -> Orientation:
+def _right_of(lab: _Labelling, pf: int, u: int, v: int) -> int:
+    """Bit w set iff the face labelled pf lies right of u -> v -> v_w."""
+    i, j, rel, mask = lab.edges[edge_key(u, v)]
+    n = len(lab.index)
+    # The row XOR leaves out the label's own bit of uv, which complements
+    # every witness, as does reversing the edge.
+    right = ((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask
+    return right ^ mask if (pf >> (i * n + j)) & 1 != (u > v) else right
+
+
+def triangle_orientation(drawing: Drawing, ref_face: int, edge,
+                         witness: int) -> Orientation:
     """Orientation of the triangle formed by the directed edge and the witness.
 
     Reversing the edge direction flips the sign.
     """
     u, v = edge
-    lab = _labelling(drawing, faces)
+    lab = _labelling(drawing)
     i, j, w = (_vertex_index(lab, x) for x in (u, v, witness))
     if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
-    n = drawing.n
-    pf = _face_label(lab, ref_face)
-    rel = lab.edges[edge_key(u, v)][2]
-    # x is 0 iff F lies left of the smaller endpoint -> the larger -> witness
-    x = ((pf >> (i * n + j)) ^ (pf >> (i * n + w)) ^ (pf >> (j * n + w)) ^ (rel >> w)) & 1
-    return Orientation.PLUS if x == (i > j) else Orientation.MINUS
+    right = _right_of(lab, _face_label(lab, ref_face), u, v)
+    return Orientation.MINUS if right >> w & 1 else Orientation.PLUS
 
 
-def k_value(drawing: Drawing, faces: FaceSet, ref_face: int, edge) -> int:
+def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     """k-value of the edge with respect to the reference face."""
-    lab = _labelling(drawing, faces)
+    lab = _labelling(drawing)
     u, v = edge
     if _vertex_index(lab, u) == _vertex_index(lab, v):
         raise ValueError("an edge needs two distinct vertices")
-    i, j, rel, mask = lab.edges[edge_key(u, v)]
-    n = drawing.n
-    pf = _face_label(lab, ref_face)
-    # bit w set: F lies right of v_i -> v_j -> v_w, up to complement
-    minus = (((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask).bit_count()
-    return min(minus, n - 2 - minus)
+    minus = _right_of(lab, _face_label(lab, ref_face), u, v).bit_count()
+    return min(minus, drawing.n - 2 - minus)
 
 
 def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> dict:
@@ -243,12 +245,12 @@ class KEdgeProfile:
     crossings: int
 
 
-def k_edge_profile(drawing: Drawing, faces: FaceSet, ref_face: int) -> KEdgeProfile:
+def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     key = ("profile", ref_face)
     prof = drawing._cache.get(key)
     if prof is not None:
         return prof
-    lab = _labelling(drawing, faces)
+    lab = _labelling(drawing)
     k_values = _k_values(lab, _face_label(lab, ref_face), drawing.n)
     counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
     prof = KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
@@ -256,7 +258,7 @@ def k_edge_profile(drawing: Drawing, faces: FaceSet, ref_face: int) -> KEdgeProf
     return prof
 
 
-def vertex_k_profile(drawing: Drawing, faces: FaceSet, ref_face: int, v: int) -> tuple:
+def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:
     """Cumulated k-values over the edges incident to v.
 
     When v lies on the reference face the value at index k is 2*C(k+2, 2)
@@ -264,7 +266,7 @@ def vertex_k_profile(drawing: Drawing, faces: FaceSet, ref_face: int, v: int) ->
     """
     if v not in drawing.vertex_set:
         raise ValueError(f"{v} is not a vertex of the drawing")
-    k_values = k_edge_profile(drawing, faces, ref_face).k_values
+    k_values = k_edge_profile(drawing, ref_face).k_values
     return _cumulated((k_values[edge_key(u, v)] for u in drawing.vertices if u != v),
                       max_k(drawing.n) + 1)[1]
 
@@ -288,8 +290,7 @@ class InvariantReport:
         return frozenset(e for e, keep in self.flags.items() if keep)
 
 
-def invariant_edges(drawing: Drawing, faces: FaceSet, ref_face: int,
-                    v: int) -> InvariantReport:
+def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     """Classify every edge that survives deleting v as invariant or not.
 
     The k-values after the deletion are those of the subdrawing without v,
@@ -297,11 +298,11 @@ def invariant_edges(drawing: Drawing, faces: FaceSet, ref_face: int,
     drawing's own labelling by dropping v as a witness, so each is the
     k-value before the deletion or one less.
     """
-    lab = _labelling(drawing, faces)
+    lab = _labelling(drawing)
     x = _vertex_index(lab, v)
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
-    before = k_edge_profile(drawing, faces, ref_face).k_values
+    before = k_edge_profile(drawing, ref_face).k_values
     child_k = _k_values(lab, _face_label(lab, ref_face), drawing.n, x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
@@ -321,13 +322,12 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     n = parent.n
     if not 0 <= k <= n // 2 - 2:
         raise ValueError(f"k must lie in 0..{n // 2 - 2}")
-    faces = trace_faces(parent)
-    report = invariant_edges(parent, faces, ref_face, v)
-    lhs = k_edge_profile(parent, faces, ref_face).cumulated[k]
+    report = invariant_edges(parent, ref_face, v)
+    lhs = k_edge_profile(parent, ref_face).cumulated[k]
     child_term = 0
     if k >= 1:
         child_term = _cumulated(report.child_k.values(), max_k(n - 1) + 1)[1][k - 1]
-    at_v = vertex_k_profile(parent, faces, ref_face, v)[k]
+    at_v = vertex_k_profile(parent, ref_face, v)[k]
     return lhs - (child_term + at_v + report.cumulated[k])
 
 
@@ -339,8 +339,7 @@ class BoundRow:
     ok: bool
 
 
-def cumulative_bound_check(drawing: Drawing, faces: FaceSet, ref_face: int,
-                           kmax: int):
+def cumulative_bound_check(drawing: Drawing, ref_face: int, kmax: int):
     """Compare cumulated k-edge counts against 3*C(k+3, 3) for k <= kmax.
 
     If every row passes up to k = n//2 - 2, the drawing has at least H(n)
@@ -350,7 +349,7 @@ def cumulative_bound_check(drawing: Drawing, faces: FaceSet, ref_face: int,
         raise ValueError(f"a drawing on {drawing.n} vertices has no bound levels")
     if not 0 <= kmax <= max_k(drawing.n) - 1:
         raise ValueError(f"kmax must lie in 0..{max_k(drawing.n) - 1}")
-    prof = k_edge_profile(drawing, faces, ref_face)
+    prof = k_edge_profile(drawing, ref_face)
     rows = []
     for k in range(kmax + 1):
         threshold = 3 * comb(k + 3, 3)
@@ -359,8 +358,7 @@ def cumulative_bound_check(drawing: Drawing, faces: FaceSet, ref_face: int,
     return tuple(rows)
 
 
-def edge_side_partition(drawing: Drawing, faces: FaceSet, ref_face: int,
-                        u: int, v: int) -> frozenset:
+def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> frozenset:
     """Vertices on one fixed side of the closed curve made of the edge uv
     and a chord through the reference face joining its endpoints: the
     vertices w other than u and v for which F lies right of u -> v -> w.
@@ -368,20 +366,12 @@ def edge_side_partition(drawing: Drawing, faces: FaceSet, ref_face: int,
     Requires u and v on the reference face. For a j-edge the returned set
     has size exactly j or n-2-j.
     """
-    lab = _labelling(drawing, faces)
-    i, j = _vertex_index(lab, u), _vertex_index(lab, v)
-    if i == j:
+    lab = _labelling(drawing)
+    if _vertex_index(lab, u) == _vertex_index(lab, v):
         raise ValueError("an edge needs two distinct vertices")
     pf = _face_label(lab, ref_face)
-    on_face = vertices_on_face(drawing, faces, ref_face)
+    on_face = vertices_on_face(drawing, ref_face)
     if u not in on_face or v not in on_face:
         raise ValueError("both endpoints must lie on the reference face")
-    n = drawing.n
-    rel, mask = lab.edges[edge_key(u, v)][2:]
-    # bit w set: F lies right of u -> v -> v_w. The row XOR leaves out the
-    # label's own bit of uv, which complements every witness, as does
-    # reversing the edge.
-    right = ((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask
-    if (pf >> (i * n + j)) & 1 != (i > j):
-        right ^= mask
+    right = _right_of(lab, pf, u, v)
     return frozenset(w for x, w in enumerate(drawing.vertices) if right >> x & 1)

@@ -168,8 +168,8 @@ class _Regions:
 
 # -- simple sequences ------------------------------------------------------
 
-def find_simple_sequence(drawing: Drawing, faces, ref_face: int, v: int,
-                         length: int, excluded=()) -> SimpleSequence | None:
+def find_simple_sequence(drawing: Drawing, ref_face: int, v: int, length: int,
+                         excluded=()) -> SimpleSequence | None:
     """Complete backtracking search for a simple sequence of v.
 
     Returns the lexicographically smallest sequence of the requested length
@@ -179,7 +179,7 @@ def find_simple_sequence(drawing: Drawing, faces, ref_face: int, v: int,
         raise ValueError("length must be at least 1")
     if v not in drawing.vertex_set:
         raise ValueError(f"{v} is not a vertex of the drawing")
-    if v not in vertices_on_face(drawing, faces, ref_face):
+    if v not in vertices_on_face(drawing, ref_face):
         raise ValueError(f"vertex {v} is not incident to face {ref_face}")
     excluded = frozenset(excluded)
     pool = drawing.vertex_set - excluded - {v}
@@ -223,20 +223,15 @@ def decide_seq_shellable(drawing: Drawing, k: int,
     """
     if not 0 <= k <= drawing.n - 2:
         raise ValueError(f"k must lie in 0..{drawing.n - 2}")
-    faces = trace_faces(drawing)
-    regions = _Regions(drawing)
-    for face in _face_selection(faces, face_filter):
+
+    def search(regions, face):
         found = _seq_search(regions, regions.start(face), k, {})
         if found is not None:
-            cert = SeqShellCertificate(face,
-                                       tuple(a for a, _ in found),
+            return SeqShellCertificate(face, tuple(a for a, _ in found),
                                        tuple(s for _, s in found))
-            result = verify_seq_certificate(drawing, cert)
-            if not result:
-                raise ShellcertError(
-                    f"internal error: emitted certificate failed: {result.violations}")
-            return cert
-    return None
+        return None
+
+    return _first_certificate(drawing, face_filter, search, verify_seq_certificate)
 
 
 def _seq_search(regions, state, k, memo):
@@ -268,53 +263,52 @@ def decide_bishellable(drawing: Drawing, s: int,
     """
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"s must lie in 0..{drawing.n - 2}")
-    faces = trace_faces(drawing)
-    regions = _Regions(drawing)
-    for face in _face_selection(faces, face_filter):
+
+    def search(regions, face):
         start = regions.start(face)
         found = _bishell_search(regions, start, start, s, (), ())
         if found is not None:
-            cert = BishellCertificate(face, found[0], found[1])
-            result = verify_bishell_certificate(drawing, cert)
+            return BishellCertificate(face, *found)
+        return None
+
+    return _first_certificate(drawing, face_filter, search, verify_bishell_certificate)
+
+
+def _bishell_search(regions, state, other_state, s, seq, other_seq):
+    """One turn: place the next vertex of ``seq``, then hand the turn to
+    the other sequence. The a-sequence moves first, so the turn is back
+    with it, and the pair reads (a, b), once both sequences are full."""
+    i = len(seq)
+    if i == s + 1:
+        return seq, other_seq
+    forbidden = set(other_seq[: s - i + 1])
+    for x in regions.candidates(state):
+        if x in forbidden:
+            continue
+        next_state = regions.advance(state, x) if i < s else state
+        found = _bishell_search(regions, other_state, next_state, s, other_seq, seq + (x,))
+        if found is not None:
+            return found
+    return None
+
+
+def _first_certificate(drawing, face_filter, search, verify):
+    """The certificate ``search(regions, face)`` finds on the first of the
+    selected faces (all, ascending, or only ``face_filter``) that has one,
+    checked by ``verify``; None if no face has one."""
+    count = trace_faces(drawing).face_count()
+    regions = _Regions(drawing)
+    if face_filter is not None and not 0 <= face_filter < count:
+        raise ValueError(f"face {face_filter} does not exist")
+    for face in range(count) if face_filter is None else (face_filter,):
+        cert = search(regions, face)
+        if cert is not None:
+            result = verify(drawing, cert)
             if not result:
                 raise ShellcertError(
                     f"internal error: emitted certificate failed: {result.violations}")
             return cert
     return None
-
-
-def _bishell_search(regions, a_state, b_state, s, a_seq, b_seq):
-    if len(a_seq) == s + 1 and len(b_seq) == s + 1:
-        return (a_seq, b_seq)
-    if len(a_seq) <= len(b_seq):
-        i = len(a_seq)
-        forbidden = set(b_seq[: s - i + 1])
-        for a in regions.candidates(a_state):
-            if a in forbidden:
-                continue
-            next_state = regions.advance(a_state, a) if i < s else a_state
-            found = _bishell_search(regions, next_state, b_state, s, a_seq + (a,), b_seq)
-            if found is not None:
-                return found
-    else:
-        j = len(b_seq)
-        forbidden = set(a_seq[: s - j + 1])
-        for b in regions.candidates(b_state):
-            if b in forbidden:
-                continue
-            next_state = regions.advance(b_state, b) if j < s else b_state
-            found = _bishell_search(regions, a_state, next_state, s, a_seq, b_seq + (b,))
-            if found is not None:
-                return found
-    return None
-
-
-def _face_selection(faces, face_filter):
-    if face_filter is None:
-        return range(len(faces.faces))
-    if not 0 <= face_filter < len(faces.faces):
-        raise ValueError(f"face {face_filter} does not exist")
-    return (face_filter,)
 
 
 # -- verification ----------------------------------------------------------
@@ -326,8 +320,7 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     violated conditions yield an unverified result with the trace naming
     each failed condition.
     """
-    faces = trace_faces(drawing)
-    _check_refs(drawing, faces, cert.face,
+    _check_refs(drawing, cert.face,
                 tuple(cert.vertices) + tuple(x for s in cert.sequences for x in s))
     if len(cert.vertices) < 1 or len(cert.sequences) != len(cert.vertices):
         raise CertificateMismatchError(
@@ -382,9 +375,7 @@ def _check_simple(regions, state, owner, seq, banned, want_len, label):
 
 
 def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> VerificationResult:
-    faces = trace_faces(drawing)
-    _check_refs(drawing, faces, cert.face,
-                tuple(cert.a_sequence) + tuple(cert.b_sequence))
+    _check_refs(drawing, cert.face, tuple(cert.a_sequence) + tuple(cert.b_sequence))
     if len(cert.a_sequence) < 1 or len(cert.a_sequence) != len(cert.b_sequence):
         raise CertificateMismatchError(
             "certificate must carry two sequences of equal length")
@@ -414,8 +405,8 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
     return VerificationResult(not violations, tuple(violations))
 
 
-def _check_refs(drawing, faces, face, vertices):
-    if not isinstance(face, int) or not 0 <= face < len(faces.faces):
+def _check_refs(drawing, face, vertices):
+    if not isinstance(face, int) or not 0 <= face < trace_faces(drawing).face_count():
         raise CertificateMismatchError(f"face {face!r} does not exist in the drawing")
     unknown = sorted(set(vertices) - drawing.vertex_set)
     if unknown:

@@ -74,8 +74,7 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
             out.append(f'<polyline points="{path}" {_STYLE["face"]}/>')
 
     if label_face is not None:
-        faces = trace_faces(drawing)
-        prof = k_edge_profile(drawing, faces, label_face)
+        prof = k_edge_profile(drawing, label_face)
         style = _STYLE["label"].format(f"{font:.1f}")
         for e, k in sorted(prof.k_values.items()):
             poly = geo.polylines[e]

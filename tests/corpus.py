@@ -40,7 +40,7 @@ def sample_faces(drawing, want=3):
 def faces_with_vertices(drawing, minimum=2):
     faces = trace_faces(drawing)
     return [f for f in faces.face_ids()
-            if len(vertices_on_face(drawing, faces, f)) >= minimum]
+            if len(vertices_on_face(drawing, f)) >= minimum]
 
 
 @lru_cache(maxsize=None)

@@ -177,14 +177,14 @@ def ccw_k_value(drawing, u, v) -> int:
 
 # -- deletion through subdrawings ---------------------------------------------
 
-def child_drawing_report(drawing, faces, face, v):
+def child_drawing_report(drawing, face, v):
     """What invariant_edges must report, by building the subdrawing without
     v and profiling its face that contains `face`: (flags, parent_k,
     child_k, cumulated), with parent_k and child_k over the child's edges.
     Also asserts the drop-by-at-most-one law on this route."""
-    child, child_faces, face_map = child_drawing(drawing, v)
-    before = k_edge_profile(drawing, faces, face).k_values
-    after = k_edge_profile(child, child_faces, face_map[face]).k_values
+    child, _, face_map = child_drawing(drawing, v)
+    before = k_edge_profile(drawing, face).k_values
+    after = k_edge_profile(child, face_map[face]).k_values
     parent_k = {e: before[e] for e in child.edges()}
     child_k = {e: after[e] for e in child.edges()}
     for e in child_k:
@@ -474,7 +474,7 @@ def surviving_face_vertices(drawing, face, deletions):
         f = face_map[f]
     if d.n == 3:
         return d.vertex_set
-    return vertices_on_face(d, trace_faces(d), f)
+    return vertices_on_face(d, f)
 
 
 def deletion_chain_ok(drawing, face, seq) -> bool:

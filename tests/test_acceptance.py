@@ -93,8 +93,8 @@ def test_criterion_4_face_vertex_distribution(sweep_corpus):
         n = d.n
         fs = trace_faces(d)
         for face in sample_faces(d):
-            prof = k_edge_profile(d, fs, face)
-            for v in vertices_on_face(d, fs, face):
+            prof = k_edge_profile(d, face)
+            for v in vertices_on_face(d, face):
                 rot = d.rotations[v]
                 at = [i for i, x in enumerate(rot) if fs.dart_face[(v, x)] == face]
                 assert len(at) == 1
@@ -103,7 +103,7 @@ def test_criterion_4_face_vertex_distribution(sweep_corpus):
                 assert levels == [min(i, n - 2 - i) for i in range(n - 1)]
                 for i in range(n // 2 - 1):
                     assert levels.count(i) == 2
-                vprof = vertex_k_profile(d, fs, face, v)
+                vprof = vertex_k_profile(d, face, v)
                 for k in range(n // 2 - 1):
                     assert vprof[k] == 2 * comb(k + 2, 2)
                 checks += 1
@@ -122,11 +122,10 @@ def test_criterion_5_invariant_edge_bounds(sweep_corpus):
     pair_checks = seq_checks = 0
     for d in sweep_corpus:
         n = d.n
-        fs = trace_faces(d)
         for face in sample_faces(d):
-            verts = sorted(vertices_on_face(d, fs, face))
+            verts = sorted(vertices_on_face(d, face))
             for v in verts:
-                report = invariant_edges(d, fs, face, v)
+                report = invariant_edges(d, face, v)
                 for w in verts:
                     if w == v:
                         continue
@@ -134,7 +133,7 @@ def test_criterion_5_invariant_edge_bounds(sweep_corpus):
                     assert at_w >= n // 2 - 1, (n, face, v, w)
                     pair_checks += 1
                 for k in range(n // 2 - 1):
-                    seq = find_simple_sequence(d, fs, face, v, k + 1)
+                    seq = find_simple_sequence(d, face, v, k + 1)
                     if seq is not None:
                         assert report.cumulated[k] >= comb(k + 2, 2), (n, face, v, k)
                         seq_checks += 1
@@ -150,20 +149,19 @@ def test_criterion_6_oracle_equivalence(sweep_corpus):
     start = time.perf_counter()
     orientation_checks = kvalue_checks = 0
     for d in sweep_corpus:
-        fs = trace_faces(d)
         face = outer_face(d)
         point = far_point(d)
         for u, v in d.edges():
             for w in d.vertices:
                 if w in (u, v):
                     continue
-                assert (triangle_orientation(d, fs, face, (u, v), w)
+                assert (triangle_orientation(d, face, (u, v), w)
                         is winding_orientation(d, point, u, v, w)), (d.n, u, v, w)
                 orientation_checks += 1
         straight = all(len(p) == 2 for p in d.geometry.polylines.values())
         if straight:
             for u, v in d.edges():
-                assert k_value(d, fs, face, (u, v)) == ccw_k_value(d, u, v)
+                assert k_value(d, face, (u, v)) == ccw_k_value(d, u, v)
                 kvalue_checks += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60
@@ -227,8 +225,7 @@ def test_criterion_9_bounds_and_crossing_number(decider_corpus):
         cert = decide_seq_shellable(d, k_top)
         if cert is None:
             continue
-        fs = trace_faces(d)
-        rows = cumulative_bound_check(d, fs, cert.face, k_top)
+        rows = cumulative_bound_check(d, cert.face, k_top)
         assert all(r.ok for r in rows), (n, cert.face)
         assert d.crossing_count() >= harary_hill_bound(n), n
         bounded += 1

@@ -234,7 +234,7 @@ class TestDecideVerify:
         d = load_drawing(read(drawing))
         fs = trace_faces(d)
         empty = next(f for f in fs.face_ids()
-                     if not vertices_on_face(d, fs, f))
+                     if not vertices_on_face(d, f))
         assert main(["decide", "--input", str(drawing), "--mode", "seq",
                      "--face", str(empty)]) == 1
 

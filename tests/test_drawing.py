@@ -93,25 +93,30 @@ class TestVerticesOnFace:
         d = load_drawing(triangle_doc())
         fs = trace_faces(d)
         for f in fs.face_ids():
-            assert vertices_on_face(d, fs, f) == frozenset({0, 1, 2})
+            assert vertices_on_face(d, f) == frozenset({0, 1, 2})
 
     def test_convex_outer_face_has_all_vertices(self):
         for n in (4, 5, 7):
             d = convex(n)
-            fs = trace_faces(d)
-            assert vertices_on_face(d, fs, outer_face(d)) == frozenset(range(n))
+            assert vertices_on_face(d, outer_face(d)) == frozenset(range(n))
 
     def test_convex_k4_face_vertex_census(self):
         d = load_drawing(convex_k4_doc())
         fs = trace_faces(d)
-        sizes = sorted(len(vertices_on_face(d, fs, f)) for f in fs.face_ids())
+        sizes = sorted(len(vertices_on_face(d, f)) for f in fs.face_ids())
         assert sizes == [2, 2, 2, 2, 4]
 
     def test_faces_without_vertices_are_possible(self):
         # the central face of convex K_5 is bounded by crossing segments only
         d = convex(5)
         fs = trace_faces(d)
-        assert any(not vertices_on_face(d, fs, f) for f in fs.face_ids())
+        assert any(not vertices_on_face(d, f) for f in fs.face_ids())
+
+    @pytest.mark.parametrize("face", [-1, 26])
+    def test_face_outside_the_drawing(self, face):
+        # convex K_6 has faces 0..25; -1 used to index the last face
+        with pytest.raises(ValueError, match=f"^face {face} does not exist$"):
+            vertices_on_face(convex(6), face)
 
 
 class TestGoodness:
@@ -152,9 +157,8 @@ class TestGoodness:
     def test_goodness_closed_under_deletion(self):
         d = rectilinear(7, 21)
         assert validate_goodness(d).ok
-        fs = trace_faces(d)
         for v in d.vertices:
-            child, _, _ = delete_vertex(d, fs, v)
+            child, _, _ = delete_vertex(d, v)
             assert validate_goodness(child).ok
 
 
@@ -162,7 +166,7 @@ class TestDeletion:
     def test_k4_delete_smooths_crossing(self):
         d = load_drawing(convex_k4_doc())
         fs = trace_faces(d)
-        child, child_faces, face_map = delete_vertex(d, fs, 3)
+        child, child_faces, face_map = delete_vertex(d, 3)
         assert child.n == 3
         assert child.crossing_count() == 0
         assert child_faces.face_count() == 2
@@ -175,43 +179,40 @@ class TestDeletion:
 
     def test_convex_deletion_stays_convex(self):
         d = convex(5)
-        fs = trace_faces(d)
-        child, _, _ = delete_vertex(d, fs, 2)
+        child, _, _ = delete_vertex(d, 2)
         assert child.crossing_count() == 1  # convex K_4
         assert child.vertices == (0, 1, 3, 4)
         assert set(child.chains) == {(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4)}
 
     def test_cannot_delete_from_triangle(self):
         d = load_drawing(triangle_doc())
-        fs = trace_faces(d)
         with pytest.raises(ValueError):
-            delete_vertex(d, fs, 0)
+            delete_vertex(d, 0)
 
     def test_delete_unknown_vertex(self):
         d = convex(4)
         with pytest.raises(ValueError):
-            delete_vertex(d, trace_faces(d), 9)
+            delete_vertex(d, 9)
 
     def test_outer_face_tracks_through_hull_deletions(self):
         # children carry no geometry; in a convex drawing the outer face is
         # the only face bounded by every vertex
         d = convex(6)
-        fs = trace_faces(d)
         face = outer_face(d)
         for v in (5, 4):
-            child, child_faces, face_map = delete_vertex(d, fs, v)
+            child, child_faces, face_map = delete_vertex(d, v)
             face = face_map[face]
             assert child.geometry is None
             full = [f for f in child_faces.face_ids()
-                    if vertices_on_face(child, child_faces, f) == child.vertex_set]
+                    if vertices_on_face(child, f) == child.vertex_set]
             assert full == [face]
-            d, fs = child, child_faces
+            d = child
 
     def test_face_map_covers_every_parent_face(self):
         d = rectilinear(6, 8)
         fs = trace_faces(d)
         for v in d.vertices:
-            child, child_faces, face_map = delete_vertex(d, fs, v)
+            child, child_faces, face_map = delete_vertex(d, v)
             assert set(face_map.mapping) == set(fs.face_ids())
             assert set(face_map.mapping.values()) == set(child_faces.face_ids())
 
@@ -223,7 +224,7 @@ class TestEdgeTouchesFaceFullyOrNotAtAll:
         for d in (convex(6), cylindrical(7), rectilinear(7, 4)):
             fs = trace_faces(d)
             for f in fs.face_ids():
-                verts = sorted(vertices_on_face(d, fs, f))
+                verts = sorted(vertices_on_face(d, f))
                 for i, u in enumerate(verts):
                     for v in verts[i + 1:]:
                         ch = d.chains[edge_key(u, v)]

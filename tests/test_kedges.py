@@ -40,14 +40,12 @@ class TestHararyHillBound:
 class TestTriangleOrientation:
     def test_reversal_flips(self):
         d = convex(5)
-        fs = trace_faces(d)
         for f in (outer_face(d), 0):
-            assert (triangle_orientation(d, fs, f, (1, 0), 2)
-                    is flipped(triangle_orientation(d, fs, f, (0, 1), 2)))
+            assert (triangle_orientation(d, f, (1, 0), 2)
+                    is flipped(triangle_orientation(d, f, (0, 1), 2)))
 
     def test_matches_winding_oracle_everywhere(self):
         for d in (convex(5), cylindrical(6), rectilinear(7, 2)):
-            fs = trace_faces(d)
             face = outer_face(d)
             point = far_point(d)
             for u in d.vertices:
@@ -57,7 +55,7 @@ class TestTriangleOrientation:
                     for w in d.vertices:
                         if w in (u, v):
                             continue
-                        assert (triangle_orientation(d, fs, face, (u, v), w)
+                        assert (triangle_orientation(d, face, (u, v), w)
                                 is winding_orientation(d, point, u, v, w))
 
     def test_matches_winding_oracle_on_bounded_faces(self):
@@ -73,38 +71,35 @@ class TestTriangleOrientation:
                     face = locate_face(d, point)
                 except ValueError:
                     continue  # point on the drawing
-                fs = trace_faces(d)
                 for w in d.vertices:
                     if w in (0, 1):
                         continue
-                    assert (triangle_orientation(d, fs, face, (0, 1), w)
+                    assert (triangle_orientation(d, face, (0, 1), w)
                             is winding_orientation(d, point, 0, 1, w))
 
     def test_hull_edge_witnesses_agree(self):
         d = convex(4)
-        fs = trace_faces(d)
         face = outer_face(d)
-        assert (triangle_orientation(d, fs, face, (0, 1), 2)
-                is triangle_orientation(d, fs, face, (0, 1), 3))
+        assert (triangle_orientation(d, face, (0, 1), 2)
+                is triangle_orientation(d, face, (0, 1), 3))
 
     def test_rejects_bad_arguments(self):
         d = convex(4)
         fs = trace_faces(d)
         with pytest.raises(ValueError):
-            triangle_orientation(d, fs, 0, (0, 1), 1)
+            triangle_orientation(d, 0, (0, 1), 1)
         with pytest.raises(ValueError):
-            triangle_orientation(d, fs, 0, (0, 9), 2)
+            triangle_orientation(d, 0, (0, 9), 2)
         for face in (-1, fs.face_count()):
             with pytest.raises(ValueError):
-                triangle_orientation(d, fs, face, (0, 1), 2)
+                triangle_orientation(d, face, (0, 1), 2)
             with pytest.raises(ValueError):
-                k_edge_profile(d, fs, face)
+                k_edge_profile(d, face)
 
     def test_not_good_drawing_seeds_disagree(self):
         d = load_drawing(not_good_k7_document())
-        fs = trace_faces(d)
         with pytest.raises(EmbeddingError, match="orientation seeds disagree"):
-            k_edge_profile(d, fs, 0)
+            k_edge_profile(d, 0)
 
 
 class TestKValue:
@@ -114,28 +109,25 @@ class TestKValue:
         fs = trace_faces(d)
         for f in fs.face_ids():
             for e in d.edges():
-                assert k_value(d, fs, f, e) == 0
+                assert k_value(d, f, e) == 0
 
     def test_convex_k4(self):
         d = convex(4)
-        fs = trace_faces(d)
         face = outer_face(d)
-        assert k_value(d, fs, face, (0, 1)) == 0
-        assert k_value(d, fs, face, (0, 2)) == 1
+        assert k_value(d, face, (0, 1)) == 0
+        assert k_value(d, face, (0, 2)) == 1
 
     def test_direction_independent(self):
         d = rectilinear(6, 5)
-        fs = trace_faces(d)
         for f in sample_faces(d):
             for u, v in d.edges():
-                assert k_value(d, fs, f, (u, v)) == k_value(d, fs, f, (v, u))
+                assert k_value(d, f, (u, v)) == k_value(d, f, (v, u))
 
     def test_matches_ccw_oracle_with_unbounded_face(self):
         for d in (convex(5), convex(8), rectilinear(6, 1), rectilinear(7, 2)):
-            fs = trace_faces(d)
             face = outer_face(d)
             for u, v in d.edges():
-                assert k_value(d, fs, face, (u, v)) == ccw_k_value(d, u, v)
+                assert k_value(d, face, (u, v)) == ccw_k_value(d, u, v)
 
 
 FLOOD_FILL_CORPUS = {
@@ -155,7 +147,7 @@ class TestAgainstFloodFill:
         fs = trace_faces(d)
         left_faces = flood_fill_triangles(d, fs)
         for f in fs.face_ids():
-            assert (k_edge_profile(d, fs, f).k_values
+            assert (k_edge_profile(d, f).k_values
                     == flood_fill_k_values(d, f, left_faces))
 
 
@@ -165,30 +157,27 @@ class TestProfiles:
         d = load_drawing(triangle_doc())
         fs = trace_faces(d)
         for f in fs.face_ids():
-            prof = k_edge_profile(d, fs, f)
+            prof = k_edge_profile(d, f)
             assert prof.counts == (3,)
             assert prof.cumulated == (3,)
             assert prof.crossings == 0
 
     def test_convex_k5_outer(self):
         d = convex(5)
-        fs = trace_faces(d)
-        prof = k_edge_profile(d, fs, outer_face(d))
+        prof = k_edge_profile(d, outer_face(d))
         assert prof.counts == (5, 5)
         assert prof.cumulated == (5, 15)
         assert prof.crossings == 5
 
     def test_crossings_field_counts_crossing_nodes(self):
         for d in (convex(6), cylindrical(8)):
-            fs = trace_faces(d)
-            prof = k_edge_profile(d, fs, 0)
+            prof = k_edge_profile(d, 0)
             assert prof.crossings == d.crossing_count() == len(d.crossings)
 
     def test_counts_sum_to_edge_count(self):
         for d in (convex(6), cylindrical(7), rectilinear(7, 3)):
-            fs = trace_faces(d)
             for f in sample_faces(d):
-                prof = k_edge_profile(d, fs, f)
+                prof = k_edge_profile(d, f)
                 assert sum(prof.counts) == d.n * (d.n - 1) // 2
 
     def test_cylindrical_k6_is_optimal(self):
@@ -197,8 +186,7 @@ class TestProfiles:
 
     def test_k_values_bounded(self):
         d = rectilinear(7, 8)
-        fs = trace_faces(d)
-        prof = k_edge_profile(d, fs, 0)
+        prof = k_edge_profile(d, 0)
         assert all(0 <= k <= max_k(7) for k in prof.k_values.values())
 
 
@@ -207,27 +195,25 @@ class TestVertexProfile:
         # a vertex on the reference face has exactly two i-edges per level,
         # so the cumulated value is 2*C(k+2, 2) for k <= n//2 - 2
         for d in (convex(6), cylindrical(8), rectilinear(7, 13)):
-            fs = trace_faces(d)
             for f in sample_faces(d):
-                for v in vertices_on_face(d, fs, f):
-                    prof = vertex_k_profile(d, fs, f, v)
+                for v in vertices_on_face(d, f):
+                    prof = vertex_k_profile(d, f, v)
                     for k in range(d.n // 2 - 1):
                         assert prof[k] == 2 * comb(k + 2, 2)
 
     def test_off_face_vertex_profile_is_plain_summation(self):
         d = rectilinear(7, 29)
-        fs = trace_faces(d)
         for f in sample_faces(d):
-            on_face = vertices_on_face(d, fs, f)
+            on_face = vertices_on_face(d, f)
             for v in d.vertices:
                 if v in on_face:
                     continue
-                prof = vertex_k_profile(d, fs, f, v)
+                prof = vertex_k_profile(d, f, v)
                 for k in range(max_k(7) + 1):
                     direct = sum(
-                        (k + 1 - k_value(d, fs, f, (u, v)))
+                        (k + 1 - k_value(d, f, (u, v)))
                         for u in d.vertices if u != v
-                        and k_value(d, fs, f, (u, v)) <= k)
+                        and k_value(d, f, (u, v)) <= k)
                     assert prof[k] == direct
 
     def test_rotation_order_k_values(self):
@@ -237,8 +223,8 @@ class TestVertexProfile:
             fs = trace_faces(d)
             n = d.n
             for f in sample_faces(d):
-                prof = k_edge_profile(d, fs, f)
-                for v in vertices_on_face(d, fs, f):
+                prof = k_edge_profile(d, f)
+                for v in vertices_on_face(d, f):
                     rot = d.rotations[v]
                     at = [i for i, x in enumerate(rot)
                           if fs.dart_face[(v, x)] == f]
@@ -268,23 +254,21 @@ class TestInvariantEdges:
     def test_matches_child_drawing_oracle(self, name):
         factory, *args = DELETION_CORPUS[name]
         d = factory(*args)
-        fs = trace_faces(d)
         for f in sample_faces(d):
             for v in d.vertices:
-                report = invariant_edges(d, fs, f, v)
+                report = invariant_edges(d, f, v)
                 assert report.deleted_vertex == v
                 assert ((report.flags, report.parent_k, report.child_k,
                          report.cumulated)
-                        == child_drawing_report(d, fs, f, v)), (f, v)
+                        == child_drawing_report(d, f, v)), (f, v)
 
     def test_drop_by_at_most_one_and_flags(self):
         d = rectilinear(7, 23)
-        fs = trace_faces(d)
         for f in sample_faces(d):
             for v in d.vertices:
-                report = invariant_edges(d, fs, f, v)
+                report = invariant_edges(d, f, v)
                 # the law on the independent route, then on the report
-                flags, _, _, _ = child_drawing_report(d, fs, f, v)
+                flags, _, _, _ = child_drawing_report(d, f, v)
                 assert report.flags == flags
                 for e in report.flags:
                     assert report.child_k[e] in (report.parent_k[e],
@@ -297,12 +281,11 @@ class TestInvariantEdges:
         # deleting v leaves at least n//2 - 1 invariant edges at every
         # other vertex w on the same face
         for d in (convex(5), convex(6), cylindrical(8), rectilinear(7, 31)):
-            fs = trace_faces(d)
             n = d.n
             for f in sample_faces(d):
-                verts = sorted(vertices_on_face(d, fs, f))
+                verts = sorted(vertices_on_face(d, f))
                 for v in verts:
-                    report = invariant_edges(d, fs, f, v)
+                    report = invariant_edges(d, f, v)
                     for w in verts:
                         if w == v:
                             continue
@@ -314,20 +297,19 @@ class TestInvariantEdges:
         fs = trace_faces(d)
         for face, v in ((0, 9), (-1, 0), (fs.face_count(), 0)):
             with pytest.raises(ValueError):
-                invariant_edges(d, fs, face, v)
+                invariant_edges(d, face, v)
             with pytest.raises(ValueError):
                 recursion_check(d, face, v, 0)
         from test_drawing import triangle_doc
         t = load_drawing(triangle_doc())
         with pytest.raises(ValueError):
-            invariant_edges(t, trace_faces(t), 0, 0)
+            invariant_edges(t, 0, 0)
 
 
 class TestRecursion:
     def test_zero_residual_everywhere(self):
         for d in (convex(5), convex(6), cylindrical(6), cylindrical(8),
                   rectilinear(7, 41), rectilinear(7, 42)):
-            fs = trace_faces(d)
             for f in sample_faces(d, want=4):
                 for v in d.vertices:
                     for k in range(d.n // 2 - 1):
@@ -353,27 +335,25 @@ class TestDeletionFree:
             monkeypatch.setattr(module, "child_drawing", forbidden)
         monkeypatch.setattr(Drawing, "__init__", forbidden)
         for d in drawings:
-            fs = trace_faces(d)
             face = outer_face(d)
-            verts = sorted(vertices_on_face(d, fs, face))
+            verts = sorted(vertices_on_face(d, face))
             for v in d.vertices:
-                assert invariant_edges(d, fs, face, v).deleted_vertex == v
+                assert invariant_edges(d, face, v).deleted_vertex == v
                 for k in range(d.n // 2 - 1):
                     assert recursion_check(d, face, v, k) == 0
-            k_values = k_edge_profile(d, fs, face).k_values
+            k_values = k_edge_profile(d, face).k_values
             for u in verts:
                 for v in verts:
                     if u != v:
                         j = k_values[edge_key(u, v)]
-                        side = edge_side_partition(d, fs, face, u, v)
+                        side = edge_side_partition(d, face, u, v)
                         assert len(side) in (j, d.n - 2 - j)
 
 
 class TestBoundCheck:
     def test_thresholds(self):
         d = convex(10)
-        fs = trace_faces(d)
-        rows = cumulative_bound_check(d, fs, outer_face(d), 3)
+        rows = cumulative_bound_check(d, outer_face(d), 3)
         assert [r.threshold for r in rows] == [3, 12, 30, 60]
         assert all(r.ok for r in rows)
 
@@ -381,14 +361,13 @@ class TestBoundCheck:
         for d in (convex(6), cylindrical(7), rectilinear(6, 2)):
             fs = trace_faces(d)
             for f in fs.face_ids():
-                rows = cumulative_bound_check(d, fs, f, 0)
+                rows = cumulative_bound_check(d, f, 0)
                 assert rows[0].ok and rows[0].cumulated >= 3
 
     def test_kmax_range(self):
         d = convex(6)
-        fs = trace_faces(d)
         with pytest.raises(ValueError):
-            cumulative_bound_check(d, fs, 0, 2)
+            cumulative_bound_check(d, 0, 2)
 
 
 class TestEdgeSidePartition:
@@ -396,15 +375,14 @@ class TestEdgeSidePartition:
         # for u, v both on the face, the curve of uv closed through the face
         # has exactly j or n-2-j vertices on the face's side of the split
         for d in (convex(6), cylindrical(6), rectilinear(7, 3)):
-            fs = trace_faces(d)
             n = d.n
             for f in sample_faces(d):
-                prof = k_edge_profile(d, fs, f)
-                verts = sorted(vertices_on_face(d, fs, f))
+                prof = k_edge_profile(d, f)
+                verts = sorted(vertices_on_face(d, f))
                 for i, u in enumerate(verts):
                     for v in verts[i + 1:]:
                         j = prof.k_values[edge_key(u, v)]
-                        side = edge_side_partition(d, fs, f, u, v)
+                        side = edge_side_partition(d, f, u, v)
                         assert len(side) in {j, n - 2 - j}
 
     @pytest.mark.parametrize("name", DELETION_CORPUS)
@@ -413,21 +391,21 @@ class TestEdgeSidePartition:
         d = factory(*args)
         fs = trace_faces(d)
         for f in fs.face_ids():
-            verts = sorted(vertices_on_face(d, fs, f))
+            verts = sorted(vertices_on_face(d, f))
             for u in verts:
                 for v in verts:
                     if u != v:
-                        assert (edge_side_partition(d, fs, f, u, v)
+                        assert (edge_side_partition(d, f, u, v)
                                 == split_face_side_partition(d, fs, f, u, v)), (f, u, v)
 
     def test_requires_face_incidence(self):
         d = convex(5)
         fs = trace_faces(d)
         inner = next(f for f in fs.face_ids()
-                     if not vertices_on_face(d, fs, f))
+                     if not vertices_on_face(d, f))
         with pytest.raises(ValueError):
-            edge_side_partition(d, fs, inner, 0, 1)
+            edge_side_partition(d, inner, 0, 1)
         outer = outer_face(d)
         for u, v in ((0, 0), (0, 9)):
             with pytest.raises(ValueError):
-                edge_side_partition(d, fs, outer, u, v)
+                edge_side_partition(d, outer, u, v)

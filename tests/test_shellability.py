@@ -59,7 +59,7 @@ class TestRegions:
             assert verify_bishell_certificate(d, bcert)
             assert verify_seq_certificate(d, bishell_to_seq(bcert))
             owner = cert.vertices[0]
-            assert find_simple_sequence(d, trace_faces(d), cert.face, owner,
+            assert find_simple_sequence(d, cert.face, owner,
                                         k + 1).vertices == cert.sequences[0]
         assert decide_bishellable(cylindrical(10), 4) is None
 
@@ -67,53 +67,54 @@ class TestRegions:
 class TestFindSimpleSequence:
     def test_convex_hull_sequence(self):
         d = convex(6)
-        fs = trace_faces(d)
         face = outer_face(d)
-        seq = find_simple_sequence(d, fs, face, 0, 3)
+        seq = find_simple_sequence(d, face, 0, 3)
         assert seq is not None and seq.owner == 0
         assert seq.vertices == (1, 2, 3)
 
     def test_length_one_needs_only_face_incidence(self):
         d = convex(5)
-        fs = trace_faces(d)
         face = outer_face(d)
-        seq = find_simple_sequence(d, fs, face, 0, 1)
+        seq = find_simple_sequence(d, face, 0, 1)
         assert seq.vertices == (1,)
 
     def test_excluded_vertices_avoided(self):
         d = convex(6)
-        fs = trace_faces(d)
         face = outer_face(d)
-        seq = find_simple_sequence(d, fs, face, 0, 2, excluded={1, 2})
+        seq = find_simple_sequence(d, face, 0, 2, excluded={1, 2})
         assert seq is not None
         assert not set(seq.vertices) & {0, 1, 2}
 
     def test_infeasible_length_returns_none(self):
         d = convex(5)
-        fs = trace_faces(d)
         face = outer_face(d)
-        assert find_simple_sequence(d, fs, face, 0, 5) is None
+        assert find_simple_sequence(d, face, 0, 5) is None
 
     def test_owner_must_be_on_face(self):
         d = convex(5)
         fs = trace_faces(d)
         inner = next(f for f in fs.face_ids()
-                     if not vertices_on_face(d, fs, f))
+                     if not vertices_on_face(d, f))
         with pytest.raises(ValueError):
-            find_simple_sequence(d, fs, inner, 0, 1)
+            find_simple_sequence(d, inner, 0, 1)
+
+    @pytest.mark.parametrize("face", [-1, 26])
+    def test_face_outside_the_drawing(self, face):
+        # convex K_6 has faces 0..25
+        with pytest.raises(ValueError, match=f"^face {face} does not exist$"):
+            find_simple_sequence(convex(6), face, 0, 1)
 
     def test_lower_bound_on_invariant_edges(self):
         # a simple sequence of length k+1 for v forces at least C(k+2, 2)
         # cumulated invariant edges when v is deleted
         for d in (convex(6), cylindrical(8), rectilinear(7, 6)):
-            fs = trace_faces(d)
             for f in sample_faces(d):
-                for v in sorted(vertices_on_face(d, fs, f)):
+                for v in sorted(vertices_on_face(d, f)):
                     for k in range(d.n // 2 - 1):
-                        seq = find_simple_sequence(d, fs, f, v, k + 1)
+                        seq = find_simple_sequence(d, f, v, k + 1)
                         if seq is None:
                             continue
-                        report = invariant_edges(d, fs, f, v)
+                        report = invariant_edges(d, f, v)
                         assert report.cumulated[k] >= comb(k + 2, 2)
 
 
@@ -194,7 +195,7 @@ class TestDeciders:
         # the brute force takes ~0.2 s a face; check the ten faces with the
         # most incident vertices
         busiest = sorted(fs.face_ids(),
-                         key=lambda f: (-len(vertices_on_face(d, fs, f)), f))[:10]
+                         key=lambda f: (-len(vertices_on_face(d, f)), f))[:10]
         for face in busiest:
             assert not naive_bishellable(d, 4, face=face), face
 
@@ -266,7 +267,6 @@ class TestVerifiers:
     def test_later_a_vertex_is_legal_in_s0(self):
         # the exclusion for sequences[0] bans only a_0, so a_1 may appear
         d = convex(6)
-        fs = trace_faces(d)
         face = outer_face(d)
         cert = SeqShellCertificate(face, (0, 1), ((1, 2), (2,)))
         assert verify_seq_certificate(d, cert)
