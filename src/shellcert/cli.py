@@ -29,8 +29,9 @@ from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
 from .kedges import cumulative_bound_check, harary_hill_bound, k_edge_profile, max_k
 from .planarize import locate_face
-from .shellability import (decide_bishellable, decide_seq_shellable,
-                           verify_bishell_certificate, verify_seq_certificate)
+from .shellability import (SeqShellCertificate, decide_bishellable,
+                           decide_seq_shellable, verify_bishell_certificate,
+                           verify_seq_certificate)
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -124,6 +125,16 @@ def _sha256(path) -> str:
     with open(path, "rb") as fh:
         digest.update(fh.read())
     return digest.hexdigest()
+
+
+def _read_certificate(path, drawing_path):
+    """The certificate stored at path; raises CertificateMismatchError if it
+    carries the digest of a document other than the one at drawing_path."""
+    cert, digest = certificate_from_document(_read_json(path))
+    if digest is not None and digest != _sha256(drawing_path):
+        raise CertificateMismatchError(
+            "certificate was issued for a different drawing document")
+    return cert
 
 
 def _emit(payload, path) -> None:
@@ -229,11 +240,7 @@ def cmd_verify(args) -> int:
     if not validate_goodness(drawing).ok:
         print(NOT_GOOD, file=sys.stderr)
         return EXIT_INVALID
-    cert, digest = certificate_from_document(_read_json(args.certificate))
-    if digest is not None and digest != _sha256(args.input):
-        raise CertificateMismatchError(
-            "certificate was issued for a different drawing document")
-    from .shellability import SeqShellCertificate
+    cert = _read_certificate(args.certificate, args.input)
     if isinstance(cert, SeqShellCertificate):
         result = verify_seq_certificate(drawing, cert)
     else:
@@ -275,7 +282,7 @@ def cmd_export(args) -> int:
         label_face = _parse_face(args.labels, drawing)[0]
     certificate = None
     if args.certificate is not None:
-        certificate, _ = certificate_from_document(_read_json(args.certificate))
+        certificate = _read_certificate(args.certificate, args.input)
     text = render_svg(drawing, size=args.size, face_highlight=face_highlight,
                       certificate=certificate, label_face=label_face)
     with open(args.output, "w", encoding="utf-8") as fh:

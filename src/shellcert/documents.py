@@ -17,6 +17,7 @@ import json
 from .drawing import Drawing, edge_key, trace_faces
 from .errors import DocumentError, StructureError
 from .planarize import planarize
+from .shellability import BishellCertificate, SeqShellCertificate
 
 FORMAT_NAME = "shellcert-drawing"
 CERT_FORMAT_NAME = "shellcert-certificate"
@@ -301,8 +302,6 @@ def dump_document(document, path) -> None:
 
 def certificate_to_document(cert, drawing_sha256=None) -> dict:
     """Serialize a certificate; verifiable later without re-running a search."""
-    from .shellability import BishellCertificate, SeqShellCertificate
-
     if isinstance(cert, SeqShellCertificate):
         doc = {"format": CERT_FORMAT_NAME, "version": FORMAT_VERSION,
                "kind": "seq-shell", "face": cert.face, "k": cert.k,
@@ -321,8 +320,6 @@ def certificate_to_document(cert, drawing_sha256=None) -> dict:
 
 def certificate_from_document(document):
     """Parse a certificate document; returns (certificate, drawing_sha256)."""
-    from .shellability import BishellCertificate, SeqShellCertificate
-
     _require(isinstance(document, dict), "certificate must be an object")
     _require(document.get("format") == CERT_FORMAT_NAME,
              f'header must declare "format": "{CERT_FORMAT_NAME}"')

@@ -15,9 +15,16 @@ tested. A pair that is not parallel is decided by its integer parameter
 numerators: it crosses inside both pieces, or meets at an end of one of
 them (a polyline joint, the common vertex of two adjacent edges, or a
 degenerate contact). Collinear pairs go through segment_intersection,
-which finds overlaps. Crossing points, positions along edges and dart
-directions are keyed by integers made exact by _shifts; Fractions are
-built only for Geometry.points, for messages and for collinear pairs.
+which finds overlaps. Crossing points and positions along edges are keyed
+by integers made exact by _shift; Fractions are built only for
+Geometry.points, for messages and for collinear pairs.
+
+Rotations come from the cross-product order of geometry.angle_less: a
+vertex sorts its darts by it, and a crossing needs one comparison of the
+two pieces through it. Point location counts, for every face, the
+winding number of its boundary around the point in one pass over the
+pieces (Hormann and Agathos, "The point in polygon problem for arbitrary
+polygons", 2001).
 
 Vertices lying on a foreign edge are found through the same hash. With
 every edge of K_n present, each such vertex is first met as a touch with
@@ -28,11 +35,13 @@ calls on a subset of the edges.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .drawing import Drawing, Geometry, trace_faces
 from .errors import CapabilityError, DocumentError
-from .geometry import angle_less, cross, on_segment, segment_intersection, sub
+from .geometry import (angle_less, cross, direction_half, on_segment, segment_intersection,
+                       sub)
 
 # The spatial hash's cell side is the median piece extent (max(|dx|, |dy|)),
 # so at least half of the pieces cover at most 2 x 2 cells each; but it is
@@ -105,26 +114,24 @@ def planarize(n, positions, polylines) -> Drawing:
 
     geometry = _build_geometry(n, positions, polylines, chains, crossings, per_edge)
     rotations = _build_rotations(positions, range(n, n + len(crossings)), polylines,
-                                 chains, per_edge, _shifts(span)[1])
+                                 chains, per_edge)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
 
 
-def _shifts(span):
-    """Fixed-point precisions (K, K') for crossing parameters and dart
-    pseudo-angles of a drawing whose coordinates span at most `span`.
+def _shift(span):
+    """Fixed-point precision K for the crossing parameters of a drawing
+    whose coordinates span at most `span`.
 
     A crossing parameter is t = tn/den with 0 < tn < den <= |d1 x d2|
     <= 2 span^2, so two distinct parameters on one piece differ by at
     least 1/(2 span^2)^2. With 2^K >= (2 span^2)^2 the floors
     (tn << K) // den of distinct parameters are therefore distinct and in
-    order, and equal parameters give equal keys. A pseudo-angle is
-    x/(|x| + |y|) with a denominator of at most 2 span, and the same
-    argument with 2^K' >= (2 span)^2 makes its floor key exact.
+    order, and equal parameters give equal keys.
     """
-    return 2 * (2 * span * span).bit_length(), 2 * (2 * span).bit_length()
+    return 2 * (2 * span * span).bit_length()
 
 
 def _find_crossings(subsegments, positions):
@@ -141,7 +148,7 @@ def _find_crossings(subsegments, positions):
     span = max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y))
     extents = sorted(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes)
     cell = max(span // _GRID, extents[len(extents) // 2])
-    shift = _shifts(span)[0]
+    shift = _shift(span)
 
     # Every piece in the cells its box covers, ascending within a cell.
     cells = {}
@@ -259,41 +266,42 @@ def _build_geometry(n, positions, polylines, chains, crossings, per_edge):
     return Geometry(points, {e: tuple(pts) for e, pts in polylines.items()}, seg_paths)
 
 
-def _build_rotations(positions, crossing_nodes, polylines, chains, per_edge, shift):
-    """Counterclockwise rotations: at a vertex, the first piece of each of its
-    edges; at a crossing, the two pieces named by its positions."""
-    darts = {x: [] for x in (*positions, *crossing_nodes)}
+def _build_rotations(positions, crossing_nodes, polylines, chains, per_edge):
+    """Counterclockwise rotations from the +x axis: at a vertex, the first
+    piece of each of its edges; at a crossing, the two pieces named by its
+    positions. Vertices come first, then crossings in ascending id."""
+    darts = {v: [] for v in positions}
+    through = {x: [] for x in crossing_nodes}
     for e, chain in chains.items():
         pts = polylines[e]
         darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
         darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
         for j, ((i, _), node) in enumerate(per_edge[e], 1):
-            fx, fy = sub(pts[i + 1], pts[i])
-            darts[node] += (((fx, fy), chain[j + 1]), ((-fx, -fy), chain[j - 1]))
-    return {x: _angular_order(around, shift,
-                              f"vertex {x}" if x in positions else f"crossing {x}")
-            for x, around in darts.items()}
+            # the dart into [0, pi), then the target of its reverse
+            d, ahead, behind = sub(pts[i + 1], pts[i]), chain[j + 1], chain[j - 1]
+            if direction_half(d):
+                d, ahead, behind = (-d[0], -d[1]), behind, ahead
+            through[node].append((d, ahead, behind))
+    rotations = {v: _angular_order(around, f"vertex {v}") for v, around in darts.items()}
+    # Both darts into [0, pi) precede their reverses, in the same order.
+    for x, ((d1, a1, b1), (d2, a2, b2)) in through.items():
+        rotations[x] = (a1, a2, b1, b2) if angle_less(d1, d2) else (a2, a1, b2, b1)
+    return rotations
 
 
-def _angle_key(direction, shift):
-    """Integer key of a nonzero direction, increasing counterclockwise from
-    the +x axis: the half-plane ([0, pi) or [pi, 2 pi)), then the
-    fixed-point pseudo-angle -+x/(|x| + |y|), which is monotone within a
-    half-plane. Exact when 2^shift >= (2 max(|x|, |y|))^2 (see _shifts)."""
-    x, y = direction
-    if y > 0 or (y == 0 and x > 0):
-        return (0, (-x << shift) // (abs(x) + abs(y)))
-    return (1, (x << shift) // (abs(x) + abs(y)))
+def _ccw(first, second):
+    """Comparison of (direction, target) darts by angle_less."""
+    return angle_less(second[0], first[0]) - angle_less(first[0], second[0])
 
 
-def _angular_order(darts, shift, where):
+def _angular_order(darts, where):
     """Targets of (direction, target) darts in counterclockwise order;
     raises DocumentError if two darts share a direction."""
-    keyed = sorted((_angle_key(d, shift), target) for d, target in darts)
-    for (a, _), (b, _) in zip(keyed, keyed[1:]):
-        if a == b:
+    ordered = sorted(darts, key=cmp_to_key(_ccw))
+    for (a, _), (b, _) in zip(ordered, ordered[1:]):
+        if not angle_less(a, b):
             raise DocumentError(f"two curves leave {where} in the same direction")
-    return tuple(target for _, target in keyed)
+    return tuple(target for _, target in ordered)
 
 
 # -- point location ---------------------------------------------------------
@@ -301,32 +309,42 @@ def _angular_order(darts, shift, where):
 def locate_face(drawing, point) -> int:
     """Face of the geometric drawing containing the given point.
 
-    Casts a generic ray from the point and reads the face off the side of
-    the nearest hit segment. Raises CapabilityError without geometry and
-    ValueError for points on the drawing itself.
+    The boundary of a bounded face winds once around each of its points
+    and around no other point; that of the unbounded face winds minus once
+    around every point outside it. One pass over the pieces adds each
+    piece's signed half-open crossing of the line y = point.y, right of
+    the point, to the face on its left and subtracts it from the face on
+    its right. Raises CapabilityError without geometry and ValueError for
+    points on the drawing itself.
     """
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError("point location needs a geometric drawing")
     p = (Fraction(point[0]), Fraction(point[1]))
-    faces = trace_faces(drawing)
+    y = p[1]
+    dart_face = trace_faces(drawing).dart_face
 
-    pieces = []
+    winding = {}
     for dart, path in geo.segment_paths.items():
         for a, b in zip(path, path[1:]):
-            pieces.append((dart, a, b))
-    for _, a, b in pieces:
-        if on_segment(p, a, b):
-            raise ValueError(f"point {point} lies on the drawing")
-
-    direction = _generic_direction(p, geo)
-    hit = _nearest_hit(p, direction, pieces)
-    if hit is None:
-        return outer_face(drawing)
-    (dart, a, b) = hit
-    if cross(a, b, p) > 0:
-        return faces.dart_face[dart]
-    return faces.dart_face[(dart[1], dart[0])]
+            if (a[1] < y and b[1] < y) or (a[1] > y and b[1] > y):
+                continue
+            side = cross(a, b, p)
+            if side == 0 and on_segment(p, a, b):
+                raise ValueError(f"point {point} lies on the drawing")
+            if a[1] <= y < b[1] and side > 0:
+                step = 1
+            elif b[1] <= y < a[1] and side < 0:
+                step = -1
+            else:
+                continue
+            left, right = dart_face[dart], dart_face[(dart[1], dart[0])]
+            winding[left] = winding.get(left, 0) + step
+            winding[right] = winding.get(right, 0) - step
+    for face, count in winding.items():
+        if count == 1:
+            return face
+    return outer_face(drawing)
 
 
 def outer_face(drawing) -> int:
@@ -368,42 +386,3 @@ def outer_face(drawing) -> int:
                     best_face = face
     drawing._cache["outer_face"] = best_face
     return best_face
-
-
-def _generic_direction(p, geo):
-    """A ray direction from p passing through no polyline point."""
-    points = set()
-    for path in geo.segment_paths.values():
-        points.update(path)
-    for k in range(len(points) * 2 + 2):
-        d = (1, 1 + k * 2)
-        ok = True
-        for q in points:
-            rel = (q[0] - p[0], q[1] - p[1])
-            if rel[0] * d[1] - rel[1] * d[0] == 0 and (rel[0] * d[0] + rel[1] * d[1]) > 0:
-                ok = False
-                break
-        if ok:
-            return d
-    raise ValueError("no generic ray direction found")
-
-
-def _nearest_hit(p, direction, pieces):
-    """Nearest piece crossed by the open ray p + t*direction, t > 0."""
-    best_t = None
-    best = None
-    dx, dy = direction
-    for dart, a, b in pieces:
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        denom = dx * ey - dy * ex
-        if denom == 0:
-            continue  # parallel; collinear pieces were excluded by direction choice
-        apx, apy = a[0] - p[0], a[1] - p[1]
-        t = Fraction(apx * ey - apy * ex, denom)
-        s = Fraction(apx * dy - apy * dx, denom)
-        if t <= 0 or not 0 < s < 1:
-            continue
-        if best_t is None or t < best_t:
-            best_t = t
-            best = (dart, a, b)
-    return best

@@ -7,8 +7,10 @@ triangle instead of the library's single parity labelling, subdrawings
 built by vertex deletion and profiled afresh instead of dropping one
 witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
-labelling, brute-force Fraction-only planarization with directions
-sorted by comparison instead of integer keys, closed-form integer
+labelling, brute-force Fraction-only planarization that sorts the
+directions at every node, crossings included, instead of integer keys and
+one comparison per crossing, a Fraction ray caster instead of the
+winding numbers of point location, closed-form integer
 formulas, plain exhaustive enumeration of the shellability
 definitions instead of the backtracking deciders, and the combinatorial
 loader that built every set and traced faces by a predecessor map
@@ -23,8 +25,9 @@ from itertools import combinations, permutations
 from shellcert.drawing import (Drawing, FaceSet, child_drawing, edge_key, seg_key,
                                trace_faces, vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
-from shellcert.geometry import cross, direction_half
+from shellcert.geometry import cross, direction_half, on_segment
 from shellcert.kedges import Orientation, k_edge_profile
+from shellcert.planarize import outer_face
 
 
 def harary_hill_closed_form(n: int) -> int:
@@ -255,7 +258,7 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
 def sort_by_angle(items, key):
     """Sort items by the counterclockwise angle of key(item), comparing
     directions by half-plane and then by exact cross product; the
-    reference for the planarizer's integer pseudo-angle keys.
+    reference for the planarizer's rotations.
 
     Raises ValueError if two items share a direction (degenerate input).
     """
@@ -286,6 +289,72 @@ class _slope_key:
     def __eq__(self, other):
         a, b = self.v, other.v
         return a[0] * b[1] - a[1] * b[0] == 0
+
+
+# -- point location by ray casting --------------------------------------------
+
+def reference_locate_face(drawing, point) -> int:
+    """Face of a geometric drawing containing point, read off the side of
+    the nearest piece hit by a ray in a generic direction; the reference
+    for locate_face. Raises ValueError for points on the drawing."""
+    geo = drawing.geometry
+    p = (Fraction(point[0]), Fraction(point[1]))
+    faces = trace_faces(drawing)
+
+    pieces = []
+    for dart, path in geo.segment_paths.items():
+        for a, b in zip(path, path[1:]):
+            pieces.append((dart, a, b))
+    for _, a, b in pieces:
+        if on_segment(p, a, b):
+            raise ValueError(f"point {point} lies on the drawing")
+
+    hit = _nearest_hit(p, _generic_direction(p, geo), pieces)
+    if hit is None:
+        return outer_face(drawing)
+    dart, a, b = hit
+    if cross(a, b, p) > 0:
+        return faces.dart_face[dart]
+    return faces.dart_face[(dart[1], dart[0])]
+
+
+def _generic_direction(p, geo):
+    """A ray direction from p passing through no polyline point."""
+    points = set()
+    for path in geo.segment_paths.values():
+        points.update(path)
+    for k in range(len(points) * 2 + 2):
+        d = (1, 1 + k * 2)
+        ok = True
+        for q in points:
+            rel = (q[0] - p[0], q[1] - p[1])
+            if rel[0] * d[1] - rel[1] * d[0] == 0 and (rel[0] * d[0] + rel[1] * d[1]) > 0:
+                ok = False
+                break
+        if ok:
+            return d
+    raise ValueError("no generic ray direction found")
+
+
+def _nearest_hit(p, direction, pieces):
+    """Nearest piece crossed by the open ray p + t*direction, t > 0."""
+    best_t = None
+    best = None
+    dx, dy = direction
+    for dart, a, b in pieces:
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        denom = dx * ey - dy * ex
+        if denom == 0:
+            continue  # parallel; collinear pieces were excluded by direction choice
+        apx, apy = a[0] - p[0], a[1] - p[1]
+        t = Fraction(apx * ey - apy * ex, denom)
+        s = Fraction(apx * dy - apy * dx, denom)
+        if t <= 0 or not 0 < s < 1:
+            continue
+        if best_t is None or t < best_t:
+            best_t = t
+            best = (dart, a, b)
+    return best
 
 
 # -- brute-force planarization ------------------------------------------------

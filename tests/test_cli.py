@@ -255,6 +255,22 @@ class TestExport:
                      "--certificate", str(cert)]) == 0
         assert "<rect" in out.read_text()
 
+    def test_certificate_for_other_drawing_exit_3(self, tmp_path, capsys):
+        # export reads certificates as verify does, digest check included
+        cylindrical, convex = tmp_path / "k9.json", tmp_path / "k7.json"
+        main(["generate", "--family", "cylindrical", "--n", "9", "--output", str(cylindrical)])
+        main(["generate", "--family", "convex", "--n", "7", "--output", str(convex)])
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(cylindrical), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "k7.svg"
+        for argv in (["verify"], ["export", "--output", str(out)]):
+            assert main([*argv, "--input", str(convex), "--certificate", str(cert)]) == 3
+            assert capsys.readouterr().err == ("certificate mismatch: certificate was "
+                                               "issued for a different drawing document\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["-5", "0"])
     def test_size_below_one_pixel_exit_2(self, tmp_path, size, capsys):
         drawing = tmp_path / "k7.json"

@@ -9,18 +9,25 @@ rejects, with the same message, and find the same crossings otherwise.
 Straight-line drawings with coordinates up to 10^12 stress the integer
 keys instead: crossings a tiny fraction of an edge apart and near-parallel
 darts at one node must still be ordered exactly.
+
+Rotations built from cross products must equal a comparison sort of the
+darts, and point location by winding numbers must agree with a ray
+caster, also where pieces run along the axes, in every quarter turn.
 """
+
+import random
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (fraction_intersection, reference_drawing, reference_planarization,
-                     sort_by_angle)
+from oracles import (fraction_intersection, reference_drawing, reference_locate_face,
+                     reference_planarization, sort_by_angle)
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError
+from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.geometry import segment_intersection
-from shellcert.planarize import _angular_order, _shifts, planarize
+from shellcert.planarize import _angular_order, locate_face, planarize
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -195,9 +202,8 @@ NEAR_PARALLEL = [d for base in ((10**12, 1), (10**12 + 1, 1), (10**12, 2), (1, 1
 @pytest.mark.parametrize("turn", range(4))
 def test_angle_keys_match_comparison_sort(turn):
     darts = [(d, target) for target, d in enumerate(NEAR_PARALLEL[turn:] + NEAR_PARALLEL[:turn])]
-    shift = _shifts(10**12 + 1)[1]
     want = [target for _, target in sort_by_angle(darts, key=lambda d: d[0])]
-    assert list(_angular_order(darts, shift, "vertex 0")) == want
+    assert list(_angular_order(darts, "vertex 0")) == want
 
 
 @pytest.mark.parametrize("turn", range(4))
@@ -205,4 +211,80 @@ def test_coincident_directions_raise(turn):
     same = _quarter_turns((10**12, 1))[turn], _quarter_turns((2 * 10**12, 2))[turn]
     darts = [(same[0], 1), ((-3, 7), 2), (same[1], 3)]
     with pytest.raises(DocumentError, match="two curves leave vertex 0 in the same direction"):
-        _angular_order(darts, _shifts(2 * 10**12)[1], "vertex 0")
+        _angular_order(darts, "vertex 0")
+
+
+# K_5 with darts along both axes at every vertex, and three crossings of a
+# horizontal and a vertical piece: (0, 1) x (2, 3), (0, 1) x (2, 4) and
+# (1, 3) x (2, 4).
+AXIS_POSITIONS = {0: (0, 10), 1: (20, 10), 2: (10, 0), 3: (10, 20), 4: (30, 30)}
+AXIS_POLYLINES = {
+    (0, 1): [(0, 10), (20, 10)],
+    (0, 2): [(0, 10), (0, 0), (10, 0)],
+    (0, 3): [(0, 10), (0, 20), (10, 20)],
+    (0, 4): [(0, 10), (-5, 10), (-5, -10), (40, -10), (40, 30), (30, 30)],
+    (1, 2): [(20, 10), (20, 0), (10, 0)],
+    (1, 3): [(20, 10), (20, 20), (10, 20)],
+    (1, 4): [(20, 10), (30, 10), (30, 30)],
+    (2, 3): [(10, 0), (10, 20)],
+    (2, 4): [(10, 0), (15, 5), (15, 30), (30, 30)],
+    (3, 4): [(10, 20), (10, 40), (30, 40), (30, 30)],
+}
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_axis_parallel_rotations_match_comparison_sort(turns):
+    positions = {v: _quarter_turns(p)[turns] for v, p in AXIS_POSITIONS.items()}
+    polylines = {e: [_quarter_turns(p)[turns] for p in pts] for e, pts in AXIS_POLYLINES.items()}
+    drawing = load_drawing(document(5, positions, polylines))
+    _, reference, _ = reference_drawing(5, positions, polylines)
+    assert {x: set(edges) for x, edges in drawing.crossings.items()} == {
+        5: {(0, 1), (2, 3)}, 6: {(0, 1), (2, 4)}, 7: {(1, 3), (2, 4)}}
+    # vertices first, then crossings in ascending id: face ids follow this
+    assert list(drawing.rotations) == list(range(8))
+    assert drawing.rotations == {x: tuple(r) for x, r in reference.rotations.items()}
+
+
+def _turned_document(doc, turns):
+    vertices = []
+    for v in doc["vertices"]:
+        x, y = _quarter_turns((v["x"], v["y"]))[turns]
+        vertices.append(dict(v, x=x, y=y))
+    edges = [dict(e, polyline=[list(_quarter_turns(p)[turns]) for p in e["polyline"]])
+             for e in doc["edges"]]
+    return dict(doc, vertices=vertices, edges=edges)
+
+
+def _face_or_error(locate, drawing, point):
+    try:
+        return locate(drawing, point)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("doc, turns", [
+    *((name, 0) for name in ("convex", "rectilinear")),
+    *(("cylindrical", turns) for turns in range(4))])
+def test_locate_face_matches_ray_casting(doc, turns):
+    raw = {"convex": lambda: convex_document(7),
+           "rectilinear": lambda: rectilinear_document(7, 3),
+           "cylindrical": lambda: cylindrical_document(6)}[doc]()
+    drawing = load_drawing(_turned_document(raw, turns))
+    rng = random.Random(f"{doc}:{turns}")
+    # every vertex and crossing, and some bends, lie on the drawing; one
+    # unit to their right or left, a point shares its y with a node, which
+    # lies on the horizontal ray to the right of the left one
+    points = drawing.geometry.points
+    bends = sorted({x for path in drawing.geometry.segment_paths.values()
+                    for x in path} - set(points.values()))
+    nodes = [*points.values(), *rng.sample(bends, min(len(bends), 8))]
+    beside = [(x + dx, y) for x, y in nodes for dx in (1, -1)]
+    xs, ys = [int(x) for x, _ in nodes], [int(y) for _, y in nodes]
+    scattered = [(rng.randint(min(xs) - 5, max(xs) + 5), rng.randint(min(ys) - 5, max(ys) + 5))
+                 for _ in range(20)]
+    answers = {}
+    for point in (*nodes, *beside, *scattered):
+        answers[point] = _face_or_error(locate_face, drawing, point)
+        assert answers[point] == _face_or_error(reference_locate_face, drawing, point)
+    assert all(isinstance(answers[point], str) for point in nodes)
+    assert len({a for a in answers.values() if isinstance(a, int)}) > 5
