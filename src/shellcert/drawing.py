@@ -182,13 +182,13 @@ class FaceSet:
     """Faces of a drawing, traced from the rotation system.
 
     faces[i] is the boundary walk of face i as a tuple of darts; the face
-    lies to the left of each dart. segment_sides maps a sorted segment
-    (a, b) to (face left of a->b, face left of b->a).
+    lies to the left of each dart. dart_face maps each dart to its face;
+    the two sides of a segment (a, b) are dart_face[(a, b)] and
+    dart_face[(b, a)].
     """
 
     faces: tuple
     dart_face: dict
-    segment_sides: dict
 
     def face_count(self) -> int:
         return len(self.faces)
@@ -213,38 +213,43 @@ def trace_faces(drawing: Drawing) -> FaceSet:
 
 
 def _trace(drawing: Drawing) -> FaceSet:
-    # nxt maps a dart (a, b) to the next boundary dart of the face LEFT of
-    # it: reverse to (b, a), then step backward in the ccw rotation at b.
-    # (Stepping forward would trace the right-hand faces instead.) A walk
-    # pops the darts it passes.
+    """Faces over integer dart indices.
+
+    Darts (node, nbr) are numbered by node and then in rotation order, and
+    faces in the order of their first dart. succ[i] is the next boundary
+    dart of the face LEFT of dart i: reverse (a, b) to (b, a), then step
+    backward in the ccw rotation at b. (Stepping forward would trace the
+    right-hand faces instead.)
+    """
     rot = drawing.rotations
-    nxt = {}
+    darts = [(node, nbr) for node in sorted(rot) for nbr in rot[node]]
+    index = dict(zip(darts, range(len(darts))))
+    succ = [0] * len(darts)
     for b, nbrs in rot.items():
-        p = nbrs[-1]
-        for a in nbrs:
-            nxt[(a, b)] = (b, p)
-            p = a
+        start = index[(b, nbrs[0])]
+        prev = start + len(nbrs) - 1
+        for j, a in enumerate(nbrs, start):
+            succ[index[(a, b)]] = prev
+            prev = j
 
-    # Faces are numbered in the order of their first dart, taking darts
-    # (node, nbr) by node and then in rotation order.
-    faces = []
-    dart_face = {}
-    pop = nxt.pop
-    for node in sorted(rot):
-        for nbr in rot[node]:
-            first = (node, nbr)
-            if first in dart_face:
-                continue
-            walk = [first]
-            dart = pop(first)
-            while dart != first:
-                walk.append(dart)
-                dart = pop(dart)
-            dart_face.update(zip(walk, repeat(len(faces))))
-            faces.append(tuple(walk))
+    face_of = [-1] * len(darts)
+    walks = []
+    for first in range(len(darts)):
+        if face_of[first] >= 0:
+            continue
+        f = len(walks)
+        walk = [first]
+        face_of[first] = f
+        i = succ[first]
+        while i != first:
+            walk.append(i)
+            face_of[i] = f
+            i = succ[i]
+        walks.append(walk)
 
-    segment_sides = {s: (dart_face[s], dart_face[(s[1], s[0])])
-                     for s in drawing.segment_edge}
+    faces = tuple(tuple(map(darts.__getitem__, walk)) for walk in walks)
+    # keys in face order, each face's darts in boundary order
+    dart_face = {d: f for f, face in enumerate(faces) for d in face}
 
     # Euler's formula: F - E + V = 2 on the sphere.
     euler = len(faces) - len(drawing.segment_edge) + len(rot)
@@ -252,7 +257,7 @@ def _trace(drawing: Drawing) -> FaceSet:
         raise EmbeddingError(
             f"rotation system is not a sphere embedding (F-E+V = {euler})")
 
-    return FaceSet(tuple(faces), dart_face, segment_sides)
+    return FaceSet(faces, dart_face)
 
 
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
@@ -287,9 +292,18 @@ def validate_goodness(drawing: Drawing) -> ValidationReport:
     nodes, never tangentially, and every crossing node joins exactly two
     edges; geometric input that would break them is rejected at load time.
     """
+    pairs = drawing.crossings.values()
+    # every crossing joins a pair of edges no other crossing joins, and the
+    # two edges share no endpoint: nothing to list
+    if len(set(pairs)) == len(pairs):
+        for e, f in pairs:
+            if e[0] in f or e[1] in f:
+                break
+        else:
+            return ValidationReport(True, ())
     violations = []
     pair_counts = {}
-    for pair in drawing.crossings.values():
+    for pair in pairs:
         e, f = sorted(pair)
         pair_counts[(e, f)] = pair_counts.get((e, f), 0) + 1
         if set(e) & set(f):
@@ -367,17 +381,17 @@ def delete_vertex(drawing: Drawing, v: int):
             a = parent[a]
         return a
 
+    dart_face = faces.dart_face
     for e in dead_edges:
         ch = drawing.chains[e]
         for a, b in zip(ch, ch[1:]):
-            f1, f2 = faces.segment_sides[seg_key(a, b)]
-            r1, r2 = find(f1), find(f2)
+            r1, r2 = find(dart_face[(a, b)]), find(dart_face[(b, a)])
             if r1 != r2:
                 parent[r2] = r1
 
     class_face = {}
     for dart, f in child_faces.dart_face.items():
-        root = find(faces.dart_face[parent_dart[dart]])
+        root = find(dart_face[parent_dart[dart]])
         prior = class_face.setdefault(root, f)
         if prior != f:
             raise EmbeddingError("face merge classes disagree with traced child faces")

@@ -24,6 +24,13 @@ three or fewer vertices, where every vertex left bounds every face.
 region(F, S + {u}) grows from region(F, S) by a flood that first crosses
 u's segments and then segments of any edge at S + {u}.
 
+The floods read two tables per vertex, cached on the drawing: the faces
+flanking a segment of one of its edges, and for each such face the faces
+across those segments. A vertex's tables come from its own n - 1 chains
+and are built the first time a search or verifier deletes it, so a job
+that deletes a few vertices pays for those few; the corner faces of all
+vertices come from one pass over their rotations.
+
 The region depends only on F and the set S, never on the order of the
 deletions, so grown regions are memoized on (region, S + {u}) for the
 length of one decide or verify call, and the single-chain searches memoize
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, trace_faces
+from .drawing import Drawing, edge_key, trace_faces
 # perfbench/layertrace.py wraps these two names in this module by name
 from .drawing import child_drawing, vertices_on_face  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError
@@ -92,32 +99,47 @@ class VerificationResult:
 # those vertices are gone.
 
 def _region_tables(drawing):
-    """Per vertex: its corner faces as a bitmask, the faces flanking a
-    segment of one of its edges as a bitmask, and for each such face the
-    faces across those segments. Cached on the drawing."""
+    """(corners, tables): every vertex's corner faces as a bitmask, and
+    the drawing's _VertexTables, filled on demand. Cached on the drawing."""
     tables = drawing._cache.get("regions")
     if tables is None:
-        faces = trace_faces(drawing)
-        corners = {w: 0 for w in drawing.vertices}
+        dart_face = trace_faces(drawing).dart_face
+        corners = {}
         for w in drawing.vertices:
+            mask = 0
             for y in drawing.rotations[w]:
-                corners[w] |= 1 << faces.dart_face[(w, y)]
-        adjacency = {w: {} for w in drawing.vertices}
-        for seg, (f1, f2) in faces.segment_sides.items():
-            for x in drawing.segment_edge[seg]:
-                adj = adjacency[x]
-                adj[f1] = adj.get(f1, 0) | 1 << f2
-                adj[f2] = adj.get(f2, 0) | 1 << f1
-        touch = {w: sum(1 << f for f in adj) for w, adj in adjacency.items()}
-        tables = drawing._cache["regions"] = (corners, touch, adjacency)
+                mask |= 1 << dart_face[(w, y)]
+            corners[w] = mask
+        tables = drawing._cache["regions"] = (
+            corners, _VertexTables(drawing.vertices, drawing.chains, dart_face))
     return tables
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+class _VertexTables(dict):
+    """Vertex -> (touch, adjacency), built from the vertex's own n - 1
+    chains the first time a search deletes it. adjacency maps each face
+    flanking a segment of an edge at the vertex to the bitmask of the faces
+    across those segments; touch is the bitmask of those flanking faces."""
+
+    def __init__(self, vertices, chains, dart_face):
+        super().__init__()
+        self.vertices = vertices
+        self.chains = chains
+        self.dart_face = dart_face
+
+    def __missing__(self, x):
+        dart_face = self.dart_face
+        adj = {}
+        for w in self.vertices:
+            if w == x:
+                continue
+            ch = self.chains[edge_key(x, w)]
+            for a, b in zip(ch, ch[1:]):
+                f1, f2 = dart_face[(a, b)], dart_face[(b, a)]
+                adj[f1] = adj.get(f1, 0) | 1 << f2
+                adj[f2] = adj.get(f2, 0) | 1 << f1
+        table = self[x] = (sum(1 << f for f in adj), adj)
+        return table
 
 
 class _Regions:
@@ -126,7 +148,7 @@ class _Regions:
 
     def __init__(self, drawing):
         self.vertices = drawing.vertices
-        self.corners, self.touch, self.adjacency = _region_tables(drawing)
+        self.corners, self.tables = _region_tables(drawing)
         self.memo = {}
 
     @staticmethod
@@ -159,10 +181,14 @@ class _Regions:
         """Faces one step from ``mask`` across a segment of an edge at one
         of ``vertices``."""
         out = 0
+        tables = self.tables
         for x in vertices:
-            adj = self.adjacency[x]
-            for f in _bits(mask & self.touch[x]):
-                out |= adj[f]
+            touch, adj = tables[x]
+            bits = mask & touch
+            while bits:
+                low = bits & -bits
+                out |= adj[low.bit_length() - 1]
+                bits ^= low
         return out
 
 
@@ -320,8 +346,7 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     violated conditions yield an unverified result with the trace naming
     each failed condition.
     """
-    _check_refs(drawing, cert.face,
-                tuple(cert.vertices) + tuple(x for s in cert.sequences for x in s))
+    _check_refs(drawing, cert)
     if len(cert.vertices) < 1 or len(cert.sequences) != len(cert.vertices):
         raise CertificateMismatchError(
             "certificate must carry one simple sequence per vertex")
@@ -375,7 +400,7 @@ def _check_simple(regions, state, owner, seq, banned, want_len, label):
 
 
 def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> VerificationResult:
-    _check_refs(drawing, cert.face, tuple(cert.a_sequence) + tuple(cert.b_sequence))
+    _check_refs(drawing, cert)
     if len(cert.a_sequence) < 1 or len(cert.a_sequence) != len(cert.b_sequence):
         raise CertificateMismatchError(
             "certificate must carry two sequences of equal length")
@@ -405,9 +430,16 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
     return VerificationResult(not violations, tuple(violations))
 
 
-def _check_refs(drawing, face, vertices):
+def _check_refs(drawing, cert):
+    """Raise CertificateMismatchError if the certificate names a face or a
+    vertex the drawing does not have."""
+    face = cert.face
     if not isinstance(face, int) or not 0 <= face < trace_faces(drawing).face_count():
         raise CertificateMismatchError(f"face {face!r} does not exist in the drawing")
+    if isinstance(cert, SeqShellCertificate):
+        vertices = [*cert.vertices, *(x for s in cert.sequences for x in s)]
+    else:
+        vertices = [*cert.a_sequence, *cert.b_sequence]
     unknown = sorted(set(vertices) - drawing.vertex_set)
     if unknown:
         raise CertificateMismatchError(f"unknown vertices {unknown}")

@@ -10,11 +10,14 @@ reference face split by a chord instead of reading edge sides off the
 labelling, brute-force Fraction-only planarization that sorts the
 directions at every node, crossings included, instead of integer keys and
 one comparison per crossing, a Fraction ray caster instead of the
-winding numbers of point location, closed-form integer
-formulas, plain exhaustive enumeration of the shellability
-definitions instead of the backtracking deciders, and the combinatorial
-loader that built every set and traced faces by a predecessor map
-instead of the counting loader and the successor map. The drawing primitives
+winding numbers of point location, closed-form integer formulas, plain
+exhaustive enumeration of the shellability definitions instead of the
+backtracking deciders, region tables for every vertex at once instead of
+one vertex's on its first deletion, a goodness listing over every
+crossing instead of the fast path for good drawings, and the
+combinatorial loader that built every set and traced faces by a
+predecessor map instead of the counting loader and the tracer over
+integer dart indices. The drawing primitives
 (deletion, face maps, face tracing) are shared infrastructure; the logic
 on top is written from scratch.
 """
@@ -224,8 +227,9 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
     ch = drawing.chains[edge_key(u, v)]
     curve = {seg_key(a, b) for a, b in zip(ch, ch[1:])}
     adjacency = {}
-    for s, (f_ab, f_ba) in faces.segment_sides.items():
-        n1, n2 = node_for(f_ab, s), node_for(f_ba, (s[1], s[0]))
+    for s in drawing.segment_edge:
+        n1 = node_for(faces.dart_face[s], s)
+        n2 = node_for(faces.dart_face[(s[1], s[0])], (s[1], s[0]))
         adjacency.setdefault(n1, []).append((n2, s in curve))
         adjacency.setdefault(n2, []).append((n1, s in curve))
     adjacency.setdefault(("split", 1), []).append((("split", 2), True))
@@ -594,6 +598,44 @@ def naive_bishellable(drawing, s, face=None) -> bool:
     return False
 
 
+# -- eager routes the library replaced by lazy ones ----------------------------
+
+def reference_region_tables(drawing):
+    """Every vertex's region tables at once, as the searches built them
+    before they built one vertex's on its first deletion: (corners, touch,
+    adjacency), each keyed by vertex, from one pass over all segments."""
+    dart_face = trace_faces(drawing).dart_face
+    corners = {w: 0 for w in drawing.vertices}
+    for w in drawing.vertices:
+        for y in drawing.rotations[w]:
+            corners[w] |= 1 << dart_face[(w, y)]
+    adjacency = {w: {} for w in drawing.vertices}
+    for (a, b), e in drawing.segment_edge.items():
+        f1, f2 = dart_face[(a, b)], dart_face[(b, a)]
+        for x in e:
+            adj = adjacency[x]
+            adj[f1] = adj.get(f1, 0) | 1 << f2
+            adj[f2] = adj.get(f2, 0) | 1 << f1
+    touch = {w: sum(1 << f for f in adj) for w, adj in adjacency.items()}
+    return corners, touch, adjacency
+
+
+def reference_goodness_violations(drawing):
+    """The goodness violations, listed for every crossing: (condition,
+    edge pair) sorted, as validate_goodness reports them."""
+    violations = []
+    pair_counts = {}
+    for pair in drawing.crossings.values():
+        e, f = sorted(pair)
+        pair_counts[(e, f)] = pair_counts.get((e, f), 0) + 1
+        if set(e) & set(f):
+            violations.append((5, (e, f)))
+    for (e, f), cnt in sorted(pair_counts.items()):
+        if cnt > 1:
+            violations.append((4, (e, f)))
+    return tuple(sorted(violations))
+
+
 # -- the combinatorial load path before it counted --------------------------
 #
 # The loader, Drawing's structural check and face tracing as they stood
@@ -807,10 +849,6 @@ def reference_trace(drawing) -> FaceSet:
                 cur = (b, pred[(b, a)])
             faces.append(tuple(walk))
 
-    segment_sides = {}
-    for a, b in drawing.segment_edge:
-        segment_sides[(a, b)] = (dart_face[(a, b)], dart_face[(b, a)])
-
     # Connectivity + Euler check: F - E + V = 2 on the sphere.
     seen = {next(iter(rot))}
     stack = [next(iter(rot))]
@@ -827,4 +865,4 @@ def reference_trace(drawing) -> FaceSet:
         raise EmbeddingError(
             f"rotation system is not a sphere embedding (F-E+V = {euler})")
 
-    return FaceSet(tuple(faces), dart_face, segment_sides)
+    return FaceSet(tuple(faces), dart_face)

@@ -271,6 +271,31 @@ class TestExport:
                                                "issued for a different drawing document\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("face, a, message", [
+        (99, [0, 1, 8], "face 99 does not exist in the drawing"),
+        (0, [0, 1, 8], "unknown vertices [8]"),
+    ], ids=["unknown-face", "unknown-vertex"])
+    def test_certificate_without_digest_checked_exit_3(self, tmp_path, capsys,
+                                                       face, a, message):
+        # with no digest to compare, export still checks the certificate's
+        # face and vertices against the drawing, as verify does
+        cylindrical, convex = tmp_path / "k9.json", tmp_path / "k7.json"
+        main(["generate", "--family", "cylindrical", "--n", "9", "--output", str(cylindrical)])
+        main(["generate", "--family", "convex", "--n", "7", "--output", str(convex)])
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(cylindrical), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        doc = read(cert)
+        del doc["drawing_sha256"]
+        doc.update(face=face, a=a)
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "k7.svg"
+        for argv in (["verify"], ["export", "--output", str(out)]):
+            assert main([*argv, "--input", str(convex), "--certificate", str(cert)]) == 3
+            assert capsys.readouterr().err == f"certificate mismatch: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["-5", "0"])
     def test_size_below_one_pixel_exit_2(self, tmp_path, size, capsys):
         drawing = tmp_path / "k7.json"
@@ -310,6 +335,45 @@ def emitted(monkeypatch):
 
     monkeypatch.setattr(cli, "_emit", recording)
     return payloads
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, k6, tmp_path):
+        # one process: a usage error, --version, verify and decide on the
+        # same parser each behave as on a parser built for that call alone,
+        # writing to the streams current at that call
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        calls = [["decide", "--mode", "sideways"],
+                 ["--version"],
+                 ["verify", "--input", str(k6), "--certificate", str(cert)],
+                 ["decide", "--input", str(k6), "--mode", "bishell"]]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        parser = cli._build_parser()
+        reused = [run(argv) for argv in calls]
+        assert cli._build_parser() is parser
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        usage, version, verify, decide = reused
+        assert usage[0] == 2 and usage[1] == ""
+        assert usage[2].startswith("usage: shellcert decide")
+        assert "invalid choice: 'sideways'" in usage[2]
+        assert version == (0, "shellcert 0.1.0\n", "")
+        assert verify == (0, "certificate verified\n", "")
+        assert decide[0] == 0 and json.loads(decide[1])["kind"] == "bishell"
 
 
 class TestWriter:

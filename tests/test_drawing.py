@@ -2,7 +2,8 @@
 
 import pytest
 
-from corpus import convex, cylindrical, rectilinear
+from corpus import convex, cylindrical, not_good_k7_document, rectilinear
+from oracles import reference_goodness_violations
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import (delete_vertex, edge_key, seg_key, trace_faces,
                                validate_goodness, vertices_on_face)
@@ -38,6 +39,23 @@ def square_doc(edge01):
         (1, 2): [(100, 0), (100, 100)],
         (1, 3): [(100, 0), (0, 100)],
         (2, 3): [(100, 100), (0, 100)],
+    })
+
+
+def double_crossing_k5_doc():
+    """K_5 where {0,1} sails over the top edge {2,3} twice; the rim edges
+    to vertex 4 separate the two crossings on {2,3}."""
+    return geometric_doc(5, [(0, 0), (100, 0), (100, 100), (0, 100), (50, 150)], {
+        (0, 1): [(0, 0), (30, 160), (70, 160), (100, 0)],
+        (0, 2): [(0, 0), (103, -5), (103, 98), (100, 100)],
+        (0, 3): [(0, 0), (0, 100)],
+        (0, 4): [(0, 0), (50, 150)],
+        (1, 2): [(100, 0), (100, 100)],
+        (1, 3): [(100, 0), (50, -20), (-10, -10), (-10, 50), (0, 100)],
+        (1, 4): [(100, 0), (50, 150)],
+        (2, 3): [(100, 100), (0, 100)],
+        (2, 4): [(100, 100), (50, 150)],
+        (3, 4): [(0, 100), (50, 150)],
     })
 
 
@@ -136,23 +154,26 @@ class TestGoodness:
         assert ((0, 1), (0, 2)) in pairs and ((0, 1), (1, 3)) in pairs
 
     def test_double_crossing_reported(self):
-        # K_5 where {0,1} sails over the top edge {2,3} twice; the rim
-        # edges to vertex 4 separate the two crossings on {2,3}
-        doc = geometric_doc(5, [(0, 0), (100, 0), (100, 100), (0, 100), (50, 150)], {
-            (0, 1): [(0, 0), (30, 160), (70, 160), (100, 0)],
-            (0, 2): [(0, 0), (103, -5), (103, 98), (100, 100)],
-            (0, 3): [(0, 0), (0, 100)],
-            (0, 4): [(0, 0), (50, 150)],
-            (1, 2): [(100, 0), (100, 100)],
-            (1, 3): [(100, 0), (50, -20), (-10, -10), (-10, 50), (0, 100)],
-            (1, 4): [(100, 0), (50, 150)],
-            (2, 3): [(100, 100), (0, 100)],
-            (2, 4): [(100, 100), (50, 150)],
-            (3, 4): [(0, 100), (50, 150)],
-        })
-        d = load_drawing(doc)
+        d = load_drawing(double_crossing_k5_doc())
         report = validate_goodness(d)
         assert report.violations == ((4, ((0, 1), (2, 3))),)
+
+    def test_reports_equal_the_full_listing(self):
+        # the fast path for good drawings reports what listing every
+        # crossing reports, on drawings good or breaking (4) or (5); {0,1}
+        # loops around vertex 2 or 3 to cross just one edge at 0 or at 1
+        good = [convex(6), cylindrical(7), cylindrical(10), rectilinear(7, 21)]
+        bad = [load_drawing(doc) for doc in (
+            square_doc([(0, 0), (40, 70), (60, 70), (100, 0)]),
+            square_doc([(0, 0), (10, 95), (10, 120), (120, 120), (120, 10), (100, 0)]),
+            square_doc([(0, 0), (-20, 10), (-20, 120), (90, 120), (90, 95), (100, 0)]),
+            double_crossing_k5_doc(), not_good_k7_document())]
+        for d in good + bad:
+            report = validate_goodness(d)
+            listed = reference_goodness_violations(d)
+            assert (report.ok, report.violations) == (not listed, listed)
+        assert all(validate_goodness(d).ok for d in good)
+        assert {c for d in bad for c, _ in validate_goodness(d).violations} == {4, 5}
 
     def test_goodness_closed_under_deletion(self):
         d = rectilinear(7, 21)
@@ -174,8 +195,7 @@ class TestDeletion:
         for e in ((0, 3), (1, 3), (2, 3)):
             ch = d.chains[e]
             for a, b in zip(ch, ch[1:]):
-                f1, f2 = fs.segment_sides[seg_key(a, b)]
-                assert face_map[f1] == face_map[f2]
+                assert face_map[fs.dart_face[(a, b)]] == face_map[fs.dart_face[(b, a)]]
 
     def test_convex_deletion_stays_convex(self):
         d = convex(5)
@@ -229,7 +249,7 @@ class TestEdgeTouchesFaceFullyOrNotAtAll:
                     for v in verts[i + 1:]:
                         ch = d.chains[edge_key(u, v)]
                         touching = sum(
-                            f in fs.segment_sides[seg_key(a, b)]
+                            f in (fs.dart_face[(a, b)], fs.dart_face[(b, a)])
                             for a, b in zip(ch, ch[1:]))
                         assert touching in (0, len(ch) - 1)
 

@@ -57,6 +57,18 @@ def _chain_key_twice(doc):
     doc["chains"]["1-0"] = [0, 1]
 
 
+def _noncanonical_key_then_non_list(doc):
+    rotations = doc["rotations"]
+    rotations["1"] = 7
+    doc["rotations"] = {"00": rotations.pop("0"), **rotations}
+
+
+def _non_list_then_noncanonical_key(doc):
+    rotations = doc["rotations"]
+    rotations["0"] = 7
+    rotations["01"] = rotations.pop("1")
+
+
 def _drop_vertex_node(doc):
     doc["nodes"] = doc["nodes"][:3] + doc["nodes"][4:]
 
@@ -103,6 +115,11 @@ COMBINATORIAL = [
     ("rotation-entries", _set(["rotations", "0"], [1, "4", 3]),
      "rotation at 0 must be a list of node ids"),
     ("rotation-not-list", _set(["rotations", "0"], 1),
+     "rotation at 0 must be a list of node ids"),
+    # of two faulty rotations, the first in document order is reported
+    ("rotation-key-then-not-list", _noncanonical_key_then_non_list,
+     "rotation key '00' is not a node id"),
+    ("rotation-not-list-then-key", _non_list_then_noncanonical_key,
      "rotation at 0 must be a list of node ids"),
     ("chains-not-object", _set(["chains"], []),
      '"chains" must map "u-v" to node sequences'),
@@ -384,8 +401,7 @@ def _outcome(load, doc):
         drawing, faces = load(doc)
     except ShellcertError as exc:
         return type(exc), str(exc)
-    return (drawing.canonical_form(), faces.faces, list(faces.dart_face.items()),
-            list(faces.segment_sides.items()))
+    return drawing.canonical_form(), faces.faces, list(faces.dart_face.items())
 
 
 def _load(doc):

@@ -7,9 +7,11 @@ from math import comb
 import pytest
 
 from corpus import convex, cylindrical, rectilinear, sample_faces
-from oracles import naive_bishellable, naive_seq_shellable, surviving_face_vertices
+from oracles import (naive_bishellable, naive_seq_shellable, reference_region_tables,
+                     surviving_face_vertices)
 from shellcert import drawing as drawing_module
 from shellcert import shellability
+from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import Drawing, child_drawing, trace_faces, vertices_on_face
 from shellcert.errors import CertificateMismatchError
 from shellcert.kedges import invariant_edges
@@ -62,6 +64,56 @@ class TestRegions:
             assert find_simple_sequence(d, cert.face, owner,
                                         k + 1).vertices == cert.sequences[0]
         assert decide_bishellable(cylindrical(10), 4) is None
+
+
+class TestRegionTablesPerVertex:
+    """A vertex's region tables, built on its first deletion, against the
+    eager tables of every vertex in tests/oracles.py."""
+
+    @staticmethod
+    def corpus():
+        return ([convex(n) for n in (6, 9)] + [cylindrical(n) for n in (7, 8, 10)]
+                + [rectilinear(n, n + 3) for n in (7, 8)])
+
+    def test_tables_equal_the_eager_ones(self):
+        for d in self.corpus():
+            corners, touch, adjacency = reference_region_tables(d)
+            lazy_corners, tables = shellability._region_tables(d)
+            assert lazy_corners == corners
+            for v in d.vertices:
+                assert tables[v] == (touch[v], adjacency[v]), (d.n, v)
+
+    def test_decisions_and_certificates_unchanged(self, monkeypatch):
+        # every drawing at k = n//2 - 2 and, for bishell, n//2 - 1, which is
+        # negative on the even cylindrical drawings; plus seeded single faces
+        rng = random.Random(1811)
+        cases = []
+        for d in self.corpus():
+            faces = trace_faces(d).face_count()
+            for k in (d.n // 2 - 2, d.n // 2 - 1):
+                cases.append((d, decide_bishellable, k, None))
+                cases.append((d, decide_bishellable, k, rng.randrange(faces)))
+            cases.append((d, decide_seq_shellable, d.n // 2 - 2, None))
+            cases.append((d, decide_seq_shellable, d.n // 2 - 2, rng.randrange(faces)))
+        lazy = [decide(d, k, face) for d, decide, k, face in cases]
+        assert None in lazy and any(cert is not None for cert in lazy)
+
+        def eager(drawing):
+            corners, touch, adjacency = reference_region_tables(drawing)
+            return corners, {v: (touch[v], adjacency[v]) for v in drawing.vertices}
+
+        monkeypatch.setattr(shellability, "_region_tables", eager)
+        assert [decide(d, k, face) for d, decide, k, face in cases] == lazy
+
+    def test_only_deleted_vertices_get_tables(self):
+        # a verify job builds the tables of the vertices it deletes, no more
+        for base in (convex(9), cylindrical(12)):
+            d = load_drawing(drawing_to_document(base, "combinatorial"))
+            cert = decide_seq_shellable(base, base.n // 2 - 2)
+            assert verify_seq_certificate(d, cert)
+            deleted = set(cert.vertices[:-1])
+            deleted.update(x for seq in cert.sequences for x in seq[:-1])
+            assert set(shellability._region_tables(d)[1]) == deleted
 
 
 class TestFindSimpleSequence:
