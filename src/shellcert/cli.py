@@ -15,7 +15,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -30,9 +29,9 @@ from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
 from .kedges import cumulative_bound_check, harary_hill_bound, k_edge_profile, max_k
 from .planarize import locate_face
-from .shellability import (SeqShellCertificate, _check_refs, decide_bishellable,
-                           decide_seq_shellable, verify_bishell_certificate,
-                           verify_seq_certificate)
+from .shellability import (SeqShellCertificate, check_certificate_refs,
+                           decide_bishellable, decide_seq_shellable,
+                           verify_bishell_certificate, verify_seq_certificate)
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -45,7 +44,8 @@ NOT_GOOD = "drawing failed goodness validation"
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CertificateMismatchError as exc:
@@ -59,11 +59,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no
-    state between calls, and argparse finds sys.stdout and sys.stderr
-    when it writes."""
     parser = argparse.ArgumentParser(
         prog="shellcert",
         description="Analyze good drawings of complete graphs: k-edge "
@@ -288,7 +284,7 @@ def cmd_export(args) -> int:
     if args.certificate is not None:
         certificate = _read_certificate(args.certificate, args.input)
         # with a digest or without, its face and vertices must exist
-        _check_refs(drawing, certificate)
+        check_certificate_refs(drawing, certificate)
     text = render_svg(drawing, size=args.size, face_highlight=face_highlight,
                       certificate=certificate, label_face=label_face)
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -13,7 +13,6 @@ combinatorial -- the planarized graph given directly: nodes, rotations
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from .drawing import Drawing, edge_key, trace_faces
 from .errors import DocumentError, StructureError
@@ -156,16 +155,13 @@ def _load_combinatorial(document, n) -> Drawing:
     raw_rot = document.get("rotations")
     if not isinstance(raw_rot, dict):
         raise DocumentError('"rotations" must map node ids to dart lists')
-    rotations = _bulk_rotations(raw_rot)
-    if rotations is None:
-        # find and report the first fault, in document order
-        rotations = {}
-        for key, lst in raw_rot.items():
-            # a canonical key names one node id, so no two keys name the same
-            nid = _parse_int_key(key, "rotation")
-            if not (isinstance(lst, list) and _all_ints(lst)):
-                raise DocumentError(f"rotation at {nid} must be a list of node ids")
-            rotations[nid] = lst
+    rotations = {}
+    for key, lst in raw_rot.items():
+        # a canonical key names one node id, so no two keys name the same
+        nid = _parse_int_key(key, "rotation")
+        if not (isinstance(lst, list) and _all_ints(lst)):
+            raise DocumentError(f"rotation at {nid} must be a list of node ids")
+        rotations[nid] = lst
 
     raw_chains = document.get("chains")
     if not isinstance(raw_chains, dict):
@@ -187,28 +183,12 @@ def _load_combinatorial(document, n) -> Drawing:
     return drawing
 
 
-def _bulk_rotations(raw_rot):
-    """The rotations keyed by node id, or None if some key is not in
-    canonical decimal form or some rotation is not a list of ints."""
-    keys = list(raw_rot)
-    try:
-        ids = list(map(int, keys))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    lists = list(raw_rot.values())
-    if (list(map(str, ids)) != keys or not _LIST_TYPE.issuperset(map(type, lists))
-            or not _all_ints(chain.from_iterable(lists))):
-        return None
-    return dict(zip(ids, lists))
-
-
 def _all_ints(items) -> bool:
     """Whether every item is an int; a bool is not (see _is_int)."""
     return _INT_TYPE.issuperset(map(type, items))
 
 
 _INT_TYPE = frozenset([int])
-_LIST_TYPE = frozenset([list])
 
 
 def _parse_int_key(key, what) -> int:

@@ -14,6 +14,7 @@ Everything here is immutable after construction; derived structures
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -292,25 +293,13 @@ def validate_goodness(drawing: Drawing) -> ValidationReport:
     nodes, never tangentially, and every crossing node joins exactly two
     edges; geometric input that would break them is rejected at load time.
     """
-    pairs = drawing.crossings.values()
-    # every crossing joins a pair of edges no other crossing joins, and the
-    # two edges share no endpoint: nothing to list
-    if len(set(pairs)) == len(pairs):
-        for e, f in pairs:
-            if e[0] in f or e[1] in f:
-                break
-        else:
-            return ValidationReport(True, ())
     violations = []
-    pair_counts = {}
-    for pair in pairs:
-        e, f = sorted(pair)
-        pair_counts[(e, f)] = pair_counts.get((e, f), 0) + 1
-        if set(e) & set(f):
-            violations.append((5, (e, f)))
-    for (e, f), cnt in sorted(pair_counts.items()):
-        if cnt > 1:
-            violations.append((4, (e, f)))
+    # each crossing that breaks (5) is listed; a pair that breaks (4) once
+    for (e, f), count in Counter(drawing.crossings.values()).items():
+        if e[0] in f or e[1] in f:
+            violations += [(5, tuple(sorted((e, f))))] * count
+        if count > 1:
+            violations.append((4, tuple(sorted((e, f)))))
     violations.sort()
     return ValidationReport(not violations, tuple(violations))
 

@@ -68,6 +68,10 @@ class SeqShellCertificate:
     def k(self) -> int:
         return len(self.vertices) - 1
 
+    def named_vertices(self) -> tuple:
+        """Every vertex the certificate names, deleted or in a sequence."""
+        return (*self.vertices, *(x for s in self.sequences for x in s))
+
 
 @dataclass(frozen=True)
 class BishellCertificate:
@@ -80,6 +84,10 @@ class BishellCertificate:
     @property
     def s(self) -> int:
         return len(self.a_sequence) - 1
+
+    def named_vertices(self) -> tuple:
+        """Every vertex the certificate names, in either sequence."""
+        return (*self.a_sequence, *self.b_sequence)
 
 
 @dataclass(frozen=True)
@@ -346,7 +354,7 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     violated conditions yield an unverified result with the trace naming
     each failed condition.
     """
-    _check_refs(drawing, cert)
+    check_certificate_refs(drawing, cert)
     if len(cert.vertices) < 1 or len(cert.sequences) != len(cert.vertices):
         raise CertificateMismatchError(
             "certificate must carry one simple sequence per vertex")
@@ -400,7 +408,7 @@ def _check_simple(regions, state, owner, seq, banned, want_len, label):
 
 
 def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> VerificationResult:
-    _check_refs(drawing, cert)
+    check_certificate_refs(drawing, cert)
     if len(cert.a_sequence) < 1 or len(cert.a_sequence) != len(cert.b_sequence):
         raise CertificateMismatchError(
             "certificate must carry two sequences of equal length")
@@ -430,17 +438,13 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
     return VerificationResult(not violations, tuple(violations))
 
 
-def _check_refs(drawing, cert):
+def check_certificate_refs(drawing: Drawing, cert) -> None:
     """Raise CertificateMismatchError if the certificate names a face or a
     vertex the drawing does not have."""
     face = cert.face
     if not isinstance(face, int) or not 0 <= face < trace_faces(drawing).face_count():
         raise CertificateMismatchError(f"face {face!r} does not exist in the drawing")
-    if isinstance(cert, SeqShellCertificate):
-        vertices = [*cert.vertices, *(x for s in cert.sequences for x in s)]
-    else:
-        vertices = [*cert.a_sequence, *cert.b_sequence]
-    unknown = sorted(set(vertices) - drawing.vertex_set)
+    unknown = sorted(set(cert.named_vertices()) - drawing.vertex_set)
     if unknown:
         raise CertificateMismatchError(f"unknown vertices {unknown}")
 

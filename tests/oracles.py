@@ -13,8 +13,8 @@ one comparison per crossing, a Fraction ray caster instead of the
 winding numbers of point location, closed-form integer formulas, plain
 exhaustive enumeration of the shellability definitions instead of the
 backtracking deciders, region tables for every vertex at once instead of
-one vertex's on its first deletion, a goodness listing over every
-crossing instead of the fast path for good drawings, and the
+one vertex's on its first deletion, a goodness listing that sorts
+every crossing's pair instead of counting the pairs, and the
 combinatorial loader that built every set and traced faces by a
 predecessor map instead of the counting loader and the tracer over
 integer dart indices. The drawing primitives

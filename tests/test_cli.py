@@ -337,45 +337,6 @@ def emitted(monkeypatch):
     return payloads
 
 
-class TestParserReuse:
-    def test_one_parser_serves_every_call(self, k6, tmp_path):
-        # one process: a usage error, --version, verify and decide on the
-        # same parser each behave as on a parser built for that call alone,
-        # writing to the streams current at that call
-        cert = tmp_path / "cert.json"
-        assert main(["decide", "--input", str(k6), "--mode", "seq",
-                     "--output", str(cert)]) == 0
-        calls = [["decide", "--mode", "sideways"],
-                 ["--version"],
-                 ["verify", "--input", str(k6), "--certificate", str(cert)],
-                 ["decide", "--input", str(k6), "--mode", "bishell"]]
-
-        def run(argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            return code, out.getvalue(), err.getvalue()
-
-        parser = cli._build_parser()
-        reused = [run(argv) for argv in calls]
-        assert cli._build_parser() is parser
-        fresh = []
-        for argv in calls:
-            cli._build_parser.cache_clear()
-            fresh.append(run(argv))
-        assert reused == fresh
-        usage, version, verify, decide = reused
-        assert usage[0] == 2 and usage[1] == ""
-        assert usage[2].startswith("usage: shellcert decide")
-        assert "invalid choice: 'sideways'" in usage[2]
-        assert version == (0, "shellcert 0.1.0\n", "")
-        assert verify == (0, "certificate verified\n", "")
-        assert decide[0] == 0 and json.loads(decide[1])["kind"] == "bishell"
-
-
 class TestWriter:
     """Reports and certificates: the same JSON value as the payload, with
     one line per profile, and the same bytes on every run."""

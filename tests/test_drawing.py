@@ -159,9 +159,9 @@ class TestGoodness:
         assert report.violations == ((4, ((0, 1), (2, 3))),)
 
     def test_reports_equal_the_full_listing(self):
-        # the fast path for good drawings reports what listing every
-        # crossing reports, on drawings good or breaking (4) or (5); {0,1}
-        # loops around vertex 2 or 3 to cross just one edge at 0 or at 1
+        # counting the crossing pairs reports what sorting and listing
+        # every crossing reports, on drawings good or breaking (4) or (5);
+        # {0,1} loops around vertex 2 or 3 to cross just one edge at 0 or 1
         good = [convex(6), cylindrical(7), cylindrical(10), rectilinear(7, 21)]
         bad = [load_drawing(doc) for doc in (
             square_doc([(0, 0), (40, 70), (60, 70), (100, 0)]),
