@@ -12,8 +12,8 @@ Run:  python demos/01_profiles_and_recursion.py
 """
 
 from shellcert import (
-    child_drawing, cylindrical_drawing, invariant_edges, k_edge_profile,
-    recursion_check, trace_faces, vertex_k_profile, vertices_on_face,
+    cylindrical_drawing, invariant_edges, k_edge_profile, recursion_check,
+    trace_faces, vertex_k_profile, vertices_on_face,
 )
 from shellcert.planarize import outer_face
 
@@ -35,23 +35,25 @@ for edge, k in sorted(profile.k_values.items()):
 print(f"counts per level: {profile.counts}")
 print(f"cumulated counts: {profile.cumulated}")
 
-# Delete a vertex sitting on the reference face and compare.
+# Delete a vertex sitting on the reference face and compare. The k-values
+# of the child drawing, for its face containing the reference face, are
+# read off the parent: the deleted vertex stops being a witness.
 v = min(vertices_on_face(drawing, face))
-child, child_faces, face_map = child_drawing(drawing, v)
-child_profile = k_edge_profile(child, face_map[face])
 report = invariant_edges(drawing, face, v)
 
-print(f"\ndeleting vertex {v}: the child drawing has "
-      f"{child.crossing_count()} crossings and {child_faces.face_count()} faces")
+print(f"\ndeleting vertex {v}: {len(report.child_k)} edges survive, "
+      f"with k-values in the child drawing:")
+for edge, k in sorted(report.child_k.items()):
+    print(f"  edge {edge}: {k}")
 print(f"invariant edges (same k-value before and after): "
       f"{sorted(report.invariant_edges)}")
 
 print("\nthe recursion that ties the two profiles together, per level k:")
 print("  cumulated(parent) = cumulated(child, k-1) + at-deleted-vertex + invariant")
 for k in range(n // 2 - 1):
-    child_term = child_profile.cumulated[k - 1] if k >= 1 else 0
+    # cumulated(child, k-1): level i <= k-1 contributes k - i per edge
+    child_term = sum(k - c for c in report.child_k.values() if c < k)
     at_v = vertex_k_profile(drawing, face, v)[k]
     inv = report.cumulated[k]
-    total = child_term + at_v + inv
     print(f"  k={k}: {profile.cumulated[k]:3d} = {child_term:3d} + {at_v:3d} + {inv:3d}"
           f"   (residual {recursion_check(drawing, face, v, k)})")

@@ -112,26 +112,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{path}: not valid JSON: {exc}") from None
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
+def _read_document(path):
+    """The JSON document at path and the sha256 of the bytes it was parsed
+    from, read once."""
     with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{path}: not valid JSON: {exc}") from None
+    return doc, hashlib.sha256(data).hexdigest()
 
 
-def _read_certificate(path, drawing_path):
+def _read_certificate(path, drawing_digest):
     """The certificate stored at path; raises CertificateMismatchError if it
-    carries the digest of a document other than the one at drawing_path."""
-    cert, digest = certificate_from_document(_read_json(path))
-    if digest is not None and digest != _sha256(drawing_path):
+    carries a digest other than drawing_digest, that of the drawing's
+    document."""
+    cert, digest = certificate_from_document(_read_document(path)[0])
+    if digest is not None and digest != drawing_digest:
         raise CertificateMismatchError(
             "certificate was issued for a different drawing document")
     return cert
@@ -166,10 +164,11 @@ def _parse_face(selector, drawing):
 
 
 def cmd_analyze(args) -> int:
-    drawing = load_drawing(_read_json(args.input))
+    doc, digest = _read_document(args.input)
+    drawing = load_drawing(doc)
     report = validate_goodness(drawing)
     payload = {
-        "input": {"path": args.input, "sha256": _sha256(args.input)},
+        "input": {"path": args.input, "sha256": digest},
         "n": drawing.n,
         "goodness": {
             "pass": report.ok,
@@ -212,7 +211,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    drawing = load_drawing(_read_json(args.input))
+    doc, digest = _read_document(args.input)
+    drawing = load_drawing(doc)
     if not validate_goodness(drawing).ok:
         print(NOT_GOOD, file=sys.stderr)
         return EXIT_INVALID
@@ -231,16 +231,17 @@ def cmd_decide(args) -> int:
               f"{' for any face' if face_filter is None else f' for face {face_filter}'}",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    _emit(certificate_to_document(cert, drawing_sha256=_sha256(args.input)), args.output)
+    _emit(certificate_to_document(cert, drawing_sha256=digest), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    drawing = load_drawing(_read_json(args.input))
+    doc, digest = _read_document(args.input)
+    drawing = load_drawing(doc)
     if not validate_goodness(drawing).ok:
         print(NOT_GOOD, file=sys.stderr)
         return EXIT_INVALID
-    cert = _read_certificate(args.certificate, args.input)
+    cert = _read_certificate(args.certificate, digest)
     if isinstance(cert, SeqShellCertificate):
         result = verify_seq_certificate(drawing, cert)
     else:
@@ -269,7 +270,8 @@ def cmd_export(args) -> int:
     for flag, selector in (("--face", args.face), ("--labels", args.labels)):
         if selector == "auto":
             raise ValueError(f"export {flag} takes one face (an id or at:x,y), not auto")
-    drawing = load_drawing(_read_json(args.input))
+    doc, digest = _read_document(args.input)
+    drawing = load_drawing(doc)
     # k-value labels are defined only for good drawings
     if args.labels is not None and not validate_goodness(drawing).ok:
         print(NOT_GOOD, file=sys.stderr)
@@ -282,7 +284,7 @@ def cmd_export(args) -> int:
         label_face = _parse_face(args.labels, drawing)[0]
     certificate = None
     if args.certificate is not None:
-        certificate = _read_certificate(args.certificate, args.input)
+        certificate = _read_certificate(args.certificate, digest)
         # with a digest or without, its face and vertices must exist
         check_certificate_refs(drawing, certificate)
     text = render_svg(drawing, size=args.size, face_highlight=face_highlight,

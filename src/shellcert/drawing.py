@@ -8,14 +8,18 @@ permutation (reverse the dart, then step once in the rotation); with
 counterclockwise rotations every face lies to the LEFT of each of its
 boundary darts. The model is spherical: no face is intrinsically "outer".
 
-Everything here is immutable after construction; derived structures
-(faces, deletions) are cached on the drawing and shared freely.
+Everything here is immutable after construction. Derived structures
+(faces, deletions, and the labellings, profiles and tables of the other
+modules) are built by functions decorated with per_drawing, which keeps
+one result per builder and arguments on the drawing; they are shared
+freely.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 from itertools import repeat
 
 from .errors import EmbeddingError, StructureError
@@ -198,29 +202,34 @@ class FaceSet:
         return range(len(self.faces))
 
 
+def per_drawing(build):
+    """Memoize build(drawing, ...) on the drawing, keyed by build itself
+    and the arguments as given, so two builders never share an entry. A
+    build that raises caches nothing; no build returns None."""
+
+    @wraps(build)
+    def cached(drawing, *args, **kwargs):
+        key = (build, args, *kwargs.items())
+        value = drawing._cache.get(key)
+        if value is None:
+            value = drawing._cache[key] = build(drawing, *args, **kwargs)
+        return value
+
+    return cached
+
+
+@per_drawing
 def trace_faces(drawing: Drawing) -> FaceSet:
-    """Trace all faces of the drawing; cached per drawing.
-
-    Raises EmbeddingError if the rotation system fails Euler's formula
-    (i.e. it does not describe a sphere embedding). The plane graph is
-    connected by construction: every node lies on a chain, and a chain
-    joins every pair of vertices.
-    """
-    fs = drawing._cache.get("faces")
-    if fs is None:
-        fs = _trace(drawing)
-        drawing._cache["faces"] = fs
-    return fs
-
-
-def _trace(drawing: Drawing) -> FaceSet:
-    """Faces over integer dart indices.
+    """Trace all faces of the drawing over integer dart indices.
 
     Darts (node, nbr) are numbered by node and then in rotation order, and
     faces in the order of their first dart. succ[i] is the next boundary
     dart of the face LEFT of dart i: reverse (a, b) to (b, a), then step
-    backward in the ccw rotation at b. (Stepping forward would trace the
-    right-hand faces instead.)
+    backward in the ccw rotation at b (stepping forward would trace the
+    right-hand faces). Raises EmbeddingError if the rotation system fails
+    Euler's formula, i.e. does not describe a sphere embedding; the plane
+    graph is connected, as every node lies on a chain and a chain joins
+    every pair of vertices.
     """
     rot = drawing.rotations
     darts = [(node, nbr) for node in sorted(rot) for nbr in rot[node]]
@@ -322,12 +331,18 @@ def delete_vertex(drawing: Drawing, v: int):
 
     Returns (child, child_faces, face_map). The child carries no geometry.
     The union-find over deleted segments defines the merge: both old faces
-    flanking a deleted segment land in the same child face.
+    flanking a deleted segment land in the same child face. The drawing
+    must be good; otherwise ValueError names its first goodness violation.
     """
     if v not in drawing.vertex_set:
         raise ValueError(f"{v} is not a vertex of the drawing")
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    report = validate_goodness(drawing)
+    if not report:
+        condition, (e, f) = report.violations[0]
+        raise ValueError(f"cannot delete a vertex of a drawing that is not good: "
+                         f"edges {e} and {f} break condition ({condition})")
     faces = trace_faces(drawing)
 
     dead_edges = {edge_key(v, u) for u in drawing.vertices if u != v}
@@ -404,11 +419,7 @@ def _next_live(chain, x, y, dead):
     return chain[j]
 
 
+@per_drawing
 def child_drawing(drawing: Drawing, v: int):
     """delete_vertex, cached per drawing."""
-    key = ("child", v)
-    res = drawing._cache.get(key)
-    if res is None:
-        res = delete_vertex(drawing, v)
-        drawing._cache[key] = res
-    return res
+    return delete_vertex(drawing, v)

@@ -1,15 +1,14 @@
-"""Exact rational plane geometry.
+"""Exact plane predicates.
 
-All predicates take points with integer or Fraction coordinates and decide
+The predicates take points with integer or Fraction coordinates and decide
 exactly; floating point never enters any decision. The planarizer decides
-most pairs of pieces on integers itself and calls segment_intersection for
-collinear pairs only; point location (planarize.locate_face) uses the
-predicates on Fraction points.
+pairs of pieces that are not parallel on integers itself and calls
+segment_intersection, which works on integers alone, for collinear pairs
+only; point location (planarize.locate_face) uses cross and on_segment on
+Fraction points.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 Point = tuple  # (x, y), entries int or Fraction
 
@@ -32,50 +31,26 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
 
 
 def segment_intersection(p: Point, q: Point, r: Point, s: Point):
-    """Intersect the closed segments pq and rs.
+    """Intersect the closed segments pq and rs, which lie on one line.
 
-    Returns None (disjoint), ("point", X, t, u) for a single common point
-    X = p + t*(q-p) = r + u*(s-r), or ("overlap", A, B) for a collinear
-    overlap of positive length with endpoints A, B.
+    Returns None (disjoint), ("point", X) for a single common point, or
+    ("overlap", A, B) for an overlap of positive length from A to B; X, A
+    and B are among the four given points. Raises ValueError unless p != q
+    and r and s lie on the line through p and q.
     """
-    d1 = sub(q, p)
-    d2 = sub(s, r)
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    rp = sub(r, p)
-    if denom != 0:
-        # t = tn / denom and u = un / denom; with denom made positive, the
-        # range tests run on the integer numerators, so Fractions are only
-        # built for an actual contact.
-        tn = rp[0] * d2[1] - rp[1] * d2[0]
-        un = rp[0] * d1[1] - rp[1] * d1[0]
-        if denom < 0:
-            denom, tn, un = -denom, -tn, -un
-        if not (0 <= tn <= denom and 0 <= un <= denom):
-            return None
-        x = Fraction(p[0] * denom + tn * d1[0], denom)
-        y = Fraction(p[1] * denom + tn * d1[1], denom)
-        return ("point", (x, y), Fraction(tn, denom), Fraction(un, denom))
-    # Parallel segments.
-    if cross(p, q, r) != 0:
+    if p == q or cross(p, q, r) or cross(p, q, s):
+        raise ValueError("segment_intersection needs two pieces on one line")
+    # positions along q - p, scaled by |q - p|^2: p at 0, q at dx^2 + dy^2
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    first, last = sorted((((r[0] - p[0]) * dx + (r[1] - p[1]) * dy, r),
+                          ((s[0] - p[0]) * dx + (s[1] - p[1]) * dy, s)))
+    lo = max((0, p), first)
+    hi = min((dx * dx + dy * dy, q), last)
+    if lo[0] > hi[0]:
         return None
-    # Collinear: parametrize both by position along d1.
-    dd = d1[0] * d1[0] + d1[1] * d1[1]
-    tr = Fraction(rp[0] * d1[0] + rp[1] * d1[1], dd)
-    sp = sub(s, p)
-    ts = Fraction(sp[0] * d1[0] + sp[1] * d1[1], dd)
-    lo, hi = min(tr, ts), max(tr, ts)
-    lo = max(lo, Fraction(0))
-    hi = min(hi, Fraction(1))
-    if lo > hi:
-        return None
-    if lo == hi:
-        x = p[0] + lo * d1[0]
-        y = p[1] + lo * d1[1]
-        u = Fraction(0) if (x, y) == tuple(r) else Fraction(1)
-        return ("point", (x, y), lo, u)
-    a = (p[0] + lo * d1[0], p[1] + lo * d1[1])
-    b = (p[0] + hi * d1[0], p[1] + hi * d1[1])
-    return ("overlap", a, b)
+    if lo[0] == hi[0]:
+        return ("point", lo[1])
+    return ("overlap", lo[1], hi[1])
 
 
 def direction_half(v: Point) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .drawing import (Drawing, FaceSet, edge_key, seg_key, trace_faces,
+from .drawing import (Drawing, FaceSet, edge_key, per_drawing, seg_key, trace_faces,
                       vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
@@ -139,12 +139,9 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     return _Labelling(index, bits, edges)
 
 
+@per_drawing
 def _labelling(drawing: Drawing) -> _Labelling:
-    lab = drawing._cache.get("labelling")
-    if lab is None:
-        lab = _build_labelling(drawing, trace_faces(drawing))
-        drawing._cache["labelling"] = lab
-    return lab
+    return _build_labelling(drawing, trace_faces(drawing))
 
 
 def _face_label(lab: _Labelling, ref_face: int) -> int:
@@ -245,17 +242,12 @@ class KEdgeProfile:
     crossings: int
 
 
+@per_drawing
 def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
-    key = ("profile", ref_face)
-    prof = drawing._cache.get(key)
-    if prof is not None:
-        return prof
     lab = _labelling(drawing)
     k_values = _k_values(lab, _face_label(lab, ref_face), drawing.n)
     counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
-    prof = KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
-    drawing._cache[key] = prof
-    return prof
+    return KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
 
 
 def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:

@@ -17,7 +17,7 @@ them (a polyline joint, the common vertex of two adjacent edges, or a
 degenerate contact). Collinear pairs go through segment_intersection,
 which finds overlaps. Crossing points and positions along edges are keyed
 by integers made exact by _shift; Fractions are built only for
-Geometry.points, for messages and for collinear pairs.
+Geometry.points and for messages.
 
 Rotations come from the cross-product order of geometry.angle_less: a
 vertex sorts its darts by it, and a crossing needs one comparison of the
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from .drawing import Drawing, Geometry, trace_faces
+from .drawing import Drawing, Geometry, per_drawing, trace_faces
 from .errors import CapabilityError, DocumentError
 from .geometry import (angle_less, cross, direction_half, on_segment, segment_intersection,
                        sub)
@@ -347,42 +347,29 @@ def locate_face(drawing, point) -> int:
     return outer_face(drawing)
 
 
+@per_drawing
 def outer_face(drawing) -> int:
     """Face id of the unbounded face of a geometric drawing (cached).
 
     At the lowest point of the whole drawing nothing lies below, so the
     face occupying the angular gap around "straight down" there is the
     unbounded one; it is the face just counterclockwise of the angularly
-    largest outgoing direction.
+    largest direction leaving it. That point is a point of a polyline: a
+    crossing lies inside two non-parallel pieces, and one of them dips
+    below it.
     """
-    cached = drawing._cache.get("outer_face")
-    if cached is not None:
-        return cached
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError("the unbounded face needs a geometric drawing")
     faces = trace_faces(drawing)
+    low = min((pt for pts in geo.polylines.values() for pt in pts),
+              key=lambda pt: (pt[1], pt[0]))
 
-    low = None
-    for path in geo.segment_paths.values():
-        for x, y in path:
-            if low is None or (y, x) < (low[1], low[0]):
-                low = (x, y)
-
-    best_dir = None
-    best_face = None
-    for dart, path in geo.segment_paths.items():
-        for i, pt in enumerate(path):
-            if pt != low:
-                continue
-            outgoing = []
-            if i + 1 < len(path):
-                outgoing.append((sub(path[i + 1], pt), faces.dart_face[dart]))
-            if i > 0:
-                outgoing.append((sub(path[i - 1], pt), faces.dart_face[(dart[1], dart[0])]))
-            for direction, face in outgoing:
-                if best_dir is None or angle_less(best_dir, direction):
-                    best_dir = direction
-                    best_face = face
-    drawing._cache["outer_face"] = best_face
-    return best_face
+    # (direction, face on its left) of each piece leaving the lowest point
+    leaving = []
+    for (a, b), path in geo.segment_paths.items():
+        if low in path:
+            for dart, walk in (((a, b), path), ((b, a), path[::-1])):
+                leaving += [(sub(walk[i + 1], low), faces.dart_face[dart])
+                            for i in range(len(walk) - 1) if walk[i] == low]
+    return max(leaving, key=cmp_to_key(_ccw))[1]

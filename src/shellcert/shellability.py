@@ -24,12 +24,18 @@ three or fewer vertices, where every vertex left bounds every face.
 region(F, S + {u}) grows from region(F, S) by a flood that first crosses
 u's segments and then segments of any edge at S + {u}.
 
-The floods read two tables per vertex, cached on the drawing: the faces
-flanking a segment of one of its edges, and for each such face the faces
-across those segments. A vertex's tables come from its own n - 1 chains
-and are built the first time a search or verifier deletes it, so a job
-that deletes a few vertices pays for those few; the corner faces of all
-vertices come from one pass over their rotations.
+The floods read two tables per vertex: the faces flanking a segment of
+one of its edges, and for each such face the faces across those segments.
+_region_tables keeps them on the drawing through drawing.per_drawing. A
+vertex's tables come from its own n - 1 chains and are built the first
+time a search or verifier deletes it, so a job that deletes a few
+vertices pays for those few; the corner faces of all vertices come from
+one pass over their rotations.
+
+Both verifiers check every deletion sequence of a certificate (the
+a-sequence, each simple sequence, both bishellability sequences) with
+one walk, _Regions.walk: each vertex must still be present and must bound
+the face containing F, and is then deleted.
 
 The region depends only on F and the set S, never on the order of the
 deletions, so grown regions are memoized on (region, S + {u}) for the
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, edge_key, trace_faces
+from .drawing import Drawing, edge_key, per_drawing, trace_faces
 # perfbench/layertrace.py wraps these two names in this module by name
 from .drawing import child_drawing, vertices_on_face  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError
@@ -106,21 +112,18 @@ class VerificationResult:
 # the faces that merge into the face containing the reference face once
 # those vertices are gone.
 
+@per_drawing
 def _region_tables(drawing):
     """(corners, tables): every vertex's corner faces as a bitmask, and
     the drawing's _VertexTables, filled on demand. Cached on the drawing."""
-    tables = drawing._cache.get("regions")
-    if tables is None:
-        dart_face = trace_faces(drawing).dart_face
-        corners = {}
-        for w in drawing.vertices:
-            mask = 0
-            for y in drawing.rotations[w]:
-                mask |= 1 << dart_face[(w, y)]
-            corners[w] = mask
-        tables = drawing._cache["regions"] = (
-            corners, _VertexTables(drawing.vertices, drawing.chains, dart_face))
-    return tables
+    dart_face = trace_faces(drawing).dart_face
+    corners = {}
+    for w in drawing.vertices:
+        mask = 0
+        for y in drawing.rotations[w]:
+            mask |= 1 << dart_face[(w, y)]
+        corners[w] = mask
+    return corners, _VertexTables(drawing.vertices, drawing.chains, dart_face)
 
 
 class _VertexTables(dict):
@@ -184,6 +187,22 @@ class _Regions:
                 fresh = self._across(fresh, removed) & ~region
             grown = self.memo[key] = region
         return grown, removed
+
+    def walk(self, state, seq, name, gone, violations):
+        """Delete the vertices of ``seq`` in turn from ``state``, yielding
+        the state before each deletion. A vertex that does not bound the
+        face containing the reference face adds a violation; one already
+        deleted adds "``name(i)`` = x ``gone``" and ends the walk."""
+        for i, x in enumerate(seq):
+            if i:
+                state = self.advance(state, seq[i - 1])
+            if x in state[1]:
+                violations.append(f"{name(i)} = {x} {gone}")
+                return
+            if x not in self.candidates(state):
+                violations.append(f"{name(i)} = {x} is not incident to the face "
+                                  f"containing the reference face")
+            yield state
 
     def _across(self, mask, vertices):
         """Faces one step from ``mask`` across a segment of an edge at one
@@ -364,47 +383,23 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     if len(set(cert.vertices)) != len(cert.vertices):
         violations.append("vertex sequence repeats a vertex")
     regions = _Regions(drawing)
-    state = regions.start(cert.face)
-    for i, (a, seq) in enumerate(zip(cert.vertices, cert.sequences)):
-        where = (f"a_{i} = {a}")
-        if a in state[1]:
-            violations.append(f"{where} was already deleted")
-            break
-        if a not in regions.candidates(state):
-            violations.append(
-                f"{where} is not incident to the face containing the reference face")
-        violations.extend(_check_simple(regions, state, a, seq,
-                                        set(cert.vertices[: i + 1]),
-                                        k - i + 1, f"S_{i}"))
-        if i < k:
-            state = regions.advance(state, a)
+    walk = regions.walk(regions.start(cert.face), cert.vertices, lambda i: f"a_{i}",
+                        "was already deleted", violations)
+    for (i, (a, seq)), state in zip(enumerate(zip(cert.vertices, cert.sequences)), walk):
+        label, want = f"S_{i}", k - i + 1
+        if len(seq) != want:
+            violations.append(f"{label} must have length {want}, has {len(seq)}")
+        if len(set(seq)) != len(seq):
+            violations.append(f"{label} repeats a vertex")
+        if a in seq:
+            violations.append(f"{label} contains its owner {a}")
+        hits = sorted(set(seq).intersection(cert.vertices[: i + 1]))
+        if hits:
+            violations.append(f"{label} contains excluded vertices {hits}")
+        for _ in regions.walk(state, seq, lambda j: f"{label}[{j}]",
+                              "is not present in the subdrawing", violations):
+            pass
     return VerificationResult(not violations, tuple(violations))
-
-
-def _check_simple(regions, state, owner, seq, banned, want_len, label):
-    """Conditions for ``seq`` to be a simple sequence of ``owner`` avoiding
-    ``banned``, checked from the region of ``state``."""
-    violations = []
-    if len(seq) != want_len:
-        violations.append(f"{label} must have length {want_len}, has {len(seq)}")
-    if len(set(seq)) != len(seq):
-        violations.append(f"{label} repeats a vertex")
-    if owner in seq:
-        violations.append(f"{label} contains its owner {owner}")
-    hits = sorted(set(seq) & banned)
-    if hits:
-        violations.append(f"{label} contains excluded vertices {hits}")
-    for j, u in enumerate(seq):
-        if u in state[1]:
-            violations.append(f"{label}[{j}] = {u} is not present in the subdrawing")
-            break
-        if u not in regions.candidates(state):
-            violations.append(
-                f"{label}[{j}] = {u} is not incident to the face containing "
-                f"the reference face")
-        if j < len(seq) - 1:
-            state = regions.advance(state, u)
-    return violations
 
 
 def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> VerificationResult:
@@ -419,17 +414,9 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
     for name, seq in (("a", cert.a_sequence), ("b", cert.b_sequence)):
         if len(set(seq)) != len(seq):
             violations.append(f"{name}-sequence repeats a vertex")
-        state = regions.start(cert.face)
-        for i, x in enumerate(seq):
-            if x in state[1]:
-                violations.append(f"{name}_{i} = {x} was already deleted")
-                break
-            if x not in regions.candidates(state):
-                violations.append(
-                    f"{name}_{i} = {x} is not incident to the face containing "
-                    f"the reference face")
-            if i < s:
-                state = regions.advance(state, x)
+        for _ in regions.walk(regions.start(cert.face), seq, lambda i: f"{name}_{i}",
+                              "was already deleted", violations):
+            pass
     for i, a in enumerate(cert.a_sequence):
         for j, b in enumerate(cert.b_sequence):
             if i + j <= s and a == b:

@@ -149,6 +149,15 @@ class TestAnalyze:
         bad.write_text("{")
         assert main(["analyze", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+        (b"{\xff}", "'utf-8' codec can't decode byte 0xff")])
+    def test_bom_or_invalid_utf8_exit_2(self, tmp_path, data, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main(["analyze", "--input", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_auto_builds_one_labelling(self, tmp_path, monkeypatch):
         # however many faces are analyzed, the triangles are classified once
         calls = []
@@ -335,6 +344,36 @@ def emitted(monkeypatch):
 
     monkeypatch.setattr(cli, "_emit", recording)
     return payloads
+
+
+class TestReadOnce:
+    def test_each_command_opens_its_drawing_once(self, k6, tmp_path, monkeypatch):
+        # the digest recorded or checked comes from the bytes that were parsed
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        opened = []
+        real_open = open
+
+        def counting(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting)
+        commands = {
+            "analyze": ["analyze", "--input", str(k6), "--face", "0",
+                        "--output", str(tmp_path / "report.json")],
+            "decide": ["decide", "--input", str(k6), "--mode", "bishell",
+                       "--output", str(tmp_path / "bishell.json")],
+            "verify": ["verify", "--input", str(k6), "--certificate", str(cert)],
+            "export": ["export", "--input", str(k6), "--output", str(tmp_path / "k6.svg"),
+                       "--certificate", str(cert)],
+        }
+        for name, argv in commands.items():
+            opened.clear()
+            assert main(argv) == 0, name
+            assert opened.count(str(k6)) == 1, (name, opened)
+            assert opened.count(str(cert)) == (name in ("verify", "export")), (name, opened)
 
 
 class TestWriter:

@@ -1,13 +1,17 @@
 """Drawing loading, face tracing, goodness, deletion, and face merging."""
 
+import re
+
 import pytest
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
 from oracles import reference_goodness_violations
 from shellcert.documents import drawing_to_document, load_drawing
-from shellcert.drawing import (delete_vertex, edge_key, seg_key, trace_faces,
+from shellcert.drawing import (child_drawing, delete_vertex, edge_key, seg_key, trace_faces,
                                validate_goodness, vertices_on_face)
-from shellcert.errors import DocumentError
+from shellcert.errors import CapabilityError, DocumentError
+from shellcert.generators import convex_document
+from shellcert.kedges import KEdgeProfile, k_edge_profile
 from shellcert.planarize import locate_face, outer_face, planarize
 
 
@@ -214,6 +218,17 @@ class TestDeletion:
         with pytest.raises(ValueError):
             delete_vertex(d, 9)
 
+    @pytest.mark.parametrize("doc, v, message", [
+        (double_crossing_k5_doc, 4, "edges (0, 1) and (2, 3) break condition (4)"),
+        (not_good_k7_document, 3, "edges (0, 1) and (1, 5) break condition (5)")])
+    def test_drawing_that_is_not_good_is_rejected(self, doc, v, message):
+        # the input's first goodness violation is named, not a fault of the
+        # child the deletion would build
+        d = load_drawing(doc())
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot delete a vertex of a drawing that is not good: {message}")):
+            delete_vertex(d, v)
+
     def test_outer_face_tracks_through_hull_deletions(self):
         # children carry no geometry; in a convex drawing the outer face is
         # the only face bounded by every vertex
@@ -365,3 +380,35 @@ class TestLoaderRejections:
         with pytest.raises(DocumentError,
                            match=r"edge \(0, 1\) intersects itself at \(19/9, 0\)$"):
             planarize(2, positions, {(0, 1): [(0, 0), (6, 0), (6, 7), (1, -2)]})
+
+
+class TestPerDrawingMemo:
+    """Derived structures are built once per drawing and arguments."""
+
+    def test_second_call_returns_the_same_object(self):
+        d = load_drawing(convex_document(6))
+        for build, args in ((trace_faces, ()), (k_edge_profile, (0,)), (k_edge_profile, (1,)),
+                            (outer_face, ()), (child_drawing, (0,))):
+            first = build(d, *args)
+            assert build(d, *args) is first, build.__name__
+        assert k_edge_profile(d, 0) is not k_edge_profile(d, 1)
+        # arguments may still be passed by name
+        assert k_edge_profile(d, ref_face=0).k_values == k_edge_profile(d, 0).k_values
+
+    def test_builders_never_share_an_entry(self):
+        for order in ((k_edge_profile, child_drawing), (child_drawing, k_edge_profile)):
+            d = load_drawing(convex_document(6))
+            got = {build: build(d, 0) for build in order}
+            assert isinstance(got[k_edge_profile], KEdgeProfile)
+            child, child_faces, face_map = got[child_drawing]
+            assert child.n == 5 and face_map.deleted_vertex == 0
+
+    def test_a_build_that_raises_caches_nothing(self):
+        d = load_drawing(convex_document(6))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="face 999 does not exist"):
+                k_edge_profile(d, 999)
+        combinatorial = load_drawing(drawing_to_document(d, "combinatorial"))
+        for _ in range(2):
+            with pytest.raises(CapabilityError):
+                outer_face(combinatorial)

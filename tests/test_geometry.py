@@ -1,7 +1,5 @@
 """Exact geometric primitives."""
 
-from fractions import Fraction
-
 import pytest
 
 from oracles import ccw_sign, polygon_area2, sort_by_angle, winding_number
@@ -14,27 +12,17 @@ def test_ccw_sign():
     assert ccw_sign((0, 0), (1, 1), (2, 2)) == 0
 
 
-def test_proper_crossing_is_exact():
-    kind, x, t, u = segment_intersection((0, 0), (4, 4), (0, 4), (4, 0))
-    assert kind == "point"
-    assert x == (2, 2)
-    assert t == Fraction(1, 2) and u == Fraction(1, 2)
-
-
-def test_non_integer_crossing_point():
-    kind, x, t, u = segment_intersection((0, 0), (3, 1), (1, -1), (1, 5))
-    assert kind == "point"
-    assert x == (1, Fraction(1, 3))
-
-
 def test_disjoint_segments():
-    assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
     assert segment_intersection((0, 0), (1, 0), (3, 0), (4, 0)) is None
+    assert segment_intersection((4, 2), (3, 1), (0, -2), (2, 0)) is None
 
 
-def test_endpoint_touch_reports_point():
-    kind, x, _, _ = segment_intersection((0, 0), (2, 2), (2, 2), (5, 0))
-    assert kind == "point" and x == (2, 2)
+def test_pieces_off_one_line_are_refused():
+    # the planarizer decides pieces that are not collinear on its own
+    for pieces in (((0, 0), (4, 4), (0, 4), (4, 0)), ((0, 0), (1, 0), (0, 1), (1, 1)),
+                   ((0, 0), (2, 0), (2, 0), (3, 1)), ((1, 1), (1, 1), (0, 0), (2, 2))):
+        with pytest.raises(ValueError):
+            segment_intersection(*pieces)
 
 
 def test_collinear_overlap():

@@ -13,6 +13,8 @@ darts at one node must still be ordered exactly.
 Rotations built from cross products must equal a comparison sort of the
 darts, and point location by winding numbers must agree with a ray
 caster, also where pieces run along the axes, in every quarter turn.
+The unbounded face found from the lowest point must be the one face
+whose boundary walk runs clockwise.
 """
 
 import random
@@ -21,13 +23,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (fraction_intersection, reference_drawing, reference_locate_face,
-                     reference_planarization, sort_by_angle)
+from oracles import (fraction_intersection, polygon_area2, reference_drawing,
+                     reference_locate_face, reference_planarization, sort_by_angle)
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.geometry import segment_intersection
-from shellcert.planarize import _angular_order, locate_face, planarize
+from shellcert.drawing import trace_faces
+from shellcert.planarize import _angular_order, locate_face, outer_face, planarize
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -112,17 +115,21 @@ def test_planarize_rejections_match_reference(case):
     assert expected[0] == "ok"
 
 
-segment = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                    st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-                    ).filter(lambda s: s[0] != s[1])
+# two pieces on one line: base + t * direction for four parameters t
+collinear_pieces = st.tuples(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda t: t[0] != t[1]),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda t: t[0] != t[1]))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(segment, segment)
-def test_segment_intersection_matches_fraction_reference(first, second):
-    (p, q), (r, s) = first, second
-    # reversing either segment flips the sign of the denominator
-    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
+@given(collinear_pieces)
+def test_segment_intersection_matches_fraction_reference(case):
+    (bx, by), (dx, dy), first, second = case
+    p, q, r, s = ((bx + t * dx, by + t * dy) for t in (*first, *second))
+    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                       (r, s, p, q)):
         got = segment_intersection(a, b, c, d)
         want = fraction_intersection(a, b, c, d)
         if want is None:
@@ -130,11 +137,9 @@ def test_segment_intersection_matches_fraction_reference(first, second):
         elif want[0] == "overlap":
             assert got[0] == "overlap" and {got[1], got[2]} == want[1]
         else:
-            kind, x, t, u = got
-            assert kind == "point" and x == want[1]
-            assert 0 <= t <= 1 and 0 <= u <= 1
-            assert x == (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            assert x == (c[0] + u * (d[0] - c[0]), c[1] + u * (d[1] - c[1]))
+            assert got == ("point", want[1])
+        # every point returned is one of the four given
+        assert got is None or all(x in (a, b, c, d) for x in got[1:])
 
 
 # Far points and a small cluster near the origin: edges between them cross
@@ -288,3 +293,19 @@ def test_locate_face_matches_ray_casting(doc, turns):
         assert answers[point] == _face_or_error(reference_locate_face, drawing, point)
     assert all(isinstance(answers[point], str) for point in nodes)
     assert len({a for a in answers.values() if isinstance(a, int)}) > 5
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("family, n", [("convex", 6), ("convex", 12), ("cylindrical", 7),
+                                       ("cylindrical", 12), ("rectilinear", 9),
+                                       ("rectilinear", 12)])
+def test_outer_face_is_the_one_face_bounded_clockwise(family, n, turns):
+    # every face lies left of its boundary walk: a bounded face's walk runs
+    # counterclockwise (positive area), the unbounded face's clockwise
+    raw = {"convex": convex_document, "cylindrical": cylindrical_document,
+           "rectilinear": lambda n: rectilinear_document(n, n)}[family](n)
+    drawing = load_drawing(_turned_document(raw, turns))
+    geo = drawing.geometry
+    clockwise = [f for f, walk in enumerate(trace_faces(drawing).faces)
+                 if polygon_area2([x for a, b in walk for x in geo.segment_path(a, b)[:-1]]) < 0]
+    assert clockwise == [outer_face(drawing)]
