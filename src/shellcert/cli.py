@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .documents import (certificate_from_document, certificate_to_document,
                         dump_document, dumps_document, load_drawing)
-from .drawing import trace_faces, validate_goodness, vertices_on_face
+from .drawing import check_face, trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
@@ -158,9 +158,10 @@ def _parse_face(selector, drawing):
         face = int(selector)
     except ValueError:
         raise ValueError(f"bad face selector {selector!r}") from None
-    if not 0 <= face < faces.face_count():
-        raise ValueError(f"face {face} does not exist (drawing has {faces.face_count()})")
-    return [face]
+    try:
+        return [check_face(drawing, face)]
+    except ValueError as exc:
+        raise ValueError(f"{exc} (drawing has {faces.face_count()})") from None
 
 
 def cmd_analyze(args) -> int:
@@ -189,8 +190,8 @@ def cmd_analyze(args) -> int:
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
     selected = _parse_face(args.face, drawing)
     payload["faces"]["analyzed"] = selected
-    # the writer sorts every key, so the names need no order of their own
-    names = {e: f"{e[0]}-{e[1]}" for e in drawing.chains}
+    # a profile lists its k-values in edge order
+    names = [f"{u}-{v}" for u, v in drawing.edges()]
     for face in selected:
         prof = k_edge_profile(drawing, face)
         # a drawing on 3 vertices has no bound levels: by default its
@@ -200,7 +201,7 @@ def cmd_analyze(args) -> int:
         payload["profiles"].append({
             "face": face,
             "face_vertices": sorted(vertices_on_face(drawing, face)),
-            "k_values": {names[e]: k for e, k in prof.k_values.items()},
+            "k_values": dict(zip(names, prof.k_values.values())),
             "counts": list(prof.counts),
             "cumulated": list(prof.cumulated),
             "bounds": [{"k": r.k, "cumulated": r.cumulated,

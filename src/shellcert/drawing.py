@@ -43,7 +43,9 @@ class Drawing:
     crossings  -- crossing node id -> frozenset of the two edges crossing there
     rotations  -- node id -> tuple of neighbour node ids in ccw order
     chains     -- edge (u, v), u < v -> tuple of node ids from u to v
-    geometry   -- optional Geometry annotation (coordinates and polylines)
+    geometry   -- optional Geometry annotation (coordinates and polylines),
+                  or a function of no arguments that builds it; it is then
+                  called on the first read of drawing.geometry, once
     """
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
@@ -53,9 +55,16 @@ class Drawing:
         self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
         self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
                        for (u, v), ch in chains.items()}
-        self.geometry = geometry
+        self._geometry = geometry
         self._cache = {}
         self.segment_edge = self._validate()
+
+    @property
+    def geometry(self):
+        geo = self._geometry
+        if callable(geo):
+            geo = self._geometry = geo()
+        return geo
 
     @property
     def n(self) -> int:
@@ -270,16 +279,23 @@ def trace_faces(drawing: Drawing) -> FaceSet:
     return FaceSet(faces, dart_face)
 
 
+def check_face(drawing: Drawing, face: int) -> int:
+    """The face id, if the drawing has that face; ValueError otherwise.
+    Every entry that takes a face id asks here, except the certificate
+    check, which raises CertificateMismatchError."""
+    if not 0 <= face < trace_faces(drawing).face_count():
+        raise ValueError(f"face {face} does not exist")
+    return face
+
+
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     """Real vertices appearing on the boundary walk of the face.
 
     May be empty: nothing guarantees that every face of a good drawing
     touches a real vertex.
     """
-    faces = trace_faces(drawing).faces
-    if not 0 <= face < len(faces):
-        raise ValueError(f"face {face} does not exist")
-    return frozenset(a for a, _ in faces[face] if a in drawing.vertex_set)
+    walk = trace_faces(drawing).faces[check_face(drawing, face)]
+    return frozenset(a for a, _ in walk if a in drawing.vertex_set)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,29 +18,43 @@ well defined. Face F is left of a -> b -> c iff that parity equals the
 parity of a face known to lie left of the traversal: the face left of the
 first segment of the edge ab (the triangle's first corner seed). The
 seeds at the other two corners must agree, which every good drawing
-satisfies. A profile then costs O(n^2) operations on ints: the witnesses
-of an edge are the bits of one XOR of two rows of P[F], counted by
-int.bit_count.
+satisfies.
+
+A profile reads the label of F in one pass over packed integers. The
+labelling lays out one bit field per edge, in edge order, W bits wide
+with W a power of two of at least max(8, n). Row i of the label placed
+in the fields of the edges at v_i (one multiplication by a spread mask
+with a 1 at the low bit of each such field), XORed over all rows and
+with the packed triangle constants, leaves in the field of uv the
+witnesses of uv; masking and a SWAR bit count (neighbouring lanes of
+1, 2, 4, ... bits added, each sum masked to its lane) turn every field
+into its witness count at once. One to_bytes reads all counts back, and
+a table maps each count m to min(m, n-2-m).
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
 of the subdrawing that contains F is a union of faces on one side of that
 curve. So the k-value of a surviving edge in the subdrawing is
 min(m', n-3-m'), where m' counts its - witnesses other than v, and it is
-the parent's k-value or one less. Invariant edges, the deletion recursion
-and the sides of an edge closed through F are all read off the parent's
-labelling; no subdrawing is built.
+the parent's k-value or one less; the packed pass reads it with a
+witness mask that drops bit v from every field and the fields of the
+edges at v. Invariant edges, the deletion recursion and the sides of an
+edge closed through F are all read off the parent's labelling; no
+subdrawing is built.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
-from .drawing import (Drawing, FaceSet, edge_key, per_drawing, seg_key, trace_faces,
-                      vertices_on_face)
+from .drawing import (Drawing, FaceSet, check_face, edge_key, per_drawing, seg_key,
+                      trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import EmbeddingError
@@ -70,15 +84,41 @@ class _Labelling:
     face_bits[f] holds, at bits i*n + j and j*n + i, the parity of the
     segments of the edge {v_i, v_j} crossed on a dual path from face 0 to
     face f, so row i of a label (bits i*n .. i*n + n-1) is the witness
-    mask of the edges at v_i. edges maps each edge (v_i, v_j), i < j, to
-    (i, j, rel, mask): rel holds at bit w the parity on the triangle
-    {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and mask
-    selects the n - 2 witnesses.
+    mask of the edges at v_i. edges maps each edge (v_i, v_j), i < j, in
+    edge order to (i, j, rel, mask): rel holds at bit w the parity on the
+    triangle {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and
+    mask selects the n - 2 witnesses.
+
+    The packed layout gives the edge at position p in that order the bits
+    p*width .. p*width + width-1. spread[i] has a 1 at the low bit of the
+    field of every edge at v_i; rel packs the rels; lanes are the masks of
+    the SWAR bit count (low half of every lane of 2, 4, ..., width bits);
+    read is the array type code and the stride that read the low bits of
+    every field back. witness maps None, and the index of each vertex
+    deleted so far, to (packed witness mask, count -> k-value table, edges
+    gone).
     """
 
     index: dict
     face_bits: list
     edges: dict
+    width: int
+    spread: tuple
+    rel: int
+    lanes: tuple
+    read: tuple
+    witness: dict
+
+
+# array type codes by item size in bits; the readback takes the widest
+# that fits in a field, and every platform has 8-, 16-, 32- and 64-bit codes
+_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+
+
+def _pack(fields, width: int) -> int:
+    """The ints in fields laid out width bits apart, the first lowest."""
+    size = width // 8
+    return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields), "little")
 
 
 def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
@@ -136,18 +176,34 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
         between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
         rel = (first[i, j] & mask & ~between) | (~last[i, j] & between)
         edges[e] = (i, j, rel, mask)
-    return _Labelling(index, bits, edges)
+    return _lay_out(index, bits, edges)
+
+
+def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
+    """The labelling with its packed masks, for the given edges in order."""
+    n = len(index)
+    width = max(8, 1 << (n - 1).bit_length())
+    size = width // 8
+    rows = [bytearray(len(edges) * size) for _ in range(n)]
+    for p, (i, j, _, _) in enumerate(edges.values()):
+        rows[i][p * size] = rows[j][p * size] = 1
+    spread = [int.from_bytes(row, "little") for row in rows]
+    whole = (1 << len(edges) * width) - 1
+    lanes = []
+    lane = 1
+    while lane < width:
+        lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
+        lane *= 2
+    witness = {None: (_pack((m for _, _, _, m in edges.values()), width), _fold(n - 2), ())}
+    item = min(width, 64)
+    return _Labelling(index, face_bits, edges, width, tuple(spread),
+                      _pack((rel for _, _, rel, _ in edges.values()), width),
+                      tuple(lanes), (_CODES[item], width // item), witness)
 
 
 @per_drawing
 def _labelling(drawing: Drawing) -> _Labelling:
     return _build_labelling(drawing, trace_faces(drawing))
-
-
-def _face_label(lab: _Labelling, ref_face: int) -> int:
-    if not 0 <= ref_face < len(lab.face_bits):
-        raise ValueError(f"face {ref_face} does not exist")
-    return lab.face_bits[ref_face]
 
 
 def _vertex_index(lab: _Labelling, x: int) -> int:
@@ -178,7 +234,7 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
     i, j, w = (_vertex_index(lab, x) for x in (u, v, witness))
     if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
-    right = _right_of(lab, _face_label(lab, ref_face), u, v)
+    right = _right_of(lab, lab.face_bits[check_face(drawing, ref_face)], u, v)
     return Orientation.MINUS if right >> w & 1 else Orientation.PLUS
 
 
@@ -188,8 +244,28 @@ def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     u, v = edge
     if _vertex_index(lab, u) == _vertex_index(lab, v):
         raise ValueError("an edge needs two distinct vertices")
-    minus = _right_of(lab, _face_label(lab, ref_face), u, v).bit_count()
+    minus = _right_of(lab, lab.face_bits[check_face(drawing, ref_face)], u, v).bit_count()
     return min(minus, drawing.n - 2 - minus)
+
+
+def _fold(top: int) -> tuple:
+    """k-value of each witness count 0..top: the smaller side."""
+    return tuple(m if 2 * m <= top else top - m for m in range(top + 1))
+
+
+def _witness(lab: _Labelling, deleted: int | None):
+    """Packed witness mask, k-value table and edges gone for the
+    subdrawing without v_deleted, built on the first deletion of v."""
+    entry = lab.witness.get(deleted)
+    if entry is None:
+        n = len(lab.index)
+        mask = lab.witness[None][0]
+        ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
+        # v_deleted is no witness, and its edges are gone
+        mask &= ~((ones << deleted) | lab.spread[deleted] * ((1 << n) - 1))
+        gone = tuple(e for e, (i, j, _, _) in lab.edges.items() if deleted in (i, j))
+        entry = lab.witness[deleted] = (mask, _fold(n - 3), gone)
+    return entry
 
 
 def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> dict:
@@ -199,40 +275,46 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
     subdrawing without v, for its face that contains the labelled face:
     the edges at v are gone, and v is no longer a witness of the others.
     """
+    mask, fold, gone = _witness(lab, deleted)
+    # field of v_i v_j: bit w set iff F lies right of v_i -> v_j -> v_w, a
+    # - witness, up to complementing every witness (the label's own bit of
+    # the edge, which taking the smaller side does not need)
     full = (1 << n) - 1
-    rows = [(pf >> (i * n)) & full for i in range(n)]
-    keep, top = full, n - 2
-    if deleted is not None:
-        keep, top = full ^ (1 << deleted), n - 3
-    half = top // 2
-    k_values = {}
-    for e, (i, j, rel, mask) in lab.edges.items():
-        if deleted in (i, j):
-            continue
-        # bit w set: F lies right of v_i -> v_j -> v_w, a - witness, up to
-        # complementing every witness (the label's own bit of the edge,
-        # which taking the smaller side below does not need)
-        minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
-        k_values[e] = minus if minus <= half else top - minus
+    x = lab.rel
+    for i, spread in enumerate(lab.spread):
+        x ^= ((pf >> (i * n)) & full) * spread
+    x &= mask
+    shift = 1
+    for lane in lab.lanes:
+        x = (x & lane) + ((x >> shift) & lane)
+        shift *= 2
+    code, stride = lab.read
+    counts = array(code, x.to_bytes(len(lab.edges) * lab.width // 8, "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    k_values = dict(zip(lab.edges, [fold[m] for m in counts[::stride]]))
+    for e in gone:
+        del k_values[e]
     return k_values
 
 
 def _cumulated(k_values, levels: int):
     """Level counts of the k-values and their cumulated counts, in which
     level i contributes k + 1 - i times to the value at every k >= i."""
-    counts = [0] * levels
-    for k in k_values:
-        counts[k] += 1
-    return tuple(counts), tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))
-                                for k in range(levels))
+    tally = Counter(k_values)
+    counts = tuple(tally[k] for k in range(levels))
+    return counts, tuple(accumulate(accumulate(counts)))
 
 
 @dataclass(frozen=True, eq=False)
 class KEdgeProfile:
     """Per-edge k-values plus the derived counters for one reference face.
 
-    counts[k] is the number of k-edges; cumulated[k] is the weighted sum
-    of all counts up to k, each level i contributing (k + 1 - i) times.
+    k_values maps every edge to its k-value in edge order, that of
+    drawing.edges(), so its values pair up with any list of the edges
+    made in that order. counts[k] is the number of k-edges; cumulated[k]
+    is the weighted sum of all counts up to k, each level i contributing
+    (k + 1 - i) times.
     """
 
     reference_face: int
@@ -245,7 +327,7 @@ class KEdgeProfile:
 @per_drawing
 def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     lab = _labelling(drawing)
-    k_values = _k_values(lab, _face_label(lab, ref_face), drawing.n)
+    k_values = _k_values(lab, lab.face_bits[check_face(drawing, ref_face)], drawing.n)
     counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
     return KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
 
@@ -295,7 +377,7 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
     before = k_edge_profile(drawing, ref_face).k_values
-    child_k = _k_values(lab, _face_label(lab, ref_face), drawing.n, x)
+    child_k = _k_values(lab, lab.face_bits[check_face(drawing, ref_face)], drawing.n, x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
     cumulated = tuple(sum(1 for e, keep in flags.items() if keep and parent_k[e] <= k)
@@ -361,7 +443,7 @@ def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> froz
     lab = _labelling(drawing)
     if _vertex_index(lab, u) == _vertex_index(lab, v):
         raise ValueError("an edge needs two distinct vertices")
-    pf = _face_label(lab, ref_face)
+    pf = lab.face_bits[check_face(drawing, ref_face)]
     on_face = vertices_on_face(drawing, ref_face)
     if u not in on_face or v not in on_face:
         raise ValueError("both endpoints must lie on the reference face")

@@ -17,7 +17,9 @@ them (a polyline joint, the common vertex of two adjacent edges, or a
 degenerate contact). Collinear pairs go through segment_intersection,
 which finds overlaps. Crossing points and positions along edges are keyed
 by integers made exact by _shift; Fractions are built only for
-Geometry.points and for messages.
+Geometry.points and for messages. The drawing keeps the planarizer's
+records and builds its Geometry from them on the first read, so jobs
+that never draw or locate a point never pay for it.
 
 Rotations come from the cross-product order of geometry.angle_less: a
 vertex sorts its darts by it, and a crossing needs one comparison of the
@@ -35,7 +37,7 @@ calls on a subset of the edges.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from math import gcd
 
 from .drawing import Drawing, Geometry, per_drawing, trace_faces
@@ -112,10 +114,11 @@ def planarize(n, positions, polylines) -> Drawing:
                     f"planarization and is not representable")
             seen_segments[s] = e
 
-    geometry = _build_geometry(n, positions, polylines, chains, crossings, per_edge)
     rotations = _build_rotations(positions, range(n, n + len(crossings)), polylines,
                                  chains, per_edge)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
+    # only rendering, export and point location read the geometry
+    geometry = partial(_build_geometry, n, positions, polylines, chains, crossings, per_edge)
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, edge_key, per_drawing, trace_faces
+from .drawing import Drawing, check_face, edge_key, per_drawing, trace_faces
 # perfbench/layertrace.py wraps these two names in this module by name
 from .drawing import child_drawing, vertices_on_face  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError
@@ -349,11 +349,10 @@ def _first_certificate(drawing, face_filter, search, verify):
     """The certificate ``search(regions, face)`` finds on the first of the
     selected faces (all, ascending, or only ``face_filter``) that has one,
     checked by ``verify``; None if no face has one."""
-    count = trace_faces(drawing).face_count()
     regions = _Regions(drawing)
-    if face_filter is not None and not 0 <= face_filter < count:
-        raise ValueError(f"face {face_filter} does not exist")
-    for face in range(count) if face_filter is None else (face_filter,):
+    selected = (trace_faces(drawing).face_ids() if face_filter is None
+                else (check_face(drawing, face_filter),))
+    for face in selected:
         cert = search(regions, face)
         if cert is not None:
             result = verify(drawing, cert)

@@ -10,7 +10,7 @@ Output is deterministic for identical inputs.
 
 from __future__ import annotations
 
-from .drawing import Drawing, trace_faces
+from .drawing import Drawing, check_face, trace_faces
 from .errors import CapabilityError
 from .kedges import k_edge_profile
 from .shellability import BishellCertificate, SeqShellCertificate
@@ -66,10 +66,7 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
         out.append(f'<polyline points="{path}" {_STYLE["edge"]}/>')
 
     if face_highlight is not None:
-        faces = trace_faces(drawing)
-        if not 0 <= face_highlight < faces.face_count():
-            raise ValueError(f"face {face_highlight} does not exist")
-        for dart in faces.faces[face_highlight]:
+        for dart in trace_faces(drawing).faces[check_face(drawing, face_highlight)]:
             path = " ".join(fmt(p) for p in geo.segment_path(*dart))
             out.append(f'<polyline points="{path}" {_STYLE["face"]}/>')
 

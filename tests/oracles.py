@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different route than the
 library code under test: exact geometric predicates (winding numbers,
 ccw counting) instead of combinatorial side sweeps, one flood fill per
-triangle instead of the library's single parity labelling, subdrawings
+triangle instead of the library's single parity labelling, one popcount
+per edge instead of the packed pass over all edges at once, subdrawings
 built by vertex deletion and profiled afresh instead of dropping one
 witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
@@ -170,6 +171,34 @@ def flood_fill_k_values(drawing, ref_face, left_faces) -> dict:
             plus += (ref_face in left_faces[a, b, c]) == forward
         k_values[(u, v)] = min(plus, drawing.n - 2 - plus)
     return k_values
+
+
+def reference_k_values(lab, pf, n, deleted=None) -> dict:
+    """The labelling's k-values for the face labelled pf, one edge at a
+    time: the witnesses of v_i v_j are the bits of one XOR of rows i and j
+    of the label, counted by int.bit_count (the loop the packed pass of
+    kedges._k_values replaced)."""
+    full = (1 << n) - 1
+    rows = [(pf >> (i * n)) & full for i in range(n)]
+    keep, top = full, n - 2
+    if deleted is not None:
+        keep, top = full ^ (1 << deleted), n - 3
+    k_values = {}
+    for e, (i, j, rel, mask) in lab.edges.items():
+        if deleted in (i, j):
+            continue
+        minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
+        k_values[e] = min(minus, top - minus)
+    return k_values
+
+
+def reference_cumulated(k_values, levels):
+    """Level counts and cumulated counts by the defining double sum."""
+    counts = [0] * levels
+    for k in k_values:
+        counts[k] += 1
+    return tuple(counts), tuple(sum((k + 1 - i) * counts[i] for i in range(k + 1))
+                                for k in range(levels))
 
 
 def ccw_k_value(drawing, u, v) -> int:

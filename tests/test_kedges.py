@@ -1,5 +1,7 @@
 """k-values, profiles, invariant edges, the deletion recursion, and bounds."""
 
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,7 +10,8 @@ from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
                     sample_faces)
 from oracles import (ccw_k_value, child_drawing_report, far_point, flipped,
                      flood_fill_k_values, flood_fill_triangles,
-                     harary_hill_closed_form, split_face_side_partition,
+                     harary_hill_closed_form, reference_cumulated,
+                     reference_k_values, split_face_side_partition,
                      winding_orientation)
 from shellcert import drawing as drawing_module
 from shellcert import kedges
@@ -149,6 +152,76 @@ class TestAgainstFloodFill:
         for f in fs.face_ids():
             assert (k_edge_profile(d, f).k_values
                     == flood_fill_k_values(d, f, left_faces))
+
+
+KERNEL_CORPUS = {f"{factory.__name__}{n}": (factory, n, *seed)
+                 for factory, seed in ((convex, ()), (cylindrical, ()), (rectilinear, (1,)))
+                 for n in (4, 8, 9, 16, 17)}
+
+
+class TestPackedKernel:
+    """kedges._k_values against the per-edge loop it replaced and against
+    flood fills, on drawings whose sizes straddle the field widths 8, 16
+    and 32 (n = 8 | 9 and 16 | 17)."""
+
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
+    def test_every_face_and_deletion_matches_the_loop(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        for f, pf in enumerate(lab.face_bits):
+            # every deletion on every face up to K_9; beyond, every face
+            # without a deletion and with one vertex deleted, in turn
+            for x in (None, *range(n)) if n <= 9 else (None, f % n):
+                got = kedges._k_values(lab, pf, n, x)
+                want = reference_k_values(lab, pf, n, x)
+                assert got == want and list(got) == list(want), (f, x)
+
+    @pytest.mark.parametrize("name", [name for name, (_, n, *_) in KERNEL_CORPUS.items()
+                                      if n <= 9])
+    def test_every_face_and_deletion_matches_flood_fills(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        left_faces = flood_fill_triangles(d, trace_faces(d))
+        for f, pf in enumerate(lab.face_bits):
+            assert kedges._k_values(lab, pf, n) == flood_fill_k_values(d, f, left_faces)
+        for x, v in enumerate(d.vertices):
+            child, child_faces, face_map = drawing_module.child_drawing(d, v)
+            child_left = flood_fill_triangles(child, child_faces)
+            for f, pf in enumerate(lab.face_bits):
+                assert (kedges._k_values(lab, pf, n, x)
+                        == flood_fill_k_values(child, face_map[f], child_left)), (f, v)
+
+    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 300))
+    def test_any_field_width(self, n):
+        """Synthetic labellings on a dozen edges, with fields of 8 to 512
+        bits. One label has rows of all ones at even and all zeros at odd
+        vertices, so the edge v_0 v_1 (rel 0) has all n - 2 witnesses:
+        298 at n = 300, past what a byte holds."""
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        pairs = {(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))}
+        edges = {}
+        for i, j in sorted(pairs):
+            mask = full ^ (1 << i) ^ (1 << j)
+            edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
+        lab = kedges._lay_out({v: v for v in range(n)}, [], edges)
+        striped = sum(full << (i * n) for i in range(0, n, 2))
+        for pf in (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1):
+            for x in (None, 0, n // 2, n - 1):
+                assert (kedges._k_values(lab, pf, n, x)
+                        == reference_k_values(lab, pf, n, x)), (n, x)
+        assert kedges._k_values(lab, striped, n)[0, 1] == 0  # n - 2 witnesses
+
+    def test_cumulated_matches_the_double_sum(self):
+        rng = random.Random(5)
+        for levels in (1, 2, 5, 9):
+            for size in (0, 1, 7, 200):
+                ks = [rng.randrange(levels) for _ in range(size)]
+                assert kedges._cumulated(ks, levels) == reference_cumulated(ks, levels)
+                assert (kedges._cumulated(iter(ks), levels)
+                        == reference_cumulated(ks, levels))
 
 
 class TestProfiles:
