@@ -43,11 +43,18 @@ EXIT_CAPABILITY = 4
 NOT_GOOD = "drawing failed goodness validation"
 
 
+class _NotGood(ShellcertError):
+    """The drawing loads but is not good, and the command needs a good one."""
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _NotGood:
+        print(NOT_GOOD, file=sys.stderr)
+        return EXIT_INVALID
     except CertificateMismatchError as exc:
         print(f"certificate mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -114,14 +121,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_document(path):
     """The JSON document at path and the sha256 of the bytes it was parsed
-    from, read once."""
+    from, read once. Bytes that are not UTF-8, too deeply nested or with
+    an integer too long to convert are invalid JSON here too."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path}: not valid JSON: {exc}") from None
     return doc, hashlib.sha256(data).hexdigest()
+
+
+def _load_input(path, good=False):
+    """The drawing whose document is at path and the document's sha256.
+    With good set, a drawing that loads but is not good raises _NotGood."""
+    doc, digest = _read_document(path)
+    drawing = load_drawing(doc)
+    if good and not validate_goodness(drawing).ok:
+        raise _NotGood
+    return drawing, digest
 
 
 def _read_certificate(path, drawing_digest):
@@ -165,8 +183,7 @@ def _parse_face(selector, drawing):
 
 
 def cmd_analyze(args) -> int:
-    doc, digest = _read_document(args.input)
-    drawing = load_drawing(doc)
+    drawing, digest = _load_input(args.input)
     report = validate_goodness(drawing)
     payload = {
         "input": {"path": args.input, "sha256": digest},
@@ -184,8 +201,7 @@ def cmd_analyze(args) -> int:
     }
     if not report.ok:
         _emit(payload, args.output)
-        print(NOT_GOOD, file=sys.stderr)
-        return EXIT_INVALID
+        raise _NotGood
 
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
     selected = _parse_face(args.face, drawing)
@@ -212,11 +228,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    doc, digest = _read_document(args.input)
-    drawing = load_drawing(doc)
-    if not validate_goodness(drawing).ok:
-        print(NOT_GOOD, file=sys.stderr)
-        return EXIT_INVALID
+    drawing, digest = _load_input(args.input, good=True)
     k = args.k if args.k is not None else max_k(drawing.n) - 1
     if not 0 <= k <= drawing.n - 2:
         raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {k}")
@@ -237,11 +249,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc, digest = _read_document(args.input)
-    drawing = load_drawing(doc)
-    if not validate_goodness(drawing).ok:
-        print(NOT_GOOD, file=sys.stderr)
-        return EXIT_INVALID
+    drawing, digest = _load_input(args.input, good=True)
     cert = _read_certificate(args.certificate, digest)
     if isinstance(cert, SeqShellCertificate):
         result = verify_seq_certificate(drawing, cert)
@@ -271,18 +279,11 @@ def cmd_export(args) -> int:
     for flag, selector in (("--face", args.face), ("--labels", args.labels)):
         if selector == "auto":
             raise ValueError(f"export {flag} takes one face (an id or at:x,y), not auto")
-    doc, digest = _read_document(args.input)
-    drawing = load_drawing(doc)
     # k-value labels are defined only for good drawings
-    if args.labels is not None and not validate_goodness(drawing).ok:
-        print(NOT_GOOD, file=sys.stderr)
-        return EXIT_INVALID
-    face_highlight = None
-    if args.face is not None:
-        face_highlight = _parse_face(args.face, drawing)[0]
-    label_face = None
-    if args.labels is not None:
-        label_face = _parse_face(args.labels, drawing)[0]
+    drawing, digest = _load_input(args.input, good=args.labels is not None)
+    face_highlight, label_face = (
+        None if selector is None else _parse_face(selector, drawing)[0]
+        for selector in (args.face, args.labels))
     certificate = None
     if args.certificate is not None:
         certificate = _read_certificate(args.certificate, digest)

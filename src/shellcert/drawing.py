@@ -288,6 +288,14 @@ def check_face(drawing: Drawing, face: int) -> int:
     return face
 
 
+def check_vertex(drawing: Drawing, v: int) -> int:
+    """The vertex, if the drawing has it; ValueError otherwise. Every entry
+    that takes a vertex asks here, except the certificate check."""
+    if v not in drawing.vertex_set:
+        raise ValueError(f"{v} is not a vertex of the drawing")
+    return v
+
+
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     """Real vertices appearing on the boundary walk of the face.
 
@@ -350,8 +358,7 @@ def delete_vertex(drawing: Drawing, v: int):
     flanking a deleted segment land in the same child face. The drawing
     must be good; otherwise ValueError names its first goodness violation.
     """
-    if v not in drawing.vertex_set:
-        raise ValueError(f"{v} is not a vertex of the drawing")
+    check_vertex(drawing, v)
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
     report = validate_goodness(drawing)

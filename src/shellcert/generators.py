@@ -10,10 +10,11 @@ cylindrical  -- the two-rim construction projected to the plane: an inner
 rectilinear  -- seeded random integer points in general position, straight
                 edges; property-test fuel.
 
-All generators emit geometric interchange documents and validate their own
-output (goodness, and for the cylindrical family the exact crossing count)
-before returning; a construction that fails its checks raises
-GenerationError rather than emitting a near-miss drawing.
+Every generator, the X_document and the X_drawing entry alike, loads its
+own output and validates it before returning: goodness, and for the
+convex and cylindrical families the exact crossing count. An attempt that
+fails its checks gives way to the next phase or sample; when none is
+left, GenerationError is raised rather than a near-miss drawing emitted.
 
 The outer-rim routing realizes "straight chords in the disk around
 infinity" without inversions: every outer edge runs spoke - circular arc -
@@ -27,10 +28,13 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
+from itertools import combinations
 
 from .documents import geometric_document, load_drawing
 from .drawing import Drawing, validate_goodness
 from .errors import DocumentError, GenerationError
+from .geometry import cross
 from .kedges import harary_hill_bound
 
 DEFAULT_SCALE = 100_000
@@ -52,8 +56,11 @@ def _dedupe(points) -> list:
     return out
 
 
-def _straight_edges(positions, pairs) -> dict:
-    return {(u, v): [positions[u], positions[v]] for u, v in pairs}
+def _straight_document(positions) -> dict:
+    """The document of the points positions[0..n-1] joined by segments."""
+    n = len(positions)
+    return geometric_document(n, positions, {(u, v): [positions[u], positions[v]]
+                                             for u, v in _all_pairs(range(n))})
 
 
 def _all_pairs(ids):
@@ -69,16 +76,7 @@ def _check_size(n, scale):
 
 
 def _general_position(points) -> bool:
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                ax, ay = pts[i]
-                bx, by = pts[j]
-                cx, cy = pts[k]
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:
-                    return False
-    return True
+    return not any(cross(a, b, c) == 0 for a, b, c in combinations(points, 3))
 
 
 # -- convex ------------------------------------------------------------
@@ -89,33 +87,33 @@ def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 
 
 def _convex(n, scale):
-    """(document, loaded drawing) of the convex family.
+    """(document, checked drawing) of the convex family: the first of 32
+    phases with C(n, 4) crossings (rounding can make diagonals concurrent)."""
+    _check_size(n, scale)
+    return _first_checked(
+        (partial(_convex_attempt, n, scale, 0.5 + a * 0.0371) for a in range(32)),
+        math.comb(n, 4), lambda error: f"scale {scale} too small for {n} points in "
+        f"convex general position{'' if error is None else f': {error}'}")
+
+
+def _convex_attempt(n, scale, phase):
+    """The convex document at one phase, or None if its points are not
+    distinct and in general position.
 
     The spacing is deliberately irregular: points in strictly increasing
     angular order are convex regardless of spacing, and a regular polygon
     would put three main diagonals through the center for even n.
     """
-    _check_size(n, scale)
-    last_error = None
-    for attempt in range(32):
-        phase = 0.5 + attempt * 0.0371
-        positions = {i: _point(2 * math.pi * (i + phase + 0.22 * math.sin(2.7 * i + phase)) / n,
-                               scale)
-                     for i in range(n)}
-        if len(set(positions.values())) != n or not _general_position(positions.values()):
-            continue
-        doc = geometric_document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
-        try:
-            return doc, load_drawing(doc)
-        except DocumentError as exc:
-            last_error = exc  # e.g. concurrent diagonals; rotate and retry
-    detail = "" if last_error is None else f": {last_error}"
-    raise GenerationError(
-        f"scale {scale} too small for {n} points in convex general position{detail}")
+    positions = {i: _point(2 * math.pi * (i + phase + 0.22 * math.sin(2.7 * i + phase)) / n,
+                           scale)
+                 for i in range(n)}
+    if len(set(positions.values())) != n or not _general_position(positions.values()):
+        return None
+    return _straight_document(positions)
 
 
 def convex_drawing(n: int, scale: int = DEFAULT_SCALE) -> Drawing:
-    return _checked(_convex(n, scale)[1], expect_crossings=math.comb(n, 4))
+    return _convex(n, scale)[1]
 
 
 # -- cylindrical -------------------------------------------------------
@@ -128,15 +126,10 @@ def cylindrical_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 def _cylindrical(n, scale):
     """(document, checked drawing) of the cylindrical family."""
     _check_size(n, scale)
-    last_error = None
-    for phases in _PHASES:
-        try:
-            doc = _cylindrical_attempt(n, scale, *phases)
-            return doc, _checked(load_drawing(doc),
-                                 expect_crossings=harary_hill_bound(n))
-        except (DocumentError, GenerationError) as exc:
-            last_error = exc
-    raise GenerationError(f"cylindrical construction failed for n={n}: {last_error}")
+    return _first_checked(
+        (partial(_cylindrical_attempt, n, scale, *phases) for phases in _PHASES),
+        harary_hill_bound(n),
+        lambda error: f"cylindrical construction failed for n={n}: {error}")
 
 
 def _cylindrical_attempt(n, scale, top_phase, bottom_phase) -> dict:
@@ -244,47 +237,55 @@ def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
 
 
 def _rectilinear(n, seed, scale):
-    """(document, loaded drawing) of the rectilinear family."""
+    """(document, checked drawing) of the rectilinear family: the first of
+    64 samples that loads (a sample can put three edges through a point)."""
     _check_size(n, scale)
     rng = random.Random(f"rectilinear:{n}:{seed}:{scale}")
-    for _ in range(64):
-        points = _sample_points(rng, n, scale)
-        if points is None:
-            continue
-        positions = dict(enumerate(points))
-        doc = geometric_document(n, positions, _straight_edges(positions, _all_pairs(range(n))))
-        try:
-            return doc, load_drawing(doc)
-        except DocumentError:
-            continue  # e.g. three segments concurrent; resample
-    raise GenerationError(
-        f"could not sample {n} points in general position at scale {scale}")
+    return _first_checked(
+        (partial(_rectilinear_attempt, rng, n, scale) for _ in range(64)), None,
+        lambda error: f"could not sample {n} points in general position at scale {scale}")
 
 
-def _sample_points(rng, n, scale):
+def _rectilinear_attempt(rng, n, scale):
+    """The document of the next n points drawn from rng, or None if they
+    could not be drawn in general position."""
     points = []
     for _ in range(n):
         for _ in range(200):
             cand = (rng.randint(-scale, scale), rng.randint(-scale, scale))
             if cand in points:
                 continue
-            if any((b[0] - a[0]) * (cand[1] - a[1]) - (b[1] - a[1]) * (cand[0] - a[0]) == 0
-                   for i, a in enumerate(points) for b in points[i + 1:]):
+            if any(cross(a, b, cand) == 0 for a, b in combinations(points, 2)):
                 continue
             points.append(cand)
             break
         else:
             return None
-    return points
+    return _straight_document(dict(enumerate(points)))
 
 
 def random_rectilinear(n: int, seed: int, scale: int = DEFAULT_SCALE) -> Drawing:
-    return _checked(_rectilinear(n, seed, scale)[1])
+    return _rectilinear(n, seed, scale)[1]
 
 
 # -- shared validation ---------------------------------------------------
 
-def _checked(drawing, expect_crossings=None) -> Drawing:
+def _first_checked(attempts, expect_crossings, failure):
+    """(document, drawing) of the first attempt, called in turn, that
+    builds a document (not None) which loads and passes _checked. If none
+    does, raises GenerationError(failure(e)), e the last error or None."""
+    last_error = None
+    for attempt in attempts:
+        try:
+            doc = attempt()
+            if doc is not None:
+                return doc, _checked(load_drawing(doc), expect_crossings)
+        except (DocumentError, GenerationError) as exc:
+            last_error = exc
+    raise GenerationError(failure(last_error))
+
+
+def _checked(drawing, expect_crossings) -> Drawing:
     report = validate_goodness(drawing)
     if not report.ok:
         raise GenerationError(f"generated drawing is not good: {report.violations}")

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
 
-from .drawing import (Drawing, FaceSet, check_face, edge_key, per_drawing, seg_key,
-                      trace_faces, vertices_on_face)
+from .drawing import (Drawing, FaceSet, check_face, check_vertex, edge_key, per_drawing,
+                      seg_key, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import EmbeddingError
@@ -206,13 +206,6 @@ def _labelling(drawing: Drawing) -> _Labelling:
     return _build_labelling(drawing, trace_faces(drawing))
 
 
-def _vertex_index(lab: _Labelling, x: int) -> int:
-    i = lab.index.get(x)
-    if i is None:
-        raise ValueError(f"{x} is not a vertex of the drawing")
-    return i
-
-
 def _right_of(lab: _Labelling, pf: int, u: int, v: int) -> int:
     """Bit w set iff the face labelled pf lies right of u -> v -> v_w."""
     i, j, rel, mask = lab.edges[edge_key(u, v)]
@@ -231,7 +224,7 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
     """
     u, v = edge
     lab = _labelling(drawing)
-    i, j, w = (_vertex_index(lab, x) for x in (u, v, witness))
+    i, j, w = (lab.index[check_vertex(drawing, x)] for x in (u, v, witness))
     if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
     right = _right_of(lab, lab.face_bits[check_face(drawing, ref_face)], u, v)
@@ -240,12 +233,10 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
 
 def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     """k-value of the edge with respect to the reference face."""
-    lab = _labelling(drawing)
     u, v = edge
-    if _vertex_index(lab, u) == _vertex_index(lab, v):
+    if check_vertex(drawing, u) == check_vertex(drawing, v):
         raise ValueError("an edge needs two distinct vertices")
-    minus = _right_of(lab, lab.face_bits[check_face(drawing, ref_face)], u, v).bit_count()
-    return min(minus, drawing.n - 2 - minus)
+    return k_edge_profile(drawing, ref_face).k_values[edge_key(u, v)]
 
 
 def _fold(top: int) -> tuple:
@@ -338,8 +329,7 @@ def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:
     When v lies on the reference face the value at index k is 2*C(k+2, 2)
     for every k <= n//2 - 2.
     """
-    if v not in drawing.vertex_set:
-        raise ValueError(f"{v} is not a vertex of the drawing")
+    check_vertex(drawing, v)
     k_values = k_edge_profile(drawing, ref_face).k_values
     return _cumulated((k_values[edge_key(u, v)] for u in drawing.vertices if u != v),
                       max_k(drawing.n) + 1)[1]
@@ -373,16 +363,16 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     k-value before the deletion or one less.
     """
     lab = _labelling(drawing)
-    x = _vertex_index(lab, v)
+    x = lab.index[check_vertex(drawing, v)]
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
     before = k_edge_profile(drawing, ref_face).k_values
     child_k = _k_values(lab, lab.face_bits[check_face(drawing, ref_face)], drawing.n, x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
-    cumulated = tuple(sum(1 for e, keep in flags.items() if keep and parent_k[e] <= k)
-                      for k in range(max_k(drawing.n) + 1))
-    return InvariantReport(v, flags, parent_k, child_k, cumulated)
+    counts = _cumulated((parent_k[e] for e, keep in flags.items() if keep),
+                        max_k(drawing.n) + 1)[0]
+    return InvariantReport(v, flags, parent_k, child_k, tuple(accumulate(counts)))
 
 
 def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
@@ -441,7 +431,7 @@ def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> froz
     has size exactly j or n-2-j.
     """
     lab = _labelling(drawing)
-    if _vertex_index(lab, u) == _vertex_index(lab, v):
+    if check_vertex(drawing, u) == check_vertex(drawing, v):
         raise ValueError("an edge needs two distinct vertices")
     pf = lab.face_bits[check_face(drawing, ref_face)]
     on_face = vertices_on_face(drawing, ref_face)

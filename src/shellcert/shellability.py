@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, check_face, edge_key, per_drawing, trace_faces
+from .drawing import (Drawing, check_face, check_vertex, edge_key, per_drawing,
+                      trace_faces)
 # perfbench/layertrace.py wraps these two names in this module by name
 from .drawing import child_drawing, vertices_on_face  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError
@@ -230,9 +231,7 @@ def find_simple_sequence(drawing: Drawing, ref_face: int, v: int, length: int,
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if v not in drawing.vertex_set:
-        raise ValueError(f"{v} is not a vertex of the drawing")
-    if v not in vertices_on_face(drawing, ref_face):
+    if check_vertex(drawing, v) not in vertices_on_face(drawing, ref_face):
         raise ValueError(f"vertex {v} is not incident to face {ref_face}")
     excluded = frozenset(excluded)
     pool = drawing.vertex_set - excluded - {v}

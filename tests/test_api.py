@@ -1,12 +1,16 @@
 """The public API: every exported name resolves, none takes a face set,
-and every entry that takes a face id rejects one outside the drawing.
+and every entry that takes a face id or a vertex rejects one outside the
+drawing, each with one message.
 
 A drawing has exactly one face set, trace_faces(drawing), cached on the
 drawing, so a function that needs faces derives them from the drawing it
 is given. A separate face-set argument could only ever disagree with it.
 """
 
+import importlib
 import inspect
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +86,40 @@ def test_face_ids_outside_the_drawing_are_rejected(entry):
     for face in (-1, trace_faces(d).face_count()):
         with pytest.raises(ValueError, match=f"^face {face} does not exist$"):
             FACE_ID_ENTRIES[entry](d, face)
+
+
+VERTEX_ENTRIES = {
+    "delete_vertex": lambda d, v: shellcert.delete_vertex(d, v),
+    "child_drawing": lambda d, v: shellcert.child_drawing(d, v),
+    "triangle_orientation endpoint":
+        lambda d, v: shellcert.triangle_orientation(d, 0, (0, v), 2),
+    "triangle_orientation witness":
+        lambda d, v: shellcert.triangle_orientation(d, 0, (0, 1), v),
+    "k_value": lambda d, v: shellcert.k_value(d, 0, (v, 1)),
+    "vertex_k_profile": lambda d, v: shellcert.vertex_k_profile(d, 0, v),
+    "invariant_edges": lambda d, v: shellcert.invariant_edges(d, 0, v),
+    "recursion_check": lambda d, v: shellcert.recursion_check(d, 0, v, 0),
+    "edge_side_partition": lambda d, v: shellcert.edge_side_partition(d, 0, 0, v),
+    "find_simple_sequence": lambda d, v: shellcert.find_simple_sequence(d, 0, v, 1),
+}
+
+
+@pytest.mark.parametrize("entry", VERTEX_ENTRIES)
+def test_vertices_outside_the_drawing_are_rejected(entry):
+    d = convex_drawing(7)
+    for v in (99, -1):
+        with pytest.raises(ValueError) as info:
+            VERTEX_ENTRIES[entry](d, v)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{v} is not a vertex of the drawing"
+
+
+def test_the_layer_tracer_wraps_names_that_resolve():
+    # perfbench/layertrace.py replaces these module bindings by name; run
+    # from source, so the check writes no bytecode next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    wrapped = runpy.run_path(str(path))["WRAPPED"]
+    assert wrapped
+    missing = [(module, name) for module, name, _ in wrapped
+               if not hasattr(importlib.import_module(f"shellcert.{module}"), name)]
+    assert missing == []

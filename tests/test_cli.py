@@ -18,7 +18,7 @@ from shellcert.cli import main
 from shellcert.documents import (certificate_to_document, drawing_to_document,
                                  load_drawing)
 from shellcert.drawing import validate_goodness
-from shellcert.errors import ShellcertError, StructureError
+from shellcert.errors import DocumentError, ShellcertError, StructureError
 from shellcert.generators import random_rectilinear
 from shellcert.shellability import decide_seq_shellable
 
@@ -374,6 +374,55 @@ class TestReadOnce:
             assert main(argv) == 0, name
             assert opened.count(str(k6)) == 1, (name, opened)
             assert opened.count(str(cert)) == (name in ("verify", "export")), (name, opened)
+
+
+UNPARSEABLE = {
+    "nested_200000_deep": b"[" * 200_000 + b"]" * 200_000,
+    "not_utf8": b'{"format": "\xff"}',
+    "int_of_5000_digits": b'{"n": ' + b"7" * 5000 + b"}",
+}
+
+# (command, argv with BAD for the unparseable file, DRAWING and CERT for
+# a good drawing and its certificate, OUT for an output file)
+READERS = {
+    "analyze": ["analyze", "--input", "BAD", "--output", "OUT"],
+    "decide": ["decide", "--input", "BAD", "--mode", "seq", "--output", "OUT"],
+    "verify": ["verify", "--input", "BAD", "--certificate", "CERT"],
+    "verify --certificate": ["verify", "--input", "DRAWING", "--certificate", "BAD"],
+    "export": ["export", "--input", "BAD", "--output", "OUT"],
+    "export --certificate": ["export", "--input", "DRAWING", "--certificate", "BAD",
+                             "--output", "OUT"],
+}
+
+
+class TestParseFailures:
+    """A file that is not JSON the parser can read, too deep, not UTF-8 or
+    holding an integer too long to convert, exits 2 with an error naming
+    it, whichever command reads it and in whichever role; never 1."""
+
+    @pytest.mark.parametrize("content", UNPARSEABLE)
+    def test_one_document_error_names_the_path(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNPARSEABLE[content])
+        with pytest.raises(DocumentError) as info:
+            cli._read_document(str(bad))
+        assert str(info.value).startswith(f"{bad}: not valid JSON: ")
+
+    @pytest.mark.parametrize("content", UNPARSEABLE)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_exit_2_naming_the_file(self, k6, tmp_path, reader, content, capsys):
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(UNPARSEABLE[content])
+        paths = {"BAD": bad, "DRAWING": k6, "CERT": cert, "OUT": out}
+        capsys.readouterr()
+        assert main([str(paths.get(arg, arg)) for arg in READERS[reader]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: not valid JSON: ")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestWriter:

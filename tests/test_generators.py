@@ -1,12 +1,15 @@
 """Reference drawing families."""
 
+from collections import Counter
 from math import comb
 
 import pytest
 
+from shellcert import generators
+from shellcert.cli import main
 from shellcert.documents import load_drawing
 from shellcert.drawing import validate_goodness
-from shellcert.errors import GenerationError
+from shellcert.errors import DocumentError, GenerationError
 from shellcert.generators import (convex_document, convex_drawing,
                                   cylindrical_document, cylindrical_drawing,
                                   random_rectilinear, rectilinear_document)
@@ -39,6 +42,35 @@ class TestConvex:
         with pytest.raises(ValueError):
             convex_document(2)
 
+    def test_a_wrong_crossing_count_moves_on_to_the_next_phase(self, monkeypatch, capsys):
+        # at scale 30 one phase of K26 loads with 14927 crossings, not
+        # C(26, 4) = 14950; the other 31 are skipped or do not load. The
+        # CLI writes convex_document, which checks as convex_drawing does
+        # (test_documents_are_checked_as_drawings_are)
+        outcomes = Counter()
+
+        def tally(fn, error):
+            def wrapper(*args):
+                try:
+                    result = fn(*args)
+                except error as exc:
+                    outcomes["concurrent" if "concurrent" in str(exc) else str(exc)] += 1
+                    raise
+                if result is None:
+                    outcomes["skipped"] += 1
+                return result
+            return wrapper
+
+        for name, error in (("_convex_attempt", GenerationError),
+                            ("load_drawing", DocumentError), ("_checked", GenerationError)):
+            monkeypatch.setattr(generators, name, tally(getattr(generators, name), error))
+        assert main(["generate", "--family", "convex", "--n", "26", "--scale", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scale 30 too small for 26 points")
+        assert outcomes == {"concurrent": 29, "skipped": 2,
+                            "generated drawing has 14927 crossings, expected 14950": 1}
+
 
 @pytest.mark.parametrize("scale", [0, -3, True, 2.5])
 @pytest.mark.parametrize("make", [convex_document, cylindrical_document,
@@ -52,6 +84,26 @@ def test_scale_must_be_a_positive_integer(make, scale):
     with pytest.raises(ValueError) as info:
         make(5, scale=scale)
     assert str(info.value) == f"scale must be a positive integer, got {scale!r}"
+
+
+@pytest.mark.parametrize("family, expect", [
+    ("convex", comb(7, 4)), ("cylindrical", harary_hill_bound(7)), ("rectilinear", None)])
+def test_documents_are_checked_as_drawings_are(family, expect, monkeypatch):
+    make = {"convex": (convex_document, convex_drawing),
+            "cylindrical": (cylindrical_document, cylindrical_drawing),
+            "rectilinear": (lambda n: rectilinear_document(n, 1),
+                            lambda n: random_rectilinear(n, 1))}[family]
+    checked = []
+    real = generators._checked
+
+    def recording(drawing, expect_crossings):
+        checked.append(expect_crossings)
+        return real(drawing, expect_crossings)
+
+    monkeypatch.setattr(generators, "_checked", recording)
+    doc, drawing = make[0](7), make[1](7)
+    assert checked == [expect, expect]
+    assert load_drawing(doc).canonical_form() == drawing.canonical_form()
 
 
 class TestCylindrical:

@@ -126,6 +126,14 @@ class TestKValue:
             for u, v in d.edges():
                 assert k_value(d, f, (u, v)) == k_value(d, f, (v, u))
 
+    def test_reads_the_profile(self):
+        for d in (convex(7), cylindrical(8)):
+            for f in trace_faces(d).face_ids():
+                k_values = k_edge_profile(d, f).k_values
+                for u, v in d.edges():
+                    assert (k_value(d, f, (u, v)) == k_value(d, f, (v, u))
+                            == k_values[(u, v)])
+
     def test_matches_ccw_oracle_with_unbounded_face(self):
         for d in (convex(5), convex(8), rectilinear(6, 1), rectilinear(7, 2)):
             face = outer_face(d)
