@@ -67,12 +67,12 @@ def _load_geometric(document, n) -> Drawing:
     if not (isinstance(vertices, list) and len(vertices) == n):
         raise DocumentError('"vertices" must list each of the n vertices once')
     positions = {}
-    for item in vertices:
+    for i, item in enumerate(vertices):
         if not (isinstance(item, dict) and item.keys() == {"id", "x", "y"}):
             raise DocumentError("each vertex needs exactly id, x, y")
         vid, x, y = item["id"], item["x"], item["y"]
         if not (_is_int(vid) and _is_int(x) and _is_int(y)):
-            raise DocumentError(f"vertex {item!r}: id and coordinates must be integers")
+            raise DocumentError(f"vertices[{i}]: id and coordinates must be integers")
         if not 0 <= vid < n:
             raise DocumentError(f"vertex id {vid} out of range")
         if vid in positions:
@@ -84,12 +84,12 @@ def _load_geometric(document, n) -> Drawing:
     if not (isinstance(edges, list) and len(edges) == n * (n - 1) // 2):
         raise DocumentError('"edges" must list every vertex pair exactly once')
     polylines = {}
-    for item in edges:
+    for i, item in enumerate(edges):
         if not (isinstance(item, dict) and item.keys() == {"u", "v", "polyline"}):
             raise DocumentError("each edge needs exactly u, v, polyline")
         u, v = item["u"], item["v"]
         if not (_is_int(u) and _is_int(v) and u != v and 0 <= u < n and 0 <= v < n):
-            raise DocumentError(f"edge {item!r}: endpoints must be distinct vertex ids")
+            raise DocumentError(f"edges[{i}]: endpoints must be distinct vertex ids")
         e = (u, v) if u < v else (v, u)
         if e in polylines:
             raise DocumentError(f"edge {e} repeated")

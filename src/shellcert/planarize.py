@@ -9,9 +9,9 @@ Crossings of *distinct interiors* are allowed even when they violate
 goodness (adjacent edges crossing, an edge pair crossing twice): those
 load fine and are reported by validate_goodness.
 
-Candidate pairs of polyline pieces come from a spatial hash whose cell is
-sized to the pieces (see _GRID); only pairs whose bounding boxes meet are
-tested. A pair that is not parallel is decided by its integer parameter
+Candidate pairs of polyline pieces are those whose bounding boxes meet,
+found by sort and sweep (_box_pairs) and tested in ascending index order.
+A pair that is not parallel is decided by its integer parameter
 numerators: it crosses inside both pieces, or meets at an end of one of
 them (a polyline joint, the common vertex of two adjacent edges, or a
 degenerate contact). Collinear pairs go through segment_intersection,
@@ -28,14 +28,15 @@ winding number of its boundary around the point in one pass over the
 pieces (Hormann and Agathos, "The point in polygon problem for arbitrary
 polygons", 2001).
 
-Vertices lying on a foreign edge are found through the same hash. With
-every edge of K_n present, each such vertex is first met as a touch with
-one of its own edges, so that check is the guard for direct planarize
-calls on a subset of the edges.
+Vertices lying on a foreign edge are found in the same sweep, each vertex
+as a point box. With every edge of K_n present, each such vertex is first
+met as a touch with one of its own edges, so that check is the guard for
+direct planarize calls on a subset of the edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from math import gcd
@@ -44,12 +45,6 @@ from .drawing import Drawing, Geometry, per_drawing, trace_faces
 from .errors import CapabilityError, DocumentError
 from .geometry import (angle_less, cross, direction_half, on_segment, segment_intersection,
                        sub)
-
-# The spatial hash's cell side is the median piece extent (max(|dx|, |dy|)),
-# so at least half of the pieces cover at most 2 x 2 cells each; but it is
-# never below the drawing's span over _GRID, so a long straight edge covers
-# about _GRID x _GRID cells at most.
-_GRID = 64
 
 
 def planarize(n, positions, polylines) -> Drawing:
@@ -137,102 +132,103 @@ def _shift(span):
     return 2 * (2 * span * span).bit_length()
 
 
+def _box_pairs(boxes):
+    """The pairs (ia, ib), ia < ib, of (x0, y0, x1, y1) boxes that meet,
+    touching included, in ascending order. Sort and sweep: after each box
+    in left-end order come the boxes starting within its x-range, and of
+    these the ones whose y-range meets its own are kept."""
+    m = len(boxes)
+    lo_x, lo_y, _, hi_y = zip(*boxes)
+    order = sorted(range(m), key=lo_x.__getitem__)
+    starts = [lo_x[i] for i in order]
+    codes = []
+    for k, ia in enumerate(order):
+        _, y0, x1, y1 = boxes[ia]
+        codes += [ia * m + ib if ia < ib else ib * m + ia
+                  for ib in order[k + 1:bisect_right(starts, x1, k + 1)]
+                  if lo_y[ib] <= y1 and y0 <= hi_y[ib]]
+    codes.sort()
+    return [divmod(code, m) for code in codes]
+
+
 def _find_crossings(subsegments, positions):
     """All proper interior crossings and the drawing's span; rejects every
     degenerate contact, vertices on foreign edges included (after every
-    crossing check)."""
-    lo_x, lo_y, hi_x, hi_y = [], [], [], []
+    crossing check). Vertex positions must be distinct."""
+    boxes = []
     for _, _, (px, py), (qx, qy) in subsegments:
-        lo_x.append(min(px, qx))
-        lo_y.append(min(py, qy))
-        hi_x.append(max(px, qx))
-        hi_y.append(max(py, qy))
-    boxes = list(zip(lo_x, lo_y, hi_x, hi_y))
+        x0, x1 = (px, qx) if px < qx else (qx, px)
+        y0, y1 = (py, qy) if py < qy else (qy, py)
+        boxes.append((x0, y0, x1, y1))
+    lo_x, lo_y, hi_x, hi_y = zip(*boxes)
     span = max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y))
-    extents = sorted(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes)
-    cell = max(span // _GRID, extents[len(extents) // 2])
     shift = _shift(span)
+    # Vertices join the sweep as point boxes after the m pieces; two
+    # distinct points never meet, so ia is always a piece.
+    m = len(subsegments)
+    vertices = list(positions.items())
+    boxes += [(x, y, x, y) for _, (x, y) in vertices]
 
-    # Every piece in the cells its box covers, ascending within a cell.
-    cells = {}
-    covers = []
-    for idx, (x0, y0, x1, y1) in enumerate(boxes):
-        keys = [(cx, cy) for cx in range(x0 // cell, x1 // cell + 1)
-                for cy in range(y0 // cell, y1 // cell + 1)]
-        covers.append(keys)
-        for key in keys:
-            bucket = cells.get(key)
-            if bucket is None:
-                cells[key] = [idx]
-            else:
-                bucket.append(idx)
-
-    # Pairs whose boxes meet share a cell. They are tested in ascending
-    # (ia, ib) order, so the first degenerate pair is always the same.
+    # Pairs are tested in ascending (ia, ib) order, so the first degenerate
+    # pair is always the same, as is the vertex on a foreign piece named
+    # after every crossing check: the first piece's, then the first vertex.
     crossings = []
-    for ia, (ax0, ay0, ax1, ay1) in enumerate(boxes):
-        near = set()
-        for key in covers[ia]:
-            near.update(cells[key])
-        pairs = sorted(ib for ib in near if ib > ia
-                       and ax0 <= hi_x[ib] and lo_x[ib] <= ax1
-                       and ay0 <= hi_y[ib] and lo_y[ib] <= ay1)
-        e1, i1, p, q = subsegments[ia]
-        px, py = p
-        d1x, d1y = q[0] - px, q[1] - py
-        for ib in pairs:
-            e2, i2, r, s = subsegments[ib]
-            d2x, d2y = s[0] - r[0], s[1] - r[1]
-            den = d1x * d2y - d1y * d2x
-            if den:
-                # p + (tn/den) d1 = r + (un/den) d2, with den made positive
-                rx, ry = r[0] - px, r[1] - py
-                tn = rx * d2y - ry * d2x
-                un = rx * d1y - ry * d1x
-                if den < 0:
-                    den, tn, un = -den, -tn, -un
-                if not (0 <= tn <= den and 0 <= un <= den):
-                    continue
-                if 0 < tn < den and 0 < un < den:
-                    x, y = px * den + tn * d1x, py * den + tn * d1y
-                    if e1 == e2:
-                        raise DocumentError(f"edge {e1} intersects itself at {_exact(x, y, den)}")
-                    g = gcd(x, y, den)
-                    # subsegments are sorted by edge, so e1 < e2 here
-                    crossings.append((e1, e2, (i1, (tn << shift) // den),
-                                      (i2, (un << shift) // den), (x // g, y // g, den // g)))
-                    continue
-                # the only common point is an end of one piece
-                x = p if tn == 0 else q if tn == den else r if un == 0 else s
-            elif cross(p, q, r):
-                continue  # parallel, on distinct lines
-            else:
-                inter = segment_intersection(p, q, r, s)
-                if inter is None:
-                    continue
-                if inter[0] == "overlap":
-                    raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
-                x = inter[1]  # an end of both pieces
-            if e1 == e2:
-                if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
-                    continue  # consecutive polyline pieces share their joint
-                raise DocumentError(f"edge {e1} intersects itself at {_exact(*x)}")
-            if any(positions[v] == x for v in set(e1) & set(e2)):
-                continue  # adjacent edges meeting at their common vertex
-            raise DocumentError(
-                f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
+    passes = None
+    last = None
+    for ia, ib in _box_pairs(boxes):
+        if ia != last:
+            last = ia
+            e1, i1, p, q = subsegments[ia]
+            px, py = p
+            d1x, d1y = q[0] - px, q[1] - py
+        if ib >= m:
+            v, x = vertices[ib - m]
+            if passes is None and v not in e1 and on_segment(x, p, q):
+                passes = f"edge {e1} passes through vertex {v}"
+            continue
+        e2, i2, r, s = subsegments[ib]
+        d2x, d2y = s[0] - r[0], s[1] - r[1]
+        den = d1x * d2y - d1y * d2x
+        if den:
+            # p + (tn/den) d1 = r + (un/den) d2, with den made positive
+            rx, ry = r[0] - px, r[1] - py
+            tn = rx * d2y - ry * d2x
+            un = rx * d1y - ry * d1x
+            if den < 0:
+                den, tn, un = -den, -tn, -un
+            if not (0 <= tn <= den and 0 <= un <= den):
+                continue
+            if 0 < tn < den and 0 < un < den:
+                x, y = px * den + tn * d1x, py * den + tn * d1y
+                if e1 == e2:
+                    raise DocumentError(f"edge {e1} intersects itself at {_exact(x, y, den)}")
+                g = gcd(x, y, den)
+                # subsegments are sorted by edge, so e1 < e2 here
+                crossings.append((e1, e2, (i1, (tn << shift) // den),
+                                  (i2, (un << shift) // den), (x // g, y // g, den // g)))
+                continue
+            # the only common point is an end of one piece
+            x = p if tn == 0 else q if tn == den else r if un == 0 else s
+        elif cross(p, q, r):
+            continue  # parallel, on distinct lines
+        else:
+            inter = segment_intersection(p, q, r, s)
+            if inter is None:
+                continue
+            if inter[0] == "overlap":
+                raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
+            x = inter[1]  # an end of both pieces
+        if e1 == e2:
+            if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
+                continue  # consecutive polyline pieces share their joint
+            raise DocumentError(f"edge {e1} intersects itself at {_exact(*x)}")
+        if any(positions[v] == x for v in set(e1) & set(e2)):
+            continue  # adjacent edges meeting at their common vertex
+        raise DocumentError(
+            f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
 
-    # A vertex lying on a piece lies in a cell that the piece covers.
-    # Among offenders, the first piece and then the first vertex is named.
-    offenders = []
-    for rank, (v, pos) in enumerate(positions.items()):
-        for idx in cells.get((pos[0] // cell, pos[1] // cell), ()):
-            e, _, p, q = subsegments[idx]
-            if v not in e and on_segment(pos, p, q):
-                offenders.append((idx, rank, v))
-    if offenders:
-        idx, _, v = min(offenders)
-        raise DocumentError(f"edge {subsegments[idx][0]} passes through vertex {v}")
+    if passes is not None:
+        raise DocumentError(passes)
     return crossings, span
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -23,6 +26,7 @@ from shellcert.generators import random_rectilinear
 from shellcert.shellability import decide_seq_shellable
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -111,6 +115,32 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
         assert main(["analyze", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("fault", ["long-loop-edge", "deep-vertex-id"])
+    def test_loader_message_is_bounded(self, tmp_path, fault):
+        # The message names the item's position and never echoes the item.
+        # A fresh interpreter parses the 985-deep id: under pytest's own
+        # stack the JSON parser would give up first.
+        drawing = tmp_path / "k4.json"
+        main(["generate", "--family", "convex", "--n", "4", "--output", str(drawing)])
+        doc = read(drawing)
+        if fault == "long-loop-edge":
+            doc["edges"][0] = {"u": 0, "v": 0, "polyline": [[x, 0] for x in range(50000)]}
+            text, message = json.dumps(doc), "edges[0]: endpoints must be distinct vertex ids"
+        else:
+            doc["vertices"][0]["id"] = "DEEP"
+            text = json.dumps(doc).replace('"DEEP"', "[" * 985 + "]" * 985)
+            message = "vertices[0]: id and coordinates must be integers"
+        drawing.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from shellcert.cli import main; sys.exit(main())",
+             "analyze", "--input", str(drawing)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert len(proc.stderr.encode()) < 200
 
     @pytest.mark.parametrize("kmax", ["-3", "-1", "2", "9"])
     def test_explicit_kmax_is_range_checked(self, tmp_path, kmax, capsys):

@@ -207,21 +207,15 @@ GEOMETRIC = [
     ("vertex-keys", _vertex(0, z=0), "each vertex needs exactly id, x, y"),
     ("vertex-not-object", _set(["vertices", 0], [0, 0, 0]),
      "each vertex needs exactly id, x, y"),
-    ("vertex-float", _vertex(0, x=0.5),
-     "vertex {'id': 0, 'x': 0.5, 'y': 0}: id and coordinates must be integers"),
-    ("vertex-id-bool", _vertex(1, id=True),
-     "vertex {'id': True, 'x': 4, 'y': 0}: id and coordinates must be integers"),
+    ("vertex-float", _vertex(0, x=0.5), "vertices[0]: id and coordinates must be integers"),
+    ("vertex-id-bool", _vertex(1, id=True), "vertices[1]: id and coordinates must be integers"),
     ("vertex-id-range", _vertex(2, id=3), "vertex id 3 out of range"),
     ("vertex-id-repeated", _vertex(1, id=0), "vertex id 0 repeated"),
     ("edges-short", _set(["edges"], []), '"edges" must list every vertex pair exactly once'),
     ("edge-keys", _edge(0, w=1), "each edge needs exactly u, v, polyline"),
     ("edge-not-object", _set(["edges", 0], [0, 1]), "each edge needs exactly u, v, polyline"),
-    ("edge-loop", _edge(0, v=0),
-     "edge {'u': 0, 'v': 0, 'polyline': [[0, 0], [4, 0]]}: "
-     "endpoints must be distinct vertex ids"),
-    ("edge-out-of-range", _edge(0, v=3),
-     "edge {'u': 0, 'v': 3, 'polyline': [[0, 0], [4, 0]]}: "
-     "endpoints must be distinct vertex ids"),
+    ("edge-loop", _edge(0, v=0), "edges[0]: endpoints must be distinct vertex ids"),
+    ("edge-out-of-range", _edge(0, v=3), "edges[0]: endpoints must be distinct vertex ids"),
     ("edge-repeated", _edge_twice, "edge (0, 2) repeated"),
     ("polyline-one-point", _edge(0, polyline=[[0, 0]]),
      "edge (0, 1): polyline needs at least 2 points"),

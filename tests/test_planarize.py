@@ -10,6 +10,11 @@ Straight-line drawings with coordinates up to 10^12 stress the integer
 keys instead: crossings a tiny fraction of an edge apart and near-parallel
 darts at one node must still be ordered exactly.
 
+The sort-and-sweep broad phase must hand the narrow phase exactly the
+pairs of pieces whose boxes meet, in ascending order, as a test of every
+pair finds them; so the first fault named is that of the lowest pair,
+wherever the sweep meets it first.
+
 Rotations built from cross products must equal a comparison sort of the
 darts, and point location by winding numbers must agree with a ray
 caster, also where pieces run along the axes, in every quarter turn.
@@ -30,7 +35,7 @@ from shellcert.errors import DocumentError, ShellcertError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.geometry import segment_intersection
 from shellcert.drawing import trace_faces
-from shellcert.planarize import _angular_order, locate_face, outer_face, planarize
+from shellcert.planarize import _angular_order, _box_pairs, locate_face, outer_face, planarize
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -113,6 +118,92 @@ def test_planarize_rejections_match_reference(case):
     except ShellcertError:
         pass  # no degeneracy, but a partial edge set is no drawing of K_n
     assert expected[0] == "ok"
+
+
+def all_pairs_meeting(boxes):
+    """Every pair (i, j), i < j, of boxes that meet, by testing each pair."""
+    return [(i, j) for i, (ax0, ay0, ax1, ay1) in enumerate(boxes)
+            for j, (bx0, by0, bx1, by1) in enumerate(boxes[i + 1:], i + 1)
+            if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1]
+
+
+def piece_boxes(doc):
+    """Bounding boxes of a document's polyline pieces, in planarize's order:
+    by edge, then along it."""
+    polylines = {}
+    for item in doc["edges"]:
+        u, v, pts = item["u"], item["v"], [tuple(p) for p in item["polyline"]]
+        polylines[(u, v) if u < v else (v, u)] = pts if u < v else pts[::-1]
+    return [(min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
+            for e in sorted(polylines) for p, q in zip(polylines[e], polylines[e][1:])]
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("family", ["convex", "cylindrical", "rectilinear"])
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_box_pairs_match_all_pairs_on_generated_drawings(family, n, turns):
+    raw = {"convex": convex_document, "cylindrical": cylindrical_document,
+           "rectilinear": lambda n: rectilinear_document(n, 1)}[family](n)
+    boxes = piece_boxes(_turned_document(raw, turns))
+    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+
+
+# Boxes on a small lattice, some of zero width or height (vertical and
+# horizontal pieces, and points as the vertices are), so that equal left
+# ends and boxes touching at one coordinate are common.
+lattice_boxes = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.integers(0, 3))
+    .map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3])), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice_boxes)
+def test_box_pairs_match_all_pairs_with_ties(boxes):
+    pairs = all_pairs_meeting(boxes)
+    for i, j in pairs:
+        a, b = boxes[i], boxes[j]
+        if a[0] == b[0]:
+            event("equal left ends")
+        if a[2] == b[0] or b[2] == a[0] or a[3] == b[1] or b[3] == a[1]:
+            event("touching at one coordinate")
+        if a[0] == a[2] or a[1] == a[3]:
+            event("vertical or horizontal piece")
+    assert _box_pairs(boxes) == pairs
+
+
+def test_cylindrical_k16_box_pair_count():
+    # The broad phase's work as a count that does not depend on the
+    # machine: a later broad phase must not hand on more pairs than this.
+    boxes = piece_boxes(cylindrical_document(16))
+    assert len(boxes) == 3920
+    assert len(_box_pairs(boxes)) == 8191
+
+
+def test_first_touch_named_is_the_lowest_pair_not_the_leftmost():
+    # The bend of (0, 1) touches (2, 3) far right; the bend of (4, 5)
+    # touches (6, 7) the same way far left, where the sweep starts.
+    positions = {0: (100, 0), 1: (110, 0), 2: (100, 5), 3: (110, 5),
+                 4: (0, 0), 5: (10, 0), 6: (0, 5), 7: (10, 5)}
+    polylines = {(0, 1): [(100, 0), (105, 5), (110, 0)], (2, 3): [(100, 5), (110, 5)],
+                 (4, 5): [(0, 0), (5, 5), (10, 0)], (6, 7): [(0, 5), (10, 5)]}
+    message = "edges (0, 1) and (2, 3) touch at (105, 5) (tangential or bend contact)"
+    assert reference_planarization(positions, polylines) == ("error", message)
+    with pytest.raises(DocumentError) as info:
+        planarize(8, positions, polylines)
+    assert str(info.value) == message
+
+
+def test_first_vertex_on_a_foreign_edge_named_is_the_lowest_piece_then_vertex():
+    # (0, 1) runs through vertices 4 and 5 far right, 5 left of 4; (2, 3)
+    # runs through vertex 6 far left, where the sweep starts.
+    positions = {0: (100, 0), 1: (120, 0), 2: (0, 50), 3: (20, 50),
+                 4: (115, 0), 5: (105, 0), 6: (10, 50)}
+    polylines = {(0, 1): [(100, 0), (120, 0)], (2, 3): [(0, 50), (20, 50)]}
+    message = "edge (0, 1) passes through vertex 4"
+    assert reference_planarization(positions, polylines) == ("error", message)
+    with pytest.raises(DocumentError) as info:
+        planarize(7, positions, polylines)
+    assert str(info.value) == message
 
 
 # two pieces on one line: base + t * direction for four parameters t
