@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 from .documents import (certificate_from_document, certificate_to_document,
                         drawing_to_document, dump_document, dumps_document,
                         load_drawing)
-from .drawing import (Drawing, FaceMap, FaceSet, Geometry, ValidationReport,
-                      child_drawing, delete_vertex, edge_key, seg_key,
-                      trace_faces, validate_goodness, vertices_on_face)
+from .drawing import (Drawing, FaceMap, FaceSet, ValidationReport, child_drawing,
+                      delete_vertex, edge_key, seg_key, trace_faces,
+                      validate_goodness, vertices_on_face)
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      EmbeddingError, GenerationError, ShellcertError,
                      StructureError)
@@ -29,7 +29,7 @@ from .kedges import (BoundRow, InvariantReport, KEdgeProfile, Orientation,
                      harary_hill_bound, invariant_edges, k_edge_profile,
                      k_value, max_k, recursion_check, triangle_orientation,
                      vertex_k_profile)
-from .planarize import locate_face, outer_face, planarize
+from .planarize import Geometry, locate_face, outer_face, planarize
 from .shellability import (BishellCertificate, SeqShellCertificate,
                            SimpleSequence, VerificationResult, bishell_to_seq,
                            decide_bishellable, decide_seq_shellable,

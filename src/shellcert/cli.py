@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+import threading
 
 from . import __version__
 from .documents import (certificate_from_document, certificate_to_document,
@@ -126,10 +127,39 @@ def _read_document(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = _parse_json(data)
     except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path}: not valid JSON: {exc}") from None
     return doc, hashlib.sha256(data).hexdigest()
+
+
+def _parse_json(data):
+    """json.loads of the UTF-8 text in data.
+
+    The parser's nesting limit is the recursion limit less the caller's
+    depth, so a deeply nested document would parse or not depending on
+    who reads it. One that fails is parsed again on a new thread, which
+    starts at depth zero: it is judged as a fresh interpreter judges it,
+    whoever calls."""
+    text = data.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        pass
+    result = []
+
+    def parse():
+        try:
+            result.append(json.loads(text))
+        except (ValueError, RecursionError) as exc:
+            result.append(exc)
+
+    thread = threading.Thread(target=parse)
+    thread.start()
+    thread.join()
+    if isinstance(result[0], Exception):
+        raise result[0]
+    return result[0]
 
 
 def _load_input(path, good=False):

@@ -230,7 +230,8 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
         for e, pts in sorted(geo.polylines.items()):
             if not all(_is_int(x) and _is_int(y) for x, y in pts):
                 raise ValueError(f"edge {e}: polyline is not integer-valued")
-        return geometric_document(drawing.n, geo.points, geo.polylines)
+        # the vertex positions alone, so no crossing Fraction is built
+        return geometric_document(drawing.n, geo._vertices, geo.polylines)
     if mode != "combinatorial":
         raise ValueError(f"unknown mode {mode!r}")
     head = {"format": FORMAT_NAME, "version": FORMAT_VERSION,

@@ -176,22 +176,6 @@ class Drawing:
 
 
 @dataclass(frozen=True, eq=False)
-class Geometry:
-    """Optional planar coordinates: node positions, edge polylines, and the
-    polyline piece backing each chain segment (oriented along the chain)."""
-
-    points: dict       # node id -> (x, y)
-    polylines: dict    # edge -> tuple of points from u to v
-    segment_paths: dict  # dart along the chain -> tuple of points
-
-    def segment_path(self, a: int, b: int):
-        path = self.segment_paths.get((a, b))
-        if path is not None:
-            return path
-        return tuple(reversed(self.segment_paths[(b, a)]))
-
-
-@dataclass(frozen=True, eq=False)
 class FaceSet:
     """Faces of a drawing, traced from the rotation system.
 

@@ -50,6 +50,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations
 from math import comb
 
@@ -414,12 +415,22 @@ def cumulative_bound_check(drawing: Drawing, ref_face: int, kmax: int):
     if not 0 <= kmax <= max_k(drawing.n) - 1:
         raise ValueError(f"kmax must lie in 0..{max_k(drawing.n) - 1}")
     prof = k_edge_profile(drawing, ref_face)
+    # A row gets its fields as one dict: the frozen dataclass's __init__
+    # would set each through object.__setattr__, at twice the cost.
     rows = []
-    for k in range(kmax + 1):
-        threshold = 3 * comb(k + 3, 3)
+    for k, threshold in enumerate(_thresholds(kmax)):
         value = prof.cumulated[k]
-        rows.append(BoundRow(k, value, threshold, value >= threshold))
+        row = object.__new__(BoundRow)
+        object.__setattr__(row, "__dict__", {"k": k, "cumulated": value,
+                                             "threshold": threshold, "ok": value >= threshold})
+        rows.append(row)
     return tuple(rows)
+
+
+@cache
+def _thresholds(kmax: int) -> tuple:
+    """3*C(k+3, 3) for k = 0..kmax."""
+    return tuple(3 * comb(k + 3, 3) for k in range(kmax + 1))
 
 
 def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> frozenset:

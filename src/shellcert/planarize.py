@@ -16,10 +16,14 @@ numerators: it crosses inside both pieces, or meets at an end of one of
 them (a polyline joint, the common vertex of two adjacent edges, or a
 degenerate contact). Collinear pairs go through segment_intersection,
 which finds overlaps. Crossing points and positions along edges are keyed
-by integers made exact by _shift; Fractions are built only for
-Geometry.points and for messages. The drawing keeps the planarizer's
-records and builds its Geometry from them on the first read, so jobs
-that never draw or locate a point never pay for it.
+by integers made exact by _shift. The drawing keeps the planarizer's
+records and makes its Geometry from them on the first read, so jobs that
+never draw or locate a point never pay for it. The Geometry keeps them as
+integers too: each crossing's homogeneous point (x, y, d) and the
+crossings in order along each edge. Fractions are built only for
+messages and for Geometry.points, which is built on its first read, as
+are the segment paths made from it (face highlights, point location). A
+plain SVG draws from the integers and builds neither.
 
 Rotations come from the cross-product order of geometry.angle_less: a
 vertex sorts its darts by it, and a crossing needs one comparison of the
@@ -38,10 +42,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cached_property, cmp_to_key, partial
 from math import gcd
 
-from .drawing import Drawing, Geometry, per_drawing, trace_faces
+from .drawing import Drawing, per_drawing, trace_faces
 from .errors import CapabilityError, DocumentError
 from .geometry import (angle_less, cross, direction_half, on_segment, segment_intersection,
                        sub)
@@ -113,7 +117,7 @@ def planarize(n, positions, polylines) -> Drawing:
                                  chains, per_edge)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
     # only rendering, export and point location read the geometry
-    geometry = partial(_build_geometry, n, positions, polylines, chains, crossings, per_edge)
+    geometry = partial(_build_geometry, n, positions, polylines, crossings, per_edge)
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
@@ -238,31 +242,87 @@ def _exact(x, y, d=1) -> str:
     return f"({Fraction(x, d)}, {Fraction(y, d)})"
 
 
-def _build_geometry(n, positions, polylines, chains, crossings, per_edge):
-    points = {v: positions[v] for v in range(n)}
-    for node, (_, _, _, _, (x, y, d)) in enumerate(crossings, n):
-        points[node] = (Fraction(x, d), Fraction(y, d))
+class Geometry:
+    """Planar coordinates of a geometric drawing, kept as the planarizer's
+    integers.
 
-    seg_paths = {}
-    for e, pts in polylines.items():
-        hits = per_edge[e]  # sorted along the edge
-        chain = chains[e]
-        path = [pts[0]]
-        hit_idx = 0
-        chain_idx = 0
-        for i, (p, q) in enumerate(zip(pts, pts[1:])):
-            while hit_idx < len(hits) and hits[hit_idx][0][0] == i:
-                x = points[hits[hit_idx][1]]
-                if path[-1] != x:
-                    path.append(x)
-                seg_paths[(chain[chain_idx], chain[chain_idx + 1])] = tuple(path)
-                chain_idx += 1
-                path = [x]
-                hit_idx += 1
-            if path[-1] != q:
-                path.append(q)
-        seg_paths[(chain[chain_idx], chain[chain_idx + 1])] = tuple(path)
-    return Geometry(points, {e: tuple(pts) for e, pts in polylines.items()}, seg_paths)
+    polylines      -- edge (u, v), u < v -> tuple of integer points from u to v
+    points         -- node id -> (x, y): the integer position of a vertex,
+                      the exact Fraction point of a crossing
+    segment_paths  -- dart along a chain -> tuple of the points of the
+                      polyline piece backing it; segment_path(a, b) reads
+                      either direction
+
+    It is made of the vertex positions, the polylines, each crossing's
+    homogeneous point (x, y, d) with d > 0, standing for (x/d, y/d), and
+    the crossings along each edge as the planarizer ordered them:
+    ((piece index, position key), node). points and segment_paths are
+    each built from these on their first read. A plain SVG reads neither:
+    the renderer takes node positions as floats from _float_points.
+    """
+
+    def __init__(self, vertices, polylines, crossings, along):
+        self._vertices = vertices    # vertex id -> (x, y), in id order
+        self.polylines = polylines
+        self._crossings = crossings  # crossing node -> (x, y, d), in id order
+        self._along = along          # edge -> [((piece index, key), node)]
+
+    @cached_property
+    def points(self):
+        points = dict(self._vertices)
+        for node, (x, y, d) in self._crossings.items():
+            points[node] = (Fraction(x, d), Fraction(y, d))
+        return points
+
+    @cached_property
+    def segment_paths(self):
+        points = self.points
+        paths = {}
+        for e, pts in self.polylines.items():
+            hits = self._along[e]
+            h = 0
+            tail, path = e[0], [pts[0]]
+            for i, q in enumerate(pts[1:]):
+                while h < len(hits) and hits[h][0][0] == i:
+                    node = hits[h][1]
+                    x = points[node]
+                    if path[-1] != x:
+                        path.append(x)
+                    paths[(tail, node)] = tuple(path)
+                    tail, path = node, [x]
+                    h += 1
+                if path[-1] != q:
+                    path.append(q)
+            paths[(tail, e[1])] = tuple(path)
+        return paths
+
+    def segment_path(self, a: int, b: int):
+        path = self.segment_paths.get((a, b))
+        if path is not None:
+            return path
+        return tuple(reversed(self.segment_paths[(b, a)]))
+
+    def _float_points(self, nodes):
+        """[(x, y)] of the given nodes in floats, equal to float() of their
+        points entries without building them: x / d is the correctly
+        rounded quotient, as float(Fraction(x, d)) is."""
+        vertices, crossings = self._vertices, self._crossings
+        out = []
+        for node in nodes:
+            hom = crossings.get(node)
+            if hom is None:
+                x, y = vertices[node]
+                out.append((float(x), float(y)))
+            else:
+                x, y, d = hom
+                out.append((x / d, y / d))
+        return out
+
+
+def _build_geometry(n, positions, polylines, crossings, per_edge):
+    return Geometry({v: positions[v] for v in range(n)},
+                    {e: tuple(pts) for e, pts in polylines.items()},
+                    {node: rec[4] for node, rec in enumerate(crossings, n)}, per_edge)
 
 
 def _build_rotations(positions, crossing_nodes, polylines, chains, per_edge):

@@ -26,34 +26,45 @@ _STYLE = {
 }
 
 
+# SVG numbers are floats: a size or coordinate beyond this bound would
+# overflow them or turn into inf
+_LIMIT = 10 ** 300
+
+
 def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = None,
                certificate=None, label_face: int | None = None) -> str:
-    """Render the drawing; raises CapabilityError without geometry and
-    ValueError for a size below one pixel."""
+    """Render the drawing; raises ValueError for a size outside 1..10**300
+    pixels, CapabilityError without geometry or for coordinates beyond
+    +-10**300."""
     if size < 1:
         raise ValueError(f"size must be a positive number of pixels, got {size}")
-    if drawing.geometry is None:
+    if size > _LIMIT:
+        raise ValueError(f"size must be at most 10**300 pixels, "
+                         f"got a number of {len(str(size))} digits")
+    geo = drawing.geometry
+    if geo is None:
         raise CapabilityError(
             "rendering needs geometry; combinatorial inputs carry none "
             "(generate or load a geometric document instead)")
-    geo = drawing.geometry
     # Crossings lie on pieces between integer polyline points and float()
     # is monotone, so the polyline points alone give the frame.
     xs = [p[0] for path in geo.polylines.values() for p in path]
     ys = [p[1] for path in geo.polylines.values() for p in path]
-    x0, x1, y0, y1 = float(min(xs)), float(max(xs)), float(min(ys)), float(max(ys))
-    span = max(x1 - x0, y1 - y0, 1.0)
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    if max(-lo_x, hi_x, -lo_y, hi_y) > _LIMIT:
+        raise CapabilityError("rendering needs every coordinate within +-10**300, "
+                              "since SVG numbers are floats")
+    x0, y1 = float(lo_x), float(hi_y)
+    span = max(float(hi_x) - x0, y1 - float(lo_y), 1.0)
     margin = 0.06 * span
+    extent = span + 2 * margin
 
-    def to_svg(p):
-        # y grows upward in the plane, downward in SVG
-        x = (float(p[0]) - x0 + margin) / (span + 2 * margin) * size
-        y = (y1 - float(p[1]) + margin) / (span + 2 * margin) * size
-        return x, y
-
-    def fmt(p):
-        x, y = to_svg(p)
-        return f"{x:.2f},{y:.2f}"
+    # One f-string per point, (px - x0 + margin) / extent * size and the same
+    # for y, which grows upward in the plane and downward in SVG. An int or
+    # Fraction coordinate minus a float is float(coordinate) minus it.
+    def path_text(path):
+        return " ".join([f"{(x - x0 + margin) / extent * size:.2f},"
+                         f"{(y1 - y + margin) / extent * size:.2f}" for x, y in path])
 
     r_vertex = size / 110
     font = size / 34
@@ -61,34 +72,35 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
            f'viewBox="0 0 {size} {size}">',
            f'<rect width="{size}" height="{size}" fill="white"/>']
 
-    for e in drawing.edges():
-        path = " ".join(fmt(p) for p in geo.polylines[e])
-        out.append(f'<polyline points="{path}" {_STYLE["edge"]}/>')
+    style = _STYLE["edge"]
+    out += [f'<polyline points="{path_text(geo.polylines[e])}" {style}/>'
+            for e in drawing.edges()]
 
     if face_highlight is not None:
-        for dart in trace_faces(drawing).faces[check_face(drawing, face_highlight)]:
-            path = " ".join(fmt(p) for p in geo.segment_path(*dart))
-            out.append(f'<polyline points="{path}" {_STYLE["face"]}/>')
+        style = _STYLE["face"]
+        out += [f'<polyline points="{path_text(geo.segment_path(*dart))}" {style}/>'
+                for dart in trace_faces(drawing).faces[check_face(drawing, face_highlight)]]
 
+    style = _STYLE["label"].format(f"{font:.1f}")
     if label_face is not None:
         prof = k_edge_profile(drawing, label_face)
-        style = _STYLE["label"].format(f"{font:.1f}")
         for e, k in sorted(prof.k_values.items()):
             poly = geo.polylines[e]
-            mid = poly[len(poly) // 2]
-            x, y = to_svg(mid)
+            mx, my = poly[len(poly) // 2]
+            x = (mx - x0 + margin) / extent * size
+            y = (y1 - my + margin) / extent * size
             out.append(f'<text x="{x + 3:.2f}" y="{y - 3:.2f}" {style} '
                        f'fill="#0a7a3d">{k}</text>')
 
     open_sq, full_sq = _certificate_vertices(certificate)
-    for node in sorted(drawing.crossings):
-        x, y = to_svg(geo.points[node])
-        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r_vertex * 0.7:.2f}" '
-                   f'{_STYLE["crossing"]}/>')
-    style = _STYLE["label"].format(f"{font:.1f}")
-    for v in drawing.vertices:
-        x, y = to_svg(geo.points[v])
-        side = r_vertex * 3.4
+    r_cross = f'r="{r_vertex * 0.7:.2f}" {_STYLE["crossing"]}'
+    out += [f'<circle cx="{(x - x0 + margin) / extent * size:.2f}" '
+            f'cy="{(y1 - y + margin) / extent * size:.2f}" {r_cross}/>'
+            for x, y in geo._float_points(sorted(drawing.crossings))]
+    side = r_vertex * 3.4
+    for v, (x, y) in zip(drawing.vertices, geo._float_points(drawing.vertices)):
+        x = (x - x0 + margin) / extent * size
+        y = (y1 - y + margin) / extent * size
         if v in full_sq:
             out.append(f'<rect x="{x - side / 2:.2f}" y="{y - side / 2:.2f}" '
                        f'width="{side:.2f}" height="{side:.2f}" {_STYLE["full_square"]}/>')

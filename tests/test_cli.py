@@ -22,7 +22,7 @@ from shellcert.documents import (certificate_to_document, drawing_to_document,
                                  load_drawing)
 from shellcert.drawing import validate_goodness
 from shellcert.errors import DocumentError, ShellcertError, StructureError
-from shellcert.generators import random_rectilinear
+from shellcert.generators import convex_document, random_rectilinear
 from shellcert.shellability import decide_seq_shellable
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4}
@@ -119,8 +119,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("fault", ["long-loop-edge", "deep-vertex-id"])
     def test_loader_message_is_bounded(self, tmp_path, fault):
         # The message names the item's position and never echoes the item.
-        # A fresh interpreter parses the 985-deep id: under pytest's own
-        # stack the JSON parser would give up first.
+        # A fresh interpreter parses the 985-deep id.
         drawing = tmp_path / "k4.json"
         main(["generate", "--family", "convex", "--n", "4", "--output", str(drawing)])
         doc = read(drawing)
@@ -128,19 +127,36 @@ class TestAnalyze:
             doc["edges"][0] = {"u": 0, "v": 0, "polyline": [[x, 0] for x in range(50000)]}
             text, message = json.dumps(doc), "edges[0]: endpoints must be distinct vertex ids"
         else:
-            doc["vertices"][0]["id"] = "DEEP"
-            text = json.dumps(doc).replace('"DEEP"', "[" * 985 + "]" * 985)
+            text = _deep_vertex_id_text(doc)
             message = "vertices[0]: id and coordinates must be integers"
         drawing.write_text(text)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from shellcert.cli import main; sys.exit(main())",
-             "analyze", "--input", str(drawing)],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = _run_fresh(["analyze", "--input", str(drawing)])
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
         assert len(proc.stderr.encode()) < 200
+
+    def test_deep_document_is_judged_as_a_fresh_interpreter_judges_it(self, tmp_path,
+                                                                        capsys):
+        # Called from 900 frames deep, the JSON parser alone would give up
+        # on the 985-deep id; the outcome must be the subprocess's.
+        drawing = tmp_path / "k4.json"
+        main(["generate", "--family", "convex", "--n", "4", "--output", str(drawing)])
+        drawing.write_text(_deep_vertex_id_text(read(drawing)))
+        argv = ["analyze", "--input", str(drawing)]
+        capsys.readouterr()
+
+        def descend(levels):
+            return descend(levels - 1) if levels else main(argv)
+
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        assert depth < 850
+        code = descend(900 - depth)
+        proc = _run_fresh(argv)
+        assert (code, capsys.readouterr().err) == (proc.returncode, proc.stderr) == (
+            2, "error: vertices[0]: id and coordinates must be integers\n")
 
     @pytest.mark.parametrize("kmax", ["-3", "-1", "2", "9"])
     def test_explicit_kmax_is_range_checked(self, tmp_path, kmax, capsys):
@@ -207,6 +223,21 @@ class TestAnalyze:
         report = read(out)
         assert len(report["profiles"]) == report["faces"]["count"] == 155
         assert len(calls) == 1
+
+
+def _deep_vertex_id_text(doc):
+    """The document's text with vertex 0's id a list nested 985 deep."""
+    doc["vertices"][0]["id"] = "DEEP"
+    return json.dumps(doc).replace('"DEEP"', "[" * 985 + "]" * 985)
+
+
+def _run_fresh(argv):
+    """The CLI run on argv in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from shellcert.cli import main; sys.exit(main())",
+         *argv], capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestDecideVerify:
@@ -343,6 +374,32 @@ class TestExport:
         assert main(["export", "--input", str(drawing), "--output", str(out),
                      "--size", size]) == 2
         assert "size must be a positive number of pixels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_beyond_float_range_exit_2(self, k6, tmp_path, capsys):
+        out = tmp_path / "k6.svg"
+        assert main(["export", "--input", str(k6), "--output", str(out),
+                     "--size", str(10 ** 400)]) == 2
+        assert capsys.readouterr().err == (
+            "error: size must be at most 10**300 pixels, got a number of 401 digits\n")
+        assert not out.exists()
+
+    def test_coordinates_beyond_float_range_exit_4(self, tmp_path, capsys):
+        # a valid convex K6 scaled by 10**320: it loads and analyzes, but its
+        # coordinates have no float to be drawn at
+        doc = convex_document(6)
+        for v in doc["vertices"]:
+            v["x"], v["y"] = v["x"] * 10 ** 320, v["y"] * 10 ** 320
+        for e in doc["edges"]:
+            e["polyline"] = [[x * 10 ** 320, y * 10 ** 320] for x, y in e["polyline"]]
+        drawing, out = tmp_path / "k6.json", tmp_path / "k6.svg"
+        drawing.write_text(json.dumps(doc))
+        assert main(["analyze", "--input", str(drawing), "--face", "at:0,0",
+                     "--output", str(tmp_path / "report.json")]) == 0
+        assert main(["export", "--input", str(drawing), "--output", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: rendering needs every coordinate within +-10**300, "
+            "since SVG numbers are floats\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--face", "--labels"])
