@@ -25,7 +25,7 @@ from .documents import (certificate_from_document, certificate_to_document,
                         dump_document, dumps_document, load_drawing)
 from .drawing import check_face, trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
-                     ShellcertError)
+                     ShellcertError, quoted)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
 from .kedges import cumulative_bound_check, harary_hill_bound, k_edge_profile, max_k
@@ -261,7 +261,7 @@ def cmd_decide(args) -> int:
     drawing, digest = _load_input(args.input, good=True)
     k = args.k if args.k is not None else max_k(drawing.n) - 1
     if not 0 <= k <= drawing.n - 2:
-        raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {k}")
+        raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {quoted(k)}")
     selected = _parse_face(args.face, drawing)
     face_filter = None if args.face == "auto" else selected[0]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .drawing import Drawing, edge_key, trace_faces
-from .errors import DocumentError, StructureError
+from .errors import DocumentError, StructureError, quoted
 from .planarize import planarize
 from .shellability import BishellCertificate, SeqShellCertificate
 
@@ -334,7 +334,7 @@ def certificate_from_document(document):
              '"face" and "k" must be integers, k nonnegative')
     a = document.get("a")
     _require(isinstance(a, list) and len(a) == k + 1 and all(_is_int(x) for x in a),
-             f'"a" must list k+1 = {k + 1} vertex ids')
+             f'"a" must list k+1 = {quoted(k + 1)} vertex ids')
     digest = document.get("drawing_sha256")
     _require(digest is None or isinstance(digest, str), "bad drawing_sha256")
     allowed = {"format", "version", "kind", "face", "k", "a", "drawing_sha256"}
@@ -348,7 +348,7 @@ def certificate_from_document(document):
         return SeqShellCertificate(face, tuple(a), tuple(tuple(s) for s in seqs)), digest
     b = document.get("b")
     _require(isinstance(b, list) and len(b) == k + 1 and all(_is_int(x) for x in b),
-             f'"b" must list k+1 = {k + 1} vertex ids')
+             f'"b" must list k+1 = {quoted(k + 1)} vertex ids')
     extra = set(document) - allowed - {"b"}
     _require(not extra, f"unknown keys {sorted(extra)}")
     return BishellCertificate(face, tuple(a), tuple(b)), digest

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import repeat
 
-from .errors import EmbeddingError, StructureError
+from .errors import EmbeddingError, StructureError, quoted
 
 Edge = tuple  # (u, v) with u < v: an original edge of the complete graph
 Dart = tuple  # (tail, head): a directed segment between adjacent nodes
@@ -268,7 +268,7 @@ def check_face(drawing: Drawing, face: int) -> int:
     Every entry that takes a face id asks here, except the certificate
     check, which raises CertificateMismatchError."""
     if not 0 <= face < trace_faces(drawing).face_count():
-        raise ValueError(f"face {face} does not exist")
+        raise ValueError(f"face {quoted(face)} does not exist")
     return face
 
 

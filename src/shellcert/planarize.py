@@ -10,27 +10,39 @@ goodness (adjacent edges crossing, an edge pair crossing twice): those
 load fine and are reported by validate_goodness.
 
 Candidate pairs of polyline pieces are those whose bounding boxes meet,
-found by sort and sweep (_box_pairs) and tested in ascending index order.
-A pair that is not parallel is decided by its integer parameter
-numerators: it crosses inside both pieces, or meets at an end of one of
-them (a polyline joint, the common vertex of two adjacent edges, or a
-degenerate contact). Collinear pairs go through segment_intersection,
-which finds overlaps. Crossing points and positions along edges are keyed
-by integers made exact by _shift. The drawing keeps the planarizer's
-records and makes its Geometry from them on the first read, so jobs that
-never draw or locate a point never pay for it. The Geometry keeps them as
-integers too: each crossing's homogeneous point (x, y, d) and the
-crossings in order along each edge. Fractions are built only for
-messages and for Geometry.points, which is built on its first read, as
-are the segment paths made from it (face highlights, point location). A
-plain SVG draws from the integers and builds neither.
+tested in ascending index order. _box_pairs finds them by a sort and
+sweep along x inside horizontal bands, and keeps each pair only in the
+band holding the higher of its two bottoms: the sort-and-prune broad
+phase of Cohen, Lin, Manocha and Ponamgi ("I-COLLIDE", 1995), swept
+along one axis in each band. It pays for the pairs it keeps and for a
+few memberships per box, not for every pair overlapping in x. Two
+consecutive pieces of one edge share their joint, so they meet nowhere
+else unless they are collinear and run back over each other; every
+other such pair is settled at once. A pair that is not parallel is
+decided by its integer parameter numerators: it crosses inside both
+pieces, or meets at an end of one of them (the common vertex of two
+adjacent edges, or a degenerate contact). Collinear pairs go through
+segment_intersection, which finds overlaps. Crossing points and
+positions along edges are keyed by integers made exact by _shift.
 
-Rotations come from the cross-product order of geometry.angle_less: a
-vertex sorts its darts by it, and a crossing needs one comparison of the
-two pieces through it. Point location counts, for every face, the
-winding number of its boundary around the point in one pass over the
-pieces (Hormann and Agathos, "The point in polygon problem for arbitrary
-polygons", 2001).
+The drawing keeps the planarizer's records and makes its Geometry from
+them on the first read, so jobs that never draw or locate a point never
+pay for it. The Geometry keeps them as integers too: each crossing's
+homogeneous point (x, y, d) and the crossings in order along each edge.
+Fractions are built only for messages and for Geometry.points, which is
+built on its first read, as are the segment paths made from it (face
+highlights, point location). A plain SVG draws from the integers and
+builds neither.
+
+A vertex sorts its darts by the cross-product order of
+geometry.angle_less. A crossing needs no comparison: its test already
+holds both piece directions and the sign of their cross product, and
+records with the crossing which piece runs into [0, pi) and which of
+the two darts into [0, pi) comes first. Its rotation is then its four
+chain neighbours put in that order. Point location counts, for every
+face, the winding number of its boundary around the point in one pass
+over the pieces (Hormann and Agathos, "The point in polygon problem for
+arbitrary polygons", 2001).
 
 Vertices lying on a foreign edge are found in the same sweep, each vertex
 as a point box. With every edge of K_n present, each such vertex is first
@@ -47,8 +59,7 @@ from math import gcd
 
 from .drawing import Drawing, per_drawing, trace_faces
 from .errors import CapabilityError, DocumentError
-from .geometry import (angle_less, cross, direction_half, on_segment, segment_intersection,
-                       sub)
+from .geometry import angle_less, cross, on_segment, segment_intersection, sub
 
 
 def planarize(n, positions, polylines) -> Drawing:
@@ -82,12 +93,12 @@ def planarize(n, positions, polylines) -> Drawing:
                 raise DocumentError(f"three curves concurrent at {_exact(x, y, d)}: "
                                     f"edges {involved}")
 
-    # A record is (e1, e2, position on e1, position on e2, point) with
-    # e1 < e2, and no two records share (e1, e2, position on e1), so this
-    # sorts by edge pair and then along the first edge.
+    # A record is (e1, e2, position on e1, position on e2, point, turn)
+    # with e1 < e2, and no two records share (e1, e2, position on e1), so
+    # this sorts by edge pair and then along the first edge.
     crossings.sort()
     per_edge = {e: [] for e in polylines}
-    for node, (e1, e2, pos1, pos2, _) in enumerate(crossings, n):
+    for node, (e1, e2, pos1, pos2, _, _) in enumerate(crossings, n):
         per_edge[e1].append((pos1, node))
         per_edge[e2].append((pos2, node))
 
@@ -113,8 +124,7 @@ def planarize(n, positions, polylines) -> Drawing:
                     f"planarization and is not representable")
             seen_segments[s] = e
 
-    rotations = _build_rotations(positions, range(n, n + len(crossings)), polylines,
-                                 chains, per_edge)
+    rotations = _build_rotations(positions, polylines, chains, crossings)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
     # only rendering, export and point location read the geometry
     geometry = partial(_build_geometry, n, positions, polylines, crossings, per_edge)
@@ -138,19 +148,48 @@ def _shift(span):
 
 def _box_pairs(boxes):
     """The pairs (ia, ib), ia < ib, of (x0, y0, x1, y1) boxes that meet,
-    touching included, in ascending order. Sort and sweep: after each box
-    in left-end order come the boxes starting within its x-range, and of
-    these the ones whose y-range meets its own are kept."""
+    touching included, in ascending order.
+
+    y is cut into bands twice the mean box height tall (plus one), and
+    each box joins every band its y-range reaches: fewer than 2.5 bands a
+    box on average, however tall some boxes are. Inside each band runs a
+    sort and sweep: after each box in left-end order come the boxes
+    starting within its x-range, and of these the ones whose y-range meets
+    its own are kept. Two boxes that meet both reach the band holding the
+    higher of their two bottoms, and the pair is kept there only, as the
+    band in which one of them starts; so no pair is kept twice."""
     m = len(boxes)
-    lo_x, lo_y, _, hi_y = zip(*boxes)
-    order = sorted(range(m), key=lo_x.__getitem__)
-    starts = [lo_x[i] for i in order]
+    lo_x, lo_y, hi_x, hi_y = zip(*boxes)
+    base = min(lo_y)
+    height = 2 * (sum(hi_y) - sum(lo_y)) // m + 1
+    first = [(y - base) // height for y in lo_y]
+    bands = {}  # band -> its boxes in left-end order
+    for i in sorted(range(m), key=lo_x.__getitem__):
+        band, last = first[i], (hi_y[i] - base) // height
+        while band <= last:
+            members = bands.get(band)
+            if members is None:
+                bands[band] = [i]
+            else:
+                members.append(i)
+            band += 1
     codes = []
-    for k, ia in enumerate(order):
-        _, y0, x1, y1 = boxes[ia]
-        codes += [ia * m + ib if ia < ib else ib * m + ia
-                  for ib in order[k + 1:bisect_right(starts, x1, k + 1)]
-                  if lo_y[ib] <= y1 and y0 <= hi_y[ib]]
+    for band, order in bands.items():
+        starts = [lo_x[i] for i in order]
+        k = 0
+        for ia in order:
+            k += 1  # order[k:] follows ia
+            end = bisect_right(starts, hi_x[ia], k)
+            if end == k:
+                continue
+            y1 = hi_y[ia]
+            if first[ia] == band:
+                y0 = lo_y[ia]
+                codes += [ia * m + ib if ia < ib else ib * m + ia
+                          for ib in order[k:end] if lo_y[ib] <= y1 and y0 <= hi_y[ib]]
+            else:  # from a lower band: only boxes starting in this one
+                codes += [ia * m + ib if ia < ib else ib * m + ia
+                          for ib in order[k:end] if first[ib] == band and lo_y[ib] <= y1]
     codes.sort()
     return [divmod(code, m) for code in codes]
 
@@ -158,7 +197,12 @@ def _box_pairs(boxes):
 def _find_crossings(subsegments, positions):
     """All proper interior crossings and the drawing's span; rejects every
     degenerate contact, vertices on foreign edges included (after every
-    crossing check). Vertex positions must be distinct."""
+    crossing check). Vertex positions must be distinct.
+
+    A crossing is recorded as (e1, e2, position on e1, position on e2,
+    point, turn), e1 < e2; turn is (up1, up2, first): whether each piece
+    runs into [0, pi) and whether e1's dart into [0, pi) comes before
+    e2's counterclockwise."""
     boxes = []
     for _, _, (px, py), (qx, qy) in subsegments:
         x0, x1 = (px, qx) if px < qx else (qx, px)
@@ -193,6 +237,10 @@ def _find_crossings(subsegments, positions):
         e2, i2, r, s = subsegments[ib]
         d2x, d2y = s[0] - r[0], s[1] - r[1]
         den = d1x * d2y - d1y * d2x
+        if ib == ia + 1 and e2 == e1 and (den or d1x * d2x + d1y * d2y > 0):
+            # consecutive pieces of one edge meet only at their joint,
+            # unless they run back along one line (an overlap, below)
+            continue
         if den:
             # p + (tn/den) d1 = r + (un/den) d2, with den made positive
             rx, ry = r[0] - px, r[1] - py
@@ -207,9 +255,13 @@ def _find_crossings(subsegments, positions):
                 if e1 == e2:
                     raise DocumentError(f"edge {e1} intersects itself at {_exact(x, y, den)}")
                 g = gcd(x, y, den)
+                up1 = d1y > 0 or (d1y == 0 and d1x > 0)
+                up2 = d2y > 0 or (d2y == 0 and d2x > 0)
+                turn = (up1, up2, (d1x * d2y > d1y * d2x) == (up1 == up2))
                 # subsegments are sorted by edge, so e1 < e2 here
                 crossings.append((e1, e2, (i1, (tn << shift) // den),
-                                  (i2, (un << shift) // den), (x // g, y // g, den // g)))
+                                  (i2, (un << shift) // den), (x // g, y // g, den // g),
+                                  turn))
                 continue
             # the only common point is an end of one piece
             x = p if tn == 0 else q if tn == den else r if un == 0 else s
@@ -223,10 +275,10 @@ def _find_crossings(subsegments, positions):
                 raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
             x = inter[1]  # an end of both pieces
         if e1 == e2:
-            if abs(i1 - i2) == 1 and x in (p, q) and x in (r, s):
-                continue  # consecutive polyline pieces share their joint
             raise DocumentError(f"edge {e1} intersects itself at {_exact(*x)}")
-        if any(positions[v] == x for v in set(e1) & set(e2)):
+        a, b = e1
+        common = a if a in e2 else b if b in e2 else None
+        if common is not None and positions[common] == x:
             continue  # adjacent edges meeting at their common vertex
         raise DocumentError(
             f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
@@ -325,26 +377,27 @@ def _build_geometry(n, positions, polylines, crossings, per_edge):
                     {node: rec[4] for node, rec in enumerate(crossings, n)}, per_edge)
 
 
-def _build_rotations(positions, crossing_nodes, polylines, chains, per_edge):
+def _build_rotations(positions, polylines, chains, crossings):
     """Counterclockwise rotations from the +x axis: at a vertex, the first
-    piece of each of its edges; at a crossing, the two pieces named by its
-    positions. Vertices come first, then crossings in ascending id."""
+    piece of each of its edges, sorted by angle; at a crossing, its four
+    chain neighbours, placed by the turn its record carries. Vertices
+    come first, then crossings in ascending id."""
     darts = {v: [] for v in positions}
-    through = {x: [] for x in crossing_nodes}
-    for e, chain in chains.items():
-        pts = polylines[e]
+    n = len(darts)
+    around = {x: [] for x in range(n, n + len(crossings))}
+    for e in sorted(chains):  # a crossing's e1 before its e2
+        chain, pts = chains[e], polylines[e]
         darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
         darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
-        for j, ((i, _), node) in enumerate(per_edge[e], 1):
-            # the dart into [0, pi), then the target of its reverse
-            d, ahead, behind = sub(pts[i + 1], pts[i]), chain[j + 1], chain[j - 1]
-            if direction_half(d):
-                d, ahead, behind = (-d[0], -d[1]), behind, ahead
-            through[node].append((d, ahead, behind))
-    rotations = {v: _angular_order(around, f"vertex {v}") for v, around in darts.items()}
+        for behind, x, ahead in zip(chain, chain[1:-1], chain[2:]):
+            around[x] += (ahead, behind)
+    rotations = {v: _angular_order(d, f"vertex {v}") for v, d in darts.items()}
     # Both darts into [0, pi) precede their reverses, in the same order.
-    for x, ((d1, a1, b1), (d2, a2, b2)) in through.items():
-        rotations[x] = (a1, a2, b1, b2) if angle_less(d1, d2) else (a2, a1, b2, b1)
+    for (x, (ahead1, behind1, ahead2, behind2)), rec in zip(around.items(), crossings):
+        up1, up2, first = rec[5]
+        a1, b1 = (ahead1, behind1) if up1 else (behind1, ahead1)
+        a2, b2 = (ahead2, behind2) if up2 else (behind2, ahead2)
+        rotations[x] = (a1, a2, b1, b2) if first else (a2, a1, b2, b1)
     return rotations
 
 

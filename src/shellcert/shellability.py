@@ -53,7 +53,7 @@ from .drawing import (Drawing, check_face, check_vertex, edge_key, per_drawing,
                       trace_faces)
 # perfbench/layertrace.py wraps these two names in this module by name
 from .drawing import child_drawing, vertices_on_face  # noqa: F401
-from .errors import CertificateMismatchError, ShellcertError
+from .errors import CertificateMismatchError, ShellcertError, quoted
 
 
 @dataclass(frozen=True)
@@ -428,10 +428,11 @@ def check_certificate_refs(drawing: Drawing, cert) -> None:
     vertex the drawing does not have."""
     face = cert.face
     if not isinstance(face, int) or not 0 <= face < trace_faces(drawing).face_count():
-        raise CertificateMismatchError(f"face {face!r} does not exist in the drawing")
+        raise CertificateMismatchError(f"face {quoted(face)} does not exist in the drawing")
     unknown = sorted(set(cert.named_vertices()) - drawing.vertex_set)
     if unknown:
-        raise CertificateMismatchError(f"unknown vertices {unknown}")
+        raise CertificateMismatchError(
+            f"unknown vertices [{', '.join(map(quoted, unknown))}]")
 
 
 # -- transformation --------------------------------------------------------

@@ -11,7 +11,7 @@ Output is deterministic for identical inputs.
 from __future__ import annotations
 
 from .drawing import Drawing, check_face, trace_faces
-from .errors import CapabilityError
+from .errors import CapabilityError, quoted
 from .kedges import k_edge_profile
 from .shellability import BishellCertificate, SeqShellCertificate
 
@@ -37,10 +37,9 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
     pixels, CapabilityError without geometry or for coordinates beyond
     +-10**300."""
     if size < 1:
-        raise ValueError(f"size must be a positive number of pixels, got {size}")
+        raise ValueError(f"size must be a positive number of pixels, got {quoted(size)}")
     if size > _LIMIT:
-        raise ValueError(f"size must be at most 10**300 pixels, "
-                         f"got a number of {len(str(size))} digits")
+        raise ValueError(f"size must be at most 10**300 pixels, got {quoted(size)}")
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError(

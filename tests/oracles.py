@@ -10,8 +10,9 @@ witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
 labelling, brute-force Fraction-only planarization that sorts the
 directions at every node, crossings included, instead of integer keys and
-one comparison per crossing, a Fraction ray caster instead of the
-winding numbers of point location, closed-form integer formulas, plain
+the turn the crossing test records, rotations by one angle comparison per
+crossing of pieces found along the segment paths, a Fraction ray caster
+instead of the winding numbers of point location, closed-form integer formulas, plain
 exhaustive enumeration of the shellability definitions instead of the
 backtracking deciders, region tables for every vertex at once instead of
 one vertex's on its first deletion, a goodness listing that sorts
@@ -29,7 +30,7 @@ from itertools import combinations, permutations
 from shellcert.drawing import (Drawing, FaceSet, child_drawing, edge_key, seg_key,
                                trace_faces, vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
-from shellcert.geometry import cross, direction_half, on_segment
+from shellcert.geometry import angle_less, cross, direction_half, on_segment, sub
 from shellcert.kedges import Orientation, k_edge_profile
 from shellcert.planarize import outer_face
 
@@ -305,6 +306,44 @@ def sort_by_angle(items, key):
         if direction_half(va) == direction_half(vb) and va[0] * vb[1] - va[1] * vb[0] == 0:
             raise ValueError("two directions coincide")
     return out
+
+
+def comparison_rotations(drawing):
+    """The rotation of every node of a geometric drawing by comparing the
+    directions of polyline pieces: at a vertex, the first pieces of its
+    edges sorted by sort_by_angle; at a crossing, the piece of each edge
+    through it turned into [0, pi) (sub, direction_half), the two ordered
+    by one angle_less, and their reverses after them in the same order.
+    A crossing's piece runs from the last polyline point before it to the
+    first one after it along the chain's segment paths. Vertices first,
+    then crossings in ascending id."""
+    geo = drawing.geometry
+    darts = {v: [] for v in range(drawing.n)}
+    through = {}
+    for e, chain in drawing.chains.items():
+        pts = geo.polylines[e]
+        darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
+        darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
+        # a path's inner points are bends; its ends are nodes
+        paths = [geo.segment_path(a, b) for a, b in zip(chain, chain[1:])]
+        starts, start = [], pts[0]
+        for path in paths[:-1]:
+            start = path[-2] if len(path) > 2 else start
+            starts.append(start)
+        ends, end = [], pts[-1]
+        for path in reversed(paths[1:]):
+            end = path[1] if len(path) > 2 else end
+            ends.append(end)
+        for behind, x, ahead, p, q in zip(chain, chain[1:-1], chain[2:], starts, ends[::-1]):
+            d = sub(q, p)
+            if direction_half(d):
+                d, ahead, behind = (-d[0], -d[1]), behind, ahead
+            through.setdefault(x, []).append((d, ahead, behind))
+    rotations = {v: tuple(t for _, t in sort_by_angle(around, key=lambda dart: dart[0]))
+                 for v, around in darts.items()}
+    for x, ((d1, a1, b1), (d2, a2, b2)) in sorted(through.items()):
+        rotations[x] = (a1, a2, b1, b2) if angle_less(d1, d2) else (a2, a1, b2, b1)
+    return rotations
 
 
 class _slope_key:

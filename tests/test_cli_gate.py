@@ -4,7 +4,9 @@ exit code from analyze, decide, verify and export, never a traceback.
 Every row runs cli.main in-process on small documents. Exit codes: 2
 invalid input or usage (argparse's own usage errors included, which leave
 through SystemExit(2)), 3 certificate not of the drawing, 4 capability
-missing; rows that load and answer exit 0.
+missing; rows that load and answer exit 0. Where a message quotes an
+integer from outside that is hundreds of digits long, it gives the number
+of digits instead, so every line of stderr stays short.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from corpus import not_good_k7_document
 from shellcert import cli
 from shellcert.documents import (certificate_to_document, drawing_to_document,
                                  dump_document, load_drawing)
+from shellcert.errors import quoted
 from shellcert.generators import convex_document, cylindrical_document
 from shellcert.shellability import decide_seq_shellable
 
@@ -34,8 +37,8 @@ def files(tmp_path_factory):
     for e in scaled["edges"]:
         e["polyline"] = [[x * 10 ** 320, y * 10 ** 320] for x, y in e["polyline"]]
     other = load_drawing(cylindrical_document(7))
-    unknown_face = certificate_to_document(decide_seq_shellable(load_drawing(k6), 1))
-    unknown_face["face"] = 999
+    cert = certificate_to_document(decide_seq_shellable(load_drawing(k6), 1))
+    unknown_face = dict(cert, face=999)
     documents = {
         "k6": k6,
         "scaled": scaled,
@@ -44,6 +47,9 @@ def files(tmp_path_factory):
         "other-cert": certificate_to_document(decide_seq_shellable(other, 1),
                                               drawing_sha256="0" * 64),
         "unknown-face-cert": unknown_face,
+        "huge-face-cert": dict(cert, face=10 ** 400),
+        "huge-k-cert": dict(cert, k=10 ** 400),
+        "huge-vertex-cert": dict(cert, a=[10 ** 400, *cert["a"][1:]]),
     }
     paths = {}
     for name, doc in documents.items():
@@ -112,9 +118,8 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("row", ROWS)
-def test_malformed_call_gets_its_documented_exit(row, files):
-    command, expected = ROWS[row]
+def run(command, files):
+    """(exit code, stderr) of cli.main on the command's words."""
     argv = [word.format_map({k: str(p) for k, p in files.items()})
             for word in command.split()]
     err = io.StringIO()
@@ -123,8 +128,48 @@ def test_malformed_call_gets_its_documented_exit(row, files):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    assert code == expected, err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_malformed_call_gets_its_documented_exit(row, files):
+    command, expected = ROWS[row]
+    code, err = run(command, files)
+    assert code == expected, err
+    assert "Traceback" not in err
     if code:
-        assert len(err.getvalue()) < 1000
+        assert len(err) < 1000
         assert not files["out"].exists()
+
+
+# Calls whose message quotes an integer of 401 digits: (command, exit code)
+HUGE_ECHOES = {
+    "analyze-huge-face": (f"analyze --input {{k6}} --face {HUGE}", 2),
+    "decide-huge-k": (f"decide --input {{k6}} --mode seq --k {HUGE}", 2),
+    "export-huge-face": (f"export --input {{k6}} --output {{out}} --face {HUGE}", 2),
+    "export-huge-negative-size": (f"export --input {{k6}} --output {{out}} --size -{HUGE}", 2),
+    "verify-huge-face": ("verify --input {k6} --certificate {huge-face-cert}", 3),
+    "verify-huge-k": ("verify --input {k6} --certificate {huge-k-cert}", 2),
+    "verify-huge-vertex": ("verify --input {k6} --certificate {huge-vertex-cert}", 3),
+}
+
+
+@pytest.mark.parametrize("row", HUGE_ECHOES)
+def test_huge_integers_are_quoted_by_their_digit_count(row, files):
+    command, expected = HUGE_ECHOES[row]
+    code, err = run(command, files)
+    assert code == expected, err
+    assert "401 digits" in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("value, words", [
+    (-1, "-1"), (10 ** 20 - 1, "9" * 20), (-(10 ** 20) + 1, "-" + "9" * 20),
+    (10 ** 20, "a number of 21 digits"), (10 ** 400 - 1, "a number of 400 digits"),
+    (-(10 ** 400), "a negative number of 401 digits"),
+    # beyond the 4300 digits str() converts
+    (10 ** 5000 + 1, "a number of 5001 digits"), ("4", "'4'")],
+    ids=["short", "20-digits", "20-digits-negative", "21-digits", "400-digits",
+         "401-digits-negative", "5001-digits", "not-an-int"])
+def test_quoted_writes_out_20_digits_and_counts_longer_ones(value, words):
+    assert quoted(value) == words

@@ -10,26 +10,33 @@ Straight-line drawings with coordinates up to 10^12 stress the integer
 keys instead: crossings a tiny fraction of an edge apart and near-parallel
 darts at one node must still be ordered exactly.
 
-The sort-and-sweep broad phase must hand the narrow phase exactly the
-pairs of pieces whose boxes meet, in ascending order, as a test of every
-pair finds them; so the first fault named is that of the lowest pair,
-wherever the sweep meets it first.
+The banded sort-and-sweep broad phase must hand the narrow phase exactly
+the pairs of pieces whose boxes meet, in ascending order, as a test of
+every pair finds them, also when y is cut into many bands and boxes reach
+across them; so the first fault named is that of the lowest pair,
+wherever the sweep meets it first. Consecutive pieces of one edge that
+turn or run straight load; one that runs back over the other is rejected
+as the reference rejects it, before the faults of later pairs.
 
-Rotations built from cross products must equal a comparison sort of the
-darts, and point location by winding numbers must agree with a ray
-caster, also where pieces run along the axes, in every quarter turn.
+Rotations must equal, tuple for tuple, a comparison sort of the darts
+and the per-crossing comparison rule, and point location by winding
+numbers must agree with a ray caster, also where pieces run along the
+axes, in every quarter turn.
 The unbounded face found from the lowest point must be the one face
 whose boundary walk runs clockwise.
 """
 
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (fraction_intersection, polygon_area2, reference_drawing,
-                     reference_locate_face, reference_planarization, sort_by_angle)
+from oracles import (comparison_rotations, fraction_intersection, polygon_area2,
+                     reference_drawing, reference_locate_face, reference_planarization,
+                     sort_by_angle)
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
@@ -138,14 +145,36 @@ def piece_boxes(doc):
             for e in sorted(polylines) for p, q in zip(polylines[e], polylines[e][1:])]
 
 
+@lru_cache(maxsize=None)
+def generated(family, n):
+    """The generated document of the family (rectilinear with seed 1)."""
+    return {"convex": convex_document, "cylindrical": cylindrical_document,
+            "rectilinear": lambda n: rectilinear_document(n, 1)}[family](n)
+
+
 @pytest.mark.parametrize("turns", range(4))
 @pytest.mark.parametrize("family", ["convex", "cylindrical", "rectilinear"])
 @pytest.mark.parametrize("n", [4, 9, 16])
 def test_box_pairs_match_all_pairs_on_generated_drawings(family, n, turns):
-    raw = {"convex": convex_document, "cylindrical": cylindrical_document,
-           "rectilinear": lambda n: rectilinear_document(n, 1)}[family](n)
-    boxes = piece_boxes(_turned_document(raw, turns))
+    boxes = piece_boxes(_turned_document(generated(family, n), turns))
     assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_box_pairs_match_all_pairs_on_convex_k20_with_vertex_points(turns):
+    # long chords: most pieces reach several bands
+    doc = _turned_document(generated("convex", 20), turns)
+    boxes = piece_boxes(doc) + [(v["x"], v["y"], v["x"], v["y"]) for v in doc["vertices"]]
+    assert len(bands_reached(boxes)) > 1
+    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("family", ["convex", "cylindrical", "rectilinear"])
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_rotations_match_the_comparison_rule(family, n, turns):
+    drawing = load_drawing(_turned_document(generated(family, n), turns))
+    assert drawing.rotations == comparison_rotations(drawing)
 
 
 # Boxes on a small lattice, some of zero width or height (vertical and
@@ -154,6 +183,46 @@ def test_box_pairs_match_all_pairs_on_generated_drawings(family, n, turns):
 lattice_boxes = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.integers(0, 3))
     .map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3])), min_size=1, max_size=40)
+
+
+def bands_reached(boxes):
+    """band -> the boxes reaching it, for bands as _box_pairs cuts them:
+    twice the mean box height tall, plus one, from the lowest bottom."""
+    base = min(b[1] for b in boxes)
+    height = 2 * sum(b[3] - b[1] for b in boxes) // len(boxes) + 1
+    bands = {}
+    for i, (_, y0, _, y1) in enumerate(boxes):
+        for band in range((y0 - base) // height, (y1 - base) // height + 1):
+            bands.setdefault(band, []).append(i)
+    return bands
+
+
+@st.composite
+def banded_boxes(draw):
+    """(boxes, tall): mostly flat boxes spread far in y, some taller ones
+    reaching across band boundaries, and boxes[tall] reaching every band."""
+    boxes = draw(st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 60), st.integers(0, 3),
+                  st.sampled_from((0, 0, 0, 1, 2, 9)))
+        .map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3])), min_size=10, max_size=50))
+    x, width = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    tall = draw(st.integers(0, len(boxes)))
+    boxes.insert(tall, (x, min(b[1] for b in boxes), x + width, max(b[3] for b in boxes)))
+    return boxes, tall
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(banded_boxes())
+def test_box_pairs_match_all_pairs_across_bands(case):
+    boxes, tall = case
+    bands = bands_reached(boxes)
+    assume(len(bands) >= 3)
+    assert all(tall in members for members in bands.values())
+    event("3-5 bands" if len(bands) <= 5 else "6-9 bands" if len(bands) <= 9 else "10+ bands")
+    reached = Counter(i for members in bands.values() for i in members)
+    if any(count > 1 for i, count in reached.items() if i != tall):
+        event("another box across a band boundary")
+    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -204,6 +273,51 @@ def test_first_vertex_on_a_foreign_edge_named_is_the_lowest_piece_then_vertex():
     with pytest.raises(DocumentError) as info:
         planarize(7, positions, polylines)
     assert str(info.value) == message
+
+
+# K_4 on a square: (0, 1) runs straight through a bend point, (1, 2)
+# turns at its bend, (2, 3) turns twice; the diagonals cross at (5, 5).
+JOINT_POSITIONS = {0: (0, 0), 1: (10, 0), 2: (10, 10), 3: (0, 10)}
+JOINT_POLYLINES = {
+    (0, 1): [(0, 0), (5, 0), (10, 0)],
+    (0, 2): [(0, 0), (10, 10)],
+    (0, 3): [(0, 0), (0, 10)],
+    (1, 2): [(10, 0), (12, 5), (10, 10)],
+    (1, 3): [(10, 0), (0, 10)],
+    (2, 3): [(10, 10), (8, 12), (2, 12), (0, 10)],
+}
+
+
+def _turned(positions, polylines, turns):
+    return ({v: _quarter_turns(p)[turns] for v, p in positions.items()},
+            {e: [_quarter_turns(p)[turns] for p in pts] for e, pts in polylines.items()})
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_joints_that_turn_or_run_straight_on_load(turns):
+    drawing = assert_matches_reference_drawing(4, *_turned(JOINT_POSITIONS, JOINT_POLYLINES,
+                                                           turns))
+    assert drawing.crossing_count() == 1
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("fold", [[(0, 0), (8, 0), (3, 0), (10, 0)],
+                                  [(0, 0), (5, 0), (10, 0), (7, 0), (7, -3), (10, 0)]])
+def test_an_edge_folding_back_at_a_joint_is_rejected_as_the_reference_rejects_it(fold, turns):
+    # (0, 1) runs back over itself: at its first joint, or at its second
+    # after running straight through the first. The first piece of (2, 3)
+    # runs along the diagonal (0, 2), the fault of a pair after those of
+    # (0, 1), and the one named without the fold.
+    polylines = {**JOINT_POLYLINES, (2, 3): [(10, 10), (5, 5), (0, 10)]}
+    later = "edges (0, 2) and (2, 3) overlap along a segment"
+    assert reference_planarization(*_turned(JOINT_POSITIONS, polylines, turns)) == (
+        "error", later)
+    positions, polylines = _turned(JOINT_POSITIONS, {**polylines, (0, 1): fold}, turns)
+    expected = reference_planarization(positions, polylines)
+    assert expected == ("error", "edges (0, 1) and (0, 1) overlap along a segment")
+    with pytest.raises(DocumentError) as info:
+        load_drawing(document(4, positions, polylines))
+    assert str(info.value) == expected[1]
 
 
 # two pieces on one line: base + t * direction for four parameters t
@@ -260,6 +374,7 @@ def assert_matches_reference_drawing(n, positions, polylines):
     _, reference, points = expected
     assert drawing.canonical_form() == reference.canonical_form()
     assert {c: drawing.geometry.points[c] for c in drawing.crossings} == points
+    assert drawing.rotations == comparison_rotations(drawing)
     return drawing
 
 
@@ -339,6 +454,7 @@ def test_axis_parallel_rotations_match_comparison_sort(turns):
     # vertices first, then crossings in ascending id: face ids follow this
     assert list(drawing.rotations) == list(range(8))
     assert drawing.rotations == {x: tuple(r) for x, r in reference.rotations.items()}
+    assert drawing.rotations == comparison_rotations(drawing)
 
 
 def _turned_document(doc, turns):
