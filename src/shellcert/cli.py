@@ -200,12 +200,12 @@ def _parse_face(selector, drawing):
             sx, sy = selector[3:].split(",")
             point = (int(sx), int(sy))
         except ValueError:
-            raise ValueError(f'bad point selector {selector!r}; want "at:x,y"') from None
+            raise ValueError(f'bad point selector {quoted(selector)}; want "at:x,y"') from None
         return [locate_face(drawing, point)]
     try:
         face = int(selector)
     except ValueError:
-        raise ValueError(f"bad face selector {selector!r}") from None
+        raise ValueError(f"bad face selector {quoted(selector)}") from None
     try:
         return [check_face(drawing, face)]
     except ValueError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .drawing import Drawing, edge_key, trace_faces
+from .drawing import Drawing, trace_faces
 from .errors import DocumentError, StructureError, quoted
 from .planarize import planarize
 from .shellability import BishellCertificate, SeqShellCertificate
@@ -42,10 +42,10 @@ def load_drawing(document) -> Drawing:
     if document.get("format") != FORMAT_NAME:
         raise DocumentError(f'header must declare "format": "{FORMAT_NAME}"')
     if document.get("version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported version {document.get('version')!r}")
+        raise DocumentError(f"unsupported version {quoted(document.get('version'))}")
     mode = document.get("mode")
     if mode not in ("geometric", "combinatorial"):
-        raise DocumentError(f"unknown mode {mode!r}")
+        raise DocumentError(f"unknown mode {quoted(mode)}")
     n = document.get("n")
     if not (_is_int(n) and n >= 3):
         raise DocumentError('"n" must be an integer >= 3')
@@ -61,7 +61,7 @@ def load_drawing(document) -> Drawing:
 def _load_geometric(document, n) -> Drawing:
     extra = document.keys() - {"format", "version", "mode", "n", "vertices", "edges"}
     if extra:
-        raise DocumentError(f"unknown keys {sorted(extra)} in geometric document")
+        raise DocumentError(f"unknown keys {quoted(sorted(extra))} in geometric document")
 
     vertices = document.get("vertices")
     if not (isinstance(vertices, list) and len(vertices) == n):
@@ -74,9 +74,9 @@ def _load_geometric(document, n) -> Drawing:
         if not (_is_int(vid) and _is_int(x) and _is_int(y)):
             raise DocumentError(f"vertices[{i}]: id and coordinates must be integers")
         if not 0 <= vid < n:
-            raise DocumentError(f"vertex id {vid} out of range")
+            raise DocumentError(f"vertex id {quoted(vid)} out of range")
         if vid in positions:
-            raise DocumentError(f"vertex id {vid} repeated")
+            raise DocumentError(f"vertex id {quoted(vid)} repeated")
         positions[vid] = (x, y)
 
     edges = document.get("edges")
@@ -112,7 +112,7 @@ def _load_combinatorial(document, n) -> Drawing:
     extra = document.keys() - {"format", "version", "mode", "n", "rotation_order",
                                "nodes", "rotations", "chains"}
     if extra:
-        raise DocumentError(f"unknown keys {sorted(extra)} in combinatorial document")
+        raise DocumentError(f"unknown keys {quoted(sorted(extra))} in combinatorial document")
     if document.get("rotation_order") != "ccw":
         raise DocumentError('combinatorial documents must declare "rotation_order": "ccw"')
 
@@ -126,28 +126,28 @@ def _load_combinatorial(document, n) -> Drawing:
             raise DocumentError('each node needs "kind": "vertex" or "crossing"')
         nid = item.get("id")
         if not (type(nid) is int and nid >= 0):
-            raise DocumentError(f"node id {nid!r} must be a nonnegative integer")
+            raise DocumentError(f"node id {quoted(nid)} must be a nonnegative integer")
         if nid in vertex_ids or nid in crossings:
-            raise DocumentError(f"node id {nid} repeated")
+            raise DocumentError(f"node id {quoted(nid)} repeated")
         # item holds "kind" and "id", so its length tells whether it has more
         if item["kind"] == "vertex":
             if len(item) != 2:
-                raise DocumentError(f"vertex node {nid}: unknown keys")
+                raise DocumentError(f"vertex node {quoted(nid)}: unknown keys")
             vertex_ids.add(nid)
             continue
         if len(item) != 3 or "edges" not in item:
-            raise DocumentError(f"crossing node {nid} needs exactly id, kind, edges")
+            raise DocumentError(f"crossing node {quoted(nid)} needs exactly id, kind, edges")
         pair = item["edges"]
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise DocumentError(f"crossing {nid}: edges must list the two crossing edges")
+            raise DocumentError(f"crossing {quoted(nid)}: edges must list the two crossing edges")
         for uv in pair:
             if not (isinstance(uv, list) and len(uv) == 2
                     and type(uv[0]) is int and type(uv[1]) is int and uv[0] != uv[1]):
-                raise DocumentError(f"crossing {nid}: bad edge {uv!r}")
+                raise DocumentError(f"crossing {quoted(nid)}: bad edge {quoted(uv)}")
         (a, b), (c, d) = pair
         e, f = (a, b) if a < b else (b, a), (c, d) if c < d else (d, c)
         if e == f:
-            raise DocumentError(f"crossing {nid}: edges must differ")
+            raise DocumentError(f"crossing {quoted(nid)}: edges must differ")
         crossings[nid] = (e, f)
     if vertex_ids != set(range(n)):
         raise DocumentError("vertex nodes must be exactly 0..n-1")
@@ -160,7 +160,7 @@ def _load_combinatorial(document, n) -> Drawing:
         # a canonical key names one node id, so no two keys name the same
         nid = _parse_int_key(key, "rotation")
         if not (isinstance(lst, list) and _all_ints(lst)):
-            raise DocumentError(f"rotation at {nid} must be a list of node ids")
+            raise DocumentError(f"rotation at {quoted(nid)} must be a list of node ids")
         rotations[nid] = lst
 
     raw_chains = document.get("chains")
@@ -168,11 +168,12 @@ def _load_combinatorial(document, n) -> Drawing:
         raise DocumentError('"chains" must map "u-v" to node sequences')
     chains = {}
     for key, lst in raw_chains.items():
-        e = _parse_edge_key(key)
+        u, v = _parse_edge_key(key)
+        e = (u, v) if u < v else (v, u)
         if e in chains:
-            raise DocumentError(f"chain {key} repeated")
+            raise DocumentError(f"chain {quoted(u)}-{quoted(v)} repeated")
         if not (isinstance(lst, list) and _all_ints(lst)):
-            raise DocumentError(f"chain {key} must be a list of node ids")
+            raise DocumentError(f"chain {quoted(u)}-{quoted(v)} must be a list of node ids")
         chains[e] = lst
 
     try:
@@ -199,12 +200,12 @@ def _parse_int_key(key, what) -> int:
     except (TypeError, ValueError):
         nid = None
     if nid is None or str(nid) != key:
-        raise DocumentError(f"{what} key {key!r} is not a node id")
+        raise DocumentError(f"{what} key {quoted(key)} is not a node id")
     return nid
 
 
 def _parse_edge_key(key):
-    """The edge a chain key "u-v" names, u and v in canonical decimal
+    """The vertices (u, v) of a chain key "u-v", in canonical decimal
     form; "v-u" names the same edge."""
     parts = key.split("-") if isinstance(key, str) else ()
     if len(parts) == 2:
@@ -213,8 +214,8 @@ def _parse_edge_key(key):
         except ValueError:
             u = v = None
         if u is not None and u != v and f"{u}-{v}" == key:
-            return edge_key(u, v)
-    raise DocumentError(f'chain key {key!r} must look like "u-v"')
+            return u, v
+    raise DocumentError(f'chain key {quoted(key)} must look like "u-v"')
 
 
 def drawing_to_document(drawing: Drawing, mode: str) -> dict:
@@ -231,7 +232,7 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
             if not all(_is_int(x) and _is_int(y) for x, y in pts):
                 raise ValueError(f"edge {e}: polyline is not integer-valued")
         # the vertex positions alone, so no crossing Fraction is built
-        return geometric_document(drawing.n, geo._vertices, geo.polylines)
+        return geometric_document(drawing.n, geo._positions, geo.polylines)
     if mode != "combinatorial":
         raise ValueError(f"unknown mode {mode!r}")
     head = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
@@ -325,9 +326,9 @@ def certificate_from_document(document):
     _require(document.get("format") == CERT_FORMAT_NAME,
              f'header must declare "format": "{CERT_FORMAT_NAME}"')
     _require(document.get("version") == FORMAT_VERSION,
-             f"unsupported version {document.get('version')!r}")
+             f"unsupported version {quoted(document.get('version'))}")
     kind = document.get("kind")
-    _require(kind in ("seq-shell", "bishell"), f"unknown certificate kind {kind!r}")
+    _require(kind in ("seq-shell", "bishell"), f"unknown certificate kind {quoted(kind)}")
     face = document.get("face")
     k = document.get("k")
     _require(_is_int(face) and _is_int(k) and k >= 0,
@@ -344,11 +345,11 @@ def certificate_from_document(document):
                  and all(isinstance(s, list) and all(_is_int(x) for x in s) for s in seqs),
                  '"S" must list one vertex sequence per a-vertex')
         extra = set(document) - allowed - {"S"}
-        _require(not extra, f"unknown keys {sorted(extra)}")
+        _require(not extra, f"unknown keys {quoted(sorted(extra))}")
         return SeqShellCertificate(face, tuple(a), tuple(tuple(s) for s in seqs)), digest
     b = document.get("b")
     _require(isinstance(b, list) and len(b) == k + 1 and all(_is_int(x) for x in b),
              f'"b" must list k+1 = {quoted(k + 1)} vertex ids')
     extra = set(document) - allowed - {"b"}
-    _require(not extra, f"unknown keys {sorted(extra)}")
+    _require(not extra, f"unknown keys {quoted(sorted(extra))}")
     return BishellCertificate(face, tuple(a), tuple(b)), digest

@@ -43,9 +43,8 @@ class Drawing:
     crossings  -- crossing node id -> frozenset of the two edges crossing there
     rotations  -- node id -> tuple of neighbour node ids in ccw order
     chains     -- edge (u, v), u < v -> tuple of node ids from u to v
-    geometry   -- optional Geometry annotation (coordinates and polylines),
-                  or a function of no arguments that builds it; it is then
-                  called on the first read of drawing.geometry, once
+    geometry   -- optional Geometry (coordinates and polylines); planarize
+                  passes one that wraps its own records
     """
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
@@ -55,16 +54,9 @@ class Drawing:
         self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
         self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
                        for (u, v), ch in chains.items()}
-        self._geometry = geometry
+        self.geometry = geometry
         self._cache = {}
         self.segment_edge = self._validate()
-
-    @property
-    def geometry(self):
-        geo = self._geometry
-        if callable(geo):
-            geo = self._geometry = geo()
-        return geo
 
     @property
     def n(self) -> int:
@@ -114,22 +106,22 @@ class Drawing:
             for c in ch[1:-1]:
                 pair = crossings.get(c)
                 if pair is None:
-                    raise StructureError(f"chain of {e} passes through unknown node {c}")
+                    raise StructureError(f"chain of {e} passes through unknown node {quoted(c)}")
                 if e not in pair:
-                    raise StructureError(f"crossing {c} does not involve edge {e}")
+                    raise StructureError(f"crossing {quoted(c)} does not involve edge {e}")
                 uses[c] += 1
             segments = [(a, b) if a < b else (b, a) for a, b in zip(ch, ch[1:])]
             if not seg_edge.keys().isdisjoint(segments):
                 s = next(s for s in segments if s in seg_edge)
-                raise StructureError(f"segment {s} appears in two chains")
+                raise StructureError(f"segment {quoted(s)} appears in two chains")
             seg_edge.update(zip(segments, repeat(e)))
 
         for c, pair in crossings.items():
             if len(pair) != 2:
-                raise StructureError(f"crossing {c} must join exactly two edges")
+                raise StructureError(f"crossing {quoted(c)} must join exactly two edges")
             # a chain passes a crossing at most once and only on its edges
             if uses[c] != 2:
-                raise StructureError(f"crossing {c} must lie on exactly its two edges")
+                raise StructureError(f"crossing {quoted(c)} must lie on exactly its two edges")
 
         if rotations.keys() != self.vertex_set | crossings.keys():
             raise StructureError("rotations must list every node exactly once")
@@ -147,12 +139,12 @@ class Drawing:
                         continue
                     if None not in (ea, eb, ec, ed) and len(set(rot)) == 4:
                         raise StructureError(
-                            f"crossing {x}: the two segments of each edge must be "
+                            f"crossing {quoted(x)}: the two segments of each edge must be "
                             f"opposite in the rotation")
             elif (len(rot) == n - 1 and len(set(rot)) == n - 1
                   and all(((x, y) if x < y else (y, x)) in seg_edge for y in rot)):
                 continue
-            raise StructureError(f"rotation at {x} does not match incident segments")
+            raise StructureError(f"rotation at {quoted(x)} does not match incident segments")
         return seg_edge
 
     # -- canonical comparable form ---------------------------------------

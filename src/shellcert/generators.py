@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .documents import geometric_document, load_drawing
 from .drawing import Drawing, validate_goodness
-from .errors import DocumentError, GenerationError
+from .errors import DocumentError, GenerationError, quoted
 from .geometry import cross
 from .kedges import harary_hill_bound
 
@@ -68,11 +68,19 @@ def _all_pairs(ids):
     return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
 
 
-def _check_size(n, scale):
+def _check_size(n, scale, radius=None):
+    """Reject n below 3 and a scale that is no positive integer. A family
+    that places its points by float arithmetic passes radius, which gives
+    its largest radius; then n, which divides angles, and that radius must
+    lie below 2**1023, half the float range, so that no rounding on the
+    way reaches infinity."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if type(scale) is not int or scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale!r}")
+        raise ValueError(f"scale must be a positive integer, got {quoted(scale)}")
+    if radius is not None and max(n, radius()) >= 2 ** 1023:
+        raise ValueError(f"n = {quoted(n)} and scale = {quoted(scale)} take the "
+                         f"construction beyond the float range")
 
 
 def _general_position(points) -> bool:
@@ -89,7 +97,7 @@ def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 def _convex(n, scale):
     """(document, checked drawing) of the convex family: the first of 32
     phases with C(n, 4) crossings (rounding can make diagonals concurrent)."""
-    _check_size(n, scale)
+    _check_size(n, scale, lambda: scale)
     return _first_checked(
         (partial(_convex_attempt, n, scale, 0.5 + a * 0.0371) for a in range(32)),
         math.comb(n, 4), lambda error: f"scale {scale} too small for {n} points in "
@@ -125,7 +133,8 @@ def cylindrical_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 
 def _cylindrical(n, scale):
     """(document, checked drawing) of the cylindrical family."""
-    _check_size(n, scale)
+    # the outermost arc: 3 scale plus scale / 4 for each outer-rim edge
+    _check_size(n, scale, lambda: (12 + math.comb(n - n // 2, 2)) * scale // 4)
     return _first_checked(
         (partial(_cylindrical_attempt, n, scale, *phases) for phases in _PHASES),
         harary_hill_bound(n),
@@ -203,8 +212,6 @@ def _route_outer_edges(polylines, positions, psi, bottom, r_out, scale):
             path.append(_point(alpha0 + (alpha1 - alpha0) * t / steps, radius))
         path.append(positions[end])
         path = _dedupe(path)
-        if len(path) < 2:
-            raise GenerationError("outer edge collapsed; increase the scale")
         polylines[(e[0], e[1])] = path if e[0] == start else list(reversed(path))
 
 

@@ -25,14 +25,14 @@ adjacent edges, or a degenerate contact). Collinear pairs go through
 segment_intersection, which finds overlaps. Crossing points and
 positions along edges are keyed by integers made exact by _shift.
 
-The drawing keeps the planarizer's records and makes its Geometry from
-them on the first read, so jobs that never draw or locate a point never
-pay for it. The Geometry keeps them as integers too: each crossing's
-homogeneous point (x, y, d) and the crossings in order along each edge.
-Fractions are built only for messages and for Geometry.points, which is
-built on its first read, as are the segment paths made from it (face
-highlights, point location). A plain SVG draws from the integers and
-builds neither.
+The drawing's Geometry wraps the planarizer's own records, copying
+nothing: the vertex positions, the polylines, the sorted crossing
+records, each holding its homogeneous point (x, y, d), and the crossings
+in order along each edge. Fractions are built only for messages and for
+Geometry.points, which is built on its first read, as are the segment
+paths made from it (face highlights, point location). Jobs that never
+draw or locate a point build neither, and a plain SVG draws from the
+integers.
 
 A vertex sorts its darts by the cross-product order of
 geometry.angle_less. A crossing needs no comparison: its test already
@@ -44,17 +44,18 @@ face, the winding number of its boundary around the point in one pass
 over the pieces (Hormann and Agathos, "The point in polygon problem for
 arbitrary polygons", 2001).
 
-Vertices lying on a foreign edge are found in the same sweep, each vertex
-as a point box. With every edge of K_n present, each such vertex is first
-met as a touch with one of its own edges, so that check is the guard for
-direct planarize calls on a subset of the edges.
+A vertex lying on a foreign piece also lies on the first piece of each of
+its own edges, so with every edge of K_n present that pair reports it as
+a touch or an overlap; likewise two edges leaving a vertex in one
+direction overlap. A direct planarize call on a subset of the edges is
+rejected by Drawing, whose chains must cover every vertex pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key
 from math import gcd
 
 from .drawing import Drawing, per_drawing, trace_faces
@@ -79,7 +80,7 @@ def planarize(n, positions, polylines) -> Drawing:
                 raise DocumentError(f"edge {e} repeats consecutive polyline points")
             subsegments.append((e, i, p, q))
 
-    crossings, span = _find_crossings(subsegments, positions)
+    crossings = _find_crossings(subsegments, positions)
 
     # Three concurrent curves share a point key; the first such point in
     # test order is named.
@@ -126,8 +127,7 @@ def planarize(n, positions, polylines) -> Drawing:
 
     rotations = _build_rotations(positions, polylines, chains, crossings)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
-    # only rendering, export and point location read the geometry
-    geometry = partial(_build_geometry, n, positions, polylines, crossings, per_edge)
+    geometry = Geometry(positions, polylines, crossings, per_edge)
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
@@ -195,9 +195,8 @@ def _box_pairs(boxes):
 
 
 def _find_crossings(subsegments, positions):
-    """All proper interior crossings and the drawing's span; rejects every
-    degenerate contact, vertices on foreign edges included (after every
-    crossing check). Vertex positions must be distinct.
+    """All proper interior crossings; rejects every degenerate contact
+    between two pieces. Vertex positions must be distinct.
 
     A crossing is recorded as (e1, e2, position on e1, position on e2,
     point, turn), e1 < e2; turn is (up1, up2, first): whether each piece
@@ -209,19 +208,11 @@ def _find_crossings(subsegments, positions):
         y0, y1 = (py, qy) if py < qy else (qy, py)
         boxes.append((x0, y0, x1, y1))
     lo_x, lo_y, hi_x, hi_y = zip(*boxes)
-    span = max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y))
-    shift = _shift(span)
-    # Vertices join the sweep as point boxes after the m pieces; two
-    # distinct points never meet, so ia is always a piece.
-    m = len(subsegments)
-    vertices = list(positions.items())
-    boxes += [(x, y, x, y) for _, (x, y) in vertices]
+    shift = _shift(max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y)))
 
     # Pairs are tested in ascending (ia, ib) order, so the first degenerate
-    # pair is always the same, as is the vertex on a foreign piece named
-    # after every crossing check: the first piece's, then the first vertex.
+    # pair is always the same.
     crossings = []
-    passes = None
     last = None
     for ia, ib in _box_pairs(boxes):
         if ia != last:
@@ -229,11 +220,6 @@ def _find_crossings(subsegments, positions):
             e1, i1, p, q = subsegments[ia]
             px, py = p
             d1x, d1y = q[0] - px, q[1] - py
-        if ib >= m:
-            v, x = vertices[ib - m]
-            if passes is None and v not in e1 and on_segment(x, p, q):
-                passes = f"edge {e1} passes through vertex {v}"
-            continue
         e2, i2, r, s = subsegments[ib]
         d2x, d2y = s[0] - r[0], s[1] - r[1]
         den = d1x * d2y - d1y * d2x
@@ -283,9 +269,7 @@ def _find_crossings(subsegments, positions):
         raise DocumentError(
             f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
 
-    if passes is not None:
-        raise DocumentError(passes)
-    return crossings, span
+    return crossings
 
 
 def _exact(x, y, d=1) -> str:
@@ -298,31 +282,35 @@ class Geometry:
     """Planar coordinates of a geometric drawing, kept as the planarizer's
     integers.
 
-    polylines      -- edge (u, v), u < v -> tuple of integer points from u to v
+    polylines      -- edge (u, v), u < v -> the integer points from u to v
     points         -- node id -> (x, y): the integer position of a vertex,
-                      the exact Fraction point of a crossing
+                      the exact Fraction point of a crossing; vertices in
+                      id order, then crossings
     segment_paths  -- dart along a chain -> tuple of the points of the
                       polyline piece backing it; segment_path(a, b) reads
                       either direction
 
-    It is made of the vertex positions, the polylines, each crossing's
-    homogeneous point (x, y, d) with d > 0, standing for (x/d, y/d), and
-    the crossings along each edge as the planarizer ordered them:
-    ((piece index, position key), node). points and segment_paths are
-    each built from these on their first read. A plain SVG reads neither:
-    the renderer takes node positions as floats from _float_points.
+    It holds the planarizer's own records and copies none of them: the
+    vertex positions, the polylines, the sorted crossing records (node
+    n + i is record i, whose point is the homogeneous (x, y, d) with
+    d > 0, standing for (x/d, y/d)) and the crossings along each edge as
+    the planarizer ordered them: ((piece index, position key), node).
+    points and segment_paths are each built from these on their first
+    read. A plain SVG reads neither: the renderer takes node positions as
+    floats from _float_points.
     """
 
-    def __init__(self, vertices, polylines, crossings, along):
-        self._vertices = vertices    # vertex id -> (x, y), in id order
+    def __init__(self, positions, polylines, crossings, along):
+        self._positions = positions  # vertex id -> (x, y)
         self.polylines = polylines
-        self._crossings = crossings  # crossing node -> (x, y, d), in id order
+        self._crossings = crossings  # planarizer records, in node order
         self._along = along          # edge -> [((piece index, key), node)]
 
     @cached_property
     def points(self):
-        points = dict(self._vertices)
-        for node, (x, y, d) in self._crossings.items():
+        points = dict(sorted(self._positions.items()))
+        for node, rec in enumerate(self._crossings, len(points)):
+            x, y, d = rec[4]
             points[node] = (Fraction(x, d), Fraction(y, d))
         return points
 
@@ -358,23 +346,17 @@ class Geometry:
         """[(x, y)] of the given nodes in floats, equal to float() of their
         points entries without building them: x / d is the correctly
         rounded quotient, as float(Fraction(x, d)) is."""
-        vertices, crossings = self._vertices, self._crossings
+        positions, crossings = self._positions, self._crossings
+        n = len(positions)
         out = []
         for node in nodes:
-            hom = crossings.get(node)
-            if hom is None:
-                x, y = vertices[node]
+            if node < n:
+                x, y = positions[node]
                 out.append((float(x), float(y)))
             else:
-                x, y, d = hom
+                x, y, d = crossings[node - n][4]
                 out.append((x / d, y / d))
         return out
-
-
-def _build_geometry(n, positions, polylines, crossings, per_edge):
-    return Geometry({v: positions[v] for v in range(n)},
-                    {e: tuple(pts) for e, pts in polylines.items()},
-                    {node: rec[4] for node, rec in enumerate(crossings, n)}, per_edge)
 
 
 def _build_rotations(positions, polylines, chains, crossings):
@@ -391,7 +373,7 @@ def _build_rotations(positions, polylines, chains, crossings):
         darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
         for behind, x, ahead in zip(chain, chain[1:-1], chain[2:]):
             around[x] += (ahead, behind)
-    rotations = {v: _angular_order(d, f"vertex {v}") for v, d in darts.items()}
+    rotations = {v: _angular_order(d) for v, d in darts.items()}
     # Both darts into [0, pi) precede their reverses, in the same order.
     for (x, (ahead1, behind1, ahead2, behind2)), rec in zip(around.items(), crossings):
         up1, up2, first = rec[5]
@@ -406,14 +388,9 @@ def _ccw(first, second):
     return angle_less(second[0], first[0]) - angle_less(first[0], second[0])
 
 
-def _angular_order(darts, where):
-    """Targets of (direction, target) darts in counterclockwise order;
-    raises DocumentError if two darts share a direction."""
-    ordered = sorted(darts, key=cmp_to_key(_ccw))
-    for (a, _), (b, _) in zip(ordered, ordered[1:]):
-        if not angle_less(a, b):
-            raise DocumentError(f"two curves leave {where} in the same direction")
-    return tuple(target for _, target in ordered)
+def _angular_order(darts):
+    """Targets of (direction, target) darts in counterclockwise order."""
+    return tuple(target for _, target in sorted(darts, key=cmp_to_key(_ccw)))
 
 
 # -- point location ---------------------------------------------------------

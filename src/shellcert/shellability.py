@@ -432,7 +432,7 @@ def check_certificate_refs(drawing: Drawing, cert) -> None:
     unknown = sorted(set(cert.named_vertices()) - drawing.vertex_set)
     if unknown:
         raise CertificateMismatchError(
-            f"unknown vertices [{', '.join(map(quoted, unknown))}]")
+            f"unknown vertices {quoted(unknown)}")
 
 
 # -- transformation --------------------------------------------------------

@@ -5,8 +5,12 @@ drawing, each with one message.
 A drawing has exactly one face set, trace_faces(drawing), cached on the
 drawing, so a function that needs faces derives them from the drawing it
 is given. A separate face-set argument could only ever disagree with it.
+
+No module of the package imports a name it does not use, except the
+package's __init__ and the re-exports marked "# noqa: F401".
 """
 
+import ast
 import importlib
 import inspect
 import runpy
@@ -123,3 +127,23 @@ def test_the_layer_tracer_wraps_names_that_resolve():
     missing = [(module, name) for module, name, _ in wrapped
                if not hasattr(importlib.import_module(f"shellcert.{module}"), name)]
     assert missing == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted((Path(shellcert.__file__).parent).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused += [(path.name, name) for alias in node.names
+                       if (name := alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

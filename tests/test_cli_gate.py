@@ -6,7 +6,8 @@ invalid input or usage (argparse's own usage errors included, which leave
 through SystemExit(2)), 3 certificate not of the drawing, 4 capability
 missing; rows that load and answer exit 0. Where a message quotes an
 integer from outside that is hundreds of digits long, it gives the number
-of digits instead, so every line of stderr stays short.
+of digits instead, and a long string, list or key set is quoted by its
+first items or its size, so every line of stderr stays short.
 """
 
 import contextlib
@@ -39,6 +40,13 @@ def files(tmp_path_factory):
     other = load_drawing(cylindrical_document(7))
     cert = certificate_to_document(decide_seq_shellable(load_drawing(k6), 1))
     unknown_face = dict(cert, face=999)
+    k5 = drawing_to_document(load_drawing(convex_document(5)), "combinatorial")
+    long_edge = json.loads(json.dumps(k5))
+    long_edge["nodes"][5]["edges"][0] = list(range(100_000))
+    string_id = json.loads(json.dumps(k5))
+    string_id["nodes"][0]["id"] = "y" * 100_000
+    long_key = json.loads(json.dumps(k5))
+    long_key["rotations"]["0" * 100_000] = long_key["rotations"].pop("0")
     documents = {
         "k6": k6,
         "scaled": scaled,
@@ -50,6 +58,14 @@ def files(tmp_path_factory):
         "huge-face-cert": dict(cert, face=10 ** 400),
         "huge-k-cert": dict(cert, k=10 ** 400),
         "huge-vertex-cert": dict(cert, a=[10 ** 400, *cert["a"][1:]]),
+        "long-edge": long_edge,
+        "long-mode": dict(k5, mode="x" * 100_000),
+        "long-rotation-key": long_key,
+        "string-node-id": string_id,
+        "many-keys": dict(k5, **{f"extra{i}": 0 for i in range(5000)}),
+        "many-vertices-cert": {**{key: cert[key] for key in ("format", "version", "face")},
+                               "kind": "bishell", "k": 2999, "a": list(range(100, 3100)),
+                               "b": list(range(3100, 6100))},
     }
     paths = {}
     for name, doc in documents.items():
@@ -115,6 +131,13 @@ ROWS = {
                                         "--certificate {unknown-face-cert}", 3),
     "export-labels-not-good": ("export --input {not-good} --output {out} --labels 0", 2),
     "export-truncated-json": ("export --input {truncated} --output {out}", 2),
+    "generate-huge-convex-scale": (f"generate --family convex --n 4 --scale {HUGE} "
+                                   "--output {out}", 2),
+    "generate-huge-convex-n": (f"generate --family convex --n {HUGE} --output {{out}}", 2),
+    "generate-huge-cylindrical-scale": (f"generate --family cylindrical --n 5 --scale {HUGE} "
+                                        "--output {out}", 2),
+    "generate-huge-cylindrical-n": (f"generate --family cylindrical --n {HUGE} "
+                                    "--output {out}", 2),
 }
 
 
@@ -151,6 +174,8 @@ HUGE_ECHOES = {
     "verify-huge-face": ("verify --input {k6} --certificate {huge-face-cert}", 3),
     "verify-huge-k": ("verify --input {k6} --certificate {huge-k-cert}", 2),
     "verify-huge-vertex": ("verify --input {k6} --certificate {huge-vertex-cert}", 3),
+    "generate-huge-convex-scale": ROWS["generate-huge-convex-scale"],
+    "generate-huge-cylindrical-n": ROWS["generate-huge-cylindrical-n"],
 }
 
 
@@ -163,6 +188,28 @@ def test_huge_integers_are_quoted_by_their_digit_count(row, files):
     assert all(len(line.encode()) < 200 for line in err.splitlines()), err
 
 
+# Calls whose message quotes a long value that is no integer: (command,
+# exit code)
+LONG_ECHOES = {
+    "analyze-long-crossing-edge": ("analyze --input {long-edge}", 2),
+    "analyze-long-mode": ("analyze --input {long-mode}", 2),
+    "analyze-long-rotation-key": ("analyze --input {long-rotation-key}", 2),
+    "analyze-long-node-id": ("analyze --input {string-node-id}", 2),
+    "analyze-many-unknown-keys": ("analyze --input {many-keys}", 2),
+    "verify-many-unknown-vertices": ("verify --input {k6} --certificate {many-vertices-cert}",
+                                     3),
+}
+
+
+@pytest.mark.parametrize("row", LONG_ECHOES)
+def test_long_values_are_quoted_by_their_first_items_or_size(row, files):
+    command, expected = LONG_ECHOES[row]
+    code, err = run(command, files)
+    assert code == expected, err
+    assert err
+    assert all(len(line.encode()) < 200 for line in err.splitlines()), err
+
+
 @pytest.mark.parametrize("value, words", [
     (-1, "-1"), (10 ** 20 - 1, "9" * 20), (-(10 ** 20) + 1, "-" + "9" * 20),
     (10 ** 20, "a number of 21 digits"), (10 ** 400 - 1, "a number of 400 digits"),
@@ -172,4 +219,18 @@ def test_huge_integers_are_quoted_by_their_digit_count(row, files):
     ids=["short", "20-digits", "20-digits-negative", "21-digits", "400-digits",
          "401-digits-negative", "5001-digits", "not-an-int"])
 def test_quoted_writes_out_20_digits_and_counts_longer_ones(value, words):
+    assert quoted(value) == words
+
+
+@pytest.mark.parametrize("value, words", [
+    ([7, 9], "[7, 9]"), (["extra"], "['extra']"), ([True, 3], "[True, 3]"),
+    ([[0, 1], 2], "[[0, 1], 2]"), ([10 ** 30, 3], "[a number of 31 digits, 3]"),
+    (list(range(100)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, "
+                       "… (100 items)]"),
+    (["x" * 50, "y"], "[a string of 50 characters, 'y']"),
+    ("x" * 41, "a string of 41 characters"), ([[0] * 100], "a list of 1 item"),
+    ({str(i): i for i in range(50)}, "a dict of 50 items"), (None, "None")],
+    ids=["short-list", "key-list", "bool-item", "nested-short", "huge-item", "long-list",
+         "long-item", "long-string", "nested-long", "long-dict", "none"])
+def test_quoted_names_long_values_by_their_first_items_or_size(value, words):
     assert quoted(value) == words

@@ -5,14 +5,15 @@ import re
 import pytest
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
-from oracles import reference_goodness_violations
+from oracles import reference_goodness_violations, reference_planarization
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import (child_drawing, delete_vertex, edge_key, seg_key, trace_faces,
                                validate_goodness, vertices_on_face)
-from shellcert.errors import CapabilityError, DocumentError
+from shellcert.errors import CapabilityError, DocumentError, StructureError
 from shellcert.generators import convex_document
 from shellcert.kedges import KEdgeProfile, k_edge_profile
 from shellcert.planarize import locate_face, outer_face, planarize
+from test_planarize import _turned, document
 
 
 def geometric_doc(n, verts, edges):
@@ -299,6 +300,24 @@ class TestLocateFace:
         assert inner != outer_face(d)
 
 
+# Complete drawings with vertex 2 strictly inside a piece of edge (0, 1):
+# inside the straight edge, inside the first piece of the bent edge, and
+# inside the straight edge with an edge of its own running along it.
+VERTEX_ON_FOREIGN_PIECE = [
+    ({0: (0, 0), 1: (100, 0), 2: (50, 0), 3: (50, 100)},
+     {(0, 1): [(0, 0), (100, 0)], (0, 2): [(0, 0), (0, 50), (50, 0)],
+      (0, 3): [(0, 0), (50, 100)], (1, 2): [(100, 0), (100, 50), (50, 0)],
+      (1, 3): [(100, 0), (50, 100)], (2, 3): [(50, 0), (50, 100)]}),
+    ({0: (0, 0), 1: (100, 0), 2: (25, 25), 3: (50, -50)},
+     {(0, 1): [(0, 0), (50, 50), (100, 0)], (0, 2): [(0, 0), (-10, 40), (25, 25)],
+      (0, 3): [(0, 0), (50, -50)], (1, 2): [(100, 0), (60, 0), (25, 25)],
+      (1, 3): [(100, 0), (50, -50)], (2, 3): [(25, 25), (30, 0), (50, -50)]}),
+    ({0: (0, 0), 1: (100, 0), 2: (50, 0)},
+     {(0, 1): [(0, 0), (100, 0)], (0, 2): [(0, 0), (50, 0)],
+      (1, 2): [(100, 0), (50, 50), (50, 0)]}),
+]
+
+
 class TestLoaderRejections:
     def test_adjacent_crossing_without_separator_unrepresentable(self):
         doc = geometric_doc(3, [(0, 0), (100, 0), (50, 100)], {
@@ -318,23 +337,28 @@ class TestLoaderRejections:
         with pytest.raises(DocumentError, match=r"concurrent at \(0, 0\): edges"):
             load_drawing(geometric_doc(6, pts, edges))
 
-    # In a document of K_n, a vertex on a foreign edge is always met first
-    # as a touch by one of the vertex's own edges; only planarize on a
-    # subset of the edges isolates the vertex check.
-    def test_vertex_on_foreign_edge(self):
+    # In a drawing of K_n, a vertex on a foreign piece also lies on the
+    # first piece of each of its own edges, and that pair names it first,
+    # as a touch or an overlap.
+    @pytest.mark.parametrize("turns", range(4))
+    @pytest.mark.parametrize("positions, polylines", VERTEX_ON_FOREIGN_PIECE)
+    def test_vertex_inside_a_foreign_piece_is_named_as_the_reference_names_it(
+            self, positions, polylines, turns):
+        positions, polylines = _turned(positions, polylines, turns)
+        expected = reference_planarization(positions, polylines)
+        assert expected[0] == "error"
+        assert re.fullmatch(r"edges \(\d, \d\) and \(\d, \d\) "
+                            r"(touch at .* \(tangential or bend contact\)|"
+                            r"overlap along a segment)", expected[1])
+        with pytest.raises(DocumentError) as info:
+            load_drawing(document(len(positions), positions, polylines))
+        assert str(info.value) == expected[1]
+
+    def test_planarize_on_some_of_the_edges_is_no_drawing_of_k_n(self):
         positions = {0: (0, 0), 1: (4, 0), 2: (2, 0)}
-        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 2"):
+        with pytest.raises(StructureError) as info:
             planarize(3, positions, {(0, 1): [(0, 0), (4, 0)]})
-
-    def test_vertex_on_foreign_bend_point(self):
-        positions = {0: (0, 0), 1: (100, 0), 2: (50, 50)}
-        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 2"):
-            planarize(3, positions, {(0, 1): [(0, 0), (50, 50), (100, 0)]})
-
-    def test_vertex_check_names_the_first_vertex_in_position_order(self):
-        positions = {0: (0, 0), 1: (8, 0), 3: (6, 0), 2: (2, 0)}
-        with pytest.raises(DocumentError, match=r"edge \(0, 1\) passes through vertex 3"):
-            planarize(4, positions, {(0, 1): [(0, 0), (8, 0)]})
+        assert str(info.value) == "chains must cover every vertex pair exactly once"
 
     def test_vertex_on_foreign_bend_point_is_a_touch_in_a_document(self):
         doc = geometric_doc(3, [(0, 0), (100, 0), (50, 50)], {

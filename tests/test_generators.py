@@ -86,6 +86,28 @@ def test_scale_must_be_a_positive_integer(make, scale):
     assert str(info.value) == f"scale must be a positive integer, got {scale!r}"
 
 
+# The largest scale each float construction takes at n = 5: its largest
+# radius, the circle's or the outermost arc's at 3 scale + 3 scale / 4,
+# stays below 2**1023.
+@pytest.mark.parametrize("make, largest", [(convex_document, 2 ** 1023 - 1),
+                                           (cylindrical_document, (2 ** 1025 - 1) // 15)],
+                         ids=["convex", "cylindrical"])
+def test_float_constructions_take_scales_up_to_half_the_float_range(make, largest):
+    assert load_drawing(make(5, scale=largest)).n == 5
+    with pytest.raises(ValueError) as info:
+        make(5, scale=largest + 1)
+    assert str(info.value) == ("n = 5 and scale = a number of 308 digits take the "
+                               "construction beyond the float range")
+    with pytest.raises(ValueError) as info:
+        make(2 ** 1023, scale=1)
+    assert str(info.value) == ("n = a number of 308 digits and scale = 1 take the "
+                               "construction beyond the float range")
+
+
+def test_rectilinear_points_are_integers_at_any_scale():
+    assert load_drawing(rectilinear_document(5, 0, scale=10 ** 400)).n == 5
+
+
 @pytest.mark.parametrize("family, expect", [
     ("convex", comb(7, 4)), ("cylindrical", harary_hill_bound(7)), ("rectilinear", None)])
 def test_documents_are_checked_as_drawings_are(family, expect, monkeypatch):

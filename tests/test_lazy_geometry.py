@@ -1,14 +1,15 @@
-"""Geometry is built on its first read, in parts, and nothing outlives its
-drawing.
+"""Geometry builds its exact parts on their first read, and nothing
+outlives its drawing.
 
-The planarizer keeps the records its Geometry is made from, and
-drawing.geometry makes it once, on first access: the vertex positions,
-the polylines and the crossings' integer points (x, y, d). Jobs that never
-read it (analyze on face ids or all faces, decide) must never make it.
-Of its parts, the exact Fraction points and the segment paths are each
-built on the first read of that attribute: a plain export draws from the
-integers and builds neither, nor does writing the geometric document back;
-a face highlight and point location build both. Every job that reads the
+The planarizer hands the drawing a Geometry over its own records: the
+vertex positions, the polylines and the crossing records with their
+integer points (x, y, d); drawing.geometry is that one object on every
+read. Of its parts, the exact Fraction points and the segment paths are
+each built at most once, on the first read of that attribute. Jobs that
+never draw or locate a point (analyze on face ids or all faces, decide)
+build neither and no Fraction; a plain export draws from the integers
+and builds neither, nor does writing the geometric document back; a face
+highlight and point location build both. Every job that reads the
 geometry must see the same bytes as when it was built with the drawing.
 The digests in PINNED were recorded with the eager builder, on convex,
 cylindrical and rectilinear drawings in four quarter turns; those in
@@ -23,7 +24,9 @@ import gc
 import hashlib
 import importlib
 import weakref
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -34,7 +37,7 @@ from shellcert.documents import (drawing_to_document, dump_document, dumps_docum
 from shellcert.drawing import trace_faces
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.kedges import invariant_edges, k_edge_profile
-from shellcert.planarize import locate_face, outer_face
+from shellcert.planarize import Geometry, locate_face, outer_face
 from shellcert.svg import render_svg
 
 # the package's planarize function hides the module of the same name
@@ -131,45 +134,67 @@ def test_geometry_outputs_match_the_eager_build(family):
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Counts the calls of planarize._build_geometry."""
-    calls = []
-    build = planarize_module._build_geometry
+def parts(monkeypatch):
+    """The builds of Geometry.points and Geometry.segment_paths, as
+    (geometry, part), and the Fractions the planarize module makes: its
+    points, and the query point of a point location."""
+    built, fractions = [], []
+    for name in ("points", "segment_paths"):
+        def counted(geo, build=getattr(Geometry, name).func, name=name):
+            built.append((geo, name))
+            return build(geo)
 
-    def counted(*args):
-        calls.append(args[0])
-        return build(*args)
+        part = cached_property(counted)
+        part.__set_name__(Geometry, name)  # setattr on a class does not call it
+        monkeypatch.setattr(Geometry, name, part)
 
-    monkeypatch.setattr(planarize_module, "_build_geometry", counted)
-    return calls
+    def fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(planarize_module, "Fraction", fraction)
+    return built, fractions
+
+
+def _names(built):
+    return sorted(name for _, name in built)
+
+
+BOTH = ["points", "segment_paths"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_jobs_that_never_read_geometry_never_build_it(family, builds, tmp_path, capsys):
+def test_jobs_that_never_read_geometry_never_build_it(family, parts, tmp_path, capsys):
+    built, fractions = parts
     path = tmp_path / "drawing.json"
     dump_document(FAMILIES[family](), path)
     for argv in (["analyze", "--face", "3"], ["analyze", "--face", "auto"],
                  ["decide", "--mode", "seq", "--k", "1"],
                  ["decide", "--mode", "bishell", "--k", "1", "--face", "2"]):
         assert cli.main([*argv, "--input", str(path)]) in (0, 1)
-    assert builds == []
-    # the jobs that read it build it once per load
-    for argv in (["analyze", "--face", "at:-99999,-99999"],
-                 ["export", "--output", str(tmp_path / "out.svg")]):
+    assert built == [] and fractions == []
+    # point location builds both parts, once; a plain export neither
+    for argv, reads in ((["analyze", "--face", "at:-99999,-99999"], BOTH),
+                        (["export", "--output", str(tmp_path / "out.svg")], [])):
+        del built[:]
         assert cli.main([*argv, "--input", str(path)]) == 0
-    assert len(builds) == 2
+        assert _names(built) == reads, argv
     capsys.readouterr()
 
 
-def test_geometry_is_built_once(builds):
+def test_geometry_is_built_once(parts):
+    built, fractions = parts
     drawing = load_drawing(convex_document(6))
     for face in trace_faces(drawing).face_ids():
         k_edge_profile(drawing, face)
-    assert builds == []
+    assert built == [] and fractions == []
     first = drawing.geometry
     assert drawing.geometry is first
     assert outer_face(drawing) == outer_face(drawing)
-    assert len(builds) == 1
+    locate_face(drawing, (1, 1))
+    assert first.points is drawing.geometry.points
+    assert first.segment_paths is drawing.geometry.segment_paths
+    assert Counter(built) == {(first, "points"): 1, (first, "segment_paths"): 1}
     combinatorial = load_drawing(drawing_to_document(drawing, "combinatorial"))
     assert combinatorial.geometry is None
 
@@ -196,51 +221,26 @@ def test_plain_export_matches_the_fraction_renderer(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_PINNED[name]
 
 
-@pytest.fixture
-def parts(monkeypatch):
-    """The Geometry objects built, and the Fractions the planarize module
-    makes: its points, and the query point of a point location."""
-    built, fractions = [], []
-    build = planarize_module._build_geometry
-
-    def keep(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    def counted(*args):
-        fractions.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(planarize_module, "_build_geometry", keep)
-    monkeypatch.setattr(planarize_module, "Fraction", counted)
-    return built, fractions
-
-
-def _built_parts(geo):
-    return {part for part in ("points", "segment_paths") if part in vars(geo)}
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_each_job_builds_only_the_parts_it_reads(family, parts, tmp_path, capsys):
     built, fractions = parts
     path, out = tmp_path / "drawing.json", tmp_path / "drawing.svg"
     dump_document(FAMILIES[family](), path)
     crossings = load_drawing(FAMILIES[family]()).crossing_count()
-    both = {"points", "segment_paths"}
-    for argv, reads, made in ((["export"], set(), 0),
-                              (["export", "--labels", "2"], set(), 0),
-                              (["export", "--face", "2"], both, 2 * crossings),
-                              (["export", "--face", "at:1,1"], both, 2 * crossings + 2)):
+    for argv, reads, made in ((["export"], [], 0),
+                              (["export", "--labels", "2"], [], 0),
+                              (["export", "--face", "2"], BOTH, 2 * crossings),
+                              (["export", "--face", "at:1,1"], BOTH, 2 * crossings + 2)):
         del built[:], fractions[:]
         assert cli.main([*argv, "--input", str(path), "--output", str(out)]) == 0
-        assert len(built) == 1 and _built_parts(built[0]) == reads, argv
+        assert _names(built) == reads, argv
         assert len(fractions) == made, argv
     capsys.readouterr()
 
     del built[:], fractions[:]
     drawing = load_drawing(FAMILIES[family]())
     assert drawing_to_document(drawing, "geometric") == FAMILIES[family]()
-    assert _built_parts(built[0]) == set() and fractions == []
+    assert built == [] and fractions == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
