@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import threading
+from operator import itemgetter
 
 from . import __version__
 from .documents import (certificate_from_document, certificate_to_document,
@@ -236,8 +237,11 @@ def cmd_analyze(args) -> int:
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
     selected = _parse_face(args.face, drawing)
     payload["faces"]["analyzed"] = selected
-    # a profile lists its k-values in edge order
+    # a profile's k-values come in edge order; the writer sorts their names
+    # as strings, which costs least when they already come in that order
     names = [f"{u}-{v}" for u, v in drawing.edges()]
+    in_name_order = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
+    names = in_name_order(names)
     for face in selected:
         prof = k_edge_profile(drawing, face)
         # a drawing on 3 vertices has no bound levels: by default its
@@ -247,7 +251,7 @@ def cmd_analyze(args) -> int:
         payload["profiles"].append({
             "face": face,
             "face_vertices": sorted(vertices_on_face(drawing, face)),
-            "k_values": dict(zip(names, prof.k_values.values())),
+            "k_values": dict(zip(names, in_name_order(tuple(prof.k_values.values())))),
             "counts": list(prof.counts),
             "cumulated": list(prof.cumulated),
             "bounds": [{"k": r.k, "cumulated": r.cumulated,

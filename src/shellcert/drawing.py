@@ -8,6 +8,13 @@ permutation (reverse the dart, then step once in the rotation); with
 counterclockwise rotations every face lies to the LEFT of each of its
 boundary darts. The model is spherical: no face is intrinsically "outer".
 
+Faces are traced over integer darts. trace_faces numbers the darts by
+node and then in rotation order, and its FaceSet keeps each dart's
+reverse, the face on its left and every face's boundary walk as lists of
+ints; the (tail, head) tuple views are built only when something reads
+them. This module alone knows the numbering: other modules number darts
+through FaceSet.path_darts.
+
 Everything here is immutable after construction. Derived structures
 (faces, deletions, and the labellings, profiles and tables of the other
 modules) are built by functions decorated with per_drawing, which keeps
@@ -19,8 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import wraps
-from itertools import repeat
+from functools import cached_property, wraps
+from itertools import accumulate, repeat
 
 from .errors import EmbeddingError, StructureError, quoted
 
@@ -169,22 +176,54 @@ class Drawing:
 
 @dataclass(frozen=True, eq=False)
 class FaceSet:
-    """Faces of a drawing, traced from the rotation system.
+    """Faces of a drawing, traced from the rotation system over integer
+    darts.
 
-    faces[i] is the boundary walk of face i as a tuple of darts; the face
-    lies to the left of each dart. dart_face maps each dart to its face;
-    the two sides of a segment (a, b) are dart_face[(a, b)] and
-    dart_face[(b, a)].
+    Darts are numbered by node, ascending, and then in rotation order:
+    dart offset[x] + j is (x, rotations[x][j]). twin[i] is the reverse of
+    dart i, walks[f] is the boundary walk of face f as dart numbers, and
+    face_of[i] is the face to the LEFT of dart i, so the two sides of the
+    segment of dart i are face_of[i] and face_of[twin[i]].
+
+    faces, dart_face and tails are built on their first read: faces[f] is
+    walk f as (tail, head) tuples, dart_face maps each such tuple to its
+    face (keys in face order, each face's darts in boundary order), and
+    tails[i] is the node dart i leaves.
     """
 
-    faces: tuple
-    dart_face: dict
+    rotations: dict
+    offset: dict
+    twin: list
+    walks: list
+    face_of: list
 
     def face_count(self) -> int:
-        return len(self.faces)
+        return len(self.walks)
 
     def face_ids(self):
-        return range(len(self.faces))
+        return range(len(self.walks))
+
+    def path_darts(self, path) -> list:
+        """Numbers of the darts (path[0], path[1]), (path[1], path[2]), ...
+        along a path of adjacent nodes, such as a chain or one segment."""
+        offset, rot = self.offset, self.rotations
+        return [offset[a] + rot[a].index(b) for a, b in zip(path, path[1:])]
+
+    @cached_property
+    def tails(self) -> list:
+        rot = self.rotations
+        return [x for x in self.offset for _ in rot[x]]
+
+    @cached_property
+    def faces(self) -> tuple:
+        tails = self.tails
+        heads = list(map(tails.__getitem__, self.twin))
+        return tuple(tuple(zip(map(tails.__getitem__, walk), map(heads.__getitem__, walk)))
+                     for walk in self.walks)
+
+    @cached_property
+    def dart_face(self) -> dict:
+        return {d: f for f, face in enumerate(self.faces) for d in face}
 
 
 def per_drawing(build):
@@ -205,31 +244,36 @@ def per_drawing(build):
 
 @per_drawing
 def trace_faces(drawing: Drawing) -> FaceSet:
-    """Trace all faces of the drawing over integer dart indices.
+    """Trace all faces of the drawing over integer darts.
 
-    Darts (node, nbr) are numbered by node and then in rotation order, and
-    faces in the order of their first dart. succ[i] is the next boundary
-    dart of the face LEFT of dart i: reverse (a, b) to (b, a), then step
-    backward in the ccw rotation at b (stepping forward would trace the
-    right-hand faces). Raises EmbeddingError if the rotation system fails
+    Darts are numbered as FaceSet says, and faces in the order of their
+    first dart. The next boundary dart of the face LEFT of dart (a, b) is
+    found by reversing it to (b, a) and stepping backward in the ccw
+    rotation at b (stepping forward would trace the right-hand faces):
+    succ[i] = prevs[twin[i]], where prevs[j] is the dart before j in its
+    node's rotation. Raises EmbeddingError if the rotation system fails
     Euler's formula, i.e. does not describe a sphere embedding; the plane
     graph is connected, as every node lies on a chain and a chain joins
     every pair of vertices.
     """
     rot = drawing.rotations
-    darts = [(node, nbr) for node in sorted(rot) for nbr in rot[node]]
-    index = dict(zip(darts, range(len(darts))))
-    succ = [0] * len(darts)
-    for b, nbrs in rot.items():
-        start = index[(b, nbrs[0])]
-        prev = start + len(nbrs) - 1
-        for j, a in enumerate(nbrs, start):
-            succ[index[(a, b)]] = prev
-            prev = j
+    nodes = sorted(rot)
+    sizes = [len(rot[x]) for x in nodes]
+    starts = list(accumulate(sizes, initial=0))
+    offset = dict(zip(nodes, starts))
+    count = starts.pop()
+    # the dart before each in its rotation: the one numbered below it,
+    # except for a node's first dart, which follows its last
+    prevs = list(range(-1, count - 1))
+    for start, size in zip(starts, sizes):
+        prevs[start] = start + size - 1
+    # the rotation at y holds x exactly once: Drawing checked it
+    twin = [offset[y] + rot[y].index(x) for x in offset for y in rot[x]]
+    succ = list(map(prevs.__getitem__, twin))
 
-    face_of = [-1] * len(darts)
+    face_of = [-1] * count
     walks = []
-    for first in range(len(darts)):
+    for first in range(count):
         if face_of[first] >= 0:
             continue
         f = len(walks)
@@ -242,17 +286,13 @@ def trace_faces(drawing: Drawing) -> FaceSet:
             i = succ[i]
         walks.append(walk)
 
-    faces = tuple(tuple(map(darts.__getitem__, walk)) for walk in walks)
-    # keys in face order, each face's darts in boundary order
-    dart_face = {d: f for f, face in enumerate(faces) for d in face}
-
     # Euler's formula: F - E + V = 2 on the sphere.
-    euler = len(faces) - len(drawing.segment_edge) + len(rot)
+    euler = len(walks) - len(drawing.segment_edge) + len(rot)
     if euler != 2:
         raise EmbeddingError(
             f"rotation system is not a sphere embedding (F-E+V = {euler})")
 
-    return FaceSet(faces, dart_face)
+    return FaceSet(rot, offset, twin, walks, face_of)
 
 
 def check_face(drawing: Drawing, face: int) -> int:
@@ -278,8 +318,9 @@ def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     May be empty: nothing guarantees that every face of a good drawing
     touches a real vertex.
     """
-    walk = trace_faces(drawing).faces[check_face(drawing, face)]
-    return frozenset(a for a, _ in walk if a in drawing.vertex_set)
+    faces = trace_faces(drawing)
+    walk = faces.walks[check_face(drawing, face)]
+    return frozenset(map(faces.tails.__getitem__, walk)) & drawing.vertex_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +417,7 @@ def delete_vertex(drawing: Drawing, v: int):
     child_faces = trace_faces(child)
 
     # Union-find over parent faces across every deleted segment.
-    parent = list(range(len(faces.faces)))
+    parent = list(range(faces.face_count()))
 
     def find(a):
         while parent[a] != a:
@@ -399,7 +440,7 @@ def delete_vertex(drawing: Drawing, v: int):
         if prior != f:
             raise EmbeddingError("face merge classes disagree with traced child faces")
     mapping = {}
-    for f in range(len(faces.faces)):
+    for f in faces.face_ids():
         root = find(f)
         if root not in class_face:
             raise EmbeddingError("a merged face region lost its boundary")

@@ -68,12 +68,18 @@ def _all_pairs(ids):
     return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
 
 
-def _check_size(n, scale, radius=None):
-    """Reject n below 3 and a scale that is no positive integer. A family
-    that places its points by float arithmetic passes radius, which gives
-    its largest radius; then n, which divides angles, and that radius must
-    lie below 2**1023, half the float range, so that no rounding on the
-    way reaches infinity."""
+def _check_size(n, scale, general, radius=None):
+    """Reject n below 3, a scale that is no positive integer, and an n
+    that needs more points than fit on the lattice.
+
+    general is how many of the n points the family joins pairwise by
+    straight segments: they have integer coordinates in [-scale, scale]
+    and no three of them lie on a line (one would lie on the segment of
+    the other two), so each of the 2 scale + 1 rows of that lattice holds
+    at most two of them. A family that places its points by float
+    arithmetic passes radius, which gives its largest radius; then n,
+    which divides angles, and that radius must lie below 2**1023, half the
+    float range, so that no rounding on the way reaches infinity."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if type(scale) is not int or scale < 1:
@@ -81,6 +87,11 @@ def _check_size(n, scale, radius=None):
     if radius is not None and max(n, radius()) >= 2 ** 1023:
         raise ValueError(f"n = {quoted(n)} and scale = {quoted(scale)} take the "
                          f"construction beyond the float range")
+    capacity = 2 * (2 * scale + 1)
+    if general > capacity:
+        raise ValueError(f"n = {quoted(n)} puts {quoted(general)} points joined by straight "
+                         f"edges in [-{quoted(scale)}, {quoted(scale)}]^2, where at most "
+                         f"{quoted(capacity)} fit with no three on a line")
 
 
 def _general_position(points) -> bool:
@@ -97,7 +108,7 @@ def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 def _convex(n, scale):
     """(document, checked drawing) of the convex family: the first of 32
     phases with C(n, 4) crossings (rounding can make diagonals concurrent)."""
-    _check_size(n, scale, lambda: scale)
+    _check_size(n, scale, n, lambda: scale)
     return _first_checked(
         (partial(_convex_attempt, n, scale, 0.5 + a * 0.0371) for a in range(32)),
         math.comb(n, 4), lambda error: f"scale {scale} too small for {n} points in "
@@ -133,8 +144,9 @@ def cylindrical_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 
 def _cylindrical(n, scale):
     """(document, checked drawing) of the cylindrical family."""
-    # the outermost arc: 3 scale plus scale / 4 for each outer-rim edge
-    _check_size(n, scale, lambda: (12 + math.comb(n - n // 2, 2)) * scale // 4)
+    # the inner rim's n // 2 vertices are joined by straight chords; the
+    # outermost arc lies at 3 scale plus scale / 4 for each outer-rim edge
+    _check_size(n, scale, n // 2, lambda: (12 + math.comb(n - n // 2, 2)) * scale // 4)
     return _first_checked(
         (partial(_cylindrical_attempt, n, scale, *phases) for phases in _PHASES),
         harary_hill_bound(n),
@@ -246,7 +258,7 @@ def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
 def _rectilinear(n, seed, scale):
     """(document, checked drawing) of the rectilinear family: the first of
     64 samples that loads (a sample can put three edges through a point)."""
-    _check_size(n, scale)
+    _check_size(n, scale, n)
     rng = random.Random(f"rectilinear:{n}:{seed}:{scale}")
     return _first_checked(
         (partial(_rectilinear_attempt, rng, n, scale) for _ in range(64)), None,

@@ -55,7 +55,7 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .drawing import (Drawing, FaceSet, check_face, check_vertex, edge_key, per_drawing,
-                      seg_key, trace_faces, vertices_on_face)
+                      trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import EmbeddingError
@@ -126,19 +126,29 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     verts = drawing.vertices
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    toggle = {(u, v): (1 << (index[u] * n + index[v])) | (1 << (index[v] * n + index[u]))
-              for u, v in drawing.chains}
-    seg_toggle = {s: toggle[e] for s, e in drawing.segment_edge.items()}
+    twin, face_of, walks = faces.twin, faces.face_of, faces.walks
+    # toggle[d]: the label bits that flip across the segment of dart d;
+    # sides[i, j]: the faces left of the first dart of the chain of
+    # (v_i, v_j) and of the first dart of its reverse
+    toggle = [0] * len(twin)
+    sides = {}
+    for (u, v), ch in drawing.chains.items():
+        i, j = index[u], index[v]
+        flip = (1 << (i * n + j)) | (1 << (j * n + i))
+        darts = faces.path_darts(ch)
+        for d in darts:
+            toggle[d] = toggle[twin[d]] = flip
+        sides[i, j] = (face_of[darts[0]], face_of[twin[darts[-1]]])
 
-    bits = [None] * len(faces.faces)
+    bits = [None] * len(walks)
     bits[0] = 0
     order = [0]
     for f in order:
         pf = bits[f]
-        for a, b in faces.faces[f]:
-            g = faces.dart_face[(b, a)]
+        for d in walks[f]:
+            g = face_of[twin[d]]
             if bits[g] is None:
-                bits[g] = pf ^ seg_toggle[seg_key(a, b)]
+                bits[g] = pf ^ toggle[d]
                 order.append(g)
     if len(order) != len(bits):
         raise EmbeddingError("face adjacency is disconnected")
@@ -156,10 +166,9 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     # (first), and at c back along ac (last).
     first = {}
     last = {}
-    for (u, v), ch in drawing.chains.items():
-        i, j = index[u], index[v]
-        first[i, j] = parity_row(faces.dart_face[(u, ch[1])], i, j)
-        last[i, j] = parity_row(faces.dart_face[(v, ch[-2])], i, j)
+    for (i, j), (f, g) in sides.items():
+        first[i, j] = parity_row(f, i, j)
+        last[i, j] = parity_row(g, i, j)
     for a, b, c in combinations(range(n), 3):
         const = (first[a, b] >> c) & 1
         if (first[b, c] >> a) & 1 != const or (last[a, c] >> b) & 1 != const:

@@ -411,7 +411,8 @@ def locate_face(drawing, point) -> int:
         raise CapabilityError("point location needs a geometric drawing")
     p = (Fraction(point[0]), Fraction(point[1]))
     y = p[1]
-    dart_face = trace_faces(drawing).dart_face
+    faces = trace_faces(drawing)
+    face_of, twin = faces.face_of, faces.twin
 
     winding = {}
     for dart, path in geo.segment_paths.items():
@@ -427,7 +428,8 @@ def locate_face(drawing, point) -> int:
                 step = -1
             else:
                 continue
-            left, right = dart_face[dart], dart_face[(dart[1], dart[0])]
+            i = faces.path_darts(dart)[0]
+            left, right = face_of[i], face_of[twin[i]]
             winding[left] = winding.get(left, 0) + step
             winding[right] = winding.get(right, 0) - step
     for face, count in winding.items():
@@ -459,6 +461,7 @@ def outer_face(drawing) -> int:
     for (a, b), path in geo.segment_paths.items():
         if low in path:
             for dart, walk in (((a, b), path), ((b, a), path[::-1])):
-                leaving += [(sub(walk[i + 1], low), faces.dart_face[dart])
+                left = faces.face_of[faces.path_darts(dart)[0]]
+                leaving += [(sub(walk[i + 1], low), left)
                             for i in range(len(walk) - 1) if walk[i] == low]
     return max(leaving, key=cmp_to_key(_ccw))[1]

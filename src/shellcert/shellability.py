@@ -117,14 +117,16 @@ class VerificationResult:
 def _region_tables(drawing):
     """(corners, tables): every vertex's corner faces as a bitmask, and
     the drawing's _VertexTables, filled on demand. Cached on the drawing."""
-    dart_face = trace_faces(drawing).dart_face
+    faces = trace_faces(drawing)
+    face_of, offset, rot = faces.face_of, faces.offset, drawing.rotations
     corners = {}
     for w in drawing.vertices:
         mask = 0
-        for y in drawing.rotations[w]:
-            mask |= 1 << dart_face[(w, y)]
+        # the faces left of w's darts, one per corner
+        for f in face_of[offset[w]:offset[w] + len(rot[w])]:
+            mask |= 1 << f
         corners[w] = mask
-    return corners, _VertexTables(drawing.vertices, drawing.chains, dart_face)
+    return corners, _VertexTables(drawing.vertices, drawing.chains, faces)
 
 
 class _VertexTables(dict):
@@ -133,21 +135,21 @@ class _VertexTables(dict):
     flanking a segment of an edge at the vertex to the bitmask of the faces
     across those segments; touch is the bitmask of those flanking faces."""
 
-    def __init__(self, vertices, chains, dart_face):
+    def __init__(self, vertices, chains, faces):
         super().__init__()
         self.vertices = vertices
         self.chains = chains
-        self.dart_face = dart_face
+        self.faces = faces
 
     def __missing__(self, x):
-        dart_face = self.dart_face
+        faces = self.faces
+        face_of, twin = faces.face_of, faces.twin
         adj = {}
         for w in self.vertices:
             if w == x:
                 continue
-            ch = self.chains[edge_key(x, w)]
-            for a, b in zip(ch, ch[1:]):
-                f1, f2 = dart_face[(a, b)], dart_face[(b, a)]
+            for i in faces.path_darts(self.chains[edge_key(x, w)]):
+                f1, f2 = face_of[i], face_of[twin[i]]
                 adj[f1] = adj.get(f1, 0) | 1 << f2
                 adj[f2] = adj.get(f2, 0) | 1 << f1
         table = self[x] = (sum(1 << f for f in adj), adj)

@@ -24,11 +24,12 @@ integer dart indices. The drawing primitives
 on top is written from scratch.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from shellcert.drawing import (Drawing, FaceSet, child_drawing, edge_key, seg_key,
-                               trace_faces, vertices_on_face)
+from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
+                               vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
 from shellcert.geometry import angle_less, cross, direction_half, on_segment, sub
 from shellcert.kedges import Orientation, k_edge_profile
@@ -720,7 +721,7 @@ def reference_load_combinatorial(document):
     """Load a combinatorial document with a valid header the old way.
 
     Returns (drawing, faces); the drawing has the attributes and the
-    canonical_form of a Drawing, and faces is a FaceSet.
+    canonical_form of a Drawing, and faces is a ReferenceFaces.
     """
     _require = _reference_require
     _is_int = _reference_is_int
@@ -891,8 +892,14 @@ class ReferenceDrawing:
         return seg_edge
 
 
-def reference_trace(drawing) -> FaceSet:
-    """Faces by a predecessor map, with connectivity and Euler checks."""
+# faces: each face's boundary darts (tail, head) in walk order; dart_face:
+# dart -> face, keys in face order
+ReferenceFaces = namedtuple("ReferenceFaces", "faces dart_face")
+
+
+def reference_trace(drawing) -> ReferenceFaces:
+    """Faces by a predecessor map over (tail, head) darts, with
+    connectivity and Euler checks."""
     # Next boundary dart of the face LEFT of (a, b): reverse to (b, a), then
     # step backward in the ccw rotation at b. (Stepping forward would trace
     # the right-hand faces instead.)
@@ -933,4 +940,4 @@ def reference_trace(drawing) -> FaceSet:
         raise EmbeddingError(
             f"rotation system is not a sphere embedding (F-E+V = {euler})")
 
-    return FaceSet(tuple(faces), dart_face)
+    return ReferenceFaces(tuple(faces), dart_face)

@@ -38,9 +38,7 @@ def _signatures():
         if inspect.isclass(obj):
             if issubclass(obj, BaseException):
                 continue
-            # a FaceSet is built from its boundary walks, its field "faces"
-            if obj is not FaceSet:
-                yield name, inspect.signature(obj)
+            yield name, inspect.signature(obj)
             for attr, member in vars(obj).items():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     yield f"{name}.{attr}", inspect.signature(member)

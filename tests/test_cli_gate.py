@@ -138,6 +138,14 @@ ROWS = {
                                         "--output {out}", 2),
     "generate-huge-cylindrical-n": (f"generate --family cylindrical --n {HUGE} "
                                     "--output {out}", 2),
+    # more points than the lattice of the scale holds with no three on a
+    # line; these used to run without bound
+    "generate-huge-rectilinear-n": (f"generate --family rectilinear --n {HUGE} "
+                                    "--output {out}", 2),
+    "generate-huge-convex-lattice-n": ("generate --family convex --n 100000000 "
+                                       "--output {out}", 2),
+    "generate-huge-cylindrical-lattice-n": ("generate --family cylindrical --n 100000000 "
+                                            "--output {out}", 2),
 }
 
 
@@ -176,6 +184,7 @@ HUGE_ECHOES = {
     "verify-huge-vertex": ("verify --input {k6} --certificate {huge-vertex-cert}", 3),
     "generate-huge-convex-scale": ROWS["generate-huge-convex-scale"],
     "generate-huge-cylindrical-n": ROWS["generate-huge-cylindrical-n"],
+    "generate-huge-rectilinear-n": ROWS["generate-huge-rectilinear-n"],
 }
 
 

@@ -104,6 +104,25 @@ def test_float_constructions_take_scales_up_to_half_the_float_range(make, larges
                                "construction beyond the float range")
 
 
+# The points a family joins pairwise by straight edges (all n for convex
+# and rectilinear, the inner rim's n // 2 for cylindrical) lie in
+# [-scale, scale]^2 with no three on a line, so at most two in each of the
+# 2 scale + 1 rows: 14 at scale 3. One more is rejected before anything is
+# built; at the capacity itself the construction runs and fails on its own.
+@pytest.mark.parametrize("make, capacity_n", [
+    (convex_document, 14), (cylindrical_document, 29),
+    (lambda n, scale: rectilinear_document(n, 0, scale), 14)],
+    ids=["convex", "cylindrical", "rectilinear"])
+def test_n_beyond_the_lattice_capacity_is_rejected(make, capacity_n):
+    with pytest.raises(GenerationError):
+        make(capacity_n, scale=3)
+    n = capacity_n + 1
+    with pytest.raises(ValueError) as info:
+        make(n, scale=3)
+    assert str(info.value) == (f"n = {n} puts 15 points joined by straight edges in "
+                               f"[-3, 3]^2, where at most 14 fit with no three on a line")
+
+
 def test_rectilinear_points_are_integers_at_any_scale():
     assert load_drawing(rectilinear_document(5, 0, scale=10 ** 400)).n == 5
 
