@@ -8,12 +8,12 @@ permutation (reverse the dart, then step once in the rotation); with
 counterclockwise rotations every face lies to the LEFT of each of its
 boundary darts. The model is spherical: no face is intrinsically "outer".
 
-Faces are traced over integer darts. trace_faces numbers the darts by
-node and then in rotation order, and its FaceSet keeps each dart's
-reverse, the face on its left and every face's boundary walk as lists of
-ints; the (tail, head) tuple views are built only when something reads
-them. This module alone knows the numbering: other modules number darts
-through FaceSet.path_darts.
+Faces are traced over integer darts, and no (tail, head) tuple stands
+for a dart. trace_faces numbers the darts by node and then in rotation
+order, and its FaceSet keeps each dart's reverse, the face on its left,
+every face's boundary walk and the node each dart leaves as lists of
+ints. Other modules number darts through FaceSet.path_darts or offset,
+and read a dart's ends off tails and twin.
 
 Everything here is immutable after construction. Derived structures
 (faces, deletions, and the labellings, profiles and tables of the other
@@ -32,7 +32,6 @@ from itertools import accumulate, repeat
 from .errors import EmbeddingError, StructureError, quoted
 
 Edge = tuple  # (u, v) with u < v: an original edge of the complete graph
-Dart = tuple  # (tail, head): a directed segment between adjacent nodes
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -154,25 +153,6 @@ class Drawing:
             raise StructureError(f"rotation at {quoted(x)} does not match incident segments")
         return seg_edge
 
-    # -- canonical comparable form ---------------------------------------
-
-    def canonical_form(self):
-        """Hashable summary for equality of labeled planarized graphs.
-
-        Rotations are compared as cyclic sequences (rotated so the smallest
-        neighbour comes first); chain direction is fixed by the edge key.
-        """
-        rots = {}
-        for x, rot in self.rotations.items():
-            i = rot.index(min(rot))
-            rots[x] = rot[i:] + rot[:i]
-        return (
-            self.vertices,
-            tuple(sorted((c, tuple(sorted(p))) for c, p in self.crossings.items())),
-            tuple(sorted(rots.items())),
-            tuple(sorted(self.chains.items())),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FaceSet:
@@ -185,10 +165,8 @@ class FaceSet:
     face_of[i] is the face to the LEFT of dart i, so the two sides of the
     segment of dart i are face_of[i] and face_of[twin[i]].
 
-    faces, dart_face and tails are built on their first read: faces[f] is
-    walk f as (tail, head) tuples, dart_face maps each such tuple to its
-    face (keys in face order, each face's darts in boundary order), and
-    tails[i] is the node dart i leaves.
+    tails, built on its first read, holds the node each dart leaves: dart
+    i runs from tails[i] to tails[twin[i]].
     """
 
     rotations: dict
@@ -213,17 +191,6 @@ class FaceSet:
     def tails(self) -> list:
         rot = self.rotations
         return [x for x in self.offset for _ in rot[x]]
-
-    @cached_property
-    def faces(self) -> tuple:
-        tails = self.tails
-        heads = list(map(tails.__getitem__, self.twin))
-        return tuple(tuple(zip(map(tails.__getitem__, walk), map(heads.__getitem__, walk)))
-                     for walk in self.walks)
-
-    @cached_property
-    def dart_face(self) -> dict:
-        return {d: f for f, face in enumerate(self.faces) for d in face}
 
 
 def per_drawing(build):
@@ -299,7 +266,7 @@ def check_face(drawing: Drawing, face: int) -> int:
     """The face id, if the drawing has that face; ValueError otherwise.
     Every entry that takes a face id asks here, except the certificate
     check, which raises CertificateMismatchError."""
-    if not 0 <= face < trace_faces(drawing).face_count():
+    if type(face) is not int or not 0 <= face < trace_faces(drawing).face_count():
         raise ValueError(f"face {quoted(face)} does not exist")
     return face
 
@@ -307,8 +274,8 @@ def check_face(drawing: Drawing, face: int) -> int:
 def check_vertex(drawing: Drawing, v: int) -> int:
     """The vertex, if the drawing has it; ValueError otherwise. Every entry
     that takes a vertex asks here, except the certificate check."""
-    if v not in drawing.vertex_set:
-        raise ValueError(f"{v} is not a vertex of the drawing")
+    if type(v) is not int or v not in drawing.vertex_set:
+        raise ValueError(f"{quoted(v)} is not a vertex of the drawing")
     return v
 
 
@@ -396,19 +363,20 @@ def delete_vertex(drawing: Drawing, v: int):
         if e not in dead_edges:
             live_chains[e] = tuple(x for x in ch if x not in dead_nodes)
 
+    # the child numbers its darts as trace_faces does, by node and then in
+    # rotation order; parent_darts lists the parent dart each one keeps
     new_rot = {}
-    parent_dart = {}
-    for x, rot in drawing.rotations.items():
+    parent_darts = []
+    for x in sorted(drawing.rotations):
         if x in dead_nodes:
             continue
         out = []
-        for y in rot:
+        for j, y in enumerate(drawing.rotations[x]):
             e = drawing.segment_edge[seg_key(x, y)]
             if e in dead_edges:
                 continue
-            z = _next_live(drawing.chains[e], x, y, dead_nodes)
-            out.append(z)
-            parent_dart[(x, z)] = (x, y)
+            out.append(_next_live(drawing.chains[e], x, y, dead_nodes))
+            parent_darts.append(faces.offset[x] + j)
         new_rot[x] = tuple(out)
 
     live_cross = {c: p for c, p in drawing.crossings.items() if c not in dead_nodes}
@@ -425,18 +393,16 @@ def delete_vertex(drawing: Drawing, v: int):
             a = parent[a]
         return a
 
-    dart_face = faces.dart_face
+    face_of, twin = faces.face_of, faces.twin
     for e in dead_edges:
-        ch = drawing.chains[e]
-        for a, b in zip(ch, ch[1:]):
-            r1, r2 = find(dart_face[(a, b)]), find(dart_face[(b, a)])
+        for i in faces.path_darts(drawing.chains[e]):
+            r1, r2 = find(face_of[i]), find(face_of[twin[i]])
             if r1 != r2:
                 parent[r2] = r1
 
     class_face = {}
-    for dart, f in child_faces.dart_face.items():
-        root = find(dart_face[parent_dart[dart]])
-        prior = class_face.setdefault(root, f)
+    for i, f in zip(parent_darts, child_faces.face_of):
+        prior = class_face.setdefault(find(face_of[i]), f)
         if prior != f:
             raise EmbeddingError("face merge classes disagree with traced child faces")
     mapping = {}
@@ -459,7 +425,10 @@ def _next_live(chain, x, y, dead):
     return chain[j]
 
 
-@per_drawing
 def child_drawing(drawing: Drawing, v: int):
-    """delete_vertex, cached per drawing."""
-    return delete_vertex(drawing, v)
+    """delete_vertex, cached per drawing. The vertex is checked before the
+    cache is read, since 1.0 and True are equal keys to 1."""
+    return _cached_deletion(drawing, check_vertex(drawing, v))
+
+
+_cached_deletion = per_drawing(delete_vertex)

@@ -5,7 +5,7 @@ exactly; floating point never enters any decision. The planarizer decides
 pairs of pieces that are not parallel on integers itself and calls
 segment_intersection, which works on integers alone, for collinear pairs
 only; point location (planarize.locate_face) uses cross and on_segment on
-Fraction points.
+integer pieces and the Fraction query point.
 """
 
 from __future__ import annotations

@@ -325,10 +325,16 @@ class KEdgeProfile:
     crossings: int
 
 
-@per_drawing
 def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
+    """The profile of the reference face, cached per drawing; the face is
+    checked before the cache is read, as child_drawing checks its vertex."""
+    return _profile(drawing, check_face(drawing, ref_face))
+
+
+@per_drawing
+def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     lab = _labelling(drawing)
-    k_values = _k_values(lab, lab.face_bits[check_face(drawing, ref_face)], drawing.n)
+    k_values = _k_values(lab, lab.face_bits[ref_face], drawing.n)
     counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
     return KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
 

@@ -28,11 +28,10 @@ positions along edges are keyed by integers made exact by _shift.
 The drawing's Geometry wraps the planarizer's own records, copying
 nothing: the vertex positions, the polylines, the sorted crossing
 records, each holding its homogeneous point (x, y, d), and the crossings
-in order along each edge. Fractions are built only for messages and for
-Geometry.points, which is built on its first read, as are the segment
-paths made from it (face highlights, point location). Jobs that never
-draw or locate a point build neither, and a plain SVG draws from the
-integers.
+in order along each edge. It builds no view of the whole drawing.
+Fractions are made only for messages, for the query point of a point
+location, and by Geometry.point and Geometry.piece for the crossings a
+face highlight draws; a plain SVG draws from the integers.
 
 A vertex sorts its darts by the cross-product order of
 geometry.angle_less. A crossing needs no comparison: its test already
@@ -41,8 +40,9 @@ records with the crossing which piece runs into [0, pi) and which of
 the two darts into [0, pi) comes first. Its rotation is then its four
 chain neighbours put in that order. Point location counts, for every
 face, the winding number of its boundary around the point in one pass
-over the pieces (Hormann and Agathos, "The point in polygon problem for
-arbitrary polygons", 2001).
+over the integer polyline pieces (Hormann and Agathos, "The point in
+polygon problem for arbitrary polygons", 2001), and the unbounded face
+is read off the darts at the lowest polyline point.
 
 A vertex lying on a foreign piece also lies on the first piece of each of
 its own edges, so with every edge of K_n present that pair reports it as
@@ -55,11 +55,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from math import gcd
 
 from .drawing import Drawing, per_drawing, trace_faces
-from .errors import CapabilityError, DocumentError
+from .errors import CapabilityError, DocumentError, quoted
 from .geometry import angle_less, cross, on_segment, segment_intersection, sub
 
 
@@ -282,22 +282,16 @@ class Geometry:
     """Planar coordinates of a geometric drawing, kept as the planarizer's
     integers.
 
-    polylines      -- edge (u, v), u < v -> the integer points from u to v
-    points         -- node id -> (x, y): the integer position of a vertex,
-                      the exact Fraction point of a crossing; vertices in
-                      id order, then crossings
-    segment_paths  -- dart along a chain -> tuple of the points of the
-                      polyline piece backing it; segment_path(a, b) reads
-                      either direction
+    polylines  -- edge (u, v), u < v -> the integer points from u to v
 
     It holds the planarizer's own records and copies none of them: the
     vertex positions, the polylines, the sorted crossing records (node
     n + i is record i, whose point is the homogeneous (x, y, d) with
     d > 0, standing for (x/d, y/d)) and the crossings along each edge as
     the planarizer ordered them: ((piece index, position key), node).
-    points and segment_paths are each built from these on their first
-    read. A plain SVG reads neither: the renderer takes node positions as
-    floats from _float_points.
+    point and piece make Fractions only for the crossings they are asked
+    about; a plain SVG reads neither, as _float_points gives the renderer
+    node positions as floats.
     """
 
     def __init__(self, positions, polylines, crossings, along):
@@ -306,46 +300,31 @@ class Geometry:
         self._crossings = crossings  # planarizer records, in node order
         self._along = along          # edge -> [((piece index, key), node)]
 
-    @cached_property
-    def points(self):
-        points = dict(sorted(self._positions.items()))
-        for node, rec in enumerate(self._crossings, len(points)):
-            x, y, d = rec[4]
-            points[node] = (Fraction(x, d), Fraction(y, d))
-        return points
+    def point(self, node):
+        """(x, y) of a node: a vertex's integer position, a crossing's
+        exact Fraction point."""
+        n = len(self._positions)
+        if node < n:
+            return self._positions[node]
+        x, y, d = self._crossings[node - n][4]
+        return (Fraction(x, d), Fraction(y, d))
 
-    @cached_property
-    def segment_paths(self):
-        points = self.points
-        paths = {}
-        for e, pts in self.polylines.items():
-            hits = self._along[e]
-            h = 0
-            tail, path = e[0], [pts[0]]
-            for i, q in enumerate(pts[1:]):
-                while h < len(hits) and hits[h][0][0] == i:
-                    node = hits[h][1]
-                    x = points[node]
-                    if path[-1] != x:
-                        path.append(x)
-                    paths[(tail, node)] = tuple(path)
-                    tail, path = node, [x]
-                    h += 1
-                if path[-1] != q:
-                    path.append(q)
-            paths[(tail, e[1])] = tuple(path)
-        return paths
-
-    def segment_path(self, a: int, b: int):
-        path = self.segment_paths.get((a, b))
-        if path is not None:
-            return path
-        return tuple(reversed(self.segment_paths[(b, a)]))
+    def piece(self, e, k) -> tuple:
+        """The points of segment k of e's chain, from chain[k] to
+        chain[k + 1]: the polyline points between its two nodes, and each
+        crossing end as its exact point. A crossing lies inside a polyline
+        piece, so no point repeats."""
+        pts, hits = self.polylines[e], self._along[e]
+        start = (self.point(hits[k - 1][1]),) if k else ()
+        end = (self.point(hits[k][1]),) if k < len(hits) else ()
+        i = hits[k - 1][0][0] + 1 if k else 0
+        j = hits[k][0][0] + 1 if k < len(hits) else len(pts)
+        return (*start, *pts[i:j], *end)
 
     def _float_points(self, nodes):
         """[(x, y)] of the given nodes in floats, equal to float() of their
-        points entries without building them: x / d is the correctly
-        rounded quotient, as float(Fraction(x, d)) is."""
+        point() without building it: x / d is the correctly rounded
+        quotient, as float(Fraction(x, d)) is."""
         positions, crossings = self._positions, self._crossings
         n = len(positions)
         out = []
@@ -400,35 +379,51 @@ def locate_face(drawing, point) -> int:
 
     The boundary of a bounded face winds once around each of its points
     and around no other point; that of the unbounded face winds minus once
-    around every point outside it. One pass over the pieces adds each
-    piece's signed half-open crossing of the line y = point.y, right of
-    the point, to the face on its left and subtracts it from the face on
-    its right. Raises CapabilityError without geometry and ValueError for
-    points on the drawing itself.
+    around every point outside it. One pass over the integer polyline
+    pieces adds each piece's signed half-open crossing of the line
+    y = point.y, right of the point, to the face on its left and
+    subtracts it from the face on its right. The chain segment holding
+    that crossing follows the crossings of the piece on its near side of
+    the line. Only the query point is a Fraction. Raises CapabilityError
+    without geometry and ValueError for points on the drawing itself.
     """
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError("point location needs a geometric drawing")
     p = (Fraction(point[0]), Fraction(point[1]))
-    y = p[1]
+    yn, yd = p[1].numerator, p[1].denominator
+    records, n = geo._crossings, len(geo._positions)
     faces = trace_faces(drawing)
     face_of, twin = faces.face_of, faces.twin
 
+    def below(node):
+        """Whether a crossing lies on or below the line y = point.y."""
+        _, yc, d = records[node - n][4]
+        return yc * yd <= yn * d
+
     winding = {}
-    for dart, path in geo.segment_paths.items():
-        for a, b in zip(path, path[1:]):
-            if (a[1] < y and b[1] < y) or (a[1] > y and b[1] > y):
+    for e, pts in geo.polylines.items():
+        for m, (a, b) in enumerate(zip(pts, pts[1:])):
+            # the heights of a and b against point.y = yn / yd, in integers
+            ay, by = a[1] * yd, b[1] * yd
+            if (ay < yn and by < yn) or (ay > yn and by > yn):
                 continue
             side = cross(a, b, p)
             if side == 0 and on_segment(p, a, b):
-                raise ValueError(f"point {point} lies on the drawing")
-            if a[1] <= y < b[1] and side > 0:
-                step = 1
-            elif b[1] <= y < a[1] and side < 0:
-                step = -1
+                raise ValueError(f"point ({quoted(point[0])}, {quoted(point[1])}) "
+                                 f"lies on the drawing")
+            if ay <= yn < by and side > 0:
+                up = True
+            elif by <= yn < ay and side < 0:
+                up = False
             else:
                 continue
-            i = faces.path_darts(dart)[0]
+            # the chain segment past the crossings behind the line: those
+            # below it going up, above it going down
+            k = sum(1 for (at, _), node in geo._along[e]
+                    if at < m or at == m and below(node) == up)
+            i = faces.path_darts(drawing.chains[e][k:k + 2])[0]
+            step = 1 if up else -1
             left, right = face_of[i], face_of[twin[i]]
             winding[left] = winding.get(left, 0) + step
             winding[right] = winding.get(right, 0) - step
@@ -442,26 +437,26 @@ def locate_face(drawing, point) -> int:
 def outer_face(drawing) -> int:
     """Face id of the unbounded face of a geometric drawing (cached).
 
-    At the lowest point of the whole drawing nothing lies below, so the
-    face occupying the angular gap around "straight down" there is the
-    unbounded one; it is the face just counterclockwise of the angularly
-    largest direction leaving it. That point is a point of a polyline: a
-    crossing lies inside two non-parallel pieces, and one of them dips
-    below it.
+    At the lowest polyline point, the leftmost of several, nothing lies
+    below and every piece leaving it points into [0, pi); the face in the
+    gap around "straight down" is the unbounded one. A crossing is never
+    that point: it lies inside two non-parallel pieces, and one of them
+    dips below it. At a vertex the gap lies left of its last dart in ccw
+    order. At a bend, the chain segment through it has the gap on its
+    left exactly when the piece ahead turns further ccw than the one
+    behind.
     """
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError("the unbounded face needs a geometric drawing")
     faces = trace_faces(drawing)
-    low = min((pt for pts in geo.polylines.values() for pt in pts),
-              key=lambda pt: (pt[1], pt[0]))
-
-    # (direction, face on its left) of each piece leaving the lowest point
-    leaving = []
-    for (a, b), path in geo.segment_paths.items():
-        if low in path:
-            for dart, walk in (((a, b), path), ((b, a), path[::-1])):
-                left = faces.face_of[faces.path_darts(dart)[0]]
-                leaving += [(sub(walk[i + 1], low), left)
-                            for i in range(len(walk) - 1) if walk[i] == low]
-    return max(leaving, key=cmp_to_key(_ccw))[1]
+    _, _, e, j = min((pt[1], pt[0], e, j) for e, pts in geo.polylines.items()
+                     for j, pt in enumerate(pts))
+    pts = geo.polylines[e]
+    if j == 0 or j == len(pts) - 1:
+        v = e[0] if j == 0 else e[1]
+        return faces.face_of[faces.offset[v] + len(drawing.rotations[v]) - 1]
+    back, ahead = sub(pts[j - 1], pts[j]), sub(pts[j + 1], pts[j])
+    k = sum(1 for (at, _), _ in geo._along[e] if at < j)
+    i = faces.path_darts(drawing.chains[e][k:k + 2])[0]
+    return faces.face_of[i] if angle_less(back, ahead) else faces.face_of[faces.twin[i]]

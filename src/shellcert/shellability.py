@@ -139,10 +139,10 @@ class _VertexTables(dict):
         super().__init__()
         self.vertices = vertices
         self.chains = chains
-        self.faces = faces
+        self.face_set = faces
 
     def __missing__(self, x):
-        faces = self.faces
+        faces = self.face_set
         face_of, twin = faces.face_of, faces.twin
         adj = {}
         for w in self.vertices:
@@ -429,7 +429,7 @@ def check_certificate_refs(drawing: Drawing, cert) -> None:
     """Raise CertificateMismatchError if the certificate names a face or a
     vertex the drawing does not have."""
     face = cert.face
-    if not isinstance(face, int) or not 0 <= face < trace_faces(drawing).face_count():
+    if type(face) is not int or not 0 <= face < trace_faces(drawing).face_count():
         raise CertificateMismatchError(f"face {quoted(face)} does not exist in the drawing")
     unknown = sorted(set(cert.named_vertices()) - drawing.vertex_set)
     if unknown:

@@ -10,7 +10,7 @@ Output is deterministic for identical inputs.
 
 from __future__ import annotations
 
-from .drawing import Drawing, check_face, trace_faces
+from .drawing import Drawing, check_face, seg_key, trace_faces
 from .errors import CapabilityError, quoted
 from .kedges import k_edge_profile
 from .shellability import BishellCertificate, SeqShellCertificate
@@ -77,8 +77,15 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
 
     if face_highlight is not None:
         style = _STYLE["face"]
-        out += [f'<polyline points="{path_text(geo.segment_path(*dart))}" {style}/>'
-                for dart in trace_faces(drawing).faces[check_face(drawing, face_highlight)]]
+        faces = trace_faces(drawing)
+        tails = faces.tails
+        for i in faces.walks[check_face(drawing, face_highlight)]:
+            a, b = tails[i], tails[faces.twin[i]]
+            e = drawing.segment_edge[seg_key(a, b)]
+            ia, ib = drawing.chains[e].index(a), drawing.chains[e].index(b)
+            path = geo.piece(e, min(ia, ib))
+            out.append(f'<polyline points="{path_text(path if ia < ib else path[::-1])}" '
+                       f'{style}/>')
 
     style = _STYLE["label"].format(f"{font:.1f}")
     if label_face is not None:

@@ -21,9 +21,13 @@ combinatorial loader that built every set and traced faces by a
 predecessor map instead of the counting loader and the tracer over
 integer dart indices. The drawing primitives
 (deletion, face maps, face tracing) are shared infrastructure; the logic
-on top is written from scratch.
+on top is written from scratch. The whole-drawing views the library
+no longer builds (faces as (tail, head) darts, the exact points, the
+segment paths and the canonical form) are built here from the same dart
+arrays and planarizer records.
 """
 
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -84,6 +88,100 @@ def winding_number(pt, points) -> int:
     return wn
 
 
+# -- whole-drawing views the library does not build ----------------------------
+#
+# The (tail, head) face views, the exact points and the segment paths, built
+# from the traced dart arrays and the planarizer's records as the library
+# built them on their first read before its readers went to the arrays and
+# to Geometry.point and Geometry.piece. Each is built once per object.
+
+def _once(build):
+    built = weakref.WeakKeyDictionary()
+
+    def cached(owner):
+        value = built.get(owner)
+        if value is None:
+            value = built[owner] = build(owner)
+        return value
+
+    return cached
+
+
+@_once
+def face_views(faces):
+    """The ReferenceFaces of a FaceSet: each face's walk as (tail, head)
+    darts, and each dart's face, keys in face order and each face's darts
+    in boundary order."""
+    tails = faces.tails
+    heads = list(map(tails.__getitem__, faces.twin))
+    walks = tuple(tuple(zip(map(tails.__getitem__, walk), map(heads.__getitem__, walk)))
+                  for walk in faces.walks)
+    return ReferenceFaces(walks, {d: f for f, walk in enumerate(walks) for d in walk})
+
+
+@_once
+def exact_points(geo):
+    """Node id -> (x, y): a vertex's integer position, a crossing's exact
+    Fraction point; vertices in id order, then crossings."""
+    points = dict(sorted(geo._positions.items()))
+    for node, rec in enumerate(geo._crossings, len(points)):
+        x, y, d = rec[4]
+        points[node] = (Fraction(x, d), Fraction(y, d))
+    return points
+
+
+@_once
+def segment_paths(geo):
+    """Dart along a chain -> tuple of the points of the polyline piece
+    backing it, crossing ends as exact points."""
+    points = exact_points(geo)
+    paths = {}
+    for e, pts in geo.polylines.items():
+        hits = geo._along[e]
+        h = 0
+        tail, path = e[0], [pts[0]]
+        for i, q in enumerate(pts[1:]):
+            while h < len(hits) and hits[h][0][0] == i:
+                node = hits[h][1]
+                x = points[node]
+                if path[-1] != x:
+                    path.append(x)
+                paths[(tail, node)] = tuple(path)
+                tail, path = node, [x]
+                h += 1
+            if path[-1] != q:
+                path.append(q)
+        paths[(tail, e[1])] = tuple(path)
+    return paths
+
+
+def segment_path(geo, a, b):
+    """The points of the piece backing dart (a, b), in either direction."""
+    paths = segment_paths(geo)
+    path = paths.get((a, b))
+    if path is not None:
+        return path
+    return tuple(reversed(paths[(b, a)]))
+
+
+def canonical_form(drawing):
+    """Hashable summary for equality of labeled planarized graphs.
+
+    Rotations are compared as cyclic sequences (rotated so the smallest
+    neighbour comes first); chain direction is fixed by the edge key.
+    """
+    rots = {}
+    for x, rot in drawing.rotations.items():
+        i = rot.index(min(rot))
+        rots[x] = rot[i:] + rot[:i]
+    return (
+        drawing.vertices,
+        tuple(sorted((c, tuple(sorted(p))) for c, p in drawing.crossings.items())),
+        tuple(sorted(rots.items())),
+        tuple(sorted(drawing.chains.items())),
+    )
+
+
 # -- orientation and k-values ---------------------------------------------------
 
 def triangle_polygon(drawing, u, v, w):
@@ -123,7 +221,7 @@ def flipped(orientation: Orientation) -> Orientation:
 
 def far_point(drawing):
     """A point guaranteed to lie in the unbounded face."""
-    pts = [p for path in drawing.geometry.segment_paths.values() for p in path]
+    pts = [p for path in segment_paths(drawing.geometry).values() for p in path]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
@@ -138,19 +236,20 @@ def flood_fill_left_faces(drawing, faces, a, b, c) -> frozenset:
     for e in ((a, b), (b, c), (a, c)):
         ch = drawing.chains[e]
         curve.update(seg_key(x, y) for x, y in zip(ch, ch[1:]))
-    start = faces.dart_face[(a, drawing.chains[(a, b)][1])]
+    views = face_views(faces)
+    start = views.dart_face[(a, drawing.chains[(a, b)][1])]
     side = {start: 0}
     queue = [start]
     while queue:
         f = queue.pop()
-        for x, y in faces.faces[f]:
-            g = faces.dart_face[(y, x)]
+        for x, y in views.faces[f]:
+            g = views.dart_face[(y, x)]
             flipped = side[f] ^ (seg_key(x, y) in curve)
             if g not in side:
                 side[g] = flipped
                 queue.append(g)
             assert side[g] == flipped, f"inconsistent sides for {(a, b, c)}"
-    assert len(side) == len(faces.faces), "face adjacency is disconnected"
+    assert len(side) == len(views.faces), "face adjacency is disconnected"
     return frozenset(f for f, s in side.items() if s == 0)
 
 
@@ -206,7 +305,7 @@ def reference_cumulated(k_values, levels):
 def ccw_k_value(drawing, u, v) -> int:
     """Closed form for straight-line drawings with the unbounded reference
     face: count witnesses on either side of the supporting line."""
-    pos = drawing.geometry.points
+    pos = exact_points(drawing.geometry)
     left = sum(1 for w in drawing.vertices
                if w not in (u, v) and ccw_sign(pos[u], pos[v], pos[w]) > 0)
     return min(left, drawing.n - 2 - left)
@@ -238,7 +337,8 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
     boundary visit to v's: one sweep over face adjacencies in which the
     reference face is split in two by the chord, flipping sides across the
     chord and across segments of uv."""
-    boundary = faces.faces[ref_face]
+    dart_face = face_views(faces).dart_face
+    boundary = face_views(faces).faces[ref_face]
     pos = {}
     for i, dart in enumerate(boundary):
         pos.setdefault(dart, i)
@@ -259,8 +359,8 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
     curve = {seg_key(a, b) for a, b in zip(ch, ch[1:])}
     adjacency = {}
     for s in drawing.segment_edge:
-        n1 = node_for(faces.dart_face[s], s)
-        n2 = node_for(faces.dart_face[(s[1], s[0])], (s[1], s[0]))
+        n1 = node_for(dart_face[s], s)
+        n2 = node_for(dart_face[(s[1], s[0])], (s[1], s[0]))
         adjacency.setdefault(n1, []).append((n2, s in curve))
         adjacency.setdefault(n2, []).append((n1, s in curve))
     adjacency.setdefault(("split", 1), []).append((("split", 2), True))
@@ -280,7 +380,7 @@ def split_face_side_partition(drawing, faces, ref_face, u, v):
     for w in drawing.vertices:
         if w in (u, v):
             continue
-        seen = {side[node_for(faces.dart_face[(w, x)], (w, x))]
+        seen = {side[node_for(dart_face[(w, x)], (w, x))]
                 for x in drawing.rotations[w]}
         assert len(seen) == 1, f"vertex {w} touches both sides of the curve"
         if seen == {0}:
@@ -326,7 +426,7 @@ def comparison_rotations(drawing):
         darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
         darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
         # a path's inner points are bends; its ends are nodes
-        paths = [geo.segment_path(a, b) for a, b in zip(chain, chain[1:])]
+        paths = [segment_path(geo, a, b) for a, b in zip(chain, chain[1:])]
         starts, start = [], pts[0]
         for path in paths[:-1]:
             start = path[-2] if len(path) > 2 else start
@@ -375,7 +475,7 @@ def reference_locate_face(drawing, point) -> int:
     faces = trace_faces(drawing)
 
     pieces = []
-    for dart, path in geo.segment_paths.items():
+    for dart, path in segment_paths(geo).items():
         for a, b in zip(path, path[1:]):
             pieces.append((dart, a, b))
     for _, a, b in pieces:
@@ -387,14 +487,14 @@ def reference_locate_face(drawing, point) -> int:
         return outer_face(drawing)
     dart, a, b = hit
     if cross(a, b, p) > 0:
-        return faces.dart_face[dart]
-    return faces.dart_face[(dart[1], dart[0])]
+        return face_views(faces).dart_face[dart]
+    return face_views(faces).dart_face[(dart[1], dart[0])]
 
 
 def _generic_direction(p, geo):
     """A ray direction from p passing through no polyline point."""
     points = set()
-    for path in geo.segment_paths.values():
+    for path in segment_paths(geo).values():
         points.update(path)
     for k in range(len(points) * 2 + 2):
         d = (1, 1 + k * 2)
@@ -673,7 +773,7 @@ def reference_region_tables(drawing):
     """Every vertex's region tables at once, as the searches built them
     before they built one vertex's on its first deletion: (corners, touch,
     adjacency), each keyed by vertex, from one pass over all segments."""
-    dart_face = trace_faces(drawing).dart_face
+    dart_face = face_views(trace_faces(drawing)).dart_face
     corners = {w: 0 for w in drawing.vertices}
     for w in drawing.vertices:
         for y in drawing.rotations[w]:
@@ -720,8 +820,8 @@ def _reference_require(cond, msg):
 def reference_load_combinatorial(document):
     """Load a combinatorial document with a valid header the old way.
 
-    Returns (drawing, faces); the drawing has the attributes and the
-    canonical_form of a Drawing, and faces is a ReferenceFaces.
+    Returns (drawing, faces); the drawing has the attributes
+    canonical_form reads, and faces is a ReferenceFaces.
     """
     _require = _reference_require
     _is_int = _reference_is_int
@@ -814,8 +914,6 @@ def _reference_parse_edge_key(key):
 
 class ReferenceDrawing:
     """Drawing's constructor and structural check, building every set."""
-
-    canonical_form = Drawing.canonical_form
 
     def __init__(self, vertices, crossings, rotations, chains):
         self.vertices = tuple(sorted(vertices))

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from corpus import convex, cylindrical, rectilinear, sample_faces
-from oracles import (ccw_k_value, far_point, harary_hill_closed_form,
+from oracles import (ccw_k_value, face_views, far_point, harary_hill_closed_form,
                      naive_bishellable, naive_seq_shellable,
                      winding_orientation)
 from shellcert.drawing import trace_faces, validate_goodness, vertices_on_face
@@ -91,12 +91,12 @@ def test_criterion_4_face_vertex_distribution(sweep_corpus):
     checks = 0
     for d in sweep_corpus:
         n = d.n
-        fs = trace_faces(d)
+        dart_face = face_views(trace_faces(d)).dart_face
         for face in sample_faces(d):
             prof = k_edge_profile(d, face)
             for v in vertices_on_face(d, face):
                 rot = d.rotations[v]
-                at = [i for i, x in enumerate(rot) if fs.dart_face[(v, x)] == face]
+                at = [i for i, x in enumerate(rot) if dart_face[(v, x)] == face]
                 assert len(at) == 1
                 order = [rot[(at[0] + 1 + j) % len(rot)] for j in range(len(rot))]
                 levels = [prof.k_values[_dart_edge(d, v, x)] for x in order]

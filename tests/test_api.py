@@ -20,6 +20,7 @@ import pytest
 
 import shellcert
 from shellcert.drawing import FaceSet, trace_faces
+from shellcert.errors import quoted
 from shellcert.generators import convex_drawing
 
 
@@ -85,9 +86,15 @@ FACE_ID_ENTRIES = {
 @pytest.mark.parametrize("entry", FACE_ID_ENTRIES)
 def test_face_ids_outside_the_drawing_are_rejected(entry):
     d = convex_drawing(7)
-    for face in (-1, trace_faces(d).face_count()):
-        with pytest.raises(ValueError, match=f"^face {face} does not exist$"):
+    faces = [-1, trace_faces(d).face_count(), 1.0, True, "1"]
+    # None selects every face of a decider and no face of render_svg
+    if not entry.startswith(("decide", "render_svg")):
+        faces.append(None)
+    for face in faces:
+        with pytest.raises(ValueError) as info:
             FACE_ID_ENTRIES[entry](d, face)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"face {quoted(face)} does not exist"
 
 
 VERTEX_ENTRIES = {
@@ -109,11 +116,11 @@ VERTEX_ENTRIES = {
 @pytest.mark.parametrize("entry", VERTEX_ENTRIES)
 def test_vertices_outside_the_drawing_are_rejected(entry):
     d = convex_drawing(7)
-    for v in (99, -1):
+    for v in (99, -1, 1.0, [1], 10 ** 5000):
         with pytest.raises(ValueError) as info:
             VERTEX_ENTRIES[entry](d, v)
         assert type(info.value) is ValueError
-        assert str(info.value) == f"{v} is not a vertex of the drawing"
+        assert str(info.value) == f"{quoted(v)} is not a vertex of the drawing"
 
 
 def test_the_layer_tracer_wraps_names_that_resolve():

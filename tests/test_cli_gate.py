@@ -47,8 +47,16 @@ def files(tmp_path_factory):
     string_id["nodes"][0]["id"] = "y" * 100_000
     long_key = json.loads(json.dumps(k5))
     long_key["rotations"]["0" * 100_000] = long_key["rotations"].pop("0")
+    triangle = {"format": "shellcert-drawing", "version": 1, "mode": "geometric", "n": 3,
+                "vertices": [{"id": 0, "x": 10 ** 400, "y": 0}, {"id": 1, "x": 0, "y": 1},
+                             {"id": 2, "x": 0, "y": -1}],
+                "edges": [{"u": u, "v": v, "polyline": []} for u, v in ((0, 1), (0, 2), (1, 2))]}
+    for e in triangle["edges"]:
+        e["polyline"] = [[triangle["vertices"][x]["x"], triangle["vertices"][x]["y"]]
+                         for x in (e["u"], e["v"])]
     documents = {
         "k6": k6,
+        "huge-triangle": triangle,
         "scaled": scaled,
         "combinatorial": drawing_to_document(load_drawing(k6), "combinatorial"),
         "not-good": not_good_k7_document(),
@@ -176,6 +184,7 @@ def test_malformed_call_gets_its_documented_exit(row, files):
 # Calls whose message quotes an integer of 401 digits: (command, exit code)
 HUGE_ECHOES = {
     "analyze-huge-face": (f"analyze --input {{k6}} --face {HUGE}", 2),
+    "analyze-point-on-a-huge-vertex": (f"analyze --input {{huge-triangle}} --face at:{HUGE},0", 2),
     "decide-huge-k": (f"decide --input {{k6}} --mode seq --k {HUGE}", 2),
     "export-huge-face": (f"export --input {{k6}} --output {{out}} --face {HUGE}", 2),
     "export-huge-negative-size": (f"export --input {{k6}} --output {{out}} --size -{HUGE}", 2),

@@ -1,34 +1,31 @@
-"""Faces over integer darts: the arrays the tracer keeps, the tuple views
-it builds only when read, and the jobs that never read those views.
+"""Faces over integer darts: the arrays the tracer keeps.
 
 trace_faces numbers the darts by node and then in rotation order and
 keeps, as ints, each dart's reverse (twin), the face on its left
-(face_of) and each face's boundary walk (walks). faces and dart_face,
-the (tail, head) tuple views, are built on their first read and must
-equal the reference tracer's, which walks (tail, head) darts by a
-predecessor map, key order included.
+(face_of), each face's boundary walk (walks) and the node each dart
+leaves (tails). The (tail, head) views the test oracles build from these
+arrays must equal the reference tracer's, which walks (tail, head) darts
+by a predecessor map, key order included.
 """
 
 import json
 import random
-from functools import cached_property
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
-from oracles import reference_trace
-from shellcert import cli
-from shellcert.documents import drawing_to_document, dump_document, load_drawing
-from shellcert.drawing import Drawing, FaceSet, delete_vertex, trace_faces
+from oracles import face_views, reference_trace
+from shellcert.documents import load_drawing
+from shellcert.drawing import Drawing, delete_vertex, trace_faces
 from shellcert.errors import ShellcertError
-from test_lazy_geometry import FAMILIES
 from test_load_messages import mutated_documents
 
 
 def check_darts(drawing):
-    """The invariants of the drawing's dart arrays and their tuple views."""
+    """The invariants of the drawing's dart arrays and the tuple views built
+    from them."""
     fs = trace_faces(drawing)
     twin, walks, face_of = fs.twin, fs.walks, fs.face_of
     darts = range(len(twin))
@@ -43,10 +40,11 @@ def check_darts(drawing):
     numbered = [(x, y) for x in sorted(rot) for y in rot[x]]
     assert list(zip(fs.tails, map(fs.tails.__getitem__, twin))) == numbered
     assert [fs.path_darts(dart) for dart in numbered] == [[i] for i in darts]
-    # the lazy views equal the reference tracer's, key order included
-    ref = reference_trace(drawing)
-    assert fs.faces == ref.faces
-    assert list(fs.dart_face.items()) == list(ref.dart_face.items())
+    # the views built from the arrays equal the reference tracer's, key
+    # order included
+    views, ref = face_views(fs), reference_trace(drawing)
+    assert views.faces == ref.faces
+    assert list(views.dart_face.items()) == list(ref.dart_face.items())
 
 
 def relabelled(drawing, seed):
@@ -99,52 +97,3 @@ def test_dart_arrays_on_mutated_documents(doc):
     except ShellcertError:
         return
     check_darts(drawing)
-
-
-@pytest.fixture
-def views(monkeypatch):
-    """The builds of FaceSet.faces and FaceSet.dart_face, by name."""
-    built = []
-    for name in ("faces", "dart_face"):
-        def counted(fs, build=getattr(FaceSet, name).func, name=name):
-            built.append(name)
-            return build(fs)
-
-        view = cached_property(counted)
-        view.__set_name__(FaceSet, name)  # setattr on a class does not call it
-        monkeypatch.setattr(FaceSet, name, view)
-    return built
-
-
-@pytest.mark.parametrize("mode", ["geometric", "combinatorial"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_each_job_builds_only_the_face_views_it_reads(family, mode, views, tmp_path,
-                                                      capsys):
-    path, out = tmp_path / "drawing.json", tmp_path / "out"
-    dump_document(drawing_to_document(load_drawing(FAMILIES[family]()), mode), path)
-    seq, bishell = tmp_path / "seq.json", tmp_path / "bishell.json"
-    # a single-face decide may be negative (exit 1); the others are not
-    assert cli.main(["decide", "--mode", "bishell", "--k", "1", "--face", "2",
-                     "--input", str(path)]) in (0, 1)
-    assert views == []
-    jobs = [["decide", "--mode", "seq", "--k", "1", "--output", str(seq)],
-            ["decide", "--mode", "bishell", "--k", "1", "--output", str(bishell)],
-            ["verify", "--certificate", str(seq)],
-            ["verify", "--certificate", str(bishell)],
-            ["analyze", "--face", "3"],
-            ["analyze", "--face", "auto"]]
-    if mode == "geometric":
-        jobs += [["export", "--output", str(out)],
-                 ["export", "--labels", "2", "--output", str(out)],
-                 ["analyze", "--face", "at:1,1"]]
-    for argv in jobs:
-        assert cli.main([*argv, "--input", str(path)]) == 0, argv
-        assert views == [], argv
-    if mode == "geometric":
-        # a face highlight draws the face's darts from their tuples
-        for face in ("2", "at:1,1"):
-            assert cli.main(["export", "--face", face, "--input", str(path),
-                             "--output", str(out)]) == 0
-            assert views == ["faces"], face
-            del views[:]
-    capsys.readouterr()

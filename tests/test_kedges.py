@@ -8,8 +8,8 @@ import pytest
 
 from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
                     sample_faces)
-from oracles import (ccw_k_value, child_drawing_report, far_point, flipped,
-                     flood_fill_k_values, flood_fill_triangles,
+from oracles import (ccw_k_value, child_drawing_report, exact_points, face_views,
+                     far_point, flipped, flood_fill_k_values, flood_fill_triangles,
                      harary_hill_closed_form, reference_cumulated,
                      reference_k_values, split_face_side_partition,
                      winding_orientation)
@@ -65,7 +65,7 @@ class TestTriangleOrientation:
         import random
         rng = random.Random(7)
         for d in (convex(5), rectilinear(6, 9)):
-            pos = d.geometry.points
+            pos = exact_points(d.geometry)
             xs = [p[0] for p in pos.values()]
             for _ in range(8):
                 point = (rng.randint(min(xs), max(xs)),
@@ -301,14 +301,14 @@ class TestVertexProfile:
         # edges at a face vertex, read counterclockwise from the face,
         # carry k-values min(i, n-2-i)
         for d in (convex(6), cylindrical(6), rectilinear(7, 17)):
-            fs = trace_faces(d)
+            dart_face = face_views(trace_faces(d)).dart_face
             n = d.n
             for f in sample_faces(d):
                 prof = k_edge_profile(d, f)
                 for v in vertices_on_face(d, f):
                     rot = d.rotations[v]
                     at = [i for i, x in enumerate(rot)
-                          if fs.dart_face[(v, x)] == f]
+                          if dart_face[(v, x)] == f]
                     assert len(at) == 1
                     start = at[0]
                     order = [rot[(start + 1 + j) % len(rot)] for j in range(len(rot))]

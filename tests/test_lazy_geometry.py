@@ -1,35 +1,37 @@
-"""Geometry builds its exact parts on their first read, and nothing
-outlives its drawing.
+"""Geometry keeps the planarizer's integers and makes Fractions only for
+the points a job reads; nothing outlives its drawing.
 
 The planarizer hands the drawing a Geometry over its own records: the
 vertex positions, the polylines and the crossing records with their
 integer points (x, y, d); drawing.geometry is that one object on every
-read. Of its parts, the exact Fraction points and the segment paths are
-each built at most once, on the first read of that attribute. Jobs that
-never draw or locate a point (analyze on face ids or all faces, decide)
-build neither and no Fraction; a plain export draws from the integers
-and builds neither, nor does writing the geometric document back; a face
-highlight and point location build both. Every job that reads the
-geometry must see the same bytes as when it was built with the drawing.
-The digests in PINNED were recorded with the eager builder, on convex,
-cylindrical and rectilinear drawings in four quarter turns; those in
-EXPORT_PINNED with the renderer that read the Fraction points, on plain
-exports of the ingest benchmark's families and sizes.
+read, and it builds no whole-drawing view. Jobs that never draw or
+locate a point (analyze on face ids or all faces, decide) make no
+Fraction; a plain export, one with k-value labels and writing the
+geometric document back draw from the integers and make none either;
+point location makes the query point's two and none for the drawing,
+and a face highlight makes them for that face's crossings only. Every
+job that reads the geometry must see the same bytes as when it was built
+with the drawing. The digests in PINNED were recorded while the geometry
+was built eagerly, on convex, cylindrical and rectilinear drawings in
+four quarter turns; those in EXPORT_PINNED with the renderer that read
+the Fraction points, on plain exports of the ingest benchmark's families
+and sizes.
+Geometry.point and Geometry.piece must equal the exact points and the
+segment paths of the test oracles, which build those views whole.
 
-Per-drawing data (labelling, packed masks, profiles, lazy geometry) lives
-on the drawing, so dropping the drawing frees it: no process-wide cache.
+Per-drawing data (labelling, packed masks, profiles) lives on the
+drawing, so dropping the drawing frees it: no process-wide cache.
 """
 
 import gc
 import hashlib
 import importlib
 import weakref
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 
+from oracles import exact_points, segment_paths
 from test_planarize import _turned_document
 from shellcert import cli
 from shellcert.documents import (drawing_to_document, dump_document, dumps_document,
@@ -37,7 +39,7 @@ from shellcert.documents import (drawing_to_document, dump_document, dumps_docum
 from shellcert.drawing import trace_faces
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.kedges import invariant_edges, k_edge_profile
-from shellcert.planarize import Geometry, locate_face, outer_face
+from shellcert.planarize import locate_face, outer_face
 from shellcert.svg import render_svg
 
 # the package's planarize function hides the module of the same name
@@ -116,7 +118,7 @@ def geometry_outputs(family) -> bytes:
         out.append(render_svg(drawing, size=300))
         out.append(render_svg(drawing, size=300, face_highlight=outer_face(drawing),
                               label_face=1))
-        points = drawing.geometry.points
+        points = exact_points(drawing.geometry)
         xs = [int(x) for x, _ in points.values()]
         ys = [int(y) for _, y in points.values()]
         step = max(1, (max(xs) - min(xs)) // 5)
@@ -134,67 +136,60 @@ def test_geometry_outputs_match_the_eager_build(family):
 
 
 @pytest.fixture
-def parts(monkeypatch):
-    """The builds of Geometry.points and Geometry.segment_paths, as
-    (geometry, part), and the Fractions the planarize module makes: its
-    points, and the query point of a point location."""
-    built, fractions = [], []
-    for name in ("points", "segment_paths"):
-        def counted(geo, build=getattr(Geometry, name).func, name=name):
-            built.append((geo, name))
-            return build(geo)
-
-        part = cached_property(counted)
-        part.__set_name__(Geometry, name)  # setattr on a class does not call it
-        monkeypatch.setattr(Geometry, name, part)
+def fractions(monkeypatch):
+    """The arguments of every Fraction the planarize module makes: the
+    points of crossings, and the query point of a point location."""
+    made = []
 
     def fraction(*args):
-        fractions.append(args)
+        made.append(args)
         return Fraction(*args)
 
     monkeypatch.setattr(planarize_module, "Fraction", fraction)
-    return built, fractions
+    return made
 
 
-def _names(built):
-    return sorted(name for _, name in built)
-
-
-BOTH = ["points", "segment_paths"]
+def face_fractions(drawing, face):
+    """The arguments of the Fractions a highlight of the face makes: the
+    exact points of the crossing ends of each of its darts."""
+    faces = trace_faces(drawing)
+    n, records = drawing.n, drawing.geometry._crossings
+    made = []
+    for i in faces.walks[face]:
+        for node in (faces.tails[i], faces.tails[faces.twin[i]]):
+            if node >= n:
+                x, y, d = records[node - n][4]
+                made += [(x, d), (y, d)]
+    return sorted(made)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_jobs_that_never_read_geometry_never_build_it(family, parts, tmp_path, capsys):
-    built, fractions = parts
+def test_jobs_that_never_read_geometry_never_build_it(family, fractions, tmp_path, capsys):
     path = tmp_path / "drawing.json"
     dump_document(FAMILIES[family](), path)
     for argv in (["analyze", "--face", "3"], ["analyze", "--face", "auto"],
                  ["decide", "--mode", "seq", "--k", "1"],
-                 ["decide", "--mode", "bishell", "--k", "1", "--face", "2"]):
+                 ["decide", "--mode", "bishell", "--k", "1", "--face", "2"],
+                 ["export", "--output", str(tmp_path / "out.svg")]):
         assert cli.main([*argv, "--input", str(path)]) in (0, 1)
-    assert built == [] and fractions == []
-    # point location builds both parts, once; a plain export neither
-    for argv, reads in ((["analyze", "--face", "at:-99999,-99999"], BOTH),
-                        (["export", "--output", str(tmp_path / "out.svg")], [])):
-        del built[:]
-        assert cli.main([*argv, "--input", str(path)]) == 0
-        assert _names(built) == reads, argv
+    assert fractions == []
+    # point location makes the query point alone
+    assert cli.main(["analyze", "--face", "at:-99999,-99999", "--input", str(path)]) == 0
+    assert fractions == [(-99999,), (-99999,)]
     capsys.readouterr()
 
 
-def test_geometry_is_built_once(parts):
-    built, fractions = parts
+def test_geometry_is_built_once(fractions):
     drawing = load_drawing(convex_document(6))
     for face in trace_faces(drawing).face_ids():
         k_edge_profile(drawing, face)
-    assert built == [] and fractions == []
     first = drawing.geometry
     assert drawing.geometry is first
     assert outer_face(drawing) == outer_face(drawing)
+    assert fractions == []
     locate_face(drawing, (1, 1))
-    assert first.points is drawing.geometry.points
-    assert first.segment_paths is drawing.geometry.segment_paths
-    assert Counter(built) == {(first, "points"): 1, (first, "segment_paths"): 1}
+    assert fractions == [(1,), (1,)]
+    assert drawing.geometry is first
     combinatorial = load_drawing(drawing_to_document(drawing, "combinatorial"))
     assert combinatorial.geometry is None
 
@@ -222,31 +217,41 @@ def test_plain_export_matches_the_fraction_renderer(name, tmp_path):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_each_job_builds_only_the_parts_it_reads(family, parts, tmp_path, capsys):
-    built, fractions = parts
+def test_each_job_builds_only_the_parts_it_reads(family, fractions, tmp_path, capsys):
     path, out = tmp_path / "drawing.json", tmp_path / "drawing.svg"
     dump_document(FAMILIES[family](), path)
-    crossings = load_drawing(FAMILIES[family]()).crossing_count()
-    for argv, reads, made in ((["export"], [], 0),
-                              (["export", "--labels", "2"], [], 0),
-                              (["export", "--face", "2"], BOTH, 2 * crossings),
-                              (["export", "--face", "at:1,1"], BOTH, 2 * crossings + 2)):
-        del built[:], fractions[:]
+    drawing = load_drawing(FAMILIES[family]())
+    located = locate_face(drawing, (1, 1))
+    for argv, made in ((["export"], []),
+                       (["export", "--labels", "2"], []),
+                       (["export", "--face", "2"], face_fractions(drawing, 2)),
+                       (["export", "--face", "at:1,1"],
+                        sorted([(1,), (1,), *face_fractions(drawing, located)]))):
+        del fractions[:]
         assert cli.main([*argv, "--input", str(path), "--output", str(out)]) == 0
-        assert _names(built) == reads, argv
-        assert len(fractions) == made, argv
+        assert sorted(fractions) == made, argv
     capsys.readouterr()
 
-    del built[:], fractions[:]
-    drawing = load_drawing(FAMILIES[family]())
+    del fractions[:]
     assert drawing_to_document(drawing, "geometric") == FAMILIES[family]()
-    assert built == [] and fractions == []
+    assert fractions == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("turns", range(4))
 def test_float_points_are_the_floats_of_the_exact_points(family, turns):
     geo = load_drawing(_turned_document(FAMILIES[family](), turns)).geometry
-    nodes = list(geo.points)
-    assert geo._float_points(nodes) == [(float(x), float(y))
-                                        for x, y in map(geo.points.get, nodes)]
+    points = exact_points(geo)
+    nodes = list(points)
+    assert [geo.point(node) for node in nodes] == list(points.values())
+    assert geo._float_points(nodes) == [(float(x), float(y)) for x, y in points.values()]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("turns", range(4))
+def test_pieces_are_the_segment_paths(family, turns):
+    drawing = load_drawing(_turned_document(FAMILIES[family](), turns))
+    paths = segment_paths(drawing.geometry)
+    pieces = {(ch[k], ch[k + 1]): drawing.geometry.piece(e, k)
+              for e, ch in drawing.chains.items() for k in range(len(ch) - 1)}
+    assert pieces == paths

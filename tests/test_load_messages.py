@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import convex, cylindrical, rectilinear
-from oracles import reference_load_combinatorial
+from oracles import canonical_form, face_views, reference_load_combinatorial
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import Drawing, trace_faces
 from shellcert.errors import DocumentError, EmbeddingError, ShellcertError, StructureError
@@ -395,12 +395,12 @@ def _outcome(load, doc):
         drawing, faces = load(doc)
     except ShellcertError as exc:
         return type(exc), str(exc)
-    return drawing.canonical_form(), faces.faces, list(faces.dart_face.items())
+    return canonical_form(drawing), faces.faces, list(faces.dart_face.items())
 
 
 def _load(doc):
     drawing = load_drawing(doc)
-    return drawing, trace_faces(drawing)
+    return drawing, face_views(trace_faces(drawing))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -21,22 +21,25 @@ as the reference rejects it, before the faults of later pairs.
 Rotations must equal, tuple for tuple, a comparison sort of the darts
 and the per-crossing comparison rule, and point location by winding
 numbers must agree with a ray caster, also where pieces run along the
-axes, in every quarter turn.
+axes and where crossings lie on edges with bends, in every quarter turn.
 The unbounded face found from the lowest point must be the one face
-whose boundary walk runs clockwise.
+whose boundary walk runs clockwise, also when that point is the left end
+of a horizontal edge or a bend, with a crossing before it or none.
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import (comparison_rotations, fraction_intersection, polygon_area2,
-                     reference_drawing, reference_locate_face, reference_planarization,
-                     sort_by_angle)
+from oracles import (canonical_form, comparison_rotations, exact_points, face_views,
+                     fraction_intersection, polygon_area2, reference_drawing,
+                     reference_locate_face, reference_planarization, segment_path,
+                     segment_paths, sort_by_angle)
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError, StructureError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
@@ -106,7 +109,7 @@ def test_load_drawing_matches_reference(case):
         assert expected == ("error", str(exc))
         return
     assert expected[0] == "ok"
-    found = sorted((tuple(sorted(edges)), drawing.geometry.points[c])
+    found = sorted((tuple(sorted(edges)), exact_points(drawing.geometry)[c])
                    for c, edges in drawing.crossings.items())
     assert found == expected[1]
 
@@ -367,8 +370,8 @@ def assert_matches_reference_drawing(n, positions, polylines):
         return None
     assert expected[0] == "ok"
     _, reference, points = expected
-    assert drawing.canonical_form() == reference.canonical_form()
-    assert {c: drawing.geometry.points[c] for c in drawing.crossings} == points
+    assert canonical_form(drawing) == canonical_form(reference)
+    assert {c: exact_points(drawing.geometry)[c] for c in drawing.crossings} == points
     assert drawing.rotations == comparison_rotations(drawing)
     return drawing
 
@@ -391,7 +394,8 @@ def test_crossings_closer_than_2_to_the_minus_60():
     first, second = drawing.chains[(0, 1)][1:-1]
     assert drawing.crossings[first] == {(0, 1), (2, 4)}
     assert drawing.crossings[second] == {(0, 1), (2, 3)}
-    gap = (drawing.geometry.points[second][0] - drawing.geometry.points[first][0]) / length
+    points = exact_points(drawing.geometry)
+    gap = (points[second][0] - points[first][0]) / length
     assert 0 < gap < 2**-60
 
 
@@ -471,6 +475,30 @@ def _turned_document(doc, turns):
     return dict(doc, vertices=vertices, edges=edges)
 
 
+def _k4(positions, bent):
+    """Document of a K_4 whose edges run straight, except those in bent,
+    which follow the polylines given there."""
+    polylines = {(u, v): [positions[u], positions[v]] for u in range(4) for v in range(u + 1, 4)}
+    return document(4, positions, {**polylines, **bent})
+
+
+# K_4 drawings whose lowest polyline point (unturned) is: the left end of
+# a horizontal edge; a bend of (0, 1) where the piece ahead turns further
+# counterclockwise than the one behind, or less far and horizontal; and
+# a bend past the crossing of (0, 1) with (2, 3).
+LOWEST = {
+    "horizontal-bottom": _k4({0: (0, 0), 1: (10, 0), 2: (10, 10), 3: (0, 10)}, {}),
+    "bend-ahead-after-back": _k4({0: (20, 10), 1: (0, 10), 2: (0, 30), 3: (20, 30)},
+                                 {(0, 1): [(20, 10), (10, 0), (0, 10)]}),
+    "bend-ahead-horizontal": _k4({0: (0, 10), 1: (30, 10), 2: (30, 30), 3: (0, 30)},
+                                 {(0, 1): [(0, 10), (10, 0), (20, 0), (30, 10)]}),
+    "bend-past-a-crossing": _k4({0: (10, 10), 1: (30, 30), 2: (30, 10), 3: (10, 30)},
+                                {(0, 1): [(10, 10), (5, 5), (20, 0), (40, 10), (40, 35),
+                                          (30, 30)],
+                                 (2, 3): [(30, 10), (12, 4), (0, 8), (0, 35), (10, 30)]}),
+}
+
+
 def _face_or_error(locate, drawing, point):
     try:
         return locate(drawing, point)
@@ -490,8 +518,8 @@ def test_locate_face_matches_ray_casting(doc, turns):
     # every vertex and crossing, and some bends, lie on the drawing; one
     # unit to their right or left, a point shares its y with a node, which
     # lies on the horizontal ray to the right of the left one
-    points = drawing.geometry.points
-    bends = sorted({x for path in drawing.geometry.segment_paths.values()
+    points = exact_points(drawing.geometry)
+    bends = sorted({x for path in segment_paths(drawing.geometry).values()
                     for x in path} - set(points.values()))
     nodes = [*points.values(), *rng.sample(bends, min(len(bends), 8))]
     beside = [(x + dx, y) for x, y in nodes for dx in (1, -1)]
@@ -507,16 +535,36 @@ def test_locate_face_matches_ray_casting(doc, turns):
 
 
 @pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("name", LOWEST)
+def test_locate_face_matches_ray_casting_on_bent_edges(name, turns):
+    # crossings on pieces of edges with bends: the centres of the unit
+    # squares over the drawing and around it, which meet every face
+    drawing = load_drawing(_turned_document(LOWEST[name], turns))
+    pts = [p for path in drawing.geometry.polylines.values() for p in path]
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    found = set()
+    for x in range(min(xs) - 1, max(xs) + 1):
+        for y in range(min(ys) - 1, max(ys) + 1):
+            point = (x + Fraction(1, 2), y + Fraction(1, 2))
+            answer = _face_or_error(locate_face, drawing, point)
+            assert answer == _face_or_error(reference_locate_face, drawing, point)
+            found.add(answer)
+    assert set(trace_faces(drawing).face_ids()) <= found
+
+
+@pytest.mark.parametrize("turns", range(4))
 @pytest.mark.parametrize("family, n", [("convex", 6), ("convex", 12), ("cylindrical", 7),
                                        ("cylindrical", 12), ("rectilinear", 9),
-                                       ("rectilinear", 12)])
+                                       ("rectilinear", 12),
+                                       *((name, 4) for name in LOWEST)])
 def test_outer_face_is_the_one_face_bounded_clockwise(family, n, turns):
     # every face lies left of its boundary walk: a bounded face's walk runs
     # counterclockwise (positive area), the unbounded face's clockwise
     raw = {"convex": convex_document, "cylindrical": cylindrical_document,
-           "rectilinear": lambda n: rectilinear_document(n, n)}[family](n)
+           "rectilinear": lambda n: rectilinear_document(n, n)}.get(family)
+    raw = raw(n) if raw else LOWEST[family]
     drawing = load_drawing(_turned_document(raw, turns))
     geo = drawing.geometry
-    clockwise = [f for f, walk in enumerate(trace_faces(drawing).faces)
-                 if polygon_area2([x for a, b in walk for x in geo.segment_path(a, b)[:-1]]) < 0]
+    clockwise = [f for f, walk in enumerate(face_views(trace_faces(drawing)).faces)
+                 if polygon_area2([x for a, b in walk for x in segment_path(geo, a, b)[:-1]]) < 0]
     assert clockwise == [outer_face(drawing)]

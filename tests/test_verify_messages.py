@@ -12,6 +12,7 @@ import json
 import pytest
 
 from corpus import convex
+from oracles import face_views
 from shellcert.cli import main
 from shellcert.documents import certificate_to_document, dump_document
 from shellcert.drawing import trace_faces
@@ -28,7 +29,7 @@ NOT_INCIDENT = "is not incident to the face containing the reference face"
 def test_faces_of_the_fixture():
     d = convex(6)
     on = [sorted({a for a, _ in walk if a in d.vertex_set})
-          for walk in trace_faces(d).faces]
+          for walk in face_views(trace_faces(d)).faces]
     assert on[OUTER] == [0, 1, 2, 3, 4, 5]
     assert on[EDGE_01] == [0, 1]
 
