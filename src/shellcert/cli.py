@@ -24,7 +24,7 @@ from operator import itemgetter
 from . import __version__
 from .documents import (certificate_from_document, certificate_to_document,
                         dump_document, dumps_document, load_drawing)
-from .drawing import check_face, trace_faces, validate_goodness, vertices_on_face
+from .drawing import check_face, check_level, trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError, quoted)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
@@ -263,9 +263,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_decide(args) -> int:
     drawing, digest = _load_input(args.input, good=True)
-    k = args.k if args.k is not None else max_k(drawing.n) - 1
-    if not 0 <= k <= drawing.n - 2:
-        raise ValueError(f"k must lie in 0..{drawing.n - 2}, got {quoted(k)}")
+    k = check_level("k", args.k if args.k is not None else max_k(drawing.n) - 1,
+                    drawing.n - 2)
     selected = _parse_face(args.face, drawing)
     face_filter = None if args.face == "auto" else selected[0]
 

@@ -264,19 +264,32 @@ def trace_faces(drawing: Drawing) -> FaceSet:
 
 def check_face(drawing: Drawing, face: int) -> int:
     """The face id, if the drawing has that face; ValueError otherwise.
-    Every entry that takes a face id asks here, except the certificate
-    check, which raises CertificateMismatchError."""
+    Every entry that takes a face id asks here; the certificate check
+    raises CertificateMismatchError in its place."""
     if type(face) is not int or not 0 <= face < trace_faces(drawing).face_count():
         raise ValueError(f"face {quoted(face)} does not exist")
     return face
 
 
+def is_vertex(drawing: Drawing, v) -> bool:
+    """Whether v is a plain int among the drawing's vertices (True is not 1)."""
+    return type(v) is int and v in drawing.vertex_set
+
+
 def check_vertex(drawing: Drawing, v: int) -> int:
-    """The vertex, if the drawing has it; ValueError otherwise. Every entry
+    """The vertex, if is_vertex holds; ValueError otherwise. Every entry
     that takes a vertex asks here, except the certificate check."""
-    if type(v) is not int or v not in drawing.vertex_set:
+    if not is_vertex(drawing, v):
         raise ValueError(f"{quoted(v)} is not a vertex of the drawing")
     return v
+
+
+def check_level(name: str, value, top: int) -> int:
+    """The value, if it is a plain int in 0..top; ValueError otherwise.
+    Every level argument (k, s, kmax) asks here."""
+    if type(value) is not int or not 0 <= value <= top:
+        raise ValueError(f"{name} must lie in 0..{top}, got {quoted(value)}")
+    return value
 
 
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:

@@ -69,8 +69,8 @@ def _all_pairs(ids):
 
 
 def _check_size(n, scale, general, radius=None):
-    """Reject n below 3, a scale that is no positive integer, and an n
-    that needs more points than fit on the lattice.
+    """Reject an n that is no int or below 3, a scale that is no positive
+    integer, and an n that needs more points than fit on the lattice.
 
     general is how many of the n points the family joins pairwise by
     straight segments: they have integer coordinates in [-scale, scale]
@@ -80,7 +80,7 @@ def _check_size(n, scale, general, radius=None):
     arithmetic passes radius, which gives its largest radius; then n,
     which divides angles, and that radius must lie below 2**1023, half the
     float range, so that no rounding on the way reaches infinity."""
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("n must be at least 3")
     if type(scale) is not int or scale < 1:
         raise ValueError(f"scale must be a positive integer, got {quoted(scale)}")

@@ -53,9 +53,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from math import comb
+from typing import NamedTuple
 
-from .drawing import (Drawing, FaceSet, check_face, check_vertex, edge_key, per_drawing,
-                      trace_faces, vertices_on_face)
+from .drawing import (Drawing, FaceSet, check_face, check_level, check_vertex, edge_key,
+                      per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import EmbeddingError
@@ -68,7 +69,7 @@ class Orientation(enum.Enum):
 
 def harary_hill_bound(n: int) -> int:
     """The conjectured crossing number H(n) of the complete graph."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be positive")
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
@@ -400,8 +401,7 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     (k-1)-term is taken as 0 at k = 0.
     """
     n = parent.n
-    if not 0 <= k <= n // 2 - 2:
-        raise ValueError(f"k must lie in 0..{n // 2 - 2}")
+    check_level("k", k, n // 2 - 2)
     report = invariant_edges(parent, ref_face, v)
     lhs = k_edge_profile(parent, ref_face).cumulated[k]
     child_term = 0
@@ -411,8 +411,7 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     return lhs - (child_term + at_v + report.cumulated[k])
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     k: int
     cumulated: int
     threshold: int
@@ -427,19 +426,10 @@ def cumulative_bound_check(drawing: Drawing, ref_face: int, kmax: int):
     """
     if max_k(drawing.n) == 0:
         raise ValueError(f"a drawing on {drawing.n} vertices has no bound levels")
-    if not 0 <= kmax <= max_k(drawing.n) - 1:
-        raise ValueError(f"kmax must lie in 0..{max_k(drawing.n) - 1}")
-    prof = k_edge_profile(drawing, ref_face)
-    # A row gets its fields as one dict: the frozen dataclass's __init__
-    # would set each through object.__setattr__, at twice the cost.
-    rows = []
-    for k, threshold in enumerate(_thresholds(kmax)):
-        value = prof.cumulated[k]
-        row = object.__new__(BoundRow)
-        object.__setattr__(row, "__dict__", {"k": k, "cumulated": value,
-                                             "threshold": threshold, "ok": value >= threshold})
-        rows.append(row)
-    return tuple(rows)
+    check_level("kmax", kmax, max_k(drawing.n) - 1)
+    cumulated = k_edge_profile(drawing, ref_face).cumulated
+    return tuple(BoundRow(k, c, t, c >= t)
+                 for k, (c, t) in enumerate(zip(cumulated, _thresholds(kmax))))
 
 
 @cache

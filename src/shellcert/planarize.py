@@ -254,9 +254,8 @@ def _find_crossings(subsegments, positions):
         elif cross(p, q, r):
             continue  # parallel, on distinct lines
         else:
+            # closed boxes meet, so two pieces on one line share a point
             inter = segment_intersection(p, q, r, s)
-            if inter is None:
-                continue
             if inter[0] == "overlap":
                 raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
             x = inter[1]  # an end of both pieces

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import (Drawing, check_face, check_vertex, edge_key, per_drawing,
-                      trace_faces)
-# perfbench/layertrace.py wraps these two names in this module by name
-from .drawing import child_drawing, vertices_on_face  # noqa: F401
+from .drawing import (Drawing, check_face, check_level, check_vertex, edge_key, is_vertex,
+                      per_drawing, trace_faces, vertices_on_face)
+# perfbench/layertrace.py wraps this name in this module by name
+from .drawing import child_drawing  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError, quoted
 
 
@@ -231,7 +231,7 @@ def find_simple_sequence(drawing: Drawing, ref_face: int, v: int, length: int,
     Returns the lexicographically smallest sequence of the requested length
     whose members avoid ``excluded``, or None if none exists.
     """
-    if length < 1:
+    if type(length) is not int or length < 1:
         raise ValueError("length must be at least 1")
     if check_vertex(drawing, v) not in vertices_on_face(drawing, ref_face):
         raise ValueError(f"vertex {v} is not incident to face {ref_face}")
@@ -249,8 +249,6 @@ def find_simple_sequence(drawing: Drawing, ref_face: int, v: int, length: int,
 
 def _simple_search(regions, state, owner, length, excluded, used, memo):
     remaining = length - len(used)
-    if remaining == 0:
-        return ()
     if used in memo:
         return None
     for u in regions.candidates(state):
@@ -275,8 +273,7 @@ def decide_seq_shellable(drawing: Drawing, k: int,
     Scans reference faces in ascending id (or only ``face_filter``); the
     returned certificate always verifies.
     """
-    if not 0 <= k <= drawing.n - 2:
-        raise ValueError(f"k must lie in 0..{drawing.n - 2}")
+    check_level("k", k, drawing.n - 2)
 
     def search(regions, face):
         found = _seq_search(regions, regions.start(face), k, {})
@@ -315,8 +312,7 @@ def decide_bishellable(drawing: Drawing, s: int,
     the disjointness constraint a_i != b_j for i + j <= s prunes choices as
     soon as they are placed.
     """
-    if not 0 <= s <= drawing.n - 2:
-        raise ValueError(f"s must lie in 0..{drawing.n - 2}")
+    check_level("s", s, drawing.n - 2)
 
     def search(regions, face):
         start = regions.start(face)
@@ -427,14 +423,16 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
 
 def check_certificate_refs(drawing: Drawing, cert) -> None:
     """Raise CertificateMismatchError if the certificate names a face or a
-    vertex the drawing does not have."""
-    face = cert.face
-    if type(face) is not int or not 0 <= face < trace_faces(drawing).face_count():
-        raise CertificateMismatchError(f"face {quoted(face)} does not exist in the drawing")
-    unknown = sorted(set(cert.named_vertices()) - drawing.vertex_set)
+    vertex the drawing does not have, by check_face and is_vertex."""
+    try:
+        check_face(drawing, cert.face)
+    except ValueError as exc:
+        raise CertificateMismatchError(f"{exc} in the drawing") from None
+    unknown = [v for v in cert.named_vertices() if not is_vertex(drawing, v)]
     if unknown:
+        ints = sorted({v for v in unknown if type(v) is int})
         raise CertificateMismatchError(
-            f"unknown vertices {quoted(unknown)}")
+            f"unknown vertices {quoted(ints + [v for v in unknown if type(v) is not int])}")
 
 
 # -- transformation --------------------------------------------------------

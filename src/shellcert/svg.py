@@ -36,7 +36,7 @@ def render_svg(drawing: Drawing, size: int = 720, face_highlight: int | None = N
     """Render the drawing; raises ValueError for a size outside 1..10**300
     pixels, CapabilityError without geometry or for coordinates beyond
     +-10**300."""
-    if size < 1:
+    if type(size) is not int or size < 1:
         raise ValueError(f"size must be a positive number of pixels, got {quoted(size)}")
     if size > _LIMIT:
         raise ValueError(f"size must be at most 10**300 pixels, got {quoted(size)}")

@@ -1,6 +1,6 @@
 """The public API: every exported name resolves, none takes a face set,
-and every entry that takes a face id or a vertex rejects one outside the
-drawing, each with one message.
+and every entry that takes a face id, a vertex or a level rejects one
+outside the drawing or the range, each with one message.
 
 A drawing has exactly one face set, trace_faces(drawing), cached on the
 drawing, so a function that needs faces derives them from the drawing it
@@ -121,6 +121,37 @@ def test_vertices_outside_the_drawing_are_rejected(entry):
             VERTEX_ENTRIES[entry](d, v)
         assert type(info.value) is ValueError
         assert str(info.value) == f"{quoted(v)} is not a vertex of the drawing"
+
+
+# entry -> (argument name, its top value on convex K_8, call); every level
+# is a plain int in 0..top, so neither a bool nor a float stands for one
+LEVEL_ENTRIES = {
+    "decide_seq_shellable": ("k", 6, lambda d, k: shellcert.decide_seq_shellable(d, k)),
+    "decide_bishellable": ("s", 6, lambda d, s: shellcert.decide_bishellable(d, s)),
+    "recursion_check": ("k", 2, lambda d, k: shellcert.recursion_check(d, 0, 0, k)),
+    "cumulative_bound_check":
+        ("kmax", 2, lambda d, kmax: shellcert.cumulative_bound_check(d, 0, kmax)),
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+def test_levels_outside_the_range_are_rejected(entry):
+    d = convex_drawing(8)
+    name, top, call = LEVEL_ENTRIES[entry]
+    for level in (1.5, 1.0, True, "1", None, -1, top + 1, 10 ** 5000):
+        with pytest.raises(ValueError) as info:
+            call(d, level)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{name} must lie in 0..{top}, got {quoted(level)}"
+
+
+def test_simple_sequence_length_is_a_plain_int():
+    d = convex_drawing(8)
+    assert shellcert.find_simple_sequence(d, 0, 0, 2).vertices == (1, 2)
+    for length in (1.5, True, "2", 0):
+        with pytest.raises(ValueError) as info:
+            shellcert.find_simple_sequence(d, 0, 0, length)
+        assert str(info.value) == "length must be at least 1"
 
 
 def test_the_layer_tracer_wraps_names_that_resolve():

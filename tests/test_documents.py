@@ -180,6 +180,10 @@ class TestDrawingExport:
         with pytest.raises(ValueError, match="geometry"):
             drawing_to_document(d, "geometric")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown mode 'svg'$"):
+            drawing_to_document(convex(5), "svg")
+
     def test_subdrawing_export_requires_contiguous_ids(self):
         from shellcert.drawing import child_drawing
         child, _, _ = child_drawing(convex(5), 2)
@@ -204,6 +208,10 @@ class TestCertificateDocuments:
         doc["a"] = [0]
         with pytest.raises(DocumentError):
             certificate_from_document(doc)
+
+    def test_only_certificates_are_written(self):
+        with pytest.raises(ValueError, match="^not a certificate$"):
+            certificate_to_document(object())
 
     def test_unknown_kind_rejected(self):
         doc = certificate_to_document(BishellCertificate(0, (0,), (1,)))

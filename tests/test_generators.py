@@ -87,6 +87,17 @@ def test_scale_must_be_a_positive_integer(make, scale):
     assert str(info.value) == f"scale must be a positive integer, got {scale!r}"
 
 
+@pytest.mark.parametrize("n", [2, -1, 4.5, 6.0, True])
+@pytest.mark.parametrize("make", [convex_document, cylindrical_document,
+                                  lambda n: rectilinear_document(n, 0)],
+                         ids=["convex_document", "cylindrical_document",
+                              "rectilinear_document"])
+def test_n_must_be_an_int_of_at_least_3(make, n):
+    with pytest.raises(ValueError) as info:
+        make(n)
+    assert str(info.value) == "n must be at least 3"
+
+
 # The largest scale each float construction takes at n = 5: its largest
 # radius, the circle's or the outermost arc's at 3 scale + 3 scale / 4,
 # stays below 2**1023.

@@ -36,8 +36,9 @@ class TestHararyHillBound:
             assert harary_hill_bound(n) == harary_hill_closed_form(n)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            harary_hill_bound(0)
+        for n in (0, 4.5, True):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                harary_hill_bound(n)
 
 
 class TestTriangleOrientation:
@@ -133,6 +134,10 @@ class TestKValue:
                 for u, v in d.edges():
                     assert (k_value(d, f, (u, v)) == k_value(d, f, (v, u))
                             == k_values[(u, v)])
+
+    def test_loop_is_no_edge(self):
+        with pytest.raises(ValueError, match="^an edge needs two distinct vertices$"):
+            k_value(convex(5), 0, (1, 1))
 
     def test_matches_ccw_oracle_with_unbounded_face(self):
         for d in (convex(5), convex(8), rectilinear(6, 1), rectilinear(7, 2)):
@@ -449,6 +454,21 @@ class TestBoundCheck:
         d = convex(6)
         with pytest.raises(ValueError):
             cumulative_bound_check(d, 0, 2)
+
+    def test_three_vertices_have_no_levels_whatever_kmax(self):
+        for kmax in (0, 1.5, None):
+            with pytest.raises(ValueError, match="^a drawing on 3 vertices has no bound levels$"):
+                cumulative_bound_check(convex(3), 0, kmax)
+
+    def test_rows_are_tuples(self):
+        d = convex(8)
+        rows = cumulative_bound_check(d, 0, 1)
+        c0, c1 = k_edge_profile(d, 0).cumulated[:2]
+        assert rows == ((0, c0, 3, c0 >= 3), (1, c1, 12, c1 >= 12))
+        k, cumulated, threshold, ok = rows[1]
+        assert (k, cumulated, threshold, ok) == (rows[1].k, rows[1].cumulated,
+                                                 rows[1].threshold, rows[1].ok)
+        assert repr(rows[0]) == f"BoundRow(k=0, cumulated={c0}, threshold=3, ok={c0 >= 3})"
 
 
 class TestEdgeSidePartition:

@@ -196,6 +196,13 @@ def _vertex(index, **fields):
     return mutate
 
 
+def _vertex_on_vertex(doc):
+    # vertex 2 moves onto vertex 1, and its edges' ends move with it
+    doc["vertices"][2].update(x=4, y=0)
+    for edge in doc["edges"]:
+        edge["polyline"] = [[4, 0] if list(p) == [0, 4] else p for p in edge["polyline"]]
+
+
 def _edge_twice(doc):
     doc["edges"][2] = dict(doc["edges"][1])
 
@@ -229,6 +236,8 @@ GEOMETRIC = [
      "edge (0, 1): polyline must start and end at its vertices"),
     ("polyline-reversed-ends", _edge(0, u=1, v=0),
      "edge (0, 1): polyline must start and end at its vertices"),
+    # the planarizer's own check, reached through the loader
+    ("vertex-on-vertex", _vertex_on_vertex, "two vertices share a position"),
 ]
 
 
@@ -292,7 +301,7 @@ def test_rotation_key_must_be_canonical(key):
 
 
 @pytest.mark.parametrize("key", [" 0-1", "0-1 ", "0 -1", "+0-1", "0-01", "0_0-1", "0--1",
-                                 "0-1-2", "1-٠"])
+                                 "0-1-2", "1-٠", "a-b"])
 def test_chain_key_must_be_canonical(key):
     doc = k4()
     doc["chains"] = _renamed(doc["chains"], "0-1", key)

@@ -388,6 +388,10 @@ class TestTransform:
             assert seq_cert.sequences[-1] == (cert.b_sequence[0],)
             assert verify_seq_certificate(d, seq_cert)
 
+    def test_sequences_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="^certificate sequences must have equal length$"):
+            bishell_to_seq(BishellCertificate(0, (0, 1), (2,)))
+
     def test_zero_length_case(self):
         cert = BishellCertificate(0, (4,), (2,))
         seq_cert = bishell_to_seq(cert)

@@ -6,7 +6,7 @@ from corpus import convex, cylindrical
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.errors import CapabilityError
 from shellcert.planarize import outer_face
-from shellcert.shellability import decide_seq_shellable
+from shellcert.shellability import BishellCertificate, decide_seq_shellable
 from shellcert.svg import render_svg
 
 
@@ -37,6 +37,34 @@ def test_certificate_overlay():
     cert = decide_seq_shellable(d, 2)
     text = render_svg(d, certificate=cert)
     assert text.count("<rect") >= 1 + len(set(cert.vertices))
+
+
+def squares(text):
+    """Vertex -> "open" or "full" for each vertex drawn with a square: a
+    square comes right before the vertex's dot and label."""
+    lines = text.splitlines()
+    return {int(lines[i + 2].rsplit(">", 2)[1].split("<")[0]):
+            "open" if 'fill="none"' in line else "full"
+            for i, line in enumerate(lines) if line.startswith("<rect x=")}
+
+
+def test_bishell_overlay_draws_a_open_and_b_full():
+    d = convex(6)
+    cert = BishellCertificate(outer_face(d), (0, 1), (5, 4))
+    assert squares(render_svg(d, certificate=cert)) == {
+        0: "open", 1: "open", 5: "full", 4: "full"}
+
+
+def test_only_certificates_are_overlaid():
+    with pytest.raises(ValueError, match="^certificate must be a seq-shell or bishell"):
+        render_svg(convex(4), certificate=object())
+
+
+@pytest.mark.parametrize("size", [0, -1, True, 1.5, "720", None])
+def test_size_is_a_positive_int(size):
+    with pytest.raises(ValueError) as info:
+        render_svg(convex(4), size=size)
+    assert str(info.value) == f"size must be a positive number of pixels, got {size!r}"
 
 
 def test_requires_geometry():

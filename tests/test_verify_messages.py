@@ -16,10 +16,10 @@ from oracles import face_views
 from shellcert.cli import main
 from shellcert.documents import certificate_to_document, dump_document
 from shellcert.drawing import trace_faces
-from shellcert.errors import CertificateMismatchError
+from shellcert.errors import CertificateMismatchError, quoted
 from shellcert.generators import convex_document
 from shellcert.shellability import (BishellCertificate, SeqShellCertificate,
-                                    verify_bishell_certificate,
+                                    check_certificate_refs, verify_bishell_certificate,
                                     verify_seq_certificate)
 
 OUTER, EDGE_01 = 4, 0
@@ -131,6 +131,28 @@ def test_mismatch_messages(verify, cert, message):
     with pytest.raises(CertificateMismatchError) as info:
         verify(convex(6), cert)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("vertex", [[1], 1.0, True, 10 ** 5000],
+                         ids=["list", "float", "bool", "huge"])
+def test_a_vertex_that_is_no_plain_int_is_unknown(vertex):
+    # 1.0 and True equal vertex 1, which the drawing has; neither is it
+    certs = [(verify_seq_certificate, SeqShellCertificate(OUTER, (vertex, 2), ((1, 3), (3,)))),
+             (verify_seq_certificate, SeqShellCertificate(OUTER, (0, 2), ((vertex, 3), (3,)))),
+             (verify_bishell_certificate, BishellCertificate(OUTER, (vertex, 2), (3, 4))),
+             (verify_bishell_certificate, BishellCertificate(OUTER, (0, 2), (3, vertex)))]
+    for verify, cert in certs:
+        for check in (verify, check_certificate_refs):
+            with pytest.raises(CertificateMismatchError) as info:
+                check(convex(6), cert)
+            assert str(info.value) == f"unknown vertices {quoted([vertex])}"
+
+
+def test_unknown_ints_come_first_once_each_and_ascending():
+    cert = SeqShellCertificate(OUTER, (9, 1.0), ((7, 9), (7,)))
+    with pytest.raises(CertificateMismatchError) as info:
+        check_certificate_refs(convex(6), cert)
+    assert str(info.value) == "unknown vertices [7, 9, 1.0]"
 
 
 def test_violations_reach_stderr_in_order(tmp_path, capsys):
