@@ -16,10 +16,10 @@ ints. Other modules number darts through FaceSet.path_darts or offset,
 and read a dart's ends off tails and twin.
 
 Everything here is immutable after construction. Derived structures
-(faces, deletions, and the labellings, profiles and tables of the other
-modules) are built by functions decorated with per_drawing, which keeps
-one result per builder and arguments on the drawing; they are shared
-freely.
+(faces, goodness reports, deletions, and the labellings, profiles and
+tables of the other modules) are built by functions decorated with
+per_drawing, which keeps one result per builder and arguments on the
+drawing; they are shared freely.
 """
 
 from __future__ import annotations
@@ -292,6 +292,17 @@ def check_level(name: str, value, top: int) -> int:
     return value
 
 
+def check_good(drawing: Drawing, action: str) -> None:
+    """ValueError naming the first goodness violation, unless the drawing
+    is good. Every entry that needs a good drawing asks here, saying what
+    it cannot do."""
+    report = validate_goodness(drawing)
+    if not report:
+        condition, (e, f) = report.violations[0]
+        raise ValueError(f"cannot {action} of a drawing that is not good: "
+                         f"edges {e} and {f} break condition ({condition})")
+
+
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     """Real vertices appearing on the boundary walk of the face.
 
@@ -314,8 +325,10 @@ class ValidationReport:
         return self.ok
 
 
+@per_drawing
 def validate_goodness(drawing: Drawing) -> ValidationReport:
-    """Check the goodness conditions that are visible combinatorially.
+    """Check the goodness conditions that are visible combinatorially;
+    cached per drawing.
 
     (4) two edges share at most one crossing; (5) adjacent edges never
     cross. Conditions (1)-(3) cannot be violated by a structurally valid
@@ -358,11 +371,7 @@ def delete_vertex(drawing: Drawing, v: int):
     check_vertex(drawing, v)
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
-    report = validate_goodness(drawing)
-    if not report:
-        condition, (e, f) = report.violations[0]
-        raise ValueError(f"cannot delete a vertex of a drawing that is not good: "
-                         f"edges {e} and {f} break condition ({condition})")
+    check_good(drawing, "delete a vertex")
     faces = trace_faces(drawing)
 
     dead_edges = {edge_key(v, u) for u in drawing.vertices if u != v}

@@ -62,8 +62,7 @@ class DocumentError(ShellcertError):
 
 
 class EmbeddingError(ShellcertError):
-    """The rotation system does not describe a sphere embedding, or a
-    side classification became inconsistent (corrupted input)."""
+    """The rotation system does not describe a sphere embedding."""
 
 
 class CertificateMismatchError(ShellcertError):

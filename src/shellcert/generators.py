@@ -68,18 +68,19 @@ def _all_pairs(ids):
     return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
 
 
-def _check_size(n, scale, general, radius=None):
+def _check_size(n, scale, general=None, radius=None):
     """Reject an n that is no int or below 3, a scale that is no positive
     integer, and an n that needs more points than fit on the lattice.
 
-    general is how many of the n points the family joins pairwise by
-    straight segments: they have integer coordinates in [-scale, scale]
-    and no three of them lie on a line (one would lie on the segment of
-    the other two), so each of the 2 scale + 1 rows of that lattice holds
-    at most two of them. A family that places its points by float
-    arithmetic passes radius, which gives its largest radius; then n,
-    which divides angles, and that radius must lie below 2**1023, half the
-    float range, so that no rounding on the way reaches infinity."""
+    general gives how many of the n points (all by default) the family
+    joins pairwise by straight segments: they have integer coordinates in
+    [-scale, scale] and no three of them lie on a line (one would lie on
+    the segment of the other two), so each of the 2 scale + 1 rows of that
+    lattice holds at most two of them. A family that places its points by
+    float arithmetic passes radius, which gives its largest radius; then
+    n, which divides angles, and that radius must lie below 2**1023, half
+    the float range, so that no rounding on the way reaches infinity.
+    general and radius are called only once n and scale have passed."""
     if type(n) is not int or n < 3:
         raise ValueError("n must be at least 3")
     if type(scale) is not int or scale < 1:
@@ -87,6 +88,7 @@ def _check_size(n, scale, general, radius=None):
     if radius is not None and max(n, radius()) >= 2 ** 1023:
         raise ValueError(f"n = {quoted(n)} and scale = {quoted(scale)} take the "
                          f"construction beyond the float range")
+    general = n if general is None else general()
     capacity = 2 * (2 * scale + 1)
     if general > capacity:
         raise ValueError(f"n = {quoted(n)} puts {quoted(general)} points joined by straight "
@@ -108,7 +110,7 @@ def convex_document(n: int, scale: int = DEFAULT_SCALE) -> dict:
 def _convex(n, scale):
     """(document, checked drawing) of the convex family: the first of 32
     phases with C(n, 4) crossings (rounding can make diagonals concurrent)."""
-    _check_size(n, scale, n, lambda: scale)
+    _check_size(n, scale, radius=lambda: scale)
     return _first_checked(
         (partial(_convex_attempt, n, scale, 0.5 + a * 0.0371) for a in range(32)),
         math.comb(n, 4), lambda error: f"scale {scale} too small for {n} points in "
@@ -146,7 +148,7 @@ def _cylindrical(n, scale):
     """(document, checked drawing) of the cylindrical family."""
     # the inner rim's n // 2 vertices are joined by straight chords; the
     # outermost arc lies at 3 scale plus scale / 4 for each outer-rim edge
-    _check_size(n, scale, n // 2, lambda: (12 + math.comb(n - n // 2, 2)) * scale // 4)
+    _check_size(n, scale, lambda: n // 2, lambda: (12 + math.comb(n - n // 2, 2)) * scale // 4)
     return _first_checked(
         (partial(_cylindrical_attempt, n, scale, *phases) for phases in _PHASES),
         harary_hill_bound(n),
@@ -258,7 +260,7 @@ def rectilinear_document(n: int, seed: int, scale: int = DEFAULT_SCALE) -> dict:
 def _rectilinear(n, seed, scale):
     """(document, checked drawing) of the rectilinear family: the first of
     64 samples that loads (a sample can put three edges through a point)."""
-    _check_size(n, scale, n)
+    _check_size(n, scale)
     rng = random.Random(f"rectilinear:{n}:{seed}:{scale}")
     return _first_checked(
         (partial(_rectilinear_attempt, rng, n, scale) for _ in range(64)), None,

@@ -14,11 +14,12 @@ of a closed curve iff their labels differ on the curve's edges in an even
 number of bits. The labels depend on the sweep only up to vertex stars
 (the set of edges at one vertex), and a triangle's three edges meet every
 star in an even number of edges, so the parity of P[F] on a triangle is
-well defined. Face F is left of a -> b -> c iff that parity equals the
-parity of a face known to lie left of the traversal: the face left of the
-first segment of the edge ab (the triangle's first corner seed). The
-seeds at the other two corners must agree, which every good drawing
-satisfies.
+well defined. Face F is left of u -> v -> w iff that parity equals the
+parity of a face known to lie left of the traversal. k-values are
+defined on good drawings only, and the labelling refuses any other
+drawing; in a good one the face left of the first segment of the edge
+uv, its seed, lies left of u -> v -> w for every w, so one seed per
+edge gives the parities of all its triangles.
 
 A profile reads the label of F in one pass over packed integers. The
 labelling lays out one bit field per edge, in edge order, W bits wide
@@ -51,15 +52,14 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .drawing import (Drawing, FaceSet, check_face, check_level, check_vertex, edge_key,
-                      per_drawing, trace_faces, vertices_on_face)
+from .drawing import (Drawing, FaceSet, check_face, check_good, check_level, check_vertex,
+                      edge_key, per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
-from .errors import EmbeddingError
 
 
 class Orientation(enum.Enum):
@@ -124,23 +124,24 @@ def _pack(fields, width: int) -> int:
 
 
 def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
-    verts = drawing.vertices
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    index = {v: i for i, v in enumerate(drawing.vertices)}
+    n = len(index)
     twin, face_of, walks = faces.twin, faces.face_of, faces.walks
     # toggle[d]: the label bits that flip across the segment of dart d;
-    # sides[i, j]: the faces left of the first dart of the chain of
-    # (v_i, v_j) and of the first dart of its reverse
+    # seeds[e]: the indices of e's ends and its seed, the face left of the
+    # first dart of its chain
     toggle = [0] * len(twin)
-    sides = {}
-    for (u, v), ch in drawing.chains.items():
-        i, j = index[u], index[v]
+    seeds = {}
+    for e in drawing.edges():
+        i, j = index[e[0]], index[e[1]]
         flip = (1 << (i * n + j)) | (1 << (j * n + i))
-        darts = faces.path_darts(ch)
+        darts = faces.path_darts(drawing.chains[e])
         for d in darts:
             toggle[d] = toggle[twin[d]] = flip
-        sides[i, j] = (face_of[darts[0]], face_of[twin[darts[-1]]])
+        seeds[e] = (i, j, face_of[darts[0]])
 
+    # the dual graph is connected, as the plane graph is: every node lies
+    # on a chain, and the chains join every pair of vertices
     bits = [None] * len(walks)
     bits[0] = 0
     order = [0]
@@ -151,41 +152,19 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
             if bits[g] is None:
                 bits[g] = pf ^ toggle[d]
                 order.append(g)
-    if len(order) != len(bits):
-        raise EmbeddingError("face adjacency is disconnected")
 
+    # The drawing is good, so every triangle is a simple closed curve and
+    # the seed of v_i v_j lies left of v_i -> v_j -> v_w for every w: bit w
+    # of its parity on the triangle {i, j, w} (the label bits of v_i v_w,
+    # v_j v_w and v_i v_j) is the constant of that triangle.
     full = (1 << n) - 1
-
-    def parity_row(f, i, j):
-        # bit w: parity of the label of face f on the triangle {i, j, w}
-        pf = bits[f]
-        row = ((pf >> (i * n)) ^ (pf >> (j * n))) & full
-        return row ^ full if (pf >> (i * n + j)) & 1 else row
-
-    # The outgoing boundary dart at each corner of a -> b -> c -> a has the
-    # left region on its left: at a along ab (first), at b along bc
-    # (first), and at c back along ac (last).
-    first = {}
-    last = {}
-    for (i, j), (f, g) in sides.items():
-        first[i, j] = parity_row(f, i, j)
-        last[i, j] = parity_row(g, i, j)
-    for a, b, c in combinations(range(n), 3):
-        const = (first[a, b] >> c) & 1
-        if (first[b, c] >> a) & 1 != const or (last[a, c] >> b) & 1 != const:
-            raise EmbeddingError(
-                f"orientation seeds disagree for triangle {(verts[a], verts[b], verts[c])}")
-
-    # With the seeds in agreement, the constant of {i, j, w} is bit w of
-    # first[i, j] when w lies outside i..j and bit w of last[i, j] when it
-    # lies between; there the traversal i -> j -> w runs against the sorted
-    # order, so the constant is complemented.
     edges = {}
-    for e in drawing.edges():
-        i, j = index[e[0]], index[e[1]]
+    for e, (i, j, seed) in seeds.items():
+        pf = bits[seed]
         mask = full ^ (1 << i) ^ (1 << j)
-        between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
-        rel = (first[i, j] & mask & ~between) | (~last[i, j] & between)
+        rel = ((pf >> (i * n)) ^ (pf >> (j * n))) & mask
+        if pf >> (i * n + j) & 1:
+            rel ^= mask
         edges[e] = (i, j, rel, mask)
     return _lay_out(index, bits, edges)
 
@@ -214,6 +193,7 @@ def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
 
 @per_drawing
 def _labelling(drawing: Drawing) -> _Labelling:
+    check_good(drawing, "compute k-values")
     return _build_labelling(drawing, trace_faces(drawing))
 
 

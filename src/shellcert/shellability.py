@@ -202,7 +202,7 @@ class _Regions:
             if x in state[1]:
                 violations.append(f"{name(i)} = {x} {gone}")
                 return
-            if x not in self.candidates(state):
+            if not self.corners[x] & state[0]:
                 violations.append(f"{name(i)} = {x} is not incident to the face "
                                   f"containing the reference face")
             yield state
@@ -224,40 +224,37 @@ class _Regions:
 
 # -- simple sequences ------------------------------------------------------
 
-def find_simple_sequence(drawing: Drawing, ref_face: int, v: int, length: int,
-                         excluded=()) -> SimpleSequence | None:
+def find_simple_sequence(drawing: Drawing, ref_face: int, v: int,
+                         length: int) -> SimpleSequence | None:
     """Complete backtracking search for a simple sequence of v.
 
-    Returns the lexicographically smallest sequence of the requested length
-    whose members avoid ``excluded``, or None if none exists.
+    Returns the lexicographically smallest sequence of the requested
+    length, or None if none exists.
     """
     if type(length) is not int or length < 1:
         raise ValueError("length must be at least 1")
     if check_vertex(drawing, v) not in vertices_on_face(drawing, ref_face):
         raise ValueError(f"vertex {v} is not incident to face {ref_face}")
-    excluded = frozenset(excluded)
-    pool = drawing.vertex_set - excluded - {v}
-    if length > len(pool):
+    if length > drawing.n - 1:
         return None
     regions = _Regions(drawing)
-    seq = _simple_search(regions, regions.start(ref_face),
-                         v, length, excluded, frozenset(), {})
+    seq = _simple_search(regions, regions.start(ref_face), v, length, frozenset(), {})
     if seq is None:
         return None
     return SimpleSequence(v, seq)
 
 
-def _simple_search(regions, state, owner, length, excluded, used, memo):
+def _simple_search(regions, state, owner, length, used, memo):
     remaining = length - len(used)
     if used in memo:
         return None
     for u in regions.candidates(state):
-        if u == owner or u in excluded:
+        if u == owner:
             continue
         if remaining == 1:
             return (u,)
         rest = _simple_search(regions, regions.advance(state, u), owner, length,
-                              excluded, used | {u}, memo)
+                              used | {u}, memo)
         if rest is not None:
             return (u,) + rest
     memo[used] = None
@@ -290,7 +287,7 @@ def _seq_search(regions, state, k, memo):
     if deleted in memo:
         return None
     for a in regions.candidates(state):
-        seq = _simple_search(regions, state, a, k + 1, frozenset(), frozenset(), {})
+        seq = _simple_search(regions, state, a, k + 1, frozenset(), {})
         if seq is None:
             continue
         if k == 0:
@@ -444,5 +441,7 @@ def bishell_to_seq(cert: BishellCertificate) -> SeqShellCertificate:
     s = cert.s
     if len(cert.b_sequence) != s + 1:
         raise ValueError("certificate sequences must have equal length")
+    if s < 0:
+        raise ValueError("certificate sequences must not be empty")
     sequences = tuple(tuple(cert.b_sequence[: s - i + 1]) for i in range(s + 1))
     return SeqShellCertificate(cert.face, tuple(cert.a_sequence), sequences)

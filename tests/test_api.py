@@ -19,9 +19,12 @@ from pathlib import Path
 import pytest
 
 import shellcert
+from corpus import not_good_k7_document
+from shellcert.documents import load_drawing
 from shellcert.drawing import FaceSet, trace_faces
 from shellcert.errors import quoted
 from shellcert.generators import convex_drawing
+from test_drawing import double_crossing_k5_doc
 
 
 def test_every_exported_name_resolves():
@@ -143,6 +146,33 @@ def test_levels_outside_the_range_are_rejected(entry):
             call(d, level)
         assert type(info.value) is ValueError
         assert str(info.value) == f"{name} must lie in 0..{top}, got {quoted(level)}"
+
+
+# entry -> call with arguments that pass every other check; each reads the
+# k-value labelling, which is defined on good drawings only
+NOT_GOOD_ENTRIES = {
+    "k_edge_profile": lambda d: shellcert.k_edge_profile(d, 0),
+    "k_value": lambda d: shellcert.k_value(d, 0, (0, 1)),
+    "triangle_orientation": lambda d: shellcert.triangle_orientation(d, 0, (0, 1), 2),
+    "vertex_k_profile": lambda d: shellcert.vertex_k_profile(d, 0, 0),
+    "invariant_edges": lambda d: shellcert.invariant_edges(d, 0, 0),
+    "recursion_check": lambda d: shellcert.recursion_check(d, 0, 0, 0),
+    "cumulative_bound_check": lambda d: shellcert.cumulative_bound_check(d, 0, 0),
+    "edge_side_partition": lambda d: shellcert.edge_side_partition(d, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_GOOD_ENTRIES)
+@pytest.mark.parametrize("doc, violation", [
+    (not_good_k7_document, "edges (0, 1) and (1, 5) break condition (5)"),
+    (double_crossing_k5_doc, "edges (0, 1) and (2, 3) break condition (4)")],
+    ids=["adjacent-crossing-k7", "double-crossing-k5"])
+def test_a_drawing_that_is_not_good_has_no_k_values(entry, doc, violation):
+    d = load_drawing(doc())
+    with pytest.raises(ValueError) as info:
+        NOT_GOOD_ENTRIES[entry](d)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"cannot compute k-values of a drawing that is not good: {violation}"
 
 
 def test_simple_sequence_length_is_a_plain_int():

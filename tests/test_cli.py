@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from corpus import (not_good_k7_document, rectilinear_document_text,
                     rerouted_document, top_level_lines)
 from shellcert import cli, kedges
+from shellcert import drawing as drawing_module
 from shellcert.cli import main
 from shellcert.documents import (certificate_to_document, drawing_to_document,
                                  load_drawing)
@@ -223,6 +224,26 @@ class TestAnalyze:
         report = read(out)
         assert len(report["profiles"]) == report["faces"]["count"] == 155
         assert len(calls) == 1
+
+    def test_auto_builds_one_goodness_report(self, tmp_path, monkeypatch):
+        # the payload's report, the labelling's goodness check and every
+        # profile after it share one report per drawing
+        drawing = tmp_path / "k9.json"
+        main(["generate", "--family", "convex", "--n", "9",
+              "--output", str(drawing)])
+        reports = []
+        build = drawing_module.ValidationReport
+
+        def counting(ok, violations):
+            reports.append(ok)
+            return build(ok, violations)
+
+        monkeypatch.setattr(drawing_module, "ValidationReport", counting)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "auto",
+                     "--output", str(out)]) == 0
+        assert len(read(out)["profiles"]) == 155
+        assert reports == [True]
 
 
 def _deep_vertex_id_text(doc):

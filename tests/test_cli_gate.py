@@ -13,6 +13,7 @@ first items or its size, so every line of stderr stays short.
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -247,8 +248,9 @@ def test_quoted_writes_out_20_digits_and_counts_longer_ones(value, words):
                        "… (100 items)]"),
     (["x" * 50, "y"], "[a string of 50 characters, 'y']"),
     ("x" * 41, "a string of 41 characters"), ([[0] * 100], "a list of 1 item"),
-    ({str(i): i for i in range(50)}, "a dict of 50 items"), (None, "None")],
+    ({str(i): i for i in range(50)}, "a dict of 50 items"), (None, "None"),
+    (Fraction(10 ** 50, 3), "a Fraction")],
     ids=["short-list", "key-list", "bool-item", "nested-short", "huge-item", "long-list",
-         "long-item", "long-string", "nested-long", "long-dict", "none"])
+         "long-item", "long-string", "nested-long", "long-dict", "none", "long-fraction"])
 def test_quoted_names_long_values_by_their_first_items_or_size(value, words):
     assert quoted(value) == words

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from oracles import canonical_form
 from shellcert.documents import (certificate_from_document,
                                  certificate_to_document, drawing_to_document,
                                  dump_document, dumps_document, load_drawing)
+from shellcert.drawing import Drawing
 from shellcert.generators import cylindrical_document
 from shellcert.errors import DocumentError
+from shellcert.planarize import Geometry
 from shellcert.shellability import BishellCertificate, SeqShellCertificate
 from test_drawing import convex_k4_doc, triangle_doc
 
@@ -179,6 +182,19 @@ class TestDrawingExport:
         d = load_drawing(doc)
         with pytest.raises(ValueError, match="geometry"):
             drawing_to_document(d, "geometric")
+
+    def test_geometric_export_needs_integer_polylines(self):
+        # the loader admits integer points only, so the drawing is built
+        # by hand around a geometry whose edge (0, 1) bends at x = 1/2
+        d = load_drawing(triangle_doc())
+        positions = {0: (0, 0), 1: (4, 0), 2: (0, 4)}
+        polylines = {(0, 1): [(0, 0), (Fraction(1, 2), -1), (4, 0)],
+                     (0, 2): [(0, 0), (0, 4)], (1, 2): [(4, 0), (0, 4)]}
+        bent = Drawing(d.vertices, d.crossings, d.rotations, d.chains,
+                       Geometry(positions, polylines, [], {}))
+        with pytest.raises(ValueError,
+                           match=r"^edge \(0, 1\): polyline is not integer-valued$"):
+            drawing_to_document(bent, "geometric")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="^unknown mode 'svg'$"):

@@ -87,11 +87,11 @@ def test_scale_must_be_a_positive_integer(make, scale):
     assert str(info.value) == f"scale must be a positive integer, got {scale!r}"
 
 
-@pytest.mark.parametrize("n", [2, -1, 4.5, 6.0, True])
+@pytest.mark.parametrize("n", [2, -1, 4.5, 6.0, True, "6", None])
 @pytest.mark.parametrize("make", [convex_document, cylindrical_document,
-                                  lambda n: rectilinear_document(n, 0)],
+                                  lambda n: rectilinear_document(n, 0), cylindrical_drawing],
                          ids=["convex_document", "cylindrical_document",
-                              "rectilinear_document"])
+                              "rectilinear_document", "cylindrical_drawing"])
 def test_n_must_be_an_int_of_at_least_3(make, n):
     with pytest.raises(ValueError) as info:
         make(n)

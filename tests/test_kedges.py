@@ -1,6 +1,7 @@
 """k-values, profiles, invariant edges, the deletion recursion, and bounds."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -17,7 +18,6 @@ from shellcert import drawing as drawing_module
 from shellcert import kedges
 from shellcert.documents import load_drawing
 from shellcert.drawing import Drawing, edge_key, trace_faces, vertices_on_face
-from shellcert.errors import EmbeddingError
 from shellcert.kedges import (cumulative_bound_check, edge_side_partition,
                               harary_hill_bound, invariant_edges,
                               k_edge_profile, k_value, max_k, recursion_check,
@@ -100,9 +100,11 @@ class TestTriangleOrientation:
             with pytest.raises(ValueError):
                 k_edge_profile(d, face)
 
-    def test_not_good_drawing_seeds_disagree(self):
+    def test_not_good_drawing_is_refused(self):
         d = load_drawing(not_good_k7_document())
-        with pytest.raises(EmbeddingError, match="orientation seeds disagree"):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot compute k-values of a drawing that is not good: "
+                "edges (0, 1) and (1, 5) break condition (5)")):
             k_edge_profile(d, 0)
 
 

@@ -130,13 +130,6 @@ class TestFindSimpleSequence:
         seq = find_simple_sequence(d, face, 0, 1)
         assert seq.vertices == (1,)
 
-    def test_excluded_vertices_avoided(self):
-        d = convex(6)
-        face = outer_face(d)
-        seq = find_simple_sequence(d, face, 0, 2, excluded={1, 2})
-        assert seq is not None
-        assert not set(seq.vertices) & {0, 1, 2}
-
     def test_infeasible_length_returns_none(self):
         d = convex(5)
         face = outer_face(d)
@@ -391,6 +384,8 @@ class TestTransform:
     def test_sequences_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="^certificate sequences must have equal length$"):
             bishell_to_seq(BishellCertificate(0, (0, 1), (2,)))
+        with pytest.raises(ValueError, match="^certificate sequences must not be empty$"):
+            bishell_to_seq(BishellCertificate(0, (), ()))
 
     def test_zero_length_case(self):
         cert = BishellCertificate(0, (4,), (2,))
