@@ -9,10 +9,13 @@ counterclockwise rotations every face lies to the LEFT of each of its
 boundary darts. The model is spherical: no face is intrinsically "outer".
 
 Faces are traced over integer darts, and no (tail, head) tuple stands
-for a dart. trace_faces numbers the darts by node and then in rotation
-order, and its FaceSet keeps each dart's reverse, the face on its left,
-every face's boundary walk and the node each dart leaves as lists of
-ints. Other modules number darts through FaceSet.path_darts or offset,
+for a dart. The Drawing numbers its darts while it checks its structure,
+by node and then in rotation order: one pass over the chains pairs each
+dart with its reverse (twin) and lists each chain's darts (chain_darts).
+trace_faces reuses that numbering, and its FaceSet keeps the face on
+each dart's left, every face's boundary walk and the node each dart
+leaves as lists of ints. Other modules read a chain's darts off
+chain_darts, number other paths through FaceSet.path_darts or offset,
 and read a dart's ends off tails and twin.
 
 Everything here is immutable after construction. Derived structures
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .errors import EmbeddingError, StructureError, quoted
 
@@ -51,6 +54,12 @@ class Drawing:
     chains     -- edge (u, v), u < v -> tuple of node ids from u to v
     geometry   -- optional Geometry (coordinates and polylines); planarize
                   passes one that wraps its own records
+
+    The check of the structure numbers the darts: dart offset[x] + j is
+    (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
+    reverse of dart i, and chain_darts[e] lists the darts along e's chain
+    from e[0] to e[1], so chain_darts[e][k] runs from chains[e][k] to
+    chains[e][k + 1].
     """
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
@@ -62,7 +71,11 @@ class Drawing:
                        for (u, v), ch in chains.items()}
         self.geometry = geometry
         self._cache = {}
-        self.segment_edge = self._validate()
+        try:
+            self.offset, self.twin, self.chain_darts = self._number_darts()
+        except (_Fault, KeyError, ValueError, TypeError):
+            self._validate()  # raises the fault the ordered check meets first
+            raise
 
     @property
     def n(self) -> int:
@@ -74,18 +87,84 @@ class Drawing:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
+    @cached_property
+    def segment_edge(self) -> dict:
+        """Segment (a, b), a < b -> the edge whose chain holds it; built
+        on its first read."""
+        return {((a, b) if a < b else (b, a)): e
+                for e, ch in self.chains.items() for a, b in zip(ch, ch[1:])}
+
     # -- construction-time consistency ----------------------------------
 
-    def _validate(self):
-        """Check the structure and return the segment -> edge map.
+    def _number_darts(self):
+        """(offset, twin, chain_darts), built in one pass over the chains.
+        Raises _Fault, or the KeyError, ValueError or TypeError of a
+        failed lookup, if the structure is not sound.
 
-        Checks run in a fixed order, so a drawing with several faults is
-        always rejected with the same message. Once every chain has passed,
-        each crossing has exactly four distinct neighbours (its two edges
-        pass through it once each, and no segment lies on two chains) and
-        each vertex exactly n - 1 (one per incident edge). A rotation of
-        that length whose entries are distinct neighbours is therefore the
-        node's whole neighbourhood, so no adjacency set is built.
+        Each segment (a, b) of a chain pairs the dart of b in a's rotation
+        with the dart of a in b's. A dart paired twice is a segment on two
+        chains. A rotation entry that is not a neighbour along a chain, or
+        that repeats one, leaves a dart unpaired, and a missing neighbour
+        fails its lookup; so once every dart is paired, each rotation holds
+        exactly its node's distinct neighbours, n - 1 of them at a vertex.
+        A crossing's rotation of 4 then holds the neighbours of exactly two
+        passing chains, which must be those of its two edges, and each
+        must pass straight across: the darts by which it enters and leaves
+        lie 2 apart in the rotation.
+        """
+        n = self.n
+        verts = self.vertices
+        chains, crossings, rotations = self.chains, self.crossings, self.rotations
+        if (n < 3 or len(chains) != n * (n - 1) // 2
+                or chains.keys() != {(u, v) for i, u in enumerate(verts)
+                                     for v in verts[i + 1:]}
+                or not self.vertex_set.isdisjoint(crossings)
+                or rotations.keys() != self.vertex_set | crossings.keys()):
+            raise _Fault
+        offset = {}
+        count = 0
+        for x in sorted(rotations):
+            offset[x] = count
+            count += len(rotations[x])
+        twin = [-1] * count
+        chain_darts = {}
+        for e, ch in chains.items():
+            if len(ch) < 2 or ch[0] != e[0] or ch[-1] != e[1] or len(set(ch)) != len(ch):
+                raise _Fault
+            a = ch[0]
+            back = -1  # the dart from a back along the chain; none at e[0]
+            darts = []
+            for b in ch[1:]:
+                i = offset[a] + rotations[a].index(b)
+                j = offset[b] + rotations[b].index(a)
+                if twin[i] >= 0 or twin[j] >= 0:
+                    raise _Fault
+                twin[i] = j
+                twin[j] = i
+                if back >= 0 and (e not in crossings[a] or (i - back) % 4 != 2):
+                    raise _Fault
+                darts.append(i)
+                a, back = b, j
+            chain_darts[e] = darts
+        if -1 in twin:
+            raise _Fault
+        for c, pair in crossings.items():
+            if len(pair) != 2 or len(rotations[c]) != 4:
+                raise _Fault
+        return offset, twin, chain_darts
+
+    def _validate(self):
+        """Raise StructureError for the first fault of the structure, in a
+        fixed order, so a drawing with several faults is always rejected
+        with the same message. It runs only once _number_darts has found
+        a fault.
+
+        Once every chain has passed, each crossing has exactly four
+        distinct neighbours (its two edges pass through it once each, and
+        no segment lies on two chains) and each vertex exactly n - 1 (one
+        per incident edge). A rotation of that length whose entries are
+        distinct neighbours is therefore the node's whole neighbourhood,
+        so no adjacency set is built.
         """
         n = self.n
         if n < 3:
@@ -151,7 +230,10 @@ class Drawing:
                   and all(((x, y) if x < y else (y, x)) in seg_edge for y in rot)):
                 continue
             raise StructureError(f"rotation at {quoted(x)} does not match incident segments")
-        return seg_edge
+
+
+class _Fault(Exception):
+    """A fault met by Drawing._number_darts; the ordered check names it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +241,9 @@ class FaceSet:
     """Faces of a drawing, traced from the rotation system over integer
     darts.
 
-    Darts are numbered by node, ascending, and then in rotation order:
-    dart offset[x] + j is (x, rotations[x][j]). twin[i] is the reverse of
+    Darts are numbered as the Drawing numbers them, by node, ascending,
+    and then in rotation order: dart offset[x] + j is (x, rotations[x][j]),
+    and offset and twin are the Drawing's own. twin[i] is the reverse of
     dart i, walks[f] is the boundary walk of face f as dart numbers, and
     face_of[i] is the face to the LEFT of dart i, so the two sides of the
     segment of dart i are face_of[i] and face_of[twin[i]].
@@ -211,31 +294,24 @@ def per_drawing(build):
 
 @per_drawing
 def trace_faces(drawing: Drawing) -> FaceSet:
-    """Trace all faces of the drawing over integer darts.
+    """Trace all faces of the drawing over the darts it numbered.
 
-    Darts are numbered as FaceSet says, and faces in the order of their
-    first dart. The next boundary dart of the face LEFT of dart (a, b) is
-    found by reversing it to (b, a) and stepping backward in the ccw
-    rotation at b (stepping forward would trace the right-hand faces):
-    succ[i] = prevs[twin[i]], where prevs[j] is the dart before j in its
-    node's rotation. Raises EmbeddingError if the rotation system fails
-    Euler's formula, i.e. does not describe a sphere embedding; the plane
-    graph is connected, as every node lies on a chain and a chain joins
-    every pair of vertices.
+    Faces are numbered in the order of their first dart. The next boundary
+    dart of the face LEFT of dart (a, b) is found by reversing it to
+    (b, a) and stepping backward in the ccw rotation at b (stepping
+    forward would trace the right-hand faces): succ[i] = prevs[twin[i]],
+    where prevs[j] is the dart before j in its node's rotation. Raises
+    EmbeddingError if the rotation system fails Euler's formula, i.e. does
+    not describe a sphere embedding; the plane graph is connected, as
+    every node lies on a chain and a chain joins every pair of vertices.
     """
-    rot = drawing.rotations
-    nodes = sorted(rot)
-    sizes = [len(rot[x]) for x in nodes]
-    starts = list(accumulate(sizes, initial=0))
-    offset = dict(zip(nodes, starts))
-    count = starts.pop()
+    rot, offset, twin = drawing.rotations, drawing.offset, drawing.twin
+    count = len(twin)
     # the dart before each in its rotation: the one numbered below it,
     # except for a node's first dart, which follows its last
     prevs = list(range(-1, count - 1))
-    for start, size in zip(starts, sizes):
-        prevs[start] = start + size - 1
-    # the rotation at y holds x exactly once: Drawing checked it
-    twin = [offset[y] + rot[y].index(x) for x in offset for y in rot[x]]
+    for x, start in offset.items():
+        prevs[start] = start + len(rot[x]) - 1
     succ = list(map(prevs.__getitem__, twin))
 
     face_of = [-1] * count
@@ -253,8 +329,8 @@ def trace_faces(drawing: Drawing) -> FaceSet:
             i = succ[i]
         walks.append(walk)
 
-    # Euler's formula: F - E + V = 2 on the sphere.
-    euler = len(walks) - len(drawing.segment_edge) + len(rot)
+    # Euler's formula: F - E + V = 2 on the sphere, two darts per segment
+    euler = len(walks) - count // 2 + len(rot)
     if euler != 2:
         raise EmbeddingError(
             f"rotation system is not a sphere embedding (F-E+V = {euler})")
@@ -417,7 +493,7 @@ def delete_vertex(drawing: Drawing, v: int):
 
     face_of, twin = faces.face_of, faces.twin
     for e in dead_edges:
-        for i in faces.path_darts(drawing.chains[e]):
+        for i in drawing.chain_darts[e]:
             r1, r2 = find(face_of[i]), find(face_of[twin[i]])
             if r1 != r2:
                 parent[r2] = r1

@@ -135,7 +135,7 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     for e in drawing.edges():
         i, j = index[e[0]], index[e[1]]
         flip = (1 << (i * n + j)) | (1 << (j * n + i))
-        darts = faces.path_darts(drawing.chains[e])
+        darts = drawing.chain_darts[e]
         for d in darts:
             toggle[d] = toggle[twin[d]] = flip
         seeds[e] = (i, j, face_of[darts[0]])

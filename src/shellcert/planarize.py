@@ -421,7 +421,7 @@ def locate_face(drawing, point) -> int:
             # below it going up, above it going down
             k = sum(1 for (at, _), node in geo._along[e]
                     if at < m or at == m and below(node) == up)
-            i = faces.path_darts(drawing.chains[e][k:k + 2])[0]
+            i = drawing.chain_darts[e][k]
             step = 1 if up else -1
             left, right = face_of[i], face_of[twin[i]]
             winding[left] = winding.get(left, 0) + step
@@ -457,5 +457,5 @@ def outer_face(drawing) -> int:
         return faces.face_of[faces.offset[v] + len(drawing.rotations[v]) - 1]
     back, ahead = sub(pts[j - 1], pts[j]), sub(pts[j + 1], pts[j])
     k = sum(1 for (at, _), _ in geo._along[e] if at < j)
-    i = faces.path_darts(drawing.chains[e][k:k + 2])[0]
+    i = drawing.chain_darts[e][k]
     return faces.face_of[i] if angle_less(back, ahead) else faces.face_of[faces.twin[i]]

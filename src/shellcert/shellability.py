@@ -27,10 +27,10 @@ u's segments and then segments of any edge at S + {u}.
 The floods read two tables per vertex: the faces flanking a segment of
 one of its edges, and for each such face the faces across those segments.
 _region_tables keeps them on the drawing through drawing.per_drawing. A
-vertex's tables come from its own n - 1 chains and are built the first
-time a search or verifier deletes it, so a job that deletes a few
-vertices pays for those few; the corner faces of all vertices come from
-one pass over their rotations.
+vertex's tables read the darts of its own n - 1 chains off the drawing's
+chain_darts and are built the first time a search or verifier deletes
+it, so a job that deletes a few vertices pays for those few; the corner
+faces of all vertices come from one pass over their rotations.
 
 Both verifiers check every deletion sequence of a certificate (the
 a-sequence, each simple sequence, both bishellability sequences) with
@@ -126,19 +126,20 @@ def _region_tables(drawing):
         for f in face_of[offset[w]:offset[w] + len(rot[w])]:
             mask |= 1 << f
         corners[w] = mask
-    return corners, _VertexTables(drawing.vertices, drawing.chains, faces)
+    return corners, _VertexTables(drawing, faces)
 
 
 class _VertexTables(dict):
-    """Vertex -> (touch, adjacency), built from the vertex's own n - 1
-    chains the first time a search deletes it. adjacency maps each face
-    flanking a segment of an edge at the vertex to the bitmask of the faces
-    across those segments; touch is the bitmask of those flanking faces."""
+    """Vertex -> (touch, adjacency), built from the darts of the vertex's
+    own n - 1 chains the first time a search deletes it. adjacency maps
+    each face flanking a segment of an edge at the vertex to the bitmask
+    of the faces across those segments; touch is the bitmask of those
+    flanking faces."""
 
-    def __init__(self, vertices, chains, faces):
+    def __init__(self, drawing, faces):
         super().__init__()
-        self.vertices = vertices
-        self.chains = chains
+        self.vertices = drawing.vertices
+        self.chain_darts = drawing.chain_darts
         self.face_set = faces
 
     def __missing__(self, x):
@@ -148,7 +149,7 @@ class _VertexTables(dict):
         for w in self.vertices:
             if w == x:
                 continue
-            for i in faces.path_darts(self.chains[edge_key(x, w)]):
+            for i in self.chain_darts[edge_key(x, w)]:
                 f1, f2 = face_of[i], face_of[twin[i]]
                 adj[f1] = adj.get(f1, 0) | 1 << f2
                 adj[f2] = adj.get(f2, 0) | 1 << f1

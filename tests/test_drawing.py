@@ -5,13 +5,14 @@ import re
 import pytest
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
-from oracles import (canonical_form, face_views, reference_goodness_violations,
-                     reference_planarization)
-from shellcert.documents import drawing_to_document, load_drawing
+from oracles import (ReferenceDrawing, canonical_form, face_views,
+                     reference_goodness_violations, reference_planarization)
+from shellcert import cli
+from shellcert.documents import drawing_to_document, dump_document, load_drawing
 from shellcert.drawing import (child_drawing, delete_vertex, edge_key, seg_key, trace_faces,
                                validate_goodness, vertices_on_face)
 from shellcert.errors import CapabilityError, DocumentError, StructureError
-from shellcert.generators import convex_document
+from shellcert.generators import convex_document, cylindrical_document
 from shellcert.kedges import KEdgeProfile, k_edge_profile
 from shellcert.planarize import locate_face, outer_face, planarize
 from test_planarize import _turned, document
@@ -438,3 +439,36 @@ class TestPerDrawingMemo:
         for _ in range(2):
             with pytest.raises(CapabilityError):
                 outer_face(combinatorial)
+
+
+class TestSegmentEdge:
+    """Drawing.segment_edge is built on its first read: only a face
+    highlight and vertex deletion read it."""
+
+    def test_analyze_decide_and_verify_never_build_it(self, monkeypatch, tmp_path, capsys):
+        loaded = []
+
+        def load(document):
+            loaded.append(load_drawing(document))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_drawing", load)
+        path, cert = str(tmp_path / "drawing.json"), str(tmp_path / "cert.json")
+        for document in (cylindrical_document(8),
+                         drawing_to_document(cylindrical(8), "combinatorial")):
+            dump_document(document, path)
+            for argv in (["analyze", "--face", "auto"], ["analyze", "--face", "3"],
+                         ["decide", "--mode", "seq", "--output", cert],
+                         ["verify", "--certificate", cert],
+                         ["decide", "--mode", "bishell"]):
+                assert cli.main([*argv, "--input", path]) in (0, 1), argv
+        capsys.readouterr()
+        assert len(loaded) == 10
+        assert not [d for d in loaded if "segment_edge" in vars(d)]
+
+    @pytest.mark.parametrize("drawing", [convex(7), cylindrical(9), rectilinear(8, 2)],
+                             ids=["convex7", "cylindrical9", "rectilinear8"])
+    def test_it_equals_the_reference_map(self, drawing):
+        reference = ReferenceDrawing(drawing.vertices, drawing.crossings, drawing.rotations,
+                                     drawing.chains)
+        assert list(drawing.segment_edge.items()) == list(reference.segment_edge.items())

@@ -1,8 +1,9 @@
 """Every rejection message of the drawing loaders and of Drawing's
 structural check, pinned word for word: one fault per document, one
-test per message. Mutated combinatorial documents load to the same
-drawing and faces, or fail with the same message, as in the reference
-loader of tests/oracles.py."""
+test per message, and a few documents with two faults to pin which is
+reported. Mutated combinatorial documents load to the same drawing and
+faces, or fail with the same message, as in the reference loader of
+tests/oracles.py."""
 
 import json
 from functools import lru_cache
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from corpus import convex, cylindrical, rectilinear
 from oracles import canonical_form, face_views, reference_load_combinatorial
 from shellcert.documents import drawing_to_document, load_drawing
-from shellcert.drawing import Drawing, trace_faces
+from shellcert.drawing import Drawing, delete_vertex, trace_faces
 from shellcert.errors import DocumentError, EmbeddingError, ShellcertError, StructureError
+from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from test_drawing import convex_k4_doc, triangle_doc
 
 
@@ -71,6 +73,29 @@ def _non_list_then_noncanonical_key(doc):
 
 def _drop_vertex_node(doc):
     doc["nodes"] = doc["nodes"][:3] + doc["nodes"][4:]
+
+
+# Two faults each, where Drawing's one pass over the chains meets the
+# fault reported second first: the ordered check still names the first.
+
+def _wrong_neighbour_then_chain_revisits(doc):
+    # the pass fails to find 3 in the rotation at 0 at chain 0-3,
+    # before it reaches chain 2-3
+    doc["rotations"]["0"] = [1, 4, 2]
+    doc["chains"]["2-3"] = [2, 4, 2, 3]
+
+
+def _crossing_order_then_crossing_unused(doc):
+    # the pass finds chain 0-2 turning at crossing 4; the ordered check
+    # counts the crossing's uses before it reads any rotation
+    doc["rotations"]["4"] = [3, 2, 0, 1]
+    doc["chains"]["1-3"] = [1, 3]
+
+
+def _rotation_missing_then_chain_ends(doc):
+    # the pass compares the rotation keys with the nodes before any chain
+    del doc["rotations"]["4"]
+    doc["chains"]["2-3"] = [3, 2]
 
 
 COMBINATORIAL = [
@@ -163,6 +188,13 @@ COMBINATORIAL = [
      "rotation at 4 does not match incident segments"),
     ("crossing-rotation-order", _set(["rotations", "4"], [3, 2, 0, 1]),
      "crossing 4: the two segments of each edge must be opposite in the rotation"),
+    # of two faults, the one the ordered check meets first is reported
+    ("wrong-neighbour-then-chain-revisits", _wrong_neighbour_then_chain_revisits,
+     "chain of (2, 3) revisits a node"),
+    ("crossing-order-then-crossing-unused", _crossing_order_then_crossing_unused,
+     "crossing 4 must lie on exactly its two edges"),
+    ("rotation-missing-then-chain-ends", _rotation_missing_then_chain_ends,
+     "chain of (2, 3) must run from 2 to 3"),
 ]
 
 
@@ -267,6 +299,18 @@ DIRECT = [
      {**K4_CHAINS, (1, 3): (1, 3)}, "crossing 4 must join exactly two edges"),
     ("crossing-of-three-edges", range(4), {4: {(0, 2), (1, 3), (0, 1)}}, K4_ROTATIONS,
      K4_CHAINS, "crossing 4 must join exactly two edges"),
+    # faults the one pass meets as a dart left unpaired or a failed lookup
+    ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,
+     "rotation at 4 does not match incident segments"),
+    ("vertex-rotation-repeats-and-drops", range(4), {4: {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, 0: (1, 4, 1)}, K4_CHAINS,
+     "rotation at 0 does not match incident segments"),
+    # every dart is paired, but the crossing has no rotation of 4
+    ("crossing-on-no-chain", range(4), {4: {(0, 2), (1, 3)}},
+     {0: (1, 2, 3), 1: (2, 3, 0), 2: (3, 0, 1), 3: (0, 1, 2), 4: ()},
+     {**K4_CHAINS, (0, 2): (0, 2), (1, 3): (1, 3)},
+     "crossing 4 must lie on exactly its two edges"),
 ]
 
 
@@ -276,6 +320,24 @@ def test_direct_drawing_rejection(vertices, crossings, rotations, chains, messag
     with pytest.raises(StructureError) as info:
         Drawing(vertices, crossings, rotations, chains)
     assert str(info.value) == message
+
+
+def test_the_ordered_check_never_runs_on_a_valid_drawing(monkeypatch):
+    """Drawing checks a valid structure in its one pass over the chains;
+    the ordered check only names the fault of a bad one."""
+    def ordered_check(self):
+        raise AssertionError("the ordered check ran on a valid drawing")
+
+    monkeypatch.setattr(Drawing, "_validate", ordered_check)
+    for n in range(3, 17):
+        for document in (convex_document(n), cylindrical_document(n),
+                         rectilinear_document(n, 1)):
+            drawing = load_drawing(document)
+            assert load_drawing(drawing_to_document(drawing, "combinatorial")).chain_darts \
+                == drawing.chain_darts
+    parent = load_drawing(convex_document(8))
+    for v in parent.vertices:
+        delete_vertex(parent, v)
 
 
 @pytest.mark.parametrize("chain", [[], [0], [1]])
