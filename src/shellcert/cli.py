@@ -22,7 +22,7 @@ import threading
 from operator import itemgetter
 
 from . import __version__
-from .documents import (certificate_from_document, certificate_to_document,
+from .documents import (JsonText, certificate_from_document, certificate_to_document,
                         dump_document, dumps_document, load_drawing)
 from .drawing import check_face, check_level, trace_faces, validate_goodness, vertices_on_face
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
@@ -235,30 +235,46 @@ def cmd_analyze(args) -> int:
         raise _NotGood
 
     kmax = args.kmax if args.kmax is not None else max_k(drawing.n) - 1
+    # a drawing on 3 vertices has no bound levels: by default its table is
+    # empty, and an explicit --kmax is out of range
+    bounded = args.kmax is not None or kmax >= 0
     selected = _parse_face(args.face, drawing)
     payload["faces"]["analyzed"] = selected
-    # a profile's k-values come in edge order; the writer sorts their names
-    # as strings, which costs least when they already come in that order
+    # a profile's k-values come in edge order, and its JSON lists them by
+    # name, sorted as strings
     names = [f"{u}-{v}" for u, v in drawing.edges()]
     in_name_order = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
-    names = in_name_order(names)
+    template = None
     for face in selected:
         prof = k_edge_profile(drawing, face)
-        # a drawing on 3 vertices has no bound levels: by default its
-        # table is empty, and an explicit --kmax is out of range
-        rows = (() if args.kmax is None and kmax < 0
-                else cumulative_bound_check(drawing, face, kmax))
-        payload["profiles"].append({
-            "face": face,
-            "face_vertices": sorted(vertices_on_face(drawing, face)),
-            "k_values": dict(zip(names, in_name_order(tuple(prof.k_values.values())))),
-            "counts": list(prof.counts),
-            "cumulated": list(prof.cumulated),
-            "bounds": [{"k": r.k, "cumulated": r.cumulated,
-                        "threshold": r.threshold, "pass": r.ok} for r in rows],
-        })
+        rows = cumulative_bound_check(drawing, face, kmax) if bounded else ()
+        if template is None:  # the check has passed kmax, so rows are few
+            template = _profile_template(in_name_order(names), len(rows), len(prof.counts))
+        fields = []
+        for k, cumulated, threshold, ok in rows:
+            fields += (cumulated, k, _JSON_BOOL[ok], threshold)
+        payload["profiles"].append(JsonText(template % (
+            *fields, *prof.counts, *prof.cumulated, face,
+            ",".join(map(str, sorted(vertices_on_face(drawing, face)))),
+            *in_name_order(list(prof.k_values.values())))))
     _emit(payload, args.output)
     return EXIT_OK
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _profile_template(names, bounds: int, levels: int) -> str:
+    """The compact JSON of an analyze profile, keys sorted, as a % format.
+    It takes (cumulated, k, pass, threshold) of each of the bounds rows,
+    the levels counts and cumulated counts, the face, its vertices joined
+    by commas, and the k-values of the edges named in names."""
+    row = '{"cumulated":%d,"k":%d,"pass":%s,"threshold":%d}'
+    ints = ",".join(["%d"] * levels)
+    k_values = ",".join(f'"{name}":%d' for name in names)
+    return (f'{{"bounds":[{",".join([row] * bounds)}],"counts":[{ints}],'
+            f'"cumulated":[{ints}],"face":%d,"face_vertices":[%s],'
+            f'"k_values":{{{k_values}}}}}')
 
 
 def cmd_decide(args) -> int:

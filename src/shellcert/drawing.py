@@ -178,6 +178,13 @@ class Drawing:
             raise StructureError("chains must cover every vertex pair exactly once")
         if not self.vertex_set.isdisjoint(crossings):
             raise StructureError("crossing ids overlap vertex ids")
+        # the segment keys below put their two nodes in order
+        for c in crossings:
+            try:
+                c < verts[0]  # the comparison is the check
+            except TypeError:
+                raise StructureError(
+                    f"crossing id {quoted(c)} does not compare with the vertex ids") from None
 
         seg_edge = {}
         uses = dict.fromkeys(crossings, 0)
@@ -210,14 +217,16 @@ class Drawing:
 
         if rotations.keys() != self.vertex_set | crossings.keys():
             raise StructureError("rotations must list every node exactly once")
+
+        def edge_of(x, y):
+            # both orders, since an entry that is no node need not compare
+            return seg_edge.get((x, y), seg_edge.get((y, x)))
+
         for x, rot in rotations.items():
             if x in crossings:
                 if len(rot) == 4:
+                    ea, eb, ec, ed = (edge_of(x, y) for y in rot)
                     a, b, c, d = rot
-                    ea = seg_edge.get((x, a) if x < a else (a, x))
-                    eb = seg_edge.get((x, b) if x < b else (b, x))
-                    ec = seg_edge.get((x, c) if x < c else (c, x))
-                    ed = seg_edge.get((x, d) if x < d else (d, x))
                     # four distinct neighbours, the two of each edge opposite
                     if (ea == ec and eb == ed and ea != eb and ea is not None
                             and eb is not None and a != c and b != d):
@@ -227,7 +236,7 @@ class Drawing:
                             f"crossing {quoted(x)}: the two segments of each edge must be "
                             f"opposite in the rotation")
             elif (len(rot) == n - 1 and len(set(rot)) == n - 1
-                  and all(((x, y) if x < y else (y, x)) in seg_edge for y in rot)):
+                  and all(edge_of(x, y) is not None for y in rot)):
                 continue
             raise StructureError(f"rotation at {quoted(x)} does not match incident segments")
 

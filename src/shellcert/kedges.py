@@ -29,8 +29,12 @@ with a 1 at the low bit of each such field), XORed over all rows and
 with the packed triangle constants, leaves in the field of uv the
 witnesses of uv; masking and a SWAR bit count (neighbouring lanes of
 1, 2, 4, ... bits added, each sum masked to its lane) turn every field
-into its witness count at once. One to_bytes reads all counts back, and
-a table maps each count m to min(m, n-2-m).
+into its witness count at once. One to_bytes reads all counts back.
+When every count fits in a byte (n <= 257), a slice takes the low byte
+of each field and one bytes.translate through a 256-entry table maps
+each count m to min(m, n-2-m), so a profile's level counts are
+bytes.count calls; wider counts are read through an array and folded
+one by one.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -49,7 +53,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -96,9 +99,10 @@ class _Labelling:
     field of every edge at v_i; rel packs the rels; lanes are the masks of
     the SWAR bit count (low half of every lane of 2, 4, ..., width bits);
     read is the array type code and the stride that read the low bits of
-    every field back. witness maps None, and the index of each vertex
-    deleted so far, to (packed witness mask, count -> k-value table, edges
-    gone).
+    every field back, the code None when every count fits in a byte
+    (n - 2 < 256) and the low byte of each field is read. witness maps
+    None, and the index of each vertex deleted so far, to (packed witness
+    mask, count -> k-value table, edges gone).
     """
 
     index: dict
@@ -112,9 +116,8 @@ class _Labelling:
     witness: dict
 
 
-# array type codes by item size in bits; the readback takes the widest
-# that fits in a field, and every platform has 8-, 16-, 32- and 64-bit codes
-_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+# the array type code of 64-bit items, which every platform has
+_CODE64 = {8 * array(code).itemsize: code for code in "QL"}[64]
 
 
 def _pack(fields, width: int) -> int:
@@ -185,10 +188,12 @@ def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
         lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
         lane *= 2
     witness = {None: (_pack((m for _, _, _, m in edges.values()), width), _fold(n - 2), ())}
-    item = min(width, 64)
+    # a count fits in the low byte of its field up to n = 257; the wider
+    # fields, of 512 bits and more, are read back as 64-bit items
+    read = (None, width // 8) if n - 2 < 256 else (_CODE64, width // 64)
     return _Labelling(index, face_bits, edges, width, tuple(spread),
                       _pack((rel for _, _, rel, _ in edges.values()), width),
-                      tuple(lanes), (_CODES[item], width // item), witness)
+                      tuple(lanes), read, witness)
 
 
 @per_drawing
@@ -230,9 +235,11 @@ def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     return k_edge_profile(drawing, ref_face).k_values[edge_key(u, v)]
 
 
-def _fold(top: int) -> tuple:
-    """k-value of each witness count 0..top: the smaller side."""
-    return tuple(m if 2 * m <= top else top - m for m in range(top + 1))
+def _fold(top: int):
+    """k-value of each witness count 0..top: the smaller side; a
+    bytes.translate table of 256 entries when every count fits in a byte."""
+    fold = [m if 2 * m <= top else top - m for m in range(top + 1)]
+    return bytes(fold).ljust(256, b"\0") if top < 256 else tuple(fold)
 
 
 def _witness(lab: _Labelling, deleted: int | None):
@@ -257,6 +264,17 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
     subdrawing without v, for its face that contains the labelled face:
     the edges at v are gone, and v is no longer a witness of the others.
     """
+    values, gone = _read_k_values(lab, pf, n, deleted)
+    k_values = dict(zip(lab.edges, values))
+    for e in gone:
+        del k_values[e]
+    return k_values
+
+
+def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None):
+    """The k-values of every edge as _k_values defines them, in edge order,
+    as bytes when every count fits in a byte and as a list otherwise, and
+    the edges gone with the deleted vertex, whose values are 0."""
     mask, fold, gone = _witness(lab, deleted)
     # field of v_i v_j: bit w set iff F lies right of v_i -> v_j -> v_w, a
     # - witness, up to complementing every witness (the label's own bit of
@@ -271,20 +289,22 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
         x = (x & lane) + ((x >> shift) & lane)
         shift *= 2
     code, stride = lab.read
-    counts = array(code, x.to_bytes(len(lab.edges) * lab.width // 8, "little"))
+    raw = x.to_bytes(len(lab.edges) * lab.width // 8, "little")
+    if code is None:
+        return raw[::stride].translate(fold), gone
+    counts = array(code, raw)
     if sys.byteorder == "big":
         counts.byteswap()
-    k_values = dict(zip(lab.edges, [fold[m] for m in counts[::stride]]))
-    for e in gone:
-        del k_values[e]
-    return k_values
+    return [fold[m] for m in counts[::stride]], gone
 
 
 def _cumulated(k_values, levels: int):
     """Level counts of the k-values and their cumulated counts, in which
-    level i contributes k + 1 - i times to the value at every k >= i."""
-    tally = Counter(k_values)
-    counts = tuple(tally[k] for k in range(levels))
+    level i contributes k + 1 - i times to the value at every k >= i.
+    k_values is bytes, as a profile reads them back, or any iterable of
+    ints; each level count is one count call over the values."""
+    values = k_values if type(k_values) is bytes else list(k_values)
+    counts = tuple(map(values.count, range(levels)))
     return counts, tuple(accumulate(accumulate(counts)))
 
 
@@ -315,9 +335,10 @@ def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
 @per_drawing
 def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     lab = _labelling(drawing)
-    k_values = _k_values(lab, lab.face_bits[ref_face], drawing.n)
-    counts, cumulated = _cumulated(k_values.values(), max_k(drawing.n) + 1)
-    return KEdgeProfile(ref_face, k_values, counts, cumulated, drawing.crossing_count())
+    values, _ = _read_k_values(lab, lab.face_bits[ref_face], drawing.n)
+    counts, cumulated = _cumulated(values, max_k(drawing.n) + 1)
+    return KEdgeProfile(ref_face, dict(zip(lab.edges, values)), counts, cumulated,
+                        drawing.crossing_count())
 
 
 def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:

@@ -36,7 +36,7 @@ from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_
                                vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
 from shellcert.geometry import angle_less, cross, direction_half, on_segment, sub
-from shellcert.kedges import Orientation, k_edge_profile
+from shellcert.kedges import Orientation, cumulative_bound_check, k_edge_profile, max_k
 from shellcert.planarize import outer_face
 
 
@@ -291,6 +291,28 @@ def reference_k_values(lab, pf, n, deleted=None) -> dict:
         minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
         k_values[e] = min(minus, top - minus)
     return k_values
+
+
+def reference_profile(drawing, face, kmax=None) -> dict:
+    """One profile of an analyze report as a dict, built for the face as
+    the report's profiles were built before they were formatted from a
+    per-drawing template; kmax is the --kmax option (None if not given)."""
+    prof = k_edge_profile(drawing, face)
+    if kmax is None:
+        # a drawing on 3 vertices has no bound levels, so no rows by default
+        kmax = max_k(drawing.n) - 1
+        rows = () if kmax < 0 else cumulative_bound_check(drawing, face, kmax)
+    else:
+        rows = cumulative_bound_check(drawing, face, kmax)
+    return {
+        "face": face,
+        "face_vertices": sorted(vertices_on_face(drawing, face)),
+        "k_values": {f"{u}-{v}": k for (u, v), k in prof.k_values.items()},
+        "counts": list(prof.counts),
+        "cumulated": list(prof.cumulated),
+        "bounds": [{"k": r.k, "cumulated": r.cumulated,
+                    "threshold": r.threshold, "pass": r.ok} for r in rows],
+    }
 
 
 def reference_cumulated(k_values, levels):

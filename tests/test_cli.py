@@ -1,6 +1,7 @@
 """Command-line interface: pipelines and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 
 from corpus import (not_good_k7_document, rectilinear_document_text,
                     rerouted_document, top_level_lines)
+from oracles import reference_profile
 from shellcert import cli, kedges
 from shellcert import drawing as drawing_module
 from shellcert.cli import main
-from shellcert.documents import (certificate_to_document, drawing_to_document,
-                                 load_drawing)
+from shellcert.documents import (JsonText, _compact, certificate_to_document,
+                                 drawing_to_document, load_drawing)
 from shellcert.drawing import validate_goodness
 from shellcert.errors import DocumentError, ShellcertError, StructureError
 from shellcert.generators import convex_document, random_rectilinear
@@ -441,17 +443,28 @@ class TestExport:
                      "--output", str(tmp_path / "x.svg")]) == 4
 
 
-def emitted(monkeypatch):
-    """The payloads cli._emit is handed, in order."""
+def emitted(monkeypatch, raw=False):
+    """The payloads cli._emit is handed, in order. Unless raw is set, each
+    JsonText in a payload (an analyze profile) is replaced by its JSON value."""
     payloads = []
     emit = cli._emit
 
     def recording(payload, path):
-        payloads.append(payload)
+        payloads.append(payload if raw else _json_values(payload))
         emit(payload, path)
 
     monkeypatch.setattr(cli, "_emit", recording)
     return payloads
+
+
+def _json_values(value):
+    if isinstance(value, JsonText):
+        return json.loads(value)
+    if isinstance(value, dict):
+        return {key: _json_values(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_values(item) for item in value]
+    return value
 
 
 class TestReadOnce:
@@ -592,6 +605,90 @@ class TestWriter:
         lines = top_level_lines(text, "profiles")
         assert [json.loads(line) for line in lines] == report["profiles"]
         assert text.endswith("}\n") and "\n\n" not in text
+
+
+REPORT_CASES = {
+    # name: (family, n, analyze options); rectilinear drawings take seed 1
+    "convex3-auto": ("convex", 3, ["--face", "auto"]),  # no bound levels
+    "convex4-kmax0": ("convex", 4, ["--kmax", "0"]),
+    **{f"{family}{n}-auto": (family, n, ["--face", "auto"])
+       for family in ("convex", "cylindrical", "rectilinear") for n in (9, 10, 11, 12)},
+    "cylindrical10-face7": ("cylindrical", 10, ["--face", "7"]),
+    "convex9-at": ("convex", 9, ["--face", "at:0,0"]),
+}
+
+# sha256 of each report as written with every profile a per-face dict
+# (oracles.reference_profile) that the writer's encoder dumps
+REPORT_SHA256 = {
+    "convex3-auto":
+        "5c0bc9a267e25b550dc58d14824f29d84ab350607f68685ce6136b879296fbfb",
+    "convex4-kmax0":
+        "5620a30a1c119e974840a1b9b38a491e5cef90eac3e773ea4309548bb1d39a55",
+    "convex9-auto":
+        "b989f6616e2ab14b4509154ca942d412653f33947d3b9466fbd1f6f6d9c8eda6",
+    "convex10-auto":
+        "ab6144c936d65ce543600f4d98520616f25aa0424715f819f5b34ff3ee5cbe2f",
+    "convex11-auto":
+        "b04f5ca78414d8dff9d220da64f3bf3063885bb649277553dc7fdd38768aa75c",
+    "convex12-auto":
+        "1194f997c44deeb40487346f4bbd5a81d849e3f3615ab435b6162e9b857b87a7",
+    "cylindrical9-auto":
+        "89d56ecd3fb7e8e0380c91fcc55a08578287c63b3c6e386f3d9781cbb5fdc746",
+    "cylindrical10-auto":
+        "ccd0160c8964e7cd67902aaaf7052dbaa1848e5f8f378a5a85e5ed635e113cc5",
+    "cylindrical11-auto":
+        "bc417e408e500311c4bbe9407d653bc304cda1b66fb0744d1d03b48f1c8e213d",
+    "cylindrical12-auto":
+        "3b93f284f22d68c25f7e6e8838e532aa66604b902c0c9eea43ea2a9c7a886bcd",
+    "rectilinear9-auto":
+        "070e539c24abb93974b4e0dfcfbb0dc39480b36cee6440f4f7387a7ba4cd7e4a",
+    "rectilinear10-auto":
+        "9a2920c1a41c2e177155dda5e9a366e7e301af0933fbf603b07097210dcf1fa5",
+    "rectilinear11-auto":
+        "60ee6ec4380a6de17eef493221e44a9d6bf5a5a94ad84a49f9aa929bb1ba32f5",
+    "rectilinear12-auto":
+        "378b04280d8f926ec22389343802480d06e8e74ffd9574696ea0be0ccae86a66",
+    "cylindrical10-face7":
+        "00d0cb63f0b87131a3d37ccba820dfbf5961c6afe48797d151999a2e6abf913f",
+    "convex9-at":
+        "abf35431af95779f8c05ee4b34b8383a0a7755251a5897d0bfbdb50b8dff27f5",
+}
+
+
+class TestReportBytes:
+    """analyze reports byte for byte, and each profile line against the
+    compact dump of the per-face dict it stands for."""
+
+    @staticmethod
+    def analyze(name, tmp_path, monkeypatch):
+        # relative paths, so the report's input path is the same on every run
+        family, n, options = REPORT_CASES[name]
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--family", family, "--n", str(n), "--seed", "1",
+                     "--output", "drawing.json"]) == 0
+        assert main(["analyze", "--input", "drawing.json", *options,
+                     "--output", "report.json"]) == 0
+        return (tmp_path / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("name", REPORT_CASES)
+    def test_report_sha256(self, name, tmp_path, monkeypatch):
+        report = self.analyze(name, tmp_path, monkeypatch)
+        assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[name]
+
+    @pytest.mark.parametrize("name", REPORT_CASES)
+    def test_every_row_is_the_reference_dict(self, name, tmp_path, monkeypatch):
+        payloads = emitted(monkeypatch, raw=True)
+        self.analyze(name, tmp_path, monkeypatch)
+        options = REPORT_CASES[name][2]
+        kmax = int(options[1]) if options[0] == "--kmax" else None
+        drawing = load_drawing(read(tmp_path / "drawing.json"))
+        payload = payloads[-1]  # generate emits the drawing first
+        rows = payload["profiles"]
+        assert len(rows) == len(payload["faces"]["analyzed"]) > 0
+        for face, row in zip(payload["faces"]["analyzed"], rows):
+            assert row == _compact(reference_profile(drawing, face, kmax)), face
+        if name.startswith("cylindrical") and name.endswith("-auto"):
+            assert any('"pass":false' in row for row in rows)
 
 
 class TestNotGood:

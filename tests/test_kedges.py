@@ -208,12 +208,13 @@ class TestPackedKernel:
                 assert (kedges._k_values(lab, pf, n, x)
                         == flood_fill_k_values(child, face_map[f], child_left)), (f, v)
 
-    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 300))
+    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257, 258, 300))
     def test_any_field_width(self, n):
         """Synthetic labellings on a dozen edges, with fields of 8 to 512
         bits. One label has rows of all ones at even and all zeros at odd
         vertices, so the edge v_0 v_1 (rel 0) has all n - 2 witnesses:
-        298 at n = 300, past what a byte holds."""
+        255 at n = 257, the most a byte holds, and 256 at n = 258 and 298
+        at n = 300, past it."""
         rng = random.Random(n)
         full = (1 << n) - 1
         pairs = {(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))}
@@ -222,6 +223,7 @@ class TestPackedKernel:
             mask = full ^ (1 << i) ^ (1 << j)
             edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
         lab = kedges._lay_out({v: v for v in range(n)}, [], edges)
+        assert (lab.read[0] is None) == (n <= 257)  # the low byte of each field
         striped = sum(full << (i * n) for i in range(0, n, 2))
         for pf in (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1):
             for x in (None, 0, n // 2, n - 1):
@@ -237,6 +239,18 @@ class TestPackedKernel:
                 assert kedges._cumulated(ks, levels) == reference_cumulated(ks, levels)
                 assert (kedges._cumulated(iter(ks), levels)
                         == reference_cumulated(ks, levels))
+                assert (kedges._cumulated(bytes(ks), levels)
+                        == reference_cumulated(ks, levels))
+
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
+    def test_every_profile_counts_match_the_double_sum(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        for f, pf in enumerate(lab.face_bits):
+            prof = k_edge_profile(d, f)
+            want = reference_cumulated(reference_k_values(lab, pf, n).values(), max_k(n) + 1)
+            assert (prof.counts, prof.cumulated) == want, f
 
 
 class TestProfiles:

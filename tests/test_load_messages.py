@@ -299,6 +299,14 @@ DIRECT = [
      {**K4_CHAINS, (1, 3): (1, 3)}, "crossing 4 must join exactly two edges"),
     ("crossing-of-three-edges", range(4), {4: {(0, 2), (1, 3), (0, 1)}}, K4_ROTATIONS,
      K4_CHAINS, "crossing 4 must join exactly two edges"),
+    # a sound K4 but for its crossing's id, which an int cannot be ordered with
+    ("crossing-id-does-not-compare", range(4), {"x": {(0, 2), (1, 3)}},
+     {0: (1, "x", 3), 1: (2, "x", 0), 2: (3, "x", 1), 3: (2, 0, "x"), "x": (2, 3, 0, 1)},
+     {**K4_CHAINS, (0, 2): (0, "x", 2), (1, 3): (1, "x", 3)},
+     "crossing id 'x' does not compare with the vertex ids"),
+    ("vertex-rotation-entry-does-not-compare", range(4), {4: {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, 0: (1, "y", 3)}, K4_CHAINS,
+     "rotation at 0 does not match incident segments"),
     # faults the one pass meets as a dart left unpaired or a failed lookup
     ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,
