@@ -279,8 +279,13 @@ def _profile_template(names, bounds: int, levels: int) -> str:
 
 def cmd_decide(args) -> int:
     drawing, digest = _load_input(args.input, good=True)
-    k = check_level("k", args.k if args.k is not None else max_k(drawing.n) - 1,
-                    drawing.n - 2)
+    k = args.k
+    if k is None:
+        k = max_k(drawing.n) - 1
+        if k < 0:  # n = 3
+            raise ValueError(f"a drawing on {drawing.n} vertices has no default k "
+                             f"(n//2-2); give --k in 0..{drawing.n - 2}")
+    check_level("k", k, drawing.n - 2)
     selected = _parse_face(args.face, drawing)
     face_filter = None if args.face == "auto" else selected[0]
 

@@ -63,12 +63,26 @@ class Drawing:
     """
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
-        self.vertices = tuple(sorted(vertices))
+        vertices = list(vertices)
+        try:
+            vertices.sort()
+        except TypeError:
+            a, b = _incomparable(vertices)
+            raise StructureError(
+                f"vertex ids {quoted(a)} and {quoted(b)} do not compare") from None
+        self.vertices = tuple(vertices)
         self.vertex_set = frozenset(self.vertices)
         self.crossings = {c: frozenset(map(tuple, pair)) for c, pair in crossings.items()}
         self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
-        self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
-                       for (u, v), ch in chains.items()}
+        try:
+            self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
+                           for (u, v), ch in chains.items()}
+        except TypeError:
+            key = next((e for e in chains if _incomparable(e)), None)
+            if key is None:
+                raise
+            raise StructureError(
+                f"chain key {quoted(key)} has ends that do not compare") from None
         self.geometry = geometry
         self._cache = {}
         try:
@@ -243,6 +257,17 @@ class Drawing:
 
 class _Fault(Exception):
     """A fault met by Drawing._number_darts; the ordered check names it."""
+
+
+def _incomparable(values):
+    """The first two of ``values`` that ``<`` cannot order, or None."""
+    for i, b in enumerate(values):
+        for a in values[:i]:
+            try:
+                a < b, b < a  # the comparisons are the check
+            except TypeError:
+                return a, b
+    return None
 
 
 @dataclass(frozen=True, eq=False)

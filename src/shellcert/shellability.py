@@ -9,9 +9,8 @@ length k-i+1 that avoids a_0..a_i. Bishellability asks instead for two
 deletion sequences a_0..a_s and b_0..b_s with index-wise disjointness
 (a_i != b_j whenever i + j <= s).
 
-Deciders run complete depth-first searches over faces (ascending id) and
-candidate vertices (ascending id), so the emitted certificate is
-deterministic.
+Deciders scan faces in ascending id and candidate vertices in ascending
+id, so the emitted certificate is deterministic.
 
 No subdrawing is ever built. Deleting a set S of vertices removes every
 edge at a vertex of S, so the face containing F afterwards is the union of
@@ -39,10 +38,26 @@ the face containing F, and is then deleted.
 
 The region depends only on F and the set S, never on the order of the
 deletions, so grown regions are memoized on (region, S + {u}) for the
-length of one decide or verify call, and the single-chain searches memoize
-failures on the set of removed vertices. The interleaved bishellability
-search keeps plain backtracking because its disjointness constraint
-depends on positions, not sets.
+length of one decide or verify call. It also only grows with S: if
+S is a subset of S', region(F, S) lies in region(F, S'), and every
+candidate at S that is not in S' is a candidate at S'. That gives an
+exchange lemma. Let u be a candidate at S and X = (x_1, ..., x_L) a
+simple sequence from S. If u is not in X, (u, x_1, ..., x_{L-1}) is one
+too; if u = x_i, so is (u, x_1, ..., x_{i-1}, x_{i+1}, ..., x_L). Hence
+if any simple sequence exists, the smallest candidate other than its
+owner starts one, and deleting that candidate at every step finds the
+lexicographically smallest sequence, or proves that there is none. The
+same swap works for a-sequences: each a_j's own simple sequence can be
+made to start with u, and dropping u leaves the shorter sequence a_j
+needs once u is deleted ahead of it. So level i takes the smallest
+candidate that owns a simple sequence of length k-i+1, and failing that
+the face has no certificate. A seq decision thus takes at most
+n (k + 1)^2 region steps per face and never backtracks.
+
+The bishellability search keeps plain backtracking: moving a vertex that
+both sequences use to the front of one of them can break a_i != b_j for
+i + j <= s, since that constraint depends on positions, not sets, so the
+lemma does not apply there.
 """
 
 from __future__ import annotations
@@ -227,10 +242,12 @@ class _Regions:
 
 def find_simple_sequence(drawing: Drawing, ref_face: int, v: int,
                          length: int) -> SimpleSequence | None:
-    """Complete backtracking search for a simple sequence of v.
+    """The lexicographically smallest simple sequence of v of the
+    requested length, or None if none exists.
 
-    Returns the lexicographically smallest sequence of the requested
-    length, or None if none exists.
+    By the exchange lemma in the module docstring, deleting the smallest
+    vertex other than v that bounds the face containing ref_face, length
+    times, finds it or proves that there is none.
     """
     if type(length) is not int or length < 1:
         raise ValueError("length must be at least 1")
@@ -239,65 +256,64 @@ def find_simple_sequence(drawing: Drawing, ref_face: int, v: int,
     if length > drawing.n - 1:
         return None
     regions = _Regions(drawing)
-    seq = _simple_search(regions, regions.start(ref_face), v, length, frozenset(), {})
+    seq = _simple_sequence(regions, regions.start(ref_face), v, length)
     if seq is None:
         return None
     return SimpleSequence(v, seq)
 
 
-def _simple_search(regions, state, owner, length, used, memo):
-    remaining = length - len(used)
-    if used in memo:
-        return None
-    for u in regions.candidates(state):
-        if u == owner:
-            continue
-        if remaining == 1:
-            return (u,)
-        rest = _simple_search(regions, regions.advance(state, u), owner, length,
-                              used | {u}, memo)
-        if rest is not None:
-            return (u,) + rest
-    memo[used] = None
-    return None
+def _simple_sequence(regions, state, owner, length):
+    """Delete the smallest candidate other than ``owner`` until ``length``
+    vertices are chosen; None when no candidate is left."""
+    seq = []
+    while True:
+        u = next((w for w in regions.candidates(state) if w != owner), None)
+        if u is None:
+            return None
+        seq.append(u)
+        if len(seq) == length:
+            return tuple(seq)
+        state = regions.advance(state, u)
 
 
 # -- seq-shellability ------------------------------------------------------
 
 def decide_seq_shellable(drawing: Drawing, k: int,
                          face_filter: int | None = None) -> SeqShellCertificate | None:
-    """Complete search for a k-seq-shellability certificate.
+    """A k-seq-shellability certificate, or None if there is none.
 
-    Scans reference faces in ascending id (or only ``face_filter``); the
-    returned certificate always verifies.
+    Scans reference faces in ascending id (or only ``face_filter``). On
+    each face, a_i is the smallest candidate that owns a simple sequence
+    of length k - i + 1, which the exchange lemma in the module docstring
+    shows is a complete search. The returned certificate always verifies.
     """
     check_level("k", k, drawing.n - 2)
 
     def search(regions, face):
-        found = _seq_search(regions, regions.start(face), k, {})
+        found = _seq_search(regions, regions.start(face), k)
         if found is not None:
-            return SeqShellCertificate(face, tuple(a for a, _ in found),
-                                       tuple(s for _, s in found))
+            return SeqShellCertificate(face, *found)
         return None
 
     return _first_certificate(drawing, face_filter, search, verify_seq_certificate)
 
 
-def _seq_search(regions, state, k, memo):
-    deleted = state[1]
-    if deleted in memo:
-        return None
-    for a in regions.candidates(state):
-        seq = _simple_search(regions, state, a, k + 1, frozenset(), {})
-        if seq is None:
-            continue
-        if k == 0:
-            return ((a, seq),)
-        rest = _seq_search(regions, regions.advance(state, a), k - 1, memo)
-        if rest is not None:
-            return ((a, seq),) + rest
-    memo[deleted] = None
-    return None
+def _seq_search(regions, state, k):
+    """(a_0..a_k, their simple sequences) from ``state``, or None when
+    some level has no candidate owning a long enough simple sequence."""
+    vertices, sequences = [], []
+    for length in range(k + 1, 0, -1):
+        for a in regions.candidates(state):
+            seq = _simple_sequence(regions, state, a, length)
+            if seq is not None:
+                break
+        else:
+            return None
+        vertices.append(a)
+        sequences.append(seq)
+        if length > 1:
+            state = regions.advance(state, a)
+    return tuple(vertices), tuple(sequences)
 
 
 # -- bishellability --------------------------------------------------------

@@ -14,7 +14,7 @@ the turn the crossing test records, rotations by one angle comparison per
 crossing of pieces found along the segment paths, a Fraction ray caster
 instead of the winding numbers of point location, closed-form integer formulas, plain
 exhaustive enumeration of the shellability definitions instead of the
-backtracking deciders, region tables for every vertex at once instead of
+greedy deciders, region tables for every vertex at once instead of
 one vertex's on its first deletion, a goodness listing that sorts
 every crossing's pair instead of counting the pairs, and the
 combinatorial loader that built every set and traced faces by a
@@ -747,16 +747,23 @@ def deletion_chain_ok(drawing, face, seq) -> bool:
                for i in range(len(seq)))
 
 
-def has_simple_sequence(drawing, face, prefix, owner, length, banned) -> bool:
-    """Exhaustively test for a simple sequence of `owner`, of the given
-    length, avoiding `banned`, inside the drawing after deleting `prefix`."""
+def smallest_simple_sequence(drawing, face, prefix, owner, length, banned):
+    """The lexicographically smallest simple sequence of `owner`, of the
+    given length, avoiding `banned`, inside the drawing after deleting
+    `prefix`, by trying every permutation in order; None if there is none."""
     pool = [u for u in drawing.vertices
             if u != owner and u not in banned and u not in prefix]
     for cand in permutations(pool, length):
         if all(cand[j] in surviving_face_vertices(drawing, face, prefix + cand[:j])
                for j in range(length)):
-            return True
-    return False
+            return cand
+    return None
+
+
+def has_simple_sequence(drawing, face, prefix, owner, length, banned) -> bool:
+    """Exhaustively test for a simple sequence of `owner`, of the given
+    length, avoiding `banned`, inside the drawing after deleting `prefix`."""
+    return smallest_simple_sequence(drawing, face, prefix, owner, length, banned) is not None
 
 
 def naive_seq_shellable(drawing, k, face=None) -> bool:

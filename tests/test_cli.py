@@ -193,6 +193,22 @@ class TestAnalyze:
         assert "0..-1" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["seq", "bishell"])
+    def test_decide_on_k3_without_k_names_the_missing_default(self, tmp_path, capsys, mode):
+        # the default level n//2-2 does not exist on 3 vertices; an explicit
+        # --k in 0..1 is decided, and positive
+        drawing = tmp_path / "k3.json"
+        main(["generate", "--family", "convex", "--n", "3", "--output", str(drawing)])
+        out = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(drawing), "--mode", mode,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: a drawing on 3 vertices has no default k (n//2-2); give --k in 0..1\n")
+        assert not out.exists()
+        for k in ("0", "1"):
+            assert main(["decide", "--input", str(drawing), "--mode", mode, "--k", k,
+                         "--output", str(out)]) == 0
+
     def test_unparseable_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

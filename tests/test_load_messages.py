@@ -307,6 +307,12 @@ DIRECT = [
     ("vertex-rotation-entry-does-not-compare", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 0: (1, "y", 3)}, K4_CHAINS,
      "rotation at 0 does not match incident segments"),
+    # ids the constructor cannot put in order before any check runs
+    ("vertex-ids-do-not-compare", (0, 1, "a"), {}, {}, {},
+     "vertex ids 0 and 'a' do not compare"),
+    ("chain-key-ends-do-not-compare", range(3), {}, {0: (1, 2), 1: (2, 0), 2: (0, 1)},
+     {(0, 1): (0, 1), (0, 2): (0, 2), (1, "x"): (1, "x")},
+     "chain key (1, 'x') has ends that do not compare"),
     # faults the one pass meets as a dart left unpaired or a failed lookup
     ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,

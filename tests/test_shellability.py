@@ -1,6 +1,7 @@
 """Region queries, simple sequences, deciders, verifiers, and the
 certificate transform."""
 
+import hashlib
 import random
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 
 from corpus import convex, cylindrical, rectilinear, sample_faces
 from oracles import (naive_bishellable, naive_seq_shellable, reference_region_tables,
-                     surviving_face_vertices)
+                     smallest_simple_sequence, surviving_face_vertices)
 from shellcert import drawing as drawing_module
 from shellcert import shellability
 from shellcert.documents import drawing_to_document, load_drawing
@@ -274,6 +275,111 @@ class TestDeciders:
         child, _, face_map = child_drawing(d, cert.vertices[0])
         sub = decide_seq_shellable(child, 1, face_filter=face_map[cert.face])
         assert sub is not None
+
+
+FAMILIES = {"convex": convex, "cylindrical": cylindrical, "rectilinear": rectilinear}
+
+
+def family_drawing(family, n, seed=None):
+    return FAMILIES[family](n) if seed is None else FAMILIES[family](n, seed)
+
+
+class TestGreedySearches:
+    """The seq and simple-sequence searches take the smallest candidate
+    that works at every step; by the exchange lemma in the module
+    docstring that is a complete search with the lexicographically
+    smallest answer."""
+
+    # sha256 of the repr of every per-face decide_seq_shellable (faces
+    # ascending, k = 0..n-2 within a face) and of every
+    # find_simple_sequence(d, f, v, L) (faces ascending, vertices on the
+    # face ascending, L = 1..n-1), as the backtracking searches answered
+    PINS = [
+        ("convex", 5, None, "69c88cc6d500e4260b066ca29b57b6a22a5e18f2da487be05bf45f62fe6e1c9a",
+         "6466d51065ab068b8ab73f6bf54e95a887b412dd196ef3600d4a84ef300391d1"),
+        ("convex", 6, None, "190b06a21dca1bde790f658cc26aa2883fe5628ad00aa0dd5e8a67ffe5d22a6e",
+         "cdb8142fc4e9e2338bd6361b7b0df7ffdbf78db7c2a70b40d40f6af03457a837"),
+        ("convex", 7, None, "3ca7a9bad8a9d20fa37015e8bbef6e3e5883a41e698fac6f1b2198e5bf445a30",
+         "527bdeadcbb28292d6a91a4d61ff1a671ce4543bdc2b388c1118b649e7ce7b71"),
+        ("convex", 8, None, "db44074da151aa8717fcf8898a8dc32c7986dd36d9be6afb28bc1558ea0828b4",
+         "1036147e9fa447244b98f19892d3031b594aea4840c430c466b632760392c946"),
+        ("convex", 9, None, "198e52429dee03ed4d235fd11d1659377db5c21a6d740bfb3eab3e1e85fde8bc",
+         "f069f5e1263c5c34473fcd83b9a58f43433b1dda1d1d3ade2bf61311edb19ca4"),
+        ("cylindrical", 6, None, "beb5852b0a92f922eb2aa4e9b68f8aaf3c5b703d2b19b2b15419026eb808f4a6",
+         "b58456ed55e0a151341f657820a9fad82a8a880e10c8300b294517bdf5a56d72"),
+        ("cylindrical", 7, None, "3660e1043ebe31f29493a0745a76cb5545fe6d430e0a5f5e337f1970cf3ea69c",
+         "673884bd78ba61b3ebafef246f08528a21673c8b834630a14c5d76b374cfa261"),
+        ("cylindrical", 8, None, "526bdaec2b143acbecc2c3db2de0abc3335ff908cd82beb6b3b668eff97ed50b",
+         "75a75c86dbf28a1f8d27ed6998a7b3cd9d9a9b15311dcf1494bdb163f93a7cd7"),
+        ("cylindrical", 9, None, "ad52d7b6d398b94c0cb1b822abc52735185bc6c04bee3670fdee04e266201329",
+         "ccd53c7bc53bcec83db34b9d309d89ea35bc95c31939b4e628842297e3ababa0"),
+        ("cylindrical", 10, None, "741dc2872db9fd0a3d133cc07fcaa45ff4ca8fb6a8e65cef56b18082d979d0db",
+         "30b6810d651d6b01cac736caa4e8e632a35c697fd7863c49c79d51af8756d2b8"),
+        ("rectilinear", 6, 1, "da8d6b78a87ee6bffafb61339c587f95269a6d869ac00954e9c3e181b93bffee",
+         "2b2463466e862cb1a22a4c6db187964bc3e6214065700feffbd14bcab3f4b171"),
+        ("rectilinear", 6, 2, "f69c6ba349e4063f77729726f6178e1f71cde17728bcc8a16f5abc2f4820240b",
+         "12542df40dc413de655cf811318a458763ba4a1c4e7a569322e607e7b381c878"),
+        ("rectilinear", 7, 1, "4f13f34ae7a22cff5c600bed3bd8c2b370f10930b6caa894416c8ce5f884e2a8",
+         "ad9e72b34f0c2c072ced0043702796d668b5eefd66d0c931b90e4f11e557851d"),
+        ("rectilinear", 7, 2, "1f1ce88e45e0ab77b106606a3bc9a233133dc23deebc812d38a3db7f2824eeb4",
+         "00c091596adc9564ebb73019e9e65f91cff02c7459c040af062c2ecfad47e5d9"),
+        ("rectilinear", 8, 1, "0ab0c59b623b0df4678d7e7a099f41c3bd448252ff2f6abca284399f9d18a0d2",
+         "3ca43128dc9e77a3af490c4a111b2144dffed9492bbea73da18d0be9297e05da"),
+        ("rectilinear", 8, 2, "73bc451cc9e02ec2a4704f586f9a358399d30f15bb96d5a09d3d87c70e17883e",
+         "abb781aeee0469be99e4a3ec515aa59a9219b7f3158a52f053738bc9dbdf396b"),
+    ]
+
+    @pytest.mark.parametrize("family,n,seed,decides,sequences", PINS)
+    def test_answers_pinned(self, family, n, seed, decides, sequences):
+        d = family_drawing(family, n, seed)
+        faces = list(trace_faces(d).face_ids())
+        found = [decide_seq_shellable(d, k, face_filter=f) for f in faces for k in range(n - 1)]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == decides
+        found = [find_simple_sequence(d, f, v, length) for f in faces
+                 for v in sorted(vertices_on_face(d, f)) for length in range(1, n)]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == sequences
+
+    ORACLE_CORPUS = ([("rectilinear", n, seed) for n in (5, 6, 7) for seed in (1, 2, 3)]
+                     + [(family, n, None) for family in ("convex", "cylindrical")
+                        for n in (6, 7)])
+
+    @pytest.mark.parametrize("family,n,seed", ORACLE_CORPUS)
+    def test_simple_sequences_are_the_smallest_permutations(self, family, n, seed):
+        d = family_drawing(family, n, seed)
+        for f in trace_faces(d).face_ids():
+            for v in sorted(vertices_on_face(d, f)):
+                for length in range(1, n):
+                    # None exactly when no permutation is a simple sequence
+                    got = find_simple_sequence(d, f, v, length)
+                    want = smallest_simple_sequence(d, f, (), v, length, ())
+                    assert (got and got.vertices) == want, (f, v, length)
+
+    @pytest.mark.parametrize("family,n,seed", ORACLE_CORPUS)
+    def test_seq_decides_agree_with_the_naive_oracle_on_every_face(self, family, n, seed):
+        d = family_drawing(family, n, seed)
+        for f in trace_faces(d).face_ids():
+            for k in range(min(3, n - 1)):
+                assert ((decide_seq_shellable(d, k, face_filter=f) is not None)
+                        == naive_seq_shellable(d, k, face=f)), (f, k)
+
+    def test_advances_per_face_are_bounded(self, monkeypatch):
+        # at most n candidates per level, each with a simple sequence of
+        # at most k + 1 vertices, so no face costs more than n (k + 1)^2
+        # region steps, the self-check of a certificate included
+        calls = []
+        advance = shellability._Regions.advance
+
+        def counted(self, state, u):
+            calls.append(u)
+            return advance(self, state, u)
+
+        monkeypatch.setattr(shellability._Regions, "advance", counted)
+        for d in (convex(10), cylindrical(11), rectilinear(9, 1), rectilinear(9, 2)):
+            for f in trace_faces(d).face_ids():
+                for k in range(d.n - 1):
+                    calls.clear()
+                    decide_seq_shellable(d, k, face_filter=f)
+                    assert len(calls) <= d.n * (k + 1) ** 2, (d.n, f, k, len(calls))
 
 
 class TestVerifiers:
