@@ -48,12 +48,16 @@ def seg_key(a: int, b: int) -> tuple:
 class Drawing:
     """Planarized plane graph of a drawing of a complete graph.
 
-    vertices   -- labels of the real vertices (any ints; sorted tuple)
+    vertices   -- labels of the real vertices (plain ints; sorted tuple)
     crossings  -- crossing node id -> frozenset of the two edges crossing there
     rotations  -- node id -> tuple of neighbour node ids in ccw order
     chains     -- edge (u, v), u < v -> tuple of node ids from u to v
     geometry   -- optional Geometry (coordinates and polylines); planarize
                   passes one that wraps its own records
+
+    Vertex and crossing ids are plain ints (not bools); chain keys are the
+    pairs (u, v), u < v. Rotation and chain entries are matched by equality,
+    as a type check would cost ~4% of a load for input no document holds.
 
     The check of the structure numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
@@ -64,31 +68,20 @@ class Drawing:
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
         vertices = list(vertices)
-        try:
-            vertices.sort()
-        except TypeError:
-            a, b = _incomparable(vertices)
-            raise StructureError(
-                f"vertex ids {quoted(a)} and {quoted(b)} do not compare") from None
+        _check_ids("vertex", vertices)
+        _check_ids("crossing", crossings)
+        vertices.sort()
         self.vertices = tuple(vertices)
         self.vertex_set = frozenset(self.vertices)
-        self.crossings = {c: frozenset(map(tuple, pair)) for c, pair in crossings.items()}
-        self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
-        try:
-            self.chains = {((u, v) if u < v else (v, u)): tuple(ch)
-                           for (u, v), ch in chains.items()}
-        except TypeError:
-            key = next((e for e in chains if _incomparable(e)), None)
-            if key is None:
-                raise
-            raise StructureError(
-                f"chain key {quoted(key)} has ends that do not compare") from None
         self.geometry = geometry
         self._cache = {}
         try:
+            self.crossings = {c: _edge_set(pair) for c, pair in crossings.items()}
+            self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
+            self.chains = {e: tuple(ch) for e, ch in chains.items()}
             self.offset, self.twin, self.chain_darts = self._number_darts()
         except (_Fault, KeyError, ValueError, TypeError):
-            self._validate()  # raises the fault the ordered check meets first
+            self._validate(crossings, rotations, chains)  # raises the first fault
             raise
 
     @property
@@ -167,11 +160,11 @@ class Drawing:
                 raise _Fault
         return offset, twin, chain_darts
 
-    def _validate(self):
+    def _validate(self, crossings, rotations, chains):
         """Raise StructureError for the first fault of the structure, in a
         fixed order, so a drawing with several faults is always rejected
-        with the same message. It runs only once _number_darts has found
-        a fault.
+        with the same message. It runs only once the constructor has met a
+        fault, on the arguments as given, which it copies as it goes.
 
         Once every chain has passed, each crossing has exactly four
         distinct neighbours (its two edges pass through it once each, and
@@ -184,7 +177,6 @@ class Drawing:
         if n < 3:
             raise StructureError("a drawing needs at least 3 vertices")
         verts = self.vertices
-        chains, crossings, rotations = self.chains, self.crossings, self.rotations
         # the count comes first: the set of all pairs is quadratic in n
         if (len(chains) != n * (n - 1) // 2
                 or chains.keys() != {(u, v) for i, u in enumerate(verts)
@@ -192,17 +184,13 @@ class Drawing:
             raise StructureError("chains must cover every vertex pair exactly once")
         if not self.vertex_set.isdisjoint(crossings):
             raise StructureError("crossing ids overlap vertex ids")
-        # the segment keys below put their two nodes in order
-        for c in crossings:
-            try:
-                c < verts[0]  # the comparison is the check
-            except TypeError:
-                raise StructureError(
-                    f"crossing id {quoted(c)} does not compare with the vertex ids") from None
+        crossings = {c: _copy(_edge_set, pair, f"crossing {quoted(c)} must join exactly two edges")
+                     for c, pair in crossings.items()}
 
         seg_edge = {}
         uses = dict.fromkeys(crossings, 0)
         for e, ch in chains.items():
+            ch = _copy(tuple, ch, f"chain of {e} is not a sequence of node ids")
             if len(ch) < 2:
                 raise StructureError(f"chain of {e} needs at least 2 nodes")
             if ch[0] != e[0] or ch[-1] != e[1]:
@@ -237,6 +225,7 @@ class Drawing:
             return seg_edge.get((x, y), seg_edge.get((y, x)))
 
         for x, rot in rotations.items():
+            rot = _copy(tuple, rot, f"rotation at {quoted(x)} is not a sequence of node ids")
             if x in crossings:
                 if len(rot) == 4:
                     ea, eb, ec, ed = (edge_of(x, y) for y in rot)
@@ -259,15 +248,25 @@ class _Fault(Exception):
     """A fault met by Drawing._number_darts; the ordered check names it."""
 
 
-def _incomparable(values):
-    """The first two of ``values`` that ``<`` cannot order, or None."""
-    for i, b in enumerate(values):
-        for a in values[:i]:
-            try:
-                a < b, b < a  # the comparisons are the check
-            except TypeError:
-                return a, b
-    return None
+def _check_ids(kind: str, ids) -> None:
+    """StructureError naming the first of the ids that is no plain int."""
+    if not {int}.issuperset(map(type, ids)):
+        bad = next(x for x in ids if type(x) is not int)
+        raise StructureError(f"{kind} id {quoted(bad)} is not a plain int")
+
+
+def _edge_set(pair) -> frozenset:
+    return frozenset(map(tuple, pair))
+
+
+def _copy(convert, value, message: str):
+    """convert(value), which must hash; StructureError(message) on a TypeError."""
+    try:
+        copy = convert(value)
+        hash(copy)
+    except TypeError:
+        raise StructureError(message) from None
+    return copy
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,7 +91,12 @@ class SeqShellCertificate:
         return len(self.vertices) - 1
 
     def named_vertices(self) -> tuple:
-        """Every vertex the certificate names, deleted or in a sequence."""
+        """Every vertex the certificate names, deleted or in a sequence;
+        CertificateMismatchError names a field that cannot hold them."""
+        _check_field("vertices", self.vertices)
+        _check_field("sequences", self.sequences)
+        for i, s in enumerate(self.sequences):
+            _check_field(f"sequences[{i}]", s)
         return (*self.vertices, *(x for s in self.sequences for x in s))
 
 
@@ -108,8 +113,19 @@ class BishellCertificate:
         return len(self.a_sequence) - 1
 
     def named_vertices(self) -> tuple:
-        """Every vertex the certificate names, in either sequence."""
+        """Every vertex the certificate names, in either sequence;
+        CertificateMismatchError names a field that cannot hold them."""
+        _check_field("a_sequence", self.a_sequence)
+        _check_field("b_sequence", self.b_sequence)
         return (*self.a_sequence, *self.b_sequence)
+
+
+def _check_field(name: str, value) -> None:
+    """CertificateMismatchError unless the value of the field is a tuple
+    or a list."""
+    if not isinstance(value, (tuple, list)):
+        raise CertificateMismatchError(
+            f"certificate field {name} must be a tuple or list, got {quoted(value)}")
 
 
 @dataclass(frozen=True)
@@ -383,6 +399,8 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     violated conditions yield an unverified result with the trace naming
     each failed condition.
     """
+    if not isinstance(cert, SeqShellCertificate):
+        raise ValueError(f"{quoted(cert)} is not a seq-shellability certificate")
     check_certificate_refs(drawing, cert)
     if len(cert.vertices) < 1 or len(cert.sequences) != len(cert.vertices):
         raise CertificateMismatchError(
@@ -413,6 +431,8 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
 
 
 def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> VerificationResult:
+    if not isinstance(cert, BishellCertificate):
+        raise ValueError(f"{quoted(cert)} is not a bishellability certificate")
     check_certificate_refs(drawing, cert)
     if len(cert.a_sequence) < 1 or len(cert.a_sequence) != len(cert.b_sequence):
         raise CertificateMismatchError(
@@ -437,7 +457,10 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
 
 def check_certificate_refs(drawing: Drawing, cert) -> None:
     """Raise CertificateMismatchError if the certificate names a face or a
-    vertex the drawing does not have, by check_face and is_vertex."""
+    vertex the drawing does not have, by check_face and is_vertex, or has
+    a field of the wrong shape; ValueError if it is no certificate."""
+    if not isinstance(cert, (SeqShellCertificate, BishellCertificate)):
+        raise ValueError(f"{quoted(cert)} is not a certificate")
     try:
         check_face(drawing, cert.face)
     except ValueError as exc:

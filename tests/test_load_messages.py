@@ -287,6 +287,11 @@ K4_CHAINS = {(0, 1): (0, 1), (0, 2): (0, 4, 2), (0, 3): (0, 3),
              (1, 2): (1, 2), (1, 3): (1, 4, 3), (2, 3): (2, 3)}
 K4_ROTATIONS = {0: (1, 4, 3), 1: (2, 4, 0), 2: (3, 4, 1), 3: (2, 0, 4), 4: (2, 3, 0, 1)}
 
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
 DIRECT = [
     # (test id, vertices, crossings, rotations, chains, message): faults
     # that a document cannot express
@@ -299,20 +304,47 @@ DIRECT = [
      {**K4_CHAINS, (1, 3): (1, 3)}, "crossing 4 must join exactly two edges"),
     ("crossing-of-three-edges", range(4), {4: {(0, 2), (1, 3), (0, 1)}}, K4_ROTATIONS,
      K4_CHAINS, "crossing 4 must join exactly two edges"),
-    # a sound K4 but for its crossing's id, which an int cannot be ordered with
+    # a sound K4 but for its crossing's id, which is no plain int
     ("crossing-id-does-not-compare", range(4), {"x": {(0, 2), (1, 3)}},
      {0: (1, "x", 3), 1: (2, "x", 0), 2: (3, "x", 1), 3: (2, 0, "x"), "x": (2, 3, 0, 1)},
      {**K4_CHAINS, (0, 2): (0, "x", 2), (1, 3): (1, "x", 3)},
-     "crossing id 'x' does not compare with the vertex ids"),
+     "crossing id 'x' is not a plain int"),
+    ("crossing-id-is-a-numeric-str", range(4), {"4": {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, "4": (2, 3, 0, 1)}, K4_CHAINS, "crossing id '4' is not a plain int"),
     ("vertex-rotation-entry-does-not-compare", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 0: (1, "y", 3)}, K4_CHAINS,
      "rotation at 0 does not match incident segments"),
-    # ids the constructor cannot put in order before any check runs
+    # vertex ids that are no plain int, whether or not they sort with the rest
     ("vertex-ids-do-not-compare", (0, 1, "a"), {}, {}, {},
-     "vertex ids 0 and 'a' do not compare"),
+     "vertex id 'a' is not a plain int"),
+    ("vertex-id-is-a-float", (0, 1, 2, 3.0), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, K4_CHAINS,
+     "vertex id 3.0 is not a plain int"),
+    ("vertex-id-is-a-bool", (True, 0, 2, 3), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, K4_CHAINS,
+     "vertex id True is not a plain int"),
+    ("vertex-id-is-a-numeric-str", (0, 1, 2, "3"), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     K4_CHAINS, "vertex id '3' is not a plain int"),
+    # chain keys are the pairs (u, v) with u < v, as they are given
     ("chain-key-ends-do-not-compare", range(3), {}, {0: (1, 2), 1: (2, 0), 2: (0, 1)},
      {(0, 1): (0, 1), (0, 2): (0, 2), (1, "x"): (1, "x")},
-     "chain key (1, 'x') has ends that do not compare"),
+     "chains must cover every vertex pair exactly once"),
+    ("chain-key-is-an-int", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**_without(K4_CHAINS, (0, 1)), 5: (0, 1)},
+     "chains must cover every vertex pair exactly once"),
+    ("chain-key-is-reversed", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**_without(K4_CHAINS, (0, 1)), (1, 0): (1, 0)},
+     "chains must cover every vertex pair exactly once"),
+    # values of the wrong shape, and entries that do not hash
+    ("rotation-is-none", range(4), {4: {(0, 2), (1, 3)}}, {**K4_ROTATIONS, 0: None},
+     K4_CHAINS, "rotation at 0 is not a sequence of node ids"),
+    ("rotation-entry-is-a-list", range(4), {4: {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, 4: (2, [3], 0, 1)}, K4_CHAINS,
+     "rotation at 4 is not a sequence of node ids"),
+    ("chain-is-none", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**K4_CHAINS, (0, 1): None}, "chain of (0, 1) is not a sequence of node ids"),
+    ("chain-entry-is-a-list", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**K4_CHAINS, (0, 2): (0, [4], 2)}, "chain of (0, 2) is not a sequence of node ids"),
+    ("crossing-pair-is-an-int", range(4), {4: 5}, K4_ROTATIONS, K4_CHAINS,
+     "crossing 4 must join exactly two edges"),
     # faults the one pass meets as a dart left unpaired or a failed lookup
     ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,
@@ -334,6 +366,19 @@ def test_direct_drawing_rejection(vertices, crossings, rotations, chains, messag
     with pytest.raises(StructureError) as info:
         Drawing(vertices, crossings, rotations, chains)
     assert str(info.value) == message
+
+
+def test_string_ids_are_refused_though_they_sort():
+    """Convex K5 with every node id written as a string: the ids sort,
+    but a decider on such a drawing would refuse its own certificate, as
+    none of its ids is a vertex."""
+    d = load_drawing(convex_document(5))
+    with pytest.raises(StructureError) as info:
+        Drawing(map(str, d.vertices),
+                {str(c): {tuple(map(str, e)) for e in pair} for c, pair in d.crossings.items()},
+                {str(x): tuple(map(str, rot)) for x, rot in d.rotations.items()},
+                {tuple(map(str, e)): tuple(map(str, ch)) for e, ch in d.chains.items()})
+    assert str(info.value) == "vertex id '0' is not a plain int"
 
 
 def test_the_ordered_check_never_runs_on_a_valid_drawing(monkeypatch):

@@ -2,6 +2,7 @@
 certificate transform."""
 
 import hashlib
+import json
 import random
 from math import comb
 
@@ -12,9 +13,11 @@ from oracles import (naive_bishellable, naive_seq_shellable, reference_region_ta
                      smallest_simple_sequence, surviving_face_vertices)
 from shellcert import drawing as drawing_module
 from shellcert import shellability
+from shellcert.cli import main
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import Drawing, child_drawing, trace_faces, vertices_on_face
-from shellcert.errors import CertificateMismatchError
+from shellcert.errors import CertificateMismatchError, ShellcertError
+from shellcert.generators import convex_document
 from shellcert.kedges import invariant_edges
 from shellcert.planarize import outer_face
 from shellcert.shellability import (BishellCertificate, SeqShellCertificate,
@@ -473,6 +476,38 @@ class TestVerifiers:
         d8 = convex(8)
         cert8 = BishellCertificate(outer_face(d8), (0, 1, 2), (7, 6, 5))
         assert verify_bishell_certificate(d8, cert8)
+
+
+class TestSelfCheck:
+    """A decider verifies the certificate it emits: one that fails is an
+    internal error (exit 2), never an answer (exit 0) or a "none" (exit 1)."""
+
+    FAULTY = {
+        "seq": ("_seq_search", ((0,), ((0,),)), "S_0 contains its owner 0"),
+        "bishell": ("_bishell_search", ((0,), (0,)),
+                    "disjointness fails: a_0 = b_0 = 0 with i + j <= s"),
+    }
+
+    @pytest.mark.parametrize("mode", ["seq", "bishell"])
+    def test_a_search_that_emits_a_failing_certificate(self, monkeypatch, tmp_path,
+                                                       capsys, mode):
+        name, found, violation = self.FAULTY[mode]
+        monkeypatch.setattr(shellability, name, lambda *args: found)
+        decide = decide_seq_shellable if mode == "seq" else decide_bishellable
+        with pytest.raises(ShellcertError) as info:
+            decide(convex(6), 0)
+        assert str(info.value).startswith("internal error: emitted certificate failed: ")
+        assert violation in str(info.value)
+
+        drawing = tmp_path / "k6.json"
+        drawing.write_text(json.dumps(convex_document(6)))
+        out = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(drawing), "--mode", mode, "--k", "0",
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: emitted certificate failed: ")
+        assert violation in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTransform:

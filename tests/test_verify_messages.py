@@ -133,6 +133,47 @@ def test_mismatch_messages(verify, cert, message):
     assert str(info.value) == message
 
 
+FIELD_MISMATCHES = [
+    (SeqShellCertificate(OUTER, (0,), (5,)),
+     "certificate field sequences[0] must be a tuple or list, got 5"),
+    (SeqShellCertificate(OUTER, (0, 1), ((1, 2), None)),
+     "certificate field sequences[1] must be a tuple or list, got None"),
+    (SeqShellCertificate(OUTER, 0, ((1,),)),
+     "certificate field vertices must be a tuple or list, got 0"),
+    (SeqShellCertificate(OUTER, (0,), 5),
+     "certificate field sequences must be a tuple or list, got 5"),
+    (BishellCertificate(OUTER, None, (1,)),
+     "certificate field a_sequence must be a tuple or list, got None"),
+    (BishellCertificate(OUTER, (0,), "1"),
+     "certificate field b_sequence must be a tuple or list, got '1'"),
+]
+
+
+@pytest.mark.parametrize("cert, message", FIELD_MISMATCHES)
+def test_a_field_that_holds_no_vertices_is_a_mismatch(cert, message):
+    verify = (verify_seq_certificate if isinstance(cert, SeqShellCertificate)
+              else verify_bishell_certificate)
+    for check in (verify, check_certificate_refs):
+        with pytest.raises(CertificateMismatchError) as info:
+            check(convex(6), cert)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("check, cert, message", [
+    (check_certificate_refs, 5, "5 is not a certificate"),
+    (verify_seq_certificate, 5, "5 is not a seq-shellability certificate"),
+    (verify_bishell_certificate, None, "None is not a bishellability certificate"),
+    (verify_seq_certificate, BishellCertificate(OUTER, (0,), (1,)),
+     "a BishellCertificate is not a seq-shellability certificate"),
+    (verify_bishell_certificate, SeqShellCertificate(OUTER, (0,), ((1,),)),
+     "a SeqShellCertificate is not a bishellability certificate"),
+])
+def test_an_object_of_another_kind_is_refused(check, cert, message):
+    with pytest.raises(ValueError) as info:
+        check(convex(6), cert)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("vertex", [[1], 1.0, True, 10 ** 5000],
                          ids=["list", "float", "bool", "huge"])
 def test_a_vertex_that_is_no_plain_int_is_unknown(vertex):
