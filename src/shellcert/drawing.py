@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import EmbeddingError, StructureError, quoted
 
@@ -56,8 +56,9 @@ class Drawing:
                   passes one that wraps its own records
 
     Vertex and crossing ids are plain ints (not bools); chain keys are the
-    pairs (u, v), u < v. Rotation and chain entries are matched by equality,
-    as a type check would cost ~4% of a load for input no document holds.
+    pairs (u, v), u < v, of plain ints. Rotation and chain entries are
+    matched by equality, as a type check would cost ~4% of a load for
+    input no document holds.
 
     The check of the structure numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
@@ -125,6 +126,7 @@ class Drawing:
         if (n < 3 or len(chains) != n * (n - 1) // 2
                 or chains.keys() != {(u, v) for i, u in enumerate(verts)
                                      for v in verts[i + 1:]}
+                or not {int}.issuperset(map(type, chain.from_iterable(chains)))
                 or not self.vertex_set.isdisjoint(crossings)
                 or rotations.keys() != self.vertex_set | crossings.keys()):
             raise _Fault
@@ -182,6 +184,10 @@ class Drawing:
                 or chains.keys() != {(u, v) for i, u in enumerate(verts)
                                      for v in verts[i + 1:]}):
             raise StructureError("chains must cover every vertex pair exactly once")
+        # the keys equal the vertex pairs, but True equals 1 and 0.0 equals 0
+        for e in chains:
+            if not {int}.issuperset(map(type, e)):
+                raise StructureError(f"chain key {quoted(e)} is not a pair of plain ints")
         if not self.vertex_set.isdisjoint(crossings):
             raise StructureError("crossing ids overlap vertex ids")
         crossings = {c: _copy(_edge_set, pair, f"crossing {quoted(c)} must join exactly two edges")
@@ -423,6 +429,18 @@ def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
     return frozenset(map(faces.tails.__getitem__, walk)) & drawing.vertex_set
 
 
+def face_vertex_table(drawing: Drawing) -> list:
+    """table[f] lists vertices_on_face(drawing, f) in ascending order, for
+    every face, read in one pass over each vertex's n - 1 darts."""
+    faces = trace_faces(drawing)
+    table = [[] for _ in faces.walks]
+    for v in drawing.vertices:
+        start = faces.offset[v]
+        for f in set(faces.face_of[start:start + drawing.n - 1]):
+            table[f].append(v)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Outcome of the goodness check; passes iff no violations."""
@@ -546,14 +564,14 @@ def delete_vertex(drawing: Drawing, v: int):
     return child, child_faces, FaceMap(mapping, v)
 
 
-def _next_live(chain, x, y, dead):
-    """First surviving node when walking the chain from x toward y."""
-    i = chain.index(x)
-    step = 1 if i + 1 < len(chain) and chain[i + 1] == y else -1
+def _next_live(ch, x, y, dead):
+    """First surviving node when walking the chain ch from x toward y."""
+    i = ch.index(x)
+    step = 1 if i + 1 < len(ch) and ch[i + 1] == y else -1
     j = i + step
-    while chain[j] in dead:
+    while ch[j] in dead:
         j += step
-    return chain[j]
+    return ch[j]
 
 
 def child_drawing(drawing: Drawing, v: int):

@@ -53,10 +53,11 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import accumulate
 from math import comb
+from operator import ge
 from typing import NamedTuple
 
 from .drawing import (Drawing, FaceSet, check_face, check_good, check_level, check_vertex,
@@ -312,18 +313,24 @@ def _cumulated(k_values, levels: int):
 class KEdgeProfile:
     """Per-edge k-values plus the derived counters for one reference face.
 
-    k_values maps every edge to its k-value in edge order, that of
-    drawing.edges(), so its values pair up with any list of the edges
-    made in that order. counts[k] is the number of k-edges; cumulated[k]
-    is the weighted sum of all counts up to k, each level i contributing
+    values holds the k-values in edge order, that of drawing.edges(), as
+    they are read back: bytes up to n = 257, a list beyond. k_values, a
+    dict built on its first read, maps every edge to its k-value in that
+    order. counts[k] is the number of k-edges; cumulated[k] is the
+    weighted sum of all counts up to k, each level i contributing
     (k + 1 - i) times.
     """
 
     reference_face: int
-    k_values: dict
+    values: bytes | list
     counts: tuple
     cumulated: tuple
     crossings: int
+    edges: object = field(repr=False)  # the edges in edge order
+
+    @cached_property
+    def k_values(self) -> dict:
+        return dict(zip(self.edges, self.values))
 
 
 def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
@@ -335,10 +342,23 @@ def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
 @per_drawing
 def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     lab = _labelling(drawing)
-    values, _ = _read_k_values(lab, lab.face_bits[ref_face], drawing.n)
-    counts, cumulated = _cumulated(values, max_k(drawing.n) + 1)
-    return KEdgeProfile(ref_face, dict(zip(lab.edges, values)), counts, cumulated,
-                        drawing.crossing_count())
+    return KEdgeProfile(ref_face, *_read_profile(lab, lab.face_bits[ref_face], drawing.n),
+                        drawing.crossing_count(), lab.edges.keys())
+
+
+def face_profiles(drawing: Drawing):
+    """(values, counts, cumulated) of k_edge_profile for every face in
+    order, read one at a time and kept nowhere: no dict, no cache entry."""
+    lab, n = _labelling(drawing), drawing.n
+    for pf in lab.face_bits:
+        yield _read_profile(lab, pf, n)
+
+
+def _read_profile(lab: _Labelling, pf: int, n: int) -> tuple:
+    """The k-values of the face labelled pf as _read_k_values gives them,
+    then their level counts and cumulated counts."""
+    values = _read_k_values(lab, pf, n)[0]
+    return (values, *_cumulated(values, max_k(n) + 1))
 
 
 def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:
@@ -425,12 +445,22 @@ def cumulative_bound_check(drawing: Drawing, ref_face: int, kmax: int):
     If every row passes up to k = n//2 - 2, the drawing has at least H(n)
     crossings.
     """
-    if max_k(drawing.n) == 0:
-        raise ValueError(f"a drawing on {drawing.n} vertices has no bound levels")
-    check_level("kmax", kmax, max_k(drawing.n) - 1)
+    check_kmax(drawing.n, kmax)
     cumulated = k_edge_profile(drawing, ref_face).cumulated
-    return tuple(BoundRow(k, c, t, c >= t)
-                 for k, (c, t) in enumerate(zip(cumulated, _thresholds(kmax))))
+    return tuple(map(BoundRow._make, bound_rows(cumulated, kmax)))
+
+
+def check_kmax(n: int, kmax: int) -> int:
+    """kmax, if a drawing on n vertices has bound levels 0..kmax; else ValueError."""
+    if max_k(n) == 0:
+        raise ValueError(f"a drawing on {n} vertices has no bound levels")
+    return check_level("kmax", kmax, max_k(n) - 1)
+
+
+def bound_rows(cumulated: tuple, kmax: int):
+    """(k, cumulated[k], 3*C(k+3, 3), passed) for k = 0..kmax, unchecked."""
+    thresholds = _thresholds(kmax)
+    return zip(range(kmax + 1), cumulated, thresholds, map(ge, cumulated, thresholds))
 
 
 @cache

@@ -119,6 +119,15 @@ def face_views(faces):
     return ReferenceFaces(walks, {d: f for f, walk in enumerate(walks) for d in walk})
 
 
+def walk_face_vertex_table(drawing) -> list:
+    """The real vertices on each face, ascending, read walk by walk: the
+    tails of each face's (tail, head) darts that are vertices, as
+    vertices_on_face reads one face (drawing.face_vertex_table reads them
+    all in one pass over each vertex's darts)."""
+    return [sorted({tail for tail, _ in walk} & drawing.vertex_set)
+            for walk in face_views(trace_faces(drawing)).faces]
+
+
 @_once
 def exact_points(geo):
     """Node id -> (x, y): a vertex's integer position, a crossing's exact

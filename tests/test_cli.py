@@ -263,6 +263,33 @@ class TestAnalyze:
         assert len(read(out)["profiles"]) == 155
         assert reports == [True]
 
+    def test_each_selector_reads_only_what_it_reports(self, k6, tmp_path, monkeypatch):
+        # one face reads its walk and never the table of every face's
+        # vertices; all faces read the table once and cache no profile
+        tables, drawings = [], []
+        table, load = cli.face_vertex_table, cli.load_drawing
+
+        def counting(drawing):
+            tables.append(drawing)
+            return table(drawing)
+
+        def loading(doc):
+            drawings.append(load(doc))
+            return drawings[-1]
+
+        monkeypatch.setattr(cli, "face_vertex_table", counting)
+        monkeypatch.setattr(cli, "load_drawing", loading)
+        out = tmp_path / "report.json"
+        for selector, built in (("2", 0), ("at:1,1", 0), ("auto", 1)):
+            del tables[:]
+            assert main(["analyze", "--input", str(k6), "--face", selector,
+                         "--output", str(out)]) == 0
+            assert len(tables) == built, selector
+        profiles = [[key[1] for key in drawing._cache if key[0] is kedges._profile.__wrapped__]
+                    for drawing in drawings]
+        assert profiles == [[(2,)], [(cli.locate_face(drawings[1], (1, 1)),)], []]
+        assert len(read(out)["profiles"]) == len(cli.trace_faces(drawings[-1]).walks)
+
 
 def _deep_vertex_id_text(doc):
     """The document's text with vertex 0's id a list nested 985 deep."""
@@ -631,6 +658,7 @@ REPORT_CASES = {
        for family in ("convex", "cylindrical", "rectilinear") for n in (9, 10, 11, 12)},
     "cylindrical10-face7": ("cylindrical", 10, ["--face", "7"]),
     "convex9-at": ("convex", 9, ["--face", "at:0,0"]),
+    "convex22-face0": ("convex", 22, ["--face", "0"]),  # k-values up to 10
 }
 
 # sha256 of each report as written with every profile a per-face dict
@@ -668,6 +696,8 @@ REPORT_SHA256 = {
         "00d0cb63f0b87131a3d37ccba820dfbf5961c6afe48797d151999a2e6abf913f",
     "convex9-at":
         "abf35431af95779f8c05ee4b34b8383a0a7755251a5897d0bfbdb50b8dff27f5",
+    "convex22-face0":
+        "1bba904bfef2d475d5c5d193a6b71263f282d56824b2725ab5201395772b307d",
 }
 
 
@@ -705,6 +735,8 @@ class TestReportBytes:
             assert row == _compact(reference_profile(drawing, face, kmax)), face
         if name.startswith("cylindrical") and name.endswith("-auto"):
             assert any('"pass":false' in row for row in rows)
+        if name == "convex22-face0":  # the template's k-values past one digit
+            assert max(json.loads(rows[0])["k_values"].values()) == 10
 
 
 class TestNotGood:

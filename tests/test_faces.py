@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
-from oracles import face_views, reference_trace
+from oracles import face_views, reference_trace, walk_face_vertex_table
 from shellcert.documents import load_drawing
-from shellcert.drawing import Drawing, delete_vertex, trace_faces
+from shellcert.drawing import (Drawing, delete_vertex, face_vertex_table, trace_faces,
+                               vertices_on_face)
 from shellcert.errors import ShellcertError
 from test_load_messages import mutated_documents
 
@@ -87,6 +88,22 @@ def test_dart_arrays_on_the_corpus(name):
     if drawing.n > 3 and name != "not-good-k7":
         for v in drawing.vertices[::3]:
             check_darts(delete_vertex(drawing, v)[0])
+
+
+@pytest.mark.parametrize("factory, seed", ((convex, ()), (cylindrical, ()), (rectilinear, (1,))),
+                         ids=("convex", "cylindrical", "rectilinear"))
+def test_face_vertex_table_is_the_walk_read(factory, seed):
+    """The table read in one pass over each vertex's darts lists, on every
+    face, the vertices of its boundary walk, ascending; also with the
+    vertices permuted and the crossings renumbered, and in the children
+    of a deletion, whose node ids have gaps."""
+    for n in range(4, 13):
+        drawing = factory(n, *seed)
+        for d in (drawing, relabelled(drawing, f"{factory.__name__}{n}"),
+                  delete_vertex(drawing, drawing.vertices[n // 2])[0]):
+            table = face_vertex_table(d)
+            assert table == walk_face_vertex_table(d), (n, d.vertices)
+            assert table == [sorted(vertices_on_face(d, f)) for f in trace_faces(d).face_ids()]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 import pytest
@@ -169,6 +169,22 @@ class TestAgainstFloodFill:
                     == flood_fill_k_values(d, f, left_faces))
 
 
+def synthetic_labelling(n):
+    """A labelling on a dozen edges of K_n, with fields of 8 to 512 bits,
+    and four labels: none set, rows of all ones at even vertices (so the
+    edge v_0 v_1, of rel 0, has all n - 2 witnesses), random, all set."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    pairs = {(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))}
+    edges = {}
+    for i, j in sorted(pairs):
+        mask = full ^ (1 << i) ^ (1 << j)
+        edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
+    striped = sum(full << (i * n) for i in range(0, n, 2))
+    return (kedges._lay_out({v: v for v in range(n)}, [], edges),
+            (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1))
+
+
 KERNEL_CORPUS = {f"{factory.__name__}{n}": (factory, n, *seed)
                  for factory, seed in ((convex, ()), (cylindrical, ()), (rectilinear, (1,)))
                  for n in (4, 8, 9, 16, 17)}
@@ -215,17 +231,10 @@ class TestPackedKernel:
         vertices, so the edge v_0 v_1 (rel 0) has all n - 2 witnesses:
         255 at n = 257, the most a byte holds, and 256 at n = 258 and 298
         at n = 300, past it."""
-        rng = random.Random(n)
-        full = (1 << n) - 1
-        pairs = {(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))}
-        edges = {}
-        for i, j in sorted(pairs):
-            mask = full ^ (1 << i) ^ (1 << j)
-            edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
-        lab = kedges._lay_out({v: v for v in range(n)}, [], edges)
+        lab, labels = synthetic_labelling(n)
         assert (lab.read[0] is None) == (n <= 257)  # the low byte of each field
-        striped = sum(full << (i * n) for i in range(0, n, 2))
-        for pf in (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1):
+        striped = labels[1]
+        for pf in labels:
             for x in (None, 0, n // 2, n - 1):
                 assert (kedges._k_values(lab, pf, n, x)
                         == reference_k_values(lab, pf, n, x)), (n, x)
@@ -251,6 +260,56 @@ class TestPackedKernel:
             prof = k_edge_profile(d, f)
             want = reference_cumulated(reference_k_values(lab, pf, n).values(), max_k(n) + 1)
             assert (prof.counts, prof.cumulated) == want, f
+
+
+class TestLazyKValues:
+    """A profile keeps its k-values as they are read back, bytes up to
+    n = 257 and a list beyond, and builds the edge -> k-value dict on its
+    first read; face_profiles reads the same values and keeps nothing."""
+
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
+    def test_the_dict_is_the_reference_in_edge_order(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        for f, pf in enumerate(lab.face_bits):
+            prof = k_edge_profile(d, f)
+            want = reference_k_values(lab, pf, n)
+            assert type(prof.values) is bytes and list(prof.values) == list(want.values())
+            assert prof.k_values == want and list(prof.k_values) == d.edges()
+            assert prof.k_values is prof.k_values
+
+    def test_the_dict_is_built_on_its_first_read(self):
+        d = convex(8)
+        prof = kedges._profile.__wrapped__(d, 0)  # built afresh, not cached
+        assert "k_values" not in vars(prof)
+        k_values = prof.k_values
+        assert vars(prof)["k_values"] is k_values is prof.k_values
+
+    @pytest.mark.parametrize("n", (5, 257, 258, 300))
+    def test_the_list_path_gives_the_same_dict(self, n):
+        lab, labels = synthetic_labelling(n)
+        for pf in labels:
+            values, counts, cumulated = kedges._read_profile(lab, pf, n)
+            assert type(values) is (bytes if n <= 257 else list)
+            prof = kedges.KEdgeProfile(reference_face=0, values=values, counts=counts,
+                                       cumulated=cumulated, crossings=0,
+                                       edges=lab.edges.keys())
+            want = reference_k_values(lab, pf, n)
+            assert prof.k_values == want and list(prof.k_values) == list(want)
+            assert (counts, cumulated) == reference_cumulated(want.values(), max_k(n) + 1)
+
+    @pytest.mark.parametrize("name", [name for name, (_, n, *_) in KERNEL_CORPUS.items()
+                                      if n <= 9])
+    def test_face_profiles_reads_every_face_and_keeps_nothing(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        kedges._labelling(d)
+        cached = dict(d._cache)
+        read = list(kedges.face_profiles(d))
+        assert d._cache == cached
+        assert read == [(p.values, p.counts, p.cumulated)
+                        for p in map(k_edge_profile, repeat(d), trace_faces(d).face_ids())]
 
 
 class TestProfiles:

@@ -333,6 +333,17 @@ DIRECT = [
     ("chain-key-is-reversed", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
      {**_without(K4_CHAINS, (0, 1)), (1, 0): (1, 0)},
      "chains must cover every vertex pair exactly once"),
+    # keys equal to a vertex pair whose ends are no plain ints: the drawing
+    # would keep them, and its document would name the chain "True-2"
+    ("chain-key-end-is-a-bool", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**_without(K4_CHAINS, (1, 2)), (True, 2): (1, 2)},
+     "chain key (True, 2) is not a pair of plain ints"),
+    ("chain-key-end-is-a-float", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**_without(K4_CHAINS, (0, 1)), (0.0, 1): (0, 1)},
+     "chain key (0.0, 1) is not a pair of plain ints"),
+    ("crossing-chain-key-end-is-a-bool", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
+     {**_without(K4_CHAINS, (1, 3)), (True, 3): (1, 4, 3)},
+     "chain key (True, 3) is not a pair of plain ints"),
     # values of the wrong shape, and entries that do not hash
     ("rotation-is-none", range(4), {4: {(0, 2), (1, 3)}}, {**K4_ROTATIONS, 0: None},
      K4_CHAINS, "rotation at 0 is not a sequence of node ids"),
