@@ -24,16 +24,15 @@ from operator import itemgetter
 from . import __version__
 from .documents import (JsonText, certificate_from_document, certificate_to_document,
                         dump_document, dumps_document, load_drawing)
-from .drawing import (check_face, check_level, face_vertex_table, trace_faces,
-                      validate_goodness, vertices_on_face)
+from .drawing import check_face, check_level, face_vertex_table, trace_faces, validate_goodness
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError, quoted)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
-from .kedges import (bound_rows, check_kmax, face_profiles, harary_hill_bound,
-                     k_edge_profile, max_k)
-# perfbench/layertrace.py wraps this name in this module by name
-from .kedges import cumulative_bound_check  # noqa: F401
+from .kedges import bound_rows, check_kmax, face_profiles, harary_hill_bound, max_k
+# perfbench/layertrace.py wraps these names in this module by name
+from .drawing import vertices_on_face  # noqa: F401
+from .kedges import cumulative_bound_check, k_edge_profile  # noqa: F401
 from .planarize import locate_face
 from .shellability import (SeqShellCertificate, check_certificate_refs,
                            decide_bishellable, decide_seq_shellable,
@@ -245,23 +244,18 @@ def cmd_analyze(args) -> int:
     if args.kmax is not None or kmax >= 0:
         check_kmax(drawing.n, kmax)
     payload["faces"]["analyzed"] = selected
-    if args.face == "auto":  # every face, read once and kept nowhere
-        profiles, vertices = face_profiles(drawing), face_vertex_table(drawing)
-    else:  # one face: its cached profile and its boundary walk
-        prof = k_edge_profile(drawing, selected[0])
-        profiles = [(prof.values, prof.counts, prof.cumulated)]
-        vertices = [sorted(vertices_on_face(drawing, selected[0]))]
+    vertices = face_vertex_table(drawing)
     # a profile's k-values come in edge order, and its JSON lists them by
     # name, sorted as strings
     names = [f"{u}-{v}" for u, v in drawing.edges()]
     in_name_order = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
     template = _profile_template(in_name_order(names), kmax + 1, max_k(drawing.n) + 1)
-    for face, (values, counts, cumulated), verts in zip(selected, profiles, vertices):
+    for face, (values, counts, cumulated) in zip(selected, face_profiles(drawing, selected)):
         fields = []
         for k, c, threshold, ok in bound_rows(cumulated, kmax):
             fields += (c, k, _JSON_BOOL[ok], threshold)
         payload["profiles"].append(JsonText(template % (
-            *fields, *counts, *cumulated, face, ",".join(map(str, verts)),
+            *fields, *counts, *cumulated, face, ",".join(map(str, vertices[face])),
             *in_name_order(values))))
     _emit(payload, args.output)
     return EXIT_OK

@@ -15,14 +15,16 @@ dart with its reverse (twin) and lists each chain's darts (chain_darts).
 trace_faces reuses that numbering, and its FaceSet keeps the face on
 each dart's left, every face's boundary walk and the node each dart
 leaves as lists of ints. Other modules read a chain's darts off
-chain_darts, number other paths through FaceSet.path_darts or offset,
-and read a dart's ends off tails and twin.
+chain_darts, number any other dart (a, b) as offset[a] plus b's index
+in rotations[a], and read a dart's ends off tails and twin. A vertex
+bounds a face iff the face lies left of one of its darts; that is the
+one incidence rule, read for every face at once by face_vertex_table.
 
 Everything here is immutable after construction. Derived structures
-(faces, goodness reports, deletions, and the labellings, profiles and
-tables of the other modules) are built by functions decorated with
-per_drawing, which keeps one result per builder and arguments on the
-drawing; they are shared freely.
+(faces, face-vertex tables, goodness reports, deletions, and the
+labellings, profiles and tables of the other modules) are built by
+functions decorated with per_drawing, which keeps one result per builder
+and arguments on the drawing; they are shared freely.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ Edge = tuple  # (u, v) with u < v: an original edge of the complete graph
 
 
 def edge_key(u: int, v: int) -> Edge:
+    """The pair (u, v) in ascending order: an edge, or a segment's key."""
     return (u, v) if u < v else (v, u)
 
 
-def seg_key(a: int, b: int) -> tuple:
-    return (a, b) if a < b else (b, a)
+seg_key = edge_key
 
 
 class Drawing:
@@ -55,10 +57,11 @@ class Drawing:
     geometry   -- optional Geometry (coordinates and polylines); planarize
                   passes one that wraps its own records
 
-    Vertex and crossing ids are plain ints (not bools); chain keys are the
-    pairs (u, v), u < v, of plain ints. Rotation and chain entries are
-    matched by equality, as a type check would cost ~4% of a load for
-    input no document holds.
+    Vertex and crossing ids are plain ints (not bools), as are the ends of
+    chain keys (u, v), u < v, and of crossing-pair edges; the pair scan
+    costs ~4% of a combinatorial load. Rotation and chain entries are
+    matched by equality: a scan would cost as much again, for input no
+    document holds.
 
     The check of the structure numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
@@ -127,6 +130,8 @@ class Drawing:
                 or chains.keys() != {(u, v) for i, u in enumerate(verts)
                                      for v in verts[i + 1:]}
                 or not {int}.issuperset(map(type, chain.from_iterable(chains)))
+                or not {int}.issuperset(map(type, chain.from_iterable(
+                    chain.from_iterable(crossings.values()))))
                 or not self.vertex_set.isdisjoint(crossings)
                 or rotations.keys() != self.vertex_set | crossings.keys()):
             raise _Fault
@@ -222,6 +227,10 @@ class Drawing:
             # a chain passes a crossing at most once and only on its edges
             if uses[c] != 2:
                 raise StructureError(f"crossing {quoted(c)} must lie on exactly its two edges")
+            bad = sorted(quoted(e) for e in pair if not {int}.issuperset(map(type, e)))
+            if bad:
+                raise StructureError(
+                    f"crossing {quoted(c)}: edge {bad[0]} is not a pair of plain ints")
 
         if rotations.keys() != self.vertex_set | crossings.keys():
             raise StructureError("rotations must list every node exactly once")
@@ -302,12 +311,6 @@ class FaceSet:
 
     def face_ids(self):
         return range(len(self.walks))
-
-    def path_darts(self, path) -> list:
-        """Numbers of the darts (path[0], path[1]), (path[1], path[2]), ...
-        along a path of adjacent nodes, such as a chain or one segment."""
-        offset, rot = self.offset, self.rotations
-        return [offset[a] + rot[a].index(b) for a, b in zip(path, path[1:])]
 
     @cached_property
     def tails(self) -> list:
@@ -419,19 +422,19 @@ def check_good(drawing: Drawing, action: str) -> None:
 
 
 def vertices_on_face(drawing: Drawing, face: int) -> frozenset:
-    """Real vertices appearing on the boundary walk of the face.
+    """The real vertices that bound the face, read off face_vertex_table.
 
     May be empty: nothing guarantees that every face of a good drawing
     touches a real vertex.
     """
-    faces = trace_faces(drawing)
-    walk = faces.walks[check_face(drawing, face)]
-    return frozenset(map(faces.tails.__getitem__, walk)) & drawing.vertex_set
+    return frozenset(face_vertex_table(drawing)[check_face(drawing, face)])
 
 
+@per_drawing
 def face_vertex_table(drawing: Drawing) -> list:
-    """table[f] lists vertices_on_face(drawing, f) in ascending order, for
-    every face, read in one pass over each vertex's n - 1 darts."""
+    """table[f] lists, ascending, the vertices with a dart that has face f
+    on its left, those on f's boundary walk, read for every face in one
+    pass over each vertex's n - 1 darts. Shared: never change it."""
     faces = trace_faces(drawing)
     table = [[] for _ in faces.walks]
     for v in drawing.vertices:
@@ -521,7 +524,7 @@ def delete_vertex(drawing: Drawing, v: int):
             continue
         out = []
         for j, y in enumerate(drawing.rotations[x]):
-            e = drawing.segment_edge[seg_key(x, y)]
+            e = drawing.segment_edge[edge_key(x, y)]
             if e in dead_edges:
                 continue
             out.append(_next_live(drawing.chains[e], x, y, dead_nodes))

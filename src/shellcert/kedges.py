@@ -346,12 +346,13 @@ def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
                         drawing.crossing_count(), lab.edges.keys())
 
 
-def face_profiles(drawing: Drawing):
-    """(values, counts, cumulated) of k_edge_profile for every face in
-    order, read one at a time and kept nowhere: no dict, no cache entry."""
+def face_profiles(drawing: Drawing, face_ids):
+    """(values, counts, cumulated) of k_edge_profile for each face id, in
+    the order given, read one at a time and kept nowhere: no dict, no
+    cache entry. The caller has checked the ids (check_face)."""
     lab, n = _labelling(drawing), drawing.n
-    for pf in lab.face_bits:
-        yield _read_profile(lab, pf, n)
+    for f in face_ids:
+        yield _read_profile(lab, lab.face_bits[f], n)
 
 
 def _read_profile(lab: _Labelling, pf: int, n: int) -> tuple:

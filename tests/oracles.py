@@ -119,13 +119,24 @@ def face_views(faces):
     return ReferenceFaces(walks, {d: f for f, walk in enumerate(walks) for d in walk})
 
 
+def walk_face_vertices(drawing, face) -> list:
+    """The real vertices on the face, ascending, read off its walk: the
+    tails of its (tail, head) darts that are vertices. The library reads
+    them off each vertex's darts instead (drawing.face_vertex_table)."""
+    walk = face_views(trace_faces(drawing)).faces[face]
+    return sorted({tail for tail, _ in walk} & drawing.vertex_set)
+
+
 def walk_face_vertex_table(drawing) -> list:
-    """The real vertices on each face, ascending, read walk by walk: the
-    tails of each face's (tail, head) darts that are vertices, as
-    vertices_on_face reads one face (drawing.face_vertex_table reads them
-    all in one pass over each vertex's darts)."""
-    return [sorted({tail for tail, _ in walk} & drawing.vertex_set)
-            for walk in face_views(trace_faces(drawing)).faces]
+    """walk_face_vertices of every face, in face order."""
+    return [walk_face_vertices(drawing, f) for f in trace_faces(drawing).face_ids()]
+
+
+def path_darts(faces, path) -> list:
+    """Numbers of the darts (path[0], path[1]), (path[1], path[2]), ...
+    along a path of adjacent nodes, such as a chain or one segment."""
+    offset, rot = faces.offset, faces.rotations
+    return [offset[a] + rot[a].index(b) for a, b in zip(path, path[1:])]
 
 
 @_once
@@ -315,7 +326,7 @@ def reference_profile(drawing, face, kmax=None) -> dict:
         rows = cumulative_bound_check(drawing, face, kmax)
     return {
         "face": face,
-        "face_vertices": sorted(vertices_on_face(drawing, face)),
+        "face_vertices": walk_face_vertices(drawing, face),
         "k_values": {f"{u}-{v}": k for (u, v), k in prof.k_values.items()},
         "counts": list(prof.counts),
         "cumulated": list(prof.cumulated),

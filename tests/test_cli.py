@@ -264,8 +264,8 @@ class TestAnalyze:
         assert reports == [True]
 
     def test_each_selector_reads_only_what_it_reports(self, k6, tmp_path, monkeypatch):
-        # one face reads its walk and never the table of every face's
-        # vertices; all faces read the table once and cache no profile
+        # every selector takes the route of all faces: one table of every
+        # face's vertices per job, and no cached profile
         tables, drawings = [], []
         table, load = cli.face_vertex_table, cli.load_drawing
 
@@ -280,15 +280,21 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "face_vertex_table", counting)
         monkeypatch.setattr(cli, "load_drawing", loading)
         out = tmp_path / "report.json"
-        for selector, built in (("2", 0), ("at:1,1", 0), ("auto", 1)):
+        selected = {"2": lambda d: [2],
+                    "at:1,1": lambda d: [cli.locate_face(d, (1, 1))],
+                    "auto": lambda d: list(cli.trace_faces(d).face_ids())}
+        for selector, faces in selected.items():
             del tables[:]
             assert main(["analyze", "--input", str(k6), "--face", selector,
                          "--output", str(out)]) == 0
-            assert len(tables) == built, selector
-        profiles = [[key[1] for key in drawing._cache if key[0] is kedges._profile.__wrapped__]
-                    for drawing in drawings]
-        assert profiles == [[(2,)], [(cli.locate_face(drawings[1], (1, 1)),)], []]
-        assert len(read(out)["profiles"]) == len(cli.trace_faces(drawings[-1]).walks)
+            drawing = drawings[-1]
+            assert tables == [drawing], selector
+            built = [key[0] for key in drawing._cache]
+            assert built.count(drawing_module.face_vertex_table.__wrapped__) == 1, selector
+            assert kedges._profile.__wrapped__ not in built, selector
+            report = read(out)
+            assert report["faces"]["analyzed"] == faces(drawing), selector
+            assert [p["face"] for p in report["profiles"]] == faces(drawing), selector
 
 
 def _deep_vertex_id_text(doc):

@@ -5,7 +5,8 @@ keeps, as ints, each dart's reverse (twin), the face on its left
 (face_of), each face's boundary walk (walks) and the node each dart
 leaves (tails). The (tail, head) views the test oracles build from these
 arrays must equal the reference tracer's, which walks (tail, head) darts
-by a predecessor map, key order included.
+by a predecessor map, key order included. A face's vertices, which the
+library reads off each vertex's darts, must be those of its walk.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
-from oracles import face_views, reference_trace, walk_face_vertex_table
+from oracles import face_views, path_darts, reference_trace, walk_face_vertex_table
 from shellcert.documents import load_drawing
 from shellcert.drawing import (Drawing, delete_vertex, face_vertex_table, trace_faces,
                                vertices_on_face)
@@ -40,7 +41,7 @@ def check_darts(drawing):
     rot = drawing.rotations
     numbered = [(x, y) for x in sorted(rot) for y in rot[x]]
     assert list(zip(fs.tails, map(fs.tails.__getitem__, twin))) == numbered
-    assert [fs.path_darts(dart) for dart in numbered] == [[i] for i in darts]
+    assert [path_darts(fs, dart) for dart in numbered] == [[i] for i in darts]
     # the views built from the arrays equal the reference tracer's, key
     # order included
     views, ref = face_views(fs), reference_trace(drawing)
@@ -96,14 +97,19 @@ def test_face_vertex_table_is_the_walk_read(factory, seed):
     """The table read in one pass over each vertex's darts lists, on every
     face, the vertices of its boundary walk, ascending; also with the
     vertices permuted and the crossings renumbered, and in the children
-    of a deletion, whose node ids have gaps."""
+    of a deletion, whose node ids have gaps. vertices_on_face reads the
+    same sets off the table, built once per drawing."""
     for n in range(4, 13):
         drawing = factory(n, *seed)
         for d in (drawing, relabelled(drawing, f"{factory.__name__}{n}"),
                   delete_vertex(drawing, drawing.vertices[n // 2])[0]):
+            walk = walk_face_vertex_table(d)
+            assert [vertices_on_face(d, f) for f in trace_faces(d).face_ids()] == [
+                frozenset(verts) for verts in walk], (n, d.vertices)
             table = face_vertex_table(d)
-            assert table == walk_face_vertex_table(d), (n, d.vertices)
-            assert table == [sorted(vertices_on_face(d, f)) for f in trace_faces(d).face_ids()]
+            assert table == walk, (n, d.vertices)
+            assert face_vertex_table(d) is table
+            assert [key[0] for key in d._cache].count(face_vertex_table.__wrapped__) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -265,7 +265,8 @@ class TestPackedKernel:
 class TestLazyKValues:
     """A profile keeps its k-values as they are read back, bytes up to
     n = 257 and a list beyond, and builds the edge -> k-value dict on its
-    first read; face_profiles reads the same values and keeps nothing."""
+    first read; face_profiles reads the same values for the faces it is
+    given and keeps nothing."""
 
     @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_the_dict_is_the_reference_in_edge_order(self, name):
@@ -305,11 +306,13 @@ class TestLazyKValues:
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         kedges._labelling(d)
-        cached = dict(d._cache)
-        read = list(kedges.face_profiles(d))
-        assert d._cache == cached
-        assert read == [(p.values, p.counts, p.cumulated)
-                        for p in map(k_edge_profile, repeat(d), trace_faces(d).face_ids())]
+        every = list(trace_faces(d).face_ids())
+        for faces in (every, [every[-1]], every[::-3]):
+            cached = dict(d._cache)
+            read = list(kedges.face_profiles(d, faces))
+            assert d._cache == cached
+            assert read == [(p.values, p.counts, p.cumulated)
+                            for p in map(k_edge_profile, repeat(d), faces)]
 
 
 class TestProfiles:

@@ -344,6 +344,12 @@ DIRECT = [
     ("crossing-chain-key-end-is-a-bool", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
      {**_without(K4_CHAINS, (1, 3)), (True, 3): (1, 4, 3)},
      "chain key (True, 3) is not a pair of plain ints"),
+    # crossing pairs with such ends: the document of the drawing would
+    # write the edge [true, 3], which the loader refuses
+    ("crossing-edge-end-is-a-bool", range(4), {4: {(0, 2), (True, 3)}}, K4_ROTATIONS,
+     K4_CHAINS, "crossing 4: edge (True, 3) is not a pair of plain ints"),
+    ("crossing-edge-end-is-a-float", range(4), {4: {(0.0, 2), (1, 3)}}, K4_ROTATIONS,
+     K4_CHAINS, "crossing 4: edge (0.0, 2) is not a pair of plain ints"),
     # values of the wrong shape, and entries that do not hash
     ("rotation-is-none", range(4), {4: {(0, 2), (1, 3)}}, {**K4_ROTATIONS, 0: None},
      K4_CHAINS, "rotation at 0 is not a sequence of node ids"),
