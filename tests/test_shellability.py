@@ -342,6 +342,74 @@ class TestGreedySearches:
                  for v in sorted(vertices_on_face(d, f)) for length in range(1, n)]
         assert hashlib.sha256(repr(found).encode()).hexdigest() == sequences
 
+    # sha256 of the repr of every per-face decide_bishellable (faces
+    # ascending, s = 0..n-2 within a face), of the whole-drawing
+    # decide_seq_shellable at k = 0..n-2 and of the whole-drawing
+    # decide_bishellable at s = 0..n-2, as a search that tries every face
+    # and backtracks over both sequences answered
+    BISHELL_PINS = [
+        ("convex", 5, None, "280e354feb97bc3f5ae9cb1c76c0c24ccdff1d929d3787ce7aaf1ac9cc02822b",
+         "dedfc89358e1cb63e22ebae1894333dd9b5d190302869d64ff260136ef7858d3",
+         "c2438b6c7e4196755039c7d369700da52713378d94ba504a7e3692b5536249f4"),
+        ("convex", 6, None, "bd04e7d2c357391ff4084bfe0c20976a584b8910e6110ffb53d53aaae91312da",
+         "3ee3cd154405df9f9ab197966a424ab857621278a21ed7bc85f8329506e14af5",
+         "c07aa3e6f2ab30048974730ffa46459aab3415edcc7b65f5dd0bc45407f59485"),
+        ("convex", 7, None, "ecf06071b1da19737cf2210a8b43bcc1546fd84ebd0d312a34870faec2dc3e42",
+         "5cfbc2271dcd77e79f37a4a32f2df8a066d4cc2072b64fdf671399961cacdfd0",
+         "55e21e7f62507489ec32c32dc8ad0e806800e1b4ca7e632d0df26bd985a7f736"),
+        ("convex", 8, None, "069ef9373db78439db2cdd48b597ac732fd5fef8482a4a857feee4dee0e6f839",
+         "aff5a3458778133d095002e2a6a6ea0cfc27ecf80bd5aba66c1da9a9a6521d29",
+         "f4272972202f86d3811d48b8a7742ac27cc0f395122656dbc128538b84537605"),
+        ("convex", 9, None, "59d568155641db860e09e1fa1dfc5a44013a6c0c53a44fa0e36f55e1e712351d",
+         "60223c678d8cf9b8f5f6e8e74698a589ffb5bb597578af36e496f583297628d7",
+         "bd14c5080c139b0ff960afc98bbce2da0634752447e34d33aa6612aeaedcd9b0"),
+        ("cylindrical", 6, None, "2a7bbd4ba2c817f535195776f76e4379657145b18041bcd0fdb83f95bc724ca8",
+         "ec5224cfcbe07f5f19d205de72638359bb9be0d152ad7904af7fb63e58bfbb72",
+         "dedf41ffa2237067c1ae87fe2150d1d3940004325f0c0978de235467c2a3eb29"),
+        ("cylindrical", 7, None, "686c1dc0fb7a0353edcf786a503ba5f9d824039d6602499f7719424408742f9f",
+         "e61d8d3e536147d91c740422e733f271b1310e619c10b8600ab77496f8335b87",
+         "66fed1832ee2a4462b3db4b1218bf0a80387352b83693d65a871f66448c7bf50"),
+        ("cylindrical", 8, None, "814cb4e2b67114f06a22f0d7152d512d9ce9bdf28a98f93cf89627c525e17c11",
+         "5dbfd951f1814d39f3aa2fa4ff8eb36c8c07cde64e402a5102f8dbc82a638249",
+         "a8b42d43034f44bbcf66bacc664b32aca8715ca9fadc8f5bd3edb33c5f1a177d"),
+        ("cylindrical", 9, None, "3b53969170c18a050382772094ef3dbbf8e3d3c7c108e9fea939b1782219163a",
+         "f9f4b279f52cda2338aac3e7864ddc19d3c83a07acadee273fcdc5b7bb952f5a",
+         "aa620a70c25d77d9dc37af0a0b0da7cd3323ccc99def6e2c7f56f7da6a370ce0"),
+        ("cylindrical", 10, None, "1a28fba9ae4c1ecc7de9e19b5cd11b0610bc8f1144d58b5c07ee0462aef45d4b",
+         "aa40f5f8b62bd34510fca0767abaa953c5ec38a7c939830e950a026ba4526dfb",
+         "951cad47ea27ac8763715cf039ef2998b06189cd435f7f536f0d9d9c5ad0868e"),
+        ("rectilinear", 6, 1, "abf58e308d6be50909a779aca244b2c6811e080b67f93660fc31c2f0389c273a",
+         "3ee3cd154405df9f9ab197966a424ab857621278a21ed7bc85f8329506e14af5",
+         "c07aa3e6f2ab30048974730ffa46459aab3415edcc7b65f5dd0bc45407f59485"),
+        ("rectilinear", 6, 2, "2de17e15066fbc7f988b911808a8f879776badb2f2be8395de0d4d59087b524e",
+         "ae8f2a12832b45a4e970fb22b8b89f23ec35d1e81ed4f8f41109c1b931538b6f",
+         "67421d06f8443d6b3b29d86a7ef138a8afc79e9b3d1304ec255b2c0abb0a4149"),
+        ("rectilinear", 7, 1, "585a4325c1e0d8e20d45df691ed85be5c101939ed7dd96739d24ea53c4c4c7cf",
+         "9eb7cf1b9117f82afd36f5c4c6c268d93807cf344a1f3ac7f5de5bdfc5a5bcff",
+         "8a114193a3fe0b46e866b9ccf40fcb23fd273f2b5fd3f8ab0d1fef3ebe5911e1"),
+        ("rectilinear", 7, 2, "9be1636d0a81951eae4c0fbce3fdfb9902911ec2325b36b040313157d88303d3",
+         "bd243cbce42746292c08c8a2ea826461465881ec7f918ef1afd65d520a23d651",
+         "87c37cd20ba9ca676cef0099ff90d34630557bc37ab6cdb570ace74192a04659"),
+        ("rectilinear", 8, 1, "c7bf60457ce01aa750266715bc734ef36463d56e8546f85839eb2a56ad3acd07",
+         "31b2e4c577cb81ac5e22657a891ebfb92bf1611235da644e94b484a8e199610b",
+         "9e0c74cb499cc5b724a30b669c67c566e650f1687e8b724e79659e1e3686b719"),
+        ("rectilinear", 8, 2, "4e527ae4caacc2b940c78a8389f56fd76e5351ce29d432a256f8764b60147f56",
+         "ada747a3d33b034950a864996eccac6524cf098c74976a6cda03558f67b4cdc8",
+         "1f9ce277f5ce7b25c9dd9f388d8cf7bca2f3b3eaf0d9ad7a5d7d1dece0eea411"),
+    ]
+
+    @pytest.mark.parametrize("family,n,seed,per_face,seq,bishell", BISHELL_PINS)
+    def test_bishell_and_whole_drawing_answers_pinned(self, family, n, seed, per_face, seq,
+                                                      bishell):
+        d = family_drawing(family, n, seed)
+        faces = list(trace_faces(d).face_ids())
+        found = [decide_bishellable(d, s, face_filter=f) for f in faces for s in range(n - 1)]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == per_face
+        found = [decide_seq_shellable(d, k) for k in range(n - 1)]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == seq
+        found = [decide_bishellable(d, s) for s in range(n - 1)]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == bishell
+
     ORACLE_CORPUS = ([("rectilinear", n, seed) for n in (5, 6, 7) for seed in (1, 2, 3)]
                      + [(family, n, None) for family in ("convex", "cylindrical")
                         for n in (6, 7)])
