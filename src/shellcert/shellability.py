@@ -10,7 +10,8 @@ deletion sequences a_0..a_s and b_0..b_s with index-wise disjointness
 (a_i != b_j whenever i + j <= s).
 
 Deciders scan faces in ascending id and candidate vertices in ascending
-id, so the emitted certificate is deterministic.
+id, so the emitted certificate is deterministic; a face whose vertex row
+already failed is skipped (the face lemma below).
 
 No subdrawing is ever built. Deleting a set S of vertices removes every
 edge at a vertex of S, so the face containing F afterwards is the union of
@@ -54,18 +55,39 @@ candidate that owns a simple sequence of length k-i+1, and failing that
 the face has no certificate. A seq decision thus takes at most
 n (k + 1)^2 region steps per face and never backtracks.
 
-The bishellability search keeps plain backtracking: moving a vertex that
-both sequences use to the front of one of them can break a_i != b_j for
+The bishellability search still backtracks: moving a vertex that both
+sequences use to the front of one of them can break a_i != b_j for
 i + j <= s, since that constraint depends on positions, not sets, so the
-lemma does not apply there.
+exchange lemma does not apply there. Three exact facts cut its work.
+
+Face lemma: a search reads its reference face F only through F's row of
+face_vertex_table. At the root the candidates are exactly those
+vertices. Once a vertex x on F is deleted, the region is the component
+that holds all of x's corner faces, whichever corner F was: consecutive
+corners of x lie on either side of the first segment of an edge at x,
+and the flood crosses those segments. So faces with equal rows get
+equal searches, and a face with fewer than two vertices has no
+certificate of either kind. The whole-drawing deciders search each row
+once and skip later faces whose row already failed.
+
+Symmetry: (a, b) and (b, a) are certificates together, since the
+constraint is symmetric in i and j, and a_0 != b_0. The search emits the
+lexicographically first interleaved word (a_0, b_0, a_1, ...), which
+therefore has a_0 < b_0, so b_0 is only tried above a_0.
+
+Lazy flood: each sequence carries its state from before its last
+deletion and floods that deletion only on its next turn, so a vertex
+whose partner finds no candidate, and the last vertex of each sequence,
+are never flooded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import (Drawing, check_face, check_level, check_vertex, edge_key, is_vertex,
-                      per_drawing, trace_faces, vertices_on_face)
+from .drawing import (Drawing, check_face, check_level, check_vertex, edge_key,
+                      face_vertex_table, is_vertex, per_drawing, trace_faces,
+                      vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError, quoted
@@ -338,9 +360,14 @@ def decide_bishellable(drawing: Drawing, s: int,
                        face_filter: int | None = None) -> BishellCertificate | None:
     """Complete search for an s-bishellability certificate.
 
-    The two deletion chains are explored interleaved (a_0, b_0, a_1, ...);
-    the disjointness constraint a_i != b_j for i + j <= s prunes choices as
-    soon as they are placed.
+    Scans reference faces in ascending id (or only ``face_filter``),
+    searching each distinct face vertex row once. The two deletion chains
+    are explored interleaved (a_0, b_0, a_1, ...) and the first
+    certificate found is returned, so it is the lexicographically first
+    word and has a_0 < b_0; the disjointness constraint a_i != b_j for
+    i + j <= s prunes choices as soon as they are placed. See the module
+    docstring for why the row, the symmetry and the lazy flood keep the
+    search complete. The returned certificate always verifies.
     """
     check_level("s", s, drawing.n - 2)
 
@@ -357,16 +384,23 @@ def decide_bishellable(drawing: Drawing, s: int,
 def _bishell_search(regions, state, other_state, s, seq, other_seq):
     """One turn: place the next vertex of ``seq``, then hand the turn to
     the other sequence. The a-sequence moves first, so the turn is back
-    with it, and the pair reads (a, b), once both sequences are full."""
+    with it, and the pair reads (a, b), once both sequences are full.
+    ``state`` is ``seq``'s state before its last deletion: that deletion
+    is flooded only now, on its next turn."""
     i = len(seq)
     if i == s + 1:
         return seq, other_seq
+    if seq:
+        state = regions.advance(state, seq[-1])
+    candidates = regions.candidates(state)
+    if not seq and other_seq:
+        # b_0: the first certificate has a_0 < b_0, as its swap (b, a) is one too
+        candidates = [x for x in candidates if x > other_seq[0]]
     forbidden = set(other_seq[: s - i + 1])
-    for x in regions.candidates(state):
+    for x in candidates:
         if x in forbidden:
             continue
-        next_state = regions.advance(state, x) if i < s else state
-        found = _bishell_search(regions, other_state, next_state, s, other_seq, seq + (x,))
+        found = _bishell_search(regions, other_state, state, s, other_seq, seq + (x,))
         if found is not None:
             return found
     return None
@@ -375,18 +409,28 @@ def _bishell_search(regions, state, other_state, s, seq, other_seq):
 def _first_certificate(drawing, face_filter, search, verify):
     """The certificate ``search(regions, face)`` finds on the first of the
     selected faces (all, ascending, or only ``face_filter``) that has one,
-    checked by ``verify``; None if no face has one."""
+    checked by ``verify``; None if no face has one.
+
+    A search reads its face only through the face's row of
+    face_vertex_table (the face lemma in the module docstring), so a face
+    whose row already failed is skipped."""
     regions = _Regions(drawing)
     selected = (trace_faces(drawing).face_ids() if face_filter is None
                 else (check_face(drawing, face_filter),))
+    table, failed = face_vertex_table(drawing), set()
     for face in selected:
+        row = tuple(table[face])
+        if row in failed:
+            continue
         cert = search(regions, face)
-        if cert is not None:
-            result = verify(drawing, cert)
-            if not result:
-                raise ShellcertError(
-                    f"internal error: emitted certificate failed: {result.violations}")
-            return cert
+        if cert is None:
+            failed.add(row)
+            continue
+        result = verify(drawing, cert)
+        if not result:
+            raise ShellcertError(
+                f"internal error: emitted certificate failed: {result.violations}")
+        return cert
     return None
 
 
