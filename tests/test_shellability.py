@@ -4,6 +4,7 @@ certificate transform."""
 import hashlib
 import json
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -15,7 +16,8 @@ from shellcert import drawing as drawing_module
 from shellcert import shellability
 from shellcert.cli import main
 from shellcert.documents import drawing_to_document, load_drawing
-from shellcert.drawing import Drawing, child_drawing, trace_faces, vertices_on_face
+from shellcert.drawing import (Drawing, child_drawing, face_vertex_table, trace_faces,
+                               vertices_on_face)
 from shellcert.errors import CertificateMismatchError, ShellcertError
 from shellcert.generators import convex_document
 from shellcert.kedges import invariant_edges
@@ -241,12 +243,15 @@ class TestDeciders:
         assert decide_bishellable(d, 4) is None
         for face in fs.face_ids():
             assert decide_bishellable(d, 4, face_filter=face) is None
-        # the brute force takes ~0.2 s a face; check the ten faces with the
-        # most incident vertices
-        busiest = sorted(fs.face_ids(),
-                         key=lambda f: (-len(vertices_on_face(d, f)), f))[:10]
-        for face in busiest:
-            assert not naive_bishellable(d, 4, face=face), face
+        # the brute force takes ~0.2 s a face; check one face per vertex
+        # row of at least two vertices, which with the face lemma
+        # (test_faces_with_equal_rows_get_equal_certificates) covers every face
+        table, firsts = face_vertex_table(d), {}
+        for face in fs.face_ids():
+            firsts.setdefault(tuple(table[face]), face)
+        for row, face in firsts.items():
+            if len(row) >= 2:
+                assert not naive_bishellable(d, 4, face=face), face
 
     def test_convex_k4_base_cases(self):
         d = convex(4)
@@ -432,6 +437,53 @@ class TestGreedySearches:
             for k in range(min(3, n - 1)):
                 assert ((decide_seq_shellable(d, k, face_filter=f) is not None)
                         == naive_seq_shellable(d, k, face=f)), (f, k)
+
+    # on rectilinear K8 seed 3 the first certificate's face follows a
+    # failed face with another row of as many vertices, at every level >= 1
+    LEMMA_CORPUS = ([(family, n, seed, tuple(range(n - 1)))
+                     for family, n, seed in ORACLE_CORPUS + [("rectilinear", 8, 3)]]
+                    + [("cylindrical", 10, None, (4,)), ("cylindrical", 12, None, (5,))])
+
+    @pytest.mark.parametrize("family,n,seed,levels", LEMMA_CORPUS)
+    def test_faces_with_equal_rows_get_equal_certificates(self, family, n, seed, levels):
+        # the face lemma, checked through the face-filtered route, which
+        # searches its one face and so never skips one
+        d = family_drawing(family, n, seed)
+        table = face_vertex_table(d)
+        faces = list(trace_faces(d).face_ids())
+        for decide in (decide_seq_shellable, decide_bishellable):
+            for level in levels:
+                found = {f: decide(d, level, face_filter=f) for f in faces}
+                by_row = {}
+                for f, cert in found.items():
+                    where = (decide.__name__, level, f)
+                    if len(table[f]) < 2:
+                        assert cert is None, where
+                    unplaced = cert and replace(cert, face=None)
+                    assert by_row.setdefault(tuple(table[f]), unplaced) == unplaced, where
+                first = next((cert for cert in found.values() if cert is not None), None)
+                assert decide(d, level) == first, (decide.__name__, level)
+
+    # machine-independent effort of a negative decide that searches each
+    # face vertex row once, floods lazily and tries b_0 only above a_0;
+    # searching every face with eager floods took 578 and 912 calls
+    @pytest.mark.parametrize("n,searches,advances", [(12, 121, 60), (14, 155, 84)])
+    def test_bishell_negative_effort_pinned(self, monkeypatch, n, searches, advances):
+        calls = {"search": 0, "advance": 0}
+        search, advance = shellability._bishell_search, shellability._Regions.advance
+
+        def counted_search(*args):
+            calls["search"] += 1
+            return search(*args)
+
+        def counted_advance(self, state, u):
+            calls["advance"] += 1
+            return advance(self, state, u)
+
+        monkeypatch.setattr(shellability, "_bishell_search", counted_search)
+        monkeypatch.setattr(shellability._Regions, "advance", counted_advance)
+        assert decide_bishellable(cylindrical(n), n // 2 - 1) is None
+        assert calls == {"search": searches, "advance": advances}
 
     def test_advances_per_face_are_bounded(self, monkeypatch):
         # at most n candidates per level, each with a simple sequence of
