@@ -40,18 +40,18 @@ the face containing F, and is then deleted.
 The region depends only on F and the set S, never on the order of the
 deletions. It also only grows with S: if S is a subset of S', region(F, S)
 lies in region(F, S'), and every candidate at S that is not in S' is a
-candidate at S'. That gives an exchange lemma. Let u be a candidate at S and X = (x_1, ..., x_L) a
-simple sequence from S. If u is not in X, (u, x_1, ..., x_{L-1}) is one
-too; if u = x_i, so is (u, x_1, ..., x_{i-1}, x_{i+1}, ..., x_L). Hence
-if any simple sequence exists, the smallest candidate other than its
-owner starts one, and deleting that candidate at every step finds the
-lexicographically smallest sequence, or proves that there is none. The
-same swap works for a-sequences: each a_j's own simple sequence can be
-made to start with u, and dropping u leaves the shorter sequence a_j
-needs once u is deleted ahead of it. So level i takes the smallest
-candidate that owns a simple sequence of length k-i+1, and failing that
-the face has no certificate. A seq decision thus takes at most
-n (k + 1)^2 region steps per face and never backtracks.
+candidate at S'. That gives an exchange lemma. Let u be a candidate at S
+and X = (x_1, ..., x_L) a simple sequence from S. If u is not in X, (u,
+x_1, ..., x_{L-1}) is one too; if u = x_i, so is (u, x_1, ..., x_{i-1},
+x_{i+1}, ..., x_L). Hence if any simple sequence exists, the smallest
+candidate other than its owner starts one, and deleting that candidate at
+every step finds the lexicographically smallest sequence, or proves that
+there is none. The same swap works for a-sequences: each a_j's own simple
+sequence can be made to start with u, and dropping u leaves the shorter
+sequence a_j needs once u is deleted ahead of it. So level i takes the
+smallest candidate that owns a simple sequence of length k-i+1, and
+failing that the face has no certificate. A seq decision thus takes at
+most n (k + 1)^2 region steps per face and never backtracks.
 
 The bishellability search still backtracks: moving a vertex that both
 sequences use to the front of one of them can break a_i != b_j for
@@ -60,10 +60,10 @@ exchange lemma does not apply there. Three exact facts cut its work.
 
 Face lemma: a search reads its reference face F only through F's row of
 face_vertex_table. At the root the candidates are exactly those
-vertices. Once a vertex x on F is deleted, the region is the component
-that holds all of x's corner faces, whichever corner F was: consecutive
-corners of x lie on either side of the first segment of an edge at x,
-and the flood crosses those segments. So faces with equal rows get
+vertices. Once a vertex x on F is deleted, the region is what the flood
+across segments of x's edges reaches from any corner of x, whichever
+corner F was: consecutive corners of x lie on either side of the first
+segment of an edge at x. So faces with equal rows get
 equal searches, and a face with fewer than two vertices has no
 certificate of either kind. The whole-drawing deciders search each row
 once and skip later faces whose row already failed.
@@ -417,14 +417,13 @@ def _first_certificate(drawing, face_filter, search, verify):
         if row in failed:
             continue
         cert = search(regions, face)
-        if cert is None:
-            failed.add(row)
-            continue
-        result = verify(drawing, cert)
-        if not result:
-            raise ShellcertError(
-                f"internal error: emitted certificate failed: {result.violations}")
-        return cert
+        if cert is not None:
+            result = verify(drawing, cert)
+            if not result:
+                raise ShellcertError(
+                    f"internal error: emitted certificate failed: {result.violations}")
+            return cert
+        failed.add(row)
     return None
 
 
