@@ -243,8 +243,14 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
         nodes.append({"id": c, "kind": "crossing",
                       "edges": [list(pair[0]), list(pair[1])]})
     head["nodes"] = nodes
-    head["rotations"] = {str(x): list(rot) for x, rot in sorted(drawing.rotations.items())}
-    head["chains"] = {f"{e[0]}-{e[1]}": list(ch) for e, ch in sorted(drawing.chains.items())}
+    # Drawing matches rotations and chains by equality, so an entry (or a
+    # rotation's key) may be True for node 1 or 5.0 for crossing 5: write
+    # the node id it equals
+    id_of = {x: x for x in (*drawing.vertices, *drawing.crossings)}
+    head["rotations"] = {str(id_of[x]): [id_of[y] for y in rot]
+                         for x, rot in sorted(drawing.rotations.items())}
+    head["chains"] = {f"{e[0]}-{e[1]}": [id_of[y] for y in ch]
+                      for e, ch in sorted(drawing.chains.items())}
     return head
 
 

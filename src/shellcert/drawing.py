@@ -61,7 +61,8 @@ class Drawing:
     chain keys (u, v), u < v, and of crossing-pair edges; the pair scan
     costs ~4% of a combinatorial load. Rotation and chain entries are
     matched by equality: a scan would cost as much again, for input no
-    document holds.
+    document holds, and drawing_to_document writes each entry as the
+    node id it equals.
 
     The check of the structure numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the

@@ -21,16 +21,14 @@ its corner faces (the faces at w between consecutive edges of its rotation)
 lies in the region, since a corner of w in the subdrawing is the union of
 the root corners it covers. The rule needs no special case for tails of
 three or fewer vertices, where every vertex left bounds every face.
-region(F, S + {u}) grows from region(F, S) by a flood that first crosses
-u's segments and then segments of any edge at S + {u}.
 
-The floods read two tables per vertex: the faces flanking a segment of
-one of its edges, and for each such face the faces across those segments.
-_region_tables keeps them on the drawing through drawing.per_drawing. A
-vertex's tables read the darts of its own n - 1 chains off the drawing's
-chain_darts and are built the first time a search or verifier deletes
-it, so a job that deletes a few vertices pays for those few; the corner
-faces of all vertices come from one pass over their rotations.
+A search state is (region, deleted): the set of face ids of region(F,
+S) and a bitmask of S. region(F, S + {u}) grows from region(F, S) by a
+flood that walks face boundaries: it crosses each segment of u's edges
+that has one side in the region, then walks the boundary of each face
+entered and crosses each dart whose edge ends at a vertex of S + {u}.
+The floods read one index per drawing, _Regions, built in one pass over
+the drawing's chain_darts and kept through drawing.per_drawing.
 
 Both verifiers check every deletion sequence of a certificate (the
 a-sequence, each simple sequence, both bishellability sequences) with
@@ -85,9 +83,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import (Drawing, check_face, check_level, check_vertex, edge_key,
-                      face_vertex_table, is_vertex, per_drawing, trace_faces,
-                      vertices_on_face)
+from .drawing import (Drawing, check_face, check_level, check_vertex, face_vertex_table,
+                      is_vertex, per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError, quoted
@@ -161,82 +158,68 @@ class VerificationResult:
 
 # -- region queries ----------------------------------------------------------
 #
-# A search state is (region, deleted). deleted is the set of vertices
-# deleted so far; region is an int bitmask over the root drawing's faces:
-# the faces that merge into the face containing the reference face once
-# those vertices are gone.
-
-@per_drawing
-def _region_tables(drawing):
-    """(corners, tables): every vertex's corner faces as a bitmask, and
-    the drawing's _VertexTables, filled on demand. Cached on the drawing."""
-    faces = trace_faces(drawing)
-    face_of, offset, rot = faces.face_of, faces.offset, drawing.rotations
-    corners = {}
-    for w in drawing.vertices:
-        mask = 0
-        # the faces left of w's darts, one per corner
-        for f in face_of[offset[w]:offset[w] + len(rot[w])]:
-            mask |= 1 << f
-        corners[w] = mask
-    return corners, _VertexTables(drawing, faces)
-
-
-class _VertexTables(dict):
-    """Vertex -> (touch, adjacency), built from the darts of the vertex's
-    own n - 1 chains the first time a search deletes it. adjacency maps
-    each face flanking a segment of an edge at the vertex to the bitmask
-    of the faces across those segments; touch is the bitmask of those
-    flanking faces."""
-
-    def __init__(self, drawing, faces):
-        super().__init__()
-        self.vertices = drawing.vertices
-        self.chain_darts = drawing.chain_darts
-        self.face_set = faces
-
-    def __missing__(self, x):
-        faces = self.face_set
-        face_of, twin = faces.face_of, faces.twin
-        adj = {}
-        for w in self.vertices:
-            if w == x:
-                continue
-            for i in self.chain_darts[edge_key(x, w)]:
-                f1, f2 = face_of[i], face_of[twin[i]]
-                adj[f1] = adj.get(f1, 0) | 1 << f2
-                adj[f2] = adj.get(f2, 0) | 1 << f1
-        table = self[x] = (sum(1 << f for f in adj), adj)
-        return table
-
+# A search state is (region, deleted): region is the set of the root
+# drawing's faces that merge into the face containing the reference face
+# once the vertices of deleted, a bitmask over _Regions.bit, are gone.
 
 class _Regions:
-    """Region queries on one root drawing."""
+    """Region queries on one root drawing, built by _regions in one pass
+    over its chain_darts and shared. For each vertex: its corner faces,
+    its bit and the darts of its n - 1 chains; for each dart, ends holds
+    the bits of the two ends of the edge its segment lies on."""
 
     def __init__(self, drawing):
-        self.vertices = drawing.vertices
-        self.corners, self.tables = _region_tables(drawing)
+        faces = trace_faces(drawing)
+        self.face_of, self.twin, self.walks = faces.face_of, faces.twin, faces.walks
+        offset, n = faces.offset, drawing.n
+        self.bit = {w: 1 << i for i, w in enumerate(drawing.vertices)}
+        # the faces left of w's darts, one per corner
+        self.rows = [(w, self.bit[w], frozenset(self.face_of[offset[w]:offset[w] + n - 1]))
+                     for w in drawing.vertices]
+        self.corners = {w: corners for w, _, corners in self.rows}
+        self.darts = {w: [] for w in drawing.vertices}
+        self.ends = ends = [0] * len(self.twin)
+        for (u, v), darts in drawing.chain_darts.items():
+            mask = self.bit[u] | self.bit[v]
+            for i in darts:
+                ends[i] = ends[self.twin[i]] = mask
+            self.darts[u] += darts
+            self.darts[v] += darts
 
     @staticmethod
     def start(face):
         """The state before any deletion."""
-        return 1 << face, frozenset()
+        return frozenset((face,)), 0
 
     def candidates(self, state):
         """Vertices left that bound the region, ascending."""
         region, deleted = state
-        corners = self.corners
-        return [w for w in self.vertices if w not in deleted and corners[w] & region]
+        return [w for w, bit, corners in self.rows
+                if not deleted & bit and not corners.isdisjoint(region)]
 
     def advance(self, state, u):
-        """The state after deleting u as well: flood the region across u's
-        segments, then across segments of any deleted vertex's edges."""
+        """The state after deleting u as well: cross every segment of u's
+        edges with one side in the region, then walk the boundary of each
+        face entered and cross every segment of an edge at a deleted
+        vertex."""
         region, deleted = state
-        removed = deleted | {u}
-        fresh = self._across(region, (u,)) & ~region
+        removed = deleted | self.bit[u]
+        region = set(region)
+        face_of, twin, walks, ends = self.face_of, self.twin, self.walks, self.ends
+        fresh = []
+        for i in self.darts[u]:
+            f, g = face_of[i], face_of[twin[i]]
+            if (f in region) is not (g in region):
+                g = f if g in region else g
+                region.add(g)
+                fresh.append(g)
         while fresh:
-            region |= fresh
-            fresh = self._across(fresh, removed) & ~region
+            for i in walks[fresh.pop()]:
+                if ends[i] & removed:
+                    g = face_of[twin[i]]
+                    if g not in region:
+                        region.add(g)
+                        fresh.append(g)
         return region, removed
 
     def walk(self, state, seq, name, gone, violations):
@@ -247,27 +230,19 @@ class _Regions:
         for i, x in enumerate(seq):
             if i:
                 state = self.advance(state, seq[i - 1])
-            if x in state[1]:
+            if state[1] & self.bit[x]:
                 violations.append(f"{name(i)} = {x} {gone}")
                 return
-            if not self.corners[x] & state[0]:
+            if self.corners[x].isdisjoint(state[0]):
                 violations.append(f"{name(i)} = {x} is not incident to the face "
                                   f"containing the reference face")
             yield state
 
-    def _across(self, mask, vertices):
-        """Faces one step from ``mask`` across a segment of an edge at one
-        of ``vertices``."""
-        out = 0
-        tables = self.tables
-        for x in vertices:
-            touch, adj = tables[x]
-            bits = mask & touch
-            while bits:
-                low = bits & -bits
-                out |= adj[low.bit_length() - 1]
-                bits ^= low
-        return out
+
+@per_drawing
+def _regions(drawing):
+    """The drawing's _Regions, built on first use and shared."""
+    return _Regions(drawing)
 
 
 # -- simple sequences ------------------------------------------------------
@@ -287,7 +262,7 @@ def find_simple_sequence(drawing: Drawing, ref_face: int, v: int,
         raise ValueError(f"vertex {v} is not incident to face {ref_face}")
     if length > drawing.n - 1:
         return None
-    regions = _Regions(drawing)
+    regions = _regions(drawing)
     seq = _simple_sequence(regions, regions.start(ref_face), v, length)
     if seq is None:
         return None
@@ -408,7 +383,7 @@ def _first_certificate(drawing, face_filter, search, verify):
     A search reads its face only through the face's row of
     face_vertex_table (the face lemma in the module docstring), so a face
     whose row already failed is skipped."""
-    regions = _Regions(drawing)
+    regions = _regions(drawing)
     selected = (trace_faces(drawing).face_ids() if face_filter is None
                 else (check_face(drawing, face_filter),))
     table, failed = face_vertex_table(drawing), set()
@@ -447,7 +422,7 @@ def verify_seq_certificate(drawing: Drawing, cert: SeqShellCertificate) -> Verif
     k = cert.k
     if len(set(cert.vertices)) != len(cert.vertices):
         violations.append("vertex sequence repeats a vertex")
-    regions = _Regions(drawing)
+    regions = _regions(drawing)
     walk = regions.walk(regions.start(cert.face), cert.vertices, lambda i: f"a_{i}",
                         "was already deleted", violations)
     for (i, (a, seq)), state in zip(enumerate(zip(cert.vertices, cert.sequences)), walk):
@@ -477,7 +452,7 @@ def verify_bishell_certificate(drawing: Drawing, cert: BishellCertificate) -> Ve
 
     violations = []
     s = cert.s
-    regions = _Regions(drawing)
+    regions = _regions(drawing)
     for name, seq in (("a", cert.a_sequence), ("b", cert.b_sequence)):
         if len(set(seq)) != len(seq):
             violations.append(f"{name}-sequence repeats a vertex")

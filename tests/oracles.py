@@ -761,6 +761,18 @@ def surviving_face_vertices(drawing, face, deletions):
     return vertices_on_face(d, f)
 
 
+def merged_faces(drawing, face, deletions):
+    """The root faces that the face maps of child_drawing, composed over
+    the listed deletions, send where they send `face`: those that merge
+    into the face containing it. At least three vertices must remain."""
+    images = list(trace_faces(drawing).face_ids())
+    d = drawing
+    for v in deletions:
+        d, _, face_map = child_drawing(d, v)
+        images = [face_map[g] for g in images]
+    return {f for f, g in enumerate(images) if g == images[face]}
+
+
 def deletion_chain_ok(drawing, face, seq) -> bool:
     """Each member incident to the face containing `face` at its turn."""
     return all(seq[i] in surviving_face_vertices(drawing, face, seq[:i])
@@ -814,28 +826,6 @@ def naive_bishellable(drawing, s, face=None) -> bool:
                        for i in range(s + 1) for j in range(s + 1) if i + j <= s):
                     return True
     return False
-
-
-# -- eager routes the library replaced by lazy ones ----------------------------
-
-def reference_region_tables(drawing):
-    """Every vertex's region tables at once, as the searches built them
-    before they built one vertex's on its first deletion: (corners, touch,
-    adjacency), each keyed by vertex, from one pass over all segments."""
-    dart_face = face_views(trace_faces(drawing)).dart_face
-    corners = {w: 0 for w in drawing.vertices}
-    for w in drawing.vertices:
-        for y in drawing.rotations[w]:
-            corners[w] |= 1 << dart_face[(w, y)]
-    adjacency = {w: {} for w in drawing.vertices}
-    for (a, b), e in drawing.segment_edge.items():
-        f1, f2 = dart_face[(a, b)], dart_face[(b, a)]
-        for x in e:
-            adj = adjacency[x]
-            adj[f1] = adj.get(f1, 0) | 1 << f2
-            adj[f2] = adj.get(f2, 0) | 1 << f1
-    touch = {w: sum(1 << f for f in adj) for w, adj in adjacency.items()}
-    return corners, touch, adjacency
 
 
 def reference_goodness_violations(drawing):

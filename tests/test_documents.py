@@ -200,6 +200,23 @@ class TestDrawingExport:
         with pytest.raises(ValueError, match="^unknown mode 'svg'$"):
             drawing_to_document(convex(5), "svg")
 
+    def test_entries_equal_to_node_ids_are_written_as_node_ids(self):
+        # Drawing matches rotations and chains by equality, so it keeps
+        # True for node 1 and 5.0 for crossing 5
+        plain = convex(5)
+        bools = Drawing(plain.vertices, plain.crossings,
+                        {True if x == 1 else x: tuple(True if y == 1 else y for y in rot)
+                         for x, rot in plain.rotations.items()}, plain.chains)
+        floats = Drawing(plain.vertices, plain.crossings, plain.rotations,
+                         {e: (ch[0], *map(float, ch[1:-1]), ch[-1])
+                          for e, ch in plain.chains.items()})
+        assert True in bools.rotations and any(type(x) is float for x in floats.chains[(0, 2)])
+        text = dumps_document(drawing_to_document(plain, "combinatorial"))
+        for d in (bools, floats):
+            doc = drawing_to_document(d, "combinatorial")
+            assert dumps_document(doc) == text
+            assert canonical_form(load_drawing(doc)) == canonical_form(plain)
+
     def test_subdrawing_export_requires_contiguous_ids(self):
         from shellcert.drawing import child_drawing
         child, _, _ = child_drawing(convex(5), 2)
