@@ -55,6 +55,65 @@ class TestRegions:
                     other = regions.advance(other, v)
                 assert other == state, (d.n, face, deletions)
 
+    def test_index_against_boundary_walks_and_chains(self):
+        # corners read off each face's boundary walk, darts and ends off
+        # each chain's nodes, independently of the one pass over chain_darts
+        for d in (convex(7), cylindrical(8), rectilinear(8, 2)):
+            fs = trace_faces(d)
+            regions = shellability._Regions(d)
+            corners = {w: set() for w in d.vertices}
+            for f, walk in enumerate(fs.walks):
+                for i in walk:
+                    if fs.tails[i] in corners:
+                        corners[fs.tails[i]].add(f)
+            assert regions.corners == corners
+            assert [bit for _, bit, _ in regions.rows] == [1 << i for i in range(d.n)]
+            ends = [0] * len(fs.twin)
+            for (u, v), ch in d.chains.items():
+                mask = regions.bit[u] | regions.bit[v]
+                darts = [d.offset[a] + d.rotations[a].index(b) for a, b in zip(ch, ch[1:])]
+                for i in darts:
+                    ends[i] = ends[fs.twin[i]] = mask
+                assert set(darts) <= set(regions.darts[u]) & set(regions.darts[v])
+            assert regions.ends == ends and 0 not in ends
+            for w in d.vertices:
+                assert len(regions.darts[w]) == sum(len(d.chains[e]) - 1 for e in d.chains
+                                                    if w in e)
+
+    def test_advance_keeps_its_state_and_only_grows(self):
+        # searches backtrack to earlier states, and the exchange lemma
+        # needs region(F, S) inside region(F, S + {u})
+        rng = random.Random(3107)
+        for d in (convex(9), cylindrical(10), rectilinear(9, 3)):
+            regions = shellability._Regions(d)
+            for face in sample_faces(d, 4):
+                state = regions.start(face)
+                for v in rng.sample(d.vertices, d.n - 3):
+                    kept = (set(state[0]), state[1])
+                    others = [regions.advance(state, u) for u in d.vertices
+                              if not state[1] & regions.bit[u]]
+                    assert (set(state[0]), state[1]) == kept
+                    assert all(region >= state[0] for region, _ in others)
+                    state = regions.advance(state, v)
+
+    def test_one_index_per_drawing(self, monkeypatch):
+        # decides and verifies on one drawing share its index
+        built = []
+        init = shellability._Regions.__init__
+
+        def counted(self, drawing):
+            built.append(drawing)
+            init(self, drawing)
+
+        monkeypatch.setattr(shellability._Regions, "__init__", counted)
+        base = cylindrical(10)  # shared by the corpus: copy it for an empty cache
+        d = Drawing(base.vertices, base.crossings, base.rotations, base.chains)
+        cert = decide_seq_shellable(d, 3)
+        bcert = decide_bishellable(d, 3)
+        assert verify_seq_certificate(d, cert) and verify_bishell_certificate(d, bcert)
+        assert find_simple_sequence(d, cert.face, cert.vertices[0], 4)
+        assert built == [d]
+
     def test_searches_and_verifiers_build_no_drawing(self, monkeypatch):
         drawings = (convex(10), cylindrical(10))
 
