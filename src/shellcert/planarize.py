@@ -9,6 +9,23 @@ Crossings of *distinct interiors* are allowed even when they violate
 goodness (adjacent edges crossing, an edge pair crossing twice): those
 load fine and are reported by validate_goodness.
 
+A straight-line drawing of K_n takes its own route (_straight): when
+every edge is one segment and the edges are all pairs of 0..n-1, the
+whole planarization follows from the order type of the points, the signs
+of the C(n, 3) vertex triples (Aichholzer, Aurenhammer and Krasser,
+"Enumerating order types for small point sets", 2002). Each sign is
+computed once; two edges with four distinct ends cross iff each
+separates the ends of the other, and the darts at a vertex are ranked by
+the same signs. A sign 0 hands the input unchanged to the general route,
+which names the fault: three vertices on a line put the middle one on
+the edge of the outer two, so such a K_n is degenerate anyway.
+Without a collinear triple no two straight edges touch, overlap or share
+a segment, so only three concurrent edges remain to be rejected, by the
+point keys both routes share. Both routes build each crossing record
+with _record, and the straight route emits them in the order in which
+the general route tests the pairs, so every message is the same. Every
+other input takes the general route:
+
 Candidate pairs of polyline pieces are those whose bounding boxes meet,
 tested in ascending index order. _box_pairs finds them by a sort and
 sweep along x inside horizontal bands, and keeps each pair only in the
@@ -34,7 +51,8 @@ location, and by Geometry.point and Geometry.piece for the crossings a
 face highlight draws; a plain SVG draws from the integers.
 
 A vertex sorts its darts by the cross-product order of
-geometry.angle_less. A crossing needs no comparison: its test already
+geometry.angle_less, or on the straight route takes each dart's slot
+from the triple signs. A crossing needs no comparison: its test already
 holds both piece directions and the sign of their cross product, and
 records with the crossing which piece runs into [0, pi) and which of
 the two darts into [0, pi) comes first. Its rotation is then its four
@@ -48,7 +66,9 @@ A vertex lying on a foreign piece also lies on the first piece of each of
 its own edges, so with every edge of K_n present that pair reports it as
 a touch or an overlap; likewise two edges leaving a vertex in one
 direction overlap. A direct planarize call on a subset of the edges is
-rejected by Drawing, whose chains must cover every vertex pair.
+rejected by Drawing, whose chains must cover every vertex pair; one whose
+positions are not those of 0..n-1, or whose edges name other vertices or
+run from other points, is rejected before any geometry.
 """
 
 from __future__ import annotations
@@ -66,21 +86,25 @@ from .geometry import angle_less, cross, on_segment, segment_intersection, sub
 def planarize(n, positions, polylines) -> Drawing:
     """Build the planarized Drawing of a geometric document.
 
-    positions:  vertex id -> (x, y) integer point
+    positions:  vertex id -> (x, y) integer point, for each id 0..n-1
     polylines:  edge (u, v), u < v -> list of integer points from u to v
     """
+    _check_arguments(n, positions, polylines)
     if len(set(positions.values())) != n:
         raise DocumentError("two vertices share a position")
 
-    subsegments = []  # (edge, index along polyline, P, Q)
-    for e in sorted(polylines):
-        pts = polylines[e]
-        for i, (p, q) in enumerate(zip(pts, pts[1:])):
-            if p == q:
-                raise DocumentError(f"edge {e} repeats consecutive polyline points")
-            subsegments.append((e, i, p, q))
-
-    crossings = _find_crossings(subsegments, positions)
+    straight = _straight(n, positions, polylines)
+    if straight is None:
+        subsegments = []  # (edge, index along polyline, P, Q)
+        for e in sorted(polylines):
+            pts = polylines[e]
+            for i, (p, q) in enumerate(zip(pts, pts[1:])):
+                if p == q:
+                    raise DocumentError(f"edge {e} repeats consecutive polyline points")
+                subsegments.append((e, i, p, q))
+        crossings, slots = _find_crossings(subsegments, positions), None
+    else:
+        crossings, slots = straight
 
     # Three concurrent curves share a point key; the first such point in
     # test order is named.
@@ -112,25 +136,145 @@ def planarize(n, positions, polylines) -> Drawing:
     # only come from a non-good contact pattern (adjacent edges crossing
     # right after their shared vertex, or a pair crossing twice in a row);
     # those drawings have no simple planarization and are rejected here.
-    seen_segments = {}
-    for e, ch in chains.items():
-        for a, b in zip(ch, ch[1:]):
-            s = (a, b) if a < b else (b, a)
-            other = seen_segments.get(s)
-            if other is not None:
-                raise DocumentError(
-                    f"edges {other} and {e} run side by side between the same "
-                    f"two nodes; this contact pattern (adjacent edges crossing, "
-                    f"or a pair crossing twice consecutively) has no simple "
-                    f"planarization and is not representable")
-            seen_segments[s] = e
+    # Two straight edges share at most one point, so none share a segment.
+    if straight is None:
+        seen_segments = {}
+        for e, ch in chains.items():
+            for a, b in zip(ch, ch[1:]):
+                s = (a, b) if a < b else (b, a)
+                other = seen_segments.get(s)
+                if other is not None:
+                    raise DocumentError(
+                        f"edges {other} and {e} run side by side between the same "
+                        f"two nodes; this contact pattern (adjacent edges crossing, "
+                        f"or a pair crossing twice consecutively) has no simple "
+                        f"planarization and is not representable")
+                seen_segments[s] = e
 
-    rotations = _build_rotations(positions, polylines, chains, crossings)
+    rotations = _build_rotations(positions, polylines, chains, crossings, slots)
     pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
     geometry = Geometry(positions, polylines, crossings, per_edge)
     drawing = Drawing(range(n), pairs, rotations, chains, geometry)
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
+
+
+def _check_arguments(n, positions, polylines):
+    """DocumentError for arguments that no document hands planarize, as the
+    loader checks these itself: positions for other ids than 0..n-1, an
+    edge key that is no pair of those ids, a polyline of fewer than two
+    points or one that does not run between its vertices."""
+    if type(n) is not int:
+        raise DocumentError(f"n must be an integer, not {quoted(n)}")
+    if len(positions) != n or not all(v in positions for v in range(n)):
+        raise DocumentError("positions must give a point for each vertex 0..n-1 and no other")
+    for e, pts in polylines.items():
+        if not (type(e) is tuple and len(e) == 2):
+            raise DocumentError(f"edge key {quoted(e)} is not a pair (u, v)")
+        if e[0] not in positions or e[1] not in positions:
+            raise DocumentError(f"edge {quoted(e)} names a vertex with no position")
+        if len(pts) < 2:
+            raise DocumentError(f"edge {e}: polyline needs at least 2 points")
+        if pts[0] != positions[e[0]] or pts[-1] != positions[e[1]]:
+            raise DocumentError(f"edge {e}: polyline must start and end at its vertices")
+
+
+def _straight(n, positions, polylines):
+    """(crossing records in test order, vertex dart slots) of a
+    straight-line drawing of K_n, or None when the general route must
+    take the input: some edge bends, the edges are not the pairs of
+    0..n-1, or three vertices lie on a line (the middle one lies on the
+    edge of the outer two, a fault the general route names).
+
+    Everything follows from the order type, the signs of the C(n, 3)
+    vertex triples, each computed once. left[v][w] has bit k set iff k
+    lies left of the line from v to w, and up[v] has bit w set iff w - v
+    points into [0, pi). Edges ab and cd, a < c, cross iff c and d lie on
+    opposite sides of ab and a and b on opposite sides of cd, where
+    orient(c, d, a) = orient(a, c, d) is bit d of left[a][c]; so for each
+    edge ab and each c one mask holds every d whose edge cd crosses ab,
+    and the records come out in ascending edge pair, the order in which
+    _find_crossings tests the pairs. Within one half-plane at v, w'
+    precedes w iff orient(v, w', w) > 0, that is iff w' lies left of
+    w -> v; so w's slot in v's rotation counts the bits of left[w][v] in
+    w's half, after all darts into [0, pi) if w - v points into [pi, 2 pi).
+    """
+    if n < 3 or len(polylines) != n * (n - 1) // 2:
+        return None
+    for (u, v), pts in polylines.items():
+        if u >= v or len(pts) != 2:
+            return None
+    points = [positions[v] for v in range(n)]
+    left = [[0] * n for _ in range(n)]
+    up = [0] * n
+    for i, (xi, yi) in enumerate(points):
+        left_i, bit_i = left[i], 1 << i
+        for j in range(i + 1, n):
+            xj, yj = points[j]
+            dx, dy = xj - xi, yj - yi
+            left_j, bit_j = left[j], 1 << j
+            if dy > 0 or (dy == 0 and dx > 0):
+                up[i] |= bit_j
+            else:
+                up[j] |= bit_i
+            ij = ji = 0  # the bits k > j of left[i][j] and of left[j][i]
+            for k in range(j + 1, n):
+                xk, yk = points[k]
+                turn = dx * (yk - yi) - dy * (xk - xi)
+                if turn > 0:  # i, j, k run counterclockwise
+                    ij |= 1 << k
+                    left_j[k] |= bit_i
+                    left[k][i] |= bit_j
+                elif turn < 0:
+                    ji |= 1 << k
+                    left[k][j] |= bit_i
+                    left_i[k] |= bit_j
+                else:
+                    return None
+            left_i[j] |= ij
+            left_j[i] |= ji
+
+    full = (1 << n) - 1
+    above = [full ^ ((2 << c) - 1) for c in range(n)]  # the bits d > c
+    xs, ys = zip(*points)
+    shift = _shift(max(max(xs) - min(xs), max(ys) - min(ys)))
+    crossings = []
+    for a, (px, py) in enumerate(points):
+        left_a = left[a]
+        for b in range(a + 1, n):
+            ab, left_b, e1 = left_a[b], left[b], (a, b)
+            d1x, d1y = xs[b] - px, ys[b] - py
+            for c in range(a + 1, n):
+                if c == b:
+                    continue
+                # d on the other side of ab than c, and a and b on either side
+                # of cd; d = b would need orient(a, b, c) = orient(a, c, b)
+                hits = (~ab if ab >> c & 1 else ab) & (left_a[c] ^ left_b[c]) & above[c]
+                if not hits:
+                    continue
+                # p + (tn/den) d1 = r + (un/den) d2 as in _find_crossings, den > 0
+                rx, ry = xs[c] - px, ys[c] - py
+                un_c = rx * d1y - ry * d1x
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    d = low.bit_length() - 1
+                    d2x, d2y = xs[d] - xs[c], ys[d] - ys[c]
+                    den = d1x * d2y - d1y * d2x
+                    tn, un = rx * d2y - ry * d2x, un_c
+                    if den < 0:
+                        den, tn, un = -den, -tn, -un
+                    crossings.append(_record(e1, 0, px, py, d1x, d1y, (c, d), 0, d2x, d2y,
+                                             tn, un, den, shift))
+
+    slots = []
+    for v in range(n):
+        upper = up[v]
+        lower = full ^ upper ^ (1 << v)
+        before = upper.bit_count()
+        slots.append([(left[w][v] & upper).bit_count() if upper >> w & 1
+                      else before + (left[w][v] & lower).bit_count() for w in range(n)])
+    return crossings, slots
 
 
 def _shift(span):
@@ -194,14 +338,31 @@ def _box_pairs(boxes):
     return [divmod(code, m) for code in codes]
 
 
-def _find_crossings(subsegments, positions):
-    """All proper interior crossings; rejects every degenerate contact
-    between two pieces. Vertex positions must be distinct.
+def _record(e1, i1, px, py, d1x, d1y, e2, i2, d2x, d2y, tn, un, den, shift):
+    """The crossing record of piece i1 of e1, (px, py) + t (d1x, d1y), and
+    piece i2 of e2, along (d2x, d2y), which cross inside both at
+    t = tn / den, and at un / den along the second; den > 0, e1 <= e2.
 
-    A crossing is recorded as (e1, e2, position on e1, position on e2,
-    point, turn), e1 < e2; turn is (up1, up2, first): whether each piece
-    runs into [0, pi) and whether e1's dart into [0, pi) comes before
-    e2's counterclockwise."""
+    A record is (e1, e2, position on e1, position on e2, point, turn). A
+    position is (piece index, (tn << shift) // den), the point is the
+    reduced homogeneous (x, y, d) with d > 0, and turn is (up1, up2,
+    first): whether each piece runs into [0, pi) and whether e1's dart
+    into [0, pi) comes before e2's counterclockwise."""
+    x, y = px * den + tn * d1x, py * den + tn * d1y
+    g = gcd(x, y, den)
+    up1 = d1y > 0 or (d1y == 0 and d1x > 0)
+    up2 = d2y > 0 or (d2y == 0 and d2x > 0)
+    turn = (up1, up2, (d1x * d2y > d1y * d2x) == (up1 == up2))
+    return (e1, e2, (i1, (tn << shift) // den), (i2, (un << shift) // den),
+            (x // g, y // g, den // g), turn)
+
+
+def _find_crossings(subsegments, positions):
+    """The records (_record) of all proper interior crossings, in test
+    order; rejects every degenerate contact between two pieces. Vertex
+    positions must be distinct."""
+    if not subsegments:
+        return []
     boxes = []
     for _, _, (px, py), (qx, qy) in subsegments:
         x0, x1 = (px, qx) if px < qx else (qx, px)
@@ -237,17 +398,11 @@ def _find_crossings(subsegments, positions):
             if not (0 <= tn <= den and 0 <= un <= den):
                 continue
             if 0 < tn < den and 0 < un < den:
-                x, y = px * den + tn * d1x, py * den + tn * d1y
+                # subsegments are sorted by edge, so e1 <= e2 here
+                rec = _record(e1, i1, px, py, d1x, d1y, e2, i2, d2x, d2y, tn, un, den, shift)
                 if e1 == e2:
-                    raise DocumentError(f"edge {e1} intersects itself at {_exact(x, y, den)}")
-                g = gcd(x, y, den)
-                up1 = d1y > 0 or (d1y == 0 and d1x > 0)
-                up2 = d2y > 0 or (d2y == 0 and d2x > 0)
-                turn = (up1, up2, (d1x * d2y > d1y * d2x) == (up1 == up2))
-                # subsegments are sorted by edge, so e1 < e2 here
-                crossings.append((e1, e2, (i1, (tn << shift) // den),
-                                  (i2, (un << shift) // den), (x // g, y // g, den // g),
-                                  turn))
+                    raise DocumentError(f"edge {e1} intersects itself at {_exact(*rec[4])}")
+                crossings.append(rec)
                 continue
             # the only common point is an end of one piece
             x = p if tn == 0 else q if tn == den else r if un == 0 else s
@@ -337,21 +492,31 @@ class Geometry:
         return out
 
 
-def _build_rotations(positions, polylines, chains, crossings):
+def _build_rotations(positions, polylines, chains, crossings, slots):
     """Counterclockwise rotations from the +x axis: at a vertex, the first
-    piece of each of its edges, sorted by angle; at a crossing, its four
-    chain neighbours, placed by the turn its record carries. Vertices
-    come first, then crossings in ascending id."""
+    piece of each of its edges, sorted by angle, or put in the slot
+    slots[v][w] of the straight route; at a crossing, its four chain
+    neighbours, placed by the turn its record carries. Vertices come
+    first, then crossings in ascending id."""
     darts = {v: [] for v in positions}
     n = len(darts)
     around = {x: [] for x in range(n, n + len(crossings))}
     for e in sorted(chains):  # a crossing's e1 before its e2
-        chain, pts = chains[e], polylines[e]
-        darts[e[0]].append((sub(pts[1], pts[0]), chain[1]))
-        darts[e[1]].append((sub(pts[-2], pts[-1]), chain[-2]))
+        chain = chains[e]
+        u, v = e
+        if slots is None:
+            pts = polylines[e]
+            darts[u].append((sub(pts[1], pts[0]), chain[1]))
+            darts[v].append((sub(pts[-2], pts[-1]), chain[-2]))
+        else:
+            darts[u].append((slots[u][v], chain[1]))
+            darts[v].append((slots[v][u], chain[-2]))
         for behind, x, ahead in zip(chain, chain[1:-1], chain[2:]):
             around[x] += (ahead, behind)
-    rotations = {v: _angular_order(d) for v, d in darts.items()}
+    if slots is None:
+        rotations = {v: _angular_order(d) for v, d in darts.items()}
+    else:
+        rotations = {v: tuple(target for _, target in sorted(d)) for v, d in darts.items()}
     # Both darts into [0, pi) precede their reverses, in the same order.
     for (x, (ahead1, behind1, ahead2, behind2)), rec in zip(around.items(), crossings):
         up1, up2, first = rec[5]

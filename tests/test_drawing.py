@@ -321,6 +321,11 @@ VERTEX_ON_FOREIGN_PIECE = [
 ]
 
 
+TRIANGLE = {0: (0, 0), 1: (4, 0), 2: (0, 4)}
+TRIANGLE_EDGES = {(0, 1): [(0, 0), (4, 0)], (0, 2): [(0, 0), (0, 4)],
+                  (1, 2): [(4, 0), (0, 4)]}
+
+
 class TestLoaderRejections:
     def test_adjacent_crossing_without_separator_unrepresentable(self):
         doc = geometric_doc(3, [(0, 0), (100, 0), (50, 100)], {
@@ -362,6 +367,38 @@ class TestLoaderRejections:
         with pytest.raises(StructureError) as info:
             planarize(3, positions, {(0, 1): [(0, 0), (4, 0)]})
         assert str(info.value) == "chains must cover every vertex pair exactly once"
+
+    # Direct planarize calls with arguments no document gives it: each gets
+    # a precise error, where a bare ValueError, KeyError or IndexError came
+    # out of the geometry, or a wrong message, or a drawing loaded silently.
+    @pytest.mark.parametrize("n, positions, polylines, error, message", [
+        (3, TRIANGLE, {}, StructureError, "chains must cover every vertex pair exactly once"),
+        (2, {0: (0, 0), 1: (4, 0)}, {}, StructureError, "a drawing needs at least 3 vertices"),
+        (0, {}, {}, StructureError, "a drawing needs at least 3 vertices"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (0, 5): [(0, 0), (9, 9)]}, DocumentError,
+         "edge (0, 5) names a vertex with no position"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, "01": [(0, 0), (4, 0)]}, DocumentError,
+         "edge key '01' is not a pair (u, v)"),
+        (3, {0: (0, 0), 1: (4, 0)}, TRIANGLE_EDGES, DocumentError,
+         "positions must give a point for each vertex 0..n-1 and no other"),
+        (3, {0: (0, 0), 1: (4, 0), 3: (0, 4)}, TRIANGLE_EDGES, DocumentError,
+         "positions must give a point for each vertex 0..n-1 and no other"),
+        (3, {**TRIANGLE, 3: (9, 9)}, TRIANGLE_EDGES, DocumentError,
+         "positions must give a point for each vertex 0..n-1 and no other"),
+        (3.0, TRIANGLE, TRIANGLE_EDGES, DocumentError, "n must be an integer, not 3.0"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): [(4, 0)]}, DocumentError,
+         "edge (1, 2): polyline needs at least 2 points"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (0, 2): [(0, 0), (0, 5)]}, DocumentError,
+         "edge (0, 2): polyline must start and end at its vertices"),
+    ], ids=["no-edges", "n-2", "n-0", "unknown-vertex", "key-no-pair", "position-missing",
+            "position-of-another-id", "position-too-many", "n-not-int", "one-point-polyline",
+            "polyline-ends-elsewhere"])
+    def test_direct_planarize_arguments_get_precise_errors(self, n, positions, polylines, error,
+                                                           message):
+        with pytest.raises(error) as info:
+            planarize(n, positions, polylines)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_vertex_on_foreign_bend_point_is_a_touch_in_a_document(self):
         doc = geometric_doc(3, [(0, 0), (100, 0), (50, 50)], {

@@ -10,6 +10,13 @@ Straight-line drawings with coordinates up to 10^12 stress the integer
 keys instead: crossings a tiny fraction of an edge apart and near-parallel
 darts at one node must still be ordered exactly.
 
+A straight-line K_n is planarized from its triple signs alone. On the
+lattice, with three diagonals often made concurrent, it must load as the
+reference decides, taking the straight route exactly when no three
+vertices lie on a line. Wherever it runs, its crossing records, in test
+order, and its vertex rotations must equal those of the general route,
+on generated and wide drawings and in every quarter turn.
+
 The banded sort-and-sweep broad phase must hand the narrow phase exactly
 the pairs of pieces whose boxes meet, in ascending order, as a test of
 every pair finds them, also when y is cut into many bands and boxes reach
@@ -31,6 +38,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -43,23 +51,32 @@ from oracles import (canonical_form, comparison_rotations, exact_points, face_vi
 from shellcert.documents import load_drawing
 from shellcert.errors import DocumentError, ShellcertError, StructureError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
-from shellcert.geometry import segment_intersection
+from shellcert.geometry import cross, segment_intersection
 from shellcert.drawing import trace_faces
-from shellcert.planarize import _angular_order, _box_pairs, locate_face, outer_face, planarize
+from shellcert.planarize import (_angular_order, _box_pairs, _find_crossings, _straight,
+                                 locate_face, outer_face, planarize)
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
     lambda p: (4 * p[0], 4 * p[1]))
+LATTICE = [(x, y) for x in range(0, 17, 4) for y in range(0, 17, 4)]
 
 
 @st.composite
-def small_drawings(draw, partial=False):
+def small_drawings(draw, partial=False, straight=False):
     """(n, positions, polylines): up to two bends per edge; with partial,
     a nonempty subset of the edges, so a vertex can lie on a foreign edge
-    without any edge of its own touching that edge."""
-    n = draw(st.integers(3, 5))
-    positions = dict(enumerate(draw(st.lists(point, min_size=n, max_size=n,
-                                             unique=True))))
+    without any edge of its own touching that edge; with straight, K_3 to
+    K_6 with every edge one segment."""
+    n = draw(st.integers(3, 6 if straight else 5))
+    if not straight:
+        points = draw(st.lists(point, min_size=n, max_size=n, unique=True))
+    elif n == 6 and draw(st.booleans()):
+        points = draw(mirrored_pairs())
+    else:
+        # sampled from the lattice's points: fewer discarded draws
+        points = draw(st.lists(st.sampled_from(LATTICE), min_size=n, max_size=n, unique=True))
+    positions = dict(enumerate(points))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if partial:
         pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
@@ -67,18 +84,36 @@ def small_drawings(draw, partial=False):
         pairs = draw(st.permutations(pairs))
     # A hub off the lattice sends the first three edges straight through
     # it, in three directions, so that three curves are concurrent there.
-    hub = draw(st.one_of(st.none(), st.tuples(st.sampled_from((6, 10)),
-                                              st.sampled_from((6, 10)))))
+    hub = None if straight else draw(st.one_of(st.none(), st.tuples(st.sampled_from((6, 10)),
+                                                                   st.sampled_from((6, 10)))))
     ways = draw(st.permutations([(1, 0), (0, 1), (1, 1), (1, -1)]))
     polylines = {}
     for k, (u, v) in enumerate(pairs):
         if hub is not None and k < 3:
             (hx, hy), (dx, dy) = hub, ways[k]
             bends = [(hx - dx, hy - dy), (hx + dx, hy + dy)]
+        elif straight:
+            bends = []
         else:
             bends = draw(st.one_of(st.just([]), st.lists(point, min_size=1, max_size=2)))
         polylines[(u, v)] = [positions[u], *bends, positions[v]]
     return n, positions, polylines
+
+
+@st.composite
+def mirrored_pairs(draw):
+    """Six lattice points in three pairs mirrored through one centre, in
+    some order: the three edges joining the pairs run through the centre."""
+    cx, cy = draw(st.tuples(st.sampled_from(range(4, 13, 2)), st.sampled_from(range(4, 13, 2))))
+
+    def mirror(p):
+        return (2 * cx - p[0], 2 * cy - p[1])
+
+    # one point of each pair whose mirror lies on the lattice, at least four
+    halves = sorted({min(p, mirror(p)) for p in LATTICE
+                     if p != (cx, cy) and 0 <= 2 * cx - p[0] <= 16 and 0 <= 2 * cy - p[1] <= 16})
+    half = draw(st.lists(st.sampled_from(halves), min_size=3, max_size=3, unique=True))
+    return draw(st.permutations(half + [mirror(p) for p in half]))
 
 
 def document(n, positions, polylines):
@@ -97,21 +132,47 @@ def _kind(expected):
                             "through", "concurrent", "side") if w in words)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(small_drawings())
-def test_load_drawing_matches_reference(case):
-    n, positions, polylines = case
+def has_collinear_triple(positions):
+    return any(cross(p, q, r) == 0 for p, q, r in combinations(positions.values(), 3))
+
+
+def assert_loads_as_the_reference_decides(n, positions, polylines):
+    """The loader rejects the document with the reference's message, or
+    finds the reference's crossings; returns the drawing or None."""
     expected = reference_planarization(positions, polylines)
-    event(_kind(expected))
     try:
         drawing = load_drawing(document(n, positions, polylines))
     except DocumentError as exc:
         assert expected == ("error", str(exc))
-        return
+        return None
     assert expected[0] == "ok"
     found = sorted((tuple(sorted(edges)), exact_points(drawing.geometry)[c])
                    for c, edges in drawing.crossings.items())
     assert found == expected[1]
+    return drawing
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_drawings())
+def test_load_drawing_matches_reference(case):
+    event(_kind(reference_planarization(*case[1:])))
+    assert_loads_as_the_reference_decides(*case)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_drawings(straight=True))
+def test_straight_drawings_load_as_the_reference_decides(case):
+    # Collinear triples, vertices on edges, overlaps and three concurrent
+    # diagonals are common on the lattice. Without a collinear triple the
+    # straight route decides; with one it hands over to the general route.
+    n, positions, polylines = case
+    collinear = has_collinear_triple(positions)
+    assert (_straight(n, positions, polylines) is None) == collinear
+    event(f"{_kind(reference_planarization(positions, polylines))}, "
+          f"{'general' if collinear else 'straight'} route")
+    drawing = assert_loads_as_the_reference_decides(n, positions, polylines)
+    if drawing is not None:
+        assert drawing.rotations == comparison_rotations(drawing)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -383,20 +444,72 @@ def test_wide_straight_drawings_match_reference(case):
     event("loads" if drawing is not None else "rejected")
 
 
+# Edge 0-1 is 2^62 long; 2-4 crosses it at 2^61 - 1/2 and 2-3 at 2^61 + 1/2,
+# so the two parameters differ by 2^-62. The pair (2, 3) sorts before (2, 4),
+# so only the position keys put 2-4's crossing first.
+CLOSE = {0: (0, 0), 1: (2**62, 0), 2: (2**61, 1), 3: (2**61 + 1, -1), 4: (2**61 - 1, -1)}
+
+
 def test_crossings_closer_than_2_to_the_minus_60():
-    # Edge 0-1 is 2^62 long; 2-4 crosses it at a - 1/2 and 2-3 at a + 1/2,
-    # so the two parameters differ by 2^-62. The pair (2, 3) sorts before
-    # (2, 4), so only the position keys put 2-4's crossing first.
-    a, length = 2**61, 2**62
-    positions = {0: (0, 0), 1: (length, 0), 2: (a, 1), 3: (a + 1, -1), 4: (a - 1, -1)}
-    polylines = {(u, v): [positions[u], positions[v]] for u in range(5) for v in range(u + 1, 5)}
-    drawing = assert_matches_reference_drawing(5, positions, polylines)
+    drawing = assert_matches_reference_drawing(*straight_lines(5, CLOSE))
     first, second = drawing.chains[(0, 1)][1:-1]
     assert drawing.crossings[first] == {(0, 1), (2, 4)}
     assert drawing.crossings[second] == {(0, 1), (2, 3)}
     points = exact_points(drawing.geometry)
-    gap = (points[second][0] - points[first][0]) / length
+    gap = (points[second][0] - points[first][0]) / 2**62
     assert 0 < gap < 2**-60
+
+
+def assert_routes_agree(n, positions, polylines):
+    """Whether the straight route takes the straight-line K_n; when it
+    does, its crossing records, in test order, and its vertex rotations
+    must equal those of the general route: _find_crossings on the pieces
+    and _angular_order at each vertex. When it does not, three vertices
+    must lie on a line."""
+    straight = _straight(n, positions, polylines)
+    if straight is None:
+        assert has_collinear_triple(positions)
+        return False
+    records, slots = straight
+    pieces = [(e, 0, *polylines[e]) for e in sorted(polylines)]
+    assert records == _find_crossings(pieces, positions)
+    for v, (x, y) in positions.items():
+        others = [w for w in positions if w != v]
+        darts = [((positions[w][0] - x, positions[w][1] - y), w) for w in others]
+        assert sorted(others, key=slots[v].__getitem__) == list(_angular_order(darts))
+    return True
+
+
+def straight_lines(n, positions):
+    """(n, positions, polylines) of the straight-line K_n on the points."""
+    polylines = {(u, v): [positions[u], positions[v]] for u in range(n) for v in range(u + 1, n)}
+    return n, positions, polylines
+
+
+@pytest.mark.parametrize("family, n, seed", [
+    *(("convex", n, None) for n in range(4, 17)),
+    *(("rectilinear", n, seed) for n in range(4, 15) for seed in (1, 2))])
+def test_straight_route_agrees_with_the_general_route(family, n, seed):
+    doc = convex_document(n) if family == "convex" else rectilinear_document(n, seed)
+    n, positions, polylines = straight_lines(
+        n, {item["id"]: (item["x"], item["y"]) for item in doc["vertices"]})
+    for turns in range(4):
+        assert assert_routes_agree(n, *_turned(positions, polylines, turns))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(wide_drawings())
+def test_straight_route_agrees_on_wide_drawings(case):
+    n, positions, polylines = case
+    taken = [assert_routes_agree(n, *_turned(positions, polylines, turns)) for turns in range(4)]
+    assert len(set(taken)) == 1
+    event("straight route" if taken[0] else "collinear triple: general route")
+
+
+def test_straight_route_agrees_on_crossings_closer_than_2_to_the_minus_60():
+    n, positions, polylines = straight_lines(5, CLOSE)
+    for turns in range(4):
+        assert assert_routes_agree(n, *_turned(positions, polylines, turns))
 
 
 def _quarter_turns(direction):
