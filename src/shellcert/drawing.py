@@ -321,15 +321,15 @@ class FaceSet:
 
 def per_drawing(build):
     """Memoize build(drawing, ...) on the drawing, keyed by build itself
-    and the arguments as given, so two builders never share an entry. A
+    and the positional arguments, so two builders never share an entry. A
     build that raises caches nothing; no build returns None."""
 
     @wraps(build)
-    def cached(drawing, *args, **kwargs):
-        key = (build, args, *kwargs.items())
+    def cached(drawing, *args):
+        key = (build, args)
         value = drawing._cache.get(key)
         if value is None:
-            value = drawing._cache[key] = build(drawing, *args, **kwargs)
+            value = drawing._cache[key] = build(drawing, *args)
         return value
 
     return cached

@@ -33,8 +33,8 @@ into its witness count at once. One to_bytes reads all counts back.
 When every count fits in a byte (n <= 257), a slice takes the low byte
 of each field and one bytes.translate through a 256-entry table maps
 each count m to min(m, n-2-m), so a profile's level counts are
-bytes.count calls; wider counts are read through an array and folded
-one by one.
+bytes.count calls; a wider count is read from the low 8 bytes of its
+field by int.from_bytes and folded on its own.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -42,17 +42,15 @@ of the subdrawing that contains F is a union of faces on one side of that
 curve. So the k-value of a surviving edge in the subdrawing is
 min(m', n-3-m'), where m' counts its - witnesses other than v, and it is
 the parent's k-value or one less; the packed pass reads it with a
-witness mask that drops bit v from every field and the fields of the
-edges at v. Invariant edges, the deletion recursion and the sides of an
-edge closed through F are all read off the parent's labelling; no
-subdrawing is built.
+witness mask, made for that one read, that drops bit v from every field
+and the fields of the edges at v. Invariant edges, the deletion
+recursion and the sides of an edge closed through F are all read off
+the parent's labelling; no subdrawing is built.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
@@ -99,11 +97,9 @@ class _Labelling:
     p*width .. p*width + width-1. spread[i] has a 1 at the low bit of the
     field of every edge at v_i; rel packs the rels; lanes are the masks of
     the SWAR bit count (low half of every lane of 2, 4, ..., width bits);
-    read is the array type code and the stride that read the low bits of
-    every field back, the code None when every count fits in a byte
-    (n - 2 < 256) and the low byte of each field is read. witness maps
-    None, and the index of each vertex deleted so far, to (packed witness
-    mask, count -> k-value table, edges gone).
+    witness packs the masks; fold maps a witness count 0..n-2 to its
+    k-value (_fold). Nothing changes after construction: a read with a
+    vertex deleted makes its own mask and table.
     """
 
     index: dict
@@ -113,12 +109,8 @@ class _Labelling:
     spread: tuple
     rel: int
     lanes: tuple
-    read: tuple
-    witness: dict
-
-
-# the array type code of 64-bit items, which every platform has
-_CODE64 = {8 * array(code).itemsize: code for code in "QL"}[64]
+    witness: int
+    fold: bytes | tuple
 
 
 def _pack(fields, width: int) -> int:
@@ -188,13 +180,9 @@ def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
     while lane < width:
         lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
         lane *= 2
-    witness = {None: (_pack((m for _, _, _, m in edges.values()), width), _fold(n - 2), ())}
-    # a count fits in the low byte of its field up to n = 257; the wider
-    # fields, of 512 bits and more, are read back as 64-bit items
-    read = (None, width // 8) if n - 2 < 256 else (_CODE64, width // 64)
     return _Labelling(index, face_bits, edges, width, tuple(spread),
-                      _pack((rel for _, _, rel, _ in edges.values()), width),
-                      tuple(lanes), read, witness)
+                      _pack((rel for _, _, rel, _ in edges.values()), width), tuple(lanes),
+                      _pack((m for _, _, _, m in edges.values()), width), _fold(n - 2))
 
 
 @per_drawing
@@ -243,21 +231,6 @@ def _fold(top: int):
     return bytes(fold).ljust(256, b"\0") if top < 256 else tuple(fold)
 
 
-def _witness(lab: _Labelling, deleted: int | None):
-    """Packed witness mask, k-value table and edges gone for the
-    subdrawing without v_deleted, built on the first deletion of v."""
-    entry = lab.witness.get(deleted)
-    if entry is None:
-        n = len(lab.index)
-        mask = lab.witness[None][0]
-        ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
-        # v_deleted is no witness, and its edges are gone
-        mask &= ~((ones << deleted) | lab.spread[deleted] * ((1 << n) - 1))
-        gone = tuple(e for e, (i, j, _, _) in lab.edges.items() if deleted in (i, j))
-        entry = lab.witness[deleted] = (mask, _fold(n - 3), gone)
-    return entry
-
-
 def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> dict:
     """k-values of the edges for the face labelled pf, in edge order.
 
@@ -265,18 +238,21 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
     subdrawing without v, for its face that contains the labelled face:
     the edges at v are gone, and v is no longer a witness of the others.
     """
-    values, gone = _read_k_values(lab, pf, n, deleted)
-    k_values = dict(zip(lab.edges, values))
-    for e in gone:
-        del k_values[e]
-    return k_values
+    values = _read_k_values(lab, pf, n, deleted)
+    return {e: k for (e, (i, j, _, _)), k in zip(lab.edges.items(), values)
+            if deleted != i and deleted != j}
 
 
 def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None):
-    """The k-values of every edge as _k_values defines them, in edge order,
-    as bytes when every count fits in a byte and as a list otherwise, and
-    the edges gone with the deleted vertex, whose values are 0."""
-    mask, fold, gone = _witness(lab, deleted)
+    """The k-values of every edge as _k_values defines them, in edge order:
+    bytes when every count fits in a byte, a list otherwise. With a vertex
+    deleted, the edges at it read 0."""
+    mask, fold = lab.witness, lab.fold
+    if deleted is not None:
+        # v_deleted is no witness, and its edges are gone
+        ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
+        mask &= ~((ones << deleted) | lab.spread[deleted] * ((1 << n) - 1))
+        fold = _fold(n - 3)
     # field of v_i v_j: bit w set iff F lies right of v_i -> v_j -> v_w, a
     # - witness, up to complementing every witness (the label's own bit of
     # the edge, which taking the smaller side does not need)
@@ -289,14 +265,12 @@ def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None)
     for lane in lab.lanes:
         x = (x & lane) + ((x >> shift) & lane)
         shift *= 2
-    code, stride = lab.read
-    raw = x.to_bytes(len(lab.edges) * lab.width // 8, "little")
-    if code is None:
-        return raw[::stride].translate(fold), gone
-    counts = array(code, raw)
-    if sys.byteorder == "big":
-        counts.byteswap()
-    return [fold[m] for m in counts[::stride]], gone
+    size = lab.width // 8
+    raw = x.to_bytes(len(lab.edges) * size, "little")
+    if type(fold) is bytes:  # every count fits in the low byte of its field
+        return raw[::size].translate(fold)
+    # and in its low 8 bytes, as n - 2 < 2**64
+    return [fold[int.from_bytes(raw[p:p + 8], "little")] for p in range(0, len(raw), size)]
 
 
 def _cumulated(k_values, levels: int):
@@ -358,7 +332,7 @@ def face_profiles(drawing: Drawing, face_ids):
 def _read_profile(lab: _Labelling, pf: int, n: int) -> tuple:
     """The k-values of the face labelled pf as _read_k_values gives them,
     then their level counts and cumulated counts."""
-    values = _read_k_values(lab, pf, n)[0]
+    values = _read_k_values(lab, pf, n)
     return (values, *_cumulated(values, max_k(n) + 1))
 
 

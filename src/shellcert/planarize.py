@@ -65,10 +65,13 @@ is read off the darts at the lowest polyline point.
 A vertex lying on a foreign piece also lies on the first piece of each of
 its own edges, so with every edge of K_n present that pair reports it as
 a touch or an overlap; likewise two edges leaving a vertex in one
-direction overlap. A direct planarize call on a subset of the edges is
-rejected by Drawing, whose chains must cover every vertex pair; one whose
-positions are not those of 0..n-1, or whose edges name other vertices or
-run from other points, is rejected before any geometry.
+direction overlap. Drawing refuses two chains sharing a segment, as it
+pairs a dart twice; only then does _side_by_side scan the chains to name
+the two edges, so a load that succeeds scans no segments. A direct
+planarize call on a subset of the edges is rejected by Drawing, whose
+chains must cover every vertex pair; one whose positions are not those
+of 0..n-1, whose points are not integer pairs, or whose edges name other
+vertices or run from other points, is rejected before any geometry.
 """
 
 from __future__ import annotations
@@ -76,10 +79,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd
 
 from .drawing import Drawing, per_drawing, trace_faces
-from .errors import CapabilityError, DocumentError, quoted
+from .errors import CapabilityError, DocumentError, StructureError, quoted
 from .geometry import angle_less, cross, on_segment, segment_intersection, sub
 
 
@@ -132,51 +136,69 @@ def planarize(n, positions, polylines) -> Drawing:
         hits.sort()
         chains[e] = (e[0],) + tuple(node for _, node in hits) + (e[1],)
 
-    # The planarized graph must be simple. Two chains sharing a segment can
-    # only come from a non-good contact pattern (adjacent edges crossing
-    # right after their shared vertex, or a pair crossing twice in a row);
-    # those drawings have no simple planarization and are rejected here.
-    # Two straight edges share at most one point, so none share a segment.
-    if straight is None:
-        seen_segments = {}
-        for e, ch in chains.items():
-            for a, b in zip(ch, ch[1:]):
-                s = (a, b) if a < b else (b, a)
-                other = seen_segments.get(s)
-                if other is not None:
-                    raise DocumentError(
-                        f"edges {other} and {e} run side by side between the same "
-                        f"two nodes; this contact pattern (adjacent edges crossing, "
-                        f"or a pair crossing twice consecutively) has no simple "
-                        f"planarization and is not representable")
-                seen_segments[s] = e
-
     rotations = _build_rotations(positions, polylines, chains, crossings, slots)
-    pairs = {node: frozenset(rec[:2]) for node, rec in enumerate(crossings, n)}
+    pairs = {node: rec[:2] for node, rec in enumerate(crossings, n)}
     geometry = Geometry(positions, polylines, crossings, per_edge)
-    drawing = Drawing(range(n), pairs, rotations, chains, geometry)
+    try:
+        drawing = Drawing(range(n), pairs, rotations, chains, geometry)
+    except StructureError:
+        _side_by_side(chains)
+        raise
     trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
+
+
+def _side_by_side(chains):
+    """DocumentError naming the first two chains that share a segment: a
+    non-good contact pattern (adjacent edges crossing right after their
+    shared vertex, or a pair crossing twice in a row) with no simple
+    planarization. It runs only once Drawing has refused the chains."""
+    seen_segments = {}
+    for e, ch in chains.items():
+        for a, b in zip(ch, ch[1:]):
+            s = (a, b) if a < b else (b, a)
+            other = seen_segments.get(s)
+            if other is not None:
+                raise DocumentError(
+                    f"edges {other} and {e} run side by side between the same "
+                    f"two nodes; this contact pattern (adjacent edges crossing, "
+                    f"or a pair crossing twice consecutively) has no simple "
+                    f"planarization and is not representable")
+            seen_segments[s] = e
 
 
 def _check_arguments(n, positions, polylines):
     """DocumentError for arguments that no document hands planarize, as the
     loader checks these itself: positions for other ids than 0..n-1, an
     edge key that is no pair of those ids, a polyline of fewer than two
-    points or one that does not run between its vertices."""
+    points or one that does not run between its vertices, and a point that
+    is no tuple of two plain ints, so that no float or bool enters a
+    decision."""
     if type(n) is not int:
         raise DocumentError(f"n must be an integer, not {quoted(n)}")
-    if len(positions) != n or not all(v in positions for v in range(n)):
+    if (len(positions) != n or not {int}.issuperset(map(type, positions))
+            or not all(v in positions for v in range(n))):
         raise DocumentError("positions must give a point for each vertex 0..n-1 and no other")
+    if not _integer_pairs(positions.values()):
+        v = next(v for v in range(n) if not _integer_pairs((positions[v],)))
+        raise DocumentError(f"vertex {v}: position must be an integer pair")
     for e, pts in polylines.items():
         if not (type(e) is tuple and len(e) == 2):
             raise DocumentError(f"edge key {quoted(e)} is not a pair (u, v)")
         if e[0] not in positions or e[1] not in positions:
             raise DocumentError(f"edge {quoted(e)} names a vertex with no position")
-        if len(pts) < 2:
+        if not (type(pts) in (list, tuple) and len(pts) >= 2):
             raise DocumentError(f"edge {e}: polyline needs at least 2 points")
+        if not _integer_pairs(pts):
+            raise DocumentError(f"edge {e}: polyline points must be integer pairs")
         if pts[0] != positions[e[0]] or pts[-1] != positions[e[1]]:
             raise DocumentError(f"edge {e}: polyline must start and end at its vertices")
+
+
+def _integer_pairs(points) -> bool:
+    """Whether every point is a tuple of two plain ints, by C-level scans."""
+    return ({tuple}.issuperset(map(type, points)) and {2}.issuperset(map(len, points))
+            and {int}.issuperset(map(type, chain.from_iterable(points))))
 
 
 def _straight(n, positions, polylines):
@@ -502,16 +524,16 @@ def _build_rotations(positions, polylines, chains, crossings, slots):
     n = len(darts)
     around = {x: [] for x in range(n, n + len(crossings))}
     for e in sorted(chains):  # a crossing's e1 before its e2
-        chain = chains[e]
+        ch = chains[e]
         u, v = e
         if slots is None:
             pts = polylines[e]
-            darts[u].append((sub(pts[1], pts[0]), chain[1]))
-            darts[v].append((sub(pts[-2], pts[-1]), chain[-2]))
+            darts[u].append((sub(pts[1], pts[0]), ch[1]))
+            darts[v].append((sub(pts[-2], pts[-1]), ch[-2]))
         else:
-            darts[u].append((slots[u][v], chain[1]))
-            darts[v].append((slots[v][u], chain[-2]))
-        for behind, x, ahead in zip(chain, chain[1:-1], chain[2:]):
+            darts[u].append((slots[u][v], ch[1]))
+            darts[v].append((slots[v][u], ch[-2]))
+        for behind, x, ahead in zip(ch, ch[1:-1], ch[2:]):
             around[x] += (ahead, behind)
     if slots is None:
         rotations = {v: _angular_order(d) for v, d in darts.items()}

@@ -390,9 +390,32 @@ class TestLoaderRejections:
          "edge (1, 2): polyline needs at least 2 points"),
         (3, TRIANGLE, {**TRIANGLE_EDGES, (0, 2): [(0, 0), (0, 5)]}, DocumentError,
          "edge (0, 2): polyline must start and end at its vertices"),
+        # floats, bools and other values never enter a decision
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): [(4, 0), (2.5, 1), (0, 4)]}, DocumentError,
+         "edge (1, 2): polyline points must be integer pairs"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): [(4, 0), (True, 1), (0, 4)]}, DocumentError,
+         "edge (1, 2): polyline points must be integer pairs"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): [(4, 0), ("a", 1), (0, 4)]}, DocumentError,
+         "edge (1, 2): polyline points must be integer pairs"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): [(4, 0), (2, 1, 0), (0, 4)]}, DocumentError,
+         "edge (1, 2): polyline points must be integer pairs"),
+        (3, TRIANGLE, {**TRIANGLE_EDGES, (1, 2): None}, DocumentError,
+         "edge (1, 2): polyline needs at least 2 points"),
+        (3, {**TRIANGLE, 2: (0.0, 4)}, TRIANGLE_EDGES, DocumentError,
+         "vertex 2: position must be an integer pair"),
+        (3, {**TRIANGLE, 1: (4, False)}, TRIANGLE_EDGES, DocumentError,
+         "vertex 1: position must be an integer pair"),
+        (3, {**TRIANGLE, 2: (0, 4, 1)}, TRIANGLE_EDGES, DocumentError,
+         "vertex 2: position must be an integer pair"),
+        (3, {**TRIANGLE, 0: None}, TRIANGLE_EDGES, DocumentError,
+         "vertex 0: position must be an integer pair"),
+        (3, {0.0: (0, 0), 1: (4, 0), 2: (0, 4)}, TRIANGLE_EDGES, DocumentError,
+         "positions must give a point for each vertex 0..n-1 and no other"),
     ], ids=["no-edges", "n-2", "n-0", "unknown-vertex", "key-no-pair", "position-missing",
             "position-of-another-id", "position-too-many", "n-not-int", "one-point-polyline",
-            "polyline-ends-elsewhere"])
+            "polyline-ends-elsewhere", "float-bend", "bool-coordinate", "str-coordinate",
+            "triple-bend", "none-polyline", "float-position", "bool-position",
+            "triple-position", "none-position", "float-vertex-id"])
     def test_direct_planarize_arguments_get_precise_errors(self, n, positions, polylines, error,
                                                            message):
         with pytest.raises(error) as info:

@@ -2,6 +2,8 @@
 
 import random
 import re
+from copy import deepcopy
+from dataclasses import fields
 from itertools import combinations, repeat
 from math import comb
 
@@ -232,7 +234,6 @@ class TestPackedKernel:
         255 at n = 257, the most a byte holds, and 256 at n = 258 and 298
         at n = 300, past it."""
         lab, labels = synthetic_labelling(n)
-        assert (lab.read[0] is None) == (n <= 257)  # the low byte of each field
         striped = labels[1]
         for pf in labels:
             for x in (None, 0, n // 2, n - 1):
@@ -512,6 +513,22 @@ class TestDeletionFree:
                         j = k_values[edge_key(u, v)]
                         side = edge_side_partition(d, face, u, v)
                         assert len(side) in (j, d.n - 2 - j)
+
+    @pytest.mark.parametrize("factory", (convex, cylindrical))
+    def test_deletion_reads_leave_the_labelling_unchanged(self, factory):
+        """A read with a vertex deleted makes its own witness mask and
+        table: the labelling's fields are the same after every deletion on
+        every face, and a second read gives the first one's values."""
+        d = factory(8)
+        lab = kedges._labelling(d)
+        before = {f.name: deepcopy(getattr(lab, f.name)) for f in fields(lab)}
+        for f, pf in enumerate(lab.face_bits):
+            for v in d.vertices:
+                report = invariant_edges(d, f, v)
+                first = kedges._k_values(lab, pf, d.n, lab.index[v])
+                assert kedges._k_values(lab, pf, d.n, lab.index[v]) == first == report.child_k
+        assert kedges._labelling(d) is lab
+        assert {f.name: getattr(lab, f.name) for f in fields(lab)} == before
 
 
 class TestBoundCheck:

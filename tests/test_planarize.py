@@ -34,6 +34,7 @@ whose boundary walk runs clockwise, also when that point is the left end
 of a horizontal edge or a bend, with a crossing before it or none.
 """
 
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -69,9 +70,7 @@ def small_drawings(draw, partial=False, straight=False):
     without any edge of its own touching that edge; with straight, K_3 to
     K_6 with every edge one segment."""
     n = draw(st.integers(3, 6 if straight else 5))
-    if not straight:
-        points = draw(st.lists(point, min_size=n, max_size=n, unique=True))
-    elif n == 6 and draw(st.booleans()):
+    if straight and n == 6 and draw(st.booleans()):
         points = draw(mirrored_pairs())
     else:
         # sampled from the lattice's points: fewer discarded draws
@@ -197,6 +196,21 @@ def test_planarize_rejections_match_reference(case):
     except ShellcertError:
         pass  # no degeneracy, but a partial edge set is no drawing of K_n
     assert expected[0] == "ok"
+
+
+def test_the_side_by_side_scan_never_runs_on_a_valid_load(monkeypatch):
+    """Drawing refuses two chains sharing a segment; the planarizer scans
+    its chains for the two edges to name only after that, never on a
+    drawing that loads, on either route."""
+    def scan(chains):
+        raise AssertionError("the side-by-side scan ran on a valid load")
+
+    # the package exports the function planarize under the module's name
+    monkeypatch.setattr(importlib.import_module("shellcert.planarize"), "_side_by_side", scan)
+    for n in range(3, 17):
+        for document in (convex_document(n), cylindrical_document(n),
+                         rectilinear_document(n, 1)):
+            load_drawing(document)
 
 
 def all_pairs_meeting(boxes):
