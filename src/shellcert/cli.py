@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="drawing document (JSON)")
     p.add_argument("--face", default="auto",
                    help='face selector: a face id, "auto" (all faces), or "at:x,y"')
-    p.add_argument("--kmax", type=int, default=None,
+    p.add_argument("--kmax", type=decimal, default=None,
                    help="largest k for the bound table (default n//2-2)")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_analyze)
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="search for a shellability certificate")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("seq", "bishell"), required=True)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=decimal, default=None,
                    help="sequence parameter (default n//2-2)")
     p.add_argument("--face", default="auto",
                    help='face selector: a face id, "auto", or "at:x,y"')
@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a reference drawing document")
     p.add_argument("--family", choices=("convex", "cylindrical", "rectilinear"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed (rectilinear only)")
-    p.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    p.add_argument("--n", type=decimal, required=True)
+    p.add_argument("--seed", type=decimal, default=0, help="seed (rectilinear only)")
+    p.add_argument("--scale", type=decimal, default=DEFAULT_SCALE)
     p.add_argument("--output", default=None, help="document path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
@@ -119,9 +119,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", default=None, help="certificate overlay")
     p.add_argument("--labels", default=None,
                    help="label edges with k-values for this face (id or at:x,y)")
-    p.add_argument("--size", type=int, default=720)
+    p.add_argument("--size", type=decimal, default=720)
     p.set_defaults(func=cmd_export)
     return parser
+
+
+def decimal(text: str) -> int:
+    """The integer that text writes in canonical decimal form, str(value),
+    as document keys write node ids; ValueError for any other text, so
+    " 3", "+3", "03", "1_0" and non-ASCII digits name no number."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{quoted(text)} is not a canonical decimal integer")
+    return value
 
 
 def _read_document(path):
@@ -202,12 +212,12 @@ def _parse_face(selector, drawing):
     if selector.startswith("at:"):
         try:
             sx, sy = selector[3:].split(",")
-            point = (int(sx), int(sy))
+            point = (decimal(sx), decimal(sy))
         except ValueError:
             raise ValueError(f'bad point selector {quoted(selector)}; want "at:x,y"') from None
         return [locate_face(drawing, point)]
     try:
-        face = int(selector)
+        face = decimal(selector)
     except ValueError:
         raise ValueError(f"bad face selector {quoted(selector)}") from None
     try:

@@ -30,6 +30,7 @@ and arguments on the drawing; they are shared freely.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain, repeat
@@ -58,11 +59,11 @@ class Drawing:
                   passes one that wraps its own records
 
     Vertex and crossing ids are plain ints (not bools), as are the ends of
-    chain keys (u, v), u < v, and of crossing-pair edges; the pair scan
-    costs ~4% of a combinatorial load. Rotation and chain entries are
-    matched by equality: a scan would cost as much again, for input no
-    document holds, and drawing_to_document writes each entry as the
-    node id it equals.
+    chain keys (u, v), u < v. Rotation and chain entries are matched by
+    equality: a scan would cost ~4% of a load, for input no document
+    holds, and drawing_to_document writes each entry as the node id it
+    equals. crossings[c] holds the keys of the two chains that pass c;
+    the declared pair of c is only checked, by membership as given.
 
     The check of the structure numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
@@ -72,7 +73,15 @@ class Drawing:
     """
 
     def __init__(self, vertices, crossings, rotations, chains, geometry=None):
-        vertices = list(vertices)
+        try:
+            vertices = list(vertices)
+        except TypeError:
+            raise StructureError(
+                f"vertices must be an iterable of vertex ids, got {quoted(vertices)}") from None
+        for name, value in (("crossings", crossings), ("rotations", rotations),
+                            ("chains", chains)):
+            if not isinstance(value, Mapping):
+                raise StructureError(f"{name} must be a mapping, got {quoted(value)}")
         _check_ids("vertex", vertices)
         _check_ids("crossing", crossings)
         vertices.sort()
@@ -81,10 +90,9 @@ class Drawing:
         self.geometry = geometry
         self._cache = {}
         try:
-            self.crossings = {c: _edge_set(pair) for c, pair in crossings.items()}
             self.rotations = {x: tuple(rot) for x, rot in rotations.items()}
             self.chains = {e: tuple(ch) for e, ch in chains.items()}
-            self.offset, self.twin, self.chain_darts = self._number_darts()
+            self.offset, self.twin, self.chain_darts, self.crossings = self._number_darts(crossings)
         except (_Fault, KeyError, ValueError, TypeError):
             self._validate(crossings, rotations, chains)  # raises the first fault
             raise
@@ -108,10 +116,10 @@ class Drawing:
 
     # -- construction-time consistency ----------------------------------
 
-    def _number_darts(self):
-        """(offset, twin, chain_darts), built in one pass over the chains.
-        Raises _Fault, or the KeyError, ValueError or TypeError of a
-        failed lookup, if the structure is not sound.
+    def _number_darts(self, declared):
+        """(offset, twin, chain_darts, crossings), built in one pass over
+        the chains. Raises _Fault, or the KeyError, ValueError or
+        TypeError of a failed lookup, if the structure is not sound.
 
         Each segment (a, b) of a chain pairs the dart of b in a's rotation
         with the dart of a in b's. A dart paired twice is a segment on two
@@ -120,21 +128,20 @@ class Drawing:
         fails its lookup; so once every dart is paired, each rotation holds
         exactly its node's distinct neighbours, n - 1 of them at a vertex.
         A crossing's rotation of 4 then holds the neighbours of exactly two
-        passing chains, which must be those of its two edges, and each
-        must pass straight across: the darts by which it enters and leaves
-        lie 2 apart in the rotation.
+        passing chains, whose keys must be in its declared pair of 2, and
+        each must pass straight across: the darts by which it enters and
+        leaves lie 2 apart in the rotation. crossings[c] is the frozenset
+        of those two keys, made when the second passes.
         """
         n = self.n
         verts = self.vertices
-        chains, crossings, rotations = self.chains, self.crossings, self.rotations
+        chains, rotations = self.chains, self.rotations
         if (n < 3 or len(chains) != n * (n - 1) // 2
                 or chains.keys() != {(u, v) for i, u in enumerate(verts)
                                      for v in verts[i + 1:]}
                 or not {int}.issuperset(map(type, chain.from_iterable(chains)))
-                or not {int}.issuperset(map(type, chain.from_iterable(
-                    chain.from_iterable(crossings.values()))))
-                or not self.vertex_set.isdisjoint(crossings)
-                or rotations.keys() != self.vertex_set | crossings.keys()):
+                or not self.vertex_set.isdisjoint(declared)
+                or rotations.keys() != self.vertex_set | declared.keys()):
             raise _Fault
         offset = {}
         count = 0
@@ -143,6 +150,7 @@ class Drawing:
             count += len(rotations[x])
         twin = [-1] * count
         chain_darts = {}
+        passed = {}  # crossing -> the key of the chain that passed first, then both
         for e, ch in chains.items():
             if len(ch) < 2 or ch[0] != e[0] or ch[-1] != e[1] or len(set(ch)) != len(ch):
                 raise _Fault
@@ -156,19 +164,24 @@ class Drawing:
                     raise _Fault
                 twin[i] = j
                 twin[j] = i
-                if back >= 0 and (e not in crossings[a] or (i - back) % 4 != 2):
-                    raise _Fault
+                if back >= 0:
+                    if e not in declared[a] or (i - back) % 4 != 2:
+                        raise _Fault
+                    f = passed.setdefault(a, e)
+                    if f is not e:
+                        passed[a] = frozenset((f, e))
                 darts.append(i)
                 a, back = b, j
             chain_darts[e] = darts
         if -1 in twin:
             raise _Fault
-        for c, pair in crossings.items():
+        for c, pair in declared.items():
             if len(pair) != 2 or len(rotations[c]) != 4:
                 raise _Fault
-        return offset, twin, chain_darts
+        # keyed by the declared ids: a chain entry need only equal its node
+        return offset, twin, chain_darts, {c: passed[c] for c in declared}
 
-    def _validate(self, crossings, rotations, chains):
+    def _validate(self, declared, rotations, chains):
         """Raise StructureError for the first fault of the structure, in a
         fixed order, so a drawing with several faults is always rejected
         with the same message. It runs only once the constructor has met a
@@ -194,10 +207,10 @@ class Drawing:
         for e in chains:
             if not {int}.issuperset(map(type, e)):
                 raise StructureError(f"chain key {quoted(e)} is not a pair of plain ints")
-        if not self.vertex_set.isdisjoint(crossings):
+        if not self.vertex_set.isdisjoint(declared):
             raise StructureError("crossing ids overlap vertex ids")
-        crossings = {c: _copy(_edge_set, pair, f"crossing {quoted(c)} must join exactly two edges")
-                     for c, pair in crossings.items()}
+        crossings = {c: _copy(frozenset, pair, f"crossing {quoted(c)} must join exactly two edges")
+                     for c, pair in declared.items()}
 
         seg_edge = {}
         uses = dict.fromkeys(crossings, 0)
@@ -222,16 +235,14 @@ class Drawing:
                 raise StructureError(f"segment {quoted(s)} appears in two chains")
             seg_edge.update(zip(segments, repeat(e)))
 
-        for c, pair in crossings.items():
-            if len(pair) != 2:
-                raise StructureError(f"crossing {quoted(c)} must join exactly two edges")
+        for c, pair in declared.items():
+            # the pair counted as given, as the one pass counts it
+            message = f"crossing {quoted(c)} must join exactly two edges"
+            if _copy(len, pair, message) != 2:
+                raise StructureError(message)
             # a chain passes a crossing at most once and only on its edges
             if uses[c] != 2:
                 raise StructureError(f"crossing {quoted(c)} must lie on exactly its two edges")
-            bad = sorted(quoted(e) for e in pair if not {int}.issuperset(map(type, e)))
-            if bad:
-                raise StructureError(
-                    f"crossing {quoted(c)}: edge {bad[0]} is not a pair of plain ints")
 
         if rotations.keys() != self.vertex_set | crossings.keys():
             raise StructureError("rotations must list every node exactly once")
@@ -269,10 +280,6 @@ def _check_ids(kind: str, ids) -> None:
     if not {int}.issuperset(map(type, ids)):
         bad = next(x for x in ids if type(x) is not int)
         raise StructureError(f"{kind} id {quoted(bad)} is not a plain int")
-
-
-def _edge_set(pair) -> frozenset:
-    return frozenset(map(tuple, pair))
 
 
 def _copy(convert, value, message: str):

@@ -62,6 +62,7 @@ from .drawing import (Drawing, FaceSet, check_face, check_good, check_level, che
                       edge_key, per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
+from .errors import quoted
 
 
 class Orientation(enum.Enum):
@@ -207,7 +208,7 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
 
     Reversing the edge direction flips the sign.
     """
-    u, v = edge
+    u, v = _ends(edge)
     lab = _labelling(drawing)
     i, j, w = (lab.index[check_vertex(drawing, x)] for x in (u, v, witness))
     if len({i, j, w}) != 3:
@@ -218,10 +219,19 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
 
 def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     """k-value of the edge with respect to the reference face."""
-    u, v = edge
+    u, v = _ends(edge)
     if check_vertex(drawing, u) == check_vertex(drawing, v):
         raise ValueError("an edge needs two distinct vertices")
     return k_edge_profile(drawing, ref_face).k_values[edge_key(u, v)]
+
+
+def _ends(edge) -> tuple:
+    """The ends (u, v) of an edge argument; ValueError unless it is a pair."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge must be a pair of vertices, got {quoted(edge)}") from None
+    return u, v
 
 
 def _fold(top: int):

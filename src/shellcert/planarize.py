@@ -571,12 +571,19 @@ def locate_face(drawing, point) -> int:
     subtracts it from the face on its right. The chain segment holding
     that crossing follows the crossings of the piece on its near side of
     the line. Only the query point is a Fraction. Raises CapabilityError
-    without geometry and ValueError for points on the drawing itself.
+    without geometry, and ValueError for points on the drawing itself and
+    for a point that is not two int or Fraction coordinates.
     """
     geo = drawing.geometry
     if geo is None:
         raise CapabilityError("point location needs a geometric drawing")
-    p = (Fraction(point[0]), Fraction(point[1]))
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        x = y = None
+    if not {int, Fraction}.issuperset((type(x), type(y))):
+        raise ValueError(f"point must be two int or Fraction coordinates, got {quoted(point)}")
+    p = (Fraction(x), Fraction(y))
     yn, yd = p[1].numerator, p[1].denominator
     records, n = geo._crossings, len(geo._positions)
     faces = trace_faces(drawing)
@@ -596,7 +603,7 @@ def locate_face(drawing, point) -> int:
                 continue
             side = cross(a, b, p)
             if side == 0 and on_segment(p, a, b):
-                raise ValueError(f"point ({quoted(point[0])}, {quoted(point[1])}) "
+                raise ValueError(f"point ({quoted(x)}, {quoted(y)}) "
                                  f"lies on the drawing")
             if ay <= yn < by and side > 0:
                 up = True

@@ -490,6 +490,8 @@ def bishell_to_seq(cert: BishellCertificate) -> SeqShellCertificate:
     """Reuse a bishellability witness as a seq-shellability witness: keep
     the a-sequence and hand prefixes of the b-sequence to its members,
     sequences[i] being the first s - i + 1 entries of b."""
+    if not isinstance(cert, BishellCertificate):
+        raise ValueError(f"cert must be a BishellCertificate, got {quoted(cert)}")
     s = cert.s
     if len(cert.b_sequence) != s + 1:
         raise ValueError("certificate sequences must have equal length")

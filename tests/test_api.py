@@ -14,6 +14,7 @@ import ast
 import importlib
 import inspect
 import runpy
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,42 @@ def test_simple_sequence_length_is_a_plain_int():
         with pytest.raises(ValueError) as info:
             shellcert.find_simple_sequence(d, 0, 0, length)
         assert str(info.value) == "length must be at least 1"
+
+
+EDGE_ENTRIES = {
+    "k_value": lambda d, e: shellcert.k_value(d, 0, e),
+    "triangle_orientation": lambda d, e: shellcert.triangle_orientation(d, 0, e, 2),
+}
+
+
+@pytest.mark.parametrize("entry", EDGE_ENTRIES)
+def test_edges_that_are_not_pairs_are_rejected(entry):
+    d = convex_drawing(6)
+    for edge in (None, 5, (0,), (0, 1, 2)):
+        with pytest.raises(ValueError) as info:
+            EDGE_ENTRIES[entry](d, edge)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"edge must be a pair of vertices, got {quoted(edge)}"
+
+
+def test_a_point_is_two_int_or_fraction_coordinates():
+    d = convex_drawing(6)
+    for point in (None, 5, "12", (1,), (1, 2, 3), ("1/3", 0), (1.0, 2), (1, True)):
+        with pytest.raises(ValueError) as info:
+            shellcert.locate_face(d, point)
+        assert type(info.value) is ValueError
+        assert str(info.value) == \
+            f"point must be two int or Fraction coordinates, got {quoted(point)}"
+    assert shellcert.locate_face(d, (Fraction(1, 3), 0)) == shellcert.locate_face(d, [1, 0])
+
+
+def test_bishell_to_seq_takes_a_bishell_certificate():
+    seq = shellcert.SeqShellCertificate(0, (1, 2), ((3, 4), (3,)))
+    for cert in (None, seq, (0, (1, 2), (3, 4))):
+        with pytest.raises(ValueError) as info:
+            shellcert.bishell_to_seq(cert)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"cert must be a BishellCertificate, got {quoted(cert)}"
 
 
 def test_the_layer_tracer_wraps_names_that_resolve():

@@ -24,7 +24,7 @@ from shellcert.cli import main
 from shellcert.documents import (JsonText, _compact, certificate_to_document,
                                  drawing_to_document, load_drawing)
 from shellcert.drawing import validate_goodness
-from shellcert.errors import DocumentError, ShellcertError, StructureError
+from shellcert.errors import DocumentError, ShellcertError, StructureError, quoted
 from shellcert.generators import convex_document, random_rectilinear
 from shellcert.shellability import decide_seq_shellable
 
@@ -379,6 +379,44 @@ class TestDecideVerify:
                      if not vertices_on_face(d, f))
         assert main(["decide", "--input", str(drawing), "--mode", "seq",
                      "--face", str(empty)]) == 1
+
+
+class TestIntegerArguments:
+    """Integers on the command line are read as document keys are read:
+    canonical decimal only, so no spelling names another number."""
+
+    @pytest.mark.parametrize("face", ["1_0", " 3", "3 ", "+3", "03", "٣", "0x3", ""])
+    def test_face_id_must_be_canonical(self, k6, face, capsys):
+        assert main(["decide", "--input", str(k6), "--mode", "seq", "--face", face]) == 2
+        assert capsys.readouterr().err == f"error: bad face selector {quoted(face)}\n"
+
+    @pytest.mark.parametrize("point", ["at:1_000,2", "at:+1,1", "at:1, 1", "at:01,1",
+                                       "at:1,٢"])
+    def test_point_coordinates_must_be_canonical(self, k6, point, capsys):
+        assert main(["analyze", "--input", str(k6), "--face", point]) == 2
+        assert capsys.readouterr().err == (
+            f'error: bad point selector {quoted(point)}; want "at:x,y"\n')
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["generate", "--family", "convex"], "--n", "0_6"),
+        (["generate", "--family", "convex", "--n", "6"], "--seed", "+1"),
+        (["generate", "--family", "convex", "--n", "6"], "--scale", "1_000"),
+        (["decide", "--mode", "seq"], "--k", "01"),
+        (["analyze"], "--kmax", " 1"),
+        (["export", "--output", "out.svg"], "--size", "7_20"),
+    ], ids=["n", "seed", "scale", "k", "kmax", "size"])
+    def test_integer_options_must_be_canonical(self, k6, argv, flag, value, capsys):
+        if argv[0] != "generate":
+            argv = [*argv, "--input", str(k6)]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, value])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid decimal value: {value!r}\n")
+
+    def test_negative_values_are_canonical(self, k6, capsys):
+        assert main(["decide", "--input", str(k6), "--mode", "seq", "--face", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: face -1 does not exist")
 
 
 class TestExport:

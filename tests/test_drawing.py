@@ -532,3 +532,31 @@ class TestSegmentEdge:
         reference = ReferenceDrawing(drawing.vertices, drawing.crossings, drawing.rotations,
                                      drawing.chains)
         assert list(drawing.segment_edge.items()) == list(reference.segment_edge.items())
+
+
+def _passing_chains(drawing):
+    """crossing -> the keys of the chains that pass it, by a walk over the
+    chains that reads no crossing pair."""
+    passing = {}
+    for e, ch in drawing.chains.items():
+        for x in ch[1:-1]:
+            passing.setdefault(x, []).append(e)
+    return passing
+
+
+@pytest.mark.parametrize("family", ["convex", "cylindrical", "rectilinear"])
+def test_crossing_pairs_are_the_keys_of_the_passing_chains(family):
+    """Each pair holds the drawing's own chain keys, in every combinatorial
+    round trip and every vertex-deleted child."""
+    base = {"convex": convex, "cylindrical": cylindrical,
+            "rectilinear": lambda n: rectilinear(n, 5)}[family]
+    for n in range(3, 13):
+        drawing = load_drawing(drawing_to_document(base(n), "combinatorial"))
+        children = [delete_vertex(drawing, v)[0] for v in drawing.vertices] if n > 3 else []
+        for d in (drawing, *children):
+            passing = _passing_chains(d)
+            own = {id(e) for e in d.chains}
+            assert d.crossings.keys() == passing.keys()
+            for c, pair in d.crossings.items():
+                assert len(passing[c]) == 2 and pair == frozenset(passing[c])
+                assert all(id(e) in own for e in pair)

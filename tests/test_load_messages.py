@@ -167,6 +167,9 @@ COMBINATORIAL = [
      "chain of (0, 1) passes through unknown node 3"),
     ("crossing-not-on-edge", _set(["chains", "0-1"], [0, 4, 1]),
      "crossing 4 does not involve edge (0, 1)"),
+    # the chains alone are sound, but the declared pair is not theirs
+    ("crossing-declares-other-edges", _set(["nodes", 4, "edges"], [[0, 1], [2, 3]]),
+     "crossing 4 does not involve edge (0, 2)"),
     ("segment-twice", _segment_in_two_chains, "segment (0, 4) appears in two chains"),
     ("crossing-unused", _set(["chains", "1-3"], [1, 3]),
      "crossing 4 must lie on exactly its two edges"),
@@ -344,12 +347,6 @@ DIRECT = [
     ("crossing-chain-key-end-is-a-bool", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
      {**_without(K4_CHAINS, (1, 3)), (True, 3): (1, 4, 3)},
      "chain key (True, 3) is not a pair of plain ints"),
-    # crossing pairs with such ends: the document of the drawing would
-    # write the edge [true, 3], which the loader refuses
-    ("crossing-edge-end-is-a-bool", range(4), {4: {(0, 2), (True, 3)}}, K4_ROTATIONS,
-     K4_CHAINS, "crossing 4: edge (True, 3) is not a pair of plain ints"),
-    ("crossing-edge-end-is-a-float", range(4), {4: {(0.0, 2), (1, 3)}}, K4_ROTATIONS,
-     K4_CHAINS, "crossing 4: edge (0.0, 2) is not a pair of plain ints"),
     # values of the wrong shape, and entries that do not hash
     ("rotation-is-none", range(4), {4: {(0, 2), (1, 3)}}, {**K4_ROTATIONS, 0: None},
      K4_CHAINS, "rotation at 0 is not a sequence of node ids"),
@@ -362,6 +359,27 @@ DIRECT = [
      {**K4_CHAINS, (0, 2): (0, [4], 2)}, "chain of (0, 2) is not a sequence of node ids"),
     ("crossing-pair-is-an-int", range(4), {4: 5}, K4_ROTATIONS, K4_CHAINS,
      "crossing 4 must join exactly two edges"),
+    # a declared pair is read by membership as given, so edges given as
+    # lists are not the chain keys
+    ("crossing-pair-of-lists", range(4), {4: [[0, 2], [1, 3]]}, K4_ROTATIONS, K4_CHAINS,
+     "crossing 4 must join exactly two edges"),
+    ("crossing-pair-repeats-an-edge", range(4), {4: [(0, 2), (1, 3), (0, 2)]}, K4_ROTATIONS,
+     K4_CHAINS, "crossing 4 must join exactly two edges"),
+    # arguments of the wrong container type
+    ("vertices-is-none", None, {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, K4_CHAINS,
+     "vertices must be an iterable of vertex ids, got None"),
+    ("crossings-is-none", range(4), None, K4_ROTATIONS, K4_CHAINS,
+     "crossings must be a mapping, got None"),
+    ("crossings-is-a-list", range(4), [4], K4_ROTATIONS, K4_CHAINS,
+     "crossings must be a mapping, got [4]"),
+    ("rotations-is-none", range(4), {4: {(0, 2), (1, 3)}}, None, K4_CHAINS,
+     "rotations must be a mapping, got None"),
+    ("rotations-is-a-list", range(4), {4: {(0, 2), (1, 3)}}, list(K4_ROTATIONS), K4_CHAINS,
+     "rotations must be a mapping, got [0, 1, 2, 3, 4]"),
+    ("chains-is-none", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, None,
+     "chains must be a mapping, got None"),
+    ("chains-is-a-list", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, list(K4_CHAINS),
+     "chains must be a mapping, got [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]"),
     # faults the one pass meets as a dart left unpaired or a failed lookup
     ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,
@@ -383,6 +401,65 @@ def test_direct_drawing_rejection(vertices, crossings, rotations, chains, messag
     with pytest.raises(StructureError) as info:
         Drawing(vertices, crossings, rotations, chains)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pair, chains", [
+    ({(0, 2), (True, 3)}, K4_CHAINS),
+    ({(0.0, 2), (1, 3)}, K4_CHAINS),
+    # a chain entry need only equal its node; the pair is keyed by the id
+    ({(0, 2), (1, 3)}, {**K4_CHAINS, (0, 2): (0, 4.0, 2)}),
+], ids=["crossing-edge-end-is-a-bool", "crossing-edge-end-is-a-float",
+        "chain-entry-is-a-float"])
+def test_crossing_pairs_are_the_chain_keys(pair, chains):
+    """Ends that only equal ints are read by membership: the drawing
+    keeps its own chain keys, and its document reads back."""
+    drawing = Drawing(range(4), {4: pair}, K4_ROTATIONS, chains)
+    assert drawing.crossings == {4: {(0, 2), (1, 3)}}
+    assert [type(c) for c in drawing.crossings] == [int]
+    assert {type(x) for e in drawing.crossings[4] for x in e} == {int}
+    back = load_drawing(drawing_to_document(drawing, "combinatorial"))
+    assert canonical_form(back) == canonical_form(drawing)
+
+
+def _declared_pairs(draw, drawing):
+    """The drawing's crossing pairs as a caller might declare them: in any
+    container, with ends that equal ints, and on half the draws one pair
+    wrong in its edges, its length or its shape, hashable or not."""
+    def ends(e):
+        return st.sampled_from([e, (float(e[0]), e[1]), (e[0], float(e[1])),
+                                (bool(e[0]) if e[0] < 2 else e[0], e[1])])
+
+    shapes = [tuple, list, set, frozenset, dict.fromkeys]
+    declared = {}
+    for c, pair in sorted(drawing.crossings.items()):
+        members = draw(st.permutations(sorted(pair)).flatmap(
+            lambda es: st.tuples(*map(ends, es))))
+        declared[c] = draw(st.sampled_from(shapes))(members)
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(sorted(declared)))
+        member = st.sampled_from(sorted(drawing.chains)).flatmap(
+            lambda e: st.one_of(ends(e), st.just(list(e))))
+        members = draw(st.lists(member, max_size=3))
+        shape = draw(st.sampled_from([*shapes, iter, lambda m: [list(e) for e in m]]))
+        try:
+            declared[c] = shape(members)
+        except TypeError:  # a set of lists
+            declared[c] = members
+    return declared
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_declared_pairs_give_a_drawing_or_a_structure_error(data):
+    """Never the internal _Fault nor another exception; an accepted pair
+    is the pair of the chains."""
+    base = convex(data.draw(st.sampled_from([4, 5])))
+    declared = _declared_pairs(data.draw, base)
+    try:
+        drawing = Drawing(base.vertices, declared, base.rotations, base.chains)
+    except StructureError:
+        return
+    assert drawing.crossings == base.crossings
 
 
 def test_string_ids_are_refused_though_they_sort():
