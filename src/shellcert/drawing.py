@@ -143,6 +143,11 @@ class Drawing:
                 or not self.vertex_set.isdisjoint(declared)
                 or rotations.keys() != self.vertex_set | declared.keys()):
             raise _Fault
+        # before the chain pass reads a pair by membership, which would
+        # consume an iterator that has no length
+        for c, pair in declared.items():
+            if len(pair) != 2 or len(rotations[c]) != 4:
+                raise _Fault
         offset = {}
         count = 0
         for x in sorted(rotations):
@@ -175,9 +180,6 @@ class Drawing:
             chain_darts[e] = darts
         if -1 in twin:
             raise _Fault
-        for c, pair in declared.items():
-            if len(pair) != 2 or len(rotations[c]) != 4:
-                raise _Fault
         # keyed by the declared ids: a chain entry need only equal its node
         return offset, twin, chain_darts, {c: passed[c] for c in declared}
 

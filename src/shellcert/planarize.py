@@ -22,25 +22,33 @@ the edge of the outer two, so such a K_n is degenerate anyway.
 Without a collinear triple no two straight edges touch, overlap or share
 a segment, so only three concurrent edges remain to be rejected, by the
 point keys both routes share. Both routes build each crossing record
-with _record, and the straight route emits them in the order in which
-the general route tests the pairs, so every message is the same. Every
-other input takes the general route:
+with _record, and the straight route emits them in test order
+(_test_order: by the pair of pieces, numbered by edge and then along
+it), so every message is the same. Every other input takes the general
+route:
 
-Candidate pairs of polyline pieces are those whose bounding boxes meet,
-tested in ascending index order. _box_pairs finds them by a sort and
-sweep along x inside horizontal bands, and keeps each pair only in the
-band holding the higher of its two bottoms: the sort-and-prune broad
-phase of Cohen, Lin, Manocha and Ponamgi ("I-COLLIDE", 1995), swept
-along one axis in each band. It pays for the pairs it keeps and for a
-few memberships per box, not for every pair overlapping in x. Two
-consecutive pieces of one edge share their joint, so they meet nowhere
-else unless they are collinear and run back over each other; every
-other such pair is settled at once. A pair that is not parallel is
-decided by its integer parameter numerators: it crosses inside both
-pieces, or meets at an end of one of them (the common vertex of two
-adjacent edges, or a degenerate contact). Collinear pairs go through
-segment_intersection, which finds overlaps. Crossing points and
-positions along edges are keyed by integers made exact by _shift.
+One pass over each edge's polyline fills flat per-piece lists: edge,
+piece index, start point, direction and bounding box. Candidate pairs
+of pieces are those whose boxes meet. _box_pairs finds them by a sort
+and sweep along x inside horizontal bands, and keeps each pair only in
+the band holding the higher of its two bottoms: the sort-and-prune
+broad phase of Cohen, Lin, Manocha and Ponamgi ("I-COLLIDE", 1995),
+swept along one axis in each band. It pays for the pairs it keeps and
+for a few memberships per box, not for every pair overlapping in x.
+Each pair is tested where the sweep finds it, in no fixed order, so a
+fault does not raise at once: the message of the lowest faulty pair is
+kept and raised after the sweep, and the same fault is named wherever
+the sweep meets it. Records are put into test order only when two share
+a point, so that three concurrent curves are named at the first such
+point in test order. Two consecutive pieces of one edge share their
+joint, so they meet nowhere else unless they are collinear and run back
+over each other; every other such pair is settled at once. A pair that
+is not parallel is decided by its integer parameter numerators: it
+crosses inside both pieces, or meets at an end of one of them (the
+common vertex of two adjacent edges, or a degenerate contact). Collinear
+pairs go through segment_intersection, which finds overlaps. Crossing
+points and positions along edges are keyed by integers made exact by
+_shift.
 
 The drawing's Geometry wraps the planarizer's own records, copying
 nothing: the vertex positions, the polylines, the sorted crossing
@@ -99,20 +107,14 @@ def planarize(n, positions, polylines) -> Drawing:
 
     straight = _straight(n, positions, polylines)
     if straight is None:
-        subsegments = []  # (edge, index along polyline, P, Q)
-        for e in sorted(polylines):
-            pts = polylines[e]
-            for i, (p, q) in enumerate(zip(pts, pts[1:])):
-                if p == q:
-                    raise DocumentError(f"edge {e} repeats consecutive polyline points")
-                subsegments.append((e, i, p, q))
-        crossings, slots = _find_crossings(subsegments, positions), None
+        crossings, slots = _find_crossings(polylines, positions), None
     else:
         crossings, slots = straight
 
     # Three concurrent curves share a point key; the first such point in
     # test order is named.
     if len({rec[4] for rec in crossings}) != len(crossings):
+        crossings.sort(key=_test_order)
         by_point = {}
         for rec in crossings:
             by_point.setdefault(rec[4], []).append(rec)
@@ -215,11 +217,11 @@ def _straight(n, positions, polylines):
     opposite sides of ab and a and b on opposite sides of cd, where
     orient(c, d, a) = orient(a, c, d) is bit d of left[a][c]; so for each
     edge ab and each c one mask holds every d whose edge cd crosses ab,
-    and the records come out in ascending edge pair, the order in which
-    _find_crossings tests the pairs. Within one half-plane at v, w'
-    precedes w iff orient(v, w', w) > 0, that is iff w' lies left of
-    w -> v; so w's slot in v's rotation counts the bits of left[w][v] in
-    w's half, after all darts into [0, pi) if w - v points into [pi, 2 pi).
+    and the records come out in ascending edge pair, which is their
+    _test_order. Within one half-plane at v, w' precedes w iff
+    orient(v, w', w) > 0, that is iff w' lies left of w -> v; so w's slot
+    in v's rotation counts the bits of left[w][v] in w's half, after all
+    darts into [0, pi) if w - v points into [pi, 2 pi).
     """
     if n < 3 or len(polylines) != n * (n - 1) // 2:
         return None
@@ -312,9 +314,10 @@ def _shift(span):
     return 2 * (2 * span * span).bit_length()
 
 
-def _box_pairs(boxes):
-    """The pairs (ia, ib), ia < ib, of (x0, y0, x1, y1) boxes that meet,
-    touching included, in ascending order.
+def _box_pairs(lo_x, lo_y, hi_x, hi_y):
+    """Yield (ia, [ib, ...]) for the boxes ib that meet box ia, touching
+    included; box i is (lo_x[i], lo_y[i], hi_x[i], hi_y[i]). Each meeting
+    pair comes once, as (ia, ib) or as (ib, ia), in no fixed order.
 
     y is cut into bands twice the mean box height tall (plus one), and
     each box joins every band its y-range reaches: fewer than 2.5 bands a
@@ -324,14 +327,12 @@ def _box_pairs(boxes):
     its own are kept. Two boxes that meet both reach the band holding the
     higher of their two bottoms, and the pair is kept there only, as the
     band in which one of them starts; so no pair is kept twice."""
-    m = len(boxes)
-    lo_x, lo_y, hi_x, hi_y = zip(*boxes)
+    m = len(lo_x)
     base = min(lo_y)
     height = 2 * (sum(hi_y) - sum(lo_y)) // m + 1
-    first = [(y - base) // height for y in lo_y]
     bands = {}  # band -> its boxes in left-end order
     for i in sorted(range(m), key=lo_x.__getitem__):
-        band, last = first[i], (hi_y[i] - base) // height
+        band, last = (lo_y[i] - base) // height, (hi_y[i] - base) // height
         while band <= last:
             members = bands.get(band)
             if members is None:
@@ -339,25 +340,26 @@ def _box_pairs(boxes):
             else:
                 members.append(i)
             band += 1
-    codes = []
     for band, order in bands.items():
         starts = [lo_x[i] for i in order]
+        bottom = base + band * height
         k = 0
         for ia in order:
             k += 1  # order[k:] follows ia
             end = bisect_right(starts, hi_x[ia], k)
             if end == k:
                 continue
-            y1 = hi_y[ia]
-            if first[ia] == band:
-                y0 = lo_y[ia]
-                codes += [ia * m + ib if ia < ib else ib * m + ia
-                          for ib in order[k:end] if lo_y[ib] <= y1 and y0 <= hi_y[ib]]
-            else:  # from a lower band: only boxes starting in this one
-                codes += [ia * m + ib if ia < ib else ib * m + ia
-                          for ib in order[k:end] if first[ib] == band and lo_y[ib] <= y1]
-    codes.sort()
-    return [divmod(code, m) for code in codes]
+            y0, y1 = lo_y[ia], hi_y[ia]
+            # a box from a lower band pairs here only with boxes starting here
+            floor = base if y0 >= bottom else bottom
+            if end == k + 1:  # one box in reach, the commonest case: no list to filter
+                ib = order[k]
+                if floor <= lo_y[ib] <= y1 and y0 <= hi_y[ib]:
+                    yield ia, [ib]
+                continue
+            hits = [ib for ib in order[k:end] if floor <= lo_y[ib] <= y1 and y0 <= hi_y[ib]]
+            if hits:
+                yield ia, hits
 
 
 def _record(e1, i1, px, py, d1x, d1y, e2, i2, d2x, d2y, tn, un, den, shift):
@@ -379,73 +381,126 @@ def _record(e1, i1, px, py, d1x, d1y, e2, i2, d2x, d2y, tn, un, den, shift):
             (x // g, y // g, den // g), turn)
 
 
-def _find_crossings(subsegments, positions):
-    """The records (_record) of all proper interior crossings, in test
-    order; rejects every degenerate contact between two pieces. Vertex
-    positions must be distinct."""
-    if not subsegments:
+def _test_order(rec):
+    """The place of a crossing record among the pairs of pieces, by edge
+    and then along it: (e1, piece on e1, e2, piece on e2)."""
+    return rec[0], rec[2][0], rec[1], rec[3][0]
+
+
+def _find_crossings(polylines, positions):
+    """The records (_record) of all proper interior crossings of the
+    pieces of the polylines, in the order the sweep meets them; rejects
+    every degenerate contact between two pieces. Pieces are numbered by
+    edge and then along it, and of several faulty pairs the lowest is
+    named, wherever the sweep meets it. Vertex positions must be distinct.
+    """
+    edge, piece, start, dx, dy = [], [], [], [], []  # per piece
+    lo_x, lo_y, hi_x, hi_y = [], [], [], []           # its bounding box
+    for e in sorted(polylines):
+        pts = polylines[e]
+        p = pts[0]
+        px, py = p
+        for i, q in enumerate(pts[1:]):
+            if q == p:
+                raise DocumentError(f"edge {e} repeats consecutive polyline points")
+            qx, qy = q
+            edge.append(e)
+            piece.append(i)
+            start.append(p)
+            dx.append(qx - px)
+            dy.append(qy - py)
+            if px < qx:
+                lo_x.append(px)
+                hi_x.append(qx)
+            else:
+                lo_x.append(qx)
+                hi_x.append(px)
+            if py < qy:
+                lo_y.append(py)
+                hi_y.append(qy)
+            else:
+                lo_y.append(qy)
+                hi_y.append(py)
+            p, px, py = q, qx, qy
+    if not edge:
         return []
-    boxes = []
-    for _, _, (px, py), (qx, qy) in subsegments:
-        x0, x1 = (px, qx) if px < qx else (qx, px)
-        y0, y1 = (py, qy) if py < qy else (qy, py)
-        boxes.append((x0, y0, x1, y1))
-    lo_x, lo_y, hi_x, hi_y = zip(*boxes)
     shift = _shift(max(max(hi_x) - min(lo_x), max(hi_y) - min(lo_y)))
 
-    # Pairs are tested in ascending (ia, ib) order, so the first degenerate
-    # pair is always the same.
+    m = len(edge)
     crossings = []
-    last = None
-    for ia, ib in _box_pairs(boxes):
-        if ia != last:
-            last = ia
-            e1, i1, p, q = subsegments[ia]
-            px, py = p
-            d1x, d1y = q[0] - px, q[1] - py
-        e2, i2, r, s = subsegments[ib]
-        d2x, d2y = s[0] - r[0], s[1] - r[1]
-        den = d1x * d2y - d1y * d2x
-        if ib == ia + 1 and e2 == e1 and (den or d1x * d2x + d1y * d2y > 0):
-            # consecutive pieces of one edge meet only at their joint,
-            # unless they run back along one line (an overlap, below)
-            continue
-        if den:
-            # p + (tn/den) d1 = r + (un/den) d2, with den made positive
-            rx, ry = r[0] - px, r[1] - py
-            tn = rx * d2y - ry * d2x
-            un = rx * d1y - ry * d1x
-            if den < 0:
-                den, tn, un = -den, -tn, -un
-            if not (0 <= tn <= den and 0 <= un <= den):
+    fault = None  # (a * m + b, message) of the lowest faulty pair a < b so far
+    for ia, hits in _box_pairs(lo_x, lo_y, hi_x, hi_y):
+        ea, (ax, ay), adx, ady = edge[ia], start[ia], dx[ia], dy[ia]
+        # the pieces before and after ia on its edge, which share a joint with it
+        before = ia - 1 if ia and edge[ia - 1] == ea else -1
+        after = ia + 1 if ia + 1 < m and edge[ia + 1] == ea else -1
+        for ib in hits:
+            bdx, bdy = dx[ib], dy[ib]
+            den = adx * bdy - ady * bdx
+            if (ib == after or ib == before) and (den or adx * bdx + ady * bdy > 0):
+                # consecutive pieces of one edge meet only at their joint,
+                # unless they run back along one line (an overlap, below)
                 continue
-            if 0 < tn < den and 0 < un < den:
-                # subsegments are sorted by edge, so e1 <= e2 here
-                rec = _record(e1, i1, px, py, d1x, d1y, e2, i2, d2x, d2y, tn, un, den, shift)
-                if e1 == e2:
-                    raise DocumentError(f"edge {e1} intersects itself at {_exact(*rec[4])}")
-                crossings.append(rec)
-                continue
-            # the only common point is an end of one piece
-            x = p if tn == 0 else q if tn == den else r if un == 0 else s
-        elif cross(p, q, r):
-            continue  # parallel, on distinct lines
-        else:
-            # closed boxes meet, so two pieces on one line share a point
-            inter = segment_intersection(p, q, r, s)
-            if inter[0] == "overlap":
-                raise DocumentError(f"edges {e1} and {e2} overlap along a segment")
-            x = inter[1]  # an end of both pieces
-        if e1 == e2:
-            raise DocumentError(f"edge {e1} intersects itself at {_exact(*x)}")
-        a, b = e1
-        common = a if a in e2 else b if b in e2 else None
-        if common is not None and positions[common] == x:
-            continue  # adjacent edges meeting at their common vertex
-        raise DocumentError(
-            f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)")
-
+            bx, by = start[ib]
+            rx, ry = bx - ax, by - ay
+            if den:
+                # a + (tn/den) da = b + (un/den) db, with den made positive
+                tn = rx * bdy - ry * bdx
+                un = rx * ady - ry * adx
+                if den < 0:
+                    den, tn, un = -den, -tn, -un
+                if not (0 <= tn <= den and 0 <= un <= den):
+                    continue
+                if 0 < tn < den and 0 < un < den:
+                    # the lower piece comes first, so e1 <= e2
+                    if ia < ib:
+                        rec = _record(ea, piece[ia], ax, ay, adx, ady, edge[ib], piece[ib],
+                                      bdx, bdy, tn, un, den, shift)
+                    else:
+                        rec = _record(edge[ib], piece[ib], bx, by, bdx, bdy, ea, piece[ia],
+                                      adx, ady, un, tn, den, shift)
+                    if edge[ib] != ea:
+                        crossings.append(rec)
+                        continue
+                    message = f"edge {ea} intersects itself at {_exact(*rec[4])}"
+                else:
+                    # the only common point is an end of one piece
+                    x = ((ax, ay) if tn == 0 else (ax + adx, ay + ady) if tn == den
+                         else (bx, by) if un == 0 else (bx + bdx, by + bdy))
+                    message = _contact(ea, edge[ib], x, positions)
+            elif rx * ady - ry * adx:
+                continue  # parallel, on distinct lines
+            else:
+                # closed boxes meet, so two pieces on one line share a point
+                inter = segment_intersection((ax, ay), (ax + adx, ay + ady),
+                                             (bx, by), (bx + bdx, by + bdy))
+                if inter[0] == "overlap":
+                    e1, e2 = (ea, edge[ib]) if ia < ib else (edge[ib], ea)
+                    message = f"edges {e1} and {e2} overlap along a segment"
+                else:
+                    message = _contact(ea, edge[ib], inter[1], positions)  # an end of both
+            if message is not None:
+                key = ia * m + ib if ia < ib else ib * m + ia
+                if fault is None or key < fault[0]:
+                    fault = (key, message)
+    if fault is not None:
+        raise DocumentError(fault[1])
     return crossings
+
+
+def _contact(e1, e2, x, positions):
+    """The message for pieces of e1 and e2 whose one common point x is an
+    end of one of them, or None where adjacent edges meet at their common
+    vertex."""
+    if e1 == e2:
+        return f"edge {e1} intersects itself at {_exact(*x)}"
+    a, b = e1
+    common = a if a in e2 else b if b in e2 else None
+    if common is not None and positions[common] == x:
+        return None
+    if e2 < e1:
+        e1, e2 = e2, e1
+    return f"edges {e1} and {e2} touch at {_exact(*x)} (tangential or bend contact)"
 
 
 def _exact(x, y, d=1) -> str:

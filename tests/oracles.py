@@ -669,13 +669,47 @@ def reference_drawing(n, positions, polylines):
     return ("ok", drawing, {node[k]: x for k, (_, x, _) in enumerate(crossings)})
 
 
+def reference_faulty_pairs(positions, polylines):
+    """The pairs (i, j), i < j, of pieces whose contact is a fault, pieces
+    numbered as planarize numbers them: by edge, then along it."""
+    pieces = [(e, i, p, q) for e in sorted(polylines)
+              for i, (p, q) in enumerate(zip(polylines[e], polylines[e][1:]))]
+    return [(i, j) for (i, first), (j, second) in combinations(enumerate(pieces), 2)
+            if (contact := _contact(positions, first, second)) and contact[0] == "error"]
+
+
+def _contact(positions, first, second):
+    """How the pieces (e1, i1, p, q) and (e2, i2, r, s), first before
+    second in planarize's order, meet: None for not at all or at a joint
+    or common vertex, ("crossing", point), or ("error", message)."""
+    (e1, i1, p, q), (e2, i2, r, s) = first, second
+    hit = fraction_intersection(p, q, r, s)
+    if hit is None:
+        return None
+    if hit[0] == "overlap":
+        return ("error", f"edges {e1} and {e2} overlap along a segment")
+    x = hit[1]
+    ends1, ends2 = {_at(p), _at(q)}, {_at(r), _at(s)}
+    if e1 == e2:
+        if abs(i1 - i2) == 1 and x in ends1 and x in ends2:
+            return None
+        return ("error", f"edge {e1} intersects itself at {_point(x)}")
+    if x in ends1 or x in ends2:
+        if any(_at(positions[v]) == x for v in set(e1) & set(e2)):
+            return None
+        return ("error", f"edges {e1} and {e2} touch at {_point(x)} "
+                         f"(tangential or bend contact)")
+    return ("crossing", x)
+
+
+def _at(x):
+    return (Fraction(x[0]), Fraction(x[1]))
+
+
 def _reference(positions, polylines):
     """("error", message), or ("ok", crossings, along): crossings as
     [(edge pair, point, {edge: piece index})] in pair order, and
     along(e, k) ordering the crossings of edge e along its polyline."""
-    def at(x):
-        return (Fraction(x[0]), Fraction(x[1]))
-
     if len(set(positions.values())) != len(positions):
         return ("error", "two vertices share a position")
     pieces = []
@@ -687,28 +721,18 @@ def _reference(positions, polylines):
             pieces.append((e, i, pts[i], pts[i + 1]))
 
     crossings = []  # (edge pair, point, {edge: piece index}), in pair order
-    for (e1, i1, p, q), (e2, i2, r, s) in combinations(pieces, 2):
-        hit = fraction_intersection(p, q, r, s)
-        if hit is None:
+    for first, second in combinations(pieces, 2):
+        contact = _contact(positions, first, second)
+        if contact is None:
             continue
-        if hit[0] == "overlap":
-            return ("error", f"edges {e1} and {e2} overlap along a segment")
-        x = hit[1]
-        ends1, ends2 = {at(p), at(q)}, {at(r), at(s)}
-        if e1 == e2:
-            if abs(i1 - i2) == 1 and x in ends1 and x in ends2:
-                continue
-            return ("error", f"edge {e1} intersects itself at {_point(x)}")
-        if x in ends1 or x in ends2:
-            if any(at(positions[v]) == x for v in set(e1) & set(e2)):
-                continue
-            return ("error", f"edges {e1} and {e2} touch at {_point(x)} "
-                             f"(tangential or bend contact)")
-        crossings.append((tuple(sorted((e1, e2))), x, {e1: i1, e2: i2}))
+        if contact[0] == "error":
+            return contact
+        (e1, i1, *_), (e2, i2, *_) = first, second
+        crossings.append((tuple(sorted((e1, e2))), contact[1], {e1: i1, e2: i2}))
 
     for e, _, p, q in pieces:
         for v, pos in positions.items():
-            if v not in e and _fraction_on_segment(at(pos), at(p), at(q)):
+            if v not in e and _fraction_on_segment(_at(pos), _at(p), _at(q)):
                 return ("error", f"edge {e} passes through vertex {v}")
 
     at_point = {}
@@ -724,7 +748,7 @@ def _reference(positions, polylines):
     # within a piece is the distance from the piece's start.
     def along(e, k):
         _, x, where = crossings[k]
-        start = at(polylines[e][where[e]])
+        start = _at(polylines[e][where[e]])
         return (where[e], abs(x[0] - start[0]) + abs(x[1] - start[1]))
 
     seen = {}

@@ -24,7 +24,7 @@ from corpus import not_good_k7_document
 from shellcert.documents import load_drawing
 from shellcert.drawing import FaceSet, trace_faces
 from shellcert.errors import quoted
-from shellcert.generators import convex_drawing
+from shellcert.generators import convex_drawing, cylindrical_document
 from test_drawing import double_crossing_k5_doc
 
 
@@ -230,6 +230,29 @@ def test_the_layer_tracer_wraps_names_that_resolve():
     missing = [(module, name) for module, name, _ in wrapped
                if not hasattr(importlib.import_module(f"shellcert.{module}"), name)]
     assert missing == []
+
+
+def test_the_geometric_loader_calls_planarize_by_its_module_binding(monkeypatch):
+    # perfbench/layertrace.py wraps documents.planarize and reads its three
+    # positional arguments; a loader that went round that binding would
+    # leave every traced planarize metric at 0
+    documents = importlib.import_module("shellcert.documents")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return planarize(*args, **kwargs)
+
+    doc = cylindrical_document(6)  # made before the wrap: making it planarizes
+    planarize = documents.planarize
+    monkeypatch.setattr(documents, "planarize", counted)
+    load_drawing(doc)
+    assert len(calls) == 1
+    (n, positions, polylines), kwargs = calls[0]
+    assert kwargs == {}
+    assert n == 6
+    assert positions == {v["id"]: (v["x"], v["y"]) for v in doc["vertices"]}
+    assert sorted(polylines) == [(u, v) for u in range(6) for v in range(u + 1, 6)]
 
 
 def test_every_imported_name_is_used():

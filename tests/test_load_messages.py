@@ -365,6 +365,11 @@ DIRECT = [
      "crossing 4 must join exactly two edges"),
     ("crossing-pair-repeats-an-edge", range(4), {4: [(0, 2), (1, 3), (0, 2)]}, K4_ROTATIONS,
      K4_CHAINS, "crossing 4 must join exactly two edges"),
+    # a pair with no length is refused before a membership test consumes it
+    ("crossing-pair-is-an-iterator", range(4), {4: iter([(0, 2), (1, 3)])}, K4_ROTATIONS,
+     K4_CHAINS, "crossing 4 must join exactly two edges"),
+    ("crossing-pair-is-a-generator", range(4), {4: (e for e in [(0, 2), (1, 3)])},
+     K4_ROTATIONS, K4_CHAINS, "crossing 4 must join exactly two edges"),
     # arguments of the wrong container type
     ("vertices-is-none", None, {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, K4_CHAINS,
      "vertices must be an iterable of vertex ids, got None"),

@@ -18,12 +18,17 @@ order, and its vertex rotations must equal those of the general route,
 on generated and wide drawings and in every quarter turn.
 
 The banded sort-and-sweep broad phase must hand the narrow phase exactly
-the pairs of pieces whose boxes meet, in ascending order, as a test of
-every pair finds them, also when y is cut into many bands and boxes reach
-across them; so the first fault named is that of the lowest pair,
-wherever the sweep meets it first. Consecutive pieces of one edge that
-turn or run straight load; one that runs back over the other is rejected
-as the reference rejects it, before the faults of later pairs.
+the pairs of pieces whose boxes meet, each once, as a test of every pair
+finds them, also when y is cut into many bands and boxes reach across
+them. Pairs are tested where the sweep finds them, in no fixed order, yet
+the fault named is that of the lowest pair wherever the sweep meets it:
+also where it meets a higher fault of another kind first, and where it
+finds the crossings at a later point of three concurrent curves before
+those at the first point in test order. Consecutive pieces of one edge
+that turn or run straight load; one that runs back over the other is
+rejected as the reference rejects it, before the faults of later pairs.
+The bytes of the documents and SVGs of large cylindrical drawings, which
+take the general route, are pinned by their sha256.
 
 Rotations must equal, tuple for tuple, a comparison sort of the darts
 and the per-crossing comparison rule, and point location by winding
@@ -34,6 +39,7 @@ whose boundary walk runs clockwise, also when that point is the left end
 of a horizontal edge or a bend, with a crossing before it or none.
 """
 
+import hashlib
 import importlib
 import random
 from collections import Counter
@@ -47,15 +53,16 @@ from hypothesis import strategies as st
 
 from oracles import (canonical_form, comparison_rotations, exact_points, face_views,
                      fraction_intersection, polygon_area2, reference_drawing,
-                     reference_locate_face, reference_planarization, segment_path,
-                     segment_paths, sort_by_angle)
-from shellcert.documents import load_drawing
+                     reference_faulty_pairs, reference_locate_face,
+                     reference_planarization, segment_path, segment_paths, sort_by_angle)
+from shellcert.documents import drawing_to_document, dumps_document, load_drawing
 from shellcert.errors import DocumentError, ShellcertError, StructureError
 from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
 from shellcert.geometry import cross, segment_intersection
 from shellcert.drawing import trace_faces
 from shellcert.planarize import (_angular_order, _box_pairs, _find_crossings, _straight,
-                                 locate_face, outer_face, planarize)
+                                 _test_order, locate_face, outer_face, planarize)
+from shellcert.svg import render_svg
 
 # the lattice has spacing 4, so a hub (below) fits between lattice points
 point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -220,6 +227,18 @@ def all_pairs_meeting(boxes):
             if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1]
 
 
+def box_pairs_as_met(boxes):
+    """The pairs (i, j), i < j, that _box_pairs yields for the boxes, in
+    the order the sweep meets them."""
+    return [(min(ia, ib), max(ia, ib)) for ia, hits in _box_pairs(*zip(*boxes)) for ib in hits]
+
+
+def box_pairs(boxes):
+    """The pairs that _box_pairs yields, sorted; one yielded twice appears
+    twice."""
+    return sorted(box_pairs_as_met(boxes))
+
+
 def piece_boxes(doc):
     """Bounding boxes of a document's polyline pieces, in planarize's order:
     by edge, then along it."""
@@ -243,7 +262,7 @@ def generated(family, n):
 @pytest.mark.parametrize("n", [4, 9, 16])
 def test_box_pairs_match_all_pairs_on_generated_drawings(family, n, turns):
     boxes = piece_boxes(_turned_document(generated(family, n), turns))
-    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+    assert box_pairs(boxes) == all_pairs_meeting(boxes)
 
 
 @pytest.mark.parametrize("turns", range(4))
@@ -252,7 +271,7 @@ def test_box_pairs_match_all_pairs_on_convex_k20_with_vertex_points(turns):
     doc = _turned_document(generated("convex", 20), turns)
     boxes = piece_boxes(doc) + [(v["x"], v["y"], v["x"], v["y"]) for v in doc["vertices"]]
     assert len(bands_reached(boxes)) > 1
-    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+    assert box_pairs(boxes) == all_pairs_meeting(boxes)
 
 
 @pytest.mark.parametrize("turns", range(4))
@@ -308,7 +327,7 @@ def test_box_pairs_match_all_pairs_across_bands(case):
     reached = Counter(i for members in bands.values() for i in members)
     if any(count > 1 for i, count in reached.items() if i != tall):
         event("another box across a band boundary")
-    assert _box_pairs(boxes) == all_pairs_meeting(boxes)
+    assert box_pairs(boxes) == all_pairs_meeting(boxes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -323,7 +342,7 @@ def test_box_pairs_match_all_pairs_with_ties(boxes):
             event("touching at one coordinate")
         if a[0] == a[2] or a[1] == a[3]:
             event("vertical or horizontal piece")
-    assert _box_pairs(boxes) == pairs
+    assert box_pairs(boxes) == pairs
 
 
 def test_cylindrical_k16_box_pair_count():
@@ -331,7 +350,43 @@ def test_cylindrical_k16_box_pair_count():
     # machine: a later broad phase must not hand on more pairs than this.
     boxes = piece_boxes(cylindrical_document(16))
     assert len(boxes) == 3920
-    assert len(_box_pairs(boxes)) == 8191
+    assert len(box_pairs(boxes)) == 8191
+
+
+# The first 16 hex digits of the sha256 of the combinatorial document and
+# of the SVG of cylindrical K_8 to K_16, in each quarter turn: long polyline
+# edges on the general route, whose bytes must not depend on the order in
+# which the broad phase hands on candidate pairs.
+GENERAL_ROUTE_PINS = {
+    8: [("b9f61234ea05cca1", "6f78f9d8334c5ce3"), ("11dbe2c00fe4d64e", "ff160827526c6a9e"),
+         ("bc6cff276850a2de", "6f0cf091aa629f32"), ("7e6732d8303af165", "d87693d625085c34")],
+    9: [("ed268421749c1eb7", "6cd3285008271fb1"), ("5d3bb181518e766c", "d65af6a546f26c0c"),
+         ("1c0f4a59745398b9", "d0cc4ea6b3d2b72e"), ("9c16eb141475a843", "06a245f605d8c805")],
+    10: [("d9599a7a230e6b6a", "dcb6d061bcb6f040"), ("3d0b2251c6a14799", "9e9357b89677e6a2"),
+         ("96ad43934314da22", "278b0fdcc70b4f9f"), ("a2981eba9b3428e8", "27d9fe9551b686d6")],
+    11: [("624cec4141729ee9", "5012039f2b47eb6b"), ("ab0dc694c5133276", "fa7048bc49a0b405"),
+         ("8456f6926a90febe", "920d171b04a92a7b"), ("cd878b78d3b79104", "9f8557177d4923bb")],
+    12: [("8d7e1ebe14261451", "e5dbff8316c882c4"), ("2cc6f1a9d7320435", "ab2de9453ad99a25"),
+         ("d3e5f6242a09b1c1", "f110a46b2cb4e836"), ("22023ae7bc90241d", "d95265a5fb910072")],
+    13: [("69b84d359b6de4db", "3e4f38cfa4a771f9"), ("d50b8974d139a198", "be25ceac39e229aa"),
+         ("395dddcc5b614bce", "638437a976f9ccec"), ("b895e4a42add3496", "53c9c9a1ad073414")],
+    14: [("4e99fe225996989f", "57a3aeec88c4e422"), ("2b4a846df78714a3", "4e66cf84495603d9"),
+         ("523f357673f4ff00", "0a26e8209a284a34"), ("1655e4c3e10b18a1", "a1d39e223381995a")],
+    15: [("9100fa849bc5f08c", "d5422d2eff511b57"), ("123de5472b889ce3", "77e72971d5d44729"),
+         ("88b6aeb9b3f61114", "55b94619e320f422"), ("3bc776d3b38d4c6a", "015a35784002197f")],
+    16: [("fbb99399d4d709d6", "499f1b11e0f6beb7"), ("e312b90ceceb9284", "d07bab85c436b6de"),
+         ("f3e47df6740b5d07", "d0cdf9f8fc6837a4"), ("c5a67e42fe0f1ab7", "9661d59630119520")],
+}
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("n", sorted(GENERAL_ROUTE_PINS))
+def test_general_route_bytes_are_pinned(n, turns):
+    drawing = load_drawing(_turned_document(generated("cylindrical", n), turns))
+    text = dumps_document(drawing_to_document(drawing, "combinatorial"))
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest()[:16]
+                    for out in (text, render_svg(drawing)))
+    assert digests == GENERAL_ROUTE_PINS[n][turns]
 
 
 def test_first_touch_named_is_the_lowest_pair_not_the_leftmost():
@@ -346,6 +401,92 @@ def test_first_touch_named_is_the_lowest_pair_not_the_leftmost():
     with pytest.raises(DocumentError) as info:
         planarize(8, positions, polylines)
     assert str(info.value) == message
+
+
+def _cluster(kind, a, x0):
+    """Edges (a, a + 1) and (a + 2, a + 3) near (x0, x0), whose lowest
+    faulty pair of pieces is a touch, an overlap or a self-intersection
+    of (a, a + 1)."""
+    b, c, d = a + 1, a + 2, a + 3
+    if kind == "touch":
+        polylines = {(a, b): [(x0, x0), (x0 + 5, x0 + 5), (x0 + 10, x0)],
+                     (c, d): [(x0, x0 + 5), (x0 + 10, x0 + 5)]}
+    elif kind == "overlap":
+        # then the bend at (x0 + 5, x0) touches (a, b), a higher pair
+        polylines = {(a, b): [(x0, x0), (x0 + 10, x0)],
+                     (c, d): [(x0 - 5, x0), (x0 + 5, x0), (x0 + 5, x0 + 5), (x0 + 12, x0 + 5)]}
+    else:
+        polylines = {(a, b): [(x0, x0), (x0 + 8, x0 + 4), (x0 + 8, x0 + 8), (x0 + 4, x0 + 8),
+                              (x0 + 4, x0 - 2), (x0 + 10, x0)],
+                     (c, d): [(x0, x0 + 12), (x0 + 10, x0 + 12)]}
+    positions = {}
+    for (u, v), pts in polylines.items():
+        positions[u], positions[v] = pts[0], pts[-1]
+    return positions, polylines
+
+
+@pytest.mark.parametrize("turns", range(4))
+@pytest.mark.parametrize("lowest, higher", [("itself", "touch"), ("touch", "itself"),
+                                            ("overlap", "touch"), ("touch", "overlap")])
+def test_the_lowest_fault_is_named_where_the_sweep_meets_a_higher_one_first(lowest, higher,
+                                                                              turns):
+    # The lowest fault, of edges 0-3, lies in the middle; faults of the
+    # higher edges 4-11 lie at two opposite corners, so in every quarter
+    # turn one of them is left of it and the sweep meets that one first.
+    positions, polylines = {}, {}
+    for kind, a, x0 in ((lowest, 0, 100), (higher, 4, 0), (higher, 8, 200)):
+        more_positions, more_polylines = _cluster(kind, a, x0)
+        positions.update(more_positions)
+        polylines.update(more_polylines)
+    positions, polylines = _turned(dict(sorted(positions.items())), polylines, turns)
+    faulty = reference_faulty_pairs(positions, polylines)
+    met = next(pair for pair in box_pairs_as_met(piece_boxes(document(12, positions, polylines)))
+               if pair in faulty)
+    assert met != min(faulty)
+    expected = reference_planarization(positions, polylines)
+    assert expected[0] == "error" and _kind(expected) == lowest
+    with pytest.raises(DocumentError) as info:
+        planarize(12, positions, polylines)
+    assert str(info.value) == expected[1]
+
+
+# K_5 with bent edges and two points where three curves meet: (30, 14) on
+# (0, 1), (1, 2) and (2, 3), and (6, 2) on (0, 2), (0, 4) and (2, 4). The
+# records at (30, 14) come first in test order; in every quarter turn the
+# sweep finds those at (6, 2) first.
+TWO_TRIPLE_POINTS = (
+    {0: (4, 12), 1: (0, 24), 2: (0, 28), 3: (16, 32), 4: (32, 0)},
+    {(0, 1): [(4, 12), (29, 14), (31, 14), (0, 24)],
+     (0, 2): [(4, 12), (5, 1), (7, 3), (0, 28)],
+     (0, 3): [(4, 12), (16, 32)],
+     (0, 4): [(4, 12), (6, 1), (6, 3), (32, 0)],
+     (1, 2): [(0, 24), (29, 13), (31, 15), (0, 28)],
+     (1, 3): [(0, 24), (16, 32)],
+     (1, 4): [(0, 24), (32, 0)],
+     (2, 3): [(0, 28), (30, 13), (30, 15), (16, 32)],
+     (2, 4): [(0, 28), (5, 3), (7, 1), (32, 0)],
+     (3, 4): [(16, 32), (32, 0)]})
+
+
+def _first_shared_point(records):
+    """The point key of the first record whose point a later one shares."""
+    points = [rec[4] for rec in records]
+    return next(x for x in points if points.count(x) > 1)
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_three_curves_are_named_at_the_first_point_in_test_order(turns):
+    positions, polylines = _turned(*TWO_TRIPLE_POINTS, turns)
+    found = _find_crossings(polylines, positions)
+    assert (_first_shared_point(found)
+            != _first_shared_point(sorted(found, key=_test_order)))
+    expected = reference_planarization(positions, polylines)
+    x, y = _quarter_turns((30, 14))[turns]
+    assert expected == ("error", f"three curves concurrent at ({x}, {y}): "
+                                 f"edges [(0, 1), (1, 2), (2, 3)]")
+    with pytest.raises(DocumentError) as info:
+        load_drawing(document(5, positions, polylines))
+    assert str(info.value) == expected[1]
 
 
 # K_4 on a square: (0, 1) runs straight through a bend point, (1, 2)
@@ -477,16 +618,15 @@ def test_crossings_closer_than_2_to_the_minus_60():
 def assert_routes_agree(n, positions, polylines):
     """Whether the straight route takes the straight-line K_n; when it
     does, its crossing records, in test order, and its vertex rotations
-    must equal those of the general route: _find_crossings on the pieces
-    and _angular_order at each vertex. When it does not, three vertices
+    must equal those of the general route: the records of _find_crossings
+    sorted by _test_order, and _angular_order at each vertex. When it does not, three vertices
     must lie on a line."""
     straight = _straight(n, positions, polylines)
     if straight is None:
         assert has_collinear_triple(positions)
         return False
     records, slots = straight
-    pieces = [(e, 0, *polylines[e]) for e in sorted(polylines)]
-    assert records == _find_crossings(pieces, positions)
+    assert records == sorted(_find_crossings(polylines, positions), key=_test_order)
     for v, (x, y) in positions.items():
         others = [w for w in positions if w != v]
         darts = [((positions[w][0] - x, positions[w][1] - y), w) for w in others]
