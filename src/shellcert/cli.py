@@ -9,7 +9,9 @@ reject a drawing that loads but is not good with 2, as does every other
 ShellcertError without a code of its own; no error exits 1, which means
 "negative". Plain export draws any drawing that loads, good or not.
 Outputs carry no timestamps, so identical inputs and flags produce
-identical bytes.
+identical bytes. Each call builds the parser of the command it names;
+help and errors above the subcommand get the parser of all five, so
+their usage line lists every command.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ class _NotGood(ShellcertError):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = _build_parser(argv).parse_known_args(argv)
+    if extras:
+        # the error names all five commands in its usage line
+        args = _build_parser([]).parse_args(argv)
     try:
         return args.func(args)
     except _NotGood:
@@ -71,15 +76,23 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser with the one command that argv[0] names, or with all
+    five when it names none (help, --version, errors, an empty argv)."""
     parser = argparse.ArgumentParser(
         prog="shellcert",
         description="Analyze good drawings of complete graphs: k-edge "
                     "profiles, crossing bounds, and shellability certificates.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in named:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    p = sub.add_parser("analyze", help="validate a drawing and report k-edge profiles")
+
+def _analyze_arguments(p) -> None:
     p.add_argument("--input", required=True, help="drawing document (JSON)")
     p.add_argument("--face", default="auto",
                    help='face selector: a face id, "auto" (all faces), or "at:x,y"')
@@ -88,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("decide", help="search for a shellability certificate")
+
+def _decide_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("seq", "bishell"), required=True)
     p.add_argument("--k", type=decimal, default=None,
@@ -98,12 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="certificate path (default stdout)")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("verify", help="check a certificate against a drawing")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--certificate", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generate", help="emit a reference drawing document")
+
+def _generate_arguments(p) -> None:
     p.add_argument("--family", choices=("convex", "cylindrical", "rectilinear"),
                    required=True)
     p.add_argument("--n", type=decimal, required=True)
@@ -112,7 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="document path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("export", help="render a drawing to SVG")
+
+def _export_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="SVG path")
     p.add_argument("--face", default=None, help="face to highlight (id or at:x,y)")
@@ -121,7 +138,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="label edges with k-values for this face (id or at:x,y)")
     p.add_argument("--size", type=decimal, default=720)
     p.set_defaults(func=cmd_export)
-    return parser
+
+
+# each command's help line and the function that adds its arguments, in
+# the order the usage line lists them
+_COMMANDS = {
+    "analyze": ("validate a drawing and report k-edge profiles", _analyze_arguments),
+    "decide": ("search for a shellability certificate", _decide_arguments),
+    "verify": ("check a certificate against a drawing", _verify_arguments),
+    "generate": ("emit a reference drawing document", _generate_arguments),
+    "export": ("render a drawing to SVG", _export_arguments),
+}
 
 
 def decimal(text: str) -> int:

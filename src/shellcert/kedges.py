@@ -428,7 +428,11 @@ def cumulative_bound_check(drawing: Drawing, ref_face: int, kmax: int):
     """Compare cumulated k-edge counts against 3*C(k+3, 3) for k <= kmax.
 
     If every row passes up to k = n//2 - 2, the drawing has at least H(n)
-    crossings.
+    crossings: with m = n//2 - 2, cr(D) = 2*sum(E_k, k <= m) - C(n,2) *
+    floor((n-2)/2)/2 - (1+(-1)^n)/2 * E_m for the cumulated counts E_k of
+    any face, every E_k has a positive coefficient, and the thresholds in
+    place of the E_k give exactly H(n) (TestCrossingIdentity in
+    tests/test_kedges.py checks both, the latter for n <= 60).
     """
     check_kmax(drawing.n, kmax)
     cumulated = k_edge_profile(drawing, ref_face).cumulated

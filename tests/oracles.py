@@ -31,6 +31,7 @@ import weakref
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
                                vertices_on_face)
@@ -46,6 +47,18 @@ def harary_hill_closed_form(n: int) -> int:
     if n % 2 == 0:
         return m * (m - 1) ** 2 * (m - 2) // 4
     return (m * (m - 1) // 2) ** 2
+
+
+def crossings_from_cumulated(n: int, cumulated) -> int:
+    """cr(D) of a good drawing D of K_n, n >= 4, from the cumulated k-edge
+    counts E_{<=<=k} = cumulated[k] of any one face, k <= m = n//2 - 2:
+    2*sum(E_{<=<=k}) - C(n,2)*floor((n-2)/2)/2 - (1+(-1)^n)/2 * E_{<=<=m},
+    the k-edge identity of good drawings (Abrego, Aichholzer,
+    Fernandez-Merchant, Ramos, Salazar). C(n,2)*floor((n-2)/2) is even
+    for every n."""
+    m = n // 2 - 2
+    last = cumulated[m] if n % 2 == 0 else 0
+    return 2 * sum(cumulated[:m + 1]) - comb(n, 2) * ((n - 2) // 2) // 2 - last
 
 
 # -- exact plane predicates ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines and the exit-code contract."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -417,6 +418,103 @@ class TestIntegerArguments:
     def test_negative_values_are_canonical(self, k6, capsys):
         assert main(["decide", "--input", str(k6), "--mode", "seq", "--face", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: face -1 does not exist")
+
+
+FULL_USAGE = "usage: shellcert [-h] [--version] {analyze,decide,verify,generate,export} ...\n"
+
+
+# help, version, errors above and within each subcommand, leftovers and
+# commands that run: main must answer each exactly as the full parser does
+ARGV_BATTERY = [
+    [], ["-h"], ["--version"], ["--vers"], ["bogus"], ["ver"], ["--"], ["-x"],
+    ["--version", "verify"], ["verify", "--version"], ["-h", "verify"],
+    *[[name, "-h"] for name in ("analyze", "decide", "verify", "generate", "export")],
+    ["verify"], ["decide", "--input", "in.json", "--mode", "nope"],
+    ["generate", "--family", "convex", "--n", "x"], ["analyze", "--input"],
+    ["analyze", "--inp", "in.json"], ["analyze", "--input", "in.json", "extra"],
+    ["verify", "--input", "a", "--certificate", "b", "c", "d"],
+    ["verify", "--bogus", "--input", "a"], ["verify", "--", "x"],
+    ["generate", "--family", "convex", "--n", "4"],
+    ["generate", "--fam", "convex", "--n", "4", "--bogus"],
+    ["export", "--input", "in.json", "--output", "out.svg"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "(empty)"
+
+
+def _outcome(argv, capsys):
+    """The exit code of main(argv), or of the SystemExit it raises, and
+    what it printed."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+class TestArgumentHandling:
+    """Errors above the subcommand print the usage line of all five commands."""
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'analyze', "
+                    "'decide', 'verify', 'generate', 'export')"),
+        (["verify", "--input", "x", "--certificate", "y", "extra"],
+         "unrecognized arguments: extra"),
+    ], ids=["required", "invalid-choice", "unrecognized"])
+    def test_top_level_errors(self, argv, error, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", f"{FULL_USAGE}shellcert: error: {error}\n")
+
+    @pytest.mark.parametrize("columns", ["80", "30"])
+    @pytest.mark.parametrize("argv", ARGV_BATTERY, ids=_argv_id)
+    def test_same_bytes_as_the_full_parser(self, argv, columns, monkeypatch, tmp_path,
+                                           capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.chdir(tmp_path)
+        named = _outcome(argv, capsys)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert named == _outcome(argv, capsys)
+
+    @pytest.mark.parametrize("argv, built", [
+        *[([name, "-h"], 1) for name in cli._COMMANDS],
+        (["generate", "--family", "convex", "--n", "4"], 1),
+        (["-h"], 5),
+        ([], 5),
+        (["bogus"], 5),
+        (["verify", "--input", "x", "--certificate", "y", "extra"], 1 + 5),
+    ], ids=lambda value: _argv_id(value) if isinstance(value, list) else f"builds {value}")
+    def test_subparsers_built(self, argv, built, monkeypatch, capsys):
+        """A named command builds its own subparser only; the other four
+        are built for help and errors above the subcommand."""
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        _outcome(argv, capsys)
+        assert len(calls) == built
+
+    def test_tuple_and_sys_argv(self, k6, tmp_path, monkeypatch, capsys):
+        cert = tmp_path / "cert.json"
+        assert main(["decide", "--input", str(k6), "--mode", "seq",
+                     "--output", str(cert)]) == 0
+        argv = ["verify", "--input", str(k6), "--certificate", str(cert)]
+        listed = _outcome(argv, capsys)
+        assert listed == (0, "certificate verified\n", "")
+        assert _outcome(tuple(argv), capsys) == listed
+        monkeypatch.setattr(sys, "argv", ["shellcert", *argv])
+        assert _outcome(None, capsys) == listed
 
 
 class TestExport:

@@ -11,9 +11,9 @@ import pytest
 
 from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
                     sample_faces)
-from oracles import (ccw_k_value, child_drawing_report, exact_points, face_views,
-                     far_point, flipped, flood_fill_k_values, flood_fill_triangles,
-                     harary_hill_closed_form, reference_cumulated,
+from oracles import (ccw_k_value, child_drawing_report, crossings_from_cumulated,
+                     exact_points, face_views, far_point, flipped, flood_fill_k_values,
+                     flood_fill_triangles, harary_hill_closed_form, reference_cumulated,
                      reference_k_values, split_face_side_partition,
                      winding_orientation)
 from shellcert import drawing as drawing_module
@@ -564,6 +564,55 @@ class TestBoundCheck:
         assert (k, cumulated, threshold, ok) == (rows[1].k, rows[1].cumulated,
                                                  rows[1].threshold, rows[1].ok)
         assert repr(rows[0]) == f"BoundRow(k=0, cumulated={c0}, threshold=3, ok={c0 >= 3})"
+
+
+@pytest.fixture(scope="module")
+def identity_corpus():
+    """The drawings of the acceptance suite: convex K5..K10, cylindrical
+    K5..K12, and rectilinear K7 on 50 seeds and K5..K7 on 100 seeds each."""
+    drawings = [convex(n) for n in range(5, 11)]
+    drawings += [cylindrical(n) for n in range(5, 13)]
+    drawings += [rectilinear(7, seed) for seed in range(50)]
+    drawings += [rectilinear(n, seed) for n in (5, 6, 7) for seed in range(100)]
+    return drawings
+
+
+class TestCrossingIdentity:
+    """cr(D) from the cumulated k-edge counts of any face ties the
+    planarizer's crossings to the labelling's k-values."""
+
+    def test_every_face(self, identity_corpus):
+        faces = 0
+        for d in identity_corpus:
+            for f in trace_faces(d).face_ids():
+                cumulated = k_edge_profile(d, f).cumulated
+                assert crossings_from_cumulated(d.n, cumulated) == d.crossing_count(), (d.n, f)
+                faces += 1
+        assert faces > 10000
+
+    def test_deletion_reads(self, identity_corpus):
+        # the child k-values are those of D - v, whose crossings are those
+        # of D off the edges at v
+        rng = random.Random(36)
+        reads = 0
+        for d in identity_corpus:
+            faces = list(trace_faces(d).face_ids())
+            for f in rng.sample(faces, min(3, len(faces))):
+                for v in rng.sample(d.vertices, 3):
+                    child_k = invariant_edges(d, f, v).child_k
+                    cumulated = reference_cumulated(child_k.values(), max_k(d.n - 1) + 1)[1]
+                    at_v = sum(len(d.chains[edge_key(u, v)]) - 2
+                               for u in d.vertices if u != v)
+                    assert (crossings_from_cumulated(d.n - 1, cumulated)
+                            == d.crossing_count() - at_v), (d.n, f, v)
+                    reads += 1
+        assert reads > 3000
+
+    def test_thresholds_give_harary_hill(self):
+        # cumulative_bound_check's thresholds in place of the counts
+        for n in range(4, 61):
+            thresholds = [3 * comb(k + 3, 3) for k in range(n // 2 - 1)]
+            assert crossings_from_cumulated(n, thresholds) == harary_hill_closed_form(n), n
 
 
 class TestEdgeSidePartition:
