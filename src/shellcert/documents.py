@@ -319,20 +319,30 @@ def dump_document(document, path) -> None:
 # -- certificates ------------------------------------------------------------
 
 def certificate_to_document(cert, drawing_sha256=None) -> dict:
-    """Serialize a certificate; verifiable later without re-running a search."""
+    """Serialize a certificate; verifiable later without re-running a search.
+
+    The document is read back before it is returned, so the writer
+    refuses, by a ValueError with the reader's message, whatever the
+    reader would; a field that holds no sequence raises the
+    CertificateMismatchError of cert.named_vertices() first."""
+    if not isinstance(cert, (SeqShellCertificate, BishellCertificate)):
+        raise ValueError("not a certificate")
+    cert.named_vertices()
     if isinstance(cert, SeqShellCertificate):
         doc = {"format": CERT_FORMAT_NAME, "version": FORMAT_VERSION,
                "kind": "seq-shell", "face": cert.face, "k": cert.k,
                "a": list(cert.vertices),
                "S": [list(s) for s in cert.sequences]}
-    elif isinstance(cert, BishellCertificate):
+    else:
         doc = {"format": CERT_FORMAT_NAME, "version": FORMAT_VERSION,
                "kind": "bishell", "face": cert.face, "k": cert.s,
                "a": list(cert.a_sequence), "b": list(cert.b_sequence)}
-    else:
-        raise ValueError("not a certificate")
     if drawing_sha256 is not None:
         doc["drawing_sha256"] = drawing_sha256
+    try:
+        certificate_from_document(doc)
+    except DocumentError as exc:
+        raise ValueError(str(exc)) from None
     return doc
 
 

@@ -33,7 +33,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import EmbeddingError, StructureError, quoted
 
@@ -65,7 +65,8 @@ class Drawing:
     equals. crossings[c] holds the keys of the two chains that pass c;
     the declared pair of c is only checked, by membership as given.
 
-    The check of the structure numbers the darts: dart offset[x] + j is
+    The rules on the whole are checked first, once. One pass over the
+    chains checks the rest and numbers the darts: dart offset[x] + j is
     (x, rotations[x][j]), nodes taken in ascending order. twin[i] is the
     reverse of dart i, and chain_darts[e] lists the darts along e's chain
     from e[0] to e[1], so chain_darts[e][k] runs from chains[e][k] to
@@ -87,6 +88,20 @@ class Drawing:
         vertices.sort()
         self.vertices = tuple(vertices)
         self.vertex_set = frozenset(self.vertices)
+        n = len(vertices)
+        if n < 3:
+            raise StructureError("a drawing needs at least 3 vertices")
+        # the count comes first: the set of all pairs is quadratic in n
+        if (len(chains) != n * (n - 1) // 2
+                or chains.keys() != {(u, v) for i, u in enumerate(vertices)
+                                     for v in vertices[i + 1:]}):
+            raise StructureError("chains must cover every vertex pair exactly once")
+        # the keys equal the vertex pairs, but True equals 1 and 0.0 equals 0
+        for e in chains:
+            if not {int}.issuperset(map(type, e)):
+                raise StructureError(f"chain key {quoted(e)} is not a pair of plain ints")
+        if not self.vertex_set.isdisjoint(crossings):
+            raise StructureError("crossing ids overlap vertex ids")
         self.geometry = geometry
         self._cache = {}
         try:
@@ -133,15 +148,8 @@ class Drawing:
         leaves lie 2 apart in the rotation. crossings[c] is the frozenset
         of those two keys, made when the second passes.
         """
-        n = self.n
-        verts = self.vertices
         chains, rotations = self.chains, self.rotations
-        if (n < 3 or len(chains) != n * (n - 1) // 2
-                or chains.keys() != {(u, v) for i, u in enumerate(verts)
-                                     for v in verts[i + 1:]}
-                or not {int}.issuperset(map(type, chain.from_iterable(chains)))
-                or not self.vertex_set.isdisjoint(declared)
-                or rotations.keys() != self.vertex_set | declared.keys()):
+        if rotations.keys() != self.vertex_set | declared.keys():
             raise _Fault
         # before the chain pass reads a pair by membership, which would
         # consume an iterator that has no length
@@ -186,8 +194,9 @@ class Drawing:
     def _validate(self, declared, rotations, chains):
         """Raise StructureError for the first fault of the structure, in a
         fixed order, so a drawing with several faults is always rejected
-        with the same message. It runs only once the constructor has met a
-        fault, on the arguments as given, which it copies as it goes.
+        with the same message. It runs only once the one pass has met a
+        fault, on the arguments as given, which it copies as it goes,
+        starting at the crossing pairs: the rules on the whole come first.
 
         Once every chain has passed, each crossing has exactly four
         distinct neighbours (its two edges pass through it once each, and
@@ -197,20 +206,6 @@ class Drawing:
         so no adjacency set is built.
         """
         n = self.n
-        if n < 3:
-            raise StructureError("a drawing needs at least 3 vertices")
-        verts = self.vertices
-        # the count comes first: the set of all pairs is quadratic in n
-        if (len(chains) != n * (n - 1) // 2
-                or chains.keys() != {(u, v) for i, u in enumerate(verts)
-                                     for v in verts[i + 1:]}):
-            raise StructureError("chains must cover every vertex pair exactly once")
-        # the keys equal the vertex pairs, but True equals 1 and 0.0 equals 0
-        for e in chains:
-            if not {int}.issuperset(map(type, e)):
-                raise StructureError(f"chain key {quoted(e)} is not a pair of plain ints")
-        if not self.vertex_set.isdisjoint(declared):
-            raise StructureError("crossing ids overlap vertex ids")
         crossings = {c: _copy(frozenset, pair, f"crossing {quoted(c)} must join exactly two edges")
                      for c, pair in declared.items()}
 

@@ -100,6 +100,8 @@ def planarize(n, positions, polylines) -> Drawing:
 
     positions:  vertex id -> (x, y) integer point, for each id 0..n-1
     polylines:  edge (u, v), u < v -> list of integer points from u to v
+
+    Faces are traced on their first read: a plane embedding fits Euler.
     """
     _check_arguments(n, positions, polylines)
     if len(set(positions.values())) != n:
@@ -146,7 +148,6 @@ def planarize(n, positions, polylines) -> Drawing:
     except StructureError:
         _side_by_side(chains)
         raise
-    trace_faces(drawing)  # Euler check on the fresh embedding
     return drawing
 
 

@@ -492,6 +492,7 @@ def bishell_to_seq(cert: BishellCertificate) -> SeqShellCertificate:
     sequences[i] being the first s - i + 1 entries of b."""
     if not isinstance(cert, BishellCertificate):
         raise ValueError(f"cert must be a BishellCertificate, got {quoted(cert)}")
+    cert.named_vertices()  # each field a sequence
     s = cert.s
     if len(cert.b_sequence) != s + 1:
         raise ValueError("certificate sequences must have equal length")

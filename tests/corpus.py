@@ -1,9 +1,10 @@
 """Shared, cached test fixtures: reference drawings reused across modules."""
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
-from shellcert.drawing import trace_faces, vertices_on_face
+from shellcert.drawing import Drawing, trace_faces, vertices_on_face
 from shellcert.generators import (convex_drawing, cylindrical_drawing,
                                   random_rectilinear, rectilinear_document)
 from shellcert.planarize import outer_face
@@ -41,6 +42,62 @@ def faces_with_vertices(drawing, minimum=2):
     faces = trace_faces(drawing)
     return [f for f in faces.face_ids()
             if len(vertices_on_face(drawing, f)) >= minimum]
+
+
+@lru_cache(maxsize=None)
+def two_page_drawing(n, pages):
+    """A 2-page book drawing of K_n, as a combinatorial Drawing.
+
+    Vertex i sits on the spine (the x-axis) at x = i**3. Edge (i, j), the
+    k-th of the edges in ascending order, is a half-circle over its ends
+    on the top page if pages[k] is "0" and on the bottom page if it is
+    "1". Edges (i, j) and (k, l), i < k, cross iff they share a page and
+    i < k < j < l, at x = (KL - IJ) / (K + L - I - J), where I = i**3 and
+    so on, and each chain lists its crossings by that x. At x = i three
+    half-circles can meet in one point (first at n = 9); at x = i**3 no
+    three meet for n <= 32, and only the order along the chains differs.
+
+    At a crossing of a = (i, j) and b = (k, l), i < k, with next and prev
+    the chain neighbours toward the larger and the smaller end, the ccw
+    rotation is (a_next, b_next, a_prev, b_prev) on the top page and
+    (a_next, b_prev, a_prev, b_next) on the bottom page. At a vertex v the
+    ccw order is: top edges to the right, nearest first; top edges to the
+    left, farthest first; bottom edges to the left, nearest first; bottom
+    edges to the right, farthest first.
+    """
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(pages) != len(edges):
+        raise ValueError(f"K_{n} needs one page for each of its {len(edges)} edges")
+    page = dict(zip(edges, map(int, pages)))
+    hits = {e: [] for e in edges}
+    pairs = {}
+    for a in edges:
+        for b in edges:
+            (i, j), (k, l) = a, b
+            if i < k < j < l and page[a] == page[b]:
+                c = n + len(pairs)
+                pairs[c] = (a, b)
+                x = Fraction(k**3 * l**3 - i**3 * j**3, k**3 + l**3 - i**3 - j**3)
+                hits[a].append((x, c))
+                hits[b].append((x, c))
+    chains = {e: (e[0], *(c for _, c in sorted(hits[e])), e[1]) for e in edges}
+    around = {}  # (crossing, edge) -> the crossing's neighbours along the edge
+    for e, ch in chains.items():
+        for prev, c, next_ in zip(ch, ch[1:], ch[2:]):
+            around[c, e] = prev, next_
+    rotations = {}
+    for c, (a, b) in pairs.items():
+        (a_prev, a_next), (b_prev, b_next) = around[c, a], around[c, b]
+        rotations[c] = ((a_next, b_next, a_prev, b_prev) if page[a] == 0
+                        else (a_next, b_prev, a_prev, b_next))
+    for v in range(n):
+        right, left = range(v + 1, n), range(v)
+        order = ([(v, u) for u in right if page[v, u] == 0]
+                 + [(u, v) for u in left if page[u, v] == 0]
+                 + [(u, v) for u in reversed(left) if page[u, v] == 1]
+                 + [(v, u) for u in reversed(right) if page[v, u] == 1])
+        rotations[v] = tuple(chains[e][1] if e[0] == v else chains[e][-2] for e in order)
+    return Drawing(range(n), pairs, rotations, chains)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from shellcert.documents import (certificate_from_document,
                                  dump_document, dumps_document, load_drawing)
 from shellcert.drawing import Drawing
 from shellcert.generators import cylindrical_document
-from shellcert.errors import DocumentError
+from shellcert.errors import CertificateMismatchError, DocumentError, ShellcertError
 from shellcert.planarize import Geometry
 from shellcert.shellability import BishellCertificate, SeqShellCertificate
 from test_drawing import convex_k4_doc, triangle_doc
@@ -246,6 +246,34 @@ class TestCertificateDocuments:
         with pytest.raises(ValueError, match="^not a certificate$"):
             certificate_to_document(object())
 
+    @pytest.mark.parametrize("cert, digest, message", [
+        (SeqShellCertificate(0, (0, 1), ((1, 2), (2,))), 5, "bad drawing_sha256"),
+        (BishellCertificate(0, (True,), (1,)), None, '"a" must list k+1 = 1 vertex ids'),
+        (BishellCertificate("0", (0,), (1,)), None,
+         '"face" and "k" must be integers, k nonnegative'),
+        (SeqShellCertificate(0, (), ()), None, '"face" and "k" must be integers, k nonnegative'),
+        (BishellCertificate(0, (0, 1), (2,)), None, '"b" must list k+1 = 2 vertex ids'),
+        (SeqShellCertificate(0, (0, 1), ((2,),)), None,
+         '"S" must list one vertex sequence per a-vertex'),
+    ], ids=["int-digest", "bool-vertex", "str-face", "empty", "short-b", "short-S"])
+    def test_the_writer_refuses_what_the_reader_refuses(self, cert, digest, message):
+        with pytest.raises(ValueError) as info:
+            certificate_to_document(cert, drawing_sha256=digest)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cert, message", [
+        (SeqShellCertificate(0, 5, 6),
+         "certificate field vertices must be a tuple or list, got 5"),
+        (SeqShellCertificate(0, (0,), (3,)),
+         "certificate field sequences[0] must be a tuple or list, got 3"),
+        (BishellCertificate(0, (0,), 6),
+         "certificate field b_sequence must be a tuple or list, got 6"),
+    ])
+    def test_a_field_that_holds_no_sequence_is_named(self, cert, message):
+        with pytest.raises(CertificateMismatchError) as info:
+            certificate_to_document(cert)
+        assert str(info.value) == message
+
     def test_unknown_kind_rejected(self):
         doc = certificate_to_document(BishellCertificate(0, (0,), (1,)))
         doc["kind"] = "mono"
@@ -337,3 +365,62 @@ def test_writer_matches_the_sorted_encoder(value):
     text = dumps_document(value)
     assert ordered(text) == ordered(json.dumps(value, sort_keys=True))
     assert text.endswith("\n") and text.isascii()
+
+
+# what a certificate field might hold instead of a sequence of vertex ids
+_ITEMS = st.one_of(st.integers(-2, 6), st.booleans(), st.sampled_from(["0", 1.0, None, [1]]))
+_ODD = st.one_of(_ITEMS, st.just("012"), st.lists(_ITEMS, max_size=4),
+                 st.lists(_ITEMS, max_size=4).map(tuple))
+
+
+@st.composite
+def certificate_shapes(draw):
+    """A certificate of either kind with k = 0..3, on most draws with one
+    field, one simple sequence or the digest replaced by something odd,
+    and any of its sequences given as a list."""
+    k = draw(st.integers(0, 3))
+    ids = st.lists(st.integers(0, 6), min_size=k + 1, max_size=k + 1)
+    fields = {"face": draw(st.integers(0, 3)), "a": draw(ids)}
+    bishell = draw(st.booleans())
+    if bishell:
+        fields["b"] = draw(ids)
+    else:
+        fields["S"] = [draw(st.lists(st.integers(0, 6), max_size=3)) for _ in range(k + 1)]
+    digest = draw(st.sampled_from([None, "ab" * 32]))
+    odd = draw(st.sampled_from([None, "digest", "sequence", *fields]))
+    if odd == "digest":
+        digest = draw(st.sampled_from([5, b"ab", ["ab"]]))
+    elif odd == "sequence" and not bishell:
+        fields["S"][draw(st.integers(0, k))] = draw(_ODD)
+    elif odd in fields:
+        fields[odd] = draw(_ODD)
+    shape = st.sampled_from([tuple, list])
+    for name in ("a", "b"):
+        if isinstance(fields.get(name), list):
+            fields[name] = draw(shape)(fields[name])
+    if isinstance(fields.get("S"), list):
+        fields["S"] = draw(shape)(draw(shape)(s) if isinstance(s, list) else s
+                                  for s in fields["S"])
+    if bishell:
+        return BishellCertificate(fields["face"], fields["a"], fields["b"]), digest
+    return SeqShellCertificate(fields["face"], fields["a"], fields["S"]), digest
+
+
+def _as_read(cert):
+    """The certificate as the reader returns it: every sequence a tuple."""
+    if isinstance(cert, BishellCertificate):
+        return BishellCertificate(cert.face, tuple(cert.a_sequence), tuple(cert.b_sequence))
+    return SeqShellCertificate(cert.face, tuple(cert.vertices), tuple(map(tuple, cert.sequences)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(certificate_shapes())
+def test_a_written_certificate_reads_back_or_is_refused(shape):
+    """Whatever its fields hold, a certificate is written as a document its
+    reader returns it from, or refused by a precise error."""
+    cert, digest = shape
+    try:
+        doc = certificate_to_document(cert, drawing_sha256=digest)
+    except (ValueError, ShellcertError):
+        return
+    assert certificate_from_document(json.loads(json.dumps(doc))) == (_as_read(cert), digest)

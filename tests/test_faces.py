@@ -18,10 +18,14 @@ from hypothesis import given, settings
 
 from corpus import convex, cylindrical, not_good_k7_document, rectilinear
 from oracles import face_views, path_darts, reference_trace, walk_face_vertex_table
-from shellcert.documents import load_drawing
-from shellcert.drawing import (Drawing, delete_vertex, face_vertex_table, trace_faces,
-                               vertices_on_face)
+from shellcert import drawing as drawing_module
+from shellcert.cli import main
+from shellcert.documents import drawing_to_document, load_drawing
+from shellcert.drawing import (Drawing, FaceSet, delete_vertex, face_vertex_table,
+                               trace_faces, vertices_on_face)
 from shellcert.errors import ShellcertError
+from shellcert.generators import convex_document, cylindrical_document, rectilinear_document
+from test_drawing import double_crossing_k5_doc
 from test_load_messages import mutated_documents
 
 
@@ -120,3 +124,47 @@ def test_dart_arrays_on_mutated_documents(doc):
     except ShellcertError:
         return
     check_darts(drawing)
+
+
+@pytest.fixture
+def face_sets(monkeypatch):
+    """The FaceSets that trace_faces builds while the test runs."""
+    built = []
+
+    def counted(*fields):
+        built.append(FaceSet(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(drawing_module, "FaceSet", counted)
+    return built
+
+
+@pytest.mark.parametrize("document", [
+    lambda: convex_document(7), lambda: cylindrical_document(8),
+    lambda: rectilinear_document(9, 3), double_crossing_k5_doc,
+], ids=["convex", "cylindrical", "rectilinear", "bent-edges"])
+def test_a_geometric_load_traces_faces_on_their_first_read(face_sets, document):
+    drawing = load_drawing(document())
+    assert face_sets == []
+    faces = trace_faces(drawing)
+    assert face_sets == [faces]
+    # Euler's formula, which trace_faces checks as it builds
+    assert faces.face_count() - len(drawing.segment_edge) + len(drawing.rotations) == 2
+    assert trace_faces(drawing) is faces and len(face_sets) == 1
+
+
+def test_plain_export_traces_no_faces(face_sets, tmp_path):
+    doc = tmp_path / "k8.json"
+    doc.write_text(json.dumps(cylindrical_document(8)))
+    assert main(["export", "--input", str(doc), "--output", str(tmp_path / "k8.svg")]) == 0
+    assert face_sets == []
+
+
+def test_a_combinatorial_load_traces_its_faces(face_sets):
+    """A rotation system from outside may not be a sphere, so the loader
+    checks Euler's formula at once."""
+    document = drawing_to_document(convex(6), "combinatorial")
+    face_sets.clear()
+    drawing = load_drawing(document)
+    assert len(face_sets) == 1
+    assert trace_faces(drawing) is face_sets[0]

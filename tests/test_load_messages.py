@@ -385,6 +385,10 @@ DIRECT = [
      "chains must be a mapping, got None"),
     ("chains-is-a-list", range(4), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, list(K4_CHAINS),
      "chains must be a mapping, got [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]"),
+    # a rule on the whole is checked before the one pass meets the rotation
+    ("chain-key-end-is-a-bool-and-rotation-repeats", range(4), {4: {(0, 2), (1, 3)}},
+     {**K4_ROTATIONS, 0: (1, 4, 1)}, {**_without(K4_CHAINS, (1, 2)), (True, 2): (1, 2)},
+     "chain key (True, 2) is not a pair of plain ints"),
     # faults the one pass meets as a dart left unpaired or a failed lookup
     ("crossing-rotation-of-five", range(4), {4: {(0, 2), (1, 3)}},
      {**K4_ROTATIONS, 4: (2, 3, 0, 1, 3)}, K4_CHAINS,
@@ -403,6 +407,31 @@ DIRECT = [
 @pytest.mark.parametrize("vertices, crossings, rotations, chains, message",
                          [case[1:] for case in DIRECT], ids=[case[0] for case in DIRECT])
 def test_direct_drawing_rejection(vertices, crossings, rotations, chains, message):
+    with pytest.raises(StructureError) as info:
+        Drawing(vertices, crossings, rotations, chains)
+    assert str(info.value) == message
+
+
+def _breaks_a_rule_on_the_whole(message):
+    return (message in ("a drawing needs at least 3 vertices",
+                        "chains must cover every vertex pair exactly once",
+                        "crossing ids overlap vertex ids")
+            or message.endswith("is not a pair of plain ints"))
+
+
+HEADER = [case for case in DIRECT if _breaks_a_rule_on_the_whole(case[-1])]
+
+
+@pytest.mark.parametrize("vertices, crossings, rotations, chains, message",
+                         [case[1:] for case in HEADER], ids=[case[0] for case in HEADER])
+def test_rules_on_the_whole_are_checked_before_the_one_pass(
+        monkeypatch, vertices, crossings, rotations, chains, message):
+    """Each rule on the whole has one check, which runs before the one pass
+    over the chains and so names its fault whatever else is wrong."""
+    def one_pass(self, declared):
+        raise AssertionError("the one pass ran on a drawing that breaks a rule on the whole")
+
+    monkeypatch.setattr(Drawing, "_number_darts", one_pass)
     with pytest.raises(StructureError) as info:
         Drawing(vertices, crossings, rotations, chains)
     assert str(info.value) == message

@@ -663,6 +663,11 @@ class TestTransform:
         with pytest.raises(ValueError, match="^certificate sequences must not be empty$"):
             bishell_to_seq(BishellCertificate(0, (), ()))
 
+    def test_a_field_that_holds_no_sequence_is_named(self):
+        with pytest.raises(CertificateMismatchError, match="^certificate field a_sequence "
+                                                           "must be a tuple or list, got 5$"):
+            bishell_to_seq(BishellCertificate(0, 5, 6))
+
     def test_zero_length_case(self):
         cert = BishellCertificate(0, (4,), (2,))
         seq_cert = bishell_to_seq(cert)
