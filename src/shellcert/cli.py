@@ -282,36 +282,55 @@ def cmd_analyze(args) -> int:
         check_kmax(drawing.n, kmax)
     payload["faces"]["analyzed"] = selected
     vertices = face_vertex_table(drawing)
-    # a profile's k-values come in edge order, and its JSON lists them by
-    # name, sorted as strings
-    names = [f"{u}-{v}" for u, v in drawing.edges()]
-    in_name_order = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
-    template = _profile_template(in_name_order(names), kmax + 1, max_k(drawing.n) + 1)
+    write_k_values = _k_value_writer([f"{u}-{v}" for u, v in drawing.edges()],
+                                     max_k(drawing.n))
+    # a row's bounds, counts and cumulated counts follow from its counts, so
+    # faces with equal counts share that text, made on the first of them
+    heads = {}
     for face, (values, counts, cumulated) in zip(selected, face_profiles(drawing, selected)):
-        fields = []
-        for k, c, threshold, ok in bound_rows(cumulated, kmax):
-            fields += (c, k, _JSON_BOOL[ok], threshold)
-        payload["profiles"].append(JsonText(template % (
-            *fields, *counts, *cumulated, face, ",".join(map(str, vertices[face])),
-            *in_name_order(values))))
+        head = heads.get(counts)
+        if head is None:
+            head = heads[counts] = _profile_head(counts, cumulated, kmax)
+        payload["profiles"].append(JsonText(
+            f'{head}{face},"face_vertices":[{",".join(map(str, vertices[face]))}],'
+            f'"k_values":{{{write_k_values(values)}}}}}'))
     _emit(payload, args.output)
     return EXIT_OK
 
 
 _JSON_BOOL = ("false", "true")
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _profile_template(names, bounds: int, levels: int) -> str:
-    """The compact JSON of an analyze profile, keys sorted, as a % format.
-    It takes (cumulated, k, pass, threshold) of each of the bounds rows,
-    the levels counts and cumulated counts, the face, its vertices joined
-    by commas, and the k-values of the edges named in names."""
-    row = '{"cumulated":%d,"k":%d,"pass":%s,"threshold":%d}'
-    ints = ",".join(["%d"] * levels)
-    k_values = ",".join(f'"{name}":%d' for name in names)
-    return (f'{{"bounds":[{",".join([row] * bounds)}],"counts":[{ints}],'
-            f'"cumulated":[{ints}],"face":%d,"face_vertices":[%s],'
-            f'"k_values":{{{k_values}}}}}')
+def _profile_head(counts: tuple, cumulated: tuple, kmax: int) -> str:
+    """The compact JSON of an analyze profile, keys sorted, up to its face
+    id: the bounds rows for k = 0..kmax, the counts and cumulated counts."""
+    bounds = ",".join(f'{{"cumulated":{c},"k":{k},"pass":{_JSON_BOOL[ok]},"threshold":{t}}}'
+                      for k, c, t, ok in bound_rows(cumulated, kmax))
+    return (f'{{"bounds":[{bounds}],"counts":[{",".join(map(str, counts))}],'
+            f'"cumulated":[{",".join(map(str, cumulated))}],"face":')
+
+
+def _k_value_writer(names: list, top: int):
+    """The function that writes the members of a profile's k_values object
+    from its values in edge order: names are the edges' names in that
+    order, the object lists them sorted as strings, and top is the largest
+    k-value. When every k-value is one digit, its ASCII digits go into one
+    list of the member texts, kept from row to row; else a % format."""
+    in_name_order = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
+    names = in_name_order(names)
+    if top > 9:
+        template = ",".join(f'"{name}":%d' for name in names)
+        return lambda values: template % in_name_order(values)
+    parts = []
+    for name in names:
+        parts += (f',"{name}":', "")
+    parts[0] = parts[0][1:]
+
+    def write(values) -> str:
+        parts[1::2] = in_name_order(values.translate(_DIGITS).decode("ascii"))
+        return "".join(parts)
+    return write
 
 
 def cmd_decide(args) -> int:

@@ -89,6 +89,9 @@ class Drawing:
         self.vertices = tuple(vertices)
         self.vertex_set = frozenset(self.vertices)
         n = len(vertices)
+        if len(self.vertex_set) != n:
+            repeated = next(u for u, v in zip(vertices, vertices[1:]) if u == v)
+            raise StructureError(f"vertex id {quoted(repeated)} repeated")
         if n < 3:
             raise StructureError("a drawing needs at least 3 vertices")
         # the count comes first: the set of all pairs is quadratic in n

@@ -21,20 +21,26 @@ drawing; in a good one the face left of the first segment of the edge
 uv, its seed, lies left of u -> v -> w for every w, so one seed per
 edge gives the parities of all its triangles.
 
-A profile reads the label of F in one pass over packed integers. The
-labelling lays out one bit field per edge, in edge order, W bits wide
-with W a power of two of at least max(8, n). Row i of the label placed
-in the fields of the edges at v_i (one multiplication by a spread mask
-with a 1 at the low bit of each such field), XORed over all rows and
-with the packed triangle constants, leaves in the field of uv the
-witnesses of uv; masking and a SWAR bit count (neighbouring lanes of
-1, 2, 4, ... bits added, each sum masked to its lane) turn every field
-into its witness count at once. One to_bytes reads all counts back.
-When every count fits in a byte (n <= 257), a slice takes the low byte
-of each field and one bytes.translate through a 256-entry table maps
-each count m to min(m, n-2-m), so a profile's level counts are
-bytes.count calls; a wider count is read from the low 8 bytes of its
-field by int.from_bytes and folded on its own.
+A profile reads one packed word of F. The labelling lays out one bit
+field per edge, in edge order, W bits wide with W a power of two of at
+least max(8, n). Row i of the label placed in the fields of the edges at
+v_i (one multiplication by a spread mask with a 1 at the low bit of each
+such field), XORed over all rows and with the packed triangle constants,
+gives F's word, which holds in the field of uv the witnesses of uv. A
+read of one face (k_edge_profile, the deletion reads) forms the word so
+from the label. A read of many faces (face_profiles) forms each word
+from another with one XOR: the sweep records, for each face, the face it
+was reached from and the edge crossed, and crossing the edge v_i v_j
+flips bit j in the fields of the edges at v_i and bit i in those at v_j.
+Face 0's word is the triangle constants alone. From the word on both
+reads are one: masking and a SWAR bit count (neighbouring lanes of 1, 2,
+4, ... bits added, each sum masked to its lane) turn every field into
+its witness count at once, and one to_bytes reads all counts back. When
+every count fits in a byte (n <= 257), a slice takes the low byte of
+each field and one bytes.translate through a 256-entry table maps each
+count m to min(m, n-2-m), so a profile's level counts are bytes.count
+calls; a wider count is read from the low 8 bytes of its field by
+int.from_bytes and folded on its own.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -89,10 +95,12 @@ class _Labelling:
     face_bits[f] holds, at bits i*n + j and j*n + i, the parity of the
     segments of the edge {v_i, v_j} crossed on a dual path from face 0 to
     face f, so row i of a label (bits i*n .. i*n + n-1) is the witness
-    mask of the edges at v_i. edges maps each edge (v_i, v_j), i < j, in
-    edge order to (i, j, rel, mask): rel holds at bit w the parity on the
-    triangle {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and
-    mask selects the n - 2 witnesses.
+    mask of the edges at v_i. The path is the sweep's: every face f but
+    face 0 was reached from face parent[f] across a segment of the edge
+    at position crossed[f] in edge order (both 0 at face 0). edges maps
+    each edge (v_i, v_j), i < j, in edge order to (i, j, rel, mask): rel
+    holds at bit w the parity on the triangle {v_i, v_j, v_w} of every
+    face left of v_i -> v_j -> v_w, and mask selects the n - 2 witnesses.
 
     The packed layout gives the edge at position p in that order the bits
     p*width .. p*width + width-1. spread[i] has a 1 at the low bit of the
@@ -105,6 +113,8 @@ class _Labelling:
 
     index: dict
     face_bits: list
+    parent: list
+    crossed: list
     edges: dict
     width: int
     spread: tuple
@@ -124,30 +134,38 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     index = {v: i for i, v in enumerate(drawing.vertices)}
     n = len(index)
     twin, face_of, walks = faces.twin, faces.face_of, faces.walks
-    # toggle[d]: the label bits that flip across the segment of dart d;
-    # seeds[e]: the indices of e's ends and its seed, the face left of the
-    # first dart of its chain
-    toggle = [0] * len(twin)
+    # position[d]: the position in edge order of the edge of dart d, whose
+    # segment flips the label bits flip[position[d]]; seeds[e]: the indices
+    # of e's ends and its seed, the face left of the first dart of its chain
+    position = [0] * len(twin)
+    flip = []
     seeds = {}
-    for e in drawing.edges():
+    for p, e in enumerate(drawing.edges()):
         i, j = index[e[0]], index[e[1]]
-        flip = (1 << (i * n + j)) | (1 << (j * n + i))
+        flip.append((1 << (i * n + j)) | (1 << (j * n + i)))
         darts = drawing.chain_darts[e]
         for d in darts:
-            toggle[d] = toggle[twin[d]] = flip
+            position[d] = position[twin[d]] = p
         seeds[e] = (i, j, face_of[darts[0]])
 
     # the dual graph is connected, as the plane graph is: every node lies
-    # on a chain, and the chains join every pair of vertices
+    # on a chain, and the chains join every pair of vertices; each face
+    # but face 0 records the face it was reached from and the position of
+    # the edge crossed
     bits = [None] * len(walks)
     bits[0] = 0
+    parent = [0] * len(walks)
+    crossed = [0] * len(walks)
     order = [0]
     for f in order:
         pf = bits[f]
         for d in walks[f]:
             g = face_of[twin[d]]
             if bits[g] is None:
-                bits[g] = pf ^ toggle[d]
+                p = position[d]
+                bits[g] = pf ^ flip[p]
+                parent[g] = f
+                crossed[g] = p
                 order.append(g)
 
     # The drawing is good, so every triangle is a simple closed curve and
@@ -163,11 +181,13 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
         if pf >> (i * n + j) & 1:
             rel ^= mask
         edges[e] = (i, j, rel, mask)
-    return _lay_out(index, bits, edges)
+    return _lay_out(index, bits, parent, crossed, edges)
 
 
-def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
-    """The labelling with its packed masks, for the given edges in order."""
+def _lay_out(index: dict, face_bits: list, parent: list, crossed: list,
+            edges: dict) -> _Labelling:
+    """The labelling with its packed masks, for the given sweep and the
+    given edges in order."""
     n = len(index)
     width = max(8, 1 << (n - 1).bit_length())
     size = width // 8
@@ -181,7 +201,7 @@ def _lay_out(index: dict, face_bits: list, edges: dict) -> _Labelling:
     while lane < width:
         lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
         lane *= 2
-    return _Labelling(index, face_bits, edges, width, tuple(spread),
+    return _Labelling(index, face_bits, parent, crossed, edges, width, tuple(spread),
                       _pack((rel for _, _, rel, _ in edges.values()), width), tuple(lanes),
                       _pack((m for _, _, _, m in edges.values()), width), _fold(n - 2))
 
@@ -256,7 +276,8 @@ def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> d
 def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None):
     """The k-values of every edge as _k_values defines them, in edge order:
     bytes when every count fits in a byte, a list otherwise. With a vertex
-    deleted, the edges at it read 0."""
+    deleted, the edges at it read 0. The face's word comes from its label
+    pf, one row at a time; face_profiles makes it from a neighbour's."""
     mask, fold = lab.witness, lab.fold
     if deleted is not None:
         # v_deleted is no witness, and its edges are gone
@@ -270,7 +291,13 @@ def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None)
     x = lab.rel
     for i, spread in enumerate(lab.spread):
         x ^= ((pf >> (i * n)) & full) * spread
-    x &= mask
+    return _count_witnesses(lab, x & mask, fold)
+
+
+def _count_witnesses(lab: _Labelling, x: int, fold):
+    """The folded witness count of every field of the packed word x, whose
+    fields hold only witness bits, in edge order: bytes.translate of the
+    low bytes when fold is a table, a list otherwise."""
     shift = 1
     for lane in lab.lanes:
         x = (x & lane) + ((x >> shift) & lane)
@@ -333,10 +360,35 @@ def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
 def face_profiles(drawing: Drawing, face_ids):
     """(values, counts, cumulated) of k_edge_profile for each face id, in
     the order given, read one at a time and kept nowhere: no dict, no
-    cache entry. The caller has checked the ids (check_face)."""
+    cache entry. The caller has checked the ids (check_face).
+
+    No label is read: a face's packed word, which _read_k_values forms
+    from its label's rows, is its sweep parent's word with the label bits
+    of the edge v_i v_j crossed between them flipped, an XOR with
+    (spread[i] << j) ^ (spread[j] << i), and face 0's word is rel. Each
+    word is made once, from the nearest face back along the sweep whose
+    word this call has made, and the words go when the call ends."""
     lab, n = _labelling(drawing), drawing.n
+    spread, parent, crossed = lab.spread, lab.parent, lab.crossed
+    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
+    mask, fold, levels = lab.witness, lab.fold, max_k(n) + 1
+    words = [None] * len(parent)
+    words[0] = lab.rel
     for f in face_ids:
-        yield _read_profile(lab, lab.face_bits[f], n)
+        word = words[f]
+        if word is None:
+            path = []
+            g = f
+            while words[g] is None:
+                path.append(g)
+                g = parent[g]
+            word = words[g]
+            for g in reversed(path):
+                i, j = ends[crossed[g]]
+                word ^= (spread[i] << j) ^ (spread[j] << i)
+                words[g] = word
+        values = _count_witnesses(lab, word & mask, fold)
+        yield (values, *_cumulated(values, levels))
 
 
 def _read_profile(lab: _Labelling, pf: int, n: int) -> tuple:

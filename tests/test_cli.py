@@ -244,6 +244,32 @@ class TestAnalyze:
         assert len(report["profiles"]) == report["faces"]["count"] == 155
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family, heads", [("convex", 1), ("cylindrical", None)])
+    def test_auto_work_counts(self, family, heads, tmp_path, monkeypatch):
+        """Deterministic work counts of analyze --face auto on K12: one
+        labelling, no face read through the label's row loop (each comes
+        from its sweep parent's word), and one row head per distinct counts
+        tuple, which is one on convex K12."""
+        calls = {"_build_labelling": 0, "_read_k_values": 0, "_profile_head": 0}
+        for module, name in ((kedges, "_build_labelling"), (kedges, "_read_k_values"),
+                             (cli, "_profile_head")):
+            def counting(*args, _name=name, _real=getattr(module, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+        drawing = tmp_path / "k12.json"
+        main(["generate", "--family", family, "--n", "12", "--output", str(drawing)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(drawing), "--face", "auto",
+                     "--output", str(out)]) == 0
+        report = read(out)
+        assert len(report["profiles"]) == report["faces"]["count"] > 1
+        distinct = {tuple(row["counts"]) for row in report["profiles"]}
+        assert calls == {"_build_labelling": 1, "_read_k_values": 0,
+                         "_profile_head": len(distinct)}
+        if heads is not None:
+            assert len(distinct) == heads
+
     def test_auto_builds_one_goodness_report(self, tmp_path, monkeypatch):
         # the payload's report, the labelling's goodness check and every
         # profile after it share one report per drawing
@@ -800,6 +826,7 @@ REPORT_CASES = {
        for family in ("convex", "cylindrical", "rectilinear") for n in (9, 10, 11, 12)},
     "cylindrical10-face7": ("cylindrical", 10, ["--face", "7"]),
     "convex9-at": ("convex", 9, ["--face", "at:0,0"]),
+    "convex21-face0": ("convex", 21, ["--face", "0"]),  # k-values up to 9
     "convex22-face0": ("convex", 22, ["--face", "0"]),  # k-values up to 10
 }
 
@@ -838,6 +865,8 @@ REPORT_SHA256 = {
         "00d0cb63f0b87131a3d37ccba820dfbf5961c6afe48797d151999a2e6abf913f",
     "convex9-at":
         "abf35431af95779f8c05ee4b34b8383a0a7755251a5897d0bfbdb50b8dff27f5",
+    "convex21-face0":
+        "9ef3c65b77d3c8b8af76598ce4608ec5b47f75578bdd29b8ff319319bdbd9d94",
     "convex22-face0":
         "1bba904bfef2d475d5c5d193a6b71263f282d56824b2725ab5201395772b307d",
 }
@@ -877,6 +906,8 @@ class TestReportBytes:
             assert row == _compact(reference_profile(drawing, face, kmax)), face
         if name.startswith("cylindrical") and name.endswith("-auto"):
             assert any('"pass":false' in row for row in rows)
+        if name == "convex21-face0":  # the largest n whose k-values are one digit
+            assert max(json.loads(rows[0])["k_values"].values()) == 9
         if name == "convex22-face0":  # the template's k-values past one digit
             assert max(json.loads(rows[0])["k_values"].values()) == 10
 

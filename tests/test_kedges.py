@@ -183,7 +183,7 @@ def synthetic_labelling(n):
         mask = full ^ (1 << i) ^ (1 << j)
         edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
     striped = sum(full << (i * n) for i in range(0, n, 2))
-    return (kedges._lay_out({v: v for v in range(n)}, [], edges),
+    return (kedges._lay_out({v: v for v in range(n)}, [], [], [], edges),
             (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1))
 
 
@@ -301,19 +301,54 @@ class TestLazyKValues:
             assert prof.k_values == want and list(prof.k_values) == list(want)
             assert (counts, cumulated) == reference_cumulated(want.values(), max_k(n) + 1)
 
-    @pytest.mark.parametrize("name", [name for name, (_, n, *_) in KERNEL_CORPUS.items()
-                                      if n <= 9])
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_face_profiles_reads_every_face_and_keeps_nothing(self, name):
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         kedges._labelling(d)
         every = list(trace_faces(d).face_ids())
-        for faces in (every, [every[-1]], every[::-3]):
+        rng = random.Random(name)
+        shuffled = rng.sample(every, len(every))
+        for faces in (every, [every[-1]], every[::-3], shuffled, shuffled[:7],
+                      [every[-1], 0, every[-1], every[len(every) // 2], 0]):
             cached = dict(d._cache)
             read = list(kedges.face_profiles(d, faces))
             assert d._cache == cached
             assert read == [(p.values, p.counts, p.cumulated)
                             for p in map(k_edge_profile, repeat(d), faces)]
+
+
+class TestSweep:
+    """The labelling records, for every face but face 0, the face the sweep
+    reached it from and the position of the edge crossed on the way."""
+
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
+    def test_replaying_the_sweep_rebuilds_every_label_from_face_0(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        faces = trace_faces(d)
+        edges = d.edges()
+        index = lab.index
+        # (face, face across, edge position) for each segment, both ways
+        sides = {(faces.face_of[a], faces.face_of[b], p)
+                 for p, e in enumerate(edges) for dart in d.chain_darts[e]
+                 for a, b in ((dart, faces.twin[dart]), (faces.twin[dart], dart))}
+        labels = {0: 0}
+        for f in range(len(lab.face_bits)):
+            path = []
+            g = f
+            while g not in labels:
+                path.append(g)
+                g = lab.parent[g]
+                assert len(path) <= len(lab.face_bits)  # no cycle
+            for g in reversed(path):
+                p = lab.crossed[g]
+                assert (lab.parent[g], g, p) in sides
+                i, j = index[edges[p][0]], index[edges[p][1]]
+                labels[g] = labels[lab.parent[g]] ^ (1 << (i * n + j)) ^ (1 << (j * n + i))
+        assert [labels[f] for f in range(len(lab.face_bits))] == lab.face_bits
+        assert len(lab.parent) == len(lab.crossed) == len(lab.face_bits)
 
 
 class TestProfiles:

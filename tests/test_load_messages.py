@@ -326,6 +326,9 @@ DIRECT = [
      "vertex id True is not a plain int"),
     ("vertex-id-is-a-numeric-str", (0, 1, 2, "3"), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS,
      K4_CHAINS, "vertex id '3' is not a plain int"),
+    # a repeated id is named as the loader names it, not through the chains
+    ("vertex-id-repeated", (0, 1, 2, 3, 3), {4: {(0, 2), (1, 3)}}, K4_ROTATIONS, K4_CHAINS,
+     "vertex id 3 repeated"),
     # chain keys are the pairs (u, v) with u < v, as they are given
     ("chain-key-ends-do-not-compare", range(3), {}, {0: (1, 2), 1: (2, 0), 2: (0, 1)},
      {(0, 1): (0, 1), (0, 2): (0, 2), (1, "x"): (1, "x")},
@@ -416,7 +419,7 @@ def _breaks_a_rule_on_the_whole(message):
     return (message in ("a drawing needs at least 3 vertices",
                         "chains must cover every vertex pair exactly once",
                         "crossing ids overlap vertex ids")
-            or message.endswith("is not a pair of plain ints"))
+            or message.endswith(("is not a pair of plain ints", " repeated")))
 
 
 HEADER = [case for case in DIRECT if _breaks_a_rule_on_the_whole(case[-1])]

@@ -18,7 +18,7 @@ from oracles import (canonical_form, crossings_from_cumulated, naive_bishellable
                      naive_seq_shellable)
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import trace_faces, validate_goodness
-from shellcert.kedges import harary_hill_bound, k_edge_profile
+from shellcert.kedges import face_profiles, harary_hill_bound, k_edge_profile
 from shellcert.shellability import (decide_bishellable, decide_seq_shellable,
                                     verify_bishell_certificate, verify_seq_certificate)
 
@@ -98,6 +98,24 @@ def test_the_crossing_identity_holds_on_every_face(n, pages):
     for f in trace_faces(drawing).face_ids():
         cumulated = k_edge_profile(drawing, f).cumulated
         assert crossings_from_cumulated(n, cumulated) == drawing.crossing_count(), f
+
+
+@pytest.mark.parametrize("n, pages", sample((22, 24), 3))
+def test_every_face_read_in_bulk_and_both_deciders_at_22_and_24_vertices(n, pages):
+    """Fields 32 bits wide and k-values past one digit on every face: the
+    bulk read of every face gives the profile that k_edge_profile reads,
+    and its cumulated counts give the crossing count."""
+    drawing = two_page_drawing(n, pages)
+    faces = list(trace_faces(drawing).face_ids())
+    for f, (values, counts, cumulated) in zip(faces, face_profiles(drawing, faces)):
+        assert any(counts[10:]), f
+        assert crossings_from_cumulated(n, cumulated) == drawing.crossing_count(), f
+        prof = k_edge_profile(drawing, f)
+        assert (values, counts, cumulated) == (prof.values, prof.counts, prof.cumulated), f
+    seq = decide_seq_shellable(drawing, n // 2 - 2)
+    assert seq is not None and verify_seq_certificate(drawing, seq)
+    bishell = decide_bishellable(drawing, n // 2 - 2)
+    assert bishell is not None and verify_bishell_certificate(drawing, bishell)
 
 
 @pytest.mark.parametrize("n, pages", sample((4, 7, 12), 1))
