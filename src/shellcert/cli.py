@@ -31,7 +31,8 @@ from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError, quoted)
 from .generators import (DEFAULT_SCALE, convex_document, cylindrical_document,
                          rectilinear_document)
-from .kedges import bound_rows, check_kmax, face_profiles, harary_hill_bound, max_k
+from .kedges import (bound_rows, check_kmax, cumulated_counts, face_profiles,
+                     harary_hill_bound, max_k)
 # perfbench/layertrace.py wraps these names in this module by name
 from .drawing import vertices_on_face  # noqa: F401
 from .kedges import cumulative_bound_check, k_edge_profile  # noqa: F401
@@ -287,10 +288,10 @@ def cmd_analyze(args) -> int:
     # a row's bounds, counts and cumulated counts follow from its counts, so
     # faces with equal counts share that text, made on the first of them
     heads = {}
-    for face, (values, counts, cumulated) in zip(selected, face_profiles(drawing, selected)):
+    for face, (values, counts) in zip(selected, face_profiles(drawing, selected)):
         head = heads.get(counts)
         if head is None:
-            head = heads[counts] = _profile_head(counts, cumulated, kmax)
+            head = heads[counts] = _profile_head(counts, kmax)
         payload["profiles"].append(JsonText(
             f'{head}{face},"face_vertices":[{",".join(map(str, vertices[face]))}],'
             f'"k_values":{{{write_k_values(values)}}}}}'))
@@ -302,9 +303,10 @@ _JSON_BOOL = ("false", "true")
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _profile_head(counts: tuple, cumulated: tuple, kmax: int) -> str:
+def _profile_head(counts: tuple, kmax: int) -> str:
     """The compact JSON of an analyze profile, keys sorted, up to its face
     id: the bounds rows for k = 0..kmax, the counts and cumulated counts."""
+    cumulated = cumulated_counts(counts)
     bounds = ",".join(f'{{"cumulated":{c},"k":{k},"pass":{_JSON_BOOL[ok]},"threshold":{t}}}'
                       for k, c, t, ok in bound_rows(cumulated, kmax))
     return (f'{{"bounds":[{bounds}],"counts":[{",".join(map(str, counts))}],'

@@ -23,24 +23,21 @@ edge gives the parities of all its triangles.
 
 A profile reads one packed word of F. The labelling lays out one bit
 field per edge, in edge order, W bits wide with W a power of two of at
-least max(8, n). Row i of the label placed in the fields of the edges at
-v_i (one multiplication by a spread mask with a 1 at the low bit of each
-such field), XORed over all rows and with the packed triangle constants,
-gives F's word, which holds in the field of uv the witnesses of uv. A
-read of one face (k_edge_profile, the deletion reads) forms the word so
-from the label. A read of many faces (face_profiles) forms each word
-from another with one XOR: the sweep records, for each face, the face it
-was reached from and the edge crossed, and crossing the edge v_i v_j
-flips bit j in the fields of the edges at v_i and bit i in those at v_j.
-Face 0's word is the triangle constants alone. From the word on both
-reads are one: masking and a SWAR bit count (neighbouring lanes of 1, 2,
-4, ... bits added, each sum masked to its lane) turn every field into
-its witness count at once, and one to_bytes reads all counts back. When
-every count fits in a byte (n <= 257), a slice takes the low byte of
-each field and one bytes.translate through a 256-entry table maps each
-count m to min(m, n-2-m), so a profile's level counts are bytes.count
-calls; a wider count is read from the low 8 bytes of its field by
-int.from_bytes and folded on its own.
+least max(8, n). The field of v_i v_j holds the edge's triangle constants
+XORed with rows i and j of P[F] (row i is bits i*n .. i*n+n-1): the
+witnesses of v_i v_j, all complemented iff its bit j, the label's own bit
+of the edge, is set. Every read forms the word by walking the sweep: face
+0's word is the packed triangle constants, and crossing the edge v_i v_j
+flips bit j in the fields of the edges at v_i and bit i in those at v_j,
+so any other face's word is the word of the face the sweep reached it
+from with one XOR; no label is kept. From the word on, masking and a SWAR
+bit count (neighbouring lanes of 1, 2, 4, ... bits added, each sum masked
+to its lane) turn every field into its witness count at once, and one
+to_bytes reads all counts back. When every count fits in a byte
+(n <= 257), a slice takes the low byte of each field and one bytes.translate
+through a 256-entry table maps each count m to min(m, n-2-m), so a
+profile's level counts are bytes.count calls; a wider count is read from
+the low 8 bytes of its field by int.from_bytes and folded on its own.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -76,43 +73,49 @@ class Orientation(enum.Enum):
     MINUS = "-"
 
 
-def harary_hill_bound(n: int) -> int:
-    """The conjectured crossing number H(n) of the complete graph."""
+def _check_n(n: int) -> int:
+    """n, if it is a positive int (no bool); else ValueError."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be positive")
+    return n
+
+
+def harary_hill_bound(n: int) -> int:
+    """The conjectured crossing number H(n) of the complete graph."""
+    _check_n(n)
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 
 def max_k(n: int) -> int:
     """Largest possible k-value in a drawing on n vertices."""
-    return n // 2 - 1
+    return _check_n(n) // 2 - 1
 
 
 @dataclass(frozen=True, eq=False)
 class _Labelling:
-    """Parity labelling of a drawing; vertices are numbered by position.
+    """Parity labelling of a drawing, kept as the sweep that made it;
+    vertices are numbered by position.
 
-    face_bits[f] holds, at bits i*n + j and j*n + i, the parity of the
-    segments of the edge {v_i, v_j} crossed on a dual path from face 0 to
-    face f, so row i of a label (bits i*n .. i*n + n-1) is the witness
-    mask of the edges at v_i. The path is the sweep's: every face f but
-    face 0 was reached from face parent[f] across a segment of the edge
-    at position crossed[f] in edge order (both 0 at face 0). edges maps
-    each edge (v_i, v_j), i < j, in edge order to (i, j, rel, mask): rel
-    holds at bit w the parity on the triangle {v_i, v_j, v_w} of every
-    face left of v_i -> v_j -> v_w, and mask selects the n - 2 witnesses.
+    Every face f but face 0 was reached from face parent[f] across a
+    segment of the edge at position crossed[f] in edge order (both 0 at
+    face 0). The label of f, which holds at bits i*n + j and j*n + i the
+    parity of the segments of the edge {v_i, v_j} crossed on that path,
+    is not kept. edges maps each edge (v_i, v_j), i < j, in edge order to
+    (i, j, rel, mask): rel holds at bit w the parity on the triangle
+    {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and mask
+    selects the n - 2 witnesses.
 
     The packed layout gives the edge at position p in that order the bits
     p*width .. p*width + width-1. spread[i] has a 1 at the low bit of the
-    field of every edge at v_i; rel packs the rels; lanes are the masks of
-    the SWAR bit count (low half of every lane of 2, 4, ..., width bits);
-    witness packs the masks; fold maps a witness count 0..n-2 to its
-    k-value (_fold). Nothing changes after construction: a read with a
-    vertex deleted makes its own mask and table.
+    field of every edge at v_i; rel packs the rels and is face 0's word;
+    lanes are the masks of the SWAR bit count (low half of every lane of
+    2, 4, ..., width bits); witness packs the masks; fold maps a witness
+    count 0..n-2 to its k-value (_fold). Nothing changes after
+    construction: a read with a vertex deleted makes its own mask and
+    table.
     """
 
     index: dict
-    face_bits: list
     parent: list
     crossed: list
     edges: dict
@@ -151,7 +154,7 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     # the dual graph is connected, as the plane graph is: every node lies
     # on a chain, and the chains join every pair of vertices; each face
     # but face 0 records the face it was reached from and the position of
-    # the edge crossed
+    # the edge crossed; the labels serve the seeds below and then go
     bits = [None] * len(walks)
     bits[0] = 0
     parent = [0] * len(walks)
@@ -181,11 +184,10 @@ def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
         if pf >> (i * n + j) & 1:
             rel ^= mask
         edges[e] = (i, j, rel, mask)
-    return _lay_out(index, bits, parent, crossed, edges)
+    return _lay_out(index, parent, crossed, edges)
 
 
-def _lay_out(index: dict, face_bits: list, parent: list, crossed: list,
-            edges: dict) -> _Labelling:
+def _lay_out(index: dict, parent: list, crossed: list, edges: dict) -> _Labelling:
     """The labelling with its packed masks, for the given sweep and the
     given edges in order."""
     n = len(index)
@@ -201,7 +203,7 @@ def _lay_out(index: dict, face_bits: list, parent: list, crossed: list,
     while lane < width:
         lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
         lane *= 2
-    return _Labelling(index, face_bits, parent, crossed, edges, width, tuple(spread),
+    return _Labelling(index, parent, crossed, edges, width, tuple(spread),
                       _pack((rel for _, _, rel, _ in edges.values()), width), tuple(lanes),
                       _pack((m for _, _, _, m in edges.values()), width), _fold(n - 2))
 
@@ -212,14 +214,44 @@ def _labelling(drawing: Drawing) -> _Labelling:
     return _build_labelling(drawing, trace_faces(drawing))
 
 
-def _right_of(lab: _Labelling, pf: int, u: int, v: int) -> int:
-    """Bit w set iff the face labelled pf lies right of u -> v -> v_w."""
-    i, j, rel, mask = lab.edges[edge_key(u, v)]
-    n = len(lab.index)
-    # The row XOR leaves out the label's own bit of uv, which complements
-    # every witness, as does reversing the edge.
-    right = ((pf >> (i * n)) ^ (pf >> (j * n)) ^ rel) & mask
-    return right ^ mask if (pf >> (i * n + j)) & 1 != (u > v) else right
+def _face_words(lab: _Labelling, face_ids):
+    """The packed word of each face id in turn, the one way every read
+    forms it: face 0's word is rel, and any other face's is its sweep
+    parent's with the label bits of the edge v_i v_j crossed between them
+    flipped, an XOR with (spread[i] << j) ^ (spread[j] << i). Each word is
+    made once, from the nearest face back along the sweep whose word this
+    call has made, and the words go when the call ends."""
+    spread, parent, crossed = lab.spread, lab.parent, lab.crossed
+    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
+    words = {0: lab.rel}
+    for f in face_ids:
+        path = []
+        g = f
+        while g not in words:
+            path.append(g)
+            g = parent[g]
+        word = words[g]
+        for g in reversed(path):
+            i, j = ends[crossed[g]]
+            word ^= (spread[i] << j) ^ (spread[j] << i)
+            words[g] = word
+        yield word
+
+
+def _face_word(lab: _Labelling, face: int) -> int:
+    """The packed word of one face (_face_words)."""
+    return next(_face_words(lab, (face,)))
+
+
+def _right_of(lab: _Labelling, word: int, u: int, v: int) -> int:
+    """Bit w set iff the face of the packed word lies right of u -> v -> v_w."""
+    i, j, _, mask = lab.edges[edge_key(u, v)]
+    # the field of uv, the one field that both spread[i] and spread[j] mark
+    field = word >> (lab.spread[i] & lab.spread[j]).bit_length() - 1
+    # its bit j, the label's own bit of uv, complements every witness, as
+    # does reversing the edge
+    right = field & mask
+    return right ^ mask if field >> j & 1 != (u > v) else right
 
 
 def triangle_orientation(drawing: Drawing, ref_face: int, edge,
@@ -233,7 +265,7 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
     i, j, w = (lab.index[check_vertex(drawing, x)] for x in (u, v, witness))
     if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
-    right = _right_of(lab, lab.face_bits[check_face(drawing, ref_face)], u, v)
+    right = _right_of(lab, _face_word(lab, check_face(drawing, ref_face)), u, v)
     return Orientation.MINUS if right >> w & 1 else Orientation.PLUS
 
 
@@ -261,37 +293,22 @@ def _fold(top: int):
     return bytes(fold).ljust(256, b"\0") if top < 256 else tuple(fold)
 
 
-def _k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None) -> dict:
-    """k-values of the edges for the face labelled pf, in edge order.
+def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) -> dict:
+    """k-values of the edges for the face of the packed word, in edge order.
 
     With deleted set to the index of a vertex v, the k-values in the
-    subdrawing without v, for its face that contains the labelled face:
-    the edges at v are gone, and v is no longer a witness of the others.
+    subdrawing without v, for its face that contains the given face: the
+    edges at v are gone, and v is no longer a witness of the others.
     """
-    values = _read_k_values(lab, pf, n, deleted)
-    return {e: k for (e, (i, j, _, _)), k in zip(lab.edges.items(), values)
-            if deleted != i and deleted != j}
-
-
-def _read_k_values(lab: _Labelling, pf: int, n: int, deleted: int | None = None):
-    """The k-values of every edge as _k_values defines them, in edge order:
-    bytes when every count fits in a byte, a list otherwise. With a vertex
-    deleted, the edges at it read 0. The face's word comes from its label
-    pf, one row at a time; face_profiles makes it from a neighbour's."""
     mask, fold = lab.witness, lab.fold
     if deleted is not None:
         # v_deleted is no witness, and its edges are gone
         ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
         mask &= ~((ones << deleted) | lab.spread[deleted] * ((1 << n) - 1))
         fold = _fold(n - 3)
-    # field of v_i v_j: bit w set iff F lies right of v_i -> v_j -> v_w, a
-    # - witness, up to complementing every witness (the label's own bit of
-    # the edge, which taking the smaller side does not need)
-    full = (1 << n) - 1
-    x = lab.rel
-    for i, spread in enumerate(lab.spread):
-        x ^= ((pf >> (i * n)) & full) * spread
-    return _count_witnesses(lab, x & mask, fold)
+    values = _count_witnesses(lab, word & mask, fold)
+    return {e: k for (e, (i, j, _, _)), k in zip(lab.edges.items(), values)
+            if deleted != i and deleted != j}
 
 
 def _count_witnesses(lab: _Labelling, x: int, fold):
@@ -310,14 +327,17 @@ def _count_witnesses(lab: _Labelling, x: int, fold):
     return [fold[int.from_bytes(raw[p:p + 8], "little")] for p in range(0, len(raw), size)]
 
 
-def _cumulated(k_values, levels: int):
-    """Level counts of the k-values and their cumulated counts, in which
-    level i contributes k + 1 - i times to the value at every k >= i.
-    k_values is bytes, as a profile reads them back, or any iterable of
-    ints; each level count is one count call over the values."""
+def _level_counts(k_values, levels: int) -> tuple:
+    """The number of k-values at each level 0..levels-1, one count call
+    each; k_values is bytes, as a profile reads them back, or ints."""
     values = k_values if type(k_values) is bytes else list(k_values)
-    counts = tuple(map(values.count, range(levels)))
-    return counts, tuple(accumulate(accumulate(counts)))
+    return tuple(map(values.count, range(levels)))
+
+
+def cumulated_counts(counts: tuple) -> tuple:
+    """The cumulated counts of level counts, in which level i contributes
+    k + 1 - i times to the value at every k >= i."""
+    return tuple(accumulate(accumulate(counts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,50 +372,21 @@ def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
 
 @per_drawing
 def _profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
-    lab = _labelling(drawing)
-    return KEdgeProfile(ref_face, *_read_profile(lab, lab.face_bits[ref_face], drawing.n),
-                        drawing.crossing_count(), lab.edges.keys())
+    values, counts = next(face_profiles(drawing, (ref_face,)))
+    return KEdgeProfile(ref_face, values, counts, cumulated_counts(counts),
+                        drawing.crossing_count(), _labelling(drawing).edges.keys())
 
 
 def face_profiles(drawing: Drawing, face_ids):
-    """(values, counts, cumulated) of k_edge_profile for each face id, in
-    the order given, read one at a time and kept nowhere: no dict, no
-    cache entry. The caller has checked the ids (check_face).
-
-    No label is read: a face's packed word, which _read_k_values forms
-    from its label's rows, is its sweep parent's word with the label bits
-    of the edge v_i v_j crossed between them flipped, an XOR with
-    (spread[i] << j) ^ (spread[j] << i), and face 0's word is rel. Each
-    word is made once, from the nearest face back along the sweep whose
-    word this call has made, and the words go when the call ends."""
-    lab, n = _labelling(drawing), drawing.n
-    spread, parent, crossed = lab.spread, lab.parent, lab.crossed
-    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
-    mask, fold, levels = lab.witness, lab.fold, max_k(n) + 1
-    words = [None] * len(parent)
-    words[0] = lab.rel
-    for f in face_ids:
-        word = words[f]
-        if word is None:
-            path = []
-            g = f
-            while words[g] is None:
-                path.append(g)
-                g = parent[g]
-            word = words[g]
-            for g in reversed(path):
-                i, j = ends[crossed[g]]
-                word ^= (spread[i] << j) ^ (spread[j] << i)
-                words[g] = word
+    """(values, counts) of k_edge_profile for each face id, in the order
+    given, read one at a time and kept nowhere: no dict, no cache entry.
+    The caller has checked the ids (check_face) and makes the cumulated
+    counts it needs (cumulated_counts)."""
+    lab = _labelling(drawing)
+    mask, fold, levels = lab.witness, lab.fold, max_k(drawing.n) + 1
+    for word in _face_words(lab, face_ids):
         values = _count_witnesses(lab, word & mask, fold)
-        yield (values, *_cumulated(values, levels))
-
-
-def _read_profile(lab: _Labelling, pf: int, n: int) -> tuple:
-    """The k-values of the face labelled pf as _read_k_values gives them,
-    then their level counts and cumulated counts."""
-    values = _read_k_values(lab, pf, n)
-    return (values, *_cumulated(values, max_k(n) + 1))
+        yield values, _level_counts(values, levels)
 
 
 def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:
@@ -406,8 +397,8 @@ def vertex_k_profile(drawing: Drawing, ref_face: int, v: int) -> tuple:
     """
     check_vertex(drawing, v)
     k_values = k_edge_profile(drawing, ref_face).k_values
-    return _cumulated((k_values[edge_key(u, v)] for u in drawing.vertices if u != v),
-                      max_k(drawing.n) + 1)[1]
+    return cumulated_counts(_level_counts(
+        (k_values[edge_key(u, v)] for u in drawing.vertices if u != v), max_k(drawing.n) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,11 +433,11 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     if drawing.n <= 3:
         raise ValueError("cannot delete a vertex of a 3-vertex drawing")
     before = k_edge_profile(drawing, ref_face).k_values
-    child_k = _k_values(lab, lab.face_bits[check_face(drawing, ref_face)], drawing.n, x)
+    child_k = _k_values(lab, _face_word(lab, check_face(drawing, ref_face)), drawing.n, x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
-    counts = _cumulated((parent_k[e] for e, keep in flags.items() if keep),
-                        max_k(drawing.n) + 1)[0]
+    counts = _level_counts((parent_k[e] for e, keep in flags.items() if keep),
+                           max_k(drawing.n) + 1)
     return InvariantReport(v, flags, parent_k, child_k, tuple(accumulate(counts)))
 
 
@@ -464,7 +455,8 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     lhs = k_edge_profile(parent, ref_face).cumulated[k]
     child_term = 0
     if k >= 1:
-        child_term = _cumulated(report.child_k.values(), max_k(n - 1) + 1)[1][k - 1]
+        child_term = cumulated_counts(
+            _level_counts(report.child_k.values(), max_k(n - 1) + 1))[k - 1]
     at_v = vertex_k_profile(parent, ref_face, v)[k]
     return lhs - (child_term + at_v + report.cumulated[k])
 
@@ -521,9 +513,9 @@ def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> froz
     lab = _labelling(drawing)
     if check_vertex(drawing, u) == check_vertex(drawing, v):
         raise ValueError("an edge needs two distinct vertices")
-    pf = lab.face_bits[check_face(drawing, ref_face)]
+    word = _face_word(lab, check_face(drawing, ref_face))
     on_face = vertices_on_face(drawing, ref_face)
     if u not in on_face or v not in on_face:
         raise ValueError("both endpoints must lie on the reference face")
-    right = _right_of(lab, pf, u, v)
+    right = _right_of(lab, word, u, v)
     return frozenset(w for x, w in enumerate(drawing.vertices) if right >> x & 1)

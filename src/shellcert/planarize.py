@@ -85,6 +85,7 @@ vertices or run from other points, is rejected before any geometry.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
@@ -172,13 +173,17 @@ def _side_by_side(chains):
 
 def _check_arguments(n, positions, polylines):
     """DocumentError for arguments that no document hands planarize, as the
-    loader checks these itself: positions for other ids than 0..n-1, an
+    loader checks these itself: positions or polylines that are no
+    mapping, positions for other ids than 0..n-1, an
     edge key that is no pair of those ids, a polyline of fewer than two
     points or one that does not run between its vertices, and a point that
     is no tuple of two plain ints, so that no float or bool enters a
     decision."""
     if type(n) is not int:
         raise DocumentError(f"n must be an integer, not {quoted(n)}")
+    for name, value in (("positions", positions), ("polylines", polylines)):
+        if not isinstance(value, Mapping):
+            raise DocumentError(f"{name} must be a mapping, got {quoted(value)}")
     if (len(positions) != n or not {int}.issuperset(map(type, positions))
             or not all(v in positions for v in range(n))):
         raise DocumentError("positions must give a point for each vertex 0..n-1 and no other")

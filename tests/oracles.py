@@ -307,6 +307,29 @@ def flood_fill_k_values(drawing, ref_face, left_faces) -> dict:
     return k_values
 
 
+def sweep_labels(lab) -> list:
+    """The label of every face, replayed from the sweep the labelling
+    records: face 0's label is 0, and any other face's is its sweep
+    parent's with the bits i*n + j and j*n + i of the edge v_i v_j crossed
+    between them flipped. kedges keeps no label; these feed
+    reference_k_values."""
+    n = len(lab.index)
+    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
+    labels = [None] * len(lab.parent)
+    labels[0] = 0
+    for f in range(len(labels)):
+        path = []
+        g = f
+        while labels[g] is None:
+            path.append(g)
+            g = lab.parent[g]
+            assert len(path) <= len(labels), "the sweep has a cycle"
+        for g in reversed(path):
+            i, j = ends[lab.crossed[g]]
+            labels[g] = labels[lab.parent[g]] ^ (1 << (i * n + j)) ^ (1 << (j * n + i))
+    return labels
+
+
 def reference_k_values(lab, pf, n, deleted=None) -> dict:
     """The labelling's k-values for the face labelled pf, one edge at a
     time: the witnesses of v_i v_j are the bits of one XOR of rows i and j
@@ -327,9 +350,10 @@ def reference_k_values(lab, pf, n, deleted=None) -> dict:
 
 
 def reference_profile(drawing, face, kmax=None) -> dict:
-    """One profile of an analyze report as a dict, built for the face as
-    the report's profiles were built before they were formatted from a
-    per-drawing template; kmax is the --kmax option (None if not given)."""
+    """One profile of an analyze report as a dict, built for the face from
+    k_edge_profile and cumulative_bound_check, as the report's profiles
+    were built before they were written as text; kmax is the --kmax option
+    (None if not given)."""
     prof = k_edge_profile(drawing, face)
     if kmax is None:
         # a drawing on 3 vertices has no bound levels, so no rows by default

@@ -185,6 +185,16 @@ def test_simple_sequence_length_is_a_plain_int():
         assert str(info.value) == "length must be at least 1"
 
 
+@pytest.mark.parametrize("entry", (shellcert.harary_hill_bound, shellcert.max_k))
+def test_vertex_counts_are_positive_plain_ints(entry):
+    for n in (None, "0", 1.0, True, 0, -1):
+        with pytest.raises(ValueError) as info:
+            entry(n)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "n must be positive"
+    assert type(entry(5)) is int
+
+
 EDGE_ENTRIES = {
     "k_value": lambda d, e: shellcert.k_value(d, 0, e),
     "triangle_orientation": lambda d, e: shellcert.triangle_orientation(d, 0, e, 2),

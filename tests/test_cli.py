@@ -247,11 +247,11 @@ class TestAnalyze:
     @pytest.mark.parametrize("family, heads", [("convex", 1), ("cylindrical", None)])
     def test_auto_work_counts(self, family, heads, tmp_path, monkeypatch):
         """Deterministic work counts of analyze --face auto on K12: one
-        labelling, no face read through the label's row loop (each comes
-        from its sweep parent's word), and one row head per distinct counts
-        tuple, which is one on convex K12."""
-        calls = {"_build_labelling": 0, "_read_k_values": 0, "_profile_head": 0}
-        for module, name in ((kedges, "_build_labelling"), (kedges, "_read_k_values"),
+        labelling, no face read through the per-drawing profile cache (each
+        comes from one bulk walk of the sweep), and one row head per
+        distinct counts tuple, which is one on convex K12."""
+        calls = {"_build_labelling": 0, "_profile": 0, "_profile_head": 0}
+        for module, name in ((kedges, "_build_labelling"), (kedges, "_profile"),
                              (cli, "_profile_head")):
             def counting(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
@@ -265,7 +265,7 @@ class TestAnalyze:
         report = read(out)
         assert len(report["profiles"]) == report["faces"]["count"] > 1
         distinct = {tuple(row["counts"]) for row in report["profiles"]}
-        assert calls == {"_build_labelling": 1, "_read_k_values": 0,
+        assert calls == {"_build_labelling": 1, "_profile": 0,
                          "_profile_head": len(distinct)}
         if heads is not None:
             assert len(distinct) == heads

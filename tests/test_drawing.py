@@ -411,11 +411,18 @@ class TestLoaderRejections:
          "vertex 0: position must be an integer pair"),
         (3, {0.0: (0, 0), 1: (4, 0), 2: (0, 4)}, TRIANGLE_EDGES, DocumentError,
          "positions must give a point for each vertex 0..n-1 and no other"),
+        (3, None, TRIANGLE_EDGES, DocumentError, "positions must be a mapping, got None"),
+        (3, [(0, 0), (4, 0), (0, 4)], TRIANGLE_EDGES, DocumentError,
+         "positions must be a mapping, got [(0, 0), (4, 0), (0, 4)]"),
+        (3, TRIANGLE, None, DocumentError, "polylines must be a mapping, got None"),
+        (3, TRIANGLE, [[(0, 0), (4, 0)]], DocumentError,
+         "polylines must be a mapping, got [[(0, 0), (4, 0)]]"),
     ], ids=["no-edges", "n-2", "n-0", "unknown-vertex", "key-no-pair", "position-missing",
             "position-of-another-id", "position-too-many", "n-not-int", "one-point-polyline",
             "polyline-ends-elsewhere", "float-bend", "bool-coordinate", "str-coordinate",
             "triple-bend", "none-polyline", "float-position", "bool-position",
-            "triple-position", "none-position", "float-vertex-id"])
+            "triple-position", "none-position", "float-vertex-id", "none-positions",
+            "list-positions", "none-polylines", "list-polylines"])
     def test_direct_planarize_arguments_get_precise_errors(self, n, positions, polylines, error,
                                                            message):
         with pytest.raises(error) as info:

@@ -4,7 +4,7 @@ import random
 import re
 from copy import deepcopy
 from dataclasses import fields
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,13 +14,13 @@ from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
 from oracles import (ccw_k_value, child_drawing_report, crossings_from_cumulated,
                      exact_points, face_views, far_point, flipped, flood_fill_k_values,
                      flood_fill_triangles, harary_hill_closed_form, reference_cumulated,
-                     reference_k_values, split_face_side_partition,
+                     reference_k_values, split_face_side_partition, sweep_labels,
                      winding_orientation)
 from shellcert import drawing as drawing_module
 from shellcert import kedges
 from shellcert.documents import load_drawing
 from shellcert.drawing import Drawing, edge_key, trace_faces, vertices_on_face
-from shellcert.kedges import (cumulative_bound_check, edge_side_partition,
+from shellcert.kedges import (Orientation, cumulative_bound_check, edge_side_partition,
                               harary_hill_bound, invariant_edges,
                               k_edge_profile, k_value, max_k, recursion_check,
                               triangle_orientation, vertex_k_profile)
@@ -169,6 +169,10 @@ class TestAgainstFloodFill:
         for f in fs.face_ids():
             assert (k_edge_profile(d, f).k_values
                     == flood_fill_k_values(d, f, left_faces))
+            # every face, also one with no vertex, reads every triangle
+            assert all((triangle_orientation(d, f, (u, v), w) is Orientation.PLUS)
+                       == (f in left)
+                       for (u, v, w), left in left_faces.items()), f
 
 
 def synthetic_labelling(n):
@@ -183,8 +187,20 @@ def synthetic_labelling(n):
         mask = full ^ (1 << i) ^ (1 << j)
         edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
     striped = sum(full << (i * n) for i in range(0, n, 2))
-    return (kedges._lay_out({v: v for v in range(n)}, [], [], [], edges),
+    return (kedges._lay_out({v: v for v in range(n)}, [], [], edges),
             (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1))
+
+
+def label_word(lab, label, n):
+    """The packed word of the face labelled label, one row of the label at
+    a time: rel XORed with row i placed in the fields of the edges at v_i
+    by one multiplication with spread[i] (the row loop that kedges's sweep
+    walk replaced)."""
+    full = (1 << n) - 1
+    word = lab.rel
+    for i, spread in enumerate(lab.spread):
+        word ^= ((label >> (i * n)) & full) * spread
+    return word
 
 
 KERNEL_CORPUS = {f"{factory.__name__}{n}": (factory, n, *seed)
@@ -202,11 +218,12 @@ class TestPackedKernel:
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         lab = kedges._labelling(d)
-        for f, pf in enumerate(lab.face_bits):
+        words = kedges._face_words(lab, range(len(lab.parent)))
+        for f, (word, pf) in enumerate(zip(words, sweep_labels(lab))):
             # every deletion on every face up to K_9; beyond, every face
             # without a deletion and with one vertex deleted, in turn
             for x in (None, *range(n)) if n <= 9 else (None, f % n):
-                got = kedges._k_values(lab, pf, n, x)
+                got = kedges._k_values(lab, word, n, x)
                 want = reference_k_values(lab, pf, n, x)
                 assert got == want and list(got) == list(want), (f, x)
 
@@ -216,14 +233,15 @@ class TestPackedKernel:
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         lab = kedges._labelling(d)
+        words = list(kedges._face_words(lab, range(len(lab.parent))))
         left_faces = flood_fill_triangles(d, trace_faces(d))
-        for f, pf in enumerate(lab.face_bits):
-            assert kedges._k_values(lab, pf, n) == flood_fill_k_values(d, f, left_faces)
+        for f, word in enumerate(words):
+            assert kedges._k_values(lab, word, n) == flood_fill_k_values(d, f, left_faces)
         for x, v in enumerate(d.vertices):
             child, child_faces, face_map = drawing_module.child_drawing(d, v)
             child_left = flood_fill_triangles(child, child_faces)
-            for f, pf in enumerate(lab.face_bits):
-                assert (kedges._k_values(lab, pf, n, x)
+            for f, word in enumerate(words):
+                assert (kedges._k_values(lab, word, n, x)
                         == flood_fill_k_values(child, face_map[f], child_left)), (f, v)
 
     @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257, 258, 300))
@@ -237,27 +255,27 @@ class TestPackedKernel:
         striped = labels[1]
         for pf in labels:
             for x in (None, 0, n // 2, n - 1):
-                assert (kedges._k_values(lab, pf, n, x)
+                assert (kedges._k_values(lab, label_word(lab, pf, n), n, x)
                         == reference_k_values(lab, pf, n, x)), (n, x)
-        assert kedges._k_values(lab, striped, n)[0, 1] == 0  # n - 2 witnesses
+        # n - 2 witnesses
+        assert kedges._k_values(lab, label_word(lab, striped, n), n)[0, 1] == 0
 
     def test_cumulated_matches_the_double_sum(self):
         rng = random.Random(5)
         for levels in (1, 2, 5, 9):
             for size in (0, 1, 7, 200):
                 ks = [rng.randrange(levels) for _ in range(size)]
-                assert kedges._cumulated(ks, levels) == reference_cumulated(ks, levels)
-                assert (kedges._cumulated(iter(ks), levels)
-                        == reference_cumulated(ks, levels))
-                assert (kedges._cumulated(bytes(ks), levels)
-                        == reference_cumulated(ks, levels))
+                counts, cumulated = reference_cumulated(ks, levels)
+                for values in (ks, iter(ks), bytes(ks)):
+                    assert kedges._level_counts(values, levels) == counts
+                assert kedges.cumulated_counts(counts) == cumulated
 
     @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_every_profile_counts_match_the_double_sum(self, name):
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         lab = kedges._labelling(d)
-        for f, pf in enumerate(lab.face_bits):
+        for f, pf in enumerate(sweep_labels(lab)):
             prof = k_edge_profile(d, f)
             want = reference_cumulated(reference_k_values(lab, pf, n).values(), max_k(n) + 1)
             assert (prof.counts, prof.cumulated) == want, f
@@ -274,7 +292,7 @@ class TestLazyKValues:
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
         lab = kedges._labelling(d)
-        for f, pf in enumerate(lab.face_bits):
+        for f, pf in enumerate(sweep_labels(lab)):
             prof = k_edge_profile(d, f)
             want = reference_k_values(lab, pf, n)
             assert type(prof.values) is bytes and list(prof.values) == list(want.values())
@@ -292,8 +310,11 @@ class TestLazyKValues:
     def test_the_list_path_gives_the_same_dict(self, n):
         lab, labels = synthetic_labelling(n)
         for pf in labels:
-            values, counts, cumulated = kedges._read_profile(lab, pf, n)
+            values = kedges._count_witnesses(lab, label_word(lab, pf, n) & lab.witness,
+                                             lab.fold)
             assert type(values) is (bytes if n <= 257 else list)
+            counts = kedges._level_counts(values, max_k(n) + 1)
+            cumulated = kedges.cumulated_counts(counts)
             prof = kedges.KEdgeProfile(reference_face=0, values=values, counts=counts,
                                        cumulated=cumulated, crossings=0,
                                        edges=lab.edges.keys())
@@ -305,7 +326,9 @@ class TestLazyKValues:
     def test_face_profiles_reads_every_face_and_keeps_nothing(self, name):
         factory, n, *seed = KERNEL_CORPUS[name]
         d = factory(n, *seed)
-        kedges._labelling(d)
+        lab = kedges._labelling(d)
+        want = [(list(k_values.values()), reference_cumulated(k_values.values(), max_k(n) + 1)[0])
+                for k_values in (reference_k_values(lab, pf, n) for pf in sweep_labels(lab))]
         every = list(trace_faces(d).face_ids())
         rng = random.Random(name)
         shuffled = rng.sample(every, len(every))
@@ -314,13 +337,14 @@ class TestLazyKValues:
             cached = dict(d._cache)
             read = list(kedges.face_profiles(d, faces))
             assert d._cache == cached
-            assert read == [(p.values, p.counts, p.cumulated)
-                            for p in map(k_edge_profile, repeat(d), faces)]
+            assert all(type(values) is bytes for values, _ in read)
+            assert [(list(values), counts) for values, counts in read] == [want[f] for f in faces]
 
 
 class TestSweep:
     """The labelling records, for every face but face 0, the face the sweep
-    reached it from and the position of the edge crossed on the way."""
+    reached it from and the position of the edge crossed on the way; every
+    read forms a face's word by walking those steps back."""
 
     @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_replaying_the_sweep_rebuilds_every_label_from_face_0(self, name):
@@ -328,27 +352,18 @@ class TestSweep:
         d = factory(n, *seed)
         lab = kedges._labelling(d)
         faces = trace_faces(d)
-        edges = d.edges()
-        index = lab.index
         # (face, face across, edge position) for each segment, both ways
         sides = {(faces.face_of[a], faces.face_of[b], p)
-                 for p, e in enumerate(edges) for dart in d.chain_darts[e]
+                 for p, e in enumerate(d.edges()) for dart in d.chain_darts[e]
                  for a, b in ((dart, faces.twin[dart]), (faces.twin[dart], dart))}
-        labels = {0: 0}
-        for f in range(len(lab.face_bits)):
-            path = []
-            g = f
-            while g not in labels:
-                path.append(g)
-                g = lab.parent[g]
-                assert len(path) <= len(lab.face_bits)  # no cycle
-            for g in reversed(path):
-                p = lab.crossed[g]
-                assert (lab.parent[g], g, p) in sides
-                i, j = index[edges[p][0]], index[edges[p][1]]
-                labels[g] = labels[lab.parent[g]] ^ (1 << (i * n + j)) ^ (1 << (j * n + i))
-        assert [labels[f] for f in range(len(lab.face_bits))] == lab.face_bits
-        assert len(lab.parent) == len(lab.crossed) == len(lab.face_bits)
+        every = list(faces.face_ids())
+        assert len(lab.parent) == len(lab.crossed) == len(every)
+        assert all((lab.parent[g], g, lab.crossed[g]) in sides for g in every[1:])
+        want = [label_word(lab, pf, n) for pf in sweep_labels(lab)]
+        assert list(kedges._face_words(lab, every)) == want
+        shuffled = random.Random(name).sample(every, len(every))
+        assert list(kedges._face_words(lab, shuffled)) == [want[f] for f in shuffled]
+        assert [kedges._face_word(lab, f) for f in every[::7]] == want[::7]
 
 
 class TestProfiles:
@@ -557,11 +572,12 @@ class TestDeletionFree:
         d = factory(8)
         lab = kedges._labelling(d)
         before = {f.name: deepcopy(getattr(lab, f.name)) for f in fields(lab)}
-        for f, pf in enumerate(lab.face_bits):
+        for f in trace_faces(d).face_ids():
+            word = kedges._face_word(lab, f)
             for v in d.vertices:
                 report = invariant_edges(d, f, v)
-                first = kedges._k_values(lab, pf, d.n, lab.index[v])
-                assert kedges._k_values(lab, pf, d.n, lab.index[v]) == first == report.child_k
+                first = kedges._k_values(lab, word, d.n, lab.index[v])
+                assert kedges._k_values(lab, word, d.n, lab.index[v]) == first == report.child_k
         assert kedges._labelling(d) is lab
         assert {f.name: getattr(lab, f.name) for f in fields(lab)} == before
 

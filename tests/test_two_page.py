@@ -15,10 +15,12 @@ import pytest
 
 from corpus import two_page_drawing
 from oracles import (canonical_form, crossings_from_cumulated, naive_bishellable,
-                     naive_seq_shellable)
+                     naive_seq_shellable, reference_k_values, sweep_labels)
+from shellcert import kedges
 from shellcert.documents import drawing_to_document, load_drawing
 from shellcert.drawing import trace_faces, validate_goodness
-from shellcert.kedges import face_profiles, harary_hill_bound, k_edge_profile
+from shellcert.kedges import (cumulated_counts, face_profiles, harary_hill_bound,
+                              k_edge_profile)
 from shellcert.shellability import (decide_bishellable, decide_seq_shellable,
                                     verify_bishell_certificate, verify_seq_certificate)
 
@@ -103,15 +105,17 @@ def test_the_crossing_identity_holds_on_every_face(n, pages):
 @pytest.mark.parametrize("n, pages", sample((22, 24), 3))
 def test_every_face_read_in_bulk_and_both_deciders_at_22_and_24_vertices(n, pages):
     """Fields 32 bits wide and k-values past one digit on every face: the
-    bulk read of every face gives the profile that k_edge_profile reads,
-    and its cumulated counts give the crossing count."""
+    bulk read of every face gives the k-values that the labels replayed
+    from the sweep give one edge at a time, and its cumulated counts give
+    the crossing count."""
     drawing = two_page_drawing(n, pages)
     faces = list(trace_faces(drawing).face_ids())
-    for f, (values, counts, cumulated) in zip(faces, face_profiles(drawing, faces)):
+    lab = kedges._labelling(drawing)
+    labels = sweep_labels(lab)
+    for f, (values, counts) in zip(faces, face_profiles(drawing, faces)):
         assert any(counts[10:]), f
-        assert crossings_from_cumulated(n, cumulated) == drawing.crossing_count(), f
-        prof = k_edge_profile(drawing, f)
-        assert (values, counts, cumulated) == (prof.values, prof.counts, prof.cumulated), f
+        assert crossings_from_cumulated(n, cumulated_counts(counts)) == drawing.crossing_count(), f
+        assert list(values) == list(reference_k_values(lab, labels[f], n).values()), f
     seq = decide_seq_shellable(drawing, n // 2 - 2)
     assert seq is not None and verify_seq_certificate(drawing, seq)
     bishell = decide_bishellable(drawing, n // 2 - 2)
