@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from . import __version__
 from .documents import (JsonText, certificate_from_document, certificate_to_document,
-                        dump_document, dumps_document, load_drawing)
+                        decimal, dump_document, dumps_document, load_drawing)
 from .drawing import check_face, check_level, face_vertex_table, trace_faces, validate_goodness
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError, quoted)
@@ -150,16 +150,6 @@ _COMMANDS = {
     "generate": ("emit a reference drawing document", _generate_arguments),
     "export": ("render a drawing to SVG", _export_arguments),
 }
-
-
-def decimal(text: str) -> int:
-    """The integer that text writes in canonical decimal form, str(value),
-    as document keys write node ids; ValueError for any other text, so
-    " 3", "+3", "03", "1_0" and non-ASCII digits name no number."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{quoted(text)} is not a canonical decimal integer")
-    return value
 
 
 def _read_document(path):

@@ -93,17 +93,14 @@ def _load_geometric(document, n) -> Drawing:
         e = (u, v) if u < v else (v, u)
         if e in polylines:
             raise DocumentError(f"edge {e} repeated")
+        # planarize checks the polylines: a list point becomes a tuple, and
+        # a polyline or point that is no list reaches it as None, refused
         poly = item["polyline"]
-        if not (isinstance(poly, list) and len(poly) >= 2):
-            raise DocumentError(f"edge {e}: polyline needs at least 2 points")
-        pts = [(pt[0], pt[1]) for pt in poly if isinstance(pt, list) and len(pt) == 2
-               and type(pt[0]) is int and type(pt[1]) is int]
-        if len(pts) != len(poly):
-            raise DocumentError(f"edge {e}: polyline points must be integer pairs")
-        if u > v:
-            pts.reverse()
-        if pts[0] != positions[e[0]] or pts[-1] != positions[e[1]]:
-            raise DocumentError(f"edge {e}: polyline must start and end at its vertices")
+        pts = None
+        if isinstance(poly, list):
+            pts = [tuple(pt) if isinstance(pt, list) else None for pt in poly]
+            if u > v:
+                pts.reverse()
         polylines[e] = pts
     return planarize(n, positions, polylines)
 
@@ -158,7 +155,10 @@ def _load_combinatorial(document, n) -> Drawing:
     rotations = {}
     for key, lst in raw_rot.items():
         # a canonical key names one node id, so no two keys name the same
-        nid = _parse_int_key(key, "rotation")
+        try:
+            nid = decimal(key)
+        except (TypeError, ValueError):
+            raise DocumentError(f"rotation key {quoted(key)} is not a node id") from None
         if not (isinstance(lst, list) and _all_ints(lst)):
             raise DocumentError(f"rotation at {quoted(nid)} must be a list of node ids")
         rotations[nid] = lst
@@ -192,30 +192,26 @@ def _all_ints(items) -> bool:
 _INT_TYPE = frozenset([int])
 
 
-def _parse_int_key(key, what) -> int:
-    """The node id a key names; only the canonical decimal form, as
-    str(nid), is accepted."""
-    try:
-        nid = int(key)
-    except (TypeError, ValueError):
-        nid = None
-    if nid is None or str(nid) != key:
-        raise DocumentError(f"{what} key {quoted(key)} is not a node id")
-    return nid
+def decimal(text: str) -> int:
+    """The integer that text writes in canonical decimal form, str(value),
+    as document keys write node ids; ValueError for any other text, so
+    " 3", "+3", "03", "1_0" and non-ASCII digits name no number."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{quoted(text)} is not a canonical decimal integer")
+    return value
 
 
 def _parse_edge_key(key):
-    """The vertices (u, v) of a chain key "u-v", in canonical decimal
-    form; "v-u" names the same edge."""
-    parts = key.split("-") if isinstance(key, str) else ()
-    if len(parts) == 2:
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            u = v = None
-        if u is not None and u != v and f"{u}-{v}" == key:
-            return u, v
-    raise DocumentError(f'chain key {quoted(key)} must look like "u-v"')
+    """The vertices (u, v) of a chain key "u-v", each half a decimal;
+    "v-u" names the same edge."""
+    try:
+        u, v = map(decimal, key.split("-") if isinstance(key, str) else ())
+    except ValueError:
+        u = v = None
+    if u is None or u == v:
+        raise DocumentError(f'chain key {quoted(key)} must look like "u-v"')
+    return u, v
 
 
 def drawing_to_document(drawing: Drawing, mode: str) -> dict:

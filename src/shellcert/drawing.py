@@ -410,6 +410,16 @@ def check_vertex(drawing: Drawing, v: int) -> int:
     return v
 
 
+def check_deletable(drawing: Drawing, v: int) -> int:
+    """The vertex, if check_vertex passes and the drawing has more than 3
+    vertices; ValueError otherwise. Every entry that deletes a vertex, or
+    reads k-values across a deletion, asks here."""
+    check_vertex(drawing, v)
+    if drawing.n <= 3:
+        raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    return v
+
+
 def check_level(name: str, value, top: int) -> int:
     """The value, if it is a plain int in 0..top; ValueError otherwise.
     Every level argument (k, s, kmax) asks here."""
@@ -506,9 +516,7 @@ def delete_vertex(drawing: Drawing, v: int):
     flanking a deleted segment land in the same child face. The drawing
     must be good; otherwise ValueError names its first goodness violation.
     """
-    check_vertex(drawing, v)
-    if drawing.n <= 3:
-        raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    check_deletable(drawing, v)
     check_good(drawing, "delete a vertex")
     faces = trace_faces(drawing)
 

@@ -33,11 +33,13 @@ so any other face's word is the word of the face the sweep reached it
 from with one XOR; no label is kept. From the word on, masking and a SWAR
 bit count (neighbouring lanes of 1, 2, 4, ... bits added, each sum masked
 to its lane) turn every field into its witness count at once, and one
-to_bytes reads all counts back. When every count fits in a byte
-(n <= 257), a slice takes the low byte of each field and one bytes.translate
+to_bytes reads all counts back. k-values are read for drawings on at
+most 257 vertices, so every count fits in a byte: each K_12 in a good
+K_258 has at least cr(K_12) = 150 crossings, so the K_258 has at least
+150 * C(258, 4) / C(12, 4), over 54 million, far more than memory holds.
+A slice takes the low byte of each field and one bytes.translate
 through a 256-entry table maps each count m to min(m, n-2-m), so a
-profile's level counts are bytes.count calls; a wider count is read from
-the low 8 bytes of its field by int.from_bytes and folded on its own.
+profile's level counts are bytes.count calls.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -61,8 +63,8 @@ from math import comb
 from operator import ge
 from typing import NamedTuple
 
-from .drawing import (Drawing, FaceSet, check_face, check_good, check_level, check_vertex,
-                      edge_key, per_drawing, trace_faces, vertices_on_face)
+from .drawing import (Drawing, FaceSet, check_deletable, check_face, check_good, check_level,
+                      check_vertex, edge_key, per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import quoted
@@ -124,7 +126,7 @@ class _Labelling:
     rel: int
     lanes: tuple
     witness: int
-    fold: bytes | tuple
+    fold: bytes
 
 
 def _pack(fields, width: int) -> int:
@@ -191,6 +193,7 @@ def _lay_out(index: dict, parent: list, crossed: list, edges: dict) -> _Labellin
     """The labelling with its packed masks, for the given sweep and the
     given edges in order."""
     n = len(index)
+    fold = _fold(n - 2)
     width = max(8, 1 << (n - 1).bit_length())
     size = width // 8
     rows = [bytearray(len(edges) * size) for _ in range(n)]
@@ -205,7 +208,7 @@ def _lay_out(index: dict, parent: list, crossed: list, edges: dict) -> _Labellin
         lane *= 2
     return _Labelling(index, parent, crossed, edges, width, tuple(spread),
                       _pack((rel for _, _, rel, _ in edges.values()), width), tuple(lanes),
-                      _pack((m for _, _, _, m in edges.values()), width), _fold(n - 2))
+                      _pack((m for _, _, _, m in edges.values()), width), fold)
 
 
 @per_drawing
@@ -271,10 +274,15 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
 
 def k_value(drawing: Drawing, ref_face: int, edge) -> int:
     """k-value of the edge with respect to the reference face."""
-    u, v = _ends(edge)
+    e = _edge_of(drawing, *_ends(edge))
+    return k_edge_profile(drawing, ref_face).k_values[e]
+
+
+def _edge_of(drawing: Drawing, u: int, v: int) -> tuple:
+    """The edge key of uv, if u and v are two distinct vertices; else ValueError."""
     if check_vertex(drawing, u) == check_vertex(drawing, v):
         raise ValueError("an edge needs two distinct vertices")
-    return k_edge_profile(drawing, ref_face).k_values[edge_key(u, v)]
+    return edge_key(u, v)
 
 
 def _ends(edge) -> tuple:
@@ -286,11 +294,13 @@ def _ends(edge) -> tuple:
     return u, v
 
 
-def _fold(top: int):
-    """k-value of each witness count 0..top: the smaller side; a
-    bytes.translate table of 256 entries when every count fits in a byte."""
-    fold = [m if 2 * m <= top else top - m for m in range(top + 1)]
-    return bytes(fold).ljust(256, b"\0") if top < 256 else tuple(fold)
+def _fold(top: int) -> bytes:
+    """k-value of each witness count 0..top, the smaller side, as a
+    bytes.translate table of 256 entries; ValueError unless every count
+    fits in a byte."""
+    if top > 255:
+        raise ValueError("k-values are read for drawings on at most 257 vertices")
+    return bytes(m if 2 * m <= top else top - m for m in range(top + 1)).ljust(256, b"\0")
 
 
 def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) -> dict:
@@ -311,20 +321,16 @@ def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) ->
             if deleted != i and deleted != j}
 
 
-def _count_witnesses(lab: _Labelling, x: int, fold):
+def _count_witnesses(lab: _Labelling, x: int, fold: bytes) -> bytes:
     """The folded witness count of every field of the packed word x, whose
-    fields hold only witness bits, in edge order: bytes.translate of the
-    low bytes when fold is a table, a list otherwise."""
+    fields hold only witness bits, in edge order: every count fits in the
+    low byte of its field, which bytes.translate folds."""
     shift = 1
     for lane in lab.lanes:
         x = (x & lane) + ((x >> shift) & lane)
         shift *= 2
     size = lab.width // 8
-    raw = x.to_bytes(len(lab.edges) * size, "little")
-    if type(fold) is bytes:  # every count fits in the low byte of its field
-        return raw[::size].translate(fold)
-    # and in its low 8 bytes, as n - 2 < 2**64
-    return [fold[int.from_bytes(raw[p:p + 8], "little")] for p in range(0, len(raw), size)]
+    return x.to_bytes(len(lab.edges) * size, "little")[::size].translate(fold)
 
 
 def _level_counts(k_values, levels: int) -> tuple:
@@ -345,7 +351,7 @@ class KEdgeProfile:
     """Per-edge k-values plus the derived counters for one reference face.
 
     values holds the k-values in edge order, that of drawing.edges(), as
-    they are read back: bytes up to n = 257, a list beyond. k_values, a
+    the bytes they are read back in (n <= 257, _fold). k_values, a
     dict built on its first read, maps every edge to its k-value in that
     order. counts[k] is the number of k-edges; cumulated[k] is the
     weighted sum of all counts up to k, each level i contributing
@@ -353,7 +359,7 @@ class KEdgeProfile:
     """
 
     reference_face: int
-    values: bytes | list
+    values: bytes
     counts: tuple
     cumulated: tuple
     crossings: int
@@ -366,7 +372,7 @@ class KEdgeProfile:
 
 def k_edge_profile(drawing: Drawing, ref_face: int) -> KEdgeProfile:
     """The profile of the reference face, cached per drawing; the face is
-    checked before the cache is read, as child_drawing checks its vertex."""
+    checked before the cache is read, since 1.0 and True are equal keys to 1."""
     return _profile(drawing, check_face(drawing, ref_face))
 
 
@@ -429,9 +435,7 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     k-value before the deletion or one less.
     """
     lab = _labelling(drawing)
-    x = lab.index[check_vertex(drawing, v)]
-    if drawing.n <= 3:
-        raise ValueError("cannot delete a vertex of a 3-vertex drawing")
+    x = lab.index[check_deletable(drawing, v)]
     before = k_edge_profile(drawing, ref_face).k_values
     child_k = _k_values(lab, _face_word(lab, check_face(drawing, ref_face)), drawing.n, x)
     parent_k = {e: before[e] for e in child_k}
@@ -450,6 +454,7 @@ def recursion_check(parent: Drawing, ref_face: int, v: int, k: int) -> int:
     (k-1)-term is taken as 0 at k = 0.
     """
     n = parent.n
+    check_deletable(parent, v)
     check_level("k", k, n // 2 - 2)
     report = invariant_edges(parent, ref_face, v)
     lhs = k_edge_profile(parent, ref_face).cumulated[k]
@@ -511,8 +516,7 @@ def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> froz
     has size exactly j or n-2-j.
     """
     lab = _labelling(drawing)
-    if check_vertex(drawing, u) == check_vertex(drawing, v):
-        raise ValueError("an edge needs two distinct vertices")
+    _edge_of(drawing, u, v)
     word = _face_word(lab, check_face(drawing, ref_face))
     on_face = vertices_on_face(drawing, ref_face)
     if u not in on_face or v not in on_face:

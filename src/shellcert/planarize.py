@@ -172,13 +172,13 @@ def _side_by_side(chains):
 
 
 def _check_arguments(n, positions, polylines):
-    """DocumentError for arguments that no document hands planarize, as the
-    loader checks these itself: positions or polylines that are no
-    mapping, positions for other ids than 0..n-1, an
-    edge key that is no pair of those ids, a polyline of fewer than two
+    """DocumentError for arguments planarize cannot take: positions or
+    polylines that are no mapping, positions for other ids than 0..n-1,
+    an edge key that is no pair of those ids, a polyline of fewer than two
     points or one that does not run between its vertices, and a point that
     is no tuple of two plain ints, so that no float or bool enters a
-    decision."""
+    decision. The loader checks a document's keys, ids and endpoints and
+    leaves the three polyline rules to this check, the only one."""
     if type(n) is not int:
         raise DocumentError(f"n must be an integer, not {quoted(n)}")
     for name, value in (("positions", positions), ("polylines", polylines)):

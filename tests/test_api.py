@@ -176,6 +176,25 @@ def test_a_drawing_that_is_not_good_has_no_k_values(entry, doc, violation):
     assert str(info.value) == f"cannot compute k-values of a drawing that is not good: {violation}"
 
 
+# entry -> call that deletes vertex 0, or reads k-values across its
+# deletion, with arguments that pass every other check
+DELETION_ENTRIES = {
+    "delete_vertex": lambda d: shellcert.delete_vertex(d, 0),
+    "child_drawing": lambda d: shellcert.child_drawing(d, 0),
+    "invariant_edges": lambda d: shellcert.invariant_edges(d, 0, 0),
+    "recursion_check": lambda d: shellcert.recursion_check(d, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("entry", DELETION_ENTRIES)
+def test_a_3_vertex_drawing_has_no_vertex_to_delete(entry):
+    d = convex_drawing(3)
+    with pytest.raises(ValueError) as info:
+        DELETION_ENTRIES[entry](d)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "cannot delete a vertex of a 3-vertex drawing"
+
+
 def test_simple_sequence_length_is_a_plain_int():
     d = convex_drawing(8)
     assert shellcert.find_simple_sequence(d, 0, 0, 2).vertices == (1, 2)
@@ -229,6 +248,35 @@ def test_bishell_to_seq_takes_a_bishell_certificate():
             shellcert.bishell_to_seq(cert)
         assert type(info.value) is ValueError
         assert str(info.value) == f"cert must be a BishellCertificate, got {quoted(cert)}"
+
+
+def _raise_sites():
+    """(exception class, message template, file:line) of every raise in
+    the package of a call whose first argument is a string literal or an
+    f-string, each f-string field read as {}."""
+    for path in sorted((Path(shellcert.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr):
+                template = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                   for part in message.values)
+            elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+                template = message.value
+            else:
+                continue
+            yield ast.unparse(node.exc.func), template, f"{path.name}:{node.lineno}"
+
+
+def test_each_message_is_raised_at_one_site():
+    # one rule, one raise: a second copy of a check drifts from the first
+    sites = {}
+    for cls, template, where in _raise_sites():
+        sites.setdefault((cls, template), []).append(where)
+    assert len(sites) > 100
+    assert {pair: at for pair, at in sites.items() if len(at) > 1} == {}
 
 
 def test_the_layer_tracer_wraps_names_that_resolve():

@@ -244,21 +244,30 @@ class TestPackedKernel:
                 assert (kedges._k_values(lab, word, n, x)
                         == flood_fill_k_values(child, face_map[f], child_left)), (f, v)
 
-    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257, 258, 300))
+    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257))
     def test_any_field_width(self, n):
         """Synthetic labellings on a dozen edges, with fields of 8 to 512
         bits. One label has rows of all ones at even and all zeros at odd
         vertices, so the edge v_0 v_1 (rel 0) has all n - 2 witnesses:
-        255 at n = 257, the most a byte holds, and 256 at n = 258 and 298
-        at n = 300, past it."""
+        255 at n = 257, the most a byte holds."""
         lab, labels = synthetic_labelling(n)
         striped = labels[1]
         for pf in labels:
             for x in (None, 0, n // 2, n - 1):
                 assert (kedges._k_values(lab, label_word(lab, pf, n), n, x)
                         == reference_k_values(lab, pf, n, x)), (n, x)
-        # n - 2 witnesses
+        # n - 2 witnesses, read unfolded and folded
+        word = label_word(lab, striped, n) & lab.witness
+        assert kedges._count_witnesses(lab, word, bytes(range(256)))[0] == n - 2
         assert kedges._k_values(lab, label_word(lab, striped, n), n)[0, 1] == 0
+
+    @pytest.mark.parametrize("n", (258, 300))
+    def test_no_labelling_past_a_byte(self, n):
+        """A witness count of K_258 or more need not fit in a byte, and no
+        such drawing fits in memory, so no labelling is laid out."""
+        with pytest.raises(ValueError) as info:
+            synthetic_labelling(n)
+        assert str(info.value) == "k-values are read for drawings on at most 257 vertices"
 
     def test_cumulated_matches_the_double_sum(self):
         rng = random.Random(5)
@@ -282,10 +291,9 @@ class TestPackedKernel:
 
 
 class TestLazyKValues:
-    """A profile keeps its k-values as they are read back, bytes up to
-    n = 257 and a list beyond, and builds the edge -> k-value dict on its
-    first read; face_profiles reads the same values for the faces it is
-    given and keeps nothing."""
+    """A profile keeps its k-values as the bytes they are read back in,
+    and builds the edge -> k-value dict on its first read; face_profiles
+    reads the same values for the faces it is given and keeps nothing."""
 
     @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_the_dict_is_the_reference_in_edge_order(self, name):
@@ -305,22 +313,6 @@ class TestLazyKValues:
         assert "k_values" not in vars(prof)
         k_values = prof.k_values
         assert vars(prof)["k_values"] is k_values is prof.k_values
-
-    @pytest.mark.parametrize("n", (5, 257, 258, 300))
-    def test_the_list_path_gives_the_same_dict(self, n):
-        lab, labels = synthetic_labelling(n)
-        for pf in labels:
-            values = kedges._count_witnesses(lab, label_word(lab, pf, n) & lab.witness,
-                                             lab.fold)
-            assert type(values) is (bytes if n <= 257 else list)
-            counts = kedges._level_counts(values, max_k(n) + 1)
-            cumulated = kedges.cumulated_counts(counts)
-            prof = kedges.KEdgeProfile(reference_face=0, values=values, counts=counts,
-                                       cumulated=cumulated, crossings=0,
-                                       edges=lab.edges.keys())
-            want = reference_k_values(lab, pf, n)
-            assert prof.k_values == want and list(prof.k_values) == list(want)
-            assert (counts, cumulated) == reference_cumulated(want.values(), max_k(n) + 1)
 
     @pytest.mark.parametrize("name", KERNEL_CORPUS)
     def test_face_profiles_reads_every_face_and_keeps_nothing(self, name):

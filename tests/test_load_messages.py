@@ -271,6 +271,12 @@ GEOMETRIC = [
      "edge (0, 1): polyline must start and end at its vertices"),
     ("polyline-reversed-ends", _edge(0, u=1, v=0),
      "edge (0, 1): polyline must start and end at its vertices"),
+    # JSON makes only lists, so an in-memory document with a tuple where
+    # JSON has a list is refused
+    ("polyline-tuple", _edge(0, polyline=((0, 0), (4, 0))),
+     "edge (0, 1): polyline needs at least 2 points"),
+    ("polyline-tuple-points", _edge(0, polyline=[(0, 0), (4, 0)]),
+     "edge (0, 1): polyline points must be integer pairs"),
     # the planarizer's own check, reached through the loader
     ("vertex-on-vertex", _vertex_on_vertex, "two vertices share a position"),
 ]
@@ -284,6 +290,17 @@ def test_geometric_rejection(mutate, message):
     with pytest.raises(DocumentError) as info:
         load_drawing(doc)
     assert str(info.value) == message
+
+
+def test_every_edge_fault_is_named_before_any_polyline_fault():
+    # the loader checks each edge's keys, ends and repeats in one pass,
+    # and planarize then checks the polylines
+    doc = convex_k4_doc()
+    doc["edges"][0]["polyline"] = doc["edges"][0]["polyline"][:1]
+    doc["edges"][3] = dict(doc["edges"][2])
+    with pytest.raises(DocumentError) as info:
+        load_drawing(doc)
+    assert str(info.value) == "edge (0, 3) repeated"
 
 
 K4_CHAINS = {(0, 1): (0, 1), (0, 2): (0, 4, 2), (0, 3): (0, 3),
