@@ -35,14 +35,20 @@ def _require(cond, msg):
         raise DocumentError(msg)
 
 
+def _check_header(document: dict, name: str) -> None:
+    """DocumentError unless the document declares the format name and the
+    version this module reads, the format first."""
+    if document.get("format") != name:
+        raise DocumentError(f'header must declare "format": "{name}"')
+    if document.get("version") != FORMAT_VERSION:
+        raise DocumentError(f"unsupported version {quoted(document.get('version'))}")
+
+
 def load_drawing(document) -> Drawing:
     """Build a Drawing from a parsed interchange document (a dict)."""
     if not isinstance(document, dict):
         raise DocumentError("document must be an object")
-    if document.get("format") != FORMAT_NAME:
-        raise DocumentError(f'header must declare "format": "{FORMAT_NAME}"')
-    if document.get("version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported version {quoted(document.get('version'))}")
+    _check_header(document, FORMAT_NAME)
     mode = document.get("mode")
     if mode not in ("geometric", "combinatorial"):
         raise DocumentError(f"unknown mode {quoted(mode)}")
@@ -345,10 +351,7 @@ def certificate_to_document(cert, drawing_sha256=None) -> dict:
 def certificate_from_document(document):
     """Parse a certificate document; returns (certificate, drawing_sha256)."""
     _require(isinstance(document, dict), "certificate must be an object")
-    _require(document.get("format") == CERT_FORMAT_NAME,
-             f'header must declare "format": "{CERT_FORMAT_NAME}"')
-    _require(document.get("version") == FORMAT_VERSION,
-             f"unsupported version {quoted(document.get('version'))}")
+    _check_header(document, CERT_FORMAT_NAME)
     kind = document.get("kind")
     _require(kind in ("seq-shell", "bishell"), f"unknown certificate kind {quoted(kind)}")
     face = document.get("face")
@@ -360,18 +363,17 @@ def certificate_from_document(document):
              f'"a" must list k+1 = {quoted(k + 1)} vertex ids')
     digest = document.get("drawing_sha256")
     _require(digest is None or isinstance(digest, str), "bad drawing_sha256")
-    allowed = {"format", "version", "kind", "face", "k", "a", "drawing_sha256"}
     if kind == "seq-shell":
         seqs = document.get("S")
         _require(isinstance(seqs, list) and len(seqs) == k + 1
                  and all(isinstance(s, list) and all(_is_int(x) for x in s) for s in seqs),
                  '"S" must list one vertex sequence per a-vertex')
-        extra = set(document) - allowed - {"S"}
-        _require(not extra, f"unknown keys {quoted(sorted(extra))}")
-        return SeqShellCertificate(face, tuple(a), tuple(tuple(s) for s in seqs)), digest
-    b = document.get("b")
-    _require(isinstance(b, list) and len(b) == k + 1 and all(_is_int(x) for x in b),
-             f'"b" must list k+1 = {quoted(k + 1)} vertex ids')
-    extra = set(document) - allowed - {"b"}
+        cert, own = SeqShellCertificate(face, tuple(a), tuple(tuple(s) for s in seqs)), "S"
+    else:
+        b = document.get("b")
+        _require(isinstance(b, list) and len(b) == k + 1 and all(_is_int(x) for x in b),
+                 f'"b" must list k+1 = {quoted(k + 1)} vertex ids')
+        cert, own = BishellCertificate(face, tuple(a), tuple(b)), "b"
+    extra = set(document) - {"format", "version", "kind", "face", "k", "a", "drawing_sha256", own}
     _require(not extra, f"unknown keys {quoted(sorted(extra))}")
-    return BishellCertificate(face, tuple(a), tuple(b)), digest
+    return cert, digest

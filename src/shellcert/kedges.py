@@ -51,6 +51,17 @@ witness mask, made for that one read, that drops bit v from every field
 and the fields of the edges at v. Invariant edges, the deletion
 recursion and the sides of an edge closed through F are all read off
 the parent's labelling; no subdrawing is built.
+
+The same words tell which triangles separate a vertex from a face. A
+face's separation word reads every field as _right_of reads one: fields
+whose own label bit is set get their witnesses complemented, all at
+once, by n - 1 AND and shift steps that gather those bits and one
+product that fills their fields. A vertex w lies on the side of every
+triangle not through it that its corner faces lie on, so the XOR of the
+separation words of F and of the face left of w's first dart, less w's
+deletion mask (witness bit w in every field, and the fields of the
+edges at w), marks exactly the triangles that avoid w and separate it
+from F (separating_triangles). The bishellability search reads these.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, tee
 from math import comb
 from operator import ge
 from typing import NamedTuple
@@ -257,6 +268,72 @@ def _right_of(lab: _Labelling, word: int, u: int, v: int) -> int:
     return right ^ mask if field >> j & 1 != (u > v) else right
 
 
+def _deletion_mask(lab: _Labelling, x: int) -> int:
+    """The triangles through v_x, in the packed layout: witness bit x in
+    every field, and the low n bits of the field of every edge at v_x."""
+    ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
+    return (ones << x) | lab.spread[x] * ((1 << len(lab.index)) - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Separations:
+    """Which triangles separate each vertex from a face, read off the
+    drawing's labelling; vertices are numbered by position.
+
+    A face's separation word is its packed word with every field read as
+    _right_of reads it: the field of v_i v_j, i < j, holds at bit w
+    whether the face lies right of v_i -> v_j -> v_w. highs[j - 1] has a
+    1 at the low bit of the field of every edge v_i v_j, i < j, which
+    picks the label's own bit j of that field. corners[x] is the
+    separation word of the face left of v_x's first dart,
+    face_of[offset[x]], and deletions[x] the triangles through v_x
+    (_deletion_mask, witness bits only).
+    """
+
+    highs: tuple
+    corners: tuple
+    deletions: tuple
+
+
+def _separation_word(lab: _Labelling, highs, word: int) -> int:
+    """The separation word of the face of the packed word: in n - 1 steps
+    each field's own label bit goes to its low bit, and one product fills
+    every field whose bit is set, so that XOR complements its witnesses."""
+    own = 0
+    for j, high in enumerate(highs, 1):
+        own |= word >> j & high
+    return (word ^ own * ((1 << len(lab.index)) - 1)) & lab.witness
+
+
+@per_drawing
+def _separations(drawing: Drawing) -> _Separations:
+    lab = _labelling(drawing)
+    faces = trace_faces(drawing)
+    highs, above = [], 0
+    for spread in reversed(lab.spread[1:]):
+        highs.append(spread & ~above)
+        above |= spread
+    highs.reverse()
+    corners = _face_words(lab, [faces.face_of[faces.offset[v]] for v in drawing.vertices])
+    return _Separations(tuple(highs),
+                        tuple(_separation_word(lab, highs, word) for word in corners),
+                        tuple(_deletion_mask(lab, x) & lab.witness for x in range(drawing.n)))
+
+
+def separating_triangles(drawing: Drawing, face_ids):
+    """(face, rows) for each face id in turn, each id taken only when its
+    pair is asked for, every word from one _face_words call. rows[x] is
+    (sep, deletion) for the vertex v_x at position x: sep marks the
+    triangles that avoid v_x and separate it from the face, deletion the
+    triangles through v_x. The caller has checked the ids (check_face)."""
+    lab, seps = _labelling(drawing), _separations(drawing)
+    faces, ids = tee(face_ids)
+    for face, word in zip(faces, _face_words(lab, ids)):
+        word = _separation_word(lab, seps.highs, word)
+        yield face, [((word ^ corner) & ~deletion, deletion)
+                     for corner, deletion in zip(seps.corners, seps.deletions)]
+
+
 def triangle_orientation(drawing: Drawing, ref_face: int, edge,
                          witness: int) -> Orientation:
     """Orientation of the triangle formed by the directed edge and the witness.
@@ -312,9 +389,7 @@ def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) ->
     """
     mask, fold = lab.witness, lab.fold
     if deleted is not None:
-        # v_deleted is no witness, and its edges are gone
-        ones = ((1 << len(lab.edges) * lab.width) - 1) // ((1 << lab.width) - 1)
-        mask &= ~((ones << deleted) | lab.spread[deleted] * ((1 << n) - 1))
+        mask &= ~_deletion_mask(lab, deleted)
         fold = _fold(n - 3)
     values = _count_witnesses(lab, word & mask, fold)
     return {e: k for (e, (i, j, _, _)), k in zip(lab.edges.items(), values)

@@ -22,13 +22,15 @@ lies in the region, since a corner of w in the subdrawing is the union of
 the root corners it covers. The rule needs no special case for tails of
 three or fewer vertices, where every vertex left bounds every face.
 
-A search state is (region, deleted): the set of face ids of region(F,
-S) and a bitmask of S. region(F, S + {u}) grows from region(F, S) by a
-flood that walks face boundaries: it crosses each segment of u's edges
-that has one side in the region, then walks the boundary of each face
-entered and crosses each dart whose edge ends at a vertex of S + {u}.
-The floods read one index per drawing, _Regions, built in one pass over
-the drawing's chain_darts and kept through drawing.per_drawing.
+The seq searches step through regions, with the state (region,
+deleted): the set of face ids of region(F, S) and a bitmask of S.
+region(F, S + {u}) grows from region(F, S) by a flood that walks face
+boundaries: it crosses each segment of u's edges that has one side in
+the region, then walks the boundary of each face entered and crosses
+each dart whose edge ends at a vertex of S + {u}. The floods read one
+index per drawing, _Regions, built in one pass over the drawing's
+chain_darts and kept through drawing.per_drawing. The bishellability
+search floods nothing; it reads separation masks (below).
 
 Both verifiers check every deletion sequence of a certificate (the
 a-sequence, each simple sequence, both bishellability sequences) with
@@ -54,40 +56,60 @@ most n (k + 1)^2 region steps per face and never backtracks.
 The bishellability search still backtracks: moving a vertex that both
 sequences use to the front of one of them can break a_i != b_j for
 i + j <= s, since that constraint depends on positions, not sets, so the
-exchange lemma does not apply there. Three exact facts cut its work.
+exchange lemma does not apply there. Two exact facts cut its work, and
+separation masks make each of its steps a few integer operations.
 
-Face lemma: a search reads its reference face F only through F's row of
-face_vertex_table. At the root the candidates are exactly those
-vertices. Once a vertex x on F is deleted, the region is what the flood
-across segments of x's edges reaches from any corner of x, whichever
-corner F was: consecutive corners of x lie on either side of the first
-segment of an edge at x. So faces with equal rows get
-equal searches, and a face with fewer than two vertices has no
-certificate of either kind. The whole-drawing deciders search each row
-once and skip later faces whose row already failed.
+Face lemma: the certificates of a reference face F depend on F only
+through F's row of face_vertex_table. At the root the candidates are
+exactly those vertices. Once a vertex x on F is deleted, the region is
+what the flood across segments of x's edges reaches from any corner of
+x, whichever corner F was: consecutive corners of x lie on either side
+of the first segment of an edge at x. So faces with equal rows have
+equal certificates, and a face with fewer than two vertices has no
+certificate of either kind. Both searches return a face's first
+certificate or None, so the whole-drawing deciders search each row once
+and skip later faces whose row already failed.
 
 Symmetry: (a, b) and (b, a) are certificates together, since the
 constraint is symmetric in i and j, and a_0 != b_0. The search emits the
 lexicographically first interleaved word (a_0, b_0, a_1, ...), which
 therefore has a_0 < b_0, so b_0 is only tried above a_0.
 
-Lazy flood: each sequence carries its state from before its last
-deletion and floods that deletion only on its next turn, so a vertex
-whose partner finds no candidate, and the last vertex of each sequence,
-are never flooded. With these three, under 1% of floods repeat an
-earlier (region, S + {u}) of the same decide, so floods are not
-memoized.
+Separation masks: for each vertex w, kedges.separating_triangles marks
+the triangles that avoid w and separate w from F (sep) and the
+triangles through w (its deletion mask), both read off the labelling
+that k-values use. The search state is (gone, deleted): the OR of the
+deletion masks of S and the bitmask of S. It admits w outside S iff
+every triangle that separates w from F has lost a vertex, sep & gone ==
+sep. Every vertex that bounds the face containing F is admitted: a
+triangle with no vertex in S + {w} survives in the drawing without S as
+a simple closed curve, since adjacent edges never cross in a good
+drawing, and if it separates w from F, w and the face containing F lie
+on its two sides. The converse, that w bounds that face when no
+surviving triangle separates them, is checked, not proved:
+TestSeparationMasks in tests/test_shellability.py compares the masks
+with the floods and with child drawings along every certificate of the
+acceptance corpora and on random deletions in 2-page drawings up to 24
+vertices, and they have always agreed. So the search tree holds every
+certificate, and more only if the converse fails; a full pair of
+sequences is accepted only if verify_bishell_certificate, which floods,
+passes, and is skipped otherwise. The first leaf that verifies is the
+first certificate, and a search that verifies none proves that there is
+none. Only the check of a leaf floods; the search needs a good drawing,
+as the labelling does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .drawing import (Drawing, check_face, check_level, check_vertex, face_vertex_table,
-                      is_vertex, per_drawing, trace_faces, vertices_on_face)
+from .drawing import (Drawing, check_face, check_good, check_level, check_vertex,
+                      face_vertex_table, is_vertex, per_drawing, trace_faces, vertices_on_face)
 # perfbench/layertrace.py wraps this name in this module by name
 from .drawing import child_drawing  # noqa: F401
 from .errors import CertificateMismatchError, ShellcertError, quoted
+from .kedges import separating_triangles
 
 
 @dataclass(frozen=True)
@@ -295,14 +317,20 @@ def decide_seq_shellable(drawing: Drawing, k: int,
     shows is a complete search. The returned certificate always verifies.
     """
     check_level("k", k, drawing.n - 2)
+    regions = _regions(drawing)
 
-    def search(regions, face):
-        found = _seq_search(regions, regions.start(face), k)
-        if found is not None:
-            return SeqShellCertificate(face, *found)
-        return None
+    def search(faces):
+        for face in faces:
+            found = _seq_search(regions, regions.start(face), k)
+            yield found and SeqShellCertificate(face, *found)
 
-    return _first_certificate(drawing, face_filter, search, verify_seq_certificate)
+    cert = _first_certificate(drawing, face_filter, search)
+    if cert is not None:
+        result = verify_seq_certificate(drawing, cert)
+        if not result:
+            raise ShellcertError(
+                f"internal error: emitted certificate failed: {result.violations}")
+    return cert
 
 
 def _seq_search(regions, state, k):
@@ -325,6 +353,17 @@ def _seq_search(regions, state, k):
 
 # -- bishellability --------------------------------------------------------
 
+class _BishellFace(NamedTuple):
+    """What a bishellability search on one reference face reads: rows
+    lists (w, bit, sep, deletion) for every vertex w, ascending, with sep
+    and deletion its masks from kedges.separating_triangles."""
+
+    drawing: Drawing
+    face: int
+    s: int
+    rows: list
+
+
 def decide_bishellable(drawing: Drawing, s: int,
                        face_filter: int | None = None) -> BishellCertificate | None:
     """Complete search for an s-bishellability certificate.
@@ -334,72 +373,72 @@ def decide_bishellable(drawing: Drawing, s: int,
     are explored interleaved (a_0, b_0, a_1, ...) and the first
     certificate found is returned, so it is the lexicographically first
     word and has a_0 < b_0; the disjointness constraint a_i != b_j for
-    i + j <= s prunes choices as soon as they are placed. See the module
-    docstring for why the row, the symmetry and the lazy flood keep the
-    search complete. The returned certificate always verifies.
+    i + j <= s prunes choices as soon as they are placed. The search
+    reads the drawing's labelling, so the drawing must be good
+    (ValueError otherwise, by check_good). See the module docstring for
+    why the row, the symmetry and the separation masks keep the search
+    complete. The returned certificate always verifies.
     """
     check_level("s", s, drawing.n - 2)
+    check_good(drawing, "decide bishellability")
 
-    def search(regions, face):
-        start = regions.start(face)
-        found = _bishell_search(regions, start, start, s, (), ())
-        if found is not None:
-            return BishellCertificate(face, *found)
-        return None
+    def search(faces):
+        for face, rows in separating_triangles(drawing, faces):
+            rows = [(w, 1 << x, *masks)
+                    for x, (w, masks) in enumerate(zip(drawing.vertices, rows))]
+            yield _bishell_search(_BishellFace(drawing, face, s, rows), (0, 0), (0, 0), (), ())
 
-    return _first_certificate(drawing, face_filter, search, verify_bishell_certificate)
+    return _first_certificate(drawing, face_filter, search)
 
 
-def _bishell_search(regions, state, other_state, s, seq, other_seq):
+def _bishell_search(at, state, other_state, seq, other_seq):
     """One turn: place the next vertex of ``seq``, then hand the turn to
     the other sequence. The a-sequence moves first, so the turn is back
-    with it, and the pair reads (a, b), once both sequences are full.
-    ``state`` is ``seq``'s state before its last deletion: that deletion
-    is flooded only now, on its next turn."""
+    with it, and the pair reads (a, b), once both sequences are full; that
+    leaf is the certificate if verify_bishell_certificate passes, and is
+    skipped otherwise. A state is (gone, deleted) after every deletion of
+    its sequence: the OR of their deletion masks, and their bits."""
     i = len(seq)
-    if i == s + 1:
-        return seq, other_seq
-    if seq:
-        state = regions.advance(state, seq[-1])
-    candidates = regions.candidates(state)
-    if not seq and other_seq:
-        # b_0: the first certificate has a_0 < b_0, as its swap (b, a) is one too
-        candidates = [x for x in candidates if x > other_seq[0]]
-    forbidden = set(other_seq[: s - i + 1])
-    for x in candidates:
-        if x in forbidden:
+    if i == at.s + 1:
+        cert = BishellCertificate(at.face, seq, other_seq)
+        return cert if verify_bishell_certificate(at.drawing, cert) else None
+    gone, deleted = state
+    # b_0: the first certificate has a_0 < b_0, as its swap (b, a) is one too
+    low = other_seq[0] if other_seq and not seq else None
+    forbidden = set(other_seq[: at.s - i + 1])
+    for w, bit, sep, deletion in at.rows:
+        if (deleted & bit or sep & gone != sep or w in forbidden
+                or low is not None and w <= low):
             continue
-        found = _bishell_search(regions, other_state, state, s, other_seq, seq + (x,))
+        found = _bishell_search(at, other_state, (gone | deletion, deleted | bit),
+                                other_seq, seq + (w,))
         if found is not None:
             return found
     return None
 
 
-def _first_certificate(drawing, face_filter, search, verify):
-    """The certificate ``search(regions, face)`` finds on the first of the
-    selected faces (all, ascending, or only ``face_filter``) that has one,
-    checked by ``verify``; None if no face has one.
+def _first_certificate(drawing, face_filter, search):
+    """The first certificate that ``search`` finds on the selected faces
+    (all, ascending, or only ``face_filter``); None if no face has one.
 
-    A search reads its face only through the face's row of
-    face_vertex_table (the face lemma in the module docstring), so a face
-    whose row already failed is skipped."""
-    regions = _regions(drawing)
+    ``search`` takes an iterator over the faces to search and yields, for
+    each face it takes, that face's first certificate or None. A face's
+    certificates depend on it only through its row of face_vertex_table
+    (the face lemma in the module docstring), so a face whose row already
+    failed is never handed out."""
     selected = (trace_faces(drawing).face_ids() if face_filter is None
                 else (check_face(drawing, face_filter),))
     table, failed = face_vertex_table(drawing), set()
-    for face in selected:
-        row = tuple(table[face])
-        if row in failed:
-            continue
-        cert = search(regions, face)
-        if cert is not None:
-            result = verify(drawing, cert)
-            if not result:
-                raise ShellcertError(
-                    f"internal error: emitted certificate failed: {result.violations}")
-            return cert
-        failed.add(row)
-    return None
+
+    def faces():
+        for face in selected:
+            row = tuple(table[face])
+            if row not in failed:
+                yield face
+                # asked for the next face: this one had no certificate
+                failed.add(row)
+
+    return next(filter(None, search(faces())), None)
 
 
 # -- verification ----------------------------------------------------------

@@ -14,8 +14,9 @@ the turn the crossing test records, rotations by one angle comparison per
 crossing of pieces found along the segment paths, a Fraction ray caster
 instead of the winding numbers of point location, closed-form integer formulas, plain
 exhaustive enumeration of the shellability definitions instead of the
-greedy deciders, region tables for every vertex at once instead of
-one vertex's on its first deletion, a goodness listing that sorts
+greedy deciders, one triangle side at a time through _right_of instead
+of the packed separation masks of the bishell search, region tables
+for every vertex at once instead of one vertex's on its first deletion, a goodness listing that sorts
 every crossing's pair instead of counting the pairs, and the
 combinatorial loader that built every set and traced faces by a
 predecessor map instead of the counting loader and the tracer over
@@ -33,6 +34,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
+from shellcert import kedges
 from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
                                vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
@@ -820,6 +822,31 @@ def surviving_face_vertices(drawing, face, deletions):
     if d.n == 3:
         return d.vertex_set
     return vertices_on_face(d, f)
+
+
+def bounds_region(drawing, face, deletions):
+    """The vertices outside the deletions that the triangle criterion
+    admits for the face containing `face` once the deletions are gone: w
+    is admitted iff no triangle uvx with u, v and x outside the deletions
+    and other than w has w and the face on different sides. Each triangle
+    is tested on its own through kedges._right_of; w's side is that of the
+    face left of its first dart, and every word comes from one
+    kedges._face_words call."""
+    lab = kedges._labelling(drawing)
+    faces = trace_faces(drawing)
+    corners = [faces.face_of[faces.offset[w]] for w in drawing.vertices]
+    word, *corner_words = kedges._face_words(lab, [face, *corners])
+    left = [v for v in drawing.vertices if v not in deletions]
+    face_side = {(u, v): kedges._right_of(lab, word, u, v) for u, v in combinations(left, 2)}
+    admitted = set()
+    for w, corner in zip(drawing.vertices, corner_words):
+        if w in deletions:
+            continue
+        others = [v for v in left if v != w]
+        if not any((face_side[u, v] ^ kedges._right_of(lab, corner, u, v)) >> lab.index[x] & 1
+                   for u, v in combinations(others, 2) for x in others if x not in (u, v)):
+            admitted.add(w)
+    return admitted
 
 
 def merged_faces(drawing, face, deletions):

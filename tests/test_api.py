@@ -160,7 +160,10 @@ NOT_GOOD_ENTRIES = {
     "recursion_check": lambda d: shellcert.recursion_check(d, 0, 0, 0),
     "cumulative_bound_check": lambda d: shellcert.cumulative_bound_check(d, 0, 0),
     "edge_side_partition": lambda d: shellcert.edge_side_partition(d, 0, 0, 1),
+    "decide_bishellable": lambda d: shellcert.decide_bishellable(d, 0, 0),
 }
+# what an entry says it cannot do, where that is not to compute k-values
+NOT_GOOD_ACTIONS = {"decide_bishellable": "decide bishellability"}
 
 
 @pytest.mark.parametrize("entry", NOT_GOOD_ENTRIES)
@@ -173,7 +176,8 @@ def test_a_drawing_that_is_not_good_has_no_k_values(entry, doc, violation):
     with pytest.raises(ValueError) as info:
         NOT_GOOD_ENTRIES[entry](d)
     assert type(info.value) is ValueError
-    assert str(info.value) == f"cannot compute k-values of a drawing that is not good: {violation}"
+    action = NOT_GOOD_ACTIONS.get(entry, "compute k-values")
+    assert str(info.value) == f"cannot {action} of a drawing that is not good: {violation}"
 
 
 # entry -> call that deletes vertex 0, or reads k-values across its
@@ -253,13 +257,18 @@ def test_bishell_to_seq_takes_a_bishell_certificate():
 def _raise_sites():
     """(exception class, message template, file:line) of every raise in
     the package of a call whose first argument is a string literal or an
-    f-string, each f-string field read as {}."""
+    f-string, each f-string field read as {}. A call _require(cond, msg),
+    which raises DocumentError(msg) unless cond holds, is such a raise."""
     for path in sorted((Path(shellcert.__file__).parent).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and node.exc.args):
+                cls, message = ast.unparse(node.exc.func), node.exc.args[0]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_require" and len(node.args) == 2):
+                cls, message = "DocumentError", node.args[1]
+            else:
                 continue
-            message = node.exc.args[0]
             if isinstance(message, ast.JoinedStr):
                 template = "".join(part.value if isinstance(part, ast.Constant) else "{}"
                                    for part in message.values)
@@ -267,7 +276,7 @@ def _raise_sites():
                 template = message.value
             else:
                 continue
-            yield ast.unparse(node.exc.func), template, f"{path.name}:{node.lineno}"
+            yield cls, template, f"{path.name}:{node.lineno}"
 
 
 def test_each_message_is_raised_at_one_site():

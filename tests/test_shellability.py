@@ -9,8 +9,8 @@ from math import comb
 
 import pytest
 
-from corpus import convex, cylindrical, rectilinear, sample_faces
-from oracles import (merged_faces, naive_bishellable, naive_seq_shellable,
+from corpus import convex, cylindrical, rectilinear, sample_faces, two_page_drawing
+from oracles import (bounds_region, merged_faces, naive_bishellable, naive_seq_shellable,
                      smallest_simple_sequence, surviving_face_vertices)
 from shellcert import drawing as drawing_module
 from shellcert import shellability
@@ -19,10 +19,10 @@ from shellcert.drawing import (Drawing, child_drawing, face_vertex_table, trace_
                                vertices_on_face)
 from shellcert.errors import CertificateMismatchError, ShellcertError
 from shellcert.generators import convex_document
-from shellcert.kedges import invariant_edges
+from shellcert.kedges import invariant_edges, separating_triangles
 from shellcert.planarize import outer_face
 from shellcert.shellability import (BishellCertificate, SeqShellCertificate,
-                                    bishell_to_seq, decide_bishellable,
+                                    VerificationResult, bishell_to_seq, decide_bishellable,
                                     decide_seq_shellable, find_simple_sequence,
                                     verify_bishell_certificate,
                                     verify_seq_certificate)
@@ -135,6 +135,97 @@ class TestRegions:
             assert find_simple_sequence(d, cert.face, owner,
                                         k + 1).vertices == cert.sequences[0]
         assert decide_bishellable(cylindrical(10), 4) is None
+
+
+def mask_candidates(drawing, rows, deletions):
+    """The vertices outside the deletions that the separation masks of
+    one face (kedges.separating_triangles) admit, as the bishell search
+    tests them: every triangle that separates w from the face has lost a
+    vertex."""
+    gone = 0
+    for x, v in enumerate(drawing.vertices):
+        if v in deletions:
+            gone |= rows[x][1]
+    return {w for w, (sep, _) in zip(drawing.vertices, rows)
+            if w not in deletions and sep & gone == sep}
+
+
+def region_candidates(regions, face, deletions):
+    state = regions.start(face)
+    for v in deletions:
+        state = regions.advance(state, v)
+    return set(regions.candidates(state))
+
+
+def certificate_deletions(cert):
+    """Every deletion set along a certificate: each prefix of each
+    sequence a verifier walks, the whole sequence included."""
+    if isinstance(cert, BishellCertificate):
+        walks = (cert.a_sequence, cert.b_sequence)
+    else:
+        walks = [cert.vertices] + [cert.vertices[:i] + seq for i, seq in enumerate(cert.sequences)]
+    return {walk[:j] for walk in walks for j in range(len(walk) + 1)}
+
+
+class TestSeparationMasks:
+    """The bishell search admits a vertex w after deleting S iff every
+    triangle that separates w from the reference face has a vertex in S.
+    The masks must give the triangle criterion exactly (oracles.
+    bounds_region), and the criterion must admit every vertex that bounds
+    the region, which the floods and the child drawings give."""
+
+    def test_along_every_certificate_of_the_acceptance_corpora(self):
+        # the acceptance corpora (tests/test_acceptance.py), at every level
+        corpus = ([rectilinear(n, seed) for n in (5, 6, 7) for seed in range(100)]
+                  + [convex(n) for n in range(5, 11)] + [cylindrical(n) for n in (6, 8, 10)])
+        checked = equal = 0
+        for d in corpus:
+            regions = shellability._regions(d)
+            for level in range(d.n - 1):
+                for cert in (decide_seq_shellable(d, level), decide_bishellable(d, level)):
+                    if cert is None:
+                        continue
+                    (_, rows), = separating_triangles(d, (cert.face,))
+                    for deletions in certificate_deletions(cert):
+                        got = mask_candidates(d, rows, deletions)
+                        assert got == bounds_region(d, cert.face, deletions), \
+                            (d.n, cert, deletions)
+                        flooded = region_candidates(regions, cert.face, deletions)
+                        assert got >= flooded, (d.n, cert, deletions)
+                        checked += 1
+                        equal += got == flooded
+        assert (checked, equal) == (29438, 29438)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+    def test_random_queries_on_two_page_drawings(self, n):
+        rng = random.Random(1400 + n)
+        checked = equal = 0
+        for _ in range(3):
+            d = two_page_drawing(n, "".join(rng.choice("01") for _ in range(comb(n, 2))))
+            regions = shellability._regions(d)
+            faces = [rng.randrange(trace_faces(d).face_count()) for _ in range(8)]
+            for face, rows in separating_triangles(d, faces):
+                for size in rng.sample(range(n - 1), 4):
+                    deletions = tuple(rng.sample(d.vertices, size))
+                    got = mask_candidates(d, rows, deletions)
+                    assert got == bounds_region(d, face, deletions), (n, face, deletions)
+                    flooded = region_candidates(regions, face, deletions)
+                    assert got >= flooded, (n, face, deletions)
+                    checked += 1
+                    equal += got == flooded
+        assert (checked, equal) == (96, 96)
+
+    def test_agrees_with_child_drawings_up_to_9_vertices(self):
+        rng = random.Random(1409)
+        drawings = [family(n) for n in range(5, 10) for family in (convex, cylindrical)]
+        drawings += [rectilinear(n, seed) for n in range(5, 10) for seed in (1, 2)]
+        for d in drawings:
+            faces = [rng.randrange(trace_faces(d).face_count()) for _ in range(24)]
+            for face, rows in separating_triangles(d, faces):
+                deletions = tuple(rng.sample(d.vertices, rng.randrange(d.n + 1)))
+                want = surviving_face_vertices(d, face, deletions)
+                assert mask_candidates(d, rows, deletions) == want, (d.n, face, deletions)
+                assert bounds_region(d, face, deletions) == want, (d.n, face, deletions)
 
 
 class TestFindSimpleSequence:
@@ -480,9 +571,11 @@ class TestGreedySearches:
                 assert decide(d, level) == first, (decide.__name__, level)
 
     # machine-independent effort of a negative decide that searches each
-    # face vertex row once, floods lazily and tries b_0 only above a_0;
-    # searching every face with eager floods took 578 and 912 calls
-    @pytest.mark.parametrize("n,searches,advances", [(12, 121, 60), (14, 155, 84)])
+    # face vertex row once and tries b_0 only above a_0; searching every
+    # face with eager floods took 578 and 912 calls. The search tests its
+    # candidates with separation masks and floods nothing: a lazy flood
+    # took 60 and 84 region advances here
+    @pytest.mark.parametrize("n,searches,advances", [(12, 121, 0), (14, 155, 0)])
     def test_bishell_negative_effort_pinned(self, monkeypatch, n, searches, advances):
         calls = {"search": 0, "advance": 0}
         search, advance = shellability._bishell_search, shellability._Regions.advance
@@ -614,23 +707,23 @@ class TestVerifiers:
 
 
 class TestSelfCheck:
-    """A decider verifies the certificate it emits: one that fails is an
-    internal error (exit 2), never an answer (exit 0) or a "none" (exit 1)."""
+    """A decider verifies the certificate it emits. The seq decider's
+    certificate that fails is an internal error (exit 2), never an answer
+    (exit 0) or a "none" (exit 1). The bishell search only proposes
+    certificates, from separation masks, and emits the first one that
+    verifies."""
 
     FAULTY = {
         "seq": ("_seq_search", ((0,), ((0,),)), "S_0 contains its owner 0"),
-        "bishell": ("_bishell_search", ((0,), (0,)),
-                    "disjointness fails: a_0 = b_0 = 0 with i + j <= s"),
     }
 
-    @pytest.mark.parametrize("mode", ["seq", "bishell"])
+    @pytest.mark.parametrize("mode", ["seq"])
     def test_a_search_that_emits_a_failing_certificate(self, monkeypatch, tmp_path,
                                                        capsys, mode):
         name, found, violation = self.FAULTY[mode]
         monkeypatch.setattr(shellability, name, lambda *args: found)
-        decide = decide_seq_shellable if mode == "seq" else decide_bishellable
         with pytest.raises(ShellcertError) as info:
-            decide(convex(6), 0)
+            decide_seq_shellable(convex(6), 0)
         assert str(info.value).startswith("internal error: emitted certificate failed: ")
         assert violation in str(info.value)
 
@@ -643,6 +736,29 @@ class TestSelfCheck:
         assert err.startswith("error: internal error: emitted certificate failed: ")
         assert violation in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("family,n,s", [("convex", 6, 0), ("convex", 8, 2),
+                                            ("cylindrical", 9, 2), ("rectilinear", 7, 1)])
+    def test_a_bishell_leaf_that_fails_to_verify_is_skipped(self, monkeypatch, family, n, s):
+        d = family_drawing(family, n, 1 if family == "rectilinear" else None)
+        first = decide_bishellable(d, s)
+        assert first is not None
+        verify, asked = shellability.verify_bishell_certificate, []
+
+        def refuse_the_first(drawing, cert):
+            asked.append(cert)
+            return VerificationResult(False, ("refused",)) if len(asked) == 1 \
+                else verify(drawing, cert)
+
+        monkeypatch.setattr(shellability, "verify_bishell_certificate", refuse_the_first)
+        second = decide_bishellable(d, s)
+        # the refused leaf was the certificate; the next leaf is returned
+        # and checked by the real verifier, and it sorts after the first
+        assert asked[0] == first and asked[-1] == second
+        assert second is not None and verify(d, second)
+        word = [x for pair in zip(first.a_sequence, first.b_sequence) for x in pair]
+        later = [x for pair in zip(second.a_sequence, second.b_sequence) for x in pair]
+        assert (first.face, word) < (second.face, later)
 
 
 class TestTransform:
