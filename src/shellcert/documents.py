@@ -236,7 +236,7 @@ def drawing_to_document(drawing: Drawing, mode: str) -> dict:
         # the vertex positions alone, so no crossing Fraction is built
         return geometric_document(drawing.n, geo._positions, geo.polylines)
     if mode != "combinatorial":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {quoted(mode)}")
     head = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
             "mode": mode, "n": drawing.n, "rotation_order": "ccw"}
     nodes = [{"id": v, "kind": "vertex"} for v in drawing.vertices]

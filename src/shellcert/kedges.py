@@ -8,38 +8,45 @@ The k-value of uv is min(i, n-2-i) where i counts the + witnesses.
 
 Side classification is purely combinatorial and rests on one parity
 labelling per drawing. A breadth-first sweep over face adjacencies, from
-face 0, gives every face f a bitmask P[f] with one bit per edge; stepping
-across a segment of edge e toggles bit e. Two faces lie on the same side
-of a closed curve iff their labels differ on the curve's edges in an even
+face 0, reaches every other face f across a segment of some edge; the
+label of f would hold, for every edge, the parity of its segments crossed
+on the sweep's path from face 0 to f. Two faces lie on the same side of a
+closed curve iff their labels differ on the curve's edges in an even
 number of bits. The labels depend on the sweep only up to vertex stars
 (the set of edges at one vertex), and a triangle's three edges meet every
-star in an even number of edges, so the parity of P[F] on a triangle is
-well defined. Face F is left of u -> v -> w iff that parity equals the
-parity of a face known to lie left of the traversal. k-values are
-defined on good drawings only, and the labelling refuses any other
-drawing; in a good one the face left of the first segment of the edge
-uv, its seed, lies left of u -> v -> w for every w, so one seed per
-edge gives the parities of all its triangles.
+star in an even number of edges, so the parity of a face's label on a
+triangle is well defined. Face F is left of u -> v -> w iff that parity
+equals the parity of a face known to lie left of the traversal, which
+is the triangle's constant. k-values are defined on good drawings only,
+and the labelling refuses any other drawing; in a good one the face left
+of the first segment of the edge uv, its seed, lies left of u -> v -> w
+for every w, so one seed per edge gives the constants of all its
+triangles.
 
-A profile reads one packed word of F. The labelling lays out one bit
-field per edge, in edge order, W bits wide with W a power of two of at
-least max(8, n). The field of v_i v_j holds the edge's triangle constants
-XORed with rows i and j of P[F] (row i is bits i*n .. i*n+n-1): the
-witnesses of v_i v_j, all complemented iff its bit j, the label's own bit
-of the edge, is set. Every read forms the word by walking the sweep: face
-0's word is the packed triangle constants, and crossing the edge v_i v_j
-flips bit j in the fields of the edges at v_i and bit i in those at v_j,
-so any other face's word is the word of the face the sweep reached it
-from with one XOR; no label is kept. From the word on, masking and a SWAR
-bit count (neighbouring lanes of 1, 2, 4, ... bits added, each sum masked
-to its lane) turn every field into its witness count at once, and one
-to_bytes reads all counts back. k-values are read for drawings on at
-most 257 vertices, so every count fits in a byte: each K_12 in a good
-K_258 has at least cr(K_12) = 150 crossings, so the K_258 has at least
-150 * C(258, 4) / C(12, 4), over 54 million, far more than memory holds.
-A slice takes the low byte of each field and one bytes.translate
-through a 256-entry table maps each count m to min(m, n-2-m), so a
-profile's level counts are bytes.count calls.
+No label is kept, and none is built: every face is read as one packed
+word. The labelling lays out one bit field per edge, in edge order, W
+bits wide with W a power of two of at least max(8, n). The field of
+v_i v_j holds at each witness bit w the label bits of v_i v_w and v_j v_w
+XORed with the constant of {v_i, v_j, v_w}, and at bits i and j the
+label's own bit of v_i v_j; so its witnesses are the sides of the face
+on the edge's triangles, all complemented iff its own bit is set. Every
+read forms the word by walking the sweep: face 0's word is the packed
+constants, rel, and crossing the edge v_i v_j flips bit j in the fields
+of the edges at v_i and bit i in those at v_j, so any other face's word
+is its sweep parent's with one XOR. The constants come from the same
+walk: with rel laid out as 0, one walk makes the word of every seed, the
+field of each edge is taken from its seed's word, and one separation
+word (below) complements every field whose own bit is set, which leaves
+in each the seed's parities, the constants. From the word on, masking
+and a SWAR bit count (neighbouring lanes of 1, 2, 4, ... bits added,
+each sum masked to its lane) turn every field into its witness count at
+once, and one to_bytes reads all counts back. k-values are read for
+drawings on at most 257 vertices, so every count fits in a byte: each
+K_12 in a good K_258 has at least cr(K_12) = 150 crossings, so the K_258
+has at least 150 * C(258, 4) / C(12, 4), over 54 million, far more than
+memory holds. A slice takes the low byte of each field and one
+bytes.translate through a 256-entry table maps each count m to min(m,
+n-2-m), so a profile's level counts are bytes.count calls.
 
 Deleting a vertex v is clearing one witness bit. Every triangle curve
 through an edge that survives the deletion survives with it, and the face
@@ -56,7 +63,8 @@ The same words tell which triangles separate a vertex from a face. A
 face's separation word reads every field as _right_of reads one: fields
 whose own label bit is set get their witnesses complemented, all at
 once, by n - 1 AND and shift steps that gather those bits and one
-product that fills their fields. A vertex w lies on the side of every
+product that fills their fields; the labelling keeps the masks of those
+steps (highs). A vertex w lies on the side of every
 triangle not through it that its corner faces lie on, so the XOR of the
 separation words of F and of the face left of w's first dart, less w's
 deletion mask (witness bit w in every field, and the fields of the
@@ -67,7 +75,7 @@ from F (separating_triangles). The bishellability search reads these.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, tee
 from math import comb
@@ -106,26 +114,22 @@ def max_k(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Labelling:
-    """Parity labelling of a drawing, kept as the sweep that made it;
-    vertices are numbered by position.
+    """Parity labelling of a drawing, kept as the sweep that made it and
+    its packed masks; vertices are numbered by position.
 
     Every face f but face 0 was reached from face parent[f] across a
     segment of the edge at position crossed[f] in edge order (both 0 at
-    face 0). The label of f, which holds at bits i*n + j and j*n + i the
-    parity of the segments of the edge {v_i, v_j} crossed on that path,
-    is not kept. edges maps each edge (v_i, v_j), i < j, in edge order to
-    (i, j, rel, mask): rel holds at bit w the parity on the triangle
-    {v_i, v_j, v_w} of every face left of v_i -> v_j -> v_w, and mask
-    selects the n - 2 witnesses.
-
-    The packed layout gives the edge at position p in that order the bits
-    p*width .. p*width + width-1. spread[i] has a 1 at the low bit of the
-    field of every edge at v_i; rel packs the rels and is face 0's word;
-    lanes are the masks of the SWAR bit count (low half of every lane of
-    2, 4, ..., width bits); witness packs the masks; fold maps a witness
-    count 0..n-2 to its k-value (_fold). Nothing changes after
-    construction: a read with a vertex deleted makes its own mask and
-    table.
+    face 0). edges maps each edge (v_i, v_j), i < j, in edge order to
+    (i, j). The packed layout gives the edge at position p in that order
+    the bits p*width .. p*width + width-1. spread[i] has a 1 at the low
+    bit of the field of every edge at v_i, and highs[j - 1] at the low bit
+    of the field of every edge v_i v_j, i < j. rel holds in the field of
+    v_i v_j, at bit w, the constant of the triangle {v_i, v_j, v_w}, and
+    is face 0's word; witness selects the n - 2 witness bits of every
+    field; lanes are the masks of the SWAR bit count (low half of every
+    lane of 2, 4, ..., width bits); fold maps a witness count 0..n-2 to
+    its k-value (_fold). Nothing changes after construction: a read with
+    a vertex deleted makes its own mask and table.
     """
 
     index: dict
@@ -134,92 +138,86 @@ class _Labelling:
     edges: dict
     width: int
     spread: tuple
+    highs: tuple
     rel: int
     lanes: tuple
     witness: int
     fold: bytes
 
 
-def _pack(fields, width: int) -> int:
-    """The ints in fields laid out width bits apart, the first lowest."""
-    size = width // 8
-    return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields), "little")
-
-
 def _build_labelling(drawing: Drawing, faces: FaceSet) -> _Labelling:
     index = {v: i for i, v in enumerate(drawing.vertices)}
-    n = len(index)
     twin, face_of, walks = faces.twin, faces.face_of, faces.walks
-    # position[d]: the position in edge order of the edge of dart d, whose
-    # segment flips the label bits flip[position[d]]; seeds[e]: the indices
-    # of e's ends and its seed, the face left of the first dart of its chain
+    # position[d]: the position in edge order of the edge of dart d;
+    # seeds[p]: the seed of the edge at position p, the face left of the
+    # first dart of its chain
     position = [0] * len(twin)
-    flip = []
-    seeds = {}
+    edges = {}
+    seeds = []
     for p, e in enumerate(drawing.edges()):
-        i, j = index[e[0]], index[e[1]]
-        flip.append((1 << (i * n + j)) | (1 << (j * n + i)))
+        edges[e] = (index[e[0]], index[e[1]])
         darts = drawing.chain_darts[e]
         for d in darts:
             position[d] = position[twin[d]] = p
-        seeds[e] = (i, j, face_of[darts[0]])
+        seeds.append(face_of[darts[0]])
 
     # the dual graph is connected, as the plane graph is: every node lies
     # on a chain, and the chains join every pair of vertices; each face
     # but face 0 records the face it was reached from and the position of
-    # the edge crossed; the labels serve the seeds below and then go
-    bits = [None] * len(walks)
-    bits[0] = 0
-    parent = [0] * len(walks)
+    # the edge crossed
+    parent = [None] * len(walks)
+    parent[0] = 0
     crossed = [0] * len(walks)
     order = [0]
     for f in order:
-        pf = bits[f]
         for d in walks[f]:
             g = face_of[twin[d]]
-            if bits[g] is None:
-                p = position[d]
-                bits[g] = pf ^ flip[p]
+            if parent[g] is None:
                 parent[g] = f
-                crossed[g] = p
+                crossed[g] = position[d]
                 order.append(g)
 
     # The drawing is good, so every triangle is a simple closed curve and
-    # the seed of v_i v_j lies left of v_i -> v_j -> v_w for every w: bit w
-    # of its parity on the triangle {i, j, w} (the label bits of v_i v_w,
-    # v_j v_w and v_i v_j) is the constant of that triangle.
-    full = (1 << n) - 1
-    edges = {}
-    for e, (i, j, seed) in seeds.items():
-        pf = bits[seed]
-        mask = full ^ (1 << i) ^ (1 << j)
-        rel = ((pf >> (i * n)) ^ (pf >> (j * n))) & mask
-        if pf >> (i * n + j) & 1:
-            rel ^= mask
-        edges[e] = (i, j, rel, mask)
-    return _lay_out(index, parent, crossed, edges)
+    # the seed of v_i v_j lies left of v_i -> v_j -> v_w for every w: with
+    # no constants laid out, the field of v_i v_j in its seed's word, read
+    # as a separation word reads it, holds the seed's parity on every
+    # triangle {v_i, v_j, v_w}, which is that triangle's constant.
+    lab = _lay_out(index, parent, crossed, edges)
+    low = (1 << lab.width) - 1
+    gathered = 0
+    for shift, word in zip(range(0, len(seeds) * lab.width, lab.width),
+                           _face_words(lab, seeds)):
+        gathered |= word & (low << shift)
+    return replace(lab, rel=_separation_word(lab, gathered))
 
 
 def _lay_out(index: dict, parent: list, crossed: list, edges: dict) -> _Labelling:
-    """The labelling with its packed masks, for the given sweep and the
-    given edges in order."""
+    """The labelling with its packed masks and no triangle constants (rel
+    0), for the given sweep and the given edges in order."""
     n = len(index)
     fold = _fold(n - 2)
     width = max(8, 1 << (n - 1).bit_length())
     size = width // 8
     rows = [bytearray(len(edges) * size) for _ in range(n)]
-    for p, (i, j, _, _) in enumerate(edges.values()):
+    for p, (i, j) in enumerate(edges.values()):
         rows[i][p * size] = rows[j][p * size] = 1
     spread = [int.from_bytes(row, "little") for row in rows]
+    highs, above = [], 0
+    for row in reversed(spread[1:]):
+        highs.append(row & ~above)
+        above |= row
+    highs.reverse()
     whole = (1 << len(edges) * width) - 1
+    ones = whole // ((1 << width) - 1)
+    # every field's low n bits, less its bits i and j
+    witness = ones * ((1 << n) - 1) ^ sum(row << i for i, row in enumerate(spread))
     lanes = []
     lane = 1
     while lane < width:
         lanes.append(whole // ((1 << 2 * lane) - 1) * ((1 << lane) - 1))
         lane *= 2
-    return _Labelling(index, parent, crossed, edges, width, tuple(spread),
-                      _pack((rel for _, _, rel, _ in edges.values()), width), tuple(lanes),
-                      _pack((m for _, _, _, m in edges.values()), width), fold)
+    return _Labelling(index, parent, crossed, edges, width, tuple(spread), tuple(highs), 0,
+                      tuple(lanes), witness, fold)
 
 
 @per_drawing
@@ -236,7 +234,7 @@ def _face_words(lab: _Labelling, face_ids):
     made once, from the nearest face back along the sweep whose word this
     call has made, and the words go when the call ends."""
     spread, parent, crossed = lab.spread, lab.parent, lab.crossed
-    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
+    ends = list(lab.edges.values())
     words = {0: lab.rel}
     for f in face_ids:
         path = []
@@ -259,9 +257,10 @@ def _face_word(lab: _Labelling, face: int) -> int:
 
 def _right_of(lab: _Labelling, word: int, u: int, v: int) -> int:
     """Bit w set iff the face of the packed word lies right of u -> v -> v_w."""
-    i, j, _, mask = lab.edges[edge_key(u, v)]
+    i, j = lab.edges[edge_key(u, v)]
     # the field of uv, the one field that both spread[i] and spread[j] mark
     field = word >> (lab.spread[i] & lab.spread[j]).bit_length() - 1
+    mask = ((1 << len(lab.index)) - 1) ^ (1 << i) ^ (1 << j)
     # its bit j, the label's own bit of uv, complements every witness, as
     # does reversing the edge
     right = field & mask
@@ -280,27 +279,24 @@ class _Separations:
     """Which triangles separate each vertex from a face, read off the
     drawing's labelling; vertices are numbered by position.
 
-    A face's separation word is its packed word with every field read as
-    _right_of reads it: the field of v_i v_j, i < j, holds at bit w
-    whether the face lies right of v_i -> v_j -> v_w. highs[j - 1] has a
-    1 at the low bit of the field of every edge v_i v_j, i < j, which
-    picks the label's own bit j of that field. corners[x] is the
-    separation word of the face left of v_x's first dart,
-    face_of[offset[x]], and deletions[x] the triangles through v_x
-    (_deletion_mask, witness bits only).
+    corners[x] is the separation word (_separation_word) of the face left
+    of v_x's first dart, face_of[offset[x]], and deletions[x] the
+    triangles through v_x (_deletion_mask, witness bits only).
     """
 
-    highs: tuple
     corners: tuple
     deletions: tuple
 
 
-def _separation_word(lab: _Labelling, highs, word: int) -> int:
-    """The separation word of the face of the packed word: in n - 1 steps
-    each field's own label bit goes to its low bit, and one product fills
-    every field whose bit is set, so that XOR complements its witnesses."""
+def _separation_word(lab: _Labelling, word: int) -> int:
+    """The packed word with every field read as _right_of reads one: the
+    field of v_i v_j, i < j, holds at bit w whether the face of the word
+    lies right of v_i -> v_j -> v_w. In n - 1 steps each field's own label
+    bit j, which highs[j - 1] picks, goes to its low bit, and one product
+    fills every field whose bit is set, so that XOR complements its
+    witnesses."""
     own = 0
-    for j, high in enumerate(highs, 1):
+    for j, high in enumerate(lab.highs, 1):
         own |= word >> j & high
     return (word ^ own * ((1 << len(lab.index)) - 1)) & lab.witness
 
@@ -309,27 +305,23 @@ def _separation_word(lab: _Labelling, highs, word: int) -> int:
 def _separations(drawing: Drawing) -> _Separations:
     lab = _labelling(drawing)
     faces = trace_faces(drawing)
-    highs, above = [], 0
-    for spread in reversed(lab.spread[1:]):
-        highs.append(spread & ~above)
-        above |= spread
-    highs.reverse()
     corners = _face_words(lab, [faces.face_of[faces.offset[v]] for v in drawing.vertices])
-    return _Separations(tuple(highs),
-                        tuple(_separation_word(lab, highs, word) for word in corners),
+    return _Separations(tuple(_separation_word(lab, word) for word in corners),
                         tuple(_deletion_mask(lab, x) & lab.witness for x in range(drawing.n)))
 
 
 def separating_triangles(drawing: Drawing, face_ids):
     """(face, rows) for each face id in turn, each id taken only when its
-    pair is asked for, every word from one _face_words call. rows[x] is
-    (sep, deletion) for the vertex v_x at position x: sep marks the
-    triangles that avoid v_x and separate it from the face, deletion the
-    triangles through v_x. The caller has checked the ids (check_face)."""
+    pair is asked for, every word from one _face_words call and read as
+    a separation word. rows[x] is (sep, deletion) for the vertex v_x at
+    position x: sep, the face's separation word XORed with v_x's corner
+    (_Separations) less its deletion mask, marks the triangles that avoid
+    v_x and separate it from the face; deletion marks the triangles
+    through v_x. The caller has checked the ids (check_face)."""
     lab, seps = _labelling(drawing), _separations(drawing)
     faces, ids = tee(face_ids)
     for face, word in zip(faces, _face_words(lab, ids)):
-        word = _separation_word(lab, seps.highs, word)
+        word = _separation_word(lab, word)
         yield face, [((word ^ corner) & ~deletion, deletion)
                      for corner, deletion in zip(seps.corners, seps.deletions)]
 
@@ -380,7 +372,7 @@ def _fold(top: int) -> bytes:
     return bytes(m if 2 * m <= top else top - m for m in range(top + 1)).ljust(256, b"\0")
 
 
-def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) -> dict:
+def _k_values(lab: _Labelling, word: int, deleted: int | None = None) -> dict:
     """k-values of the edges for the face of the packed word, in edge order.
 
     With deleted set to the index of a vertex v, the k-values in the
@@ -390,9 +382,9 @@ def _k_values(lab: _Labelling, word: int, n: int, deleted: int | None = None) ->
     mask, fold = lab.witness, lab.fold
     if deleted is not None:
         mask &= ~_deletion_mask(lab, deleted)
-        fold = _fold(n - 3)
+        fold = _fold(len(lab.index) - 3)
     values = _count_witnesses(lab, word & mask, fold)
-    return {e: k for (e, (i, j, _, _)), k in zip(lab.edges.items(), values)
+    return {e: k for (e, (i, j)), k in zip(lab.edges.items(), values)
             if deleted != i and deleted != j}
 
 
@@ -512,7 +504,7 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     lab = _labelling(drawing)
     x = lab.index[check_deletable(drawing, v)]
     before = k_edge_profile(drawing, ref_face).k_values
-    child_k = _k_values(lab, _face_word(lab, check_face(drawing, ref_face)), drawing.n, x)
+    child_k = _k_values(lab, _face_word(lab, check_face(drawing, ref_face)), x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
     counts = _level_counts((parent_k[e] for e, keep in flags.items() if keep),

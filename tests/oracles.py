@@ -4,8 +4,10 @@ Everything here recomputes expected values by a different route than the
 library code under test: exact geometric predicates (winding numbers,
 ccw counting) instead of combinatorial side sweeps, one flood fill per
 triangle instead of the library's single parity labelling, one popcount
-per edge instead of the packed pass over all edges at once, subdrawings
-built by vertex deletion and profiled afresh instead of dropping one
+per edge instead of the packed pass over all edges at once, triangle
+constants from n*n-bit labels replayed from the sweep, one seed label per
+edge, instead of one separation word over the seeds' packed words,
+subdrawings built by vertex deletion and profiled afresh instead of dropping one
 witness bit from the labelling, a sweep over the dual graph with the
 reference face split by a chord instead of reading edge sides off the
 labelling, brute-force Fraction-only planarization that sorts the
@@ -314,9 +316,9 @@ def sweep_labels(lab) -> list:
     records: face 0's label is 0, and any other face's is its sweep
     parent's with the bits i*n + j and j*n + i of the edge v_i v_j crossed
     between them flipped. kedges keeps no label; these feed
-    reference_k_values."""
+    reference_constants and reference_k_values."""
     n = len(lab.index)
-    ends = [(i, j) for i, j, _, _ in lab.edges.values()]
+    ends = list(lab.edges.values())
     labels = [None] * len(lab.parent)
     labels[0] = 0
     for f in range(len(labels)):
@@ -332,20 +334,52 @@ def sweep_labels(lab) -> list:
     return labels
 
 
+def pack_fields(fields, width) -> int:
+    """The ints in fields laid out width bits apart, the first lowest."""
+    return sum(x << p * width for p, x in enumerate(fields))
+
+
+def reference_constants(drawing) -> tuple:
+    """(rel, witness) of the drawing's labelling, by the construction the
+    packed sweep replaced: the labels replayed from the sweep
+    (sweep_labels), and for each edge v_i v_j its seed's label, the face
+    left of the first dart of its chain, whose rows i and j XORed, all
+    complemented iff the label's bit i*n + j is set, give the edge's
+    triangle constants; the witness mask of each edge drops bits i and j.
+    The per-edge fields are packed one at a time."""
+    lab = kedges._labelling(drawing)
+    n = len(lab.index)
+    labels = sweep_labels(lab)
+    face_of = trace_faces(drawing).face_of
+    full = (1 << n) - 1
+    rels, masks = [], []
+    for e, (i, j) in lab.edges.items():
+        pf = labels[face_of[drawing.chain_darts[e][0]]]
+        mask = full ^ (1 << i) ^ (1 << j)
+        rel = ((pf >> (i * n)) ^ (pf >> (j * n))) & mask
+        if pf >> (i * n + j) & 1:
+            rel ^= mask
+        rels.append(rel)
+        masks.append(mask)
+    return pack_fields(rels, lab.width), pack_fields(masks, lab.width)
+
+
 def reference_k_values(lab, pf, n, deleted=None) -> dict:
     """The labelling's k-values for the face labelled pf, one edge at a
     time: the witnesses of v_i v_j are the bits of one XOR of rows i and j
-    of the label, counted by int.bit_count (the loop the packed pass of
-    kedges._k_values replaced)."""
+    of the label and the edge's field of rel, counted by int.bit_count
+    (the loop the packed pass of kedges._k_values replaced)."""
     full = (1 << n) - 1
     rows = [(pf >> (i * n)) & full for i in range(n)]
     keep, top = full, n - 2
     if deleted is not None:
         keep, top = full ^ (1 << deleted), n - 3
     k_values = {}
-    for e, (i, j, rel, mask) in lab.edges.items():
+    for p, (e, (i, j)) in enumerate(lab.edges.items()):
         if deleted in (i, j):
             continue
+        mask = full ^ (1 << i) ^ (1 << j)
+        rel = lab.rel >> p * lab.width
         minus = ((rows[i] ^ rows[j] ^ rel) & mask & keep).bit_count()
         k_values[e] = min(minus, top - minus)
     return k_values

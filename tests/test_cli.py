@@ -244,6 +244,31 @@ class TestAnalyze:
         assert len(report["profiles"]) == report["faces"]["count"] == 155
         assert len(calls) == 1
 
+    def test_one_build_walks_the_sweep_once(self, tmp_path, monkeypatch):
+        # the build makes the words of all the seeds in one walk of the
+        # sweep and reads their fields with one separation word
+        calls = {"_face_words": 0, "_separation_word": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(kedges, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(kedges, name, counting)
+        builds = []
+        build = kedges._build_labelling
+
+        def counting_build(drawing, faces):
+            before = dict(calls)
+            lab = build(drawing, faces)
+            builds.append({name: calls[name] - before[name] for name in calls})
+            return lab
+
+        monkeypatch.setattr(kedges, "_build_labelling", counting_build)
+        drawing = tmp_path / "k9.json"
+        main(["generate", "--family", "cylindrical", "--n", "9", "--output", str(drawing)])
+        assert main(["analyze", "--input", str(drawing), "--face", "auto",
+                     "--output", str(tmp_path / "report.json")]) == 0
+        assert builds == [{"_face_words": 1, "_separation_word": 1}]
+
     @pytest.mark.parametrize("family, heads", [("convex", 1), ("cylindrical", None)])
     def test_auto_work_counts(self, family, heads, tmp_path, monkeypatch):
         """Deterministic work counts of analyze --face auto on K12: one

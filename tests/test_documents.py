@@ -200,6 +200,12 @@ class TestDrawingExport:
         with pytest.raises(ValueError, match="^unknown mode 'svg'$"):
             drawing_to_document(convex(5), "svg")
 
+    def test_a_long_unknown_mode_is_quoted(self):
+        with pytest.raises(ValueError) as info:
+            drawing_to_document(convex(5), "x" * 100_000)
+        assert str(info.value) == "unknown mode a string of 100000 characters"
+        assert len(str(info.value)) < 100
+
     def test_entries_equal_to_node_ids_are_written_as_node_ids(self):
         # Drawing matches rotations and chains by equality, so it keeps
         # True for node 1 and 5.0 for crossing 5

@@ -3,18 +3,19 @@
 import random
 import re
 from copy import deepcopy
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from corpus import (convex, cylindrical, not_good_k7_document, rectilinear,
-                    sample_faces)
+                    sample_faces, two_page_drawing)
 from oracles import (ccw_k_value, child_drawing_report, crossings_from_cumulated,
                      exact_points, face_views, far_point, flipped, flood_fill_k_values,
-                     flood_fill_triangles, harary_hill_closed_form, reference_cumulated,
-                     reference_k_values, split_face_side_partition, sweep_labels,
+                     flood_fill_triangles, harary_hill_closed_form, pack_fields,
+                     reference_constants, reference_cumulated, reference_k_values,
+                     split_face_side_partition, sweep_labels,
                      winding_orientation)
 from shellcert import drawing as drawing_module
 from shellcert import kedges
@@ -181,13 +182,12 @@ def synthetic_labelling(n):
     edge v_0 v_1, of rel 0, has all n - 2 witnesses), random, all set."""
     rng = random.Random(n)
     full = (1 << n) - 1
-    pairs = {(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))}
-    edges = {}
-    for i, j in sorted(pairs):
-        mask = full ^ (1 << i) ^ (1 << j)
-        edges[i, j] = (i, j, 0 if (i, j) == (0, 1) else rng.getrandbits(n) & mask, mask)
+    pairs = sorted({(0, 1), *rng.sample(list(combinations(range(n), 2)), min(11, comb(n, 2)))})
+    rels = [0 if (i, j) == (0, 1) else rng.getrandbits(n) & (full ^ (1 << i) ^ (1 << j))
+            for i, j in pairs]
     striped = sum(full << (i * n) for i in range(0, n, 2))
-    return (kedges._lay_out({v: v for v in range(n)}, [], [], edges),
+    lab = kedges._lay_out({v: v for v in range(n)}, [], [], {e: e for e in pairs})
+    return (replace(lab, rel=pack_fields(rels, lab.width)),
             (0, striped, rng.getrandbits(n * n), (1 << n * n) - 1))
 
 
@@ -223,7 +223,7 @@ class TestPackedKernel:
             # every deletion on every face up to K_9; beyond, every face
             # without a deletion and with one vertex deleted, in turn
             for x in (None, *range(n)) if n <= 9 else (None, f % n):
-                got = kedges._k_values(lab, word, n, x)
+                got = kedges._k_values(lab, word, x)
                 want = reference_k_values(lab, pf, n, x)
                 assert got == want and list(got) == list(want), (f, x)
 
@@ -236,12 +236,12 @@ class TestPackedKernel:
         words = list(kedges._face_words(lab, range(len(lab.parent))))
         left_faces = flood_fill_triangles(d, trace_faces(d))
         for f, word in enumerate(words):
-            assert kedges._k_values(lab, word, n) == flood_fill_k_values(d, f, left_faces)
+            assert kedges._k_values(lab, word) == flood_fill_k_values(d, f, left_faces)
         for x, v in enumerate(d.vertices):
             child, child_faces, face_map = drawing_module.child_drawing(d, v)
             child_left = flood_fill_triangles(child, child_faces)
             for f, word in enumerate(words):
-                assert (kedges._k_values(lab, word, n, x)
+                assert (kedges._k_values(lab, word, x)
                         == flood_fill_k_values(child, face_map[f], child_left)), (f, v)
 
     @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257))
@@ -254,12 +254,12 @@ class TestPackedKernel:
         striped = labels[1]
         for pf in labels:
             for x in (None, 0, n // 2, n - 1):
-                assert (kedges._k_values(lab, label_word(lab, pf, n), n, x)
+                assert (kedges._k_values(lab, label_word(lab, pf, n), x)
                         == reference_k_values(lab, pf, n, x)), (n, x)
         # n - 2 witnesses, read unfolded and folded
         word = label_word(lab, striped, n) & lab.witness
         assert kedges._count_witnesses(lab, word, bytes(range(256)))[0] == n - 2
-        assert kedges._k_values(lab, label_word(lab, striped, n), n)[0, 1] == 0
+        assert kedges._k_values(lab, label_word(lab, striped, n))[0, 1] == 0
 
     @pytest.mark.parametrize("n", (258, 300))
     def test_no_labelling_past_a_byte(self, n):
@@ -356,6 +356,35 @@ class TestSweep:
         shuffled = random.Random(name).sample(every, len(every))
         assert list(kedges._face_words(lab, shuffled)) == [want[f] for f in shuffled]
         assert [kedges._face_word(lab, f) for f in every[::7]] == want[::7]
+
+
+class TestTriangleConstants:
+    """The labelling's triangle constants (rel) and witness masks against
+    the construction they replaced (oracles.reference_constants): labels
+    replayed from the sweep, one seed label per edge, one field packed at
+    a time."""
+
+    @pytest.mark.parametrize("name", KERNEL_CORPUS)
+    def test_kernel_corpus(self, name):
+        factory, n, *seed = KERNEL_CORPUS[name]
+        d = factory(n, *seed)
+        lab = kedges._labelling(d)
+        assert (lab.rel, lab.witness) == reference_constants(d)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+    def test_random_two_page_drawings(self, n):
+        rng = random.Random(4200 + n)
+        for _ in range(2):
+            d = two_page_drawing(n, "".join(rng.choice("01") for _ in range(comb(n, 2))))
+            lab = kedges._labelling(d)
+            assert (lab.rel, lab.witness) == reference_constants(d)
+
+    @pytest.mark.parametrize("n", (3, 5, 63, 64, 65, 130, 257))
+    def test_witness_at_any_field_width(self, n):
+        lab, _ = synthetic_labelling(n)
+        full = (1 << n) - 1
+        masks = [full ^ (1 << i) ^ (1 << j) for i, j in lab.edges.values()]
+        assert lab.witness == pack_fields(masks, lab.width)
 
 
 class TestProfiles:
@@ -568,8 +597,8 @@ class TestDeletionFree:
             word = kedges._face_word(lab, f)
             for v in d.vertices:
                 report = invariant_edges(d, f, v)
-                first = kedges._k_values(lab, word, d.n, lab.index[v])
-                assert kedges._k_values(lab, word, d.n, lab.index[v]) == first == report.child_k
+                first = kedges._k_values(lab, word, lab.index[v])
+                assert kedges._k_values(lab, word, lab.index[v]) == first == report.child_k
         assert kedges._labelling(d) is lab
         assert {f.name: getattr(lab, f.name) for f in fields(lab)} == before
 
