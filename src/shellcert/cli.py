@@ -21,11 +21,13 @@ import hashlib
 import json
 import sys
 import threading
+from contextlib import nullcontext
+from itertools import chain
 from operator import itemgetter
 
 from . import __version__
-from .documents import (JsonText, certificate_from_document, certificate_to_document,
-                        decimal, dump_document, dumps_document, load_drawing)
+from .documents import (certificate_from_document, certificate_to_document, decimal,
+                        dumps_document, load_drawing)
 from .drawing import check_face, check_level, face_vertex_table, trace_faces, validate_goodness
 from .errors import (CapabilityError, CertificateMismatchError, DocumentError,
                      ShellcertError, quoted)
@@ -216,10 +218,14 @@ def _read_certificate(path, drawing_digest):
 
 
 def _emit(payload, path) -> None:
-    if path is None:
-        sys.stdout.write(dumps_document(payload))
-    else:
-        dump_document(payload, path)
+    with _open_output(path) as out:
+        out.write(dumps_document(payload))
+
+
+def _open_output(path):
+    """The file at path, opened to write as dump_document opens it, or
+    stdout, left open, when path is None."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _parse_face(selector, drawing):
@@ -275,17 +281,29 @@ def cmd_analyze(args) -> int:
     vertices = face_vertex_table(drawing)
     write_k_values = _k_value_writer([f"{u}-{v}" for u, v in drawing.edges()],
                                      max_k(drawing.n))
-    # a row's bounds, counts and cumulated counts follow from its counts, so
-    # faces with equal counts share that text, made on the first of them
-    heads = {}
-    for face, (values, counts) in zip(selected, face_profiles(drawing, selected)):
-        head = heads.get(counts)
-        if head is None:
-            head = heads[counts] = _profile_head(counts, kmax)
-        payload["profiles"].append(JsonText(
-            f'{head}{face},"face_vertices":[{",".join(map(str, vertices[face]))}],'
-            f'"k_values":{{{write_k_values(values)}}}}}'))
-    _emit(payload, args.output)
+    rows = zip(selected, face_profiles(drawing, selected))
+    # the labelling refuses a drawing it cannot read when the first row is
+    # made, so that row is made before the output is opened
+    first = next(rows, None)
+    # "profiles" sorts last: the dumped text ends in its empty list
+    text = dumps_document(payload)
+    with _open_output(args.output) as out:
+        if first is None:
+            out.write(text)
+            return EXIT_OK
+        out.write(text[:-len("]\n}\n")])
+        # faces with equal counts share the bounds and counts text they make
+        heads = {}
+        separator = "\n  "
+        for face, (values, counts) in chain([first], rows):
+            head = heads.get(counts)
+            if head is None:
+                head = heads[counts] = _profile_head(counts, kmax)
+            out.write(f'{separator}{head}{face},"face_vertices":'
+                      f'[{",".join(map(str, vertices[face]))}],'
+                      f'"k_values":{{{write_k_values(values)}}}}}')
+            separator = ",\n  "
+        out.write("\n ]\n}\n")
     return EXIT_OK
 
 

@@ -272,12 +272,6 @@ def geometric_document(n: int, points, polylines) -> dict:
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class JsonText(str):
-    """A value already encoded as compact JSON with sorted keys, as the
-    writer's own compact dump would encode it; dumps_document writes it
-    as it stands."""
-
-
 def dumps_document(document) -> str:
     """The JSON text of a document, report or certificate, ending in "\n".
 
@@ -287,16 +281,12 @@ def dumps_document(document) -> str:
     profile, or a drawing's edge, node, rotation or chain, sits on a line
     of its own. The text is deterministic, and every element comes from
     json's C encoder: passing ``indent`` would switch to its pure-Python
-    encoder, which costs several times as much on large reports. A
-    JsonText at any of those places is written as it stands; inside a
-    compact dump the encoder would write it as a string.
+    encoder, which costs several times as much on large reports.
     """
     return _layout(document, 0) + "\n"
 
 
 def _layout(value, depth: int) -> str:
-    if isinstance(value, JsonText):
-        return value
     if depth == 2 or not value or not isinstance(value, (dict, list, tuple)):
         return _compact(value)
     pad = " " * (depth + 1)

@@ -255,6 +255,14 @@ def _face_word(lab: _Labelling, face: int) -> int:
     return next(_face_words(lab, (face,)))
 
 
+@per_drawing
+def _reference_word(drawing: Drawing, face: int) -> int:
+    """The packed word of one reference face, kept on the drawing, so the
+    one-face reads walk the sweep once per face; the caller has checked
+    the id (check_face), since 1.0 and True are equal keys to 1."""
+    return _face_word(_labelling(drawing), face)
+
+
 def _right_of(lab: _Labelling, word: int, u: int, v: int) -> int:
     """Bit w set iff the face of the packed word lies right of u -> v -> v_w."""
     i, j = lab.edges[edge_key(u, v)]
@@ -337,7 +345,7 @@ def triangle_orientation(drawing: Drawing, ref_face: int, edge,
     i, j, w = (lab.index[check_vertex(drawing, x)] for x in (u, v, witness))
     if len({i, j, w}) != 3:
         raise ValueError("edge endpoints and witness must be three distinct vertices")
-    right = _right_of(lab, _face_word(lab, check_face(drawing, ref_face)), u, v)
+    right = _right_of(lab, _reference_word(drawing, check_face(drawing, ref_face)), u, v)
     return Orientation.MINUS if right >> w & 1 else Orientation.PLUS
 
 
@@ -504,7 +512,7 @@ def invariant_edges(drawing: Drawing, ref_face: int, v: int) -> InvariantReport:
     lab = _labelling(drawing)
     x = lab.index[check_deletable(drawing, v)]
     before = k_edge_profile(drawing, ref_face).k_values
-    child_k = _k_values(lab, _face_word(lab, check_face(drawing, ref_face)), x)
+    child_k = _k_values(lab, _reference_word(drawing, check_face(drawing, ref_face)), x)
     parent_k = {e: before[e] for e in child_k}
     flags = {e: child_k[e] == parent_k[e] for e in child_k}
     counts = _level_counts((parent_k[e] for e, keep in flags.items() if keep),
@@ -584,7 +592,7 @@ def edge_side_partition(drawing: Drawing, ref_face: int, u: int, v: int) -> froz
     """
     lab = _labelling(drawing)
     _edge_of(drawing, u, v)
-    word = _face_word(lab, check_face(drawing, ref_face))
+    word = _reference_word(drawing, check_face(drawing, ref_face))
     on_face = vertices_on_face(drawing, ref_face)
     if u not in on_face or v not in on_face:
         raise ValueError("both endpoints must lie on the reference face")

@@ -38,10 +38,11 @@ from math import comb
 
 from shellcert import kedges
 from shellcert.drawing import (Drawing, child_drawing, edge_key, seg_key, trace_faces,
-                               vertices_on_face)
+                               validate_goodness, vertices_on_face)
 from shellcert.errors import DocumentError, EmbeddingError, StructureError
 from shellcert.geometry import angle_less, cross, direction_half, on_segment, sub
-from shellcert.kedges import Orientation, cumulative_bound_check, k_edge_profile, max_k
+from shellcert.kedges import (Orientation, cumulative_bound_check, harary_hill_bound,
+                              k_edge_profile, max_k)
 from shellcert.planarize import outer_face
 
 
@@ -406,6 +407,30 @@ def reference_profile(drawing, face, kmax=None) -> dict:
         "bounds": [{"k": r.k, "cumulated": r.cumulated,
                     "threshold": r.threshold, "pass": r.ok} for r in rows],
     }
+
+
+def reference_report(drawing, path, sha256, faces, kmax=None) -> dict:
+    """The whole analyze report as a dict: the drawing's document is at
+    path and has that sha256, faces are the faces the selector names and
+    kmax is the --kmax option (None if not given). A drawing that is not
+    good gets no analyzed faces and no profiles."""
+    goodness = validate_goodness(drawing)
+    report = {
+        "input": {"path": path, "sha256": sha256},
+        "n": drawing.n,
+        "goodness": {"pass": goodness.ok,
+                     "violations": [{"condition": c, "edges": [list(e) for e in pair]}
+                                    for c, pair in goodness.violations]},
+        "faces": {"count": trace_faces(drawing).face_count()},
+        "crossings": drawing.crossing_count(),
+        "harary_hill": harary_hill_bound(drawing.n),
+        "profiles": [],
+        "deciders": None,
+    }
+    if goodness.ok:
+        report["faces"]["analyzed"] = list(faces)
+        report["profiles"] = [reference_profile(drawing, f, kmax) for f in faces]
+    return report
 
 
 def reference_cumulated(k_values, levels):

@@ -6,10 +6,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,14 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (not_good_k7_document, rectilinear_document_text,
-                    rerouted_document, top_level_lines)
-from oracles import reference_profile
+                    rerouted_document, top_level_lines, two_page_drawing)
+from oracles import reference_profile, reference_report
 from shellcert import cli, kedges
 from shellcert import drawing as drawing_module
 from shellcert.cli import main
-from shellcert.documents import (JsonText, _compact, certificate_to_document,
-                                 drawing_to_document, load_drawing)
-from shellcert.drawing import validate_goodness
+from shellcert.documents import (_compact, certificate_to_document, drawing_to_document,
+                                 dumps_document, load_drawing)
+from shellcert.drawing import trace_faces, validate_goodness
 from shellcert.errors import DocumentError, ShellcertError, StructureError, quoted
 from shellcert.generators import convex_document, random_rectilinear
 from shellcert.shellability import decide_seq_shellable
@@ -679,28 +682,17 @@ class TestExport:
                      "--output", str(tmp_path / "x.svg")]) == 4
 
 
-def emitted(monkeypatch, raw=False):
-    """The payloads cli._emit is handed, in order. Unless raw is set, each
-    JsonText in a payload (an analyze profile) is replaced by its JSON value."""
+def emitted(monkeypatch):
+    """The payloads cli._emit is handed, in order."""
     payloads = []
     emit = cli._emit
 
     def recording(payload, path):
-        payloads.append(payload if raw else _json_values(payload))
+        payloads.append(payload)
         emit(payload, path)
 
     monkeypatch.setattr(cli, "_emit", recording)
     return payloads
-
-
-def _json_values(value):
-    if isinstance(value, JsonText):
-        return json.loads(value)
-    if isinstance(value, dict):
-        return {key: _json_values(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_json_values(item) for item in value]
-    return value
 
 
 class TestReadOnce:
@@ -786,14 +778,16 @@ class TestWriter:
     """Reports and certificates: the same JSON value as the payload, with
     one line per profile, and the same bytes on every run."""
 
-    def test_analyze_report_parses_to_payload(self, k6, tmp_path, monkeypatch):
-        payloads = emitted(monkeypatch)
+    def test_analyze_report_parses_to_payload(self, k6, tmp_path):
         path = tmp_path / "zeichnung-ü-図.json"
         path.write_bytes(k6.read_bytes())
         out = tmp_path / "report.json"
         assert main(["analyze", "--input", str(path), "--output", str(out)]) == 0
         report = read(out)
-        assert report == payloads[0]
+        drawing = load_drawing(read(path))
+        assert report == reference_report(
+            drawing, str(path), hashlib.sha256(path.read_bytes()).hexdigest(),
+            trace_faces(drawing).face_ids())
         assert report["input"]["path"] == str(path)
         assert report["goodness"]["violations"] == []
 
@@ -919,15 +913,14 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("name", REPORT_CASES)
     def test_every_row_is_the_reference_dict(self, name, tmp_path, monkeypatch):
-        payloads = emitted(monkeypatch, raw=True)
-        self.analyze(name, tmp_path, monkeypatch)
+        text = self.analyze(name, tmp_path, monkeypatch).decode("utf-8")
         options = REPORT_CASES[name][2]
         kmax = int(options[1]) if options[0] == "--kmax" else None
         drawing = load_drawing(read(tmp_path / "drawing.json"))
-        payload = payloads[-1]  # generate emits the drawing first
-        rows = payload["profiles"]
-        assert len(rows) == len(payload["faces"]["analyzed"]) > 0
-        for face, row in zip(payload["faces"]["analyzed"], rows):
+        analyzed = json.loads(text)["faces"]["analyzed"]
+        rows = [line.lstrip() for line in top_level_lines(text, "profiles")]
+        assert len(rows) == len(analyzed) > 0
+        for face, row in zip(analyzed, rows):
             assert row == _compact(reference_profile(drawing, face, kmax)), face
         if name.startswith("cylindrical") and name.endswith("-auto"):
             assert any('"pass":false' in row for row in rows)
@@ -935,6 +928,119 @@ class TestReportBytes:
             assert max(json.loads(rows[0])["k_values"].values()) == 9
         if name == "convex22-face0":  # the template's k-values past one digit
             assert max(json.loads(rows[0])["k_values"].values()) == 10
+
+
+# (family, n, analyze options) of each streamed report; "not-good" is the
+# K7 whose report carries no profiles and exits 2
+STREAMED_CASES = {
+    "auto": ("cylindrical", 9, ["--face", "auto"]),
+    "face-id": ("rectilinear", 10, ["--face", "5"]),
+    "at": ("convex", 9, ["--face", "at:0,0"]),
+    "convex3-auto": ("convex", 3, ["--face", "auto"]),  # empty bound table
+    "not-good": (None, 7, ["--face", "auto"]),
+    "kmax0": ("convex", 8, ["--face", "auto", "--kmax", "0"]),
+}
+
+
+class TestStreamedReport:
+    """analyze writes its report row by row, to a file and to stdout, in
+    the bytes dumps_document gives the whole report."""
+
+    @staticmethod
+    def expected(name, tmp_path):
+        """The analyze argv of the case without --output, its exit code,
+        and dumps_document of the whole report with every row built by
+        oracles.reference_profile."""
+        family, n, options = STREAMED_CASES[name]
+        path = tmp_path / "drawing.json"
+        if family is None:
+            path.write_text(json.dumps(not_good_k7_document()))
+        else:
+            assert main(["generate", "--family", family, "--n", str(n), "--seed", "1",
+                         "--output", str(path)]) == 0
+        drawing = load_drawing(read(path))
+        selector = options[1]
+        if selector == "auto":
+            faces = list(trace_faces(drawing).face_ids())
+        elif selector.startswith("at:"):
+            faces = [cli.locate_face(drawing, tuple(map(int, selector[3:].split(","))))]
+        else:
+            faces = [int(selector)]
+        kmax = int(options[3]) if options[2:3] == ["--kmax"] else None
+        report = reference_report(drawing, str(path),
+                                  hashlib.sha256(path.read_bytes()).hexdigest(), faces, kmax)
+        code = 0 if report["goodness"]["pass"] else 2
+        return ["analyze", "--input", str(path), *options], code, dumps_document(report)
+
+    @pytest.mark.parametrize("name", STREAMED_CASES)
+    def test_file_bytes(self, name, tmp_path):
+        argv, code, text = self.expected(name, tmp_path)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--output", str(out)]) == code
+        assert out.read_bytes() == text.encode("utf-8")
+        assert ('"profiles":[]' in text) == (name == "not-good")
+
+    @pytest.mark.parametrize("name", STREAMED_CASES)
+    def test_stdout_bytes(self, name, tmp_path, capsys):
+        argv, code, text = self.expected(name, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().out == text
+
+    def test_memory_follows_the_drawing(self, tmp_path):
+        """The peak of traced allocations of an in-process analyze of every
+        face stays under twice that of one face: no job holds its report,
+        which is larger than the whole one-face peak. Holding it as rows
+        and as one text, the job on this K20 peaked at 30 MB against
+        5.5 MB for one face."""
+        rng = random.Random(20)
+        drawing = two_page_drawing(20, "".join(rng.choice("01") for _ in range(comb(20, 2))))
+        path = tmp_path / "k20.json"
+        path.write_text(json.dumps(drawing_to_document(drawing, "combinatorial")))
+        peaks = {}
+        for selector in ("0", "auto"):
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "--input", str(path), "--face", selector,
+                             "--output", str(tmp_path / "report.json")]) == 0
+                peaks[selector] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "report.json").stat().st_size > peaks["0"]
+        assert peaks["auto"] < 2 * peaks["0"]
+
+
+class TestRefusedAnalyze:
+    """An analyze job refused after its drawing loads, whatever the check
+    that refuses it, exits 2 and creates no output file. (A drawing that
+    is not good still gets its whole report: TestStreamedReport.)"""
+
+    @pytest.mark.parametrize("options, message", [
+        (["--face", "99999"], "face 99999 does not exist"),
+        (["--face", "0", "--kmax", "5"], "kmax must lie in 0..1"),
+        (["--face", "auto", "LABELLING"], "at most 257 vertices"),
+    ], ids=["face", "kmax", "labelling"])
+    def test_no_file(self, options, message, tmp_path, monkeypatch, capsys):
+        if options[-1] == "LABELLING":
+            # the refusal of a drawing on more than 257 vertices, raised
+            # when the first row is read
+            options = options[:-1]
+
+            def refused(drawing):
+                raise ValueError("k-values are read for drawings on at most 257 vertices")
+
+            monkeypatch.setattr(kedges, "_labelling", refused)
+        drawing = tmp_path / "k7.json"
+        assert main(["generate", "--family", "convex", "--n", "7",
+                     "--output", str(drawing)]) == 0
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(drawing), *options,
+                     "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["analyze", "--input", str(drawing), *options]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestNotGood:

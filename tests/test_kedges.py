@@ -21,6 +21,7 @@ from shellcert import drawing as drawing_module
 from shellcert import kedges
 from shellcert.documents import load_drawing
 from shellcert.drawing import Drawing, edge_key, trace_faces, vertices_on_face
+from shellcert.generators import cylindrical_drawing
 from shellcert.kedges import (Orientation, cumulative_bound_check, edge_side_partition,
                               harary_hill_bound, invariant_edges,
                               k_edge_profile, k_value, max_k, recursion_check,
@@ -102,6 +103,33 @@ class TestTriangleOrientation:
                 triangle_orientation(d, face, (0, 1), 2)
             with pytest.raises(ValueError):
                 k_edge_profile(d, face)
+
+    def test_one_face_reads_walk_the_sweep_once_per_face(self, monkeypatch):
+        """triangle_orientation, edge_side_partition and invariant_edges
+        share the reference face's word, made by one walk of the sweep
+        however often the face is read; invariant_edges walks once more
+        for the face's profile."""
+        d = cylindrical_drawing(16)
+        # the last face with two vertices, far from face 0 along the sweep
+        face = max(f for f in trace_faces(d).face_ids() if len(vertices_on_face(d, f)) > 1)
+        kedges._labelling(d)
+        walks = []
+        face_words = kedges._face_words
+
+        def counting(lab, face_ids):
+            walks.append(face_ids)
+            return face_words(lab, face_ids)
+
+        monkeypatch.setattr(kedges, "_face_words", counting)
+        for i in range(100):
+            triangle_orientation(d, face, (0, 1), 2 + i % 14)
+        assert len(walks) == 1
+        u, v = sorted(vertices_on_face(d, face))[:2]
+        for _ in range(100):
+            edge_side_partition(d, face, u, v)
+        for w in d.vertices:
+            invariant_edges(d, face, w)
+        assert len(walks) == 2
 
     def test_not_good_drawing_is_refused(self):
         d = load_drawing(not_good_k7_document())
